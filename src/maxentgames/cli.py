@@ -8,7 +8,8 @@ Subcommands:
 - capacity: the derived-game capacity of a finite model list
 
 Exit codes: 0 success, 1 parse/usage error, 2 infeasible, 3 saddle
-verification failure, 4 suite failure.
+verification failure, 4 suite failure, 5 solver failure (an iterative solver
+or the LP did not reach its tolerance).
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ EXIT_PARSE = 1
 EXIT_INFEASIBLE = 2
 EXIT_SADDLE = 3
 EXIT_SUITE = 4
+EXIT_SOLVER = 5
 
 
 class SpecError(ValueError):
@@ -299,10 +301,7 @@ def _require_statistic(spec: ProblemSpec) -> Statistic:
 def _solve_tau(spec: ProblemSpec, tau, tol: float | None):
     statistic = _require_statistic(spec)
     g = GammaTau(statistic, np.atleast_1d(np.asarray(tau, dtype=float)))
-    kwargs = {}
-    if tol is not None and spec.model.kind not in ("brier", "zero_one"):
-        kwargs["tol"] = tol
-    return solve(spec.model, g, **kwargs), g
+    return solve(spec.model, g, tol=tol), g
 
 
 def cmd_solve(args) -> int:
@@ -650,6 +649,11 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
+    except ArithmeticError as exc:
+        # MaxIterExceeded, NewtonDivergence, and the LP's Unbounded and
+        # strong-duality errors; Infeasible is one too, so it comes first
+        sys.stderr.write(f"solver failed: {exc}\n")
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ import numpy as np
 from .core import ACT_DISTRIBUTION, Act, DimensionMismatch, Distribution
 from .divergence import discrepancy
 from .losses import LossModel
-from .maxent import MaxIterExceeded, _entropy_batch, _ext_dots, _fw_maximize
-from .verify import lp_game_value
+from .maxent import FW_MAX_ITER, MaxIterExceeded, _ext_dots, _fw_maximize
+from .verify import point_act_game
 
 UPSILON_TOL = 1e-6        # relative width of the top derived-loss band
 EQUALIZATION_TOL = 1e-5
@@ -136,50 +136,48 @@ def _derived_losses(sm: StatModel, act: Act) -> np.ndarray:
     return _ext_dots(sm.member_matrix, lv) - sm.member_entropies
 
 
-def capacity_solve(sm: StatModel, tol: float = 1e-6,
-                   max_iter: int = 100000) -> CapacityResult:
-    """Maximize the information value over priors by pairwise conditional
-    gradient; the supergradient coordinate at w is the derived loss of the
-    current mixture's Bayes act.
+def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
+    """Maximize the information value over priors.
 
-    Kinked base losses are finished exactly by the matrix game over members
-    versus pure point-guess acts.  Smooth ones get a multiplicative
-    rebalancing pass: near an interior optimum the certificate gap is first
+    Losses affine in a distribution act (zero-one) are solved exactly, and
+    first, by the matrix game of members against pure point-guess acts:
+    `method` is "matrix-game" and `iterations` is 0.  Every other loss runs
+    pairwise conditional gradient, whose supergradient coordinate at w is
+    the derived loss of the current mixture's Bayes act, followed by an
+    equalization pass: near an interior optimum the certificate gap is first
     order in the distance while value progress is only second order, so the
-    line search alone cannot push the gap much below ~1e-7.
+    line search alone cannot push the gap much below ~1e-7.  There `method`
+    is "frank-wolfe" and `iterations` counts both stages.
     """
     mmat = sm.member_matrix
     ents = sm.member_entropies
     model = sm.model
-    V = np.eye(sm.m)
-
-    def value_batch(block):
-        w = np.maximum(block, 0.0)
-        return _entropy_batch(model, w @ mmat) - w @ ents
-
-    def supergrad(pi):
-        mix = np.maximum(pi @ mmat, 0.0)
-        mixd = Distribution(mix / mix.sum())
-        lv = model.loss_vector(model.bayes_act(mixd))
-        return _ext_dots(mmat, lv) - ents
-
-    res = _fw_maximize(V, value_batch, supergrad, tol, max_iter)
-    method = "frank-wolfe"
-    pi_vec, value, gap, iters = res.point, res.value, res.gap, res.iterations
+    res = None
     act = None
-    cert = _point_act_game(sm)
-    if cert is not None:
-        pi_vec, value, act = cert
-        lhat = _derived_losses(sm, act)
-        gap = max(0.0, float(lhat.max() - value))
-        method = "matrix-game"
+    game = point_act_game(model, mmat, ents)
+    if game is not None:
+        pi_vec, value = game.row_strategy, float(game.value)
+        act = Act(ACT_DISTRIBUTION, game.col_strategy)
+        gap = max(0.0, float(_derived_losses(sm, act).max() - value))
+        iters, method = 0, "matrix-game"
     else:
-        band = UPSILON_TOL * max(1.0, abs(value))
+        def value_batch(block):
+            w = np.maximum(block, 0.0)
+            return model.entropy_batch(w @ mmat) - w @ ents
+
+        def supergrad(pi):
+            mix = np.maximum(pi @ mmat, 0.0)
+            mixd = Distribution(mix / mix.sum())
+            lv = model.loss_vector(model.bayes_act(mixd))
+            return _ext_dots(mmat, lv) - ents
+
+        res = _fw_maximize(np.eye(sm.m), value_batch, supergrad, tol, FW_MAX_ITER)
+        band = UPSILON_TOL * max(1.0, abs(res.value))
         pi_vec, value, gap, extra = _equalize_support(
-            pi_vec, value_batch, supergrad, band, tol)
-        iters += extra
+            res.point, value_batch, supergrad, band, tol)
+        iters, method = res.iterations + extra, "frank-wolfe"
     if gap > tol:
-        if res.stalled:
+        if res is not None and res.stalled:
             raise MaxIterExceeded(
                 f"capacity iteration stalled with gap {gap:.3e}", res
             )
@@ -277,32 +275,6 @@ def _equalize_support(pi, value_batch, supergrad, band, tol, rounds=40):
     value = float(value_batch(pi[None, :])[0])
     gap = float(g.max() - pi @ g)
     return pi, value, max(gap, 0.0), extra
-
-
-def _point_act_game(sm: StatModel):
-    """Exact capacity when acts mix linearly: game members vs point guesses.
-
-    Only losses affine in a distribution act qualify; for strictly convex
-    scores (Brier, Bregman) randomized point guessing is dominated and the
-    game value overshoots the capacity.
-    """
-    model = sm.model
-    n = model.space.n
-    if model.act_kind != ACT_DISTRIBUTION:
-        return None
-    if model.bayes_act_set(Distribution.uniform(n)) is None:
-        return None
-    cols = []
-    for a_idx in range(n):
-        e = np.zeros(n)
-        e[a_idx] = 1.0
-        lv = model.loss_vector(Act(ACT_DISTRIBUTION, e))
-        if not np.all(np.isfinite(lv)):
-            return None
-        cols.append(sm.member_matrix @ lv - sm.member_entropies)
-    payoff = np.column_stack(cols)
-    sol = lp_game_value(payoff)
-    return sol.row_strategy, float(sol.value), Act(ACT_DISTRIBUTION, sol.col_strategy)
 
 
 def blahut_arimoto(sm: StatModel, tol: float = 1e-10,

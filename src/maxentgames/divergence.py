@@ -123,6 +123,9 @@ class RelativeModel(LossModel):
     def entropy(self, dist: Distribution) -> float:
         return self.base.entropy(dist) - ext_dot(dist.w, self.reference_losses)
 
+    def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
+        return self.base.entropy_batch(rows) - rows @ self.reference_losses
+
     def bayes_act_set(self, dist: Distribution):
         return self.base.bayes_act_set(dist)
 

@@ -74,6 +74,11 @@ class LossModel:
         """H(P) = E_P L(X, bayes_act(P)); overridden with closed forms."""
         return ext_dot(dist.w, self.loss_vector(self.bayes_act(dist)))
 
+    def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
+        """H at every row of a nonnegative (m, N) block, each row normalized
+        first; overridden with vectorized closed forms."""
+        return np.array([self.entropy(Distribution(row / row.sum())) for row in rows])
+
     def bayes_act_set(self, dist: Distribution):
         """Descriptor of the Bayes-act set when non-unique, else None."""
         return None
@@ -103,6 +108,18 @@ class LossModel:
             raise NotNormalized("act weights must sum to one")
         return q
 
+    def _density_payload(self, act: Act) -> np.ndarray:
+        if act.kind != ACT_DENSITY:
+            raise DimensionMismatch(f"{self.name} expects {ACT_DENSITY} acts")
+        q = self._check_space(act.as_array())
+        if float(q.min()) < -WEIGHT_CLAMP:
+            raise DimensionMismatch("density values must be nonnegative")
+        q = np.where(q < 0.0, 0.0, q)
+        mass = float(q @ self.base.weights)
+        if abs(mass - 1.0) > NORM_TOL:
+            raise NotNormalized(f"density integrates to {mass!r}, not 1")
+        return q
+
 
 @dataclass(frozen=True)
 class ProprietyReport:
@@ -130,6 +147,9 @@ class BrierModel(LossModel):
     def entropy(self, dist: Distribution) -> float:
         return 1.0 - float(dist.w @ dist.w)
 
+    def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
+        return 1.0 - np.einsum("ij,ij->i", rows, rows)
+
     def random_act(self, rng: np.random.Generator) -> Act:
         return Act(ACT_DISTRIBUTION, rng.dirichlet(np.ones(self.space.n)))
 
@@ -149,18 +169,6 @@ class LogModel(LossModel):
         self.act_kind = ACT_DENSITY
         self.strictness = STRICT
 
-    def _density_payload(self, act: Act) -> np.ndarray:
-        if act.kind != ACT_DENSITY:
-            raise DimensionMismatch(f"{self.name} expects {ACT_DENSITY} acts")
-        q = self._check_space(act.as_array())
-        if float(q.min()) < -WEIGHT_CLAMP:
-            raise DimensionMismatch("density values must be nonnegative")
-        q = np.where(q < 0.0, 0.0, q)
-        mass = float(q @ self.base.weights)
-        if abs(mass - 1.0) > NORM_TOL:
-            raise NotNormalized(f"density integrates to {mass!r}, not 1")
-        return q
-
     def loss_vector(self, act: Act) -> np.ndarray:
         q = self._density_payload(act)
         with np.errstate(divide="ignore"):
@@ -173,6 +181,11 @@ class LogModel(LossModel):
         p = dist.w
         mask = p > 0.0
         return -float(p[mask] @ np.log(p[mask] / self.base.weights[mask]))
+
+    def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(rows > 0.0, rows * np.log(rows / self.base.weights), 0.0)
+        return -terms.sum(axis=1)
 
     def random_act(self, rng: np.random.Generator) -> Act:
         r = rng.dirichlet(np.ones(self.space.n))
@@ -205,6 +218,9 @@ class ZeroOneModel(LossModel):
 
     def entropy(self, dist: Distribution) -> float:
         return 1.0 - float(dist.w.max())
+
+    def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
+        return 1.0 - rows.max(axis=1)
 
     def bayes_act_set(self, dist: Distribution) -> np.ndarray:
         # Bayes acts are exactly the zeta supported on the modes
@@ -239,6 +255,10 @@ class QuadraticModel(LossModel):
     def entropy(self, dist: Distribution) -> float:
         mean = float(self.values @ dist.w)
         return float(((self.values - mean) ** 2) @ dist.w)
+
+    def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
+        mean = rows @ self.values
+        return rows @ (self.values ** 2) - mean ** 2
 
     def random_act(self, rng: np.random.Generator) -> Act:
         lo, hi = float(self.values.min()), float(self.values.max())
@@ -340,18 +360,6 @@ class BregmanModel(LossModel):
         self.act_kind = ACT_DENSITY
         self.strictness = STRICT if generator.strictly_convex else SEMISTRICT
 
-    def _density_payload(self, act: Act) -> np.ndarray:
-        if act.kind != ACT_DENSITY:
-            raise DimensionMismatch(f"{self.name} expects {ACT_DENSITY} acts")
-        q = self._check_space(act.as_array())
-        if float(q.min()) < -WEIGHT_CLAMP:
-            raise DimensionMismatch("density values must be nonnegative")
-        q = np.where(q < 0.0, 0.0, q)
-        mass = float(q @ self.base.weights)
-        if abs(mass - 1.0) > NORM_TOL:
-            raise NotNormalized(f"density integrates to {mass!r}, not 1")
-        return q
-
     def loss_vector(self, act: Act) -> np.ndarray:
         q = self._density_payload(act)
         psi_q = np.asarray(self.generator.psi(q), dtype=float)
@@ -368,6 +376,10 @@ class BregmanModel(LossModel):
     def entropy(self, dist: Distribution) -> float:
         dens = dist.w / self.base.weights
         return -float(np.asarray(self.generator.psi(dens), float) @ self.base.weights)
+
+    def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
+        dens = rows / self.base.weights
+        return -(np.asarray(self.generator.psi(dens), float) @ self.base.weights)
 
     def random_act(self, rng: np.random.Generator) -> Act:
         r = rng.dirichlet(np.ones(self.space.n))

@@ -27,12 +27,15 @@ from .core import (
 )
 from .divergence import equalizer_check
 from .losses import LossModel
+from .verify import point_act_game
 
 BRIER_ENUM_CAP = 16      # solve_brier enumerates 2^N supports
 ZERO_ONE_ENUM_CAP = 12   # solve_zero_one enumerates mode/zero patterns
 LINEAR_FIT_TOL = 1e-7
 SYSTEM_TOL = 1e-9
 HYPERPLANE_PROBES = 41
+NEWTON_MAX_ITER = 100    # dual Newton steps in solve_log
+FW_MAX_ITER = 100000     # conditional-gradient iterations
 
 
 class NewtonDivergence(ArithmeticError):
@@ -263,34 +266,11 @@ def _fw_maximize(V: np.ndarray, value_batch, supergrad, tol: float,
     return _FWResult(point, w, value, gap, it, True)
 
 
-def _entropy_batch(model: LossModel, block: np.ndarray) -> np.ndarray:
-    kind = getattr(model, "kind", "")
-    w = np.maximum(block, 0.0)
-    if kind == "brier":
-        return 1.0 - np.einsum("ij,ij->i", w, w)
-    if kind == "zero_one":
-        return 1.0 - w.max(axis=1)
-    if kind == "log":
-        mu = model.base.weights
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(w > 0.0, w * np.log(w / mu), 0.0)
-        return -terms.sum(axis=1)
-    if kind == "quadratic":
-        mean = w @ model.values
-        return w @ (model.values ** 2) - mean ** 2
-    if kind == "bregman":
-        dens = w / model.base.weights
-        return -(np.asarray(model.generator.psi(dens), float) @ model.base.weights)
-    if kind.startswith("relative:"):
-        return _entropy_batch(model.base, block) - w @ model.reference_losses
-    return np.array([model.entropy(Distribution(row / row.sum())) for row in w])
-
-
 # ---------------------------------------------------------------------------
 # Brier solver: exact support enumeration
 
 
-def solve_brier(model: LossModel, g: GammaTau, max_n: int | None = None) -> SaddlePoint:
+def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
     """Exact Brier saddle point by support enumeration.
 
     On each candidate support the entropy maximizer is the minimum-norm
@@ -300,9 +280,9 @@ def solve_brier(model: LossModel, g: GammaTau, max_n: int | None = None) -> Sadd
     if model.kind != "brier":
         raise ValueError("solve_brier needs a Brier model")
     n, k = g.n, g.k
-    cap = max_n if max_n is not None else BRIER_ENUM_CAP
-    if n > cap:
-        raise CombinatorialBlowup(f"N={n} exceeds the Brier enumeration cap {cap}")
+    if n > BRIER_ENUM_CAP:
+        raise CombinatorialBlowup(
+            f"N={n} exceeds the Brier enumeration cap {BRIER_ENUM_CAP}")
     rows = np.vstack([np.ones(n), g.statistic.matrix])
     target = np.concatenate([[1.0], g.tau])
     best = None  # (h, support size, p, support tuple)
@@ -385,8 +365,7 @@ def _log_kappa(mu: np.ndarray, tmat: np.ndarray, beta: np.ndarray):
     return kappa, weights / z
 
 
-def solve_log(model: LossModel, g: GammaTau, tol: float = 1e-10,
-              max_iter: int = 100) -> SaddlePoint:
+def solve_log(model: LossModel, g: GammaTau, tol: float = 1e-10) -> SaddlePoint:
     """Log-loss saddle point: Newton on kappa(beta) + beta' tau.
 
     Boundary tau restricts to the face carrying Gamma_tau and recurses; the
@@ -396,7 +375,7 @@ def solve_log(model: LossModel, g: GammaTau, tol: float = 1e-10,
     if model.kind != "log":
         raise ValueError("solve_log needs a log model")
     idx = np.arange(g.n)
-    p_sub, beta, kappa, grad_norm, full_dim = _solve_log_on(model, g, idx, tol, max_iter)
+    p_sub, beta, kappa, grad_norm, full_dim = _solve_log_on(model, g, idx, tol)
     p = np.zeros(g.n)
     p[p_sub[0]] = p_sub[1]
     h = model.entropy(Distribution(p))
@@ -408,7 +387,7 @@ def solve_log(model: LossModel, g: GammaTau, tol: float = 1e-10,
     return _finalize(model, g, vs, p, zeta, h, None, None, grad_norm, "log-face")
 
 
-def _solve_log_on(model, g: GammaTau, idx: np.ndarray, tol: float, max_iter: int):
+def _solve_log_on(model, g: GammaTau, idx: np.ndarray, tol: float):
     """Returns ((indices, weights), beta, kappa, grad_norm, solved_on_full_space)."""
     tmat = g.statistic.matrix[:, idx]
     mu = model.base.weights[idx]
@@ -421,13 +400,13 @@ def _solve_log_on(model, g: GammaTau, idx: np.ndarray, tol: float, max_iter: int
         face = vertices(sub).union_support()
         if face.size == idx.size:
             raise Infeasible("boundary face does not shrink; tau unattainable")
-        inner = _solve_log_on(model, g, idx[face], tol, max_iter)
+        inner = _solve_log_on(model, g, idx[face], tol)
         return inner[0], None, None, inner[3], False
-    beta, kappa, q, grad_norm = _newton_tilt(mu, tmat, tau, tol, max_iter)
+    beta, kappa, q, grad_norm = _newton_tilt(mu, tmat, tau, tol)
     return (idx, q), beta, kappa, grad_norm, idx.size == g.n
 
 
-def _newton_tilt(mu, tmat, tau, tol, max_iter):
+def _newton_tilt(mu, tmat, tau, tol):
     k = tmat.shape[0]
     beta = np.zeros(k)
 
@@ -436,7 +415,7 @@ def _newton_tilt(mu, tmat, tau, tol, max_iter):
         return kap + float(b @ tau), q
 
     f_val, q = objective(beta)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         grad = tau - tmat @ q
         if float(np.max(np.abs(grad))) <= tol:
             kap, _ = _log_kappa(mu, tmat, beta)
@@ -495,8 +474,7 @@ def _newton_tilt(mu, tmat, tau, tol, max_iter):
 # zero-one solver: exact two-phase enumeration
 
 
-def solve_zero_one(model: LossModel, g: GammaTau, max_n: int | None = None,
-                   probes: int = HYPERPLANE_PROBES) -> SaddlePoint:
+def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
     """Zero-one saddle point.
 
     Phase 1 minimizes the maximum coordinate over Gamma_tau by enumerating
@@ -509,12 +487,12 @@ def solve_zero_one(model: LossModel, g: GammaTau, max_n: int | None = None,
     if model.kind != "zero_one":
         raise ValueError("solve_zero_one needs a zero-one model")
     n = g.n
-    cap = max_n if max_n is not None else ZERO_ONE_ENUM_CAP
-    if n > cap:
-        raise CombinatorialBlowup(f"N={n} exceeds the zero-one enumeration cap {cap}")
+    if n > ZERO_ONE_ENUM_CAP:
+        raise CombinatorialBlowup(
+            f"N={n} exceeds the zero-one enumeration cap {ZERO_ONE_ENUM_CAP}")
     m_star, p = _min_pmax(g)
     h = 1.0 - float(p.max())   # the optimizer's value can carry solve noise
-    zeta, beta0, beta, family = _zero_one_act(model, g, p, m_star, probes)
+    zeta, beta0, beta, family = _zero_one_act(model, g, p, m_star)
     vs = vertices(g)
     return _finalize(model, g, vs, p, Act(ACT_DISTRIBUTION, zeta), h, beta0, beta,
                      0.0, "zero-one-enum", act_family=family)
@@ -572,7 +550,7 @@ def _h_zero_one(g: GammaTau, sigma: np.ndarray):
     return 1.0 - m
 
 
-def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float, probes: int):
+def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float):
     n, k = g.n, g.k
     tmat = g.statistic.matrix
     supp = np.flatnonzero(p > 1e-9)
@@ -612,7 +590,7 @@ def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float, probes: int)
         rhs.append(-v0[i] - 1e-12)
     if k == 1:
         t_lo, t_hi = float(tmat.min()), float(tmat.max())
-        for sigma in np.linspace(t_lo, t_hi, probes):
+        for sigma in np.linspace(t_lo, t_hi, HYPERPLANE_PROBES):
             h_sig = _h_zero_one(g, np.array([sigma]))
             if h_sig is None:
                 continue
@@ -703,8 +681,7 @@ def _pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n):
 # generic solver: conditional gradient over the vertex set
 
 
-def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8,
-                  max_iter: int = 100000) -> SaddlePoint:
+def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoint:
     """Maximize H over Gamma_tau by pairwise conditional gradient.
 
     The supergradient of H at P is the loss vector of the Bayes act at P.
@@ -716,12 +693,12 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8,
     V = vs.points
 
     def value_batch(block):
-        return _entropy_batch(model, block)
+        return model.entropy_batch(np.maximum(block, 0.0))
 
     def supergrad(pv):
         return model.loss_vector(model.bayes_act(Distribution(pv)))
 
-    res = _fw_maximize(V, value_batch, supergrad, tol, max_iter)
+    res = _fw_maximize(V, value_batch, supergrad, tol, FW_MAX_ITER)
     zeta = model.bayes_act(Distribution(res.point))
     gap = res.gap
     if res.gap > tol:
@@ -759,19 +736,12 @@ def _kink_certificate(model: LossModel, V: np.ndarray, pv: np.ndarray):
     modes = model.bayes_act_set(dist)
     if modes is None or np.size(modes) < 2:
         return None
-    from .verify import lp_game_value
-    n = V.shape[1]
-    cols = []
-    for mde in np.asarray(modes, dtype=int):
-        e = np.zeros(n)
-        e[mde] = 1.0
-        cols.append(_ext_dots(V, model.loss_vector(Act(ACT_DISTRIBUTION, e))))
-    payoff = np.column_stack(cols) - model.entropy(dist)
-    if not np.all(np.isfinite(payoff)):
+    modes = np.asarray(modes, dtype=int)
+    sol = point_act_game(model, V, model.entropy(dist), modes)
+    if sol is None:
         return None
-    sol = lp_game_value(payoff)
-    zeta = np.zeros(n)
-    zeta[np.asarray(modes, dtype=int)] = sol.col_strategy
+    zeta = np.zeros(V.shape[1])
+    zeta[modes] = sol.col_strategy
     return float(sol.value), Act(ACT_DISTRIBUTION, zeta)
 
 
@@ -779,22 +749,27 @@ def _kink_certificate(model: LossModel, V: np.ndarray, pv: np.ndarray):
 # dispatch and derived quantities
 
 
-def solve(model: LossModel, g: GammaTau, **kwargs) -> SaddlePoint:
-    """Route to the specialized solver for the model kind."""
+def solve(model: LossModel, g: GammaTau, tol: float | None = None) -> SaddlePoint:
+    """Route to the specialized solver for the model kind.
+
+    `tol`, when given, is the stopping tolerance of the iterative solvers
+    (log and generic); the exact Brier and zero-one enumerations ignore it.
+    """
     kind = getattr(model, "kind", "")
     if kind == "brier":
-        return solve_brier(model, g, **kwargs)
+        return solve_brier(model, g)
+    if kind == "zero_one":
+        return solve_zero_one(model, g)
+    kwargs = {} if tol is None else {"tol": tol}
     if kind == "log":
         return solve_log(model, g, **kwargs)
-    if kind == "zero_one":
-        return solve_zero_one(model, g, **kwargs)
     return solve_generic(model, g, **kwargs)
 
 
-def specific_entropy(model: LossModel, statistic: Statistic, tau, **kwargs) -> float:
+def specific_entropy(model: LossModel, statistic: Statistic, tau) -> float:
     """h(tau) = sup over Gamma_tau of H(P); -inf when Gamma_tau is empty."""
     try:
-        return solve(model, GammaTau(statistic, tau), **kwargs).h_star
+        return solve(model, GammaTau(statistic, tau)).h_star
     except Infeasible:
         return float("-inf")
 
@@ -809,7 +784,7 @@ class TiltResult:
 
 
 def natural_tilt(model: LossModel, statistic: Statistic, beta,
-                 tol: float = 1e-8, max_iter: int = 100000) -> TiltResult:
+                 tol: float = 1e-8, max_iter: int = FW_MAX_ITER) -> TiltResult:
     """argmax over the full simplex of H(P) - beta' E_P T, with chi(beta).
 
     Conditional gradient with supergradient L(., zeta_P) - beta' t(.).  For
@@ -824,7 +799,7 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta,
     shift = tmat.T @ beta
 
     def value_batch(block):
-        return _entropy_batch(model, block) - block @ shift
+        return model.entropy_batch(np.maximum(block, 0.0)) - block @ shift
 
     def supergrad(pv):
         return model.loss_vector(model.bayes_act(Distribution(pv))) - shift
@@ -832,10 +807,10 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta,
     res = _fw_maximize(V, value_batch, supergrad, tol, max_iter)
     method = "frank-wolfe"
     point, chi, gap = res.point, res.value, res.gap
-    if gap > tol and model.act_kind == ACT_DISTRIBUTION:
-        game = _tilt_game(model, shift, n)
+    if gap > tol:
+        game = point_act_game(model, V, shift)
         if game is not None:
-            point, chi, gap, method = game[0], game[1], 0.0, "matrix-game"
+            point, chi, gap, method = game.row_strategy, float(game.value), 0.0, "matrix-game"
     if gap > tol and method == "frank-wolfe":
         raise MaxIterExceeded(f"natural tilt gap {gap:.3e} above tol", res)
     if model.kind == "log":
@@ -848,30 +823,12 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta,
     return TiltResult(beta=beta, q=q, chi=float(chi), gap=float(gap), method=method)
 
 
-def _tilt_game(model: LossModel, shift: np.ndarray, n: int):
-    """Exact tilted value for losses bilinear over distribution acts."""
-    if model.bayes_act_set(Distribution.uniform(n)) is None:
-        return None
-    from .verify import lp_game_value
-    cols = []
-    for a_idx in range(n):
-        e = np.zeros(n)
-        e[a_idx] = 1.0
-        lv = model.loss_vector(Act(ACT_DISTRIBUTION, e))
-        if not np.all(np.isfinite(lv)):
-            return None
-        cols.append(lv - shift)
-    payoff = np.column_stack(cols)  # rows: outcomes (P side), cols: point acts
-    sol = lp_game_value(payoff)
-    return sol.row_strategy, float(sol.value), 0.0, "matrix-game"
-
-
 # ---------------------------------------------------------------------------
 # family traces and diagnostics
 
 
 def trace_family(model: LossModel, statistic: Statistic, tau_grid,
-                 enforce: bool = True, **kwargs) -> FamilyTrace:
+                 enforce: bool = True) -> FamilyTrace:
     """Solve along a tau grid and enforce the family invariants:
 
     h is concave along the grid (within 1e-7) and adjacent regular rows
@@ -885,7 +842,7 @@ def trace_family(model: LossModel, statistic: Statistic, tau_grid,
         if np.any(np.diff(flat) <= 0.0):
             raise ValueError("tau grid must be strictly increasing")
         taus = flat[:, None]
-    rows = tuple(solve(model, GammaTau(statistic, t), **kwargs) for t in taus)
+    rows = tuple(solve(model, GammaTau(statistic, t)) for t in taus)
     if enforce:
         _check_trace_invariants(statistic, taus, rows)
     return FamilyTrace(statistic=statistic, taus=taus, rows=rows,
@@ -1001,16 +958,21 @@ class ConjugacyReport:
     fenchel_min: float              # min over the grid of chi(beta) + beta' sigma - h
 
 
-def _tilt_chi(model: LossModel, statistic: Statistic, beta: np.ndarray,
-              tol: float) -> float:
+def _tilt_best(model: LossModel, statistic: Statistic, beta: np.ndarray,
+               tol: float) -> TiltResult:
     # a stalled conditional gradient still brackets chi within its gap, which
-    # is what a residual report needs; do not let the solver's error escape
+    # is all a residual report or a trace row needs; keep the honest gap on
+    # record and do not let the solver's error escape
     try:
-        return natural_tilt(model, statistic, beta, tol=tol).chi
+        return natural_tilt(model, statistic, beta, tol=tol)
     except MaxIterExceeded as err:
         if err.result is None:
             raise
-        return float(err.result.value)
+        res = err.result
+        q = Distribution(np.maximum(res.point, 0.0) / max(res.point.sum(), 1e-300))
+        return TiltResult(beta=np.atleast_1d(np.asarray(beta, float)), q=q,
+                          chi=float(res.value), gap=float(res.gap),
+                          method="frank-wolfe")
 
 
 def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid, beta_grid,
@@ -1022,7 +984,7 @@ def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid, beta_grid,
     sigmas = np.asarray(tau_grid, dtype=float).ravel()
     betas = np.asarray(beta_grid, dtype=float).ravel()
     chi = np.array([
-        _tilt_chi(model, statistic, np.array([b]), grid_tol) for b in betas
+        _tilt_best(model, statistic, np.array([b]), grid_tol).chi for b in betas
     ])
     h_vals = np.empty(sigmas.size)
     estimates = np.empty(sigmas.size)
@@ -1032,7 +994,7 @@ def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid, beta_grid,
         h_vals[i] = sp.h_star
         estimates[i] = float(np.min(chi + betas * sig))
         if sp.beta is not None:
-            chi_b = _tilt_chi(model, statistic, sp.beta, matched_tol)
+            chi_b = _tilt_best(model, statistic, sp.beta, matched_tol).chi
             matched[i] = abs(chi_b + float(sp.beta[0]) * sig - sp.h_star)
     resid = estimates - h_vals
     finite_matched = matched[np.isfinite(matched)]
@@ -1045,21 +1007,6 @@ def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid, beta_grid,
         max_matched_residual=float(finite_matched.max()) if finite_matched.size else 0.0,
         fenchel_min=float(resid.min()),
     )
-
-
-def _tilt_best(model: LossModel, statistic: Statistic, beta: np.ndarray,
-               tol: float) -> TiltResult:
-    # a trace row only needs the best iterate; keep the honest gap on record
-    try:
-        return natural_tilt(model, statistic, beta, tol=tol)
-    except MaxIterExceeded as err:
-        if err.result is None:
-            raise
-        res = err.result
-        q = Distribution(np.maximum(res.point, 0.0) / max(res.point.sum(), 1e-300))
-        return TiltResult(beta=np.atleast_1d(np.asarray(beta, float)), q=q,
-                          chi=float(res.value), gap=float(res.gap),
-                          method="frank-wolfe")
 
 
 def lafferty_family(model: LossModel, p0: Distribution, statistic: Statistic,

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _simplex
 from .constraints import GammaTau, closed_under_conditioning, vertices
-from .core import Act, Distribution, ext_dot
+from .core import ACT_DISTRIBUTION, Act, Distribution, ext_dot
 from .losses import LossModel
 
 GAME_SIZE_CAP = 200
@@ -81,6 +81,32 @@ def lp_game_value(payoff) -> GameSolution:
     )
 
 
+def point_act_game(model: LossModel, rows, offset, acts=None) -> GameSolution | None:
+    """Matrix game of the weight rows against point-mass acts.
+
+    The payoff of row i against act e_j is rows[i] @ L(e_j) - offset (a
+    scalar or one value per row); `acts` restricts the columns to those
+    outcomes.  When the loss is affine in a distribution act -- the models
+    whose Bayes act is a set, as for zero-one loss -- every mixed act is a
+    mixed column strategy, so the LP value is the exact value of the game
+    over mixtures of the rows.  Returns None for other models and when a
+    point act has an infinite loss.
+    """
+    n = model.space.n
+    if (model.act_kind != ACT_DISTRIBUTION
+            or model.bayes_act_set(Distribution.uniform(n)) is None):
+        return None
+    cols = []
+    for j in range(n) if acts is None else acts:
+        e = np.zeros(n)
+        e[j] = 1.0
+        lv = model.loss_vector(Act(ACT_DISTRIBUTION, e))
+        if not np.all(np.isfinite(lv)):
+            return None
+        cols.append(rows @ lv - offset)
+    return lp_game_value(np.column_stack(cols))
+
+
 @dataclass(frozen=True)
 class UpperValueResult:
     value: float
@@ -91,16 +117,15 @@ class UpperValueResult:
 def restricted_upper_value(model: LossModel, g: GammaTau) -> UpperValueResult:
     """inf over acts of sup over Gamma_tau of the expected loss.
 
-    Zero-one loss: exact, as the LP value of the matrix game whose rows are
-    the Gamma_tau vertices and whose columns are pure point guesses.
-    Other models: the solver's act is certified by its worst-vertex loss;
-    margin = sup-vertex loss minus the claimed game value.
+    Losses affine in a distribution act (zero-one): exact, as the LP value of
+    the matrix game whose rows are the Gamma_tau vertices and whose columns
+    are pure point guesses.  Other models: the solver's act is certified by
+    its worst-vertex loss; margin = sup-vertex loss minus the claimed game
+    value.
     """
     vs = vertices(g)
-    if model.kind == "zero_one":
-        pts = vs.points
-        payoff = 1.0 - pts  # L(V_i, guess j) = 1 - V_i(j)
-        sol = lp_game_value(payoff)
+    sol = point_act_game(model, vs.points, 0.0)
+    if sol is not None:
         return UpperValueResult(value=sol.value, method="lp", margin=0.0)
     from .maxent import solve  # deferred: maxent imports this module
     sp = solve(model, g)

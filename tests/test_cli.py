@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from maxentgames import cli
+from maxentgames._simplex import Unbounded
+from maxentgames.maxent import MaxIterExceeded, NewtonDivergence
 from maxentgames.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SADDLE,
+    EXIT_SOLVER,
     EXIT_SUITE,
     parse_spec,
     record_columns,
@@ -160,6 +163,22 @@ def test_infeasible_tau(capsys):
     code, _, err = run_cli(capsys, "solve", spec_path("brier_mean"), "--tau", "2")
     assert code == EXIT_INFEASIBLE
     assert "infeasible" in err
+
+
+# ---------------------------------------------------------------------------
+# solver failures -> exit 5
+
+
+@pytest.mark.parametrize("exc", [MaxIterExceeded, NewtonDivergence, Unbounded])
+def test_solver_failure_exit_code(capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc("did not reach tolerance")
+
+    monkeypatch.setattr(cli, "solve", fail)
+    code, out, err = run_cli(capsys, "solve", spec_path("brier_mean"), "--tau", "0.5")
+    assert code == EXIT_SOLVER
+    assert out == ""
+    assert err == "solver failed: did not reach tolerance\n"
 
 
 # ---------------------------------------------------------------------------

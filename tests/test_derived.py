@@ -211,6 +211,21 @@ def test_capacity_act_agrees_with_the_mixture_bayes_act():
     assert np.allclose(r.act_star.payload, bayes.payload, atol=1e-9)
 
 
+def test_capacity_zero_one_is_the_matrix_game_without_iterations():
+    # the ninth 12-outcome, 10-member channel drawn from seed 11, on which
+    # pairwise Frank-Wolfe crawls for over 15 s; the matrix game needs none
+    rng = np.random.default_rng(11)
+    for _ in range(9):
+        members = rng.dirichlet(np.ones(12), size=10)
+    sm = StatModel(zero_one_model(SampleSpace.of([str(i) for i in range(12)])),
+                   tuple(members))
+    r = capacity_solve(sm)
+    assert r.method == "matrix-game"
+    assert r.iterations == 0
+    assert abs(value_of_information(sm, r.pi_star) - r.i_star) <= 1e-8
+    assert max(derived_loss(sm, i, r.act_star) for i in range(sm.m)) <= r.i_star + 1e-8
+
+
 def test_capacity_unreachable_tolerance_raises_with_best_iterate():
     # this family's certificate gap floors around 3e-14, well above the ask
     rng = np.random.default_rng(5)

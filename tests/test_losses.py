@@ -12,6 +12,7 @@ from maxentgames import (
     BaseMeasure,
     Distribution,
     InvalidGenerator,
+    LossModel,
     ProprietyViolation,
     SampleSpace,
     bregman_model,
@@ -20,6 +21,7 @@ from maxentgames import (
     log_model,
     power_generator,
     quadratic_model,
+    relative_model,
     square_generator,
     xlogx_generator,
     zero_one_model,
@@ -249,3 +251,48 @@ def test_entropy_concavity_random_mixtures():
         for m in models:
             bound = (1 - lam) * m.entropy(p0) + lam * m.entropy(p1)
             assert m.entropy(mix) >= bound - TOL
+
+
+# ---------------------------------------------------------------------------
+# batch entropies
+
+
+class _MinimalBrier(LossModel):
+    """A subclass that defines only the loss and its Bayes act."""
+
+    def __init__(self, space):
+        self.space = space
+        self.name = self.kind = "minimal"
+        self.act_kind = ACT_DISTRIBUTION
+        self.strictness = "strict"
+
+    def loss_vector(self, act):
+        q = self._dist_payload(act)
+        return float(q @ q) - 2.0 * q + 1.0
+
+    def bayes_act(self, dist):
+        return Act(ACT_DISTRIBUTION, dist.w)
+
+
+def test_entropy_batch_matches_scalar_entropy():
+    rng = np.random.default_rng(21)
+    space = SampleSpace.of([str(i) for i in range(5)])
+    base = BaseMeasure(np.array([0.5, 1.0, 2.0, 0.25, 1.5]))
+    rows = rng.dirichlet(np.ones(5), size=40)
+    rows[:8, 0] = 0.0          # rows off the full support
+    rows /= rows.sum(axis=1, keepdims=True)
+    models = [
+        brier_model(space),
+        log_model(space, base),
+        zero_one_model(space),
+        quadratic_model(space, values=[-1.0, 0.0, 0.5, 2.0, 3.0]),
+        bregman_model(space, xlogx_generator()),
+        bregman_model(space, square_generator(5)),
+        bregman_model(space, power_generator(3.0)),
+        relative_model(log_model(space, base), Act(ACT_DENSITY, np.full(5, 1.0 / 5.25))),
+        _MinimalBrier(space),
+    ]
+    for m in models:
+        batch = m.entropy_batch(rows)
+        scalar = np.array([m.entropy(Distribution(r)) for r in rows])
+        np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-12, err_msg=m.name)

@@ -278,7 +278,7 @@ def test_enumeration_cap():
     space = SampleSpace.of([str(i) for i in range(18)])
     stat = Statistic(np.linspace(-1.0, 1.0, 18)[None, :])
     with pytest.raises(CombinatorialBlowup):
-        solve_brier(brier_model(space), GammaTau(stat, np.array([0.0])), max_n=4)
+        solve_brier(brier_model(space), GammaTau(stat, np.array([0.0])))
 
 
 def test_wrong_model_kind_rejected():
