@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -34,10 +34,16 @@ def _max_n_cap() -> int:
 
 @dataclass(frozen=True)
 class GammaTau:
-    """Distributions with E_P T = tau."""
+    """Distributions with E_P T = tau.
+
+    The instance is immutable (the statistic matrix and tau are read-only
+    copies), so `vertices` keeps its result on it.
+    """
 
     statistic: Statistic
     tau: np.ndarray
+    _vertices: "VertexSet | None" = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self) -> None:
         t = np.atleast_1d(np.asarray(self.tau, dtype=float))
@@ -99,11 +105,18 @@ def vertices(g: GammaTau, max_n: int | None = None) -> VertexSet:
 
     A vertex has support of size at most k+1 with affinely independent
     statistic columns; each candidate support yields one consistent
-    nonnegative solution of {sum p = 1, T p = tau} or is skipped.
+    nonnegative solution of {sum p = 1, T p = tau} or is skipped.  The
+    result is kept on `g`; the size caps are checked on every call.
     """
     _check_sizes(g, max_n)
     if _zero_row_infeasible(g):
         raise Infeasible("a zero statistic row has a nonzero target")
+    if g._vertices is None:
+        object.__setattr__(g, "_vertices", _enumerate_vertices(g))
+    return g._vertices
+
+
+def _enumerate_vertices(g: GammaTau) -> VertexSet:
     n, k = g.n, g.k
     rows = np.vstack([np.ones(n), g.statistic.matrix])   # (k+1, n)
     target = np.concatenate([[1.0], g.tau])

@@ -29,12 +29,14 @@ from .divergence import equalizer_check
 from .losses import LossModel
 from .verify import point_act_game
 
-BRIER_ENUM_CAP = 16      # solve_brier enumerates 2^N supports
 ZERO_ONE_ENUM_CAP = 12   # solve_zero_one enumerates mode/zero patterns
 LINEAR_FIT_TOL = 1e-7
 SYSTEM_TOL = 1e-9
 HYPERPLANE_PROBES = 41
-NEWTON_MAX_ITER = 100    # dual Newton steps in solve_log
+NEWTON_MAX_ITER = 100    # dual Newton steps in solve_log and solve_brier
+BRIER_DUAL_TOL = 1e-13   # dual gradient norm, relative to 1 + |tau|_inf
+BRIER_ACTIVE_TOL = 1e-9  # |A'y| below this marks a weakly active outcome
+BRIER_GAP_TOL = 1e-9     # largest duality gap a Brier solution may keep
 FW_MAX_ITER = 100000     # conditional-gradient iterations
 
 
@@ -267,44 +269,53 @@ def _fw_maximize(V: np.ndarray, value_batch, supergrad, tol: float,
 
 
 # ---------------------------------------------------------------------------
-# Brier solver: exact support enumeration
+# Brier solver: semismooth Newton on the dual, then the support rule
 
 
 def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
-    """Exact Brier saddle point by support enumeration.
+    """Exact Brier saddle point from the (k+1)-dimensional dual.
 
-    On each candidate support the entropy maximizer is the minimum-norm
-    solution of {sum p = 1, T p = tau}; all nonnegative solutions are
-    collected and the maximum-entropy one wins.
+    With A = [1; T] and b = [1; tau], P* = (A'y)_+ / 2 for the maximizer y
+    of the concave, piecewise quadratic dual y'b - |(A'y)_+|^2 / 4.  The
+    supports that can carry P* are the supersets of the dual support that
+    stay inside its weakly active set or have at most k+1 outcomes.  On
+    each, in size-descending then `combinations` order, the entropy
+    maximizer is the minimum-norm solution of {sum p = 1, T p = tau}; the
+    first nonnegative one wins unless a later one beats it by more than
+    1e-12.  The dual value bounds h from above, so the scan stops once no
+    later support can win, and a solution left further below the bound
+    than BRIER_GAP_TOL raises NewtonDivergence.
     """
     if model.kind != "brier":
         raise ValueError("solve_brier needs a Brier model")
+    vs = vertices(g)   # size caps; Infeasible for an empty Gamma_tau
     n, k = g.n, g.k
-    if n > BRIER_ENUM_CAP:
-        raise CombinatorialBlowup(
-            f"N={n} exceeds the Brier enumeration cap {BRIER_ENUM_CAP}")
     rows = np.vstack([np.ones(n), g.statistic.matrix])
     target = np.concatenate([[1.0], g.tau])
-    best = None  # (h, support size, p, support tuple)
-    for size in range(n, 0, -1):
-        for supp in combinations(range(n), size):
-            a = rows[:, supp]
-            sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-            if np.max(np.abs(a @ sol - target)) > SYSTEM_TOL:
-                continue
-            if float(sol.min()) < -WEIGHT_CLAMP:
-                continue
-            p = np.zeros(n)
-            p[list(supp)] = np.where(sol < 0.0, 0.0, sol)
-            h = 1.0 - float(p @ p)
-            if best is None or h > best[0] + 1e-12 or (
-                abs(h - best[0]) <= 1e-12 and size > best[1]
-            ):
-                best = (h, size, p, supp)
-    if best is None:
-        raise Infeasible(f"Gamma_tau empty for tau={g.tau}")
-    h, _, p, _ = best
-    # multipliers come from the true support; enumerated supports may carry
+    y = _brier_dual(rows, target)
+    s = rows.T @ y
+    pos = np.maximum(s, 0.0)
+    h_up = 1.0 - float(y @ target) + 0.25 * float(pos @ pos)   # weak duality
+    best = None  # (h, p)
+    for supp in _brier_supports(s, k):
+        a = rows[:, supp]
+        sol, *_ = np.linalg.lstsq(a, target, rcond=None)
+        if np.max(np.abs(a @ sol - target)) > SYSTEM_TOL:
+            continue
+        if float(sol.min()) < -WEIGHT_CLAMP:
+            continue
+        p = np.zeros(n)
+        p[list(supp)] = np.where(sol < 0.0, 0.0, sol)
+        h = 1.0 - float(p @ p)
+        if best is None or h > best[0] + 1e-12:
+            best = (h, p)
+        if best[0] + 1e-12 >= h_up:
+            break
+    if best is None or h_up - best[0] > BRIER_GAP_TOL:
+        raise NewtonDivergence(
+            f"Brier dual left a duality gap above {BRIER_GAP_TOL:g}")
+    h, p = best
+    # multipliers come from the true support; a winning support may carry
     # zero weights whose stationarity condition is an inequality, not an equality
     supp = np.flatnonzero(p > WEIGHT_CLAMP)
     a = rows[:, supp]
@@ -315,8 +326,82 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
         beta = _brier_degenerate_beta(g, p, supp)
     beta0 = None if beta is None else h - float(beta @ g.tau)
     zeta = Act(ACT_DISTRIBUTION, p)
-    vs = vertices(g)
     return _finalize(model, g, vs, p, zeta, h, beta0, beta, 0.0, "brier-enum")
+
+
+def _brier_dual(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Maximize y'b - |(A'y)_+|^2 / 4 by regularized semismooth Newton.
+
+    The generalized Hessian is A_S A_S' / 2 over the active set S.  A full
+    step is taken when it shrinks the gradient b - A (A'y)_+ / 2; otherwise
+    the step is cut at the root of the directional derivative, which is
+    piecewise linear and so found exactly.  Neither test compares dual
+    values.  Returns the last iterate; `solve_brier` certifies it.
+    """
+    k1, n = rows.shape
+
+    def gradient(v):
+        r = target - rows @ (np.maximum(rows.T @ v, 0.0) / 2.0)
+        return r, float(np.max(np.abs(r)))
+
+    y = np.zeros(k1)
+    y[0] = 2.0 / n   # the uniform law
+    grad, norm = gradient(y)
+    tol = BRIER_DUAL_TOL * (1.0 + float(np.max(np.abs(target))))
+    for _ in range(NEWTON_MAX_ITER):
+        if norm <= tol:
+            break
+        s = rows.T @ y
+        act = rows[:, s > 0.0]
+        hess = 0.5 * act @ act.T + norm * norm * np.eye(k1)
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        trial = y + step
+        trial_grad, trial_norm = gradient(trial)
+        if trial_norm >= norm:
+            trial = y + _dual_line_root(s, rows.T @ step, float(target @ step)) * step
+            trial_grad, trial_norm = gradient(trial)
+        y, grad, norm = trial, trial_grad, trial_norm
+    return y
+
+
+def _dual_line_root(s: np.ndarray, e: np.ndarray, c: float) -> float:
+    """Root t >= 0 of c - e'(s + t e)_+ / 2, the dual's slope along a step."""
+
+    def slope(t):
+        return c - 0.5 * float(e @ np.maximum(s + t * e, 0.0))
+
+    lo, f_lo = 0.0, slope(0.0)
+    if f_lo <= 0.0:
+        return 0.0
+    moving = e != 0.0
+    knots = np.sort(-s[moving] / e[moving])
+    for t in knots[knots > 0.0]:
+        f_t = slope(t)
+        if f_t <= 0.0:
+            return lo + f_lo * (t - lo) / (f_lo - f_t)   # linear between knots
+        lo, f_lo = t, f_t
+    live = e[s + (lo + 1.0) * e > 0.0]   # the active set past the last knot
+    curve = 0.5 * float(live @ live)
+    return lo + f_lo / curve if curve > 0.0 else 1.0
+
+
+def _brier_supports(s: np.ndarray, k: int):
+    """Supports that can carry P*, given A'y = s, in the enumeration's order.
+
+    Supersets of the dual support {s > eps} inside {s >= -eps}, and those
+    with at most k+1 outcomes; sizes descend, then `combinations` order.
+    """
+    eps = BRIER_ACTIVE_TOL * max(1.0, float(np.max(np.abs(s))))
+    dual = np.flatnonzero(s > eps).tolist()
+    weak = np.flatnonzero(np.abs(s) <= eps).tolist()
+    rest = np.flatnonzero(s <= eps).tolist()
+    top = max(len(dual) + len(weak), min(k + 1, s.size))
+    for size in range(top, max(len(dual), 1) - 1, -1):
+        pool = rest if size <= k + 1 else weak
+        if size - len(dual) > len(pool):
+            continue
+        yield from sorted(tuple(sorted(dual + list(extra)))
+                          for extra in combinations(pool, size - len(dual)))
 
 
 def _brier_degenerate_beta(g: GammaTau, p: np.ndarray, supp: np.ndarray):
@@ -402,13 +487,54 @@ def _solve_log_on(model, g: GammaTau, idx: np.ndarray, tol: float):
             raise Infeasible("boundary face does not shrink; tau unattainable")
         inner = _solve_log_on(model, g, idx[face], tol)
         return inner[0], None, None, inner[3], False
+    if idx.size < g.n:
+        q = _face_tilt(mu, tmat, tau, tol)
+        return (idx, q), None, None, float(np.max(np.abs(tau - tmat @ q))), False
     beta, kappa, q, grad_norm = _newton_tilt(mu, tmat, tau, tol)
-    return (idx, q), beta, kappa, grad_norm, idx.size == g.n
+    return (idx, q), beta, kappa, grad_norm, True
+
+
+def _face_tilt(mu, tmat, tau, tol):
+    """Tilted law on a face, by Newton in coordinates of the face's affine span.
+
+    T restricted to a face has fewer affine dimensions than rows, so its
+    covariance under any law there is singular.  The SVD of the centered
+    face columns gives full-rank coordinates; rank 0 (one point) leaves
+    q = mu / sum mu.  The face's beta has no meaning and is not returned.
+    """
+    center = tmat.mean(axis=1)
+    u, sv, _ = np.linalg.svd(tmat - center[:, None], full_matrices=False)
+    rank = int((sv > 1e-10 * max(1.0, float(sv[0]))).sum())
+    if rank == 0:
+        return mu / mu.sum()
+    basis = u[:, :rank].T
+    _, _, q, _ = _newton_tilt(mu, basis @ (tmat - center[:, None]),
+                              basis @ (tau - center), tol)
+    return q
 
 
 def _newton_tilt(mu, tmat, tau, tol):
-    k = tmat.shape[0]
-    beta = np.zeros(k)
+    """Minimize kappa(beta) + beta' tau; returns (beta, kappa, q, grad norm).
+
+    Damped Newton accepts a step on the Armijo test alone first, which
+    keeps the iterates of every solve that converges that way.  One step
+    short of tol the Armijo decrease can fall below float resolution; then
+    Newton goes on from where it stopped and also takes any step that
+    halves the gradient.
+    """
+    beta, done = _newton_steps(mu, tmat, tau, tol, np.zeros(tmat.shape[0]), False)
+    if not done:
+        beta, done = _newton_steps(mu, tmat, tau, tol, beta, True)
+    if not done:
+        raise NewtonDivergence(
+            f"dual Newton stopped with gradient norm above {tol:g}"
+        )
+    kap, q = _log_kappa(mu, tmat, beta)
+    return beta, kap, q, float(np.max(np.abs(tau - tmat @ q)))
+
+
+def _newton_steps(mu, tmat, tau, tol, beta, by_gradient: bool):
+    """Newton iterations from beta; returns (beta, reached tol)."""
 
     def objective(b):
         kap, q = _log_kappa(mu, tmat, b)
@@ -417,9 +543,9 @@ def _newton_tilt(mu, tmat, tau, tol):
     f_val, q = objective(beta)
     for _ in range(NEWTON_MAX_ITER):
         grad = tau - tmat @ q
-        if float(np.max(np.abs(grad))) <= tol:
-            kap, _ = _log_kappa(mu, tmat, beta)
-            return beta, kap, q, float(np.max(np.abs(grad)))
+        norm = float(np.max(np.abs(grad)))
+        if norm <= tol:
+            return beta, True
         centered = tmat - (tmat @ q)[:, None]
         cov = (centered * q) @ centered.T
         try:
@@ -434,40 +560,15 @@ def _newton_tilt(mu, tmat, tau, tol):
         for _ in range(60):
             cand = beta + gamma * step
             f_new, q_new = objective(cand)
-            if f_new <= f_val + 1e-4 * gamma * slope:
+            if f_new <= f_val + 1e-4 * gamma * slope or (
+                    by_gradient
+                    and float(np.max(np.abs(tau - tmat @ q_new))) <= 0.5 * norm):
                 beta, f_val, q = cand, f_new, q_new
                 break
             gamma *= 0.5
         else:
             break
-    # fallback: bisection on the monotone scalar gradient
-    if k == 1:
-        lo, hi = -1.0, 1.0
-        def grad1(b):
-            _, qq = _log_kappa(mu, tmat, np.array([b]))
-            return float(tau[0] - tmat[0] @ qq)
-        for _ in range(200):
-            if grad1(lo) < 0.0:
-                break
-            lo *= 2.0
-        for _ in range(200):
-            if grad1(hi) > 0.0:
-                break
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if grad1(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        beta = np.array([0.5 * (lo + hi)])
-        kap, q = _log_kappa(mu, tmat, beta)
-        grad = tau - tmat @ q
-        if float(np.max(np.abs(grad))) <= tol:
-            return beta, kap, q, float(np.max(np.abs(grad)))
-    raise NewtonDivergence(
-        f"dual Newton stopped with gradient norm above {tol:g}"
-    )
+    return beta, False
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +853,9 @@ def _kink_certificate(model: LossModel, V: np.ndarray, pv: np.ndarray):
 def solve(model: LossModel, g: GammaTau, tol: float | None = None) -> SaddlePoint:
     """Route to the specialized solver for the model kind.
 
-    `tol`, when given, is the stopping tolerance of the iterative solvers
-    (log and generic); the exact Brier and zero-one enumerations ignore it.
+    `tol`, when given, is the stopping tolerance of the log and generic
+    solvers; the exact Brier (dual Newton, certified by an exact support
+    solve) and zero-one (pattern enumeration) solvers ignore it.
     """
     kind = getattr(model, "kind", "")
     if kind == "brier":

@@ -514,6 +514,24 @@ def _big_log_spec(tmp_path, n=21):
     }, name="big.json")
 
 
+def test_brier_solve_below_the_vertex_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("MAXENT_MAX_N", raising=False)
+    labels = [f"x{i}" for i in range(18)]
+    path = write_spec(tmp_path, {
+        "outcomes": labels,
+        "loss": {"kind": "brier"},
+        "statistic": [np.linspace(-1.0, 1.0, 18).tolist()],
+        "constraint": {"tau": 0.25},
+    }, name="brier18.json")
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert rec["method"] == "brier-enum"
+    assert rec["saddle_verified"] is True
+    p = np.array([rec[f"p_{i + 1}"] for i in range(18)])
+    assert abs(float(np.linspace(-1.0, 1.0, 18) @ p) - 0.25) <= 1e-9
+
+
 def test_size_cap_blocks_by_default(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("MAXENT_MAX_N", raising=False)
     path = _big_log_spec(tmp_path)

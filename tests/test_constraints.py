@@ -10,12 +10,18 @@ from maxentgames import (
     GammaTau,
     SampleSpace,
     Statistic,
+    brier_model,
     closed_under_conditioning,
+    constraints,
     contains,
     feasible,
     hull_interior,
+    log_model,
     moment,
+    solve,
+    verify_saddle,
     vertices,
+    zero_one_model,
 )
 
 T3 = Statistic(np.array([[-1.0, 0.0, 1.0]]))
@@ -127,3 +133,44 @@ def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("MAXENT_MAX_N", "10")
     with pytest.raises(CombinatorialBlowup):
         vertices(g)
+
+
+def test_vertices_kept_on_the_constraint_set():
+    g = GammaTau(T3, np.array([0.25]))
+    first = vertices(g)
+    assert vertices(g) is first
+    assert not first.points.flags.writeable
+    # an equal but distinct set enumerates afresh
+    assert vertices(GammaTau(T3, np.array([0.25]))) is not first
+
+
+def test_solve_then_verify_enumerates_once(monkeypatch):
+    calls = []
+    enumerate_vertices = constraints._enumerate_vertices
+
+    def counted(g):
+        calls.append(g)
+        return enumerate_vertices(g)
+
+    monkeypatch.setattr(constraints, "_enumerate_vertices", counted)
+    space = SampleSpace.of(["-1", "0", "1"])
+    for make in (brier_model, log_model, zero_one_model):
+        model = make(space)
+        g = GammaTau(T3, np.array([0.3]))
+        sp = solve(model, g)
+        assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
+        assert [c is g for c in calls] == [True], model.kind
+        calls.clear()
+
+
+def test_env_cap_applies_to_a_memoized_set(monkeypatch):
+    g = GammaTau(Statistic(np.ones((1, 22))), np.array([1.0]))
+    monkeypatch.setenv("MAXENT_MAX_N", "22")
+    first = vertices(g)
+    monkeypatch.setenv("MAXENT_MAX_N", "10")
+    with pytest.raises(CombinatorialBlowup):
+        vertices(g)
+    with pytest.raises(CombinatorialBlowup):
+        vertices(g, max_n=21)
+    monkeypatch.setenv("MAXENT_MAX_N", "22")
+    assert vertices(g) is first

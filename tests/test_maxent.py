@@ -31,6 +31,7 @@ from maxentgames import (
     specific_entropy,
     support_scan,
     trace_family,
+    verify_saddle,
     vertices,
     zero_one_model,
 )
@@ -244,6 +245,28 @@ def test_log_two_dimensional_statistic():
     assert abs(float(sp.beta[0]) - float(sp.beta[1])) <= 1e-8
 
 
+def test_log_face_of_rank_deficient_statistic():
+    # k + 2 outcomes share the minimum of the first row and tau sits on that
+    # face, where the first row is constant: the tilt must be solved in the
+    # face's own coordinates, in either memory layout of the statistic
+    rng = np.random.default_rng(16)
+    for n, k in ((8, 2), (12, 2), (8, 3), (12, 3)):
+        for _ in range(4):
+            t = rng.uniform(-1.0, 1.0, size=(k, n))
+            on = np.sort(rng.choice(n, size=k + 2, replace=False))
+            t[0, on] = -1.0
+            tau = t[:, on] @ rng.dirichlet(np.ones(k + 2))
+            tau[0] = -1.0
+            model = log_model(SampleSpace.of(range(n)))
+            for mat in (np.ascontiguousarray(t), np.asfortranarray(t)):
+                g = GammaTau(Statistic(mat), tau)
+                sp = solve_log(model, g)
+                assert sp.method == "log-face" and sp.beta is None
+                assert np.array_equal(sp.p_star.support(1e-12), on)
+                assert np.max(np.abs(mat @ sp.p_star.w - tau)) <= 1e-8
+                assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
+
+
 # ---------------------------------------------------------------------------
 # dispatch, generic solver, infeasibility
 
@@ -274,11 +297,18 @@ def test_infeasible_tau_raises():
     assert specific_entropy(BRIER, T, np.array([-1.2])) == float("-inf")
 
 
-def test_enumeration_cap():
-    space = SampleSpace.of([str(i) for i in range(18)])
-    stat = Statistic(np.linspace(-1.0, 1.0, 18)[None, :])
-    with pytest.raises(CombinatorialBlowup):
-        solve_brier(brier_model(space), GammaTau(stat, np.array([0.0])))
+def test_enumeration_cap(monkeypatch):
+    # Brier has no cap of its own: it solves up to the vertex cap (20) and
+    # past it vertices() refuses
+    monkeypatch.delenv("MAXENT_MAX_N", raising=False)
+    model = brier_model(SampleSpace.of(range(18)))
+    g = GammaTau(Statistic(np.linspace(-1.0, 1.0, 18)[None, :]), np.array([0.0]))
+    sp = solve_brier(model, g)
+    assert abs(sp.h_star - (1.0 - 1.0 / 18.0)) <= 1e-12
+    assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
+    big = GammaTau(Statistic(np.linspace(-1.0, 1.0, 21)[None, :]), np.array([0.0]))
+    with pytest.raises(CombinatorialBlowup, match="MAXENT_MAX_N"):
+        solve_brier(brier_model(SampleSpace.of(range(21))), big)
 
 
 def test_wrong_model_kind_rejected():
