@@ -21,6 +21,7 @@ from .verify import point_act_game
 
 UPSILON_TOL = 1e-6        # relative width of the top derived-loss band
 EQUALIZATION_TOL = 1e-5
+FW_CAPACITY_FACTOR = 1e-3  # Frank-Wolfe gap target, relative to min(tol, UPSILON_TOL)
 
 
 @dataclass(frozen=True)
@@ -143,11 +144,10 @@ def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
     first, by the matrix game of members against pure point-guess acts:
     `method` is "matrix-game" and `iterations` is 0.  Every other loss runs
     pairwise conditional gradient, whose supergradient coordinate at w is
-    the derived loss of the current mixture's Bayes act, followed by an
-    equalization pass: near an interior optimum the certificate gap is first
-    order in the distance while value progress is only second order, so the
-    line search alone cannot push the gap much below ~1e-7.  There `method`
-    is "frank-wolfe" and `iterations` counts both stages.
+    the derived loss of the current mixture's Bayes act, to a gap of
+    FW_CAPACITY_FACTOR * min(tol, UPSILON_TOL): a gap of tol alone can
+    leave members with mass outside the upsilon band.  There `method` is
+    "frank-wolfe" and `iterations` counts its iterations.
     """
     mmat = sm.member_matrix
     ents = sm.member_entropies
@@ -171,19 +171,13 @@ def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
             lv = model.loss_vector(model.bayes_act(mixd))
             return _ext_dots(mmat, lv) - ents
 
-        res = _fw_maximize(np.eye(sm.m), value_batch, supergrad, tol, FW_MAX_ITER)
-        band = UPSILON_TOL * max(1.0, abs(res.value))
-        pi_vec, value, gap, extra = _equalize_support(
-            res.point, value_batch, supergrad, band, tol)
-        iters, method = res.iterations + extra, "frank-wolfe"
+        res = _fw_maximize(np.eye(sm.m), value_batch, supergrad,
+                           FW_CAPACITY_FACTOR * min(tol, UPSILON_TOL), FW_MAX_ITER)
+        pi_vec, value, gap = res.point, res.value, res.gap
+        iters, method = res.iterations, "frank-wolfe"
     if gap > tol:
-        if res is not None and res.stalled:
-            raise MaxIterExceeded(
-                f"capacity iteration stalled with gap {gap:.3e}", res
-            )
-        raise MaxIterExceeded(
-            f"capacity gap {gap:.3e} above tol after {iters} iterations", res
-        )
+        how = "stalled" if res is not None and res.stalled else f"after {iters} iterations"
+        raise MaxIterExceeded(f"capacity iteration {how} with gap {gap:.3e}", res)
     pi = Prior(Distribution(np.maximum(pi_vec, 0.0) / max(pi_vec.sum(), 1e-300)))
     if act is None:
         act = model.bayes_act(sm.mixture(pi))
@@ -197,84 +191,6 @@ def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
         gap=float(gap),
         method=method,
     )
-
-
-def _equalize_support(pi, value_batch, supergrad, band, tol, rounds=40):
-    """Equalize the derived losses across the support of a near-optimal prior.
-
-    The conditional-gradient loop leaves the last ~1e-7 of mass misallocated:
-    near an interior optimum its certificate gap is first order in the
-    distance while value progress is only second order, below the line
-    search's resolution.  Newton steps on the support face fix that: the
-    gradient of the prior objective is exactly the derived-loss vector, and
-    the curvature comes from centered differences of that vector.  Members
-    pushed to the boundary drop out of the face on the next sweep.
-    """
-    pi = np.maximum(np.asarray(pi, dtype=float), 0.0)
-    pi /= pi.sum()
-    value = float(value_batch(pi[None, :])[0])
-    g = supergrad(pi)
-    if not np.all(np.isfinite(g)):
-        # a dropped member can leave part of the space uncovered; restore an
-        # epsilon of every member so all derived losses are finite again
-        pi = (1.0 - 1e-9) * pi + 1e-9 / pi.size
-        value = float(value_batch(pi[None, :])[0])
-        g = supergrad(pi)
-    target = 0.5 * min(band, max(tol, 1e-12))
-    plateau = 1e-12 * max(1.0, abs(value))
-    extra = 0
-    for extra in range(1, rounds + 1):
-        sup = np.flatnonzero(pi > 1e-7)
-        k = sup.size
-        gs = g[sup]
-        if k <= 1 or float(gs.max() - gs.min()) <= target:
-            break
-        hstep = min(1e-6, 0.25 * float(pi[sup].min()))
-        jac = np.empty((k - 1, k - 1))
-        for j in range(k - 1):
-            d = np.zeros_like(pi)
-            d[sup[j]] = hstep
-            d[sup[-1]] = -hstep
-            col = (supergrad(pi + d) - supergrad(pi - d)) / (2.0 * hstep)
-            jac[:, j] = col[sup[:-1]] - col[sup[-1]]
-        jac = 0.5 * (jac + jac.T)
-        grad = gs[:-1] - gs[-1]
-        scale = max(1.0, float(np.abs(jac).max()))
-        moved = False
-        lam = 0.0
-        for _ in range(6):
-            try:
-                dy = np.linalg.solve(jac - lam * np.eye(k - 1), -grad)
-            except np.linalg.LinAlgError:
-                lam = max(10.0 * lam, 1e-8 * scale)
-                continue
-            full = np.zeros_like(pi)
-            full[sup[:-1]] = dy
-            full[sup[-1]] = -dy.sum()
-            # cap the step at the face boundary so mass never goes negative
-            shrink = full < 0.0
-            alpha = 1.0
-            if np.any(shrink):
-                alpha = min(1.0, float(np.min(pi[shrink] / -full[shrink])))
-            accepted = False
-            for _ in range(6):
-                trial = np.maximum(pi + alpha * full, 0.0)
-                trial /= trial.sum()
-                tval = float(value_batch(trial[None, :])[0])
-                if tval >= value - plateau:
-                    pi, value, accepted = trial, tval, True
-                    break
-                alpha *= 0.25
-            if accepted:
-                moved = True
-                break
-            lam = max(10.0 * lam, 1e-8 * scale)
-        if not moved:
-            break
-        g = supergrad(pi)
-    value = float(value_batch(pi[None, :])[0])
-    gap = float(g.max() - pi @ g)
-    return pi, value, max(gap, 0.0), extra
 
 
 def blahut_arimoto(sm: StatModel, tol: float = 1e-10,

@@ -268,11 +268,16 @@ class QuadraticModel(LossModel):
 
 @dataclass(frozen=True)
 class ConvexGenerator:
-    """Convex psi on [0, inf) with derivative psi_prime; both vectorized."""
+    """Convex psi on [0, inf) with derivative psi_prime and its inverse
+    psi_prime_inv on [psi'(0), inf); all vectorized.
+
+    The Bregman solver reads densities off psi_prime_inv.
+    """
 
     name: str
     psi: Callable[[np.ndarray], np.ndarray]
     psi_prime: Callable[[np.ndarray], np.ndarray]
+    psi_prime_inv: Callable[[np.ndarray], np.ndarray]
     strictly_convex: bool = True
 
 
@@ -292,7 +297,9 @@ def _xlogx_prime(s: np.ndarray) -> np.ndarray:
 
 def xlogx_generator() -> ConvexGenerator:
     """psi(s) = s log s; the induced score is the logarithmic score."""
-    return ConvexGenerator("xlogx", _xlogx, _xlogx_prime, strictly_convex=True)
+    return ConvexGenerator("xlogx", _xlogx, _xlogx_prime,
+                           lambda v: np.exp(np.asarray(v, float) - 1.0),
+                           strictly_convex=True)
 
 
 def square_generator(n: int) -> ConvexGenerator:
@@ -302,6 +309,7 @@ def square_generator(n: int) -> ConvexGenerator:
         "square",
         lambda s: np.asarray(s, float) ** 2 - shift,
         lambda s: 2.0 * np.asarray(s, float),
+        lambda v: 0.5 * np.asarray(v, float),
         strictly_convex=True,
     )
 
@@ -315,6 +323,7 @@ def power_generator(exponent: float) -> ConvexGenerator:
         f"power{q:g}",
         lambda s: np.asarray(s, float) ** q,
         lambda s: q * np.asarray(s, float) ** (q - 1.0),
+        lambda v: (np.asarray(v, float) / q) ** (1.0 / (q - 1.0)),
         strictly_convex=True,
     )
 
@@ -336,6 +345,9 @@ def _validate_generator(gen: ConvexGenerator) -> None:
     scale = np.maximum(1.0, np.abs(claimed))
     if float(np.max(np.abs(numeric - claimed) / scale)) > 1e-6:
         raise InvalidGenerator("psi_prime disagrees with finite differences of psi")
+    back = np.asarray(gen.psi_prime_inv(claimed), dtype=float)
+    if float(np.max(np.abs(back - pts) / np.maximum(1.0, pts))) > 1e-9:
+        raise InvalidGenerator("psi_prime_inv does not invert psi_prime")
 
 
 class BregmanModel(LossModel):
@@ -364,11 +376,13 @@ class BregmanModel(LossModel):
         q = self._density_payload(act)
         psi_q = np.asarray(self.generator.psi(q), dtype=float)
         dpsi_q = np.asarray(self.generator.psi_prime(q), dtype=float)
-        # q psi'(q) -> 0 as q -> 0 for the bundled generators
-        qdpsi = np.where(q > 0.0, q * dpsi_q, 0.0)
+        # q psi'(q) -> 0 as q -> 0 for the bundled generators; psi'(0) may be
+        # -inf, so the product is formed only where q > 0
+        pos = q > 0.0
+        qdpsi = np.zeros_like(q)
+        qdpsi[pos] = q[pos] * dpsi_q[pos]
         offset = float((psi_q - qdpsi) @ self.base.weights)
-        with np.errstate(invalid="ignore"):
-            return -dpsi_q - offset
+        return -dpsi_q - offset
 
     def bayes_act(self, dist: Distribution) -> Act:
         return Act(ACT_DENSITY, dist.w / self.base.weights)

@@ -26,18 +26,21 @@ from .core import (
     ext_dot,
 )
 from .divergence import equalizer_check
-from .losses import LossModel
+from .losses import ConvexGenerator, LossModel, square_generator
 from .verify import point_act_game
 
 ZERO_ONE_ENUM_CAP = 12   # solve_zero_one enumerates mode/zero patterns
 LINEAR_FIT_TOL = 1e-7
 SYSTEM_TOL = 1e-9
 HYPERPLANE_PROBES = 41
-NEWTON_MAX_ITER = 100    # dual Newton steps in solve_log and solve_brier
-BRIER_DUAL_TOL = 1e-13   # dual gradient norm, relative to 1 + |tau|_inf
+NEWTON_MAX_ITER = 100    # dual Newton steps in the log, Brier and Bregman solvers
+DUAL_TOL = 1e-13         # dual gradient norm, relative to 1 + |tau|_inf
 BRIER_ACTIVE_TOL = 1e-9  # |A'y| below this marks a weakly active outcome
 BRIER_GAP_TOL = 1e-9     # largest duality gap a Brier solution may keep
 FW_MAX_ITER = 100000     # conditional-gradient iterations
+FW_SLOPE_RES = 1e-14     # pairwise slopes below this, relative, are float noise
+ROOT_MAX_ITER = 100      # slope evaluations per line search
+ROOT_TOL = 1e-8          # relative bracket width, or slope against slope(0)
 
 
 class NewtonDivergence(ArithmeticError):
@@ -180,47 +183,83 @@ def _finalize(model: LossModel, g: GammaTau, vs: VertexSet, p: np.ndarray,
 @dataclass
 class _FWResult:
     point: np.ndarray
-    weights: np.ndarray
     value: float
     gap: float
     iterations: int
     stalled: bool
 
 
-def _line_max(value_batch, point: np.ndarray, direction: np.ndarray, hi: float):
-    """Maximize the concave section value(point + g * direction) on [0, hi]."""
-    a, b = 0.0, hi
-    best_g, best_v = 0.0, -np.inf
-    for _ in range(8):
-        gammas = np.linspace(a, b, 17)
-        vals = value_batch(point[None, :] + gammas[:, None] * direction[None, :])
-        i = int(np.argmax(vals))
-        if vals[i] > best_v:
-            best_v, best_g = float(vals[i]), float(gammas[i])
-        a = gammas[max(i - 1, 0)]
-        b = gammas[min(i + 1, 16)]
-    # prefer exact endpoints when they are competitive (enables drop steps)
-    for g_end in (hi, 0.0):
-        v_end = float(value_batch(np.array([point + g_end * direction]))[0])
-        if v_end >= best_v - 1e-13 * max(1.0, abs(best_v)):
-            return g_end, v_end
-    return best_g, best_v
+def _slope_root(slope, rise: float, hi: float, guess: float = 1.0) -> float:
+    """Root on [0, hi] of a non-increasing slope with slope(0) = rise.
+
+    Returns 0 when rise is not positive and hi when the slope is still
+    positive there.  The bracket is found by probing `guess` first, then
+    hi (or doubling, for hi = inf); inside it, Illinois regula falsi.  A
+    non-finite slope at either end (an infinite loss at an emptied
+    outcome) is bisected.
+    """
+    if not rise > 0.0:
+        return 0.0
+    f_tol = ROOT_TOL * rise if np.isfinite(rise) else 0.0
+    lo, f_lo = 0.0, rise
+    t = min(guess, hi)
+    for _ in range(ROOT_MAX_ITER):
+        f_t = slope(t)
+        if not f_t > 0.0:
+            break
+        if t == hi:
+            return hi
+        lo, f_lo = t, f_t
+        t = 2.0 * t if np.isinf(hi) else hi
+    else:
+        return lo
+    hi, f_hi = t, f_t
+    side = 0
+    for _ in range(ROOT_MAX_ITER):
+        if abs(f_hi) <= f_tol:
+            return hi
+        finite = np.isfinite(f_lo) and np.isfinite(f_hi)
+        t = lo + (hi - lo) * f_lo / (f_lo - f_hi) if finite else np.nan
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                break
+        f_t = slope(t)
+        if f_t > 0.0:
+            lo, f_lo = t, f_t
+            f_hi = 0.5 * f_hi if side > 0 else f_hi
+            side = 1
+        else:
+            hi, f_hi = t, f_t
+            f_lo = 0.5 * f_lo if side < 0 else f_lo
+            side = -1
+        if hi - lo <= ROOT_TOL * hi:
+            break
+    return lo
 
 
 def _fw_maximize(V: np.ndarray, value_batch, supergrad, tol: float,
                  max_iter: int) -> _FWResult:
     """Maximize a concave function over conv(rows of V) by pairwise Frank-Wolfe.
 
-    The supergradient linearization bounds the suboptimality, so the returned
-    gap certifies value accuracy.  Piecewise-linear objectives can stall with
-    a positive gap; callers handle that case.
+    Each step moves weight from the active vertex the supergradient likes
+    least to the one it likes most, by the exact line search of
+    Lacoste-Julien & Jaggi (2015): the root on [0, w_away] of the
+    non-increasing slope gamma -> supergrad(p + gamma d) . d.  No function
+    values are compared; `value_batch` is evaluated once, at the returned
+    point.  The supergradient linearization bounds the suboptimality, so
+    the returned gap certifies value accuracy.  The run stops at gap <= tol
+    or stalls, with `stalled` set, when the pairwise direction has no
+    positive slope within float resolution -- at a kink of a loss whose
+    Bayes act is not unique, which callers hand to the matrix game instead.
     """
     m = V.shape[0]
     w = np.full(m, 1.0 / m)
     point = w @ V
-    value = float(value_batch(point[None, :])[0])
     gap = np.inf
+    stalled = False
     it = 0
+    step = 1.0   # each line search first probes the previous step length
     for it in range(1, max_iter + 1):
         grad = supergrad(point)
         scores = _ext_dots(V, grad)
@@ -228,44 +267,22 @@ def _fw_maximize(V: np.ndarray, value_batch, supergrad, tol: float,
         fw = int(np.argmax(scores))
         gap = float(scores[fw] - current)
         if gap <= tol:
-            return _FWResult(point, w, value, gap, it, False)
-        progress = 1e-14 * max(1.0, abs(value))
+            break
         active = np.flatnonzero(w > 0.0)
         away = int(active[np.argmin(scores[active])])
-        moved = False
-        if away != fw and w[away] > 0.0:
-            direction = V[fw] - V[away]
-            g_step, v_step = _line_max(value_batch, point, direction, w[away])
-            if v_step > value + progress and g_step > 0.0:
-                w[fw] += g_step
-                w[away] -= g_step
-                if w[away] < 1e-15:
-                    w[away] = 0.0
-                w /= w.sum()
-                point = w @ V
-                value = v_step
-                moved = True
-        if not moved:
-            # the supergradient's favorite vertex stopped paying off; probe a
-            # value-based line search toward every vertex (at a kink the true
-            # ascent direction need not maximize any single supergradient)
-            best = (0, 0.0, value)
-            for j in range(m):
-                g_step, v_step = _line_max(value_batch, point, V[j] - point, 1.0)
-                if v_step > best[2] and g_step > 0.0:
-                    best = (j, g_step, v_step)
-            if best[2] > value + progress:
-                j, g_step, v_step = best
-                w = (1.0 - g_step) * w
-                w[j] += g_step
-                w /= w.sum()
-                point = w @ V
-                value = v_step
-            else:
-                # no vertex direction improves: optimal for concave objectives
-                # up to line-search resolution, though the gap may stay coarse
-                return _FWResult(point, w, value, gap, it, True)
-    return _FWResult(point, w, value, gap, it, True)
+        rise = float(scores[fw] - scores[away])
+        direction = V[fw] - V[away]
+        step = _slope_root(lambda t: ext_dot(direction, supergrad(point + t * direction)),
+                           rise, w[away], guess=step)
+        if not (rise > FW_SLOPE_RES * max(1.0, abs(current)) and step > 0.0):
+            stalled = True
+            break
+        w[fw] += step
+        w[away] = 0.0 if w[away] - step < 1e-15 else w[away] - step
+        w /= w.sum()
+        point = w @ V
+    value = float(value_batch(point[None, :])[0])
+    return _FWResult(point, value, gap, it, stalled)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +309,7 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
     n, k = g.n, g.k
     rows = np.vstack([np.ones(n), g.statistic.matrix])
     target = np.concatenate([[1.0], g.tau])
-    y = _brier_dual(rows, target)
+    y, _, _ = _separable_dual(rows, target, np.ones(n), square_generator(n))
     s = rows.T @ y
     pos = np.maximum(s, 0.0)
     h_up = 1.0 - float(y @ target) + 0.25 * float(pos @ pos)   # weak duality
@@ -329,60 +346,60 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
     return _finalize(model, g, vs, p, zeta, h, beta0, beta, 0.0, "brier-enum")
 
 
-def _brier_dual(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Maximize y'b - |(A'y)_+|^2 / 4 by regularized semismooth Newton.
+def _separable_dual(rows: np.ndarray, target: np.ndarray, mu: np.ndarray,
+                    gen: ConvexGenerator):
+    """Maximize y'b - sum mu psi*(A'y) by regularized semismooth Newton.
 
-    The generalized Hessian is A_S A_S' / 2 over the active set S.  A full
-    step is taken when it shrinks the gradient b - A (A'y)_+ / 2; otherwise
-    the step is cut at the root of the directional derivative, which is
-    piecewise linear and so found exactly.  Neither test compares dual
-    values.  Returns the last iterate; `solve_brier` certifies it.
+    psi* is the conjugate of the generator on [0, inf), so the gradient is
+    b - A p with p = mu (psi')^-1(max(psi'(0), A'y)), and the generalized
+    Hessian is A diag(mu dp/ds) A' over the active outcomes.  A full step is
+    taken when it shrinks the gradient norm; otherwise the step is cut at
+    the root of the non-increasing directional derivative.  Neither test
+    compares dual values.  Returns the last iterate, its p and gradient norm.
     """
-    k1, n = rows.shape
+    # psi'(0) may be -inf, and a trial step may overflow the density; the
+    # gradient-norm test rejects such a step
+    with np.errstate(divide="ignore", over="ignore"):
+        k1 = rows.shape[0]
+        floor = float(gen.psi_prime(np.zeros(1))[0])
+        tol = _dual_tol(target)
 
-    def gradient(v):
-        r = target - rows @ (np.maximum(rows.T @ v, 0.0) / 2.0)
-        return r, float(np.max(np.abs(r)))
+        def density(s):
+            return gen.psi_prime_inv(np.maximum(s, floor))
 
-    y = np.zeros(k1)
-    y[0] = 2.0 / n   # the uniform law
-    grad, norm = gradient(y)
-    tol = BRIER_DUAL_TOL * (1.0 + float(np.max(np.abs(target))))
-    for _ in range(NEWTON_MAX_ITER):
-        if norm <= tol:
-            break
-        s = rows.T @ y
-        act = rows[:, s > 0.0]
-        hess = 0.5 * act @ act.T + norm * norm * np.eye(k1)
-        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        trial = y + step
-        trial_grad, trial_norm = gradient(trial)
-        if trial_norm >= norm:
-            trial = y + _dual_line_root(s, rows.T @ step, float(target @ step)) * step
-            trial_grad, trial_norm = gradient(trial)
-        y, grad, norm = trial, trial_grad, trial_norm
-    return y
+        def gradient(v):
+            p = mu * density(rows.T @ v)
+            r = target - rows @ p
+            return r, float(np.abs(r).max()), p
+
+        eye = np.eye(k1)
+        y = np.zeros(k1)
+        y[0] = float(gen.psi_prime(np.array([1.0 / mu.sum()]))[0])   # the law mu / sum mu
+        grad, norm, p = gradient(y)
+        for _ in range(NEWTON_MAX_ITER):
+            if norm <= tol:
+                break
+            s = rows.T @ y
+            # dp/ds by a forward difference on a power-of-two step, exact for
+            # linear densities
+            h = np.ldexp(1.0, np.frexp(s)[1] - 20)
+            curve = (mu * density(s + h) - p) / h
+            hess = (rows * curve) @ rows.T + norm * norm * eye
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+            trial = y + step
+            trial_grad, trial_norm, trial_p = gradient(trial)
+            if not trial_norm < norm:
+                e, c = rows.T @ step, float(target @ step)
+                cut = _slope_root(lambda t: c - float(e @ (mu * density(s + t * e))),
+                                  float(grad @ step), np.inf)
+                trial = y + cut * step
+                trial_grad, trial_norm, trial_p = gradient(trial)
+            y, grad, norm, p = trial, trial_grad, trial_norm, trial_p
+        return y, p, norm
 
 
-def _dual_line_root(s: np.ndarray, e: np.ndarray, c: float) -> float:
-    """Root t >= 0 of c - e'(s + t e)_+ / 2, the dual's slope along a step."""
-
-    def slope(t):
-        return c - 0.5 * float(e @ np.maximum(s + t * e, 0.0))
-
-    lo, f_lo = 0.0, slope(0.0)
-    if f_lo <= 0.0:
-        return 0.0
-    moving = e != 0.0
-    knots = np.sort(-s[moving] / e[moving])
-    for t in knots[knots > 0.0]:
-        f_t = slope(t)
-        if f_t <= 0.0:
-            return lo + f_lo * (t - lo) / (f_lo - f_t)   # linear between knots
-        lo, f_lo = t, f_t
-    live = e[s + (lo + 1.0) * e > 0.0]   # the active set past the last knot
-    curve = 0.5 * float(live @ live)
-    return lo + f_lo / curve if curve > 0.0 else 1.0
+def _dual_tol(target: np.ndarray) -> float:
+    return DUAL_TOL * (1.0 + float(np.max(np.abs(target))))
 
 
 def _brier_supports(s: np.ndarray, k: int):
@@ -481,13 +498,14 @@ def _solve_log_on(model, g: GammaTau, idx: np.ndarray, tol: float):
     if cls == "outside":
         raise Infeasible(f"tau={tau} outside the statistic hull")
     if cls == "boundary":
-        sub = GammaTau(Statistic(tmat), tau)
-        face = vertices(sub).union_support()
-        if face.size == idx.size:
-            raise Infeasible("boundary face does not shrink; tau unattainable")
-        inner = _solve_log_on(model, g, idx[face], tol)
-        return inner[0], None, None, inner[3], False
-    if idx.size < g.n:
+        face = vertices(GammaTau(Statistic(tmat), tau)).union_support()
+        if face.size < idx.size:
+            inner = _solve_log_on(model, g, idx[face], tol)
+            return inner[0], None, None, inner[3], False
+        # a face that does not shrink: tau within hull_interior's tolerance
+        # of the boundary, or a statistic constant on the outcomes; either
+        # way the face is solved in its own coordinates
+    if cls == "boundary" or idx.size < g.n:
         q = _face_tilt(mu, tmat, tau, tol)
         return (idx, q), None, None, float(np.max(np.abs(tau - tmat @ q))), False
     beta, kappa, q, grad_norm = _newton_tilt(mu, tmat, tau, tol)
@@ -779,42 +797,75 @@ def _pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n):
 
 
 # ---------------------------------------------------------------------------
-# generic solver: conditional gradient over the vertex set
+# separable Bregman solver: the dual of the generalized exponential family
+
+
+def solve_bregman(model: LossModel, g: GammaTau) -> SaddlePoint:
+    """Bregman saddle point from the (k+1)-dimensional dual.
+
+    P*(x) = mu(x) (psi')^-1(max(psi'(0), lambda0 - beta' t(x))), where
+    (lambda0, -beta) maximizes the dual of `_separable_dual` over the
+    outcomes some member of Gamma_tau charges; the others carry no mass,
+    which also covers boundary tau and generators with psi'(0) = -inf.
+    beta is absent on a boundary face, where it is not determined.
+    """
+    if model.kind != "bregman":
+        raise ValueError("solve_bregman needs a Bregman model")
+    vs = vertices(g)
+    idx = vs.union_support()
+    rows = np.vstack([np.ones(idx.size), g.statistic.matrix[:, idx]])
+    target = np.concatenate([[1.0], g.tau])
+    y, p_idx, norm = _separable_dual(rows, target, model.base.weights[idx],
+                                     model.generator)
+    if not norm <= _dual_tol(target):
+        raise NewtonDivergence(f"Bregman dual stopped with gradient norm {norm:.3e}")
+    p = np.zeros(g.n)
+    p[idx] = p_idx
+    h = model.entropy(Distribution(p))
+    beta = beta0 = None
+    if np.linalg.matrix_rank(rows, tol=1e-10) == g.k + 1:
+        beta = -y[1:]
+        beta0 = h - float(beta @ g.tau)
+    zeta = Act(ACT_DENSITY, p / model.base.weights)
+    return _finalize(model, g, vs, p, zeta, h, beta0, beta, norm, "bregman-dual")
+
+
+# ---------------------------------------------------------------------------
+# generic solver: matrix game, else conditional gradient over the vertex set
 
 
 def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoint:
-    """Maximize H over Gamma_tau by pairwise conditional gradient.
+    """Maximize H over Gamma_tau.
 
-    The supergradient of H at P is the loss vector of the Bayes act at P.
-    Kinked models (non-unique Bayes acts) are certified at termination by a
-    small matrix game over mode-supported acts; the certificate act is then
-    the returned robust act.
+    Losses affine in a distribution act whose Bayes act is a set (zero-one
+    and its relative form) are solved exactly by the matrix game of the
+    vertices against point-mass acts (`method` "matrix-game").  Every other
+    loss runs pairwise conditional gradient, whose supergradient at P is
+    the loss vector of the Bayes act at P (`method` "frank-wolfe"); a loss
+    with kinks must therefore expose `bayes_act_set`.
     """
     vs = vertices(g)
     V = vs.points
+    game = point_act_game(model, V, 0.0)
+    if game is not None:
+        p = game.row_strategy @ V
+        zeta = Act(ACT_DISTRIBUTION, game.col_strategy)
+        gap = max(0.0, game.col_guarantee - game.row_guarantee)
+        method = "matrix-game"
+    else:
+        def value_batch(block):
+            return model.entropy_batch(np.maximum(block, 0.0))
 
-    def value_batch(block):
-        return model.entropy_batch(np.maximum(block, 0.0))
+        def supergrad(pv):
+            return model.loss_vector(model.bayes_act(Distribution(pv)))
 
-    def supergrad(pv):
-        return model.loss_vector(model.bayes_act(Distribution(pv)))
-
-    res = _fw_maximize(V, value_batch, supergrad, tol, FW_MAX_ITER)
-    zeta = model.bayes_act(Distribution(res.point))
-    gap = res.gap
-    if res.gap > tol:
-        cert = _kink_certificate(model, V, res.point)
-        if cert is not None and cert[0] <= tol:
-            gap, zeta = cert
-        elif res.stalled:
+        res = _fw_maximize(V, value_batch, supergrad, tol, FW_MAX_ITER)
+        if res.gap > tol:
+            how = "stalled" if res.stalled else f"after {res.iterations} iterations"
             raise MaxIterExceeded(
-                f"conditional gradient stalled with gap {res.gap:.3e}", res
-            )
-        else:
-            raise MaxIterExceeded(
-                f"gap {res.gap:.3e} above tol after {res.iterations} iterations", res
-            )
-    p = res.point
+                f"conditional gradient {how} with gap {res.gap:.3e}", res)
+        p, gap, method = res.point, res.gap, "frank-wolfe"
+        zeta = model.bayes_act(Distribution(p))
     p = np.maximum(p, 0.0)
     p = p / p.sum()
     dist = Distribution(p)
@@ -828,22 +879,7 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
         if resid <= LINEAR_FIT_TOL and supp.size >= g.k + 1:
             beta = bvec
             beta0 = h - float(beta @ g.tau)
-    return _finalize(model, g, vs, p, zeta, h, beta0, beta, gap, "frank-wolfe")
-
-
-def _kink_certificate(model: LossModel, V: np.ndarray, pv: np.ndarray):
-    """Gap certificate at a kink: value of the game over mode-supported acts."""
-    dist = Distribution(np.maximum(pv, 0.0) / max(pv.sum(), 1e-300))
-    modes = model.bayes_act_set(dist)
-    if modes is None or np.size(modes) < 2:
-        return None
-    modes = np.asarray(modes, dtype=int)
-    sol = point_act_game(model, V, model.entropy(dist), modes)
-    if sol is None:
-        return None
-    zeta = np.zeros(V.shape[1])
-    zeta[modes] = sol.col_strategy
-    return float(sol.value), Act(ACT_DISTRIBUTION, zeta)
+    return _finalize(model, g, vs, p, zeta, h, beta0, beta, gap, method)
 
 
 # ---------------------------------------------------------------------------
@@ -851,17 +887,20 @@ def _kink_certificate(model: LossModel, V: np.ndarray, pv: np.ndarray):
 
 
 def solve(model: LossModel, g: GammaTau, tol: float | None = None) -> SaddlePoint:
-    """Route to the specialized solver for the model kind.
+    """Route to the solver for the model's mathematical structure.
 
-    `tol`, when given, is the stopping tolerance of the log and generic
-    solvers; the exact Brier (dual Newton, certified by an exact support
-    solve) and zero-one (pattern enumeration) solvers ignore it.
+    Brier, Bregman and zero-one saddles are exact (dual Newton certified by
+    a support solve, dual Newton to a 1e-13 gradient, pattern enumeration)
+    and ignore `tol`; it is the stopping tolerance of the log solver and of
+    `solve_generic`, which takes every other loss.
     """
     kind = getattr(model, "kind", "")
     if kind == "brier":
         return solve_brier(model, g)
     if kind == "zero_one":
         return solve_zero_one(model, g)
+    if kind == "bregman":
+        return solve_bregman(model, g)
     kwargs = {} if tol is None else {"tol": tol}
     if kind == "log":
         return solve_log(model, g, **kwargs)
@@ -889,16 +928,24 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta,
                  tol: float = 1e-8, max_iter: int = FW_MAX_ITER) -> TiltResult:
     """argmax over the full simplex of H(P) - beta' E_P T, with chi(beta).
 
-    Conditional gradient with supergradient L(., zeta_P) - beta' t(.).  For
-    the log model the closed-form cumulant log sum mu exp(-beta' t) is an
-    independent cross-check on chi.  Piecewise-linear models that stall are
-    finished exactly by a matrix game over point-mass acts.
+    Losses affine in a distribution act with a Bayes-act set are solved
+    exactly by the matrix game over point-mass acts (`method`
+    "matrix-game").  Others run conditional gradient with supergradient
+    L(., zeta_P) - beta' t(.), up to `max_iter` iterations, and raise
+    MaxIterExceeded, carrying the last iterate, when the gap stays above
+    tol.  For the log model the closed-form cumulant log sum mu exp(-beta' t)
+    is an independent cross-check on chi.
     """
     beta = np.atleast_1d(np.asarray(beta, float))
     tmat = statistic.matrix
     n = tmat.shape[1]
     V = np.eye(n)
     shift = tmat.T @ beta
+    game = point_act_game(model, V, shift)
+    if game is not None:
+        q = Distribution(np.maximum(game.row_strategy, 0.0) / game.row_strategy.sum())
+        return TiltResult(beta=beta, q=q, chi=float(game.value), gap=0.0,
+                          method="matrix-game")
 
     def value_batch(block):
         return model.entropy_batch(np.maximum(block, 0.0)) - block @ shift
@@ -907,22 +954,16 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta,
         return model.loss_vector(model.bayes_act(Distribution(pv))) - shift
 
     res = _fw_maximize(V, value_batch, supergrad, tol, max_iter)
-    method = "frank-wolfe"
-    point, chi, gap = res.point, res.value, res.gap
-    if gap > tol:
-        game = point_act_game(model, V, shift)
-        if game is not None:
-            point, chi, gap, method = game.row_strategy, float(game.value), 0.0, "matrix-game"
-    if gap > tol and method == "frank-wolfe":
-        raise MaxIterExceeded(f"natural tilt gap {gap:.3e} above tol", res)
+    if res.gap > tol:
+        raise MaxIterExceeded(f"natural tilt gap {res.gap:.3e} above tol", res)
     if model.kind == "log":
         kappa, _ = _log_kappa(model.base.weights, tmat, beta)
-        if not (chi <= kappa + 1e-9 and kappa - chi <= gap + 1e-9):
+        if not (res.value <= kappa + 1e-9 and kappa - res.value <= res.gap + 1e-9):
             raise ArithmeticError(
-                f"chi(beta)={chi!r} disagrees with the cumulant {kappa!r}"
+                f"chi(beta)={res.value!r} disagrees with the cumulant {kappa!r}"
             )
-    q = Distribution(np.maximum(point, 0.0) / max(point.sum(), 1e-300))
-    return TiltResult(beta=beta, q=q, chi=float(chi), gap=float(gap), method=method)
+    q = Distribution(np.maximum(res.point, 0.0) / max(res.point.sum(), 1e-300))
+    return TiltResult(beta=beta, q=q, chi=res.value, gap=res.gap, method="frank-wolfe")
 
 
 # ---------------------------------------------------------------------------

@@ -532,6 +532,31 @@ def test_brier_solve_below_the_vertex_cap(capsys, tmp_path, monkeypatch):
     assert abs(float(np.linspace(-1.0, 1.0, 18) @ p) - 0.25) <= 1e-9
 
 
+def test_bregman_square_solve_and_sweep(capsys, tmp_path):
+    # the Brier score in Bregman form: same record values, and no error rows
+    spec = {
+        "outcomes": ["a", "b", "c", "d", "e"],
+        "loss": {"kind": "bregman", "generator": "square"},
+        "statistic": [[-1.0, -0.5, 0.0, 0.5, 1.0]],
+        "constraint": {"tau_grid": {"from": -1.0, "to": 1.0, "steps": 21}},
+    }
+    path = write_spec(tmp_path, spec, name="bregman.json")
+    code, out, _ = run_cli(capsys, "solve", path, "--tau", "0.3")
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert rec["method"] == "bregman-dual"
+    assert rec["saddle_verified"] is True
+    spec["loss"] = {"kind": "brier"}
+    ref = json.loads(run_cli(capsys, "solve", write_spec(tmp_path, spec), "--tau", "0.3")[1])
+    for key in ("h", "beta0", "beta_1", "p_1", "p_3", "p_5"):
+        assert rec[key] == pytest.approx(ref[key], abs=1e-12), key
+    code, out, _ = run_cli(capsys, "sweep", path)
+    assert code == EXIT_OK
+    _, rows = read_csv(out)
+    assert len(rows) == 21
+    assert all(row["status"] == "ok" for row in rows)
+
+
 def test_size_cap_blocks_by_default(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("MAXENT_MAX_N", raising=False)
     path = _big_log_spec(tmp_path)

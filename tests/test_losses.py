@@ -151,7 +151,8 @@ def test_quadratic_bayes_is_mean_entropy_is_variance():
 
 def test_bregman_square_binary_divergence_oracle():
     space2 = SampleSpace.of(["0", "1"])
-    m = bregman_model(space2, ConvexGenerator("square", lambda s: s * s, lambda s: 2 * s))
+    m = bregman_model(space2, ConvexGenerator("square", lambda s: s * s, lambda s: 2 * s,
+                                           lambda v: 0.5 * v))
     p = Distribution(np.array([0.5, 0.5]))
     q = Act(ACT_DENSITY, [0.75, 0.25])
     d = m.expected_loss(p, q) - m.entropy(p)
@@ -197,9 +198,30 @@ def test_power_generator_is_strictly_convex_for_exponent_above_one():
 
 
 def test_invalid_generator_detected():
-    concave = ConvexGenerator("neg-square", lambda s: -s * s, lambda s: -2 * s)
+    concave = ConvexGenerator("neg-square", lambda s: -s * s, lambda s: -2 * s,
+                              lambda v: -0.5 * v)
     with pytest.raises(InvalidGenerator):
         bregman_model(SPACE3, concave)
+    wrong_inverse = ConvexGenerator("square", lambda s: s * s, lambda s: 2 * s,
+                                    lambda v: v)
+    with pytest.raises(InvalidGenerator, match="psi_prime_inv"):
+        bregman_model(SPACE3, wrong_inverse)
+
+
+def test_generator_inverses_invert_the_derivative():
+    s = np.array([1e-3, 0.4, 1.0, 7.5])
+    for gen in (xlogx_generator(), square_generator(3), power_generator(3.0)):
+        back = gen.psi_prime_inv(gen.psi_prime(s))
+        assert np.max(np.abs(back - s) / np.maximum(1.0, s)) <= 1e-12, gen.name
+
+
+def test_bregman_loss_at_a_zero_density_is_the_limit_without_warnings():
+    # psi'(0) = -inf for xlogx: the loss there is +inf, and 0 * psi'(0) is
+    # never formed (warnings are errors in this suite)
+    mb = bregman_model(SPACE3, xlogx_generator(), BaseMeasure.counting(3))
+    lv = mb.loss_vector(Act(ACT_DENSITY, [0.5, 0.5, 0.0]))
+    assert lv[2] == np.inf
+    np.testing.assert_allclose(lv[:2], [np.log(2.0)] * 2, atol=TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from maxentgames import (
     vertices,
     zero_one_model,
 )
+from maxentgames.maxent import _slope_root
 
 SPACE = SampleSpace.of(["-1", "0", "1"])
 T = Statistic(np.array([[-1.0, 0.0, 1.0]]))
@@ -267,6 +268,20 @@ def test_log_face_of_rank_deficient_statistic():
                 assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
 
 
+def test_log_tau_just_inside_a_hull_end():
+    # hull_interior calls tau within 1e-9 of the end a boundary, yet every
+    # outcome still carries mass, so the face does not shrink
+    rng = np.random.default_rng(3)
+    model = log_model(SampleSpace.of(range(6)))
+    for _ in range(60):
+        t = rng.uniform(-1.0, 1.0, size=(1, 6))
+        tau = np.array([t.max() - rng.uniform(0.5, 1.5) * 7.5e-10])
+        g = GammaTau(Statistic(t), tau)
+        sp = solve_log(model, g)
+        assert np.max(np.abs(t @ sp.p_star.w - tau)) <= 1e-9
+        assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
+
+
 # ---------------------------------------------------------------------------
 # dispatch, generic solver, infeasibility
 
@@ -282,9 +297,8 @@ def test_generic_agrees_with_specialized():
                         (ZERO_ONE, (-0.4, 0.25, 0.6)),
                         (LOG, (-0.5, 0.3))):
         for tau in taus:
-            kwargs = {"tol": 1e-7} if model.kind == "log" else {}
             ref = solve(model, gamma(tau))
-            gen = solve_generic(model, gamma(tau), **kwargs)
+            gen = solve_generic(model, gamma(tau))
             assert abs(gen.h_star - ref.h_star) <= 1e-6, (model.kind, tau)
             assert np.max(np.abs(gen.p_star.w - ref.p_star.w)) <= 1e-5
 
@@ -352,9 +366,27 @@ def test_tilt_zero_one_piecewise_linear_values():
         assert res.gap <= 1e-9
 
 
+def test_tilt_reaches_the_default_tolerance_on_smooth_models():
+    rng = np.random.default_rng(5)
+    space = SampleSpace.of(range(5))
+    t = rng.uniform(-1.0, 1.0, size=(1, 5))
+    for model in (brier_model(space), log_model(space)):
+        for beta in np.linspace(-2.0, 2.0, 9):
+            res = natural_tilt(model, Statistic(t), np.array([beta]))
+            assert res.method == "frank-wolfe"
+            assert res.gap <= 1e-8
+            tilted = model.entropy(res.q) - beta * float(t[0] @ res.q.w)
+            assert abs(res.chi - tilted) <= 1e-12
+            if model.kind == "log":
+                expected = np.exp(-beta * t[0])
+                assert np.max(np.abs(res.q.w - expected / expected.sum())) <= 1e-6
+
+
 def test_tilt_iteration_budget_carries_best_iterate():
+    # exact line searches reach this interior optimum in two steps; one
+    # step leaves the gap far above the ask
     with pytest.raises(MaxIterExceeded) as err:
-        natural_tilt(BRIER, T, np.array([0.1]), tol=1e-15, max_iter=2)
+        natural_tilt(BRIER, T, np.array([0.1]), tol=1e-15, max_iter=1)
     res = err.value.result
     assert res is not None
     assert res.gap > 0.0
@@ -517,3 +549,10 @@ def test_lafferty_brier_uniform_reduces_to_plain_family():
         assert np.max(np.abs(row.p_star.w - plain.p_star.w)) <= 1e-4
         # relative entropy differs from plain entropy by the reference level
         assert abs(row.h_star - (plain.h_star - 2.0 / 3.0)) <= 1e-7
+
+
+def test_slope_root_from_an_infinite_rise():
+    # an unbounded loss at an emptied outcome makes slope(0) = +inf; the
+    # first probe (at hi) is already past the root, so lo keeps that slope
+    root = _slope_root(lambda t: 0.1 - t, np.inf, np.float64(0.5))
+    assert abs(root - 0.1) <= 1e-8 * 0.1
