@@ -1,4 +1,14 @@
-"""Dense two-phase primal simplex with Bland's rule.  Desk-scale sizes only."""
+"""Dense two-phase primal simplex.  Desk-scale sizes only.
+
+Pricing takes the most negative reduced cost, and the ratio test is Harris's
+two-pass rule: the first pass bounds the step so that no basic variable drops
+below -HARRIS_TOL, the second takes the largest pivot among the rows whose
+ratio is within that bound.  A tie-breaking rule on exact ratios alone can
+pick a pivot of 1e-10 and lose the equality rows to roundoff; the largest
+pivot cannot.  After BLAND_AFTER degenerate pivots in a row, Bland's rule
+(lowest-index entering column, lowest-index basic variable among the minimum
+ratios) takes over until a step makes progress, so the iteration cannot cycle.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +18,8 @@ from .core import Infeasible
 
 PIVOT_TOL = 1e-11
 FEAS_TOL = 1e-9
+HARRIS_TOL = 1e-11    # basic variables may dip this far below zero
+BLAND_AFTER = 50      # consecutive degenerate pivots before Bland's rule
 
 
 class Unbounded(OverflowError):
@@ -16,32 +28,43 @@ class Unbounded(OverflowError):
 
 def _pivot(tableau: np.ndarray, basis: list, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factor = tableau[:, col].copy()
+    factor[row] = 0.0
+    tableau -= np.outer(factor, tableau[row])
     basis[row] = col
 
 
 def _iterate(tableau: np.ndarray, basis: list, n_cols: int, max_iter: int) -> None:
-    # Bland's rule: entering = lowest-index column with negative reduced cost,
-    # leaving = lowest-index basic variable among the minimum ratios.
+    degenerate = 0
     for _ in range(max_iter):
         cost = tableau[-1, :n_cols]
-        entering = -1
-        for j in range(n_cols):
-            if cost[j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return
+        bland = degenerate >= BLAND_AFTER
+        if bland:
+            negative = np.flatnonzero(cost < -PIVOT_TOL)
+            if negative.size == 0:
+                return
+            entering = int(negative[0])
+        else:
+            entering = int(np.argmin(cost))
+            if cost[entering] >= -PIVOT_TOL:
+                return
         col = tableau[:-1, entering]
         rows = np.flatnonzero(col > PIVOT_TOL)
         if rows.size == 0:
             raise Unbounded("no positive pivot entry in the entering column")
-        ratios = tableau[rows, -1] / col[rows]
-        best = ratios.min()
-        tie = rows[ratios <= best + 1e-12]
-        leaving = min(tie, key=lambda r: basis[r])
+        rhs = tableau[rows, -1]
+        if bland:
+            ratios = np.maximum(rhs, 0.0) / col[rows]
+            tie = rows[ratios <= ratios.min() + 1e-12]
+            leaving = min(tie, key=lambda r: basis[r])
+        else:
+            bound = float(((rhs + HARRIS_TOL) / col[rows]).min())
+            within = rows[rhs / col[rows] <= bound]
+            leaving = within[np.argmax(col[within])]
+        # a leaving variable that dipped below zero leaves at zero: no step back
+        tableau[leaving, -1] = max(tableau[leaving, -1], 0.0)
+        gain = tableau[leaving, -1] / col[leaving] * -cost[entering]
+        degenerate = degenerate + 1 if gain <= PIVOT_TOL else 0
         _pivot(tableau, basis, int(leaving), entering)
     raise RuntimeError("simplex iteration limit exceeded")
 
@@ -49,7 +72,11 @@ def _iterate(tableau: np.ndarray, basis: list, n_cols: int, max_iter: int) -> No
 def solve_lp(c, a_eq, b_eq, max_iter: int = 50000):
     """min c @ x  subject to  a_eq @ x = b_eq, x >= 0.
 
-    Returns (x, value).  Raises Infeasible or Unbounded.
+    Returns (x, value, reduced), where `reduced` is the reduced-cost row of
+    the final basis: c - a_eq' y for the dual y of that basis, zero on the
+    basic columns and nonnegative at the optimum.  A column with a positive
+    reduced cost is zero in every optimal x (complementary slackness holds
+    for any optimal dual).  Raises Infeasible or Unbounded.
     """
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
@@ -79,10 +106,10 @@ def solve_lp(c, a_eq, b_eq, max_iter: int = 50000):
     # drive any artificial variables out of the basis
     for r in range(m):
         if basis[r] >= n:
-            row = tableau[r, :n]
-            cols = np.flatnonzero(np.abs(row) > PIVOT_TOL)
-            if cols.size:
-                _pivot(tableau, basis, r, int(cols[0]))
+            row = np.abs(tableau[r, :n])
+            col = int(np.argmax(row))
+            if row[col] > PIVOT_TOL:
+                _pivot(tableau, basis, r, col)
 
     keep_rows = [r for r in range(m) if basis[r] < n]
     drop = [r for r in range(m) if basis[r] >= n]  # redundant constraints
@@ -102,5 +129,5 @@ def solve_lp(c, a_eq, b_eq, max_iter: int = 50000):
 
     x = np.zeros(n)
     for r, bv in enumerate(basis):
-        x[bv] = work[r, -1]
-    return x, float(c @ x)
+        x[bv] = max(float(work[r, -1]), 0.0)
+    return x, float(c @ x), work[-1, :n].copy()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -23,6 +23,9 @@ DEFAULT_MAX_K = 3
 MEMBER_TOL = 1e-8      # ||T p - tau||_inf for membership
 DEDUP_TOL = 1e-8       # L_inf distance below which two vertices coincide
 CONSISTENCY_TOL = 1e-9
+RANK_TOL = 1e-10       # singular values at or below this make a support dependent
+SCREEN_BLOCK = 256     # candidate supports screened per batch
+SCREEN_SLACK = 1e-12   # screen slack per unit of condition number and weight
 
 
 def _max_n_cap() -> int:
@@ -122,10 +125,8 @@ def _enumerate_vertices(g: GammaTau) -> VertexSet:
     target = np.concatenate([[1.0], g.tau])
     found: list[np.ndarray] = []
     for size in range(1, min(k + 1, n) + 1):
-        for supp in combinations(range(n), size):
+        for supp in _screened_supports(rows, target, size):
             a = rows[:, supp]
-            if np.linalg.matrix_rank(a, tol=1e-10) < size:
-                continue  # affinely dependent support: not a vertex
             sol, *_ = np.linalg.lstsq(a, target, rcond=None)
             if np.max(np.abs(a @ sol - target)) > CONSISTENCY_TOL:
                 continue
@@ -137,15 +138,53 @@ def _enumerate_vertices(g: GammaTau) -> VertexSet:
     if not found:
         raise Infeasible(f"Gamma_tau empty for tau={np.asarray(g.tau)}")
     pts = np.array(found)
-    keep: list[int] = []
-    for i in range(pts.shape[0]):
-        if all(np.max(np.abs(pts[i] - pts[j])) > DEDUP_TOL for j in keep):
-            keep.append(i)
-    pts = pts[keep]
+    kept = 1
+    for i in range(1, pts.shape[0]):
+        if np.max(np.abs(pts[:kept] - pts[i]), axis=1).min() > DEDUP_TOL:
+            pts[kept] = pts[i]
+            kept += 1
+    pts = pts[:kept]
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     pts.flags.writeable = False
     return VertexSet(pts)
+
+
+def _screened_supports(rows: np.ndarray, target: np.ndarray, size: int):
+    """Supports of `size` outcomes that can carry a vertex, in combinations order.
+
+    Blocks of SCREEN_BLOCK supports are screened at once.  The batched
+    singular values are those `matrix_rank` computes, so affinely dependent
+    supports drop exactly.  Square systems are solved directly and smaller
+    ones through their normal equations; a support stays when its residual
+    and its most negative weight are within the exact tests' tolerances plus
+    a slack that grows with the error bound of that solve (the condition
+    number, squared for the normal equations).  The exact lstsq test then
+    runs on the survivors alone.
+    """
+    combos = combinations(range(rows.shape[1]), size)
+    while True:
+        block = np.array(list(islice(combos, SCREEN_BLOCK)), dtype=np.intp)
+        if block.size == 0:
+            return
+        a = rows.T[block].transpose(0, 2, 1)          # (B, k+1, size)
+        sv = np.linalg.svd(a, compute_uv=False)
+        full = sv[:, -1] > RANK_TOL
+        a, sv, block = a[full], sv[full], block[full]
+        cond = sv[:, 0] / sv[:, -1]
+        if size == rows.shape[0]:
+            rhs = np.broadcast_to(target[:, None], (len(a), size, 1))
+            sol = np.linalg.solve(a, rhs)
+        else:
+            at = a.transpose(0, 2, 1)
+            sol = np.linalg.solve(at @ a, at @ target[:, None])
+            cond = cond * cond
+        sol = sol[:, :, 0]
+        resid = np.abs((a @ sol[:, :, None])[:, :, 0] - target).max(axis=1)
+        slack = SCREEN_SLACK * cond * (1.0 + np.abs(sol).max(axis=1))
+        keep = ((resid <= CONSISTENCY_TOL + slack)
+                & (sol.min(axis=1) >= -WEIGHT_CLAMP - slack))
+        yield from map(tuple, block[keep].tolist())
 
 
 def feasible(g: GammaTau, max_n: int | None = None) -> bool:
@@ -187,27 +226,31 @@ def hull_interior(statistic: Statistic, tau, tol: float = 1e-9) -> str:
     # {lam >= delta, sum lam = 1, M lam = tau}; delta > 0 iff tau is in the
     # relative interior of the hull.
     n = statistic.n
-    k = statistic.k
-    # variables: lam (n), delta (1), slack s (n) with lam - delta - s = 0
-    n_var = 2 * n + 1
-    a = np.zeros((n + k + 1, n_var))
-    b = np.zeros(n + k + 1)
-    for i in range(n):
-        a[i, i] = 1.0
-        a[i, n] = -1.0
-        a[i, n + 1 + i] = -1.0
-    a[n, :n] = 1.0
-    b[n] = 1.0
-    a[n + 1:, :n] = m
-    b[n + 1:] = t
-    c = np.zeros(n_var)
+    c = np.zeros(2 * n + 1)
     c[n] = -1.0
+    a, b = level_lp(m, t, -1.0)
     try:
-        x, value = _simplex.solve_lp(c, a, b)
+        _, value, _ = _simplex.solve_lp(c, a, b)
     except Infeasible:
         return "outside"
     delta = -value
     return "interior" if delta > tol else "boundary"
+
+
+def level_lp(tmat: np.ndarray, tau: np.ndarray, side: float):
+    """Equality rows (a, b) of {P in Gamma_tau, p_x - level + side * s_x = 0}.
+
+    The variables are p (n), the level (1) and slacks s (n), all >= 0; side
+    +1 bounds every p_x above by the level, -1 below.
+    """
+    k, n = tmat.shape
+    a = np.zeros((n + k + 1, 2 * n + 1))
+    a[:n, :n] = np.eye(n)
+    a[:n, n] = -1.0
+    a[:n, n + 1:] = side * np.eye(n)
+    a[n, :n] = 1.0
+    a[n + 1:, :n] = tmat
+    return a, np.concatenate([np.zeros(n), [1.0], tau])
 
 
 def closed_under_conditioning(g: GammaTau, max_n: int | None = None) -> bool:

@@ -13,12 +13,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .constraints import GammaTau, VertexSet, hull_interior, vertices
+from . import _simplex
+from .constraints import GammaTau, VertexSet, hull_interior, level_lp, vertices
 from .core import (
     ACT_DENSITY,
     ACT_DISTRIBUTION,
     Act,
-    CombinatorialBlowup,
     Distribution,
     Infeasible,
     Statistic,
@@ -29,9 +29,10 @@ from .divergence import equalizer_check
 from .losses import ConvexGenerator, LossModel, square_generator
 from .verify import point_act_game
 
-ZERO_ONE_ENUM_CAP = 12   # solve_zero_one enumerates mode/zero patterns
 LINEAR_FIT_TOL = 1e-7
 SYSTEM_TOL = 1e-9
+SCREEN_TOL = 1e-7        # LP reduced cost that fixes a zero-one outcome at 0 or m*
+PMAX_LP_TOL = 1e-9       # zero-one pattern minimum may exceed the LP minimum by this
 HYPERPLANE_PROBES = 41
 NEWTON_MAX_ITER = 100    # dual Newton steps in the log, Brier and Bregman solvers
 DUAL_TOL = 1e-13         # dual gradient norm, relative to 1 + |tau|_inf
@@ -503,9 +504,12 @@ def _solve_log_on(model, g: GammaTau, idx: np.ndarray, tol: float):
             inner = _solve_log_on(model, g, idx[face], tol)
             return inner[0], None, None, inner[3], False
         # a face that does not shrink: tau within hull_interior's tolerance
-        # of the boundary, or a statistic constant on the outcomes; either
-        # way the face is solved in its own coordinates
-    if cls == "boundary" or idx.size < g.n:
+        # of the boundary, or a statistic constant on the outcomes
+    # faces, and rows affinely dependent over idx (their covariance is
+    # singular everywhere), are solved in their own coordinates
+    if (cls == "boundary" or idx.size < g.n
+            or np.linalg.matrix_rank(np.vstack([np.ones(idx.size), tmat]),
+                                     tol=1e-10) <= g.k):
         q = _face_tilt(mu, tmat, tau, tol)
         return (idx, q), None, None, float(np.max(np.abs(tau - tmat @ q))), False
     beta, kappa, q, grad_norm = _newton_tilt(mu, tmat, tau, tol)
@@ -590,14 +594,15 @@ def _newton_steps(mu, tmat, tau, tol, beta, by_gradient: bool):
 
 
 # ---------------------------------------------------------------------------
-# zero-one solver: exact two-phase enumeration
+# zero-one solver: an LP screen, then exact patterns
 
 
 def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
     """Zero-one saddle point.
 
-    Phase 1 minimizes the maximum coordinate over Gamma_tau by enumerating
-    (mode set, zero set, free set) patterns and solving the linear systems.
+    Phase 1 minimizes the maximum coordinate over Gamma_tau: one LP fixes
+    the outcomes that every minimizer puts at 0 or at the maximum, and the
+    (mode set, zero set, free set) pattern systems run on the rest.
     Phase 2 solves 1 - zeta(x) = beta0 + beta' t(x) across the support of P*
     with zeta supported on the modes; parameter families are resolved by the
     equalizer rule, then by proximity to the uniform act, subject to the
@@ -605,32 +610,44 @@ def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
     """
     if model.kind != "zero_one":
         raise ValueError("solve_zero_one needs a zero-one model")
-    n = g.n
-    if n > ZERO_ONE_ENUM_CAP:
-        raise CombinatorialBlowup(
-            f"N={n} exceeds the zero-one enumeration cap {ZERO_ONE_ENUM_CAP}")
+    vs = vertices(g)
     m_star, p = _min_pmax(g)
     h = 1.0 - float(p.max())   # the optimizer's value can carry solve noise
     zeta, beta0, beta, family = _zero_one_act(model, g, p, m_star)
-    vs = vertices(g)
     return _finalize(model, g, vs, p, Act(ACT_DISTRIBUTION, zeta), h, beta0, beta,
                      0.0, "zero-one-enum", act_family=family)
 
 
 def _min_pmax(g: GammaTau):
-    """Minimize max_x p(x) over Gamma_tau; exact pattern enumeration."""
+    """Minimize max_x p(x) over Gamma_tau: one LP screens, exact patterns decide.
+
+    The LP in (p, m, s) with p_x - m + s_x = 0, sum p = 1 and T p = tau
+    gives the minimum m* and the reduced costs of its final basis.  By
+    complementary slackness, which holds for any optimal dual, a positive
+    reduced cost on p_x makes x zero in every minimizer, and one on s_x makes
+    p_x = m* in every minimizer.  The pattern systems (members at level m,
+    free outcomes below it, zeros elsewhere) then run with members holding
+    every forced mode outside the free set and no forced zero; free sets
+    still range over all outcomes.  A pattern minimum above the LP value is
+    an error, not a reason to enumerate more.
+    """
     n, k = g.n, g.k
     tmat = g.statistic.matrix
     target = np.concatenate([[1.0], g.tau])
+    lp_value, zero, mode = _pmax_lp(tmat, g.tau)
     candidates = []
     all_idx = list(range(n))
     for f_size in range(0, k + 1):
         for free in combinations(all_idx, f_size):
             rest = [i for i in all_idx if i not in free]
-            r = len(rest)
-            t_rest = tmat[:, rest]
-            for mask in range(1, 1 << r):
-                members = [rest[i] for i in range(r) if mask >> i & 1]
+            forced = [x for x in rest if mode[x]]
+            open_ = [x for x in rest if not (mode[x] or zero[x])]
+            # member sets in increasing bit-mask order over `rest`: the sort
+            # below is stable, so this order breaks exact ties
+            for sub in range(1 << len(open_)):
+                members = sorted(forced + [x for j, x in enumerate(open_) if sub >> j & 1])
+                if not members:
+                    continue
                 a = np.zeros((k + 1, 1 + f_size))
                 a[0, 0] = len(members)
                 a[1:, 0] = tmat[:, members].sum(axis=1)
@@ -655,10 +672,26 @@ def _min_pmax(g: GammaTau):
     if not candidates:
         raise Infeasible(f"Gamma_tau empty for tau={g.tau}")
     m_star = min(c[0] for c in candidates)
+    if m_star > lp_value + PMAX_LP_TOL:
+        raise ArithmeticError(
+            f"zero-one patterns reach {m_star!r}, above the LP minimum {lp_value!r}")
     pool = [p for (m, p) in candidates if m <= m_star + 1e-12]
     # deterministic representative: maximal quadratic entropy, then lex order
     pool.sort(key=lambda p: (float(p @ p), tuple(np.round(p, 12))))
     return m_star, pool[0]
+
+
+def _pmax_lp(tmat: np.ndarray, tau: np.ndarray):
+    """min m over Gamma_tau with p <= m; returns (m*, forced zeros, forced modes)."""
+    n = tmat.shape[1]
+    c = np.zeros(2 * n + 1)
+    c[n] = 1.0
+    a, b = level_lp(tmat, tau, 1.0)
+    try:
+        _, value, reduced = _simplex.solve_lp(c, a, b)
+    except Infeasible:
+        raise Infeasible(f"Gamma_tau empty for tau={tau}") from None
+    return value, reduced[:n] > SCREEN_TOL, reduced[n + 1:] > SCREEN_TOL
 
 
 def _h_zero_one(g: GammaTau, sigma: np.ndarray):

@@ -52,7 +52,7 @@ def lp_game_value(payoff) -> GameSolution:
     # column player: max 1'z  s.t.  Lp z <= 1, z >= 0
     a = np.hstack([Lp, np.eye(m)])
     c = np.concatenate([-np.ones(n), np.zeros(m)])
-    x, _ = _simplex.solve_lp(c, a, np.ones(m))
+    x, _, _ = _simplex.solve_lp(c, a, np.ones(m))
     z = x[:n]
     v_col = 1.0 / float(z.sum())
     col = z * v_col
@@ -60,7 +60,7 @@ def lp_game_value(payoff) -> GameSolution:
     # row player: min 1'u  s.t.  Lp' u >= 1, u >= 0
     a2 = np.hstack([Lp.T, -np.eye(n)])
     c2 = np.concatenate([np.ones(m), np.zeros(n)])
-    x2, _ = _simplex.solve_lp(c2, a2, np.ones(n))
+    x2, _, _ = _simplex.solve_lp(c2, a2, np.ones(n))
     u = x2[:m]
     v_row = 1.0 / float(u.sum())
     row = u * v_row

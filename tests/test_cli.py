@@ -532,6 +532,24 @@ def test_brier_solve_below_the_vertex_cap(capsys, tmp_path, monkeypatch):
     assert abs(float(np.linspace(-1.0, 1.0, 18) @ p) - 0.25) <= 1e-9
 
 
+def test_cli_solves_a_sixteen_outcome_zero_one_spec(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("MAXENT_MAX_N", raising=False)
+    stat = np.linspace(-1.0, 1.0, 16)
+    path = write_spec(tmp_path, {
+        "outcomes": [f"x{i}" for i in range(16)],
+        "loss": {"kind": "zero_one"},
+        "statistic": [stat.tolist()],
+        "constraint": {"tau": 0.3},
+    }, name="zero_one16.json")
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert rec["method"] == "zero-one-enum"
+    assert rec["saddle_verified"] is True
+    p = np.array([rec[f"p_{i + 1}"] for i in range(16)])
+    assert abs(float(stat @ p) - 0.3) <= 1e-9
+
+
 def test_bregman_square_solve_and_sweep(capsys, tmp_path):
     # the Brier score in Bregman form: same record values, and no error rows
     spec = {

@@ -268,6 +268,32 @@ def test_log_face_of_rank_deficient_statistic():
                 assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
 
 
+def test_log_affinely_dependent_rows():
+    # a first row constant at -1 over every outcome: tau is interior, but the
+    # covariance is singular everywhere, so the tilt runs in the affine span;
+    # the law is the one the remaining rows alone give
+    rng = np.random.default_rng(0)
+    t = np.vstack([-np.ones(5), rng.uniform(-1.0, 1.0, 5)])
+    tau = t @ rng.dirichlet(np.ones(5))
+    model = log_model(SampleSpace.of(range(5)))
+    g = GammaTau(Statistic(t), tau)
+    sp = solve_log(model, g)
+    assert sp.method == "log-face" and sp.beta is None
+    assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
+    rng = np.random.default_rng(17)
+    for case in range(60):
+        n, k = 4 + case % 2, 2 + (case // 2) % 2
+        t = np.vstack([-np.ones(n), rng.uniform(-1.0, 1.0, size=(k - 1, n))])
+        tau = t @ rng.dirichlet(np.ones(n))
+        model = log_model(SampleSpace.of(range(n)))
+        g = GammaTau(Statistic(t), tau)
+        sp = solve_log(model, g)
+        assert sp.method == "log-face" and sp.beta is None, case
+        assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, case
+        ref = solve_log(model, GammaTau(Statistic(t[1:]), tau[1:]))
+        assert np.max(np.abs(sp.p_star.w - ref.p_star.w)) <= 1e-9, case
+
+
 def test_log_tau_just_inside_a_hull_end():
     # hull_interior calls tau within 1e-9 of the end a boundary, yet every
     # outcome still carries mass, so the face does not shrink
