@@ -155,12 +155,12 @@ def _screened_supports(rows: np.ndarray, target: np.ndarray, size: int):
 
     Blocks of SCREEN_BLOCK supports are screened at once.  The batched
     singular values are those `matrix_rank` computes, so affinely dependent
-    supports drop exactly.  Square systems are solved directly and smaller
-    ones through their normal equations; a support stays when its residual
-    and its most negative weight are within the exact tests' tolerances plus
-    a slack that grows with the error bound of that solve (the condition
-    number, squared for the normal equations).  The exact lstsq test then
-    runs on the survivors alone.
+    supports drop exactly, and the same SVD gives every least-squares
+    solution V diag(1/s) U' b without forming a singular system.  A support
+    stays when its residual and its most negative weight are within the
+    exact tests' tolerances plus a slack that grows with the error bound of
+    that solve (the condition number).  The exact lstsq test then runs on
+    the survivors alone.
     """
     combos = combinations(range(rows.shape[1]), size)
     while True:
@@ -168,19 +168,13 @@ def _screened_supports(rows: np.ndarray, target: np.ndarray, size: int):
         if block.size == 0:
             return
         a = rows.T[block].transpose(0, 2, 1)          # (B, k+1, size)
-        sv = np.linalg.svd(a, compute_uv=False)
+        u, sv, vh = np.linalg.svd(a, full_matrices=False)
         full = sv[:, -1] > RANK_TOL
-        a, sv, block = a[full], sv[full], block[full]
+        a, u, sv, vh, block = a[full], u[full], sv[full], vh[full], block[full]
         cond = sv[:, 0] / sv[:, -1]
-        if size == rows.shape[0]:
-            rhs = np.broadcast_to(target[:, None], (len(a), size, 1))
-            sol = np.linalg.solve(a, rhs)
-        else:
-            at = a.transpose(0, 2, 1)
-            sol = np.linalg.solve(at @ a, at @ target[:, None])
-            cond = cond * cond
-        sol = sol[:, :, 0]
-        resid = np.abs((a @ sol[:, :, None])[:, :, 0] - target).max(axis=1)
+        sol = ((target @ u) / sv)[:, None, :] @ vh   # (B, 1, size)
+        resid = np.abs((a @ sol.transpose(0, 2, 1))[:, :, 0] - target).max(axis=1)
+        sol = sol[:, 0]
         slack = SCREEN_SLACK * cond * (1.0 + np.abs(sol).max(axis=1))
         keep = ((resid <= CONSISTENCY_TOL + slack)
                 & (sol.min(axis=1) >= -WEIGHT_CLAMP - slack))

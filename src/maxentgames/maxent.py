@@ -10,15 +10,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from . import _simplex
-from .constraints import GammaTau, VertexSet, hull_interior, level_lp, vertices
+from .constraints import (
+    RANK_TOL,
+    GammaTau,
+    VertexSet,
+    hull_interior,
+    level_lp,
+    vertices,
+)
 from .core import (
     ACT_DENSITY,
     ACT_DISTRIBUTION,
     Act,
+    CombinatorialBlowup,
     Distribution,
     Infeasible,
     Statistic,
@@ -33,6 +42,7 @@ LINEAR_FIT_TOL = 1e-7
 SYSTEM_TOL = 1e-9
 SCREEN_TOL = 1e-7        # LP reduced cost that fixes a zero-one outcome at 0 or m*
 PMAX_LP_TOL = 1e-9       # zero-one pattern minimum may exceed the LP minimum by this
+ZERO_ONE_PATTERN_CAP = 208_896  # pattern systems with every outcome open at N = 12, k = 3
 HYPERPLANE_PROBES = 41
 NEWTON_MAX_ITER = 100    # dual Newton steps in the log, Brier and Bregman solvers
 DUAL_TOL = 1e-13         # dual gradient norm, relative to 1 + |tau|_inf
@@ -509,7 +519,7 @@ def _solve_log_on(model, g: GammaTau, idx: np.ndarray, tol: float):
     # singular everywhere), are solved in their own coordinates
     if (cls == "boundary" or idx.size < g.n
             or np.linalg.matrix_rank(np.vstack([np.ones(idx.size), tmat]),
-                                     tol=1e-10) <= g.k):
+                                     tol=RANK_TOL) <= g.k):
         q = _face_tilt(mu, tmat, tau, tol)
         return (idx, q), None, None, float(np.max(np.abs(tau - tmat @ q))), False
     beta, kappa, q, grad_norm = _newton_tilt(mu, tmat, tau, tol)
@@ -630,11 +640,23 @@ def _min_pmax(g: GammaTau):
     every forced mode outside the free set and no forced zero; free sets
     still range over all outcomes.  A pattern minimum above the LP value is
     an error, not a reason to enumerate more.
+
+    The loop is fast when the LP leaves few outcomes open; ties in the
+    statistic leave many minimizers and so many open outcomes.  It runs
+    sum over free sets F of 2^|open - F| systems, and more than
+    ZERO_ONE_PATTERN_CAP of them raise CombinatorialBlowup.
     """
     n, k = g.n, g.k
     tmat = g.statistic.matrix
     target = np.concatenate([[1.0], g.tau])
     lp_value, zero, mode = _pmax_lp(tmat, g.tau)
+    n_open = n - int(np.count_nonzero(zero | mode))
+    systems = sum(comb(n_open, j) * comb(n - n_open, f - j) << (n_open - j)
+                  for f in range(k + 1) for j in range(min(f, n_open) + 1))
+    if systems > ZERO_ONE_PATTERN_CAP:
+        raise CombinatorialBlowup(
+            f"zero-one phase 1 needs {systems} pattern systems ({n_open} outcomes "
+            f"left open by the LP); the cap is {ZERO_ONE_PATTERN_CAP}")
     candidates = []
     all_idx = list(range(n))
     for f_size in range(0, k + 1):

@@ -550,6 +550,20 @@ def test_cli_solves_a_sixteen_outcome_zero_one_spec(capsys, tmp_path, monkeypatc
     assert abs(float(stat @ p) - 0.3) <= 1e-9
 
 
+def test_cli_refuses_a_tied_twenty_outcome_zero_one_spec(capsys, tmp_path, monkeypatch):
+    # ties leave 18 outcomes open after the LP: too many pattern systems
+    monkeypatch.delenv("MAXENT_MAX_N", raising=False)
+    path = write_spec(tmp_path, {
+        "outcomes": [f"x{i}" for i in range(20)],
+        "loss": {"kind": "zero_one"},
+        "statistic": [[1.0, 1.0] + [-1.0] * 18],
+        "constraint": {"tau": -0.6},
+    }, name="zero_one_tied.json")
+    code, _, err = run_cli(capsys, "solve", path)
+    assert code == EXIT_PARSE
+    assert "too large" in err and "left open by the LP" in err
+
+
 def test_bregman_square_solve_and_sweep(capsys, tmp_path):
     # the Brier score in Bregman form: same record values, and no error rows
     spec = {

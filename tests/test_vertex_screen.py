@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from maxentgames import GammaTau, Infeasible
+from maxentgames import GammaTau, Infeasible, Statistic
 from maxentgames.constraints import CONSISTENCY_TOL, DEDUP_TOL, _enumerate_vertices
 from maxentgames.core import WEIGHT_CLAMP
 
@@ -65,3 +65,15 @@ def test_screened_enumeration_matches_per_support_enumeration_bitwise():
         g = GammaTau(stat, tau)
         assert np.array_equal(_enumerate_vertices(g).points, enumerate_vertices(g)), case
 
+
+
+def test_nearly_equal_columns_keep_the_vertex_set():
+    # two outcomes 1e-9 apart pass the rank test with a condition number near
+    # 1e9; normal equations would square it past 1/eps and hit a singular pivot
+    rng = np.random.default_rng(7)
+    for case in range(40):
+        n, k = 5 + case % 4, 2 + case % 2
+        t = rng.uniform(-1.0, 1.0, size=(k, n))
+        t[:, 1] = t[:, 0] + 1e-9 * rng.uniform(-1.0, 1.0, size=k)
+        g = GammaTau(Statistic(t), t @ rng.dirichlet(np.ones(n)))
+        assert np.array_equal(_enumerate_vertices(g).points, enumerate_vertices(g)), case

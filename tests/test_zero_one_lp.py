@@ -128,6 +128,29 @@ def test_lp_screen_matches_pattern_enumeration_bitwise():
         assert np.array_equal(p, p_ref), case
 
 
+def tied_statistic(n):
+    """Two outcomes at t = +1 and n - 2 tied at t = -1."""
+    return Statistic(np.array([[1.0, 1.0] + [-1.0] * (n - 2)]))
+
+
+def test_tied_statistic_at_the_old_cap_matches_the_enumeration():
+    # at tau = -0.5 the ten outcomes at -1 share 0.75, each at most m* = 0.125:
+    # every minimizer splits them differently, so the LP leaves all ten open
+    g = GammaTau(tied_statistic(12), np.array([-0.5]))
+    m_ref, p_ref = enumerate_min_pmax(g)
+    m_star, p = _min_pmax(g)
+    assert m_star == m_ref
+    assert np.array_equal(p, p_ref)
+
+
+def test_tied_statistic_past_the_pattern_cap_is_refused():
+    # 18 outcomes at -1 share 0.8, each at most m* = 0.1: 2^18 member sets
+    # per free set, far past ZERO_ONE_PATTERN_CAP, so no pattern is tried
+    g = GammaTau(tied_statistic(20), np.array([-0.6]))
+    with pytest.raises(CombinatorialBlowup, match="18 outcomes left open"):
+        _min_pmax(g)
+
+
 def test_infeasible_tau_raises_in_both():
     g = GammaTau(Statistic(np.array([[-1.0, 0.0, 1.0]])), np.array([1.5]))
     with pytest.raises(Infeasible):
