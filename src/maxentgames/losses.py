@@ -83,6 +83,13 @@ class LossModel:
         """Descriptor of the Bayes-act set when non-unique, else None."""
         return None
 
+    def separable(self):
+        """(generator, mu) when H(P) = -sum mu psi(p / mu), else None.
+
+        A separable entropy has a one-dimensional dual for its natural tilts
+        and a (k+1)-dimensional dual for its saddle points."""
+        return None
+
     def expected_loss(self, dist: Distribution, act: Act) -> float:
         return ext_dot(dist.w, self.loss_vector(act))
 
@@ -150,6 +157,9 @@ class BrierModel(LossModel):
     def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
         return 1.0 - np.einsum("ij,ij->i", rows, rows)
 
+    def separable(self):
+        return square_generator(self.space.n), np.ones(self.space.n)
+
     def random_act(self, rng: np.random.Generator) -> Act:
         return Act(ACT_DISTRIBUTION, rng.dirichlet(np.ones(self.space.n)))
 
@@ -186,6 +196,9 @@ class LogModel(LossModel):
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(rows > 0.0, rows * np.log(rows / self.base.weights), 0.0)
         return -terms.sum(axis=1)
+
+    def separable(self):
+        return xlogx_generator(), self.base.weights
 
     def random_act(self, rng: np.random.Generator) -> Act:
         r = rng.dirichlet(np.ones(self.space.n))
@@ -394,6 +407,9 @@ class BregmanModel(LossModel):
     def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
         dens = rows / self.base.weights
         return -(np.asarray(self.generator.psi(dens), float) @ self.base.weights)
+
+    def separable(self):
+        return self.generator, self.base.weights
 
     def random_act(self, rng: np.random.Generator) -> Act:
         r = rng.dirichlet(np.ones(self.space.n))

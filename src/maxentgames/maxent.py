@@ -35,7 +35,7 @@ from .core import (
     ext_dot,
 )
 from .divergence import equalizer_check
-from .losses import ConvexGenerator, LossModel, square_generator
+from .losses import ConvexGenerator, LossModel
 from .verify import point_act_game
 
 LINEAR_FIT_TOL = 1e-7
@@ -320,7 +320,8 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
     n, k = g.n, g.k
     rows = np.vstack([np.ones(n), g.statistic.matrix])
     target = np.concatenate([[1.0], g.tau])
-    y, _, _ = _separable_dual(rows, target, np.ones(n), square_generator(n))
+    gen, mu = model.separable()
+    y, _, _ = _separable_dual(rows, target, mu, gen)
     s = rows.T @ y
     pos = np.maximum(s, 0.0)
     h_up = 1.0 - float(y @ target) + 0.25 * float(pos @ pos)   # weak duality
@@ -870,8 +871,8 @@ def solve_bregman(model: LossModel, g: GammaTau) -> SaddlePoint:
     idx = vs.union_support()
     rows = np.vstack([np.ones(idx.size), g.statistic.matrix[:, idx]])
     target = np.concatenate([[1.0], g.tau])
-    y, p_idx, norm = _separable_dual(rows, target, model.base.weights[idx],
-                                     model.generator)
+    gen, mu = model.separable()
+    y, p_idx, norm = _separable_dual(rows, target, mu[idx], gen)
     if not norm <= _dual_tol(target):
         raise NewtonDivergence(f"Bregman dual stopped with gradient norm {norm:.3e}")
     p = np.zeros(g.n)
@@ -983,19 +984,95 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta,
                  tol: float = 1e-8, max_iter: int = FW_MAX_ITER) -> TiltResult:
     """argmax over the full simplex of H(P) - beta' E_P T, with chi(beta).
 
-    Losses affine in a distribution act with a Bayes-act set are solved
-    exactly by the matrix game over point-mass acts (`method`
-    "matrix-game").  Others run conditional gradient with supergradient
-    L(., zeta_P) - beta' t(.), up to `max_iter` iterations, and raise
-    MaxIterExceeded, carrying the last iterate, when the gap stays above
-    tol.  For the log model the closed-form cumulant log sum mu exp(-beta' t)
-    is an independent cross-check on chi.
+    Routed by the model's structure:
+    - a separable entropy (`LossModel.separable()`: Brier, log, Bregman)
+      solves the one-dimensional dual of the tilt (`method`
+      "separable-dual");
+    - a loss affine in a distribution act with a Bayes-act set (zero-one)
+      is solved exactly by the matrix game over point-mass acts
+      ("matrix-game");
+    - every other loss runs pairwise conditional gradient with supergradient
+      L(., zeta_P) - beta' t(.), up to `max_iter` iterations
+      ("frank-wolfe").
+    `gap` is a certified bound: the maximum lies in [chi, chi + gap].  It
+    is the Fenchel duality gap, zero for the matrix game, and the
+    supergradient gap for Frank-Wolfe.  A gap above tol raises
+    MaxIterExceeded carrying the result.  For the log model the closed-form
+    cumulant log sum mu exp(-beta' t) is an independent cross-check on chi.
     """
     beta = np.atleast_1d(np.asarray(beta, float))
-    tmat = statistic.matrix
-    n = tmat.shape[1]
-    V = np.eye(n)
-    shift = tmat.T @ beta
+    return _tilts(model, statistic, beta[None, :], tol, max_iter)[0]
+
+
+def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
+           tol: float, max_iter: int) -> list:
+    """`natural_tilt` at every row of betas (m, k), one TiltResult each.
+
+    A separable model solves all rows at once.  With c = T' beta, the tilt
+    is p = mu (psi')^-1(max(psi'(0), lambda - c)) at the root lambda of
+    sum p = 1, bisected on every row together inside
+    [min c, max c] + psi'(1 / sum mu) until the bracket reaches the float
+    resolution of lambda - c.  By weak duality,
+    D(lambda) = -lambda + sum mu psi*(lambda - c) bounds chi from above
+    for any lambda, so D(lambda) - chi is an honest gap even where q
+    underflows.  Other models take one matrix game or Frank-Wolfe run per
+    row.
+    """
+    shifts = betas @ statistic.matrix
+    sep = model.separable()
+    if sep is None:
+        return [_tilt_search(model, beta, shift, tol, max_iter)
+                for beta, shift in zip(betas, shifts)]
+    gen, mu = sep
+    # psi'(0) may be -inf, and densities overflow at trial lambdas far
+    # above the root; the root itself keeps every density below 1 / mu
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        floor = float(gen.psi_prime(np.zeros(1))[0])
+        level = float(gen.psi_prime(np.array([1.0 / mu.sum()]))[0])   # the law mu / sum mu
+
+        def density(lam):
+            return gen.psi_prime_inv(np.maximum(lam[:, None] - shifts, floor))
+
+        lo = shifts.min(axis=1) + level
+        hi = shifts.max(axis=1) + level
+        resolution = 2.0 * np.finfo(float).eps * (np.abs(shifts).max(axis=1) + abs(level))
+        while True:
+            mid = 0.5 * (lo + hi)
+            live = (hi - lo > resolution) & (lo < mid) & (mid < hi)
+            if not live.any():
+                break
+            above = density(mid) @ mu >= 1.0
+            hi = np.where(live & above, mid, hi)
+            lo = np.where(live & ~above, mid, lo)
+        u = density(hi)
+        p = mu * u
+        q = p / p.sum(axis=1)[:, None]
+        chi = model.entropy_batch(q) - np.einsum("ij,ij->i", q, shifts)
+        dual = -hi + ((hi[:, None] - shifts) * u - gen.psi(u)) @ mu
+    gaps = np.maximum(dual - chi, 0.0)
+    out = [TiltResult(beta=beta, q=Distribution(row), chi=float(c), gap=float(gap),
+                      method="separable-dual")
+           for beta, row, c, gap in zip(betas, q, chi, gaps)]
+    for res in out:
+        if res.gap > tol:
+            raise MaxIterExceeded(f"natural tilt gap {res.gap:.3e} above tol", res)
+    if model.kind == "log":
+        # the cumulant log sum mu exp(-c), stabilized by its largest exponent
+        top = -shifts.min(axis=1)
+        kappa = top + np.log(np.exp(-shifts - top[:, None]) @ mu)
+        bad = np.flatnonzero(~((chi <= kappa + 1e-9) & (kappa - chi <= gaps + 1e-9)))
+        if bad.size:
+            i = int(bad[0])
+            raise ArithmeticError(
+                f"chi(beta)={chi[i]!r} disagrees with the cumulant {kappa[i]!r}")
+    return out
+
+
+def _tilt_search(model: LossModel, beta: np.ndarray, shift: np.ndarray,
+                 tol: float, max_iter: int) -> TiltResult:
+    """One tilt of a non-separable model: the matrix game when the model
+    has one, else pairwise Frank-Wolfe over the point masses."""
+    V = np.eye(shift.size)
     game = point_act_game(model, V, shift)
     if game is not None:
         q = Distribution(np.maximum(game.row_strategy, 0.0) / game.row_strategy.sum())
@@ -1011,12 +1088,6 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta,
     res = _fw_maximize(V, value_batch, supergrad, tol, max_iter)
     if res.gap > tol:
         raise MaxIterExceeded(f"natural tilt gap {res.gap:.3e} above tol", res)
-    if model.kind == "log":
-        kappa, _ = _log_kappa(model.base.weights, tmat, beta)
-        if not (res.value <= kappa + 1e-9 and kappa - res.value <= res.gap + 1e-9):
-            raise ArithmeticError(
-                f"chi(beta)={res.value!r} disagrees with the cumulant {kappa!r}"
-            )
     q = Distribution(np.maximum(res.point, 0.0) / max(res.point.sum(), 1e-300))
     return TiltResult(beta=beta, q=q, chi=res.value, gap=res.gap, method="frank-wolfe")
 
@@ -1156,44 +1227,32 @@ class ConjugacyReport:
     fenchel_min: float              # min over the grid of chi(beta) + beta' sigma - h
 
 
-def _tilt_best(model: LossModel, statistic: Statistic, beta: np.ndarray,
-               tol: float) -> TiltResult:
-    # a stalled conditional gradient still brackets chi within its gap, which
-    # is all a residual report or a trace row needs; keep the honest gap on
-    # record and do not let the solver's error escape
-    try:
-        return natural_tilt(model, statistic, beta, tol=tol)
-    except MaxIterExceeded as err:
-        if err.result is None:
-            raise
-        res = err.result
-        q = Distribution(np.maximum(res.point, 0.0) / max(res.point.sum(), 1e-300))
-        return TiltResult(beta=np.atleast_1d(np.asarray(beta, float)), q=q,
-                          chi=float(res.value), gap=float(res.gap),
-                          method="frank-wolfe")
-
-
 def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid, beta_grid,
                     grid_tol: float = 1e-6, matched_tol: float = 1e-8) -> ConjugacyReport:
     """h(sigma) = inf_beta {chi(beta) + beta' sigma} on a grid, plus exact
-    residuals at the solver's own (tau, beta) pairs."""
+    residuals at the solver's own (tau, beta) pairs.
+
+    chi comes from one batched tilt call over the whole beta grid and one
+    over the solver's betas (see `natural_tilt` for the routes); h comes
+    from `solve`, once per sigma.  A tilt whose gap stays above grid_tol or
+    matched_tol raises MaxIterExceeded.
+    """
     if statistic.k != 1:
         raise ValueError("conjugacy grid check supports scalar statistics")
     sigmas = np.asarray(tau_grid, dtype=float).ravel()
     betas = np.asarray(beta_grid, dtype=float).ravel()
-    chi = np.array([
-        _tilt_best(model, statistic, np.array([b]), grid_tol).chi for b in betas
-    ])
-    h_vals = np.empty(sigmas.size)
-    estimates = np.empty(sigmas.size)
+    chi = np.array([r.chi for r in _tilts(model, statistic, betas[:, None],
+                                          grid_tol, FW_MAX_ITER)])
+    saddles = [solve(model, GammaTau(statistic, np.array([sig]))) for sig in sigmas]
+    h_vals = np.array([sp.h_star for sp in saddles])
+    estimates = np.min(chi + np.outer(sigmas, betas), axis=1)
     matched = np.full(sigmas.size, np.nan)
-    for i, sig in enumerate(sigmas):
-        sp = solve(model, GammaTau(statistic, np.array([sig])))
-        h_vals[i] = sp.h_star
-        estimates[i] = float(np.min(chi + betas * sig))
-        if sp.beta is not None:
-            chi_b = _tilt_best(model, statistic, sp.beta, matched_tol).chi
-            matched[i] = abs(chi_b + float(sp.beta[0]) * sig - sp.h_star)
+    rows = np.array([i for i, sp in enumerate(saddles) if sp.beta is not None], dtype=int)
+    if rows.size:
+        own = np.array([saddles[i].beta for i in rows])
+        chi_own = np.array([r.chi for r in _tilts(model, statistic, own,
+                                                  matched_tol, FW_MAX_ITER)])
+        matched[rows] = np.abs(chi_own + own[:, 0] * sigmas[rows] - h_vals[rows])
     resid = estimates - h_vals
     finite_matched = matched[np.isfinite(matched)]
     return ConjugacyReport(
@@ -1222,7 +1281,7 @@ def lafferty_family(model: LossModel, p0: Distribution, statistic: Statistic,
             tr = TiltResult(beta=np.array([b]), q=Distribution(qw),
                             chi=float(kappa), gap=0.0, method="cumulant")
         else:
-            tr = _tilt_best(rel, statistic, np.array([b]), tol=tol)
+            tr = natural_tilt(rel, statistic, np.array([b]), tol=tol)
         tau = statistic.matrix @ tr.q.w
         g = GammaTau(statistic, tau)
         vs = vertices(g)

@@ -7,7 +7,7 @@ checked against the saddle inequalities and against Frank-Wolfe.  The
 problems take N = 4-12 and k = 1-3, with tau inside the hull or on the
 face {t_1 = -1}, where the solver restricts to the outcomes Gamma_tau can
 charge (for `xlogx`, psi'(0) = -inf, so only that restriction keeps the
-dual finite).
+dual finite).  `xlogx` is also checked on k = 2 integer-valued statistics.
 """
 
 import numpy as np
@@ -53,6 +53,20 @@ def problems(seed, count):
         yield SampleSpace.of(range(n)), GammaTau(Statistic(t), tau), face
 
 
+def integer_problems(seed, count):
+    """(space, g) with k = 2 and t in {-2, ..., 2}: p dense, or zero on half
+    the outcomes.  Ties in t can put tau on a face the draw does not mark."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(4, 11))
+        t = rng.integers(-2, 3, size=(2, n)).astype(float)
+        p = rng.dirichlet(np.ones(n))
+        if case % 2 == 1:
+            p[rng.choice(n, size=n // 2, replace=False)] = 0.0
+            p /= p.sum()
+        yield SampleSpace.of(range(n)), GammaTau(Statistic(t), t @ p)
+
+
 def test_square_generator_reproduces_brier():
     for case, (space, g, face) in enumerate(problems(41, 100)):
         sp = solve(bregman_model(space, square_generator(g.n)), g)
@@ -70,6 +84,16 @@ def test_xlogx_generator_reproduces_log():
         assert abs(sp.h_star - ref.h_star) <= 1e-8, case
         assert np.max(np.abs(sp.p_star.w - ref.p_star.w)) <= 1e-8, case
         if not face:
+            assert np.max(np.abs(sp.beta - ref.beta)) <= 1e-6, case
+    for case, (space, g) in enumerate(integer_problems(45, 200)):
+        model = bregman_model(space, xlogx_generator())
+        sp = solve(model, g)
+        ref = solve_log(log_model(space), g)
+        assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, case
+        assert abs(sp.h_star - ref.h_star) <= 1e-8, case
+        assert np.max(np.abs(sp.p_star.w - ref.p_star.w)) <= 1e-8, case
+        assert (sp.beta is None) == (ref.beta is None), case
+        if ref.beta is not None:
             assert np.max(np.abs(sp.beta - ref.beta)) <= 1e-6, case
 
 

@@ -18,24 +18,29 @@ from maxentgames import (
     SampleSpace,
     Statistic,
     beta_derivative_check,
+    bregman_model,
     brier_model,
     conjugacy_check,
     lafferty_family,
     log_model,
     natural_tilt,
+    power_generator,
+    quadratic_model,
     solve,
     solve_brier,
     solve_generic,
     solve_log,
     solve_zero_one,
     specific_entropy,
+    square_generator,
     support_scan,
     trace_family,
     verify_saddle,
     vertices,
+    xlogx_generator,
     zero_one_model,
 )
-from maxentgames.maxent import _slope_root
+from maxentgames.maxent import FW_MAX_ITER, _fw_maximize, _slope_root
 
 SPACE = SampleSpace.of(["-1", "0", "1"])
 T = Statistic(np.array([[-1.0, 0.0, 1.0]]))
@@ -392,31 +397,77 @@ def test_tilt_zero_one_piecewise_linear_values():
         assert res.gap <= 1e-9
 
 
+def _fw_tilt(model, t, beta, tol):
+    """Oracle: pairwise Frank-Wolfe over the point masses, as non-separable
+    models tilt."""
+    shift = t.T @ beta
+    return _fw_maximize(
+        np.eye(t.shape[1]),
+        lambda block: model.entropy_batch(np.maximum(block, 0.0)) - block @ shift,
+        lambda pv: model.loss_vector(model.bayes_act(Distribution(pv))) - shift,
+        tol, FW_MAX_ITER)
+
+
 def test_tilt_reaches_the_default_tolerance_on_smooth_models():
+    # the separable dual against Frank-Wolfe run to a 1e-10 gap; for these
+    # strongly concave entropies that leaves its value within a few ulps of
+    # the maximum
     rng = np.random.default_rng(5)
-    space = SampleSpace.of(range(5))
-    t = rng.uniform(-1.0, 1.0, size=(1, 5))
-    for model in (brier_model(space), log_model(space)):
-        for beta in np.linspace(-2.0, 2.0, 9):
-            res = natural_tilt(model, Statistic(t), np.array([beta]))
-            assert res.method == "frank-wolfe"
-            assert res.gap <= 1e-8
-            tilted = model.entropy(res.q) - beta * float(t[0] @ res.q.w)
+    for case in range(40):
+        n = int(rng.integers(3, 9))
+        k = int(rng.integers(1, 4))
+        t = rng.uniform(-1.0, 1.0, size=(k, n))
+        beta = rng.uniform(-2.0, 2.0, size=k)
+        space = SampleSpace.of(range(n))
+        for model in (brier_model(space), log_model(space),
+                      bregman_model(space, xlogx_generator()),
+                      bregman_model(space, square_generator(n)),
+                      bregman_model(space, power_generator(3.0))):
+            res = natural_tilt(model, Statistic(t), beta)
+            oracle = _fw_tilt(model, t, beta, 1e-10)
+            assert oracle.gap <= 1e-10, (case, model.name)
+            assert res.method == "separable-dual"
+            assert res.gap <= 1e-12, (case, model.name)
+            assert abs(res.chi - oracle.value) <= 1e-12, (case, model.name)
+            assert res.chi >= oracle.value - 1e-15, (case, model.name)
+            tilted = model.entropy(res.q) - float(beta @ (t @ res.q.w))
             assert abs(res.chi - tilted) <= 1e-12
             if model.kind == "log":
-                expected = np.exp(-beta * t[0])
+                expected = np.exp(-beta @ t)
                 assert np.max(np.abs(res.q.w - expected / expected.sum())) <= 1e-6
 
 
+@pytest.mark.parametrize("beta", [-1000.0, -50.0, 50.0, 1000.0])
+def test_log_tilt_at_a_steep_beta(beta):
+    # q underflows to 0 at some outcome; the supergradient there is +inf,
+    # but the Fenchel gap of the dual stays finite and chi is the cumulant
+    t = np.array([[-1.0, -0.3, 0.2, 0.7, 1.0]])
+    expo = -beta * t[0]
+    kappa = float(expo.max() + np.log(np.exp(expo - expo.max()).sum()))
+    softmax = np.exp(expo - expo.max())
+    softmax /= softmax.sum()
+    space = SampleSpace.of(range(5))
+    for model in (log_model(space), bregman_model(space, xlogx_generator())):
+        res = natural_tilt(model, Statistic(t), np.array([beta]))
+        assert res.gap <= 1e-12 * abs(beta), model.name
+        assert abs(res.chi - kappa) <= 1e-12 * abs(beta), model.name
+        assert np.max(np.abs(res.q.w - softmax)) <= 1e-12, model.name
+
+
 def test_tilt_iteration_budget_carries_best_iterate():
-    # exact line searches reach this interior optimum in two steps; one
-    # step leaves the gap far above the ask
+    # quadratic loss has no separable dual; exact line searches need more
+    # than one Frank-Wolfe step here, so the gap stays far above the ask.
+    # The maximum of Var_P(v) - 0.1 E_P T puts 22/45 on v = 3, 23/45 on
+    # v = 0: chi = 9/4 + 1/900
+    model = quadratic_model(SPACE, values=[0.0, 1.0, 3.0])
+    assert model.separable() is None
     with pytest.raises(MaxIterExceeded) as err:
-        natural_tilt(BRIER, T, np.array([0.1]), tol=1e-15, max_iter=1)
+        natural_tilt(model, T, np.array([0.1]), tol=1e-15, max_iter=1)
     res = err.value.result
     assert res is not None
     assert res.gap > 0.0
-    assert res.value <= 2.0 / 3.0 + 0.1 + 1e-12   # never above the true maximum
+    assert res.value <= 2.25 + 1.0 / 900.0 + 1e-12   # never above the true maximum
+    assert natural_tilt(model, T, np.array([0.1])).method == "frank-wolfe"
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +592,11 @@ def test_conjugacy_grids():
                           np.linspace(-3.0, 3.0, 401))
     assert rep.max_grid_residual <= 1e-3
     assert rep.max_matched_residual <= 1e-8
+    # the batched grid agrees with one natural_tilt per beta
+    chi = np.array([natural_tilt(LOG, T, np.array([b])).chi
+                    for b in np.linspace(-3.0, 3.0, 401)])
+    per_beta = np.min(chi + np.outer(rep.sigmas, np.linspace(-3.0, 3.0, 401)), axis=1)
+    assert np.max(np.abs(rep.grid_estimates - per_beta)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
