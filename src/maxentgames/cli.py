@@ -377,28 +377,41 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_SUITE
 
 
-def _suite_taus(spec: ProblemSpec, args) -> np.ndarray:
+def _suite_taus(spec: ProblemSpec) -> np.ndarray:
+    """The suite's tau vectors, one row each."""
     if spec.tau_grid is not None:
-        return spec.tau_grid
+        return spec.tau_grid[:, None]
     if spec.tau is not None:
-        return np.atleast_1d(spec.tau)
+        return spec.tau[None, :]
     raise SpecError("verification suites need a constraint in the spec")
 
 
-def _suite_saddle(spec: ProblemSpec, args) -> dict:
+def _suite_solves(spec: ProblemSpec, rows: list):
+    """(tau cell, Gamma_tau, saddle point, vertices) for every suite tau.
+
+    An infeasible tau appends its row to `rows` instead.  The tau cell is a
+    float for a scalar statistic and a list for k >= 2.
+    """
     statistic = _require_statistic(spec)
-    rows = []
-    passed = True
-    for tau in _suite_taus(spec, args):
-        g = GammaTau(statistic, np.atleast_1d(tau))
+    for tau in _suite_taus(spec):
+        cell = float(tau[0]) if tau.size == 1 else [float(v) for v in tau]
+        g = GammaTau(statistic, tau)
         try:
             sp = solve(spec.model, g)
+            vs = vertices(g)
         except Infeasible:
-            rows.append({"tau": float(tau), "status": "infeasible"})
+            rows.append({"tau": cell, "status": "infeasible"})
             continue
+        yield cell, g, sp, vs
+
+
+def _suite_saddle(spec: ProblemSpec, args) -> dict:
+    rows = []
+    passed = True
+    for tau, g, sp, _ in _suite_solves(spec, rows):
         chk = verify_saddle(spec.model, g, sp.p_star, sp.zeta_star)
         rows.append({
-            "tau": float(tau),
+            "tau": tau,
             "status": "ok",
             "h": sp.h_star,
             "bayes_margin": chk.bayes_margin,
@@ -421,29 +434,21 @@ def _reference_act(spec: ProblemSpec) -> Act:
 
 
 def _suite_pythagorean(spec: ProblemSpec, args) -> dict:
-    statistic = _require_statistic(spec)
     ref = _reference_act(spec)
     rows = []
     passed = True
     equality_taus = []
-    for tau in _suite_taus(spec, args):
-        g = GammaTau(statistic, np.atleast_1d(tau))
-        try:
-            sp = solve(spec.model, g)
-            vs = vertices(g)
-        except Infeasible:
-            rows.append({"tau": float(tau), "status": "infeasible"})
-            continue
+    for tau, _, sp, vs in _suite_solves(spec, rows):
         rep = pythagorean_check(spec.model, vs.points, sp.p_star, sp.zeta_star, ref)
         rows.append({
-            "tau": float(tau),
+            "tau": tau,
             "status": "ok",
             "min_slack": rep.min_slack,
             "max_slack": rep.max_slack,
             "equality": rep.equality,
         })
         if rep.equality:
-            equality_taus.append(float(tau))
+            equality_taus.append(tau)
         passed = passed and rep.min_slack >= -1e-8
     return {
         "suite": "pythagorean",
@@ -454,21 +459,13 @@ def _suite_pythagorean(spec: ProblemSpec, args) -> dict:
 
 
 def _suite_equalizer(spec: ProblemSpec, args) -> dict:
-    statistic = _require_statistic(spec)
     rng = np.random.default_rng(args.seed)
     rows = []
     passed = True
-    for tau in _suite_taus(spec, args):
-        g = GammaTau(statistic, np.atleast_1d(tau))
-        try:
-            sp = solve(spec.model, g)
-            vs = vertices(g)
-        except Infeasible:
-            rows.append({"tau": float(tau), "status": "infeasible"})
-            continue
+    for tau, _, sp, vs in _suite_solves(spec, rows):
         rep = equalizer_check(spec.model, vs.points, sp.zeta_star)
         row = {
-            "tau": float(tau),
+            "tau": tau,
             "status": "ok",
             "vertex_spread": rep.spread,
             "is_equalizer": rep.is_equalizer,
@@ -488,7 +485,7 @@ def _suite_conjugacy(spec: ProblemSpec, args) -> dict:
     statistic = _require_statistic(spec)
     if statistic.k != 1:
         raise SpecError("the conjugacy suite needs a scalar statistic")
-    taus = _suite_taus(spec, args)
+    taus = _suite_taus(spec)
     # step 0.01 keeps the estimate within 1e-3 even for piecewise-linear h,
     # provided the slopes over the requested taus stay inside [-2, 2]
     betas = np.linspace(-2.0, 2.0, 401)

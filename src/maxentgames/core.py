@@ -117,6 +117,23 @@ class BaseMeasure:
         return cls(np.full(n, 1.0 / n))
 
 
+def _checked_rows(w: np.ndarray) -> np.ndarray:
+    """w with tiny negative weights clamped to 0, each row along the last
+    axis a probability vector; raises as `Distribution` does on any row."""
+    if not np.isfinite(w).all():
+        raise NegativeWeight("distribution weights must be finite")
+    if w.min(initial=0.0) < -WEIGHT_CLAMP:
+        raise NegativeWeight(
+            f"weight {w.min():.3e} below clamping tolerance -{WEIGHT_CLAMP:g}"
+        )
+    w = np.where(w < 0.0, 0.0, w)
+    totals = w.sum(axis=-1)
+    off = abs(totals - 1.0) > NORM_TOL
+    if off.any():
+        raise NotNormalized(f"weights sum to {float(np.extract(off, totals)[0])!r}, not 1")
+    return w
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability vector.  Tiny negative weights (>= -1e-12) are clamped."""
@@ -127,17 +144,7 @@ class Distribution:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise DimensionMismatch("distribution weights must be a nonempty vector")
-        if not np.all(np.isfinite(w)):
-            raise NegativeWeight("distribution weights must be finite")
-        if float(w.min(initial=0.0)) < -WEIGHT_CLAMP:
-            raise NegativeWeight(
-                f"weight {w.min():.3e} below clamping tolerance -{WEIGHT_CLAMP:g}"
-            )
-        w = np.where(w < 0.0, 0.0, w)
-        total = float(w.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise NotNormalized(f"weights sum to {total!r}, not 1")
-        object.__setattr__(self, "w", _frozen_array(w))
+        object.__setattr__(self, "w", _frozen_array(_checked_rows(w)))
 
     @property
     def n(self) -> int:
@@ -245,9 +252,19 @@ def ext_dot(weights, values) -> ExtReal:
     return float(wa @ va)
 
 
-def expected_loss(dist: Distribution, act: Act, model) -> ExtReal:
-    """E_P L(X, act) under the extended-real conventions."""
-    return ext_dot(dist.w, model.loss_vector(act))
+def ext_dots(rows, values) -> np.ndarray:
+    """ext_dot of every nonnegative row of an (m, N) block with one vector of
+    values in (-inf, +inf]; a NaN or -inf value raises UndefinedExpectation."""
+    rows, v = np.asarray(rows, dtype=float), np.asarray(values, dtype=float)
+    if rows.ndim != 2 or rows.shape[1:] != v.shape:
+        raise DimensionMismatch(f"rows of shape {rows.shape} against values {v.shape}")
+    if np.isnan(v).any() or np.isneginf(v).any() or np.isnan(rows).any():
+        raise UndefinedExpectation("nan or -inf encountered in expectation")
+    finite = np.isfinite(v)
+    if finite.all():
+        return rows @ v
+    hits = (rows[:, ~finite] > 0.0).any(axis=1)
+    return np.where(hits, np.inf, rows[:, finite] @ v[finite])
 
 
 def moment(dist: Distribution, statistic: Statistic) -> np.ndarray:
@@ -259,11 +276,16 @@ def moment(dist: Distribution, statistic: Statistic) -> np.ndarray:
     return statistic.matrix @ dist.w
 
 
-def as_distributions(points) -> list:
-    """Coerce an array of rows or a sequence of Distributions to a list of Distributions."""
+def distribution_rows(points, n: int) -> np.ndarray:
+    """A Distribution, a sequence of Distributions or weight vectors, or an
+    (m, n) array as an (m, n) block of probability rows, each checked as
+    `Distribution` checks one; rows of another width raise DimensionMismatch."""
     if isinstance(points, Distribution):
-        return [points]
-    out = []
-    for p in points:
-        out.append(p if isinstance(p, Distribution) else Distribution(np.asarray(p, float)))
-    return out
+        points = [points]
+    if not isinstance(points, np.ndarray):
+        points = [p.w if isinstance(p, Distribution) else p for p in points]
+    try:
+        block = np.asarray(points, dtype=float).reshape(len(points), n)
+    except ValueError:   # ragged rows, or rows of another width
+        raise DimensionMismatch(f"test points are not rows of {n} weights") from None
+    return _checked_rows(block)

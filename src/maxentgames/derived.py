@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ACT_DISTRIBUTION, Act, DimensionMismatch, Distribution
+from .core import ACT_DISTRIBUTION, Act, DimensionMismatch, Distribution, ext_dots
 from .divergence import discrepancy
 from .losses import LossModel
-from .maxent import FW_MAX_ITER, MaxIterExceeded, _ext_dots, _fw_maximize
-from .verify import point_act_game
+from .maxent import FW_MAX_ITER, MaxIterExceeded, _mixture_max
+from .verify import GameSolution
 
 UPSILON_TOL = 1e-6        # relative width of the top derived-loss band
 EQUALIZATION_TOL = 1e-5
@@ -134,7 +134,7 @@ def _upsilon(lhat: np.ndarray, value: float) -> np.ndarray:
 
 def _derived_losses(sm: StatModel, act: Act) -> np.ndarray:
     lv = sm.model.loss_vector(act)
-    return _ext_dots(sm.member_matrix, lv) - sm.member_entropies
+    return ext_dots(sm.member_matrix, lv) - sm.member_entropies
 
 
 def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
@@ -149,38 +149,21 @@ def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
     leave members with mass outside the upsilon band.  There `method` is
     "frank-wolfe" and `iterations` counts its iterations.
     """
-    mmat = sm.member_matrix
-    ents = sm.member_entropies
     model = sm.model
-    res = None
-    act = None
-    game = point_act_game(model, mmat, ents)
-    if game is not None:
-        pi_vec, value = game.row_strategy, float(game.value)
-        act = Act(ACT_DISTRIBUTION, game.col_strategy)
+    res = _mixture_max(model, sm.member_matrix, sm.member_entropies,
+                       FW_CAPACITY_FACTOR * min(tol, UPSILON_TOL), FW_MAX_ITER)
+    if isinstance(res, GameSolution):
+        pi_vec, value = res.row_strategy, float(res.value)
+        act = Act(ACT_DISTRIBUTION, res.col_strategy)
         gap = max(0.0, float(_derived_losses(sm, act).max() - value))
-        iters, method = 0, "matrix-game"
+        iters, method, how = 0, "matrix-game", "after 0 iterations"
     else:
-        def value_batch(block):
-            w = np.maximum(block, 0.0)
-            return model.entropy_batch(w @ mmat) - w @ ents
-
-        def supergrad(pi):
-            mix = np.maximum(pi @ mmat, 0.0)
-            mixd = Distribution(mix / mix.sum())
-            lv = model.loss_vector(model.bayes_act(mixd))
-            return _ext_dots(mmat, lv) - ents
-
-        res = _fw_maximize(np.eye(sm.m), value_batch, supergrad,
-                           FW_CAPACITY_FACTOR * min(tol, UPSILON_TOL), FW_MAX_ITER)
-        pi_vec, value, gap = res.point, res.value, res.gap
-        iters, method = res.iterations, "frank-wolfe"
+        pi_vec, value, gap = res.weights, res.value, res.gap
+        iters, method, how = res.iterations, "frank-wolfe", res.how
+        act = model.bayes_act(Distribution(res.point))
     if gap > tol:
-        how = "stalled" if res is not None and res.stalled else f"after {iters} iterations"
         raise MaxIterExceeded(f"capacity iteration {how} with gap {gap:.3e}", res)
     pi = Prior(Distribution(np.maximum(pi_vec, 0.0) / max(pi_vec.sum(), 1e-300)))
-    if act is None:
-        act = model.bayes_act(sm.mixture(pi))
     lhat = _derived_losses(sm, act)
     return CapacityResult(
         pi_star=pi,

@@ -13,8 +13,9 @@ from .core import (
     Act,
     DimensionMismatch,
     Distribution,
-    as_distributions,
+    distribution_rows,
     ext_dot,
+    ext_dots,
 )
 from .losses import LossModel
 
@@ -58,18 +59,18 @@ def mixture_identities(model: LossModel, parts, weights, q: Distribution) -> Mix
     H(P-bar) = sum w_i H(P_i) + sum w_i d(P_i, P-bar)
     d(P-bar, Q) = sum w_i d(P_i, Q) - sum w_i d(P_i, P-bar)
     """
-    parts = as_distributions(parts)
+    parts = distribution_rows(parts, model.space.n)
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(parts),):
         raise DimensionMismatch("one weight per mixture component required")
     if abs(float(w.sum()) - 1.0) > 1e-9 or float(w.min()) < -1e-12:
         raise DimensionMismatch("mixture weights must be a probability vector")
-    mixed = Distribution(sum(wi * p.w for wi, p in zip(w, parts)))
-    d_to_mix = np.array([div(model, p, mixed) for p in parts])
-    h_parts = np.array([model.entropy(p) for p in parts])
+    mixed = Distribution(w @ parts)
+    h_parts = model.entropy_batch(parts)
+    d_to_mix = ext_dots(parts, model.loss_vector(model.bayes_act(mixed))) - h_parts
     entropy_lhs = model.entropy(mixed)
     entropy_rhs = float(w @ h_parts + w @ d_to_mix)
-    d_to_q = np.array([div(model, p, q) for p in parts])
+    d_to_q = ext_dots(parts, model.loss_vector(model.bayes_act(q))) - h_parts
     div_lhs = div(model, mixed, q)
     div_rhs = float(w @ d_to_q - w @ d_to_mix)
     return MixtureIdentityReport(entropy_lhs, entropy_rhs, div_lhs, div_rhs)
@@ -147,8 +148,7 @@ class EqualizerReport:
 def equalizer_check(model: LossModel, test_points, act: Act,
                     tol: float = EQUALIZER_TOL) -> EqualizerReport:
     """Is E_P L(X, act) constant over the test points (within tol)?"""
-    points = as_distributions(test_points)
-    vals = np.array([model.expected_loss(p, act) for p in points])
+    vals = ext_dots(distribution_rows(test_points, model.space.n), model.loss_vector(act))
     if np.any(np.isinf(vals)):
         finite = vals[np.isfinite(vals)]
         spread = np.inf if finite.size != vals.size else 0.0
@@ -174,12 +174,11 @@ def pythagorean_check(model: LossModel, test_points, p_star: Distribution,
     saddle point, identically ~0 exactly when zeta* is an equalizer in the
     relative game.
     """
-    points = as_distributions(test_points)
+    points = distribution_rows(test_points, model.space.n)
     pivot = discrepancy(model, p_star, zeta0)
-    slacks = np.array([
-        discrepancy(model, p, zeta0) - discrepancy(model, p, zeta_star) - pivot
-        for p in points
-    ])
+    # H(P) cancels from D(P, zeta0) - D(P, zeta*)
+    slacks = (ext_dots(points, model.loss_vector(zeta0))
+              - ext_dots(points, model.loss_vector(zeta_star)) - pivot)
     min_slack = float(slacks.min()) if slacks.size else 0.0
     max_slack = float(slacks.max()) if slacks.size else 0.0
     equality = bool(abs(min_slack) <= tol and abs(max_slack) <= tol)

@@ -33,10 +33,11 @@ from .core import (
     Statistic,
     WEIGHT_CLAMP,
     ext_dot,
+    ext_dots,
 )
 from .divergence import equalizer_check
 from .losses import ConvexGenerator, LossModel
-from .verify import point_act_game
+from .verify import GameSolution, point_act_game
 
 LINEAR_FIT_TOL = 1e-7
 SYSTEM_TOL = 1e-9
@@ -120,19 +121,6 @@ class FamilyTrace:
 # shared helpers
 
 
-def _ext_dots(points: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row-wise extended dot products; 0 * inf = 0."""
-    finite = np.isfinite(values)
-    if finite.all():
-        return points @ values
-    if np.isneginf(values).any():
-        raise ArithmeticError("loss vectors may not contain -inf")
-    out = points[:, finite] @ values[finite]
-    hits = points[:, ~finite].sum(axis=1) > 0.0
-    out = np.where(hits, np.inf, out)
-    return out
-
-
 def _affine_fit(tmat: np.ndarray, y: np.ndarray, cols: np.ndarray | None = None):
     """Least-squares y(x) ~ b0 + beta' t(x); returns (b0, beta, max residual)."""
     if cols is None:
@@ -165,7 +153,7 @@ def _finalize(model: LossModel, g: GammaTau, vs: VertexSet, p: np.ndarray,
     eq = equalizer_check(model, vs.points, zeta)
     at_p = ext_dot(p_star.w, lv)
     bayes_margin = abs(at_p - model.entropy(p_star))
-    worst = float(max(_ext_dots(vs.points, lv)))
+    worst = float(max(ext_dots(vs.points, lv)))
     vertex_margin = worst - at_p
     interior = hull_interior(g.statistic, g.tau) == "interior"
     return SaddlePoint(
@@ -188,16 +176,21 @@ def _finalize(model: LossModel, g: GammaTau, vs: VertexSet, p: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# pairwise Frank-Wolfe engine over an explicit vertex list
+# mixtures of laws: H(w V) - w . offset over the weight simplex
 
 
 @dataclass
 class _FWResult:
-    point: np.ndarray
+    weights: np.ndarray   # w, one weight per row of V
+    point: np.ndarray     # the mixture w V
     value: float
     gap: float
     iterations: int
     stalled: bool
+
+    @property
+    def how(self) -> str:
+        return "stalled" if self.stalled else f"after {self.iterations} iterations"
 
 
 def _slope_root(slope, rise: float, hi: float, guess: float = 1.0) -> float:
@@ -249,21 +242,36 @@ def _slope_root(slope, rise: float, hi: float, guess: float = 1.0) -> float:
     return lo
 
 
-def _fw_maximize(V: np.ndarray, value_batch, supergrad, tol: float,
-                 max_iter: int) -> _FWResult:
-    """Maximize a concave function over conv(rows of V) by pairwise Frank-Wolfe.
+def _mixture_max(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float,
+                 max_iter: int) -> GameSolution | _FWResult:
+    """Maximize H(w V) - w . offset over the weights w of the laws V (m, N):
+    exactly, by the point-act matrix game, for a loss affine in a
+    distribution act with a Bayes-act set (zero-one); else `_fw_maximize`."""
+    game = point_act_game(model, V, offset)
+    if game is not None:
+        return game
+    return _fw_maximize(model, V, offset, tol, max_iter)
 
-    Each step moves weight from the active vertex the supergradient likes
-    least to the one it likes most, by the exact line search of
-    Lacoste-Julien & Jaggi (2015): the root on [0, w_away] of the
-    non-increasing slope gamma -> supergrad(p + gamma d) . d.  No function
-    values are compared; `value_batch` is evaluated once, at the returned
-    point.  The supergradient linearization bounds the suboptimality, so
-    the returned gap certifies value accuracy.  The run stops at gap <= tol
-    or stalls, with `stalled` set, when the pairwise direction has no
-    positive slope within float resolution -- at a kink of a loss whose
-    Bayes act is not unique, which callers hand to the matrix game instead.
+
+def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float,
+                 max_iter: int) -> _FWResult:
+    """Maximize H(w V) - w . offset over the weight simplex by pairwise Frank-Wolfe.
+
+    The supergradient coordinate of law i is E_{V_i} L(zeta) - offset_i, with
+    zeta the Bayes act of the mixture w V.  Each step moves weight from the
+    active law it likes least to the one it likes most, by the exact line
+    search of Lacoste-Julien & Jaggi (2015): the root on [0, w_away] of the
+    non-increasing slope along that pair.  No function values are compared;
+    the value is evaluated once, at the returned weights.  The supergradient
+    linearization bounds the suboptimality, so the returned gap certifies
+    value accuracy.  The run stops at gap <= tol or stalls, with `stalled`
+    set, when the pairwise direction has no positive slope within float
+    resolution -- at a kink of a loss whose Bayes act is not unique, which
+    `_mixture_max` hands to the matrix game instead.
     """
+    def losses(p):
+        return model.loss_vector(model.bayes_act(Distribution(p)))
+
     m = V.shape[0]
     w = np.full(m, 1.0 / m)
     point = w @ V
@@ -272,9 +280,8 @@ def _fw_maximize(V: np.ndarray, value_batch, supergrad, tol: float,
     it = 0
     step = 1.0   # each line search first probes the previous step length
     for it in range(1, max_iter + 1):
-        grad = supergrad(point)
-        scores = _ext_dots(V, grad)
-        current = ext_dot(point, grad)
+        scores = ext_dots(V, losses(point)) - offset
+        current = ext_dot(w, scores)
         fw = int(np.argmax(scores))
         gap = float(scores[fw] - current)
         if gap <= tol:
@@ -283,8 +290,10 @@ def _fw_maximize(V: np.ndarray, value_batch, supergrad, tol: float,
         away = int(active[np.argmin(scores[active])])
         rise = float(scores[fw] - scores[away])
         direction = V[fw] - V[away]
-        step = _slope_root(lambda t: ext_dot(direction, supergrad(point + t * direction)),
-                           rise, w[away], guess=step)
+        d_offset = offset[fw] - offset[away]
+        step = _slope_root(
+            lambda t: ext_dot(direction, losses(point + t * direction)) - d_offset,
+            rise, w[away], guess=step)
         if not (rise > FW_SLOPE_RES * max(1.0, abs(current)) and step > 0.0):
             stalled = True
             break
@@ -292,8 +301,8 @@ def _fw_maximize(V: np.ndarray, value_batch, supergrad, tol: float,
         w[away] = 0.0 if w[away] - step < 1e-15 else w[away] - step
         w /= w.sum()
         point = w @ V
-    value = float(value_batch(point[None, :])[0])
-    return _FWResult(point, value, gap, it, stalled)
+    value = float(model.entropy_batch(np.maximum(point, 0.0)[None, :])[0] - w @ offset)
+    return _FWResult(w, point, value, gap, it, stalled)
 
 
 # ---------------------------------------------------------------------------
@@ -901,25 +910,14 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
     with kinks must therefore expose `bayes_act_set`.
     """
     vs = vertices(g)
-    V = vs.points
-    game = point_act_game(model, V, 0.0)
-    if game is not None:
-        p = game.row_strategy @ V
-        zeta = Act(ACT_DISTRIBUTION, game.col_strategy)
-        gap = max(0.0, game.col_guarantee - game.row_guarantee)
-        method = "matrix-game"
+    res = _mixture_max(model, vs.points, np.zeros(vs.m), tol, FW_MAX_ITER)
+    if isinstance(res, GameSolution):
+        p = res.row_strategy @ vs.points
+        zeta = Act(ACT_DISTRIBUTION, res.col_strategy)
+        gap, method = max(0.0, res.col_guarantee - res.row_guarantee), "matrix-game"
     else:
-        def value_batch(block):
-            return model.entropy_batch(np.maximum(block, 0.0))
-
-        def supergrad(pv):
-            return model.loss_vector(model.bayes_act(Distribution(pv)))
-
-        res = _fw_maximize(V, value_batch, supergrad, tol, FW_MAX_ITER)
         if res.gap > tol:
-            how = "stalled" if res.stalled else f"after {res.iterations} iterations"
-            raise MaxIterExceeded(
-                f"conditional gradient {how} with gap {res.gap:.3e}", res)
+            raise MaxIterExceeded(f"conditional gradient {res.how} with gap {res.gap:.3e}", res)
         p, gap, method = res.point, res.gap, "frank-wolfe"
         zeta = model.bayes_act(Distribution(p))
     p = np.maximum(p, 0.0)
@@ -1072,20 +1070,11 @@ def _tilt_search(model: LossModel, beta: np.ndarray, shift: np.ndarray,
                  tol: float, max_iter: int) -> TiltResult:
     """One tilt of a non-separable model: the matrix game when the model
     has one, else pairwise Frank-Wolfe over the point masses."""
-    V = np.eye(shift.size)
-    game = point_act_game(model, V, shift)
-    if game is not None:
-        q = Distribution(np.maximum(game.row_strategy, 0.0) / game.row_strategy.sum())
-        return TiltResult(beta=beta, q=q, chi=float(game.value), gap=0.0,
+    res = _mixture_max(model, np.eye(shift.size), shift, tol, max_iter)
+    if isinstance(res, GameSolution):
+        q = Distribution(np.maximum(res.row_strategy, 0.0) / res.row_strategy.sum())
+        return TiltResult(beta=beta, q=q, chi=float(res.value), gap=0.0,
                           method="matrix-game")
-
-    def value_batch(block):
-        return model.entropy_batch(np.maximum(block, 0.0)) - block @ shift
-
-    def supergrad(pv):
-        return model.loss_vector(model.bayes_act(Distribution(pv))) - shift
-
-    res = _fw_maximize(V, value_batch, supergrad, tol, max_iter)
     if res.gap > tol:
         raise MaxIterExceeded(f"natural tilt gap {res.gap:.3e} above tol", res)
     q = Distribution(np.maximum(res.point, 0.0) / max(res.point.sum(), 1e-300))

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _simplex
 from .constraints import GammaTau, closed_under_conditioning, vertices
-from .core import ACT_DISTRIBUTION, Act, Distribution, ext_dot
+from .core import ACT_DISTRIBUTION, Act, Distribution, ext_dot, ext_dots
 from .losses import LossModel
 
 GAME_SIZE_CAP = 200
@@ -129,11 +129,8 @@ def restricted_upper_value(model: LossModel, g: GammaTau) -> UpperValueResult:
         return UpperValueResult(value=sol.value, method="lp", margin=0.0)
     from .maxent import solve  # deferred: maxent imports this module
     sp = solve(model, g)
-    lv = model.loss_vector(sp.zeta_star)
-    worst = max(ext_dot(row, lv) for row in vs.points)
-    return UpperValueResult(
-        value=float(worst), method="certificate", margin=float(worst - sp.h_star)
-    )
+    worst = float(ext_dots(vs.points, model.loss_vector(sp.zeta_star)).max())
+    return UpperValueResult(value=worst, method="certificate", margin=worst - sp.h_star)
 
 
 @dataclass(frozen=True)
@@ -153,8 +150,7 @@ def verify_saddle(model: LossModel, g: GammaTau, p_star: Distribution,
     lv = model.loss_vector(zeta_star)
     at_p = ext_dot(p_star.w, lv)
     bayes_margin = abs(at_p - model.entropy(p_star))
-    worst = max(ext_dot(row, lv) for row in vs.points)
-    vertex_margin = float(worst - at_p)
+    vertex_margin = float(ext_dots(vs.points, lv).max()) - at_p
     ok = bool(bayes_margin <= bayes_tol and vertex_margin <= vertex_tol)
     return SaddleCheck(float(bayes_margin), vertex_margin, ok, bayes_tol, vertex_tol)
 

@@ -412,6 +412,23 @@ def test_verify_identities(capsys, name):
     assert rep["min_propriety_margin"] >= -1e-9
 
 
+@pytest.mark.parametrize("suite", ["saddle", "pythagorean", "equalizer"])
+def test_vertex_suites_on_a_two_row_statistic(capsys, tmp_path, suite):
+    # the suites run once per tau vector, and carry tau as a list for k >= 2
+    path = write_spec(tmp_path, {
+        "outcomes": ["a", "b", "c", "d"],
+        "loss": {"kind": "brier"},
+        "statistic": [[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0]],
+        "constraint": {"tau": [1.2, 0.5]},
+    })
+    code, out, err = run_cli(capsys, "verify", path, "--suite", suite)
+    assert code == EXIT_OK, err
+    rep = json.loads(out)
+    assert rep["passed"] is True
+    assert [r["tau"] for r in rep["rows"]] == [[1.2, 0.5]]
+    assert rep["rows"][0]["status"] == "ok"
+
+
 # ---------------------------------------------------------------------------
 # capacity reports
 

@@ -18,6 +18,7 @@ from maxentgames import (
     UndefinedExpectation,
     ZeroBaseMass,
     ext_dot,
+    ext_dots,
     mixture,
     moment,
     validate_distribution,
@@ -119,19 +120,22 @@ def test_act_payload_coercion():
         Act("mystery", [1.0])
 
 
-# extended-real convention: 0 * inf = 0; opposite infinities never meet
+# extended-real convention: 0 * inf = 0; opposite infinities never meet.
+# ext_dots takes each case as one row of a block, next to a finite row
 
 
 def test_ext_dot_zero_times_infinity_is_zero():
     w = np.array([0.0, 1.0])
     v = np.array([np.inf, 2.0])
     assert ext_dot(w, v) == 2.0
+    assert list(ext_dots(np.array([w, [0.5, 0.5]]), v)) == [2.0, np.inf]
 
 
 def test_ext_dot_positive_mass_on_infinity():
     w = np.array([0.5, 0.5])
     v = np.array([np.inf, 1.0])
     assert ext_dot(w, v) == np.inf
+    assert list(ext_dots(np.array([[0.0, 1.0], w]), v)) == [1.0, np.inf]
 
 
 def test_ext_dot_mixed_infinities_raise():
@@ -139,6 +143,12 @@ def test_ext_dot_mixed_infinities_raise():
     v = np.array([np.inf, -np.inf])
     with pytest.raises(UndefinedExpectation):
         ext_dot(w, v)
+    with pytest.raises(UndefinedExpectation):
+        ext_dot(w, np.array([np.nan, 1.0]))
+    # a loss is never -inf, so ext_dots refuses one even at zero weight
+    for values in (v, np.array([np.nan, 1.0]), np.array([1.0, -np.inf])):
+        with pytest.raises(UndefinedExpectation):
+            ext_dots(np.array([[1.0, 0.0], w]), values)
 
 
 def test_ext_dot_finite_matches_numpy():
@@ -147,3 +157,4 @@ def test_ext_dot_finite_matches_numpy():
         w = rng.dirichlet(np.ones(4))
         v = rng.normal(size=4)
         assert abs(ext_dot(w, v) - w @ v) <= TOL
+        assert abs(ext_dots(np.array([w, w[::-1]]), v)[0] - w @ v) <= TOL

@@ -9,18 +9,22 @@ from maxentgames import (
     ACT_DENSITY,
     ACT_DISTRIBUTION,
     BaseMeasure,
+    DimensionMismatch,
     Distribution,
     GammaTau,
     InfiniteReferenceLoss,
     SampleSpace,
     Statistic,
+    bregman_model,
     brier_model,
     discrepancy,
     div,
     equalizer_check,
+    ext_dot,
     find_neutral,
     log_model,
     mixture_identities,
+    power_generator,
     pythagorean_check,
     quadratic_model,
     relative_model,
@@ -280,3 +284,145 @@ def test_pythagorean_equality_iff_equalizer_along_grid():
             eq = equalizer_check(m, pts, sp.zeta_star)
             py = pythagorean_check(m, pts, sp.p_star, sp.zeta_star, ref)
             assert py.equality == eq.is_equalizer, (m.kind, tau)
+
+
+# ---------------------------------------------------------------------------
+# the batched checks against a per-law oracle: one Distribution and one
+# ext_dot per test point
+
+
+def _oracle_values(model, points, act):
+    lv = model.loss_vector(act)
+    return np.array([ext_dot(Distribution(p).w, lv) for p in points])
+
+
+def _oracle_slacks(model, points, p_star, zeta_star, zeta0):
+    def d(p, act):
+        return ext_dot(p.w, model.loss_vector(act)) - model.entropy(p)
+    pivot = d(p_star, zeta0)
+    return np.array([d(p, zeta0) - d(p, zeta_star) - pivot
+                     for p in map(Distribution, points)])
+
+
+def _oracle_identity_terms(model, parts, w, q):
+    parts = [Distribution(p) for p in parts]
+    mixed = Distribution(sum(wi * p.w for wi, p in zip(w, parts)))
+    d_mix = np.array([div(model, p, mixed) for p in parts])
+    h = np.array([model.entropy(p) for p in parts])
+    d_q = np.array([div(model, p, q) for p in parts])
+    return np.array([model.entropy(mixed), w @ h + w @ d_mix,
+                     div(model, mixed, q), w @ d_q - w @ d_mix])
+
+
+def _assert_same(batched, oracle):
+    batched = np.asarray(batched, dtype=float)
+    assert batched.shape == oracle.shape
+    np.testing.assert_array_equal(np.isinf(batched), np.isinf(oracle))
+    np.testing.assert_array_equal(np.sign(batched[np.isinf(batched)]),
+                                  np.sign(oracle[np.isinf(oracle)]))
+    finite = np.isfinite(oracle)
+    assert np.max(np.abs(batched[finite] - oracle[finite]), initial=0.0) <= 1e-12
+
+
+def _oracle_models(space):
+    n = space.n
+    return (brier_model(space), log_model(space), zero_one_model(space),
+            quadratic_model(space, values=np.linspace(-1.0, 2.0, n)),
+            bregman_model(space, power_generator(3.0)),
+            relative_model(brier_model(space), Act(ACT_DISTRIBUTION, np.full(n, 1.0 / n))))
+
+
+def _oracle_points(rng, n, m):
+    points = rng.dirichlet(np.ones(n), size=m)
+    points[::3, 0] = 0.0           # some laws leave the first outcome empty
+    return points / points.sum(axis=1)[:, None]
+
+
+def test_batched_checks_match_the_per_law_oracle():
+    rng = np.random.default_rng(61)
+    space = SampleSpace.of(["a", "b", "c", "d"])
+    for model in _oracle_models(space):
+        for _ in range(20):
+            points = _oracle_points(rng, 4, 9)
+            act, zeta0 = model.random_act(rng), model.random_act(rng)
+            p_star = Distribution(rng.dirichlet(np.ones(4)))
+            for pts in (points, list(points), [Distribution(p) for p in points]):
+                _assert_same(equalizer_check(model, pts, act).values,
+                             _oracle_values(model, points, act))
+                _assert_same(pythagorean_check(model, pts, p_star, act, zeta0).slacks,
+                             _oracle_slacks(model, points, p_star, act, zeta0))
+            w = rng.dirichlet(np.ones(3))
+            q = Distribution(rng.dirichlet(np.ones(4)))
+            rep = mixture_identities(model, points[:3], w, q)
+            _assert_same([rep.entropy_lhs, rep.entropy_rhs, rep.div_lhs, rep.div_rhs],
+                         _oracle_identity_terms(model, points[:3], w, q))
+
+
+def test_batched_checks_keep_the_infinite_pattern():
+    # a log act with zero density at the first outcome: every law charging
+    # that outcome has an infinite expected loss
+    rng = np.random.default_rng(62)
+    space = SampleSpace.of(["a", "b", "c", "d"])
+    model = log_model(space)
+    act = Act(ACT_DENSITY, [0.0, 0.2, 0.3, 0.5])
+    for _ in range(20):
+        points = _oracle_points(rng, 4, 9)
+        zeta0 = model.random_act(rng)
+        p_star = Distribution(np.array([0.0, 0.3, 0.3, 0.4]))
+        vals = _oracle_values(model, points, act)
+        assert np.isinf(vals).any() and np.isfinite(vals).any()
+        rep = equalizer_check(model, points, act)
+        _assert_same(rep.values, vals)
+        assert rep.spread == np.inf and not rep.is_equalizer
+        _assert_same(pythagorean_check(model, points, p_star, act, zeta0).slacks,
+                     _oracle_slacks(model, points, p_star, act, zeta0))
+        w = rng.dirichlet(np.ones(3))
+        q = Distribution(np.array([0.0, 0.2, 0.3, 0.5]))
+        rep = mixture_identities(model, points[:3], w, q)
+        _assert_same([rep.entropy_lhs, rep.entropy_rhs, rep.div_lhs, rep.div_rhs],
+                     _oracle_identity_terms(model, points[:3], w, q))
+
+
+def test_batched_checks_on_an_empty_point_list():
+    m = brier_model(SPACE3)
+    act = Act(ACT_DISTRIBUTION, [0.2, 0.3, 0.5])
+    for empty in ([], np.zeros((0, 3))):
+        eq = equalizer_check(m, empty, act)
+        assert eq.spread == 0.0 and eq.values.shape == (0,)
+        py = pythagorean_check(m, empty, Distribution.uniform(3), act, act)
+        assert py.slacks.shape == (0,) and py.min_slack == py.max_slack == 0.0
+
+
+def _distribution_error(row, n):
+    """The exception class the per-law path raises on a row."""
+    try:
+        ext_dot(Distribution(np.asarray(row, dtype=float)).w, np.zeros(n))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+    return None
+
+
+def test_batched_checks_reject_malformed_rows_like_distribution():
+    m = brier_model(SPACE3)
+    act = Act(ACT_DISTRIBUTION, [0.2, 0.3, 0.5])
+    good = [0.2, 0.3, 0.5]
+    bad_rows = ([np.nan, 0.5, 0.5], [0.6, 0.5, -1e-11], [0.3, 0.3, 0.3],
+                [0.25, 0.25, 0.25, 0.25])
+    for bad in bad_rows:
+        cls = _distribution_error(bad, 3)
+        assert cls is not None, bad
+        blocks = [[good, bad]]
+        if len(bad) == 3:
+            blocks.append(np.array([good, bad]))
+        else:
+            blocks.append(np.array([bad, bad]))
+            assert cls is DimensionMismatch
+        for block in blocks:
+            for check in (lambda: equalizer_check(m, block, act),
+                          lambda: pythagorean_check(m, block, Distribution(np.array(good)),
+                                                    act, act),
+                          lambda: mixture_identities(m, block, [0.5, 0.5],
+                                                     Distribution.uniform(3))):
+                with pytest.raises(cls) as err:
+                    check()
+                assert type(err.value) is cls, (bad, type(err.value))

@@ -400,12 +400,7 @@ def test_tilt_zero_one_piecewise_linear_values():
 def _fw_tilt(model, t, beta, tol):
     """Oracle: pairwise Frank-Wolfe over the point masses, as non-separable
     models tilt."""
-    shift = t.T @ beta
-    return _fw_maximize(
-        np.eye(t.shape[1]),
-        lambda block: model.entropy_batch(np.maximum(block, 0.0)) - block @ shift,
-        lambda pv: model.loss_vector(model.bayes_act(Distribution(pv))) - shift,
-        tol, FW_MAX_ITER)
+    return _fw_maximize(model, np.eye(t.shape[1]), t.T @ beta, tol, FW_MAX_ITER)
 
 
 def test_tilt_reaches_the_default_tolerance_on_smooth_models():
