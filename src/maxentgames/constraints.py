@@ -15,6 +15,7 @@ from .core import (
     Distribution,
     Infeasible,
     Statistic,
+    UndefinedExpectation,
     WEIGHT_CLAMP,
 )
 
@@ -26,6 +27,7 @@ CONSISTENCY_TOL = 1e-9
 RANK_TOL = 1e-10       # singular values at or below this make a support dependent
 SCREEN_BLOCK = 256     # candidate supports screened per batch
 SCREEN_SLACK = 1e-12   # screen slack per unit of condition number and weight
+UNION_LIFT_TOL = 1e-6  # z this far below 1 still counts as lifted in union_support
 
 
 def _max_n_cap() -> int:
@@ -40,13 +42,15 @@ class GammaTau:
     """Distributions with E_P T = tau.
 
     The instance is immutable (the statistic matrix and tau are read-only
-    copies), so `vertices` keeps its result on it.
+    copies), so `vertices` and `union_support` keep their results on it.
     """
 
     statistic: Statistic
     tau: np.ndarray
     _vertices: "VertexSet | None" = field(default=None, init=False, repr=False,
                                           compare=False)
+    _union: "np.ndarray | None" = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self) -> None:
         t = np.atleast_1d(np.asarray(self.tau, dtype=float))
@@ -217,43 +221,125 @@ def hull_interior(statistic: Statistic, tau, tol: float = 1e-9) -> str:
             return "boundary"
         return "interior"
     # general k: maximize the minimum combination weight delta subject to
-    # {lam >= delta, sum lam = 1, M lam = tau}; delta > 0 iff tau is in the
-    # relative interior of the hull.
+    # {lam >= delta, sum lam = 1, M lam = tau}, written in (s, delta) with
+    # lam = delta + s >= delta; delta > 0 iff tau is in the relative
+    # interior of the hull.  A tau that only M lam = tau read within tol
+    # reaches is on the boundary, as for k = 1.
     n = statistic.n
-    c = np.zeros(2 * n + 1)
-    c[n] = -1.0
-    a, b = level_lp(m, t, -1.0)
-    try:
-        _, value, _ = _simplex.solve_lp(c, a, b)
-    except Infeasible:
-        return "outside"
-    delta = -value
-    return "interior" if delta > tol else "boundary"
+    for width in (0.0, tol):
+        rows, b = _tolerant_rows(m, t, width)
+        a = np.insert(rows, n, 0.0, axis=1)
+        a[0, n] = n
+        a[1:statistic.k + 1, n] = m.sum(axis=1)
+        c = np.zeros(a.shape[1])
+        c[n] = -1.0
+        try:
+            _, value, _ = _simplex.solve_lp(c, a, b)
+        except Infeasible:
+            continue
+        return "interior" if width == 0.0 and -value > tol else "boundary"
+    return "outside"
 
 
-def level_lp(tmat: np.ndarray, tau: np.ndarray, side: float):
-    """Equality rows (a, b) of {P in Gamma_tau, p_x - level + side * s_x = 0}.
+def _tolerant_rows(tmat: np.ndarray, tau: np.ndarray, tol: float):
+    """Equality rows (a, b) of {sum p = 1, T p + d = tau + tol, d + d' = 2 tol}.
 
-    The variables are p (n), the level (1) and slacks s (n), all >= 0; side
-    +1 bounds every p_x above by the level, -1 below.
+    The variables are p (one per column of T), then d and d' (k each), all
+    >= 0, so each row of T p - tau lies in [-tol, tol]; tol = 0 reads the
+    rows exactly.
     """
-    k, n = tmat.shape
-    a = np.zeros((n + k + 1, 2 * n + 1))
-    a[:n, :n] = np.eye(n)
-    a[:n, n] = -1.0
-    a[:n, n + 1:] = side * np.eye(n)
-    a[n, :n] = 1.0
-    a[n + 1:, :n] = tmat
-    return a, np.concatenate([np.zeros(n), [1.0], tau])
+    k, m = tmat.shape
+    a = np.zeros((2 * k + 1, m + 2 * k))
+    a[0, :m] = 1.0
+    a[1:k + 1, :m] = tmat
+    a[1:, m:m + k] = np.vstack([np.eye(k), np.eye(k)])
+    a[k + 1:, m + k:] = np.eye(k)
+    return a, np.concatenate([[1.0], tau + tol, np.full(k, 2.0 * tol)])
 
 
-def closed_under_conditioning(g: GammaTau, max_n: int | None = None) -> bool:
+def union_support(g: GammaTau) -> np.ndarray:
+    """Outcomes that members of Gamma_tau charge, from one homogenized LP.
+
+    The always-active constraints of Freund, Roundy & Todd (1985): maximize
+    sum z subject to z <= 1 and p = z + s in lam * Gamma_tau, all variables
+    nonnegative; z_x = 1 at the optimum for every outcome some member
+    charges.  The scale is bounded, lam = mu / DEDUP_TOL with mu <= 1, which
+    keeps the LP bounded and reads the set as the vertex list does: that
+    drops a vertex within DEDUP_TOL of another, and here z_x reaches 1 only
+    where a member charges x with DEDUP_TOL or more (charges of about 1e-9
+    arise when tau is within CONSISTENCY_TOL of a hull face).  mu is the
+    column that carries the scale, so the right-hand side stays O(1).
+    T p = tau is read exactly, or within CONSISTENCY_TOL when no outcome
+    lifts, as the vertex enumeration reads it.  Raises Infeasible for an
+    empty Gamma_tau.  The result is kept on `g`.
+    """
+    if g._union is None:
+        object.__setattr__(g, "_union", _lp_union_support(g))
+    return g._union
+
+
+def _lp_union_support(g: GammaTau) -> np.ndarray:
+    n = g.n
+    for tol in (0.0, CONSISTENCY_TOL):
+        rows, target = _tolerant_rows(g.statistic.matrix, g.tau, tol)
+        m = rows.shape[0]
+        # columns: z; s, d, d' as in `rows`; the slack w of z <= 1; mu and its slack
+        a = np.zeros((m + n + 1, rows.shape[1] + 2 * n + 2))
+        a[:m, :n] = rows[:, :n]
+        a[:m, n:-n - 2] = rows
+        a[:m, -2] = -target / DEDUP_TOL
+        a[m:-1, :n] = np.eye(n)
+        a[m:-1, -n - 2:-2] = np.eye(n)
+        a[-1, -2:] = 1.0
+        b = np.concatenate([np.zeros(m), np.ones(n + 1)])
+        c = np.zeros(a.shape[1])
+        c[:n] = -1.0
+        x, _, _ = _simplex.solve_lp(c, a, b)
+        supp = np.flatnonzero(x[:n] >= 1.0 - UNION_LIFT_TOL)
+        if supp.size:
+            supp.flags.writeable = False
+            return supp
+    raise Infeasible(f"Gamma_tau empty for tau={np.asarray(g.tau)}")
+
+
+def max_expectation(g: GammaTau, values) -> float:
+    """sup over Gamma_tau of E_P values, for values in (-inf, +inf], by LP.
+
+    +inf when a member charges an outcome of infinite value (`union_support`
+    reads what members charge); otherwise those outcomes carry no mass, so
+    their columns are dropped, and the supremum is +inf when Gamma_tau is
+    empty without them.  T p = tau is read exactly, or within
+    CONSISTENCY_TOL when the exact rows are infeasible, as the vertex
+    enumeration reads it.  Raises Infeasible for an empty Gamma_tau.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.shape != (g.n,):
+        raise DimensionMismatch("values do not match the statistic")
+    if np.isnan(v).any() or np.isneginf(v).any():
+        raise UndefinedExpectation("nan or -inf encountered in expectation")
+    finite = np.isfinite(v)
+    if not finite.all() and not finite[union_support(g)].all():
+        return float(np.inf)
+    cols = np.flatnonzero(finite)
+    for tol in (0.0, CONSISTENCY_TOL):
+        a, b = _tolerant_rows(g.statistic.matrix[:, cols], g.tau, tol)
+        c = np.concatenate([-v[cols], np.zeros(2 * g.k)])
+        try:
+            x, _, _ = _simplex.solve_lp(c, a, b)
+        except Infeasible:
+            continue
+        return float(v[cols] @ x[:cols.size])
+    if finite.all():
+        raise Infeasible(f"Gamma_tau empty for tau={np.asarray(g.tau)}")
+    return float(np.inf)
+
+
+def closed_under_conditioning(g: GammaTau) -> bool:
     """True when Gamma_tau equals the full simplex over some outcome subset.
 
-    That happens exactly when every outcome in the union support of the
-    vertices has statistic value tau, so conditioning cannot leave the set.
+    That happens exactly when every outcome in the union support of Gamma_tau
+    has statistic value tau, so conditioning cannot leave the set.
     """
-    vs = vertices(g, max_n=max_n)
-    supp = vs.union_support()
+    supp = union_support(g)
     cols = g.statistic.matrix[:, supp]
     return bool(np.max(np.abs(cols - g.tau[:, None])) <= 1e-9)

@@ -154,6 +154,14 @@ class Distribution:
         return np.flatnonzero(self.w > tol)
 
     @classmethod
+    def of_checked(cls, w: np.ndarray) -> "Distribution":
+        """Wrap weights that are already checked and read-only (a row of a
+        frozen `distribution_rows` block) without checking them again."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "w", w)
+        return dist
+
+    @classmethod
     def uniform(cls, n: int) -> "Distribution":
         return cls(np.full(n, 1.0 / n))
 

@@ -8,7 +8,8 @@ representation beta0 + beta' t(x), the coefficients linking tau to beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -18,9 +19,8 @@ from . import _simplex
 from .constraints import (
     RANK_TOL,
     GammaTau,
-    VertexSet,
     hull_interior,
-    level_lp,
+    union_support,
     vertices,
 )
 from .core import (
@@ -32,6 +32,7 @@ from .core import (
     Infeasible,
     Statistic,
     WEIGHT_CLAMP,
+    distribution_rows,
     ext_dot,
     ext_dots,
 )
@@ -88,6 +89,13 @@ class ActFamily:
 
 @dataclass(frozen=True)
 class SaddlePoint:
+    """A solved saddle point of the game over `gamma`.
+
+    `vertex_margin` and `is_equalizer` read the vertex list of Gamma_tau, so
+    they enumerate it (and its size caps apply) on first read; the Brier,
+    log and Bregman solvers and `verify_saddle` do not.
+    """
+
     tau: np.ndarray
     p_star: Distribution
     zeta_star: Act
@@ -96,13 +104,26 @@ class SaddlePoint:
     beta: np.ndarray | None
     is_linear: bool
     is_regular: bool
-    is_equalizer: bool
     tau_interior: bool
     bayes_margin: float
-    vertex_margin: float
     gap: float
     method: str
     act_family: ActFamily | None = None
+    model: LossModel | None = field(default=None, repr=False, compare=False)
+    gamma: GammaTau | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def is_equalizer(self) -> bool:
+        """E_V L(X, zeta*) is constant over the vertices V of Gamma_tau."""
+        return equalizer_check(self.model, vertices(self.gamma).points,
+                               self.zeta_star).is_equalizer
+
+    @cached_property
+    def vertex_margin(self) -> float:
+        """max over the vertices V of E_V L(X, zeta*), minus E_P* L(X, zeta*)."""
+        lv = self.model.loss_vector(self.zeta_star)
+        worst = float(max(ext_dots(vertices(self.gamma).points, lv)))
+        return float(worst - ext_dot(self.p_star.w, lv))
 
 
 @dataclass(frozen=True)
@@ -131,9 +152,19 @@ def _affine_fit(tmat: np.ndarray, y: np.ndarray, cols: np.ndarray | None = None)
     return float(sol[0]), sol[1:], resid
 
 
-def _finalize(model: LossModel, g: GammaTau, vs: VertexSet, p: np.ndarray,
-              zeta: Act, h: float, beta0, beta, gap: float, method: str,
-              act_family: ActFamily | None = None) -> SaddlePoint:
+def _hull_class(g: GammaTau) -> str:
+    """hull_interior's class of tau; Infeasible when tau is outside the hull."""
+    hull = hull_interior(g.statistic, g.tau)
+    if hull == "outside":
+        raise Infeasible(f"tau={g.tau} outside the statistic hull")
+    return hull
+
+
+def _finalize(model: LossModel, g: GammaTau, p: np.ndarray, zeta: Act, h: float,
+              beta0, beta, gap: float, method: str,
+              act_family: ActFamily | None = None, hull: str | None = None) -> SaddlePoint:
+    """The SaddlePoint record; `hull` is hull_interior's class of tau, when
+    the solver has it."""
     p_star = Distribution(p)
     lv = model.loss_vector(zeta)
     tmat = g.statistic.matrix
@@ -150,12 +181,9 @@ def _finalize(model: LossModel, g: GammaTau, vs: VertexSet, p: np.ndarray,
         fitted = beta0 + tmat[:, supp].T @ beta
         is_regular = bool(np.max(np.abs(fitted - lv[supp])) <= LINEAR_FIT_TOL)
 
-    eq = equalizer_check(model, vs.points, zeta)
-    at_p = ext_dot(p_star.w, lv)
-    bayes_margin = abs(at_p - model.entropy(p_star))
-    worst = float(max(ext_dots(vs.points, lv)))
-    vertex_margin = worst - at_p
-    interior = hull_interior(g.statistic, g.tau) == "interior"
+    bayes_margin = abs(ext_dot(p_star.w, lv) - model.entropy(p_star))
+    if hull is None:
+        hull = hull_interior(g.statistic, g.tau)
     return SaddlePoint(
         tau=g.tau,
         p_star=p_star,
@@ -165,13 +193,13 @@ def _finalize(model: LossModel, g: GammaTau, vs: VertexSet, p: np.ndarray,
         beta=None if beta is None else np.asarray(beta, float) + 0.0,
         is_linear=bool(is_linear),
         is_regular=is_regular,
-        is_equalizer=eq.is_equalizer,
-        tau_interior=interior,
+        tau_interior=hull == "interior",
         bayes_margin=float(bayes_margin),
-        vertex_margin=float(vertex_margin),
         gap=float(gap),
         method=method,
         act_family=act_family,
+        model=model,
+        gamma=g,
     )
 
 
@@ -325,7 +353,7 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
     """
     if model.kind != "brier":
         raise ValueError("solve_brier needs a Brier model")
-    vs = vertices(g)   # size caps; Infeasible for an empty Gamma_tau
+    hull = _hull_class(g)
     n, k = g.n, g.k
     rows = np.vstack([np.ones(n), g.statistic.matrix])
     target = np.concatenate([[1.0], g.tau])
@@ -364,7 +392,7 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
         beta = _brier_degenerate_beta(g, p, supp)
     beta0 = None if beta is None else h - float(beta @ g.tau)
     zeta = Act(ACT_DISTRIBUTION, p)
-    return _finalize(model, g, vs, p, zeta, h, beta0, beta, 0.0, "brier-enum")
+    return _finalize(model, g, p, zeta, h, beta0, beta, 0.0, "brier-enum", hull=hull)
 
 
 def _separable_dual(rows: np.ndarray, target: np.ndarray, mu: np.ndarray,
@@ -491,49 +519,34 @@ def _log_kappa(mu: np.ndarray, tmat: np.ndarray, beta: np.ndarray):
 def solve_log(model: LossModel, g: GammaTau, tol: float = 1e-10) -> SaddlePoint:
     """Log-loss saddle point: Newton on kappa(beta) + beta' tau.
 
-    Boundary tau restricts to the face carrying Gamma_tau and recurses; the
-    resulting point mass family has no finite affine representation, so beta
-    is absent there.
+    Boundary tau restricts to the face that members of Gamma_tau charge
+    (`union_support`, one LP); tau is in the relative interior of that face
+    up to tolerances, so one restriction suffices.  A face, and rows
+    affinely dependent over the outcomes (their covariance is singular
+    everywhere), are solved in their own coordinates; the resulting family
+    has no finite affine representation, so beta is absent there.
     """
     if model.kind != "log":
         raise ValueError("solve_log needs a log model")
-    idx = np.arange(g.n)
-    p_sub, beta, kappa, grad_norm, full_dim = _solve_log_on(model, g, idx, tol)
-    p = np.zeros(g.n)
-    p[p_sub[0]] = p_sub[1]
-    h = model.entropy(Distribution(p))
-    zeta = Act(ACT_DENSITY, p / model.base.weights)
-    vs = vertices(g)
-    if full_dim and beta is not None:
-        beta0 = float(kappa)
-        return _finalize(model, g, vs, p, zeta, h, beta0, beta, grad_norm, "log-newton")
-    return _finalize(model, g, vs, p, zeta, h, None, None, grad_norm, "log-face")
-
-
-def _solve_log_on(model, g: GammaTau, idx: np.ndarray, tol: float):
-    """Returns ((indices, weights), beta, kappa, grad_norm, solved_on_full_space)."""
+    hull = _hull_class(g)
+    idx = union_support(g) if hull == "boundary" else np.arange(g.n)
     tmat = g.statistic.matrix[:, idx]
     mu = model.base.weights[idx]
-    tau = np.asarray(g.tau, float)
-    cls = hull_interior(Statistic(tmat), tau)
-    if cls == "outside":
-        raise Infeasible(f"tau={tau} outside the statistic hull")
-    if cls == "boundary":
-        face = vertices(GammaTau(Statistic(tmat), tau)).union_support()
-        if face.size < idx.size:
-            inner = _solve_log_on(model, g, idx[face], tol)
-            return inner[0], None, None, inner[3], False
-        # a face that does not shrink: tau within hull_interior's tolerance
-        # of the boundary, or a statistic constant on the outcomes
-    # faces, and rows affinely dependent over idx (their covariance is
-    # singular everywhere), are solved in their own coordinates
-    if (cls == "boundary" or idx.size < g.n
-            or np.linalg.matrix_rank(np.vstack([np.ones(idx.size), tmat]),
-                                     tol=RANK_TOL) <= g.k):
-        q = _face_tilt(mu, tmat, tau, tol)
-        return (idx, q), None, None, float(np.max(np.abs(tau - tmat @ q))), False
-    beta, kappa, q, grad_norm = _newton_tilt(mu, tmat, tau, tol)
-    return (idx, q), beta, kappa, grad_norm, True
+    full_dim = hull == "interior" and np.linalg.matrix_rank(
+        np.vstack([np.ones(g.n), tmat]), tol=RANK_TOL) > g.k
+    if full_dim:
+        beta, kappa, q, grad_norm = _newton_tilt(mu, tmat, g.tau, tol)
+    else:
+        q = _face_tilt(mu, tmat, g.tau, tol)
+        grad_norm = float(np.max(np.abs(g.tau - tmat @ q)))
+    p = np.zeros(g.n)
+    p[idx] = q
+    h = model.entropy(Distribution(p))
+    zeta = Act(ACT_DENSITY, p / model.base.weights)
+    if full_dim:
+        return _finalize(model, g, p, zeta, h, float(kappa), beta, grad_norm, "log-newton",
+                         hull=hull)
+    return _finalize(model, g, p, zeta, h, None, None, grad_norm, "log-face", hull=hull)
 
 
 def _face_tilt(mu, tmat, tau, tol):
@@ -630,11 +643,10 @@ def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
     """
     if model.kind != "zero_one":
         raise ValueError("solve_zero_one needs a zero-one model")
-    vs = vertices(g)
     m_star, p = _min_pmax(g)
     h = 1.0 - float(p.max())   # the optimizer's value can carry solve noise
     zeta, beta0, beta, family = _zero_one_act(model, g, p, m_star)
-    return _finalize(model, g, vs, p, Act(ACT_DISTRIBUTION, zeta), h, beta0, beta,
+    return _finalize(model, g, p, Act(ACT_DISTRIBUTION, zeta), h, beta0, beta,
                      0.0, "zero-one-enum", act_family=family)
 
 
@@ -714,11 +726,21 @@ def _min_pmax(g: GammaTau):
 
 
 def _pmax_lp(tmat: np.ndarray, tau: np.ndarray):
-    """min m over Gamma_tau with p <= m; returns (m*, forced zeros, forced modes)."""
-    n = tmat.shape[1]
+    """min m over Gamma_tau with p <= m; returns (m*, forced zeros, forced modes).
+
+    The variables are p (n), the level m and slacks s (n), all >= 0, with
+    p_x - m + s_x = 0.
+    """
+    k, n = tmat.shape
+    a = np.zeros((n + k + 1, 2 * n + 1))
+    a[:n, :n] = np.eye(n)
+    a[:n, n] = -1.0
+    a[:n, n + 1:] = np.eye(n)
+    a[n, :n] = 1.0
+    a[n + 1:, :n] = tmat
+    b = np.concatenate([np.zeros(n), [1.0], tau])
     c = np.zeros(2 * n + 1)
     c[n] = 1.0
-    a, b = level_lp(tmat, tau, 1.0)
     try:
         _, value, reduced = _simplex.solve_lp(c, a, b)
     except Infeasible:
@@ -785,8 +807,7 @@ def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float):
             rhs.append(h_sig - base - 1e-9)
     # outcomes off supp(P*) but reachable within Gamma_tau score L = 1; a
     # worst-case member there must not beat the affine value beta0 + beta' t
-    union = vertices(g).union_support()
-    for x in np.setdiff1d(union, supp):
+    for x in np.setdiff1d(union_support(g), supp):
         coeff = null[modes.size] + tmat[:, x] @ null[modes.size + 1:]
         base = float(v0[modes.size] + tmat[:, x] @ v0[modes.size + 1:])
         G_rows.append(np.atleast_1d(coeff))
@@ -870,14 +891,15 @@ def solve_bregman(model: LossModel, g: GammaTau) -> SaddlePoint:
 
     P*(x) = mu(x) (psi')^-1(max(psi'(0), lambda0 - beta' t(x))), where
     (lambda0, -beta) maximizes the dual of `_separable_dual` over the
-    outcomes some member of Gamma_tau charges; the others carry no mass,
-    which also covers boundary tau and generators with psi'(0) = -inf.
+    outcomes some member of Gamma_tau charges (every outcome for interior
+    tau, else `union_support`); the others carry no mass, which also covers
+    boundary tau and generators with psi'(0) = -inf.
     beta is absent on a boundary face, where it is not determined.
     """
     if model.kind != "bregman":
         raise ValueError("solve_bregman needs a Bregman model")
-    vs = vertices(g)
-    idx = vs.union_support()
+    hull = _hull_class(g)
+    idx = np.arange(g.n) if hull == "interior" else union_support(g)
     rows = np.vstack([np.ones(idx.size), g.statistic.matrix[:, idx]])
     target = np.concatenate([[1.0], g.tau])
     gen, mu = model.separable()
@@ -892,7 +914,7 @@ def solve_bregman(model: LossModel, g: GammaTau) -> SaddlePoint:
         beta = -y[1:]
         beta0 = h - float(beta @ g.tau)
     zeta = Act(ACT_DENSITY, p / model.base.weights)
-    return _finalize(model, g, vs, p, zeta, h, beta0, beta, norm, "bregman-dual")
+    return _finalize(model, g, p, zeta, h, beta0, beta, norm, "bregman-dual", hull=hull)
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +955,7 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
         if resid <= LINEAR_FIT_TOL and supp.size >= g.k + 1:
             beta = bvec
             beta0 = h - float(beta @ g.tau)
-    return _finalize(model, g, vs, p, zeta, h, beta0, beta, gap, method)
+    return _finalize(model, g, p, zeta, h, beta0, beta, gap, method)
 
 
 # ---------------------------------------------------------------------------
@@ -1048,8 +1070,10 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
         chi = model.entropy_batch(q) - np.einsum("ij,ij->i", q, shifts)
         dual = -hi + ((hi[:, None] - shifts) * u - gen.psi(u)) @ mu
     gaps = np.maximum(dual - chi, 0.0)
-    out = [TiltResult(beta=beta, q=Distribution(row), chi=float(c), gap=float(gap),
-                      method="separable-dual")
+    q = distribution_rows(q, statistic.n)   # one check for the whole block
+    q.flags.writeable = False
+    out = [TiltResult(beta=beta, q=Distribution.of_checked(row), chi=float(c),
+                      gap=float(gap), method="separable-dual")
            for beta, row, c, gap in zip(betas, q, chi, gaps)]
     for res in out:
         if res.gap > tol:
@@ -1273,9 +1297,8 @@ def lafferty_family(model: LossModel, p0: Distribution, statistic: Statistic,
             tr = natural_tilt(rel, statistic, np.array([b]), tol=tol)
         tau = statistic.matrix @ tr.q.w
         g = GammaTau(statistic, tau)
-        vs = vertices(g)
         h0 = rel.entropy(tr.q)
-        sp = _finalize(rel, g, vs, tr.q.w, rel.bayes_act(tr.q), h0,
+        sp = _finalize(rel, g, tr.q.w, rel.bayes_act(tr.q), h0,
                        tr.chi, np.array([b]), tr.gap, "lafferty-tilt")
         rows.append(sp)
     rows.sort(key=lambda r: float(r.tau[0]))

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _simplex
-from .constraints import GammaTau, closed_under_conditioning, vertices
-from .core import ACT_DISTRIBUTION, Act, Distribution, ext_dot, ext_dots
+from .constraints import GammaTau, closed_under_conditioning, max_expectation, vertices
+from .core import ACT_DISTRIBUTION, Act, Distribution, ext_dot
 from .losses import LossModel
 
 GAME_SIZE_CAP = 200
@@ -81,6 +81,25 @@ def lp_game_value(payoff) -> GameSolution:
     )
 
 
+def _point_act_losses(model: LossModel, acts=None) -> list | None:
+    """Loss vectors of the point-mass acts e_j (j in `acts`, default all), or
+    None unless the model's loss is affine in a distribution act with a
+    Bayes-act set and every point act has finite losses."""
+    n = model.space.n
+    if (model.act_kind != ACT_DISTRIBUTION
+            or model.bayes_act_set(Distribution.uniform(n)) is None):
+        return None
+    out = []
+    for j in range(n) if acts is None else acts:
+        e = np.zeros(n)
+        e[j] = 1.0
+        lv = model.loss_vector(Act(ACT_DISTRIBUTION, e))
+        if not np.all(np.isfinite(lv)):
+            return None
+        out.append(lv)
+    return out
+
+
 def point_act_game(model: LossModel, rows, offset, acts=None) -> GameSolution | None:
     """Matrix game of the weight rows against point-mass acts.
 
@@ -92,19 +111,10 @@ def point_act_game(model: LossModel, rows, offset, acts=None) -> GameSolution | 
     over mixtures of the rows.  Returns None for other models and when a
     point act has an infinite loss.
     """
-    n = model.space.n
-    if (model.act_kind != ACT_DISTRIBUTION
-            or model.bayes_act_set(Distribution.uniform(n)) is None):
+    losses = _point_act_losses(model, acts)
+    if losses is None:
         return None
-    cols = []
-    for j in range(n) if acts is None else acts:
-        e = np.zeros(n)
-        e[j] = 1.0
-        lv = model.loss_vector(Act(ACT_DISTRIBUTION, e))
-        if not np.all(np.isfinite(lv)):
-            return None
-        cols.append(rows @ lv - offset)
-    return lp_game_value(np.column_stack(cols))
+    return lp_game_value(np.column_stack([rows @ lv - offset for lv in losses]))
 
 
 @dataclass(frozen=True)
@@ -120,23 +130,22 @@ def restricted_upper_value(model: LossModel, g: GammaTau) -> UpperValueResult:
     Losses affine in a distribution act (zero-one): exact, as the LP value of
     the matrix game whose rows are the Gamma_tau vertices and whose columns
     are pure point guesses.  Other models: the solver's act is certified by
-    its worst-vertex loss; margin = sup-vertex loss minus the claimed game
-    value.
+    its worst-case loss over Gamma_tau, one LP (`max_expectation`); margin =
+    that loss minus the claimed game value.
     """
-    vs = vertices(g)
-    sol = point_act_game(model, vs.points, 0.0)
-    if sol is not None:
+    if _point_act_losses(model) is not None:
+        sol = point_act_game(model, vertices(g).points, 0.0)
         return UpperValueResult(value=sol.value, method="lp", margin=0.0)
     from .maxent import solve  # deferred: maxent imports this module
     sp = solve(model, g)
-    worst = float(ext_dots(vs.points, model.loss_vector(sp.zeta_star)).max())
+    worst = max_expectation(g, model.loss_vector(sp.zeta_star))
     return UpperValueResult(value=worst, method="certificate", margin=worst - sp.h_star)
 
 
 @dataclass(frozen=True)
 class SaddleCheck:
     bayes_margin: float    # |L(P*, zeta*) - H(P*)|
-    vertex_margin: float   # max over vertices of L(V, zeta*) - L(P*, zeta*)
+    vertex_margin: float   # sup over Gamma_tau of L(P, zeta*) - L(P*, zeta*)
     is_saddle: bool
     bayes_tol: float
     vertex_tol: float
@@ -145,12 +154,17 @@ class SaddleCheck:
 def verify_saddle(model: LossModel, g: GammaTau, p_star: Distribution,
                   zeta_star: Act, bayes_tol: float = 1e-8,
                   vertex_tol: float = 1e-7) -> SaddleCheck:
-    """Certify both saddle-point inequalities over the vertex set of Gamma_tau."""
-    vs = vertices(g)
+    """Certify both saddle-point inequalities.
+
+    The Bayes inequality is checked at P*.  The other one,
+    sup over P in Gamma_tau of E_P L(X, zeta*) <= L(P*, zeta*), is one LP
+    over Gamma_tau (`max_expectation`); its supremum sits at a vertex, but
+    the vertex list is not built, so no size cap applies.
+    """
     lv = model.loss_vector(zeta_star)
     at_p = ext_dot(p_star.w, lv)
     bayes_margin = abs(at_p - model.entropy(p_star))
-    vertex_margin = float(ext_dots(vs.points, lv).max()) - at_p
+    vertex_margin = max_expectation(g, lv) - at_p
     ok = bool(bayes_margin <= bayes_tol and vertex_margin <= vertex_tol)
     return SaddleCheck(float(bayes_margin), vertex_margin, ok, bayes_tol, vertex_tol)
 

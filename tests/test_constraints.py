@@ -10,6 +10,7 @@ from maxentgames import (
     GammaTau,
     SampleSpace,
     Statistic,
+    bregman_model,
     brier_model,
     closed_under_conditioning,
     constraints,
@@ -21,7 +22,7 @@ from maxentgames import (
     solve,
     verify_saddle,
     vertices,
-    zero_one_model,
+    xlogx_generator,
 )
 
 T3 = Statistic(np.array([[-1.0, 0.0, 1.0]]))
@@ -144,7 +145,7 @@ def test_vertices_kept_on_the_constraint_set():
     assert vertices(GammaTau(T3, np.array([0.25]))) is not first
 
 
-def test_solve_then_verify_enumerates_once(monkeypatch):
+def test_solve_then_verify_never_enumerates(monkeypatch):
     calls = []
     enumerate_vertices = constraints._enumerate_vertices
 
@@ -154,11 +155,14 @@ def test_solve_then_verify_enumerates_once(monkeypatch):
 
     monkeypatch.setattr(constraints, "_enumerate_vertices", counted)
     space = SampleSpace.of(["-1", "0", "1"])
-    for make in (brier_model, log_model, zero_one_model):
-        model = make(space)
+    for model in (brier_model(space), log_model(space),
+                  bregman_model(space, xlogx_generator())):
         g = GammaTau(T3, np.array([0.3]))
         sp = solve(model, g)
         assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
+        assert calls == [], model.kind
+        # the lazy margins enumerate once, and the set keeps the list
+        assert sp.vertex_margin <= 1e-7 and sp.is_equalizer
         assert [c is g for c in calls] == [True], model.kind
         calls.clear()
 

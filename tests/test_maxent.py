@@ -343,17 +343,16 @@ def test_infeasible_tau_raises():
 
 
 def test_enumeration_cap(monkeypatch):
-    # Brier has no cap of its own: it solves up to the vertex cap (20) and
-    # past it vertices() refuses
+    # solve and verify_saddle build no vertex list, so the vertex cap (20)
+    # does not bind them; the lazy vertex margin reads the list and meets it
     monkeypatch.delenv("MAXENT_MAX_N", raising=False)
-    model = brier_model(SampleSpace.of(range(18)))
-    g = GammaTau(Statistic(np.linspace(-1.0, 1.0, 18)[None, :]), np.array([0.0]))
+    model = brier_model(SampleSpace.of(range(21)))
+    g = GammaTau(Statistic(np.linspace(-1.0, 1.0, 21)[None, :]), np.array([0.0]))
     sp = solve_brier(model, g)
-    assert abs(sp.h_star - (1.0 - 1.0 / 18.0)) <= 1e-12
+    assert abs(sp.h_star - (1.0 - 1.0 / 21.0)) <= 1e-12
     assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
-    big = GammaTau(Statistic(np.linspace(-1.0, 1.0, 21)[None, :]), np.array([0.0]))
     with pytest.raises(CombinatorialBlowup, match="MAXENT_MAX_N"):
-        solve_brier(brier_model(SampleSpace.of(range(21))), big)
+        sp.vertex_margin
 
 
 def test_wrong_model_kind_rejected():
