@@ -172,17 +172,32 @@ def _screened_supports(rows: np.ndarray, target: np.ndarray, size: int):
         if block.size == 0:
             return
         a = rows.T[block].transpose(0, 2, 1)          # (B, k+1, size)
-        u, sv, vh = np.linalg.svd(a, full_matrices=False)
-        full = sv[:, -1] > RANK_TOL
-        a, u, sv, vh, block = a[full], u[full], sv[full], vh[full], block[full]
-        cond = sv[:, 0] / sv[:, -1]
-        sol = ((target @ u) / sv)[:, None, :] @ vh   # (B, 1, size)
-        resid = np.abs((a @ sol.transpose(0, 2, 1))[:, :, 0] - target).max(axis=1)
-        sol = sol[:, 0]
-        slack = SCREEN_SLACK * cond * (1.0 + np.abs(sol).max(axis=1))
+        full, sol, resid, slack = svd_screen(a, target, RANK_TOL)
         keep = ((resid <= CONSISTENCY_TOL + slack)
                 & (sol.min(axis=1) >= -WEIGHT_CLAMP - slack))
-        yield from map(tuple, block[keep].tolist())
+        yield from map(tuple, block[full][keep].tolist())
+
+
+def svd_screen(a: np.ndarray, target: np.ndarray, floor=None):
+    """Least-squares solutions of a stack of systems a[i] x = target, one SVD.
+
+    A system is full rank when its smallest singular value is above `floor`,
+    by default lstsq's own cutoff eps * max(shape) * s_max.  For the full-rank
+    systems alone this returns (full mask, solutions V diag(1/s) U' target,
+    largest residuals, slack).  The slack bounds how far an exact lstsq test
+    on the same system can read otherwise: SCREEN_SLACK per unit of condition
+    number, weight and entry size.
+    """
+    u, sv, vh = np.linalg.svd(a, full_matrices=False)
+    if floor is None:
+        floor = np.finfo(float).eps * max(a.shape[1:]) * sv[:, 0]
+    full = sv[:, -1] > floor
+    a, u, sv, vh = a[full], u[full], sv[full], vh[full]
+    sol = ((target @ u) / sv)[:, None, :] @ vh   # (B, 1, cols)
+    resid = np.abs((a @ sol.transpose(0, 2, 1))[:, :, 0] - target).max(axis=1)
+    sol = sol[:, 0]
+    scale = (1.0 + np.abs(sol).max(axis=1)) * (1.0 + np.abs(a).max(axis=(1, 2)))
+    return full, sol, resid, SCREEN_SLACK * (sv[:, 0] / sv[:, -1]) * scale
 
 
 def feasible(g: GammaTau, max_n: int | None = None) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -18,8 +18,10 @@ import numpy as np
 from . import _simplex
 from .constraints import (
     RANK_TOL,
+    SCREEN_BLOCK,
     GammaTau,
     hull_interior,
+    svd_screen,
     union_support,
     vertices,
 )
@@ -660,8 +662,10 @@ def _min_pmax(g: GammaTau):
     p_x = m* in every minimizer.  The pattern systems (members at level m,
     free outcomes below it, zeros elsewhere) then run with members holding
     every forced mode outside the free set and no forced zero; free sets
-    still range over all outcomes.  A pattern minimum above the LP value is
-    an error, not a reason to enumerate more.
+    still range over all outcomes.  A batched screen (`_screened_patterns`)
+    drops the systems that cannot pass, and the exact lstsq test runs on the
+    rest.  A pattern minimum above the LP value is an error, not a reason to
+    enumerate more.
 
     The loop is fast when the LP leaves few outcomes open; ties in the
     statistic leave many minimizers and so many open outcomes.  It runs
@@ -680,39 +684,29 @@ def _min_pmax(g: GammaTau):
             f"zero-one phase 1 needs {systems} pattern systems ({n_open} outcomes "
             f"left open by the LP); the cap is {ZERO_ONE_PATTERN_CAP}")
     candidates = []
-    all_idx = list(range(n))
-    for f_size in range(0, k + 1):
-        for free in combinations(all_idx, f_size):
-            rest = [i for i in all_idx if i not in free]
-            forced = [x for x in rest if mode[x]]
-            open_ = [x for x in rest if not (mode[x] or zero[x])]
-            # member sets in increasing bit-mask order over `rest`: the sort
-            # below is stable, so this order breaks exact ties
-            for sub in range(1 << len(open_)):
-                members = sorted(forced + [x for j, x in enumerate(open_) if sub >> j & 1])
-                if not members:
-                    continue
-                a = np.zeros((k + 1, 1 + f_size))
-                a[0, 0] = len(members)
-                a[1:, 0] = tmat[:, members].sum(axis=1)
-                for c, j in enumerate(free):
-                    a[0, 1 + c] = 1.0
-                    a[1:, 1 + c] = tmat[:, j]
-                sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-                if np.max(np.abs(a @ sol - target)) > SYSTEM_TOL:
-                    continue
-                m = float(sol[0])
-                if m < -WEIGHT_CLAMP:
-                    continue
-                pf = sol[1:]
-                if pf.size and (float(pf.min()) < -WEIGHT_CLAMP
-                                or float(pf.max()) > m + 1e-9):
-                    continue
-                p = np.zeros(n)
-                p[members] = max(m, 0.0)
-                for c, j in enumerate(free):
-                    p[j] = max(float(pf[c]), 0.0)
-                candidates.append((max(m, 0.0), p))
+    for free, members in _screened_patterns(tmat, target, zero, mode, k):
+        f_size = len(free)
+        a = np.zeros((k + 1, 1 + f_size))
+        a[0, 0] = len(members)
+        a[1:, 0] = tmat[:, members].sum(axis=1)
+        for c, j in enumerate(free):
+            a[0, 1 + c] = 1.0
+            a[1:, 1 + c] = tmat[:, j]
+        sol, *_ = np.linalg.lstsq(a, target, rcond=None)
+        if np.max(np.abs(a @ sol - target)) > SYSTEM_TOL:
+            continue
+        m = float(sol[0])
+        if m < -WEIGHT_CLAMP:
+            continue
+        pf = sol[1:]
+        if pf.size and (float(pf.min()) < -WEIGHT_CLAMP
+                        or float(pf.max()) > m + 1e-9):
+            continue
+        p = np.zeros(n)
+        p[members] = max(m, 0.0)
+        for c, j in enumerate(free):
+            p[j] = max(float(pf[c]), 0.0)
+        candidates.append((max(m, 0.0), p))
     if not candidates:
         raise Infeasible(f"Gamma_tau empty for tau={g.tau}")
     m_star = min(c[0] for c in candidates)
@@ -748,12 +742,66 @@ def _pmax_lp(tmat: np.ndarray, tau: np.ndarray):
     return value, reduced[:n] > SCREEN_TOL, reduced[n + 1:] > SCREEN_TOL
 
 
-def _h_zero_one(g: GammaTau, sigma: np.ndarray):
-    try:
-        m, _ = _min_pmax(GammaTau(g.statistic, sigma))
-    except Infeasible:
-        return None
-    return 1.0 - m
+def _screened_patterns(tmat, target, zero, mode, k):
+    """(free set, member set) pattern systems that may pass the exact test, in loop order.
+
+    Free sets of each size come in combinations order; the member sets of one
+    free set are its forced modes plus each subset of the open outcomes outside
+    it, in increasing bit-mask order over the open outcomes (the subsets that
+    miss the free set keep their order when its bits are dropped), empty sets
+    skipped.  The representative sort in `_min_pmax` is stable, so this order
+    breaks exact ties.  Blocks of systems are screened by one batched SVD (`svd_screen`,
+    lstsq's rank cutoff): a full-rank system stays when its residual and its
+    level and free-weight tests are within the exact tolerances plus the
+    screen's slack, and a rank-deficient one stays unscreened.
+    """
+    n = tmat.shape[1]
+    rows = np.vstack([np.ones(n), tmat])
+    open_idx = np.flatnonzero(~(zero | mode))
+    picks = np.zeros((1 << open_idx.size, n), dtype=bool)      # one row per bit mask
+    picks[:, open_idx] = np.arange(picks.shape[0])[:, None] >> np.arange(open_idx.size) & 1
+    per_block = max(1, SCREEN_BLOCK >> open_idx.size)
+    for f_size in range(k + 1):
+        combos = combinations(range(n), f_size)
+        while block := list(islice(combos, per_block)):
+            free = np.array(block, dtype=np.intp).reshape(len(block), f_size)
+            in_free = np.zeros((free.shape[0], n), dtype=bool)
+            in_free[np.arange(free.shape[0])[:, None], free] = True
+            members = picks[None] | (mode & ~in_free)[:, None]          # (F, S, n)
+            ok = ~(picks[None] & in_free[:, None]).any(axis=2) & members.any(axis=2)
+            fi, si = np.nonzero(ok)          # free-set order, then mask order
+            members, free_of = members[fi, si], free[fi]
+            a = np.empty((fi.size, k + 1, 1 + f_size))
+            a[:, :, 0] = members @ rows.T
+            a[:, :, 1:] = rows.T[free_of].transpose(0, 2, 1)
+            full, sol, resid, slack = svd_screen(a, target)
+            m, pf = sol[:, 0], sol[:, 1:]
+            keep = ~full
+            keep[full] = ((resid <= SYSTEM_TOL + slack) & (m >= -WEIGHT_CLAMP - slack)
+                          & (pf.min(axis=1, initial=np.inf) >= -WEIGHT_CLAMP - slack)
+                          & (pf.max(axis=1, initial=-np.inf) <= m + 1e-9 + 2.0 * slack))
+            for j in np.flatnonzero(keep).tolist():
+                yield free_of[j].tolist(), np.flatnonzero(members[j])
+
+
+def _zero_one_probes(stat: Statistic):
+    """(sigma, h(sigma)) on the HYPERPLANE_PROBES grid of a one-row statistic.
+
+    h(sigma) = 1 - min over Gamma_sigma of max_x p(x) is the LP value of
+    `_pmax_lp`; an infeasible probe is left out.  The grid and the values
+    depend on T alone, so they are computed once and kept on the statistic.
+    """
+    if stat._zero_one_probes is None:
+        tmat = stat.matrix
+        probes = []
+        for sigma in np.linspace(float(tmat.min()), float(tmat.max()), HYPERPLANE_PROBES):
+            try:
+                value, _, _ = _pmax_lp(tmat, np.array([sigma]))
+            except Infeasible:
+                continue
+            probes.append((sigma, 1.0 - value))
+        object.__setattr__(stat, "_zero_one_probes", tuple(probes))
+    return stat._zero_one_probes
 
 
 def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float):
@@ -795,11 +843,7 @@ def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float):
         G_rows.append(null[i])
         rhs.append(-v0[i] - 1e-12)
     if k == 1:
-        t_lo, t_hi = float(tmat.min()), float(tmat.max())
-        for sigma in np.linspace(t_lo, t_hi, HYPERPLANE_PROBES):
-            h_sig = _h_zero_one(g, np.array([sigma]))
-            if h_sig is None:
-                continue
+        for sigma, h_sig in _zero_one_probes(g.statistic):
             # beta0 + beta * sigma >= h(sigma)
             coeff = null[modes.size] + sigma * null[modes.size + 1]
             base = v0[modes.size] + sigma * v0[modes.size + 1]

@@ -1,6 +1,7 @@
 """Zero-one phase 1 (min over Gamma_tau of max_x p(x)) against the exact
 pattern enumeration it replaced, and zero-one at sizes the enumeration
-could not reach (the CLI case is in test_cli.py).
+could not reach (the CLI case is in test_cli.py), and the k = 1 hyperplane
+probes kept on the statistic.
 
 `enumerate_min_pmax` is the old phase 1 kept as a test oracle: it tries every
 (free set, member set) pattern, 2^N member sets per free set, so it is capped
@@ -9,6 +10,7 @@ of (m*, p): the problems mix continuous and integer-valued statistics (ties),
 tau on hull faces and tau from sparse laws (degenerate LPs).
 """
 
+import os
 from itertools import combinations
 
 import numpy as np
@@ -24,10 +26,12 @@ from maxentgames import (
     verify_saddle,
     zero_one_model,
 )
+from maxentgames import cli, maxent
 from maxentgames.core import WEIGHT_CLAMP
-from maxentgames.maxent import SYSTEM_TOL, _min_pmax
+from maxentgames.maxent import HYPERPLANE_PROBES, SYSTEM_TOL, _min_pmax
 
 ZERO_ONE_ENUM_CAP = 12
+SPECS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "specs")
 
 
 def enumerate_min_pmax(g):
@@ -128,6 +132,26 @@ def test_lp_screen_matches_pattern_enumeration_bitwise():
         assert np.array_equal(p, p_ref), case
 
 
+@pytest.mark.parametrize("n, k, kind, seed", [(12, 2, "random", 0), (11, 3, "tied", 24),
+                                               (11, 2, "duplicated row", 0)])
+def test_screen_matches_pattern_enumeration_at_the_old_cap(n, k, kind, seed):
+    # the tied seed and the duplicated integer row (every square system is
+    # singular) are problems whose representative comes from a rank-deficient
+    # system, which reaches the exact test unscreened
+    rng = np.random.default_rng(seed)
+    if kind == "duplicated row":
+        stat, tau = mean_value_problem(rng, n, k - 1, 1)
+        stat = Statistic(np.vstack([stat.matrix, stat.matrix[-1]]))
+        tau = np.append(tau, tau[-1])
+    else:
+        stat, tau = mean_value_problem(rng, n, k, 1 if kind == "tied" else 0)
+    g = GammaTau(stat, tau)
+    m_ref, p_ref = enumerate_min_pmax(g)
+    m_star, p = _min_pmax(g)
+    assert m_star == m_ref
+    assert np.array_equal(p, p_ref)
+
+
 def tied_statistic(n):
     """Two outcomes at t = +1 and n - 2 tied at t = -1."""
     return Statistic(np.array([[1.0, 1.0] + [-1.0] * (n - 2)]))
@@ -172,3 +196,57 @@ def test_zero_one_past_the_old_cap_solves_and_verifies(n, monkeypatch):
             assert sp.method == "zero-one-enum"
             assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, (k, kind)
             assert np.max(np.abs(stat.matrix @ sp.p_star.w - tau)) <= 1e-9
+
+
+def count_calls(monkeypatch, name):
+    """Wrap maxent.<name> and return the list its calls append to."""
+    calls = []
+    inner = getattr(maxent, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(maxent, name, counted)
+    return calls
+
+
+def test_hyperplane_probes_are_solved_once_per_statistic(monkeypatch, capsys):
+    lps = count_calls(monkeypatch, "_pmax_lp")
+    phase1 = count_calls(monkeypatch, "_min_pmax")
+    assert cli.main(["sweep", os.path.join(SPECS, "zero_one_mean.json")]) == 0
+    capsys.readouterr()
+    # one phase 1 per grid point, each with one LP; every other LP is a probe
+    assert len(phase1) == 41
+    assert len(lps) - len(phase1) == HYPERPLANE_PROBES
+    # a fresh statistic with the same matrix computes its own probes, once
+    stat = Statistic(np.array([[-1.0, 0.0, 1.0]]))
+    probes = maxent._zero_one_probes(stat)
+    assert maxent._zero_one_probes(stat) is probes
+    assert len(lps) - len(phase1) == 2 * HYPERPLANE_PROBES
+
+
+@pytest.mark.parametrize("tau", [-0.5, 0.0])
+def test_tied_k1_solve_runs_phase_one_once(tau, monkeypatch):
+    model = zero_one_model(SampleSpace.of(range(12)))
+    phase1 = count_calls(monkeypatch, "_min_pmax")
+    stat = tied_statistic(12)
+    sp = solve(model, GammaTau(stat, np.array([tau])))
+    assert len(phase1) == 1
+    assert stat._zero_one_probes is not None
+    monkeypatch.undo()
+    # oracle: the same solve with every probe read as 1 - the phase-1 minimum
+    ref_stat = tied_statistic(12)
+    oracle = []
+    for sigma in np.linspace(-1.0, 1.0, HYPERPLANE_PROBES):
+        try:
+            m, _ = _min_pmax(GammaTau(ref_stat, np.array([sigma])))
+        except Infeasible:
+            continue
+        oracle.append((sigma, 1.0 - m))
+    object.__setattr__(ref_stat, "_zero_one_probes", tuple(oracle))
+    ref = solve(model, GammaTau(ref_stat, np.array([tau])))
+    assert sp.h_star == ref.h_star
+    assert np.array_equal(sp.zeta_star.payload, ref.zeta_star.payload)
+    assert sp.beta0 == ref.beta0
+    assert np.array_equal(sp.beta, ref.beta)
