@@ -386,8 +386,9 @@ def _suite_taus(spec: ProblemSpec) -> np.ndarray:
     raise SpecError("verification suites need a constraint in the spec")
 
 
-def _suite_solves(spec: ProblemSpec, rows: list):
-    """(tau cell, Gamma_tau, saddle point, vertices) for every suite tau.
+def _suite_solves(spec: ProblemSpec, rows: list, with_vertices: bool):
+    """(tau cell, Gamma_tau, saddle point, vertices or None) for every suite
+    tau; the vertex list, which the size cap bounds, only when asked for.
 
     An infeasible tau appends its row to `rows` instead.  The tau cell is a
     float for a scalar statistic and a list for k >= 2.
@@ -398,7 +399,7 @@ def _suite_solves(spec: ProblemSpec, rows: list):
         g = GammaTau(statistic, tau)
         try:
             sp = solve(spec.model, g)
-            vs = vertices(g)
+            vs = vertices(g) if with_vertices else None
         except Infeasible:
             rows.append({"tau": cell, "status": "infeasible"})
             continue
@@ -408,7 +409,7 @@ def _suite_solves(spec: ProblemSpec, rows: list):
 def _suite_saddle(spec: ProblemSpec, args) -> dict:
     rows = []
     passed = True
-    for tau, g, sp, _ in _suite_solves(spec, rows):
+    for tau, g, sp, _ in _suite_solves(spec, rows, with_vertices=False):
         chk = verify_saddle(spec.model, g, sp.p_star, sp.zeta_star)
         rows.append({
             "tau": tau,
@@ -438,7 +439,7 @@ def _suite_pythagorean(spec: ProblemSpec, args) -> dict:
     rows = []
     passed = True
     equality_taus = []
-    for tau, _, sp, vs in _suite_solves(spec, rows):
+    for tau, _, sp, vs in _suite_solves(spec, rows, with_vertices=True):
         rep = pythagorean_check(spec.model, vs.points, sp.p_star, sp.zeta_star, ref)
         rows.append({
             "tau": tau,
@@ -462,7 +463,7 @@ def _suite_equalizer(spec: ProblemSpec, args) -> dict:
     rng = np.random.default_rng(args.seed)
     rows = []
     passed = True
-    for tau, _, sp, vs in _suite_solves(spec, rows):
+    for tau, _, sp, vs in _suite_solves(spec, rows, with_vertices=True):
         rep = equalizer_check(spec.model, vs.points, sp.zeta_star)
         row = {
             "tau": tau,

@@ -84,9 +84,6 @@ class VertexSet:
     def distributions(self) -> list:
         return [Distribution(row) for row in self.points]
 
-    def centroid(self) -> Distribution:
-        return Distribution(self.points.mean(axis=0))
-
     def union_support(self, tol: float = 1e-12) -> np.ndarray:
         return np.flatnonzero(self.points.max(axis=0) > tol)
 
@@ -200,10 +197,13 @@ def svd_screen(a: np.ndarray, target: np.ndarray, floor=None):
     return full, sol, resid, SCREEN_SLACK * (sv[:, 0] / sv[:, -1]) * scale
 
 
-def feasible(g: GammaTau, max_n: int | None = None) -> bool:
-    """True when Gamma_tau is nonempty."""
+def feasible(g: GammaTau) -> bool:
+    """True when Gamma_tau is nonempty, read from `union_support` (one LP,
+    no size cap) as the vertex enumeration reads it."""
+    if _zero_row_infeasible(g):
+        return False
     try:
-        vertices(g, max_n=max_n)
+        union_support(g)
         return True
     except Infeasible:
         return False

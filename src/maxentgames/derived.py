@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ACT_DISTRIBUTION, Act, DimensionMismatch, Distribution, ext_dots
+from .core import Act, DimensionMismatch, Distribution, ext_dots
 from .divergence import discrepancy
 from .losses import LossModel
 from .maxent import FW_MAX_ITER, MaxIterExceeded, _mixture_max
-from .verify import GameSolution
 
 UPSILON_TOL = 1e-6        # relative width of the top derived-loss band
 EQUALIZATION_TOL = 1e-5
@@ -149,30 +148,20 @@ def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
     leave members with mass outside the upsilon band.  There `method` is
     "frank-wolfe" and `iterations` counts its iterations.
     """
-    model = sm.model
-    res = _mixture_max(model, sm.member_matrix, sm.member_entropies,
+    res = _mixture_max(sm.model, sm.member_matrix, sm.member_entropies,
                        FW_CAPACITY_FACTOR * min(tol, UPSILON_TOL), FW_MAX_ITER)
-    if isinstance(res, GameSolution):
-        pi_vec, value = res.row_strategy, float(res.value)
-        act = Act(ACT_DISTRIBUTION, res.col_strategy)
-        gap = max(0.0, float(_derived_losses(sm, act).max() - value))
-        iters, method, how = 0, "matrix-game", "after 0 iterations"
-    else:
-        pi_vec, value, gap = res.weights, res.value, res.gap
-        iters, method, how = res.iterations, "frank-wolfe", res.how
-        act = model.bayes_act(Distribution(res.point))
-    if gap > tol:
-        raise MaxIterExceeded(f"capacity iteration {how} with gap {gap:.3e}", res)
-    pi = Prior(Distribution(np.maximum(pi_vec, 0.0) / max(pi_vec.sum(), 1e-300)))
-    lhat = _derived_losses(sm, act)
+    if res.gap > tol:
+        raise MaxIterExceeded(f"capacity iteration {res.how} with gap {res.gap:.3e}", res)
+    w = res.weights
+    pi = Prior(Distribution(np.maximum(w, 0.0) / max(w.sum(), 1e-300)))
     return CapacityResult(
         pi_star=pi,
-        act_star=act,
-        i_star=float(value),
-        upsilon=_upsilon(lhat, float(value)),
-        iterations=iters,
-        gap=float(gap),
-        method=method,
+        act_star=res.act,
+        i_star=res.value,
+        upsilon=_upsilon(_derived_losses(sm, res.act), res.value),
+        iterations=res.iterations,
+        gap=res.gap,
+        method=res.method,
     )
 
 

@@ -40,7 +40,7 @@ from .core import (
 )
 from .divergence import equalizer_check
 from .losses import ConvexGenerator, LossModel
-from .verify import GameSolution, point_act_game
+from .verify import point_act_game
 
 LINEAR_FIT_TOL = 1e-7
 SYSTEM_TOL = 1e-9
@@ -210,13 +210,15 @@ def _finalize(model: LossModel, g: GammaTau, p: np.ndarray, zeta: Act, h: float,
 
 
 @dataclass
-class _FWResult:
+class _MixtureMax:
     weights: np.ndarray   # w, one weight per row of V
     point: np.ndarray     # the mixture w V
     value: float
-    gap: float
-    iterations: int
-    stalled: bool
+    gap: float            # certified: the maximum lies in [value, value + gap]
+    act: Act              # the column strategy, or the Bayes act of the mixture
+    method: str           # "matrix-game" | "frank-wolfe"
+    iterations: int = 0
+    stalled: bool = False
 
     @property
     def how(self) -> str:
@@ -273,18 +275,23 @@ def _slope_root(slope, rise: float, hi: float, guess: float = 1.0) -> float:
 
 
 def _mixture_max(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float,
-                 max_iter: int) -> GameSolution | _FWResult:
+                 max_iter: int) -> _MixtureMax:
     """Maximize H(w V) - w . offset over the weights w of the laws V (m, N):
     exactly, by the point-act matrix game, for a loss affine in a
-    distribution act with a Bayes-act set (zero-one); else `_fw_maximize`."""
+    distribution act with a Bayes-act set (zero-one); else `_fw_maximize`.
+    The game's gap is its strategies' certificate, col_guarantee -
+    row_guarantee."""
     game = point_act_game(model, V, offset)
-    if game is not None:
-        return game
-    return _fw_maximize(model, V, offset, tol, max_iter)
+    if game is None:
+        return _fw_maximize(model, V, offset, tol, max_iter)
+    w = game.row_strategy
+    return _MixtureMax(w, w @ V, game.value,
+                       max(0.0, game.col_guarantee - game.row_guarantee),
+                       Act(ACT_DISTRIBUTION, game.col_strategy), "matrix-game")
 
 
 def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float,
-                 max_iter: int) -> _FWResult:
+                 max_iter: int) -> _MixtureMax:
     """Maximize H(w V) - w . offset over the weight simplex by pairwise Frank-Wolfe.
 
     The supergradient coordinate of law i is E_{V_i} L(zeta) - offset_i, with
@@ -332,7 +339,8 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float
         w /= w.sum()
         point = w @ V
     value = float(model.entropy_batch(np.maximum(point, 0.0)[None, :])[0] - w @ offset)
-    return _FWResult(w, point, value, gap, it, stalled)
+    return _MixtureMax(w, point, value, gap, model.bayes_act(Distribution(point)),
+                       "frank-wolfe", it, stalled)
 
 
 # ---------------------------------------------------------------------------
@@ -973,24 +981,18 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
     vertices against point-mass acts (`method` "matrix-game").  Every other
     loss runs pairwise conditional gradient, whose supergradient at P is
     the loss vector of the Bayes act at P (`method` "frank-wolfe"); a loss
-    with kinks must therefore expose `bayes_act_set`.
+    with kinks must therefore expose `bayes_act_set`.  Either route's
+    certified gap above tol raises MaxIterExceeded.
     """
     vs = vertices(g)
     res = _mixture_max(model, vs.points, np.zeros(vs.m), tol, FW_MAX_ITER)
-    if isinstance(res, GameSolution):
-        p = res.row_strategy @ vs.points
-        zeta = Act(ACT_DISTRIBUTION, res.col_strategy)
-        gap, method = max(0.0, res.col_guarantee - res.row_guarantee), "matrix-game"
-    else:
-        if res.gap > tol:
-            raise MaxIterExceeded(f"conditional gradient {res.how} with gap {res.gap:.3e}", res)
-        p, gap, method = res.point, res.gap, "frank-wolfe"
-        zeta = model.bayes_act(Distribution(p))
-    p = np.maximum(p, 0.0)
+    if res.gap > tol:
+        raise MaxIterExceeded(f"{res.method} {res.how} with gap {res.gap:.3e}", res)
+    p = np.maximum(res.point, 0.0)
     p = p / p.sum()
     dist = Distribution(p)
     h = model.entropy(dist)
-    lv = model.loss_vector(zeta)
+    lv = model.loss_vector(res.act)
     supp = dist.support(1e-9)
     beta = None
     beta0 = None
@@ -999,7 +1001,7 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
         if resid <= LINEAR_FIT_TOL and supp.size >= g.k + 1:
             beta = bvec
             beta0 = h - float(beta @ g.tau)
-    return _finalize(model, g, p, zeta, h, beta0, beta, gap, method)
+    return _finalize(model, g, p, res.act, h, beta0, beta, res.gap, res.method)
 
 
 # ---------------------------------------------------------------------------
@@ -1059,7 +1061,8 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta,
       L(., zeta_P) - beta' t(.), up to `max_iter` iterations
       ("frank-wolfe").
     `gap` is a certified bound: the maximum lies in [chi, chi + gap].  It
-    is the Fenchel duality gap, zero for the matrix game, and the
+    is the Fenchel duality gap for the separable dual, the strategies'
+    certificate col_guarantee - row_guarantee for the matrix game, and the
     supergradient gap for Frank-Wolfe.  A gap above tol raises
     MaxIterExceeded carrying the result.  For the log model the closed-form
     cumulant log sum mu exp(-beta' t) is an independent cross-check on chi.
@@ -1139,14 +1142,10 @@ def _tilt_search(model: LossModel, beta: np.ndarray, shift: np.ndarray,
     """One tilt of a non-separable model: the matrix game when the model
     has one, else pairwise Frank-Wolfe over the point masses."""
     res = _mixture_max(model, np.eye(shift.size), shift, tol, max_iter)
-    if isinstance(res, GameSolution):
-        q = Distribution(np.maximum(res.row_strategy, 0.0) / res.row_strategy.sum())
-        return TiltResult(beta=beta, q=q, chi=float(res.value), gap=0.0,
-                          method="matrix-game")
     if res.gap > tol:
         raise MaxIterExceeded(f"natural tilt gap {res.gap:.3e} above tol", res)
     q = Distribution(np.maximum(res.point, 0.0) / max(res.point.sum(), 1e-300))
-    return TiltResult(beta=beta, q=q, chi=res.value, gap=res.gap, method="frank-wolfe")
+    return TiltResult(beta=beta, q=q, chi=res.value, gap=res.gap, method=res.method)
 
 
 # ---------------------------------------------------------------------------

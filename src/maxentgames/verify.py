@@ -17,13 +17,6 @@ DUALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class MatrixGame:
-    """Zero-sum game: row player receives `payoff`, column player pays."""
-
-    payoff: np.ndarray
-
-
-@dataclass(frozen=True)
 class GameSolution:
     value: float
     row_strategy: np.ndarray
@@ -35,8 +28,12 @@ class GameSolution:
 def lp_game_value(payoff) -> GameSolution:
     """Value and optimal mixed strategies of a finite zero-sum game.
 
-    Solves both players' LPs on the shifted-positive matrix by the in-house
-    dense simplex and checks strong duality.
+    One LP, on the shifted-positive matrix Lp, by the in-house dense
+    simplex: the column player's max 1'z s.t. Lp z + s = 1.  The row
+    player's strategy is its dual, read off the reduced costs of the slack
+    columns: u = max(reduced[s], 0) has Lp'u >= 1 and sum u = sum z at the
+    optimum.  The strategies certify themselves: raises ArithmeticError
+    when col_guarantee - row_guarantee exceeds DUALITY_TOL * max(1, |value|).
     """
     L = np.asarray(payoff, dtype=float)
     if L.ndim != 2:
@@ -47,50 +44,41 @@ def lp_game_value(payoff) -> GameSolution:
     if not np.all(np.isfinite(L)):
         raise ValueError("payoff entries must be finite")
     shift = 1.0 - float(L.min())
-    Lp = L + shift
-
-    # column player: max 1'z  s.t.  Lp z <= 1, z >= 0
-    a = np.hstack([Lp, np.eye(m)])
+    a = np.hstack([L + shift, np.eye(m)])
     c = np.concatenate([-np.ones(n), np.zeros(m)])
-    x, _, _ = _simplex.solve_lp(c, a, np.ones(m))
+    x, _, reduced = _simplex.solve_lp(c, a, np.ones(m))
     z = x[:n]
-    v_col = 1.0 / float(z.sum())
-    col = z * v_col
-
-    # row player: min 1'u  s.t.  Lp' u >= 1, u >= 0
-    a2 = np.hstack([Lp.T, -np.eye(n)])
-    c2 = np.concatenate([np.ones(m), np.zeros(n)])
-    x2, _, _ = _simplex.solve_lp(c2, a2, np.ones(n))
-    u = x2[:m]
-    v_row = 1.0 / float(u.sum())
-    row = u * v_row
-
-    if abs(v_col - v_row) > DUALITY_TOL * max(1.0, abs(v_col)):
+    u = np.maximum(reduced[n:], 0.0)
+    v = 1.0 / float(z.sum())
+    col = z * v
+    row = u / float(u.sum())
+    value = v - shift
+    row_guarantee = float((row @ L).min())
+    col_guarantee = float((L @ col).max())
+    if col_guarantee - row_guarantee > DUALITY_TOL * max(1.0, abs(value)):
         raise ArithmeticError(
-            f"strong duality violated: {v_col!r} vs {v_row!r}"
+            f"game strategies not optimal: column guarantee {col_guarantee!r}"
+            f" above row guarantee {row_guarantee!r}"
         )
-    value = v_col - shift
-    row_payoffs = row @ L
-    col_payoffs = L @ col
     return GameSolution(
         value=value,
         row_strategy=row,
         col_strategy=col,
-        row_guarantee=float(row_payoffs.min()),
-        col_guarantee=float(col_payoffs.max()),
+        row_guarantee=row_guarantee,
+        col_guarantee=col_guarantee,
     )
 
 
-def _point_act_losses(model: LossModel, acts=None) -> list | None:
-    """Loss vectors of the point-mass acts e_j (j in `acts`, default all), or
-    None unless the model's loss is affine in a distribution act with a
-    Bayes-act set and every point act has finite losses."""
+def _point_act_losses(model: LossModel) -> list | None:
+    """Loss vectors of the point-mass acts e_j, or None unless the model's
+    loss is affine in a distribution act with a Bayes-act set and every
+    point act has finite losses."""
     n = model.space.n
     if (model.act_kind != ACT_DISTRIBUTION
             or model.bayes_act_set(Distribution.uniform(n)) is None):
         return None
     out = []
-    for j in range(n) if acts is None else acts:
+    for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
         lv = model.loss_vector(Act(ACT_DISTRIBUTION, e))
@@ -100,18 +88,18 @@ def _point_act_losses(model: LossModel, acts=None) -> list | None:
     return out
 
 
-def point_act_game(model: LossModel, rows, offset, acts=None) -> GameSolution | None:
+def point_act_game(model: LossModel, rows, offset) -> GameSolution | None:
     """Matrix game of the weight rows against point-mass acts.
 
     The payoff of row i against act e_j is rows[i] @ L(e_j) - offset (a
-    scalar or one value per row); `acts` restricts the columns to those
-    outcomes.  When the loss is affine in a distribution act -- the models
-    whose Bayes act is a set, as for zero-one loss -- every mixed act is a
-    mixed column strategy, so the LP value is the exact value of the game
-    over mixtures of the rows.  Returns None for other models and when a
-    point act has an infinite loss.
+    scalar or one value per row).  When the loss is affine in a
+    distribution act -- the models whose Bayes act is a set, as for
+    zero-one loss -- every mixed act is a mixed column strategy, so the LP
+    value is the exact value of the game over mixtures of the rows.
+    Returns None for other models and when a point act has an infinite
+    loss.
     """
-    losses = _point_act_losses(model, acts)
+    losses = _point_act_losses(model)
     if losses is None:
         return None
     return lp_game_value(np.column_stack([rows @ lv - offset for lv in losses]))

@@ -429,6 +429,27 @@ def test_vertex_suites_on_a_two_row_statistic(capsys, tmp_path, suite):
     assert rep["rows"][0]["status"] == "ok"
 
 
+def test_saddle_suite_past_the_vertex_cap(capsys, tmp_path, monkeypatch):
+    # the saddle suite certifies by LP and never reads the vertex list
+    monkeypatch.delenv("MAXENT_MAX_N", raising=False)
+    rng = np.random.default_rng(24)
+    stat = rng.uniform(-1.0, 1.0, 24)
+    path = write_spec(tmp_path, {
+        "outcomes": [f"x{i}" for i in range(24)],
+        "loss": {"kind": "brier"},
+        "statistic": [stat.tolist()],
+        "constraint": {"tau": float(stat @ rng.dirichlet(np.ones(24)))},
+    }, name="brier24.json")
+    code, out, err = run_cli(capsys, "verify", path, "--suite", "saddle")
+    assert code == EXIT_OK, err
+    rep = json.loads(out)
+    assert rep["passed"] is True
+    assert rep["rows"][0]["status"] == "ok"
+    code, _, err = run_cli(capsys, "verify", path, "--suite", "equalizer")
+    assert code == EXIT_PARSE
+    assert "MAXENT_MAX_N" in err
+
+
 # ---------------------------------------------------------------------------
 # capacity reports
 

@@ -29,10 +29,13 @@ T3 = Statistic(np.array([[-1.0, 0.0, 1.0]]))
 TOL = 1e-9
 
 
-def test_feasibility_is_hull_membership():
-    assert feasible(GammaTau(T3, np.array([0.5])))
-    assert not feasible(GammaTau(T3, np.array([1.5])))
-    assert feasible(GammaTau(T3, np.array([-1.0])))  # hull endpoint
+def test_feasibility_is_hull_membership(monkeypatch):
+    monkeypatch.delenv("MAXENT_MAX_N", raising=False)
+    for n in (3, 24):   # 24 is past the vertex enumeration cap
+        t = Statistic(np.linspace(-1.0, 1.0, n)[None, :])
+        assert feasible(GammaTau(t, np.array([0.5])))
+        assert not feasible(GammaTau(t, np.array([1.5])))
+        assert feasible(GammaTau(t, np.array([-1.0])))  # hull endpoint
 
 
 def test_vertices_tau_zero():

@@ -40,8 +40,8 @@ def seven_outcome_problems(seed, count):
 
 def test_ratio_test_keeps_the_equality_rows():
     # trial 410 of seed 123: the exact-ratio tie rule pivoted on a tiny entry,
-    # the column player's LP left its rows 1e-4 off, and lp_game_value raised
-    # "strong duality violated"; HiGHS gives m* = 0.3106480428722476
+    # the column player's LP left its rows 1e-4 off, and lp_game_value's
+    # duality check failed; HiGHS gives m* = 0.3106480428722476
     t, tau = list(seven_outcome_problems(123, 411))[-1]
     g = GammaTau(Statistic(t), tau)
     assert vertices(g).m == 8
@@ -118,3 +118,5 @@ def test_point_act_games_match_highs():
             bounds=[(0.0, None)] * n + [(None, None)], method="highs")
         assert res.status == 0, case
         assert sol.value == pytest.approx(res.fun, abs=1e-9), case
+        # the row strategy, read off the reduced costs, guarantees the value
+        assert sol.row_guarantee >= res.fun - 1e-9, case

@@ -22,6 +22,8 @@ from maxentgames import (
     vertices,
     zero_one_model,
 )
+from maxentgames import _simplex, verify
+from maxentgames.maxent import FW_MAX_ITER, _tilts
 
 SPACE = SampleSpace.of(["-1", "0", "1"])
 T = Statistic(np.array([[-1.0, 0.0, 1.0]]))
@@ -69,6 +71,41 @@ def test_strategy_guarantees_bracket_value():
         sol = lp_game_value(payoff)
         assert sol.row_guarantee >= sol.value - 1e-8
         assert sol.col_guarantee <= sol.value + 1e-8
+    # integer payoffs: degenerate LPs with ties among the optimal strategies
+    for _ in range(30):
+        payoff = rng.integers(-2, 3, size=(rng.integers(2, 7), rng.integers(2, 7)))
+        sol = lp_game_value(payoff)
+        assert sol.row_guarantee >= sol.value - 1e-8
+        assert sol.col_guarantee <= sol.value + 1e-8
+
+
+def test_one_lp_per_game(monkeypatch):
+    # the row strategy is the column LP's dual, read off its reduced costs
+    lps = []
+    solve_lp = _simplex.solve_lp
+
+    def counted(*args, **kwargs):
+        lps.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(_simplex, "solve_lp", counted)
+    lp_game_value([[3.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
+    assert len(lps) == 1
+    del lps[:]
+    model = zero_one_model(SampleSpace.of(range(4)))
+    statistic = Statistic(np.array([[-1.0, -0.2, 0.5, 1.0]]))
+    tilts = _tilts(model, statistic, np.linspace(-2.0, 2.0, 401)[:, None],
+                   1e-6, FW_MAX_ITER)
+    assert len(lps) == 401
+    assert {t.method for t in tilts} == {"matrix-game"}
+    assert max(t.gap for t in tilts) <= 1e-9
+
+
+def test_game_certificate_raises(monkeypatch):
+    # strategies whose guarantees differ by more than DUALITY_TOL are refused
+    monkeypatch.setattr(verify, "DUALITY_TOL", -1.0)
+    with pytest.raises(ArithmeticError, match="column guarantee"):
+        lp_game_value([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_game_input_validation():
