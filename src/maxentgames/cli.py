@@ -149,6 +149,7 @@ def _interpret_spec(raw: dict) -> ProblemSpec:
     reference = None
     if raw.get("reference") is not None:
         reference = _build_act(raw["reference"], space.n)
+        model.loss_vector(reference)   # a reference the model rejects is a spec error
     members = None
     if raw.get("model") is not None:
         members = [Distribution(np.asarray(row, dtype=float)) for row in raw["model"]]

@@ -349,6 +349,32 @@ def max_expectation(g: GammaTau, values) -> float:
     return float(np.inf)
 
 
+def min_max_expectation(tmat: np.ndarray, tau: np.ndarray, cols: np.ndarray):
+    """min over {P : sum p = 1, T p = tau} of max_j E_P cols[:, j] >= 0, one LP.
+
+    The variables are p, the level m and one slack s_j per column, all >= 0,
+    with cols' p - m + s = 0; T p = tau is read exactly.  Returns (m*, p,
+    reduced costs of p, reduced costs of s); the latter are the columns' dual
+    weights, which sum to one when m* > 0.  Raises Infeasible.
+    """
+    k, n = tmat.shape
+    w = cols.shape[1]
+    a = np.zeros((w + k + 1, n + 1 + w))
+    a[:w, :n] = cols.T
+    a[:w, n] = -1.0
+    a[:w, n + 1:] = np.eye(w)
+    a[w, :n] = 1.0
+    a[w + 1:, :n] = tmat
+    b = np.concatenate([np.zeros(w), [1.0], tau])
+    c = np.zeros(n + 1 + w)
+    c[n] = 1.0
+    try:
+        x, value, reduced = _simplex.solve_lp(c, a, b)
+    except Infeasible:
+        raise Infeasible(f"Gamma_tau empty for tau={tau}") from None
+    return value, x[:n], reduced[:n], reduced[n + 1:]
+
+
 def closed_under_conditioning(g: GammaTau) -> bool:
     """True when Gamma_tau equals the full simplex over some outcome subset.
 

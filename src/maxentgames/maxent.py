@@ -15,12 +15,13 @@ from math import comb
 
 import numpy as np
 
-from . import _simplex
 from .constraints import (
     RANK_TOL,
     SCREEN_BLOCK,
     GammaTau,
     hull_interior,
+    max_expectation,
+    min_max_expectation,
     svd_screen,
     union_support,
     vertices,
@@ -40,7 +41,7 @@ from .core import (
 )
 from .divergence import equalizer_check
 from .losses import ConvexGenerator, LossModel
-from .verify import point_act_game
+from .verify import lp_game_value, point_act_losses, point_act_saddle
 
 LINEAR_FIT_TOL = 1e-7
 SYSTEM_TOL = 1e-9
@@ -211,7 +212,7 @@ def _finalize(model: LossModel, g: GammaTau, p: np.ndarray, zeta: Act, h: float,
 
 @dataclass
 class _MixtureMax:
-    weights: np.ndarray   # w, one weight per row of V
+    weights: np.ndarray   # w, one weight per row of V (per outcome for point_act_saddle)
     point: np.ndarray     # the mixture w V
     value: float
     gap: float            # certified: the maximum lies in [value, value + gap]
@@ -277,13 +278,14 @@ def _slope_root(slope, rise: float, hi: float, guess: float = 1.0) -> float:
 def _mixture_max(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float,
                  max_iter: int) -> _MixtureMax:
     """Maximize H(w V) - w . offset over the weights w of the laws V (m, N):
-    exactly, by the point-act matrix game, for a loss affine in a
-    distribution act with a Bayes-act set (zero-one); else `_fw_maximize`.
-    The game's gap is its strategies' certificate, col_guarantee -
-    row_guarantee."""
-    game = point_act_game(model, V, offset)
-    if game is None:
+    exactly, by the matrix game V L - offset against the point acts, for a
+    loss affine in a distribution act with a Bayes-act set (zero-one); else
+    `_fw_maximize`.  The game's gap is its strategies' certificate,
+    col_guarantee - row_guarantee."""
+    L = point_act_losses(model)
+    if L is None:
         return _fw_maximize(model, V, offset, tol, max_iter)
+    game = lp_game_value(V @ L - offset[:, None])
     w = game.row_strategy
     return _MixtureMax(w, w @ V, game.value,
                        max(0.0, game.col_guarantee - game.row_guarantee),
@@ -728,26 +730,10 @@ def _min_pmax(g: GammaTau):
 
 
 def _pmax_lp(tmat: np.ndarray, tau: np.ndarray):
-    """min m over Gamma_tau with p <= m; returns (m*, forced zeros, forced modes).
-
-    The variables are p (n), the level m and slacks s (n), all >= 0, with
-    p_x - m + s_x = 0.
-    """
-    k, n = tmat.shape
-    a = np.zeros((n + k + 1, 2 * n + 1))
-    a[:n, :n] = np.eye(n)
-    a[:n, n] = -1.0
-    a[:n, n + 1:] = np.eye(n)
-    a[n, :n] = 1.0
-    a[n + 1:, :n] = tmat
-    b = np.concatenate([np.zeros(n), [1.0], tau])
-    c = np.zeros(2 * n + 1)
-    c[n] = 1.0
-    try:
-        _, value, reduced = _simplex.solve_lp(c, a, b)
-    except Infeasible:
-        raise Infeasible(f"Gamma_tau empty for tau={tau}") from None
-    return value, reduced[:n] > SCREEN_TOL, reduced[n + 1:] > SCREEN_TOL
+    """min m over Gamma_tau with p <= m, `min_max_expectation` with the
+    identity as columns; returns (m*, forced zeros, forced modes)."""
+    value, _, zero, mode = min_max_expectation(tmat, tau, np.eye(tmat.shape[1]))
+    return value, zero > SCREEN_TOL, mode > SCREEN_TOL
 
 
 def _screened_patterns(tmat, target, zero, mode, k):
@@ -970,22 +956,29 @@ def solve_bregman(model: LossModel, g: GammaTau) -> SaddlePoint:
 
 
 # ---------------------------------------------------------------------------
-# generic solver: matrix game, else conditional gradient over the vertex set
+# generic solver: the point-act LP over Gamma_tau, else Frank-Wolfe over the vertices
 
 
 def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoint:
     """Maximize H over Gamma_tau.
 
     Losses affine in a distribution act whose Bayes act is a set (zero-one
-    and its relative form) are solved exactly by the matrix game of the
-    vertices against point-mass acts (`method` "matrix-game").  Every other
-    loss runs pairwise conditional gradient, whose supergradient at P is
-    the loss vector of the Bayes act at P (`method` "frank-wolfe"); a loss
-    with kinks must therefore expose `bayes_act_set`.  Either route's
-    certified gap above tol raises MaxIterExceeded.
+    and its relative form) are solved exactly by the game of Gamma_tau
+    against point-mass acts, one LP (`point_act_saddle`, `method`
+    "matrix-game"), with gap sup over Gamma_tau of L(P, zeta*) minus
+    min_j P* . L(e_j).  Every other loss runs pairwise conditional gradient
+    over the vertices, whose supergradient at P is the loss vector of the
+    Bayes act at P ("frank-wolfe"); a loss with kinks must therefore expose
+    `bayes_act_set`.  A certified gap above tol raises MaxIterExceeded.
     """
-    vs = vertices(g)
-    res = _mixture_max(model, vs.points, np.zeros(vs.m), tol, FW_MAX_ITER)
+    L = point_act_losses(model)
+    if L is None:
+        vs = vertices(g)
+        res = _mixture_max(model, vs.points, np.zeros(vs.m), tol, FW_MAX_ITER)
+    else:
+        value, p, zeta = point_act_saddle(g, L)
+        gap = max(0.0, max_expectation(g, L @ zeta) - float((p @ L).min()))
+        res = _MixtureMax(p, p, value, gap, Act(ACT_DISTRIBUTION, zeta), "matrix-game")
     if res.gap > tol:
         raise MaxIterExceeded(f"{res.method} {res.how} with gap {res.gap:.3e}", res)
     p = np.maximum(res.point, 0.0)
@@ -994,8 +987,7 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
     h = model.entropy(dist)
     lv = model.loss_vector(res.act)
     supp = dist.support(1e-9)
-    beta = None
-    beta0 = None
+    beta = beta0 = None
     if np.all(np.isfinite(lv[supp])):
         b0, bvec, resid = _affine_fit(g.statistic.matrix, lv, supp)
         if resid <= LINEAR_FIT_TOL and supp.size >= g.k + 1:

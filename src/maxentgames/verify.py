@@ -8,11 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _simplex
-from .constraints import GammaTau, closed_under_conditioning, max_expectation, vertices
+from .constraints import (GammaTau, closed_under_conditioning, max_expectation,
+                          min_max_expectation)
 from .core import ACT_DISTRIBUTION, Act, Distribution, ext_dot
 from .losses import LossModel
 
-GAME_SIZE_CAP = 200
 DUALITY_TOL = 1e-9
 
 
@@ -39,8 +39,6 @@ def lp_game_value(payoff) -> GameSolution:
     if L.ndim != 2:
         raise ValueError("payoff must be a matrix")
     m, n = L.shape
-    if m > GAME_SIZE_CAP or n > GAME_SIZE_CAP:
-        raise ValueError(f"game larger than {GAME_SIZE_CAP} x {GAME_SIZE_CAP}")
     if not np.all(np.isfinite(L)):
         raise ValueError("payoff entries must be finite")
     shift = 1.0 - float(L.min())
@@ -60,49 +58,31 @@ def lp_game_value(payoff) -> GameSolution:
             f"game strategies not optimal: column guarantee {col_guarantee!r}"
             f" above row guarantee {row_guarantee!r}"
         )
-    return GameSolution(
-        value=value,
-        row_strategy=row,
-        col_strategy=col,
-        row_guarantee=row_guarantee,
-        col_guarantee=col_guarantee,
-    )
+    return GameSolution(value, row, col, row_guarantee, col_guarantee)
 
 
-def _point_act_losses(model: LossModel) -> list | None:
-    """Loss vectors of the point-mass acts e_j, or None unless the model's
-    loss is affine in a distribution act with a Bayes-act set and every
-    point act has finite losses."""
+def point_act_losses(model: LossModel) -> np.ndarray | None:
+    """The matrix L[x, j] = L(x, e_j) of the point-mass acts, or None unless
+    the model's loss is affine in a distribution act with a Bayes-act set
+    (zero-one and its relative form) and every point act has finite losses.
+    For those models the loss of a mixed act zeta is L @ zeta."""
     n = model.space.n
     if (model.act_kind != ACT_DISTRIBUTION
             or model.bayes_act_set(Distribution.uniform(n)) is None):
         return None
-    out = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        lv = model.loss_vector(Act(ACT_DISTRIBUTION, e))
-        if not np.all(np.isfinite(lv)):
-            return None
-        out.append(lv)
-    return out
+    L = np.column_stack([model.loss_vector(Act(ACT_DISTRIBUTION, e)) for e in np.eye(n)])
+    return L if np.all(np.isfinite(L)) else None
 
 
-def point_act_game(model: LossModel, rows, offset) -> GameSolution | None:
-    """Matrix game of the weight rows against point-mass acts.
-
-    The payoff of row i against act e_j is rows[i] @ L(e_j) - offset (a
-    scalar or one value per row).  When the loss is affine in a
-    distribution act -- the models whose Bayes act is a set, as for
-    zero-one loss -- every mixed act is a mixed column strategy, so the LP
-    value is the exact value of the game over mixtures of the rows.
-    Returns None for other models and when a point act has an infinite
-    loss.
-    """
-    losses = _point_act_losses(model)
-    if losses is None:
-        return None
-    return lp_game_value(np.column_stack([rows @ lv - offset for lv in losses]))
+def point_act_saddle(g: GammaTau, L: np.ndarray):
+    """The game of P in Gamma_tau against mixtures zeta of the point acts
+    of L, payoff P @ L @ zeta: max over P of min_j P . L[:, j] is one LP,
+    `min_max_expectation` with columns max L - L.  Returns (value, P*,
+    zeta*), zeta* being the LP's dual weights on the columns."""
+    top = float(L.max())
+    value, p, _, zeta = min_max_expectation(g.statistic.matrix, g.tau, top - L)
+    zeta = np.maximum(zeta, 0.0)
+    return top - value, p, zeta / zeta.sum()
 
 
 @dataclass(frozen=True)
@@ -115,15 +95,15 @@ class UpperValueResult:
 def restricted_upper_value(model: LossModel, g: GammaTau) -> UpperValueResult:
     """inf over acts of sup over Gamma_tau of the expected loss.
 
-    Losses affine in a distribution act (zero-one): exact, as the LP value of
-    the matrix game whose rows are the Gamma_tau vertices and whose columns
-    are pure point guesses.  Other models: the solver's act is certified by
+    Losses affine in a distribution act (zero-one): exact, as the value of
+    the game of Gamma_tau against mixtures of point guesses, one LP
+    (`point_act_saddle`).  Other models: the solver's act is certified by
     its worst-case loss over Gamma_tau, one LP (`max_expectation`); margin =
     that loss minus the claimed game value.
     """
-    if _point_act_losses(model) is not None:
-        sol = point_act_game(model, vertices(g).points, 0.0)
-        return UpperValueResult(value=sol.value, method="lp", margin=0.0)
+    L = point_act_losses(model)
+    if L is not None:
+        return UpperValueResult(value=point_act_saddle(g, L)[0], method="lp", margin=0.0)
     from .maxent import solve  # deferred: maxent imports this module
     sp = solve(model, g)
     worst = max_expectation(g, model.loss_vector(sp.zeta_star))

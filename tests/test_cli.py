@@ -645,3 +645,98 @@ def test_size_cap_env_override(capsys, tmp_path, monkeypatch):
     assert rec["h"] == pytest.approx(math.log(21.0), abs=1e-9)
     assert rec["beta_1"] == pytest.approx(0.0, abs=1e-8)
     assert rec["saddle_verified"] is True
+
+
+# ---------------------------------------------------------------------------
+# loss kinds and reference acts in specs
+
+
+def three_outcome_spec(loss, **extra):
+    spec = {"outcomes": ["-1", "0", "1"], "loss": loss,
+            "statistic": [[-1.0, 0.0, 1.0]], "constraint": {"tau": 0.2}}
+    spec.update(extra)
+    return spec
+
+
+def test_quadratic_spec_record_carries_a_scalar_act(capsys, tmp_path):
+    path = write_spec(tmp_path, three_outcome_spec({"kind": "quadratic"}))
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert rec["method"] == "frank-wolfe"
+    # every member of Gamma_tau has mean tau, the Bayes act of each
+    assert rec["zeta_1"] == pytest.approx(0.2, abs=1e-9)
+    assert rec["zeta_2"] is None and rec["zeta_3"] is None
+    assert rec["saddle_verified"] is True
+
+
+def test_bregman_spec_generators(capsys, tmp_path):
+    def solved(loss):
+        path = write_spec(tmp_path, three_outcome_spec(loss))
+        code, out, _ = run_cli(capsys, "solve", path)
+        assert code == EXIT_OK, loss
+        return json.loads(out)
+
+    default = solved({"kind": "bregman"})
+    assert default["method"] == "bregman-dual"
+    assert default == solved({"kind": "bregman", "generator": "xlogx"})
+    cube = solved({"kind": "bregman", "generator": "power", "exponent": 3})
+    assert cube["saddle_verified"] is True
+    assert cube["h"] != solved({"kind": "bregman", "generator": "power"})["h"]
+    path = write_spec(tmp_path, three_outcome_spec({"kind": "bregman", "generator": "cosh"}))
+    code, _, err = run_cli(capsys, "solve", path)
+    assert code == EXIT_PARSE
+    assert "spec error" in err and "unknown bregman generator" in err
+
+
+@pytest.mark.parametrize("loss, reference, kind", [
+    ("brier", {"distribution": [0.2, 0.3, 0.5]}, "distribution"),
+    ("log", {"density": [0.2, 0.3, 0.5]}, "density"),
+    ("quadratic", {"scalar": 0.25}, "scalar"),
+])
+def test_reference_act_forms(capsys, tmp_path, loss, reference, kind):
+    path = write_spec(tmp_path, three_outcome_spec({"kind": loss}, reference=reference))
+    assert parse_spec(path).reference.kind == kind
+    code, out, _ = run_cli(capsys, "verify", path, "--suite", "pythagorean")
+    # the suite's P* maximizes the entropy, which is the relative game's only
+    # for the neutral act, so a non-neutral reference may fail the suite
+    assert code in (EXIT_OK, EXIT_SUITE)
+    rep = json.loads(out)
+    assert rep["passed"] is (code == EXIT_OK)
+    assert [row["status"] for row in rep["rows"]] == ["ok"]
+
+
+@pytest.mark.parametrize("loss, reference", [
+    ("log", {"vector": [0.2, 0.3, 0.5]}),        # no act form
+    ("log", {"density": [1.0, 1.0, 1.0]}),       # integrates to 3 on the counting base
+    ("brier", {"distribution": [0.5, 0.5]}),     # wrong length
+    ("brier", {"scalar": 0.25}),                 # wrong act kind for the loss
+])
+def test_reference_acts_the_model_rejects(capsys, tmp_path, loss, reference):
+    path = write_spec(tmp_path, three_outcome_spec({"kind": loss}, reference=reference))
+    code, out, err = run_cli(capsys, "verify", path, "--suite", "pythagorean")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("spec error:")
+
+
+def test_sweep_error_row(capsys, monkeypatch):
+    # one grid tau whose solve diverges becomes an `error` row with empty cells
+    spec = spec_path("brier_mean")
+    code, clean, _ = run_cli(capsys, "sweep", spec)
+    assert code == EXIT_OK
+    real_solve = cli.solve
+
+    def diverging(model, g, tol=None):
+        if g.tau[0] == 0.5:
+            raise NewtonDivergence("dual Newton stopped")
+        return real_solve(model, g, tol=tol)
+
+    monkeypatch.setattr(cli, "solve", diverging)
+    code, out, _ = run_cli(capsys, "sweep", spec)
+    assert code == EXIT_OK
+    clean_lines, lines = clean.splitlines(), out.splitlines()
+    width = len(lines[1].split(","))
+    bad = [i for i, (a, b) in enumerate(zip(clean_lines, lines)) if a != b]
+    assert len(lines) == len(clean_lines) and len(bad) == 1
+    assert lines[bad[0]] == ",".join(["error", "0.5"] + [""] * (width - 2))

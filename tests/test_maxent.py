@@ -26,6 +26,7 @@ from maxentgames import (
     natural_tilt,
     power_generator,
     quadratic_model,
+    relative_model,
     solve,
     solve_brier,
     solve_generic,
@@ -321,6 +322,17 @@ def test_solve_routes_by_model_kind():
     assert solve(BRIER, gamma(0.3)).method == "brier-enum"
     assert solve(LOG, gamma(0.3)).method == "log-newton"
     assert solve(ZERO_ONE, gamma(0.3)).method == "zero-one-enum"
+
+
+def test_solve_routes_other_losses_to_the_generic_solver():
+    # quadratic runs Frank-Wolfe over the vertices; relative zero-one, a
+    # loss affine in a distribution act, the point-act game over Gamma_tau
+    relative = relative_model(ZERO_ONE, Act("distribution", np.array([0.2, 0.3, 0.5])))
+    for model, method in ((quadratic_model(SPACE), "frank-wolfe"),
+                          (relative, "matrix-game")):
+        sp = solve(model, gamma(0.3))
+        assert sp.method == method
+        assert verify_saddle(model, gamma(0.3), sp.p_star, sp.zeta_star).is_saddle, method
 
 
 def test_generic_agrees_with_specialized():

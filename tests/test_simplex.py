@@ -3,8 +3,8 @@
 scipy is a test dependency only (the `test` extra); the runtime stays
 numpy-only, so the HiGHS comparisons skip where scipy is missing.  The LPs
 are the two the solvers build on 7 outcomes: zero-one phase 1 (min over
-Gamma_tau of max_x p(x)) and the matrix game of the Gamma_tau vertices
-against point acts, which certifies zero-one upper values.
+Gamma_tau of max_x p(x)), which also gives zero-one upper values, and the
+matrix game of the Gamma_tau vertices against point acts, their oracle.
 """
 
 import numpy as np
@@ -14,13 +14,13 @@ from maxentgames import (
     GammaTau,
     SampleSpace,
     Statistic,
+    lp_game_value,
     restricted_upper_value,
     vertices,
     zero_one_model,
 )
 from maxentgames import _simplex
 from maxentgames.maxent import _pmax_lp
-from maxentgames.verify import point_act_game
 
 ZERO_ONE_7 = zero_one_model(SampleSpace.of(range(7)))
 
@@ -107,9 +107,9 @@ def test_point_act_games_match_highs():
     n = 7
     for case, (t, tau) in enumerate(seven_outcome_problems(123, 600)):
         points = vertices(GammaTau(Statistic(t), tau)).points
-        sol = point_act_game(ZERO_ONE_7, points, 0.0)
         # min over mixed point acts z of the worst vertex loss 1 - V z
         loss = 1.0 - points
+        sol = lp_game_value(loss)
         res = linprog(
             np.r_[np.zeros(n), 1.0],
             A_ub=np.hstack([loss, -np.ones((len(points), 1))]),

@@ -14,6 +14,7 @@ from maxentgames import (
     equalizer_check,
     log_model,
     lp_game_value,
+    relative_model,
     restricted_upper_value,
     solve,
     specific_entropy,
@@ -23,7 +24,8 @@ from maxentgames import (
     zero_one_model,
 )
 from maxentgames import _simplex, verify
-from maxentgames.maxent import FW_MAX_ITER, _tilts
+from maxentgames.maxent import FW_MAX_ITER, _tilts, solve_generic
+from maxentgames.verify import point_act_losses
 
 SPACE = SampleSpace.of(["-1", "0", "1"])
 T = Statistic(np.array([[-1.0, 0.0, 1.0]]))
@@ -113,8 +115,8 @@ def test_game_input_validation():
         lp_game_value(np.ones(3))
     with pytest.raises(ValueError):
         lp_game_value([[1.0, np.inf], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        lp_game_value(np.zeros((201, 2)))
+    # games have no size cap: a 201 x 2 game solves to its value
+    assert lp_game_value(np.zeros((201, 2))).value == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +147,47 @@ def test_upper_value_meets_entropy_on_grid():
             upper = restricted_upper_value(model, gamma(tau)).value
             lower = specific_entropy(model, T, np.array([tau]))
             assert abs(upper - lower) <= 1e-7, (model.kind, tau)
+
+
+def zero_one_models(n, rng):
+    """Zero-one loss on n outcomes and its relative form to a random act."""
+    base = zero_one_model(SampleSpace.of(range(n)))
+    return base, relative_model(base, Act("distribution", rng.dirichlet(np.ones(n))))
+
+
+def test_upper_value_with_many_vertices():
+    # N = 16, k = 3: Gamma_tau has 275 vertices, and the game over Gamma_tau
+    # is still one LP of N + k + 1 rows
+    rng = np.random.default_rng(3)
+    t = rng.uniform(-1.0, 1.0, (3, 16))
+    g = GammaTau(Statistic(t), t @ rng.dirichlet(np.ones(16)))
+    zero_one, relative = zero_one_models(16, rng)
+    upper = restricted_upper_value(zero_one, g)
+    assert upper.method == "lp"
+    assert upper.value == pytest.approx(solve(zero_one, g).h_star, abs=1e-12)
+    for model in (zero_one, relative):
+        sp = solve_generic(model, g)
+        assert sp.method == "matrix-game"
+        assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
+
+
+def test_point_act_lp_matches_the_vertex_game():
+    # oracle: the matrix game of the Gamma_tau vertices against point acts
+    for i in range(144):
+        rng = np.random.default_rng(1000 + i)
+        n, k = 3 + i % 6, 1 + (i // 6) % 3
+        if (i // 18) % 2:
+            t = rng.integers(-2, 3, (k, n)).astype(float)
+        else:
+            t = rng.uniform(-1.0, 1.0, (k, n))
+        g = GammaTau(Statistic(t), t @ rng.dirichlet(np.ones(n)))
+        for model in zero_one_models(n, rng):
+            oracle = lp_game_value(vertices(g).points @ point_act_losses(model)).value
+            assert restricted_upper_value(model, g).value == pytest.approx(oracle, abs=1e-12)
+            sp = solve_generic(model, g)
+            assert sp.h_star == pytest.approx(oracle, abs=1e-12), (i, model.kind)
+            assert sp.gap <= 1e-12
+            assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, i
 
 
 # ---------------------------------------------------------------------------
