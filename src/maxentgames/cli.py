@@ -43,6 +43,7 @@ from .divergence import (
     find_neutral,
     mixture_identities,
     pythagorean_check,
+    relative_model,
 )
 from .losses import (
     LossModel,
@@ -387,9 +388,11 @@ def _suite_taus(spec: ProblemSpec) -> np.ndarray:
     raise SpecError("verification suites need a constraint in the spec")
 
 
-def _suite_solves(spec: ProblemSpec, rows: list, with_vertices: bool):
+def _suite_solves(spec: ProblemSpec, rows: list, with_vertices: bool,
+                  model: LossModel | None = None):
     """(tau cell, Gamma_tau, saddle point, vertices or None) for every suite
     tau; the vertex list, which the size cap bounds, only when asked for.
+    The saddle is of `model`'s game, by default the spec's.
 
     An infeasible tau appends its row to `rows` instead.  The tau cell is a
     float for a scalar statistic and a list for k >= 2.
@@ -399,7 +402,7 @@ def _suite_solves(spec: ProblemSpec, rows: list, with_vertices: bool):
         cell = float(tau[0]) if tau.size == 1 else [float(v) for v in tau]
         g = GammaTau(statistic, tau)
         try:
-            sp = solve(spec.model, g)
+            sp = solve(spec.model if model is None else model, g)
             vs = vertices(g) if with_vertices else None
         except Infeasible:
             rows.append({"tau": cell, "status": "infeasible"})
@@ -437,10 +440,13 @@ def _reference_act(spec: ProblemSpec) -> Act:
 
 def _suite_pythagorean(spec: ProblemSpec, args) -> dict:
     ref = _reference_act(spec)
+    # the inequality holds at the saddle of the game relative to ref; for
+    # the neutral act that game is the plain one
+    game = spec.model if spec.reference is None else relative_model(spec.model, ref)
     rows = []
     passed = True
     equality_taus = []
-    for tau, _, sp, vs in _suite_solves(spec, rows, with_vertices=True):
+    for tau, _, sp, vs in _suite_solves(spec, rows, True, game):
         rep = pythagorean_check(spec.model, vs.points, sp.p_star, sp.zeta_star, ref)
         rows.append({
             "tau": tau,

@@ -1046,18 +1046,22 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta,
     - a separable entropy (`LossModel.separable()`: Brier, log, Bregman)
       solves the one-dimensional dual of the tilt (`method`
       "separable-dual");
-    - a loss affine in a distribution act with a Bayes-act set (zero-one)
-      is solved exactly by the matrix game over point-mass acts
+    - a point-act matrix L = u 1' - I, i.e. H(P) = P . u - max p (zero-one,
+      u = 1, and its relative form), is solved in closed form by one sort
+      of T' beta - u ("closed-form");
+    - any other loss affine in a distribution act with a Bayes-act set is
+      solved exactly by the matrix game over point-mass acts
       ("matrix-game");
     - every other loss runs pairwise conditional gradient with supergradient
       L(., zeta_P) - beta' t(.), up to `max_iter` iterations
       ("frank-wolfe").
     `gap` is a certified bound: the maximum lies in [chi, chi + gap].  It
-    is the Fenchel duality gap for the separable dual, the strategies'
-    certificate col_guarantee - row_guarantee for the matrix game, and the
-    supergradient gap for Frank-Wolfe.  A gap above tol raises
-    MaxIterExceeded carrying the result.  For the log model the closed-form
-    cumulant log sum mu exp(-beta' t) is an independent cross-check on chi.
+    is the Fenchel duality gap for the separable dual and the closed form,
+    the strategies' certificate col_guarantee - row_guarantee for the
+    matrix game, and the supergradient gap for Frank-Wolfe.  A gap above
+    tol raises MaxIterExceeded carrying the result.  For the log model the
+    closed-form cumulant log sum mu exp(-beta' t) is an independent
+    cross-check on chi.
     """
     beta = np.atleast_1d(np.asarray(beta, float))
     return _tilts(model, statistic, beta[None, :], tol, max_iter)[0]
@@ -1074,53 +1078,59 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
     resolution of lambda - c.  By weak duality,
     D(lambda) = -lambda + sum mu psi*(lambda - c) bounds chi from above
     for any lambda, so D(lambda) - chi is an honest gap even where q
-    underflows.  Other models take one matrix game or Frank-Wolfe run per
-    row.
+    underflows.  A model with H(P) = P . u - max p solves all rows at once
+    in closed form (`_top_tilts`), whose dual bound plays the role of D.
+    Other models take one matrix game or Frank-Wolfe run per row.
     """
     shifts = betas @ statistic.matrix
     sep = model.separable()
-    if sep is None:
+    top = None if sep is not None else _top_offset(model)
+    if sep is None and top is None:
         return [_tilt_search(model, beta, shift, tol, max_iter)
                 for beta, shift in zip(betas, shifts)]
-    gen, mu = sep
     # psi'(0) may be -inf, and densities overflow at trial lambdas far
     # above the root; the root itself keeps every density below 1 / mu
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        floor = float(gen.psi_prime(np.zeros(1))[0])
-        level = float(gen.psi_prime(np.array([1.0 / mu.sum()]))[0])   # the law mu / sum mu
+        if top is not None:
+            q, dual = _top_tilts(shifts - top)
+        else:
+            gen, mu = sep
+            floor = float(gen.psi_prime(np.zeros(1))[0])
+            level = float(gen.psi_prime(np.array([1.0 / mu.sum()]))[0])   # the law mu / sum mu
 
-        def density(lam):
-            return gen.psi_prime_inv(np.maximum(lam[:, None] - shifts, floor))
+            def density(lam):
+                return gen.psi_prime_inv(np.maximum(lam[:, None] - shifts, floor))
 
-        lo = shifts.min(axis=1) + level
-        hi = shifts.max(axis=1) + level
-        resolution = 2.0 * np.finfo(float).eps * (np.abs(shifts).max(axis=1) + abs(level))
-        while True:
-            mid = 0.5 * (lo + hi)
-            live = (hi - lo > resolution) & (lo < mid) & (mid < hi)
-            if not live.any():
-                break
-            above = density(mid) @ mu >= 1.0
-            hi = np.where(live & above, mid, hi)
-            lo = np.where(live & ~above, mid, lo)
-        u = density(hi)
-        p = mu * u
-        q = p / p.sum(axis=1)[:, None]
+            lo = shifts.min(axis=1) + level
+            hi = shifts.max(axis=1) + level
+            resolution = 2.0 * np.finfo(float).eps * (np.abs(shifts).max(axis=1) + abs(level))
+            while True:
+                mid = 0.5 * (lo + hi)
+                live = (hi - lo > resolution) & (lo < mid) & (mid < hi)
+                if not live.any():
+                    break
+                above = density(mid) @ mu >= 1.0
+                hi = np.where(live & above, mid, hi)
+                lo = np.where(live & ~above, mid, lo)
+            u = density(hi)
+            p = mu * u
+            q = p / p.sum(axis=1)[:, None]
+            dual = -hi + ((hi[:, None] - shifts) * u - gen.psi(u)) @ mu
         chi = model.entropy_batch(q) - np.einsum("ij,ij->i", q, shifts)
-        dual = -hi + ((hi[:, None] - shifts) * u - gen.psi(u)) @ mu
     gaps = np.maximum(dual - chi, 0.0)
+    method = "separable-dual" if top is None else "closed-form"
     q = distribution_rows(q, statistic.n)   # one check for the whole block
     q.flags.writeable = False
     out = [TiltResult(beta=beta, q=Distribution.of_checked(row), chi=float(c),
-                      gap=float(gap), method="separable-dual")
+                      gap=float(gap), method=method)
            for beta, row, c, gap in zip(betas, q, chi, gaps)]
     for res in out:
         if res.gap > tol:
             raise MaxIterExceeded(f"natural tilt gap {res.gap:.3e} above tol", res)
     if model.kind == "log":
         # the cumulant log sum mu exp(-c), stabilized by its largest exponent
-        top = -shifts.min(axis=1)
-        kappa = top + np.log(np.exp(-shifts - top[:, None]) @ mu)
+        lead = -shifts.min(axis=1)
+        kappa = lead + np.log(np.exp(-shifts - lead[:, None]) @ mu)
         bad = np.flatnonzero(~((chi <= kappa + 1e-9) & (kappa - chi <= gaps + 1e-9)))
         if bad.size:
             i = int(bad[0])
@@ -1129,10 +1139,63 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
     return out
 
 
+def _top_offset(model: LossModel) -> np.ndarray | None:
+    """u when the model's point-act matrix is L = u 1' - I, so that
+    H(P) = min_j P . L[:, j] = P . u - max p (zero-one, u = 1, and its
+    relative form, u = 1 - the reference act's losses); else None."""
+    L = point_act_losses(model)
+    if L is None:
+        return None
+    cols = L + np.eye(L.shape[0])
+    return cols[:, 0] if np.all(cols == cols[:, :1]) else None
+
+
+def _top_tilts(d: np.ndarray):
+    """Maximize -max p - d . p over the simplex at every row of d (m, N),
+    the tilt of H(P) = P . u - max p with d = T' beta - u.
+
+    The LP's vertices are the uniform laws on subsets of outcomes, and the
+    best subset of size s holds the s smallest entries of d, so the value
+    is max over s of -(1 + d_(1) + ... + d_(s)) / s: one stable sort and one
+    cumulative sum per row.  q is uniform on the largest maximizing prefix
+    (values within float resolution of the best count as ties): the
+    max-entropy member of the optimal face.  The dual is one-dimensional:
+    nu bounds the value from above exactly when sum (-d - nu)+ <= 1.  nu
+    starts at the best prefix value and is raised by Newton steps on that
+    sum, at least one ulp each, until the bound holds in floats.  Returns
+    (q, nu).
+    """
+    n = d.shape[1]
+    order = np.argsort(d, axis=1, kind="stable")
+    sizes = np.arange(1.0, n + 1.0)
+    values = -(1.0 + np.cumsum(np.take_along_axis(d, order, axis=1), axis=1)) / sizes
+    best = values.max(axis=1)
+    slack = n * np.finfo(float).eps * (1.0 + np.abs(d).max(axis=1))
+    ties = values >= (best - slack)[:, None]
+    s = n - np.argmax(ties[:, ::-1], axis=1)
+    q = np.empty_like(d)
+    np.put_along_axis(q, order, np.where(sizes <= s[:, None], 1.0 / s[:, None], 0.0), axis=1)
+    nu = best
+    short = np.ones(nu.shape, bool)   # rows whose nu is not yet checked
+    for _ in range(ROOT_MAX_ITER):
+        over = np.maximum(-d - nu[:, None], 0.0)
+        excess = over.sum(axis=1) - 1.0
+        short = excess > 0.0
+        if not short.any():
+            break
+        step = excess / np.maximum(np.count_nonzero(over, axis=1), 1)
+        nu = np.where(short, nu + np.maximum(step, np.spacing(1.0 + np.abs(nu))), nu)
+    else:
+        # unchecked rows take nu = max(-d), where sum (-d - nu)+ = 0: a loose bound
+        nu = np.where(short, np.maximum(nu, (-d).max(axis=1)), nu)
+    return q, nu
+
+
 def _tilt_search(model: LossModel, beta: np.ndarray, shift: np.ndarray,
                  tol: float, max_iter: int) -> TiltResult:
-    """One tilt of a non-separable model: the matrix game when the model
-    has one, else pairwise Frank-Wolfe over the point masses."""
+    """One tilt of a model that neither route of `_tilts` takes: the matrix
+    game when the model has one, else pairwise Frank-Wolfe over the point
+    masses."""
     res = _mixture_max(model, np.eye(shift.size), shift, tol, max_iter)
     if res.gap > tol:
         raise MaxIterExceeded(f"natural tilt gap {res.gap:.3e} above tol", res)

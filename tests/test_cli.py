@@ -693,16 +693,17 @@ def test_bregman_spec_generators(capsys, tmp_path):
     ("brier", {"distribution": [0.2, 0.3, 0.5]}, "distribution"),
     ("log", {"density": [0.2, 0.3, 0.5]}, "density"),
     ("quadratic", {"scalar": 0.25}, "scalar"),
+    ("zero_one", {"distribution": [0.2, 0.3, 0.5]}, "distribution"),
 ])
 def test_reference_act_forms(capsys, tmp_path, loss, reference, kind):
     path = write_spec(tmp_path, three_outcome_spec({"kind": loss}, reference=reference))
     assert parse_spec(path).reference.kind == kind
     code, out, _ = run_cli(capsys, "verify", path, "--suite", "pythagorean")
-    # the suite's P* maximizes the entropy, which is the relative game's only
-    # for the neutral act, so a non-neutral reference may fail the suite
-    assert code in (EXIT_OK, EXIT_SUITE)
+    # the suite checks the inequality at the saddle of the game relative to
+    # the reference, where it holds
+    assert code == EXIT_OK
     rep = json.loads(out)
-    assert rep["passed"] is (code == EXIT_OK)
+    assert rep["passed"] is True
     assert [row["status"] for row in rep["rows"]] == ["ok"]
 
 

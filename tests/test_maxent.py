@@ -41,7 +41,8 @@ from maxentgames import (
     xlogx_generator,
     zero_one_model,
 )
-from maxentgames.maxent import FW_MAX_ITER, _fw_maximize, _slope_root
+from maxentgames import maxent
+from maxentgames.maxent import FW_MAX_ITER, _fw_maximize, _mixture_max, _slope_root, _tilts
 
 SPACE = SampleSpace.of(["-1", "0", "1"])
 T = Statistic(np.array([[-1.0, 0.0, 1.0]]))
@@ -408,6 +409,64 @@ def test_tilt_zero_one_piecewise_linear_values():
         assert res.gap <= 1e-9
 
 
+def _game_tilt(model, t, beta):
+    """Oracle: the matrix game over the point-mass acts."""
+    return _mixture_max(model, np.eye(t.shape[1]), t.T @ beta, 1e-12, FW_MAX_ITER)
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_zero_one_tilt_closed_form_matches_the_game(relative):
+    # half the problems have integer T and half-integer beta, so many tilts
+    # have several maximizers
+    rng = np.random.default_rng(12)
+    for case in range(100):
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, 4))
+        model = zero_one_model(SampleSpace.of(range(n)))
+        if relative:
+            model = relative_model(model, Act("distribution", rng.dirichlet(np.ones(n))))
+        betas = rng.uniform(-2.0, 2.0, size=(8, k))
+        if case % 2:
+            t = rng.integers(-2, 3, size=(k, n)).astype(float)
+            betas = np.round(2.0 * betas) / 2.0
+        else:
+            t = rng.uniform(-1.0, 1.0, size=(k, n))
+        for beta, res in zip(betas, _tilts(model, Statistic(t), betas, 1e-12, FW_MAX_ITER)):
+            assert res.method == "closed-form"
+            assert abs(res.chi - _game_tilt(model, t, beta).value) <= 1e-12, (case, beta)
+            assert res.gap <= 1e-12, (case, beta)
+            tilted = model.entropy(res.q) - float(beta @ (t @ res.q.w))
+            assert abs(res.chi - tilted) <= 1e-12, (case, beta)
+
+
+def test_zero_one_tilt_ties_take_the_largest_prefix():
+    # q is uniform on the largest maximizing prefix of the sorted T' beta - u,
+    # the max-entropy member of the optimal face
+    third = np.full(3, 1.0 / 3.0)
+    # the uniform laws on {0, 1} and on all three outcomes tie at chi = 1/2
+    res = natural_tilt(ZERO_ONE, Statistic(np.array([[0.0, 0.0, 1.0]])), np.array([0.5]))
+    assert abs(res.chi - 0.5) <= 1e-15
+    assert np.max(np.abs(res.q.w - third)) <= 1e-15
+    # relative to the Bayes act of P0 all three prefix sizes tie at chi = 0;
+    # the matrix game's row strategy is (1/2, 0, 1/2), another maximizer
+    p0 = Distribution(np.array([0.5, 0.3, 0.2]))
+    rel = relative_model(ZERO_ONE, ZERO_ONE.bayes_act(p0))
+    res = natural_tilt(rel, T, np.array([-1.0]))
+    assert abs(res.chi) <= 1e-15
+    assert np.max(np.abs(res.q.w - third)) <= 1e-15
+
+
+def test_zero_one_tilt_gap_is_certified(monkeypatch):
+    # with no room to raise the dual bound it falls back to max(-d), where
+    # the bound holds trivially; the gap that leaves is reported, not zeroed
+    monkeypatch.setattr(maxent, "ROOT_MAX_ITER", 0)
+    with pytest.raises(MaxIterExceeded) as err:
+        natural_tilt(ZERO_ONE, T, np.array([0.3]))
+    res = err.value.result
+    assert abs(res.chi - 2.0 / 3.0) <= 1e-15
+    assert abs(res.gap - (1.3 - 2.0 / 3.0)) <= 1e-15
+
+
 def _fw_tilt(model, t, beta, tol):
     """Oracle: pairwise Frank-Wolfe over the point masses, as non-separable
     models tilt."""
@@ -627,6 +686,18 @@ def test_lafferty_log_rows_are_tilted_references():
         q /= q.sum()
         assert np.max(np.abs(row.p_star.w - q)) <= 1e-7
     assert np.all(np.diff(tr.taus.ravel()) > 0.0)   # sorted by tau
+
+
+def test_lafferty_zero_one_rows_are_closed_form_tilts():
+    p0 = Distribution(np.array([0.5, 0.3, 0.2]))
+    betas = [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
+    tr = lafferty_family(ZERO_ONE, p0, T, betas)
+    rel = relative_model(ZERO_ONE, ZERO_ONE.bayes_act(p0))
+    assert sorted(float(row.beta[0]) for row in tr.rows) == betas
+    for row in tr.rows:
+        q = natural_tilt(rel, T, row.beta).q
+        assert np.array_equal(row.tau, T.matrix @ q.w)
+        assert abs(row.beta0 - _game_tilt(rel, T.matrix, row.beta).value) <= 1e-12
 
 
 def test_lafferty_brier_uniform_reduces_to_plain_family():

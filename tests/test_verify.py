@@ -9,8 +9,10 @@ from maxentgames import (
     Distribution,
     GammaTau,
     SampleSpace,
+    StatModel,
     Statistic,
     brier_model,
+    capacity_solve,
     equalizer_check,
     log_model,
     lp_game_value,
@@ -98,9 +100,15 @@ def test_one_lp_per_game(monkeypatch):
     statistic = Statistic(np.array([[-1.0, -0.2, 0.5, 1.0]]))
     tilts = _tilts(model, statistic, np.linspace(-2.0, 2.0, 401)[:, None],
                    1e-6, FW_MAX_ITER)
-    assert len(lps) == 401
-    assert {t.method for t in tilts} == {"matrix-game"}
+    # zero-one tilts are one sort per beta, with no LP
+    assert lps == []
+    assert {t.method for t in tilts} == {"closed-form"}
     assert max(t.gap for t in tilts) <= 1e-9
+    # a zero-one capacity is still one matrix game
+    members = np.random.default_rng(4).dirichlet(np.ones(4), size=3)
+    res = capacity_solve(StatModel(model, tuple(members)))
+    assert len(lps) == 1
+    assert res.method == "matrix-game"
 
 
 def test_game_certificate_raises(monkeypatch):
