@@ -35,13 +35,14 @@ from .core import (
     Infeasible,
     SampleSpace,
     Statistic,
+    _checked_rows,
+    ext_dots,
 )
 from .derived import StatModel, blahut_arimoto, capacity_solve, equalization_report
 from .divergence import (
-    discrepancy,
     equalizer_check,
     find_neutral,
-    mixture_identities,
+    identity_terms,
     pythagorean_check,
     relative_model,
 )
@@ -516,22 +517,33 @@ def _suite_conjugacy(spec: ProblemSpec, args) -> dict:
     }
 
 
+IDENTITY_TRIALS = 200
+
+
+def _mixture_draws(seed: int, n: int):
+    """The identities suite's random mixtures: per trial, three parts, then
+    their weights, then Q, each Dirichlet(1).  They are drawn as one block of
+    standard exponentials and each segment is scaled by one over its running
+    sum, which is what `Generator.dirichlet` does for alpha = 1, so the
+    numbers are those of one `dirichlet` call per law.  Returns the parts
+    (trials, 3, n), the weights (trials, 3) and Q (trials, n) as checked
+    blocks."""
+    draws = np.random.default_rng(seed).standard_exponential((IDENTITY_TRIALS, 4 * n + 3))
+    segments = np.split(draws, [n, 2 * n, 3 * n, 3 * n + 3], axis=1)
+    laws = [seg * (1.0 / np.add.accumulate(seg, axis=1)[:, -1:]) for seg in segments]
+    parts, weights, q = np.stack(laws[:3], axis=1), laws[3], laws[4]
+    return _checked_rows(parts), _checked_rows(weights), _checked_rows(q)
+
+
 def _suite_identities(spec: ProblemSpec, args) -> dict:
     model = spec.model
-    rng = np.random.default_rng(args.seed)
-    n = spec.space.n
-    trials = 200
-    worst_entropy = 0.0
-    worst_div = 0.0
-    worst_bayes = 0.0
-    for _ in range(trials):
-        parts = [Distribution(rng.dirichlet(np.ones(n))) for _ in range(3)]
-        weights = rng.dirichlet(np.ones(3))
-        q = Distribution(rng.dirichlet(np.ones(n)))
-        rep = mixture_identities(model, parts, weights, q)
-        worst_entropy = max(worst_entropy, rep.entropy_residual)
-        worst_div = max(worst_div, rep.div_residual)
-        worst_bayes = max(worst_bayes, abs(discrepancy(model, q, model.bayes_act(q))))
+    trials = IDENTITY_TRIALS
+    parts, weights, q = _mixture_draws(args.seed, spec.space.n)
+    h_lhs, h_rhs, d_lhs, d_rhs = identity_terms(model, parts, weights, q)
+    bayes = ext_dots(q, model.bayes_losses(q)) - model.entropy_batch(q)
+    worst_entropy = float(np.max(abs(h_lhs - h_rhs), initial=0.0))
+    worst_div = float(np.max(abs(d_lhs - d_rhs), initial=0.0))
+    worst_bayes = float(np.max(abs(bayes), initial=0.0))
     try:
         prop = check_proper(model, trials=trials, seed=args.seed)
         min_margin = prop.min_margin

@@ -267,14 +267,18 @@ def ext_dot(weights, values) -> ExtReal:
 
 
 def ext_dots(rows, values) -> np.ndarray:
-    """ext_dot of every nonnegative row of an (m, N) block with one vector of
-    values in (-inf, +inf]; a NaN or -inf value raises UndefinedExpectation."""
+    """ext_dot of every nonnegative row of an (m, N) block with values in
+    (-inf, +inf]: one vector for every row, or an (m, N) block paired row by
+    row with the laws; a NaN or -inf value raises UndefinedExpectation."""
     rows, v = np.asarray(rows, dtype=float), np.asarray(values, dtype=float)
-    if rows.ndim != 2 or rows.shape[1:] != v.shape:
+    if rows.ndim != 2 or v.shape not in (rows.shape[1:], rows.shape):
         raise DimensionMismatch(f"rows of shape {rows.shape} against values {v.shape}")
     if np.isnan(v).any() or np.isneginf(v).any() or np.isnan(rows).any():
         raise UndefinedExpectation("nan or -inf encountered in expectation")
     finite = np.isfinite(v)
+    if v.ndim == 2:
+        hits = (~finite & (rows > 0.0)).any(axis=1)
+        return np.where(hits, np.inf, np.einsum("ij,ij->i", rows, np.where(finite, v, 0.0)))
     if finite.all():
         return rows @ v
     hits = (rows[:, ~finite] > 0.0).any(axis=1)

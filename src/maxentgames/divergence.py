@@ -13,6 +13,7 @@ from .core import (
     Act,
     DimensionMismatch,
     Distribution,
+    _checked_rows,
     distribution_rows,
     ext_dot,
     ext_dots,
@@ -65,15 +66,31 @@ def mixture_identities(model: LossModel, parts, weights, q: Distribution) -> Mix
         raise DimensionMismatch("one weight per mixture component required")
     if abs(float(w.sum()) - 1.0) > 1e-9 or float(w.min()) < -1e-12:
         raise DimensionMismatch("mixture weights must be a probability vector")
-    mixed = Distribution(w @ parts)
-    h_parts = model.entropy_batch(parts)
-    d_to_mix = ext_dots(parts, model.loss_vector(model.bayes_act(mixed))) - h_parts
-    entropy_lhs = model.entropy(mixed)
-    entropy_rhs = float(w @ h_parts + w @ d_to_mix)
-    d_to_q = ext_dots(parts, model.loss_vector(model.bayes_act(q))) - h_parts
-    div_lhs = div(model, mixed, q)
-    div_rhs = float(w @ d_to_q - w @ d_to_mix)
-    return MixtureIdentityReport(entropy_lhs, entropy_rhs, div_lhs, div_rhs)
+    terms = identity_terms(model, parts[None], w[None], q.w[None])
+    return MixtureIdentityReport(*(float(t[0]) for t in terms))
+
+
+def identity_terms(model: LossModel, parts: np.ndarray, weights: np.ndarray,
+                   q: np.ndarray):
+    """The two sides of both compensation identities for m mixtures at once:
+    parts (m, r, N) and q (m, N) are checked laws, weights (m, r) the
+    mixture weights.  Returns (entropy_lhs, entropy_rhs, div_lhs, div_rhs),
+    each of shape (m,), as `mixture_identities` reports them per mixture.
+    """
+    m, r, n = parts.shape
+    flat = parts.reshape(m * r, n)
+    mixed = _checked_rows(np.matmul(weights[:, None, :], parts)[:, 0])
+    mix_losses, q_losses = model.bayes_losses(mixed), model.bayes_losses(q)
+    h_parts = model.entropy_batch(flat).reshape(m, r)
+    h_mixed = model.entropy_batch(mixed)
+    d_to_mix = ext_dots(flat, np.repeat(mix_losses, r, axis=0)).reshape(m, r) - h_parts
+    d_to_q = ext_dots(flat, np.repeat(q_losses, r, axis=0)).reshape(m, r) - h_parts
+
+    def mean(d):
+        return np.einsum("ij,ij->i", weights, d)
+
+    return (h_mixed, mean(h_parts) + mean(d_to_mix),
+            ext_dots(mixed, q_losses) - h_mixed, mean(d_to_q) - mean(d_to_mix))
 
 
 def find_neutral(model: LossModel) -> Act | None:
@@ -125,7 +142,10 @@ class RelativeModel(LossModel):
         return self.base.entropy(dist) - ext_dot(dist.w, self.reference_losses)
 
     def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
-        return self.base.entropy_batch(rows) - rows @ self.reference_losses
+        return self.base.entropy_batch(rows) - np.einsum("ij,j->i", rows, self.reference_losses)
+
+    def bayes_losses(self, rows: np.ndarray) -> np.ndarray:
+        return self.base.bayes_losses(rows) - self.reference_losses
 
     def bayes_act_set(self, dist: Distribution):
         return self.base.bayes_act_set(dist)

@@ -29,7 +29,9 @@ from .core import (
     NotNormalized,
     SampleSpace,
     WEIGHT_CLAMP,
+    _checked_rows,
     ext_dot,
+    ext_dots,
 )
 
 MODE_TOL = 1e-9        # probability ties within this count as joint modes
@@ -78,6 +80,14 @@ class LossModel:
         """H at every row of a nonnegative (m, N) block, each row normalized
         first; overridden with vectorized closed forms."""
         return np.array([self.entropy(Distribution(row / row.sum())) for row in rows])
+
+    def bayes_losses(self, rows: np.ndarray) -> np.ndarray:
+        """L(., zeta_P) for every row P of a checked (m, N) block of laws:
+        row i is loss_vector(bayes_act(P_i)); overridden with closed forms."""
+        out = np.empty(rows.shape)
+        for i, row in enumerate(rows):
+            out[i] = self.loss_vector(self.bayes_act(Distribution.of_checked(row)))
+        return out
 
     def bayes_act_set(self, dist: Distribution):
         """Descriptor of the Bayes-act set when non-unique, else None."""
@@ -157,6 +167,9 @@ class BrierModel(LossModel):
     def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
         return 1.0 - np.einsum("ij,ij->i", rows, rows)
 
+    def bayes_losses(self, rows: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", rows, rows)[:, None] - 2.0 * rows + 1.0
+
     def separable(self):
         return square_generator(self.space.n), np.ones(self.space.n)
 
@@ -197,6 +210,10 @@ class LogModel(LossModel):
             terms = np.where(rows > 0.0, rows * np.log(rows / self.base.weights), 0.0)
         return -terms.sum(axis=1)
 
+    def bayes_losses(self, rows: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return -np.log(rows / self.base.weights)
+
     def separable(self):
         return xlogx_generator(), self.base.weights
 
@@ -235,6 +252,11 @@ class ZeroOneModel(LossModel):
     def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
         return 1.0 - rows.max(axis=1)
 
+    def bayes_losses(self, rows: np.ndarray) -> np.ndarray:
+        # the uniform point guess over each row's modes, as `bayes_act`
+        modes = rows >= rows.max(axis=1)[:, None] - MODE_TOL
+        return 1.0 - modes / np.count_nonzero(modes, axis=1)[:, None]
+
     def bayes_act_set(self, dist: Distribution) -> np.ndarray:
         # Bayes acts are exactly the zeta supported on the modes
         return self.modes(dist)
@@ -272,6 +294,9 @@ class QuadraticModel(LossModel):
     def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
         mean = rows @ self.values
         return rows @ (self.values ** 2) - mean ** 2
+
+    def bayes_losses(self, rows: np.ndarray) -> np.ndarray:
+        return (self.values - (rows @ self.values)[:, None]) ** 2
 
     def random_act(self, rng: np.random.Generator) -> Act:
         lo, hi = float(self.values.min()), float(self.values.max())
@@ -386,16 +411,18 @@ class BregmanModel(LossModel):
         self.strictness = STRICT if generator.strictly_convex else SEMISTRICT
 
     def loss_vector(self, act: Act) -> np.ndarray:
-        q = self._density_payload(act)
+        return self._scores(self._density_payload(act))
+
+    def _scores(self, q: np.ndarray) -> np.ndarray:
+        """The score of every density q along the last axis."""
         psi_q = np.asarray(self.generator.psi(q), dtype=float)
         dpsi_q = np.asarray(self.generator.psi_prime(q), dtype=float)
         # q psi'(q) -> 0 as q -> 0 for the bundled generators; psi'(0) may be
-        # -inf, so the product is formed only where q > 0
-        pos = q > 0.0
-        qdpsi = np.zeros_like(q)
-        qdpsi[pos] = q[pos] * dpsi_q[pos]
-        offset = float((psi_q - qdpsi) @ self.base.weights)
-        return -dpsi_q - offset
+        # -inf, so the product is kept only where q > 0
+        with np.errstate(invalid="ignore"):
+            qdpsi = np.where(q > 0.0, q * dpsi_q, 0.0)
+        offset = (psi_q - qdpsi) @ self.base.weights
+        return -dpsi_q - offset[..., None]
 
     def bayes_act(self, dist: Distribution) -> Act:
         return Act(ACT_DENSITY, dist.w / self.base.weights)
@@ -406,7 +433,11 @@ class BregmanModel(LossModel):
 
     def entropy_batch(self, rows: np.ndarray) -> np.ndarray:
         dens = rows / self.base.weights
-        return -(np.asarray(self.generator.psi(dens), float) @ self.base.weights)
+        psi = np.asarray(self.generator.psi(dens), float)
+        return -np.einsum("ij,j->i", psi, self.base.weights)
+
+    def bayes_losses(self, rows: np.ndarray) -> np.ndarray:
+        return self._scores(rows / self.base.weights)
 
     def separable(self):
         return self.generator, self.base.weights
@@ -447,20 +478,26 @@ def bregman_model(space: SampleSpace, generator: ConvexGenerator,
 def check_proper(model: LossModel, trials: int = 400, seed: int = 0) -> ProprietyReport:
     """Sample (P, act) pairs and verify E_P L(X, act) >= H(P) - 1e-9.
 
-    Raises ProprietyViolation with the witness pair on failure; returns the
-    worst margin seen otherwise.
+    Each trial draws P ~ Dirichlet(1), then the model's random act.  Raises
+    ProprietyViolation with the witness pair of the first failing trial;
+    returns the worst margin seen otherwise.
     """
     rng = np.random.default_rng(seed)
     n = model.space.n
-    worst = np.inf
-    for _ in range(trials):
-        p = Distribution(rng.dirichlet(np.ones(n)))
-        act = model.random_act(rng)
-        margin = model.expected_loss(p, act) - model.entropy(p)
-        if margin < -1e-9:
-            raise ProprietyViolation(
-                f"{model.name}: margin {margin:.3e} below -1e-9", witness=(p, act)
-            )
-        if margin < worst:
-            worst = margin
+    laws, acts = np.empty((trials, n)), []
+    for i in range(trials):
+        laws[i] = rng.dirichlet(np.ones(n))
+        acts.append(model.random_act(rng))
+    laws = _checked_rows(laws)
+    losses = np.array([model.loss_vector(act) for act in acts]).reshape(trials, n)
+    margins = ext_dots(laws, losses) - model.entropy_batch(laws)
+    bad = np.flatnonzero(margins < -1e-9)
+    if bad.size:
+        i = int(bad[0])
+        raise ProprietyViolation(
+            f"{model.name}: margin {margins[i]:.3e} below -1e-9",
+            witness=(Distribution(laws[i]), acts[i]),
+        )
+    # a NaN margin fails no trial and is passed over, as a comparison would
+    worst = np.fmin.reduce(margins, initial=np.inf)
     return ProprietyReport(trials=trials, min_margin=float(worst))

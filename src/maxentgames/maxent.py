@@ -1080,7 +1080,9 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
     for any lambda, so D(lambda) - chi is an honest gap even where q
     underflows.  A model with H(P) = P . u - max p solves all rows at once
     in closed form (`_top_tilts`), whose dual bound plays the role of D.
-    Other models take one matrix game or Frank-Wolfe run per row.
+    Other models take one matrix game or Frank-Wolfe run per row.  Every
+    reduction runs row by row (einsum, not a BLAS product), so a row's tilt
+    does not depend on the other rows of the grid.
     """
     shifts = betas @ statistic.matrix
     sep = model.separable()
@@ -1109,13 +1111,13 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
                 live = (hi - lo > resolution) & (lo < mid) & (mid < hi)
                 if not live.any():
                     break
-                above = density(mid) @ mu >= 1.0
+                above = np.einsum("ij,j->i", density(mid), mu) >= 1.0
                 hi = np.where(live & above, mid, hi)
                 lo = np.where(live & ~above, mid, lo)
             u = density(hi)
             p = mu * u
             q = p / p.sum(axis=1)[:, None]
-            dual = -hi + ((hi[:, None] - shifts) * u - gen.psi(u)) @ mu
+            dual = -hi + np.einsum("ij,j->i", (hi[:, None] - shifts) * u - gen.psi(u), mu)
         chi = model.entropy_batch(q) - np.einsum("ij,ij->i", q, shifts)
     gaps = np.maximum(dual - chi, 0.0)
     method = "separable-dual" if top is None else "closed-form"
@@ -1384,15 +1386,18 @@ def lafferty_family(model: LossModel, p0: Distribution, statistic: Statistic,
     to the Bayes act of P0."""
     from .divergence import relative_model
     rel = relative_model(model, model.bayes_act(p0))
-    rows = []
-    for b in np.atleast_1d(np.asarray(beta_grid, dtype=float)):
-        if rel.kind == "relative:log":
-            # the tilted minimizer of beta' E T + KL(P, P0) is exact
+    betas = np.atleast_1d(np.asarray(beta_grid, dtype=float))
+    if rel.kind == "relative:log":
+        # the tilted minimizer of beta' E T + KL(P, P0) is exact
+        tilts = []
+        for b in betas:
             kappa, qw = _log_kappa(p0.w, statistic.matrix, np.array([b]))
-            tr = TiltResult(beta=np.array([b]), q=Distribution(qw),
-                            chi=float(kappa), gap=0.0, method="cumulant")
-        else:
-            tr = natural_tilt(rel, statistic, np.array([b]), tol=tol)
+            tilts.append(TiltResult(beta=np.array([b]), q=Distribution(qw),
+                                    chi=float(kappa), gap=0.0, method="cumulant"))
+    else:
+        tilts = _tilts(rel, statistic, betas[:, None], tol, FW_MAX_ITER)
+    rows = []
+    for b, tr in zip(betas, tilts):
         tau = statistic.matrix @ tr.q.w
         g = GammaTau(statistic, tau)
         h0 = rel.entropy(tr.q)

@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from maxentgames import cli
+from maxentgames import Distribution, cli, mixture_identities
+from maxentgames.divergence import identity_terms
 from maxentgames._simplex import Unbounded
 from maxentgames.maxent import MaxIterExceeded, NewtonDivergence
 from maxentgames.cli import (
@@ -410,6 +411,63 @@ def test_verify_identities(capsys, name):
     assert rep["max_entropy_residual"] <= 1e-9
     assert rep["max_divergence_residual"] <= 1e-9
     assert rep["min_propriety_margin"] >= -1e-9
+
+
+@pytest.mark.parametrize("name", BUNDLED_SWEEPS)
+def test_verify_identities_across_seeds(capsys, name):
+    for seed in (0, 7, 123, 99991):
+        code, out, _ = run_cli(capsys, "verify", spec_path(name),
+                               "--suite", "identities", "--seed", str(seed))
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert set(rep) == {"suite", "passed", "trials", "max_entropy_residual",
+                            "max_divergence_residual", "max_bayes_discrepancy",
+                            "min_propriety_margin"}
+        assert rep["passed"] is True and rep["trials"] == 200
+        assert max(rep["max_entropy_residual"], rep["max_divergence_residual"],
+                   rep["max_bayes_discrepancy"]) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_identity_draws_match_one_dirichlet_call_per_law(n):
+    # a change in how numpy draws Dirichlet(1) laws fails here, not silently
+    for seed in (0, 7, 123):
+        rng = np.random.default_rng(seed)
+        parts, weights, q = [], [], []
+        for _ in range(200):
+            parts.append([rng.dirichlet(np.ones(n)) for _ in range(3)])
+            weights.append(rng.dirichlet(np.ones(3)))
+            q.append(rng.dirichlet(np.ones(n)))
+        block = cli._mixture_draws(seed, n)
+        for got, want in zip(block, (parts, weights, q)):
+            np.testing.assert_array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("name", BUNDLED_SWEEPS)
+def test_identity_suite_residuals_match_mixture_identities(name):
+    model = parse_spec(spec_path(name)).model
+    parts, weights, q = cli._mixture_draws(5, model.space.n)
+    h_lhs, h_rhs, d_lhs, d_rhs = identity_terms(model, parts, weights, q)
+    for i in range(len(q)):
+        rep = mixture_identities(model, list(parts[i]), weights[i], Distribution(q[i]))
+        assert abs(abs(h_lhs[i] - h_rhs[i]) - rep.entropy_residual) <= 1e-15
+        assert abs(abs(d_lhs[i] - d_rhs[i]) - rep.div_residual) <= 1e-15
+
+
+def test_identity_suite_builds_no_distribution_per_trial(capsys, monkeypatch):
+    built = []
+    post_init = Distribution.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Distribution, "__post_init__", counted)
+    for name in BUNDLED_SWEEPS:
+        built.clear()
+        code, _, _ = run_cli(capsys, "verify", spec_path(name), "--suite", "identities")
+        assert code == EXIT_OK
+        assert len(built) == 0, name
 
 
 @pytest.mark.parametrize("suite", ["saddle", "pythagorean", "equalizer"])

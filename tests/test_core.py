@@ -151,6 +151,38 @@ def test_ext_dot_mixed_infinities_raise():
             ext_dots(np.array([[1.0, 0.0], w]), values)
 
 
+def test_ext_dots_pairs_value_rows_with_laws():
+    # one value row per law: 0 * inf = 0 row by row, +inf where a law
+    # charges an infinite value
+    rows = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0], [0.25, 0.75]])
+    values = np.array([[np.inf, 2.0], [np.inf, 1.0], [3.0, np.inf], [1.0, 2.0]])
+    assert list(ext_dots(rows, values)) == [2.0, np.inf, 3.0, 1.75]
+    assert list(ext_dots(rows[:1], values[:1])) == [2.0]
+    for i in range(len(rows)):
+        assert ext_dots(rows, values)[i] == ext_dot(rows[i], values[i])
+    rng = np.random.default_rng(8)
+    w = rng.dirichlet(np.ones(5), size=30)
+    v = rng.normal(size=(30, 5))
+    np.testing.assert_allclose(ext_dots(w, v), [ext_dot(a, b) for a, b in zip(w, v)],
+                               rtol=0, atol=TOL)
+
+
+def test_ext_dots_refuses_nan_and_minus_infinity_in_a_value_block():
+    rows = np.array([[1.0, 0.0], [0.5, 0.5]])
+    for bad in (np.nan, -np.inf):
+        for i in range(2):
+            # even at zero weight, and in either row
+            values = np.array([[1.0, 2.0], [3.0, 4.0]])
+            values[i, 1] = bad
+            with pytest.raises(UndefinedExpectation):
+                ext_dots(rows, values)
+    with pytest.raises(UndefinedExpectation):
+        ext_dots(np.array([[np.nan, 1.0], [0.5, 0.5]]), np.ones((2, 2)))
+    for shape in ((3, 2), (2, 3), (1, 2)):
+        with pytest.raises(DimensionMismatch):
+            ext_dots(rows, np.ones(shape))
+
+
 def test_ext_dot_finite_matches_numpy():
     rng = np.random.default_rng(7)
     for _ in range(100):

@@ -244,9 +244,48 @@ def test_check_proper_catches_negated_score():
             # keep H = inf_a L(P, a) consistent with the negated loss
             return float(-super().loss_vector(super().bayes_act(dist)) @ dist.w)
 
-    with pytest.raises(ProprietyViolation) as err:
-        check_proper(NegatedBrier(SPACE3), trials=200, seed=1)
-    assert err.value.witness is not None
+        def entropy_batch(self, rows):
+            return np.array([self.entropy(Distribution(row)) for row in rows])
+
+    class ConfidentBrier(BrierModel):
+        # a discount for confident forecasts: only some trials fail
+        def loss_vector(self, act):
+            return super().loss_vector(act) - 0.5 * float(act.payload.max() > 0.8)
+
+    for model in (NegatedBrier(SPACE3), ConfidentBrier(SPACE3)):
+        first = _first_failing_pair(model, trials=200, seed=1)
+        assert first is not None
+        with pytest.raises(ProprietyViolation) as err:
+            check_proper(model, trials=200, seed=1)
+        p, act = err.value.witness
+        np.testing.assert_array_equal(p.w, first[1].w)
+        np.testing.assert_array_equal(act.payload, first[2].payload)
+    # the discount spares unconfident acts, so the first trials pass
+    assert _first_failing_pair(ConfidentBrier(SPACE3), trials=200, seed=1)[0] > 0
+
+
+def _first_failing_pair(model, trials, seed):
+    """Oracle: the per-trial loop, one Distribution and one act at a time."""
+    rng = np.random.default_rng(seed)
+    for i in range(trials):
+        p = Distribution(rng.dirichlet(np.ones(model.space.n)))
+        act = model.random_act(rng)
+        if model.expected_loss(p, act) - model.entropy(p) < -1e-9:
+            return i, p, act
+    return None
+
+
+def test_check_proper_min_margin_matches_the_per_trial_loop():
+    for model in (brier_model(SPACE3), log_model(SPACE3, BaseMeasure([0.5, 1.0, 2.0])),
+                  zero_one_model(SPACE3), quadratic_model(SPACE3, values=[-1.0, 0.0, 2.0])):
+        rng = np.random.default_rng(3)
+        margins = []
+        for _ in range(300):
+            p = Distribution(rng.dirichlet(np.ones(3)))
+            margins.append(model.expected_loss(p, model.random_act(rng)) - model.entropy(p))
+        rep = check_proper(model, trials=300, seed=3)
+        assert rep.trials == 300
+        assert abs(rep.min_margin - min(margins)) <= 1e-15, model.name
 
 
 def test_propriety_equality_only_at_p_for_strict_models():
@@ -318,3 +357,60 @@ def test_entropy_batch_matches_scalar_entropy():
         batch = m.entropy_batch(rows)
         scalar = np.array([m.entropy(Distribution(r)) for r in rows])
         np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-12, err_msg=m.name)
+
+
+# ---------------------------------------------------------------------------
+# Bayes losses of a block of laws
+
+
+def _bayes_loss_rows(model, rows):
+    """Oracle: one Distribution, one Bayes act and one loss vector per law."""
+    return np.array([model.loss_vector(model.bayes_act(Distribution(r))) for r in rows])
+
+
+def test_bayes_losses_match_the_row_loop():
+    rng = np.random.default_rng(23)
+    space = SampleSpace.of([str(i) for i in range(5)])
+    base = BaseMeasure(np.array([0.5, 1.0, 2.0, 0.25, 1.5]))
+    rows = rng.dirichlet(np.ones(5), size=40)
+    rows[:8, 0] = 0.0          # laws off the full support: infinite log losses
+    rows /= rows.sum(axis=1, keepdims=True)
+    # modes tied within MODE_TOL, and a near tie just outside it
+    rows[8] = [0.3, 0.3 - 5e-10, 0.2, 0.1, 0.1 + 5e-10]
+    rows[9] = [0.3, 0.3 - 2e-9, 0.2, 0.1, 0.1 + 2e-9]
+    rows[10] = [0.2, 0.2, 0.2, 0.2, 0.2]
+    models = [
+        brier_model(space),
+        log_model(space, base),
+        zero_one_model(space),
+        quadratic_model(space, values=[-1.0, 0.0, 0.5, 2.0, 3.0]),
+        bregman_model(space, power_generator(3.0)),
+        bregman_model(space, xlogx_generator(), base),
+        relative_model(brier_model(space), Act(ACT_DISTRIBUTION, [0.1, 0.2, 0.3, 0.2, 0.2])),
+        relative_model(log_model(space, base), Act(ACT_DENSITY, np.full(5, 1.0 / 5.25))),
+        _MinimalBrier(space),
+    ]
+    for m in models:
+        batch, oracle = m.bayes_losses(rows), _bayes_loss_rows(m, rows)
+        assert batch.shape == oracle.shape == rows.shape, m.name
+        np.testing.assert_array_equal(np.isinf(batch), np.isinf(oracle), err_msg=m.name)
+        finite = np.isfinite(oracle)
+        assert np.max(np.abs(batch[finite] - oracle[finite])) <= 1e-15, m.name
+    zero_one = zero_one_model(space).bayes_losses(rows)
+    np.testing.assert_array_equal(zero_one[8], [0.5, 0.5, 1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(zero_one[9], [0.0, 1.0, 1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(zero_one[10], np.full(5, 0.8))
+
+
+def test_bayes_losses_of_a_custom_model_run_its_own_methods():
+    calls = []
+
+    class Counted(_MinimalBrier):
+        def bayes_act(self, dist):
+            calls.append(dist.w.copy())
+            return super().bayes_act(dist)
+
+    rows = np.random.default_rng(24).dirichlet(np.ones(3), size=4)
+    out = Counted(SPACE3).bayes_losses(rows)
+    np.testing.assert_array_equal(np.array(calls), rows)
+    np.testing.assert_array_equal(out, _bayes_loss_rows(_MinimalBrier(SPACE3), rows))

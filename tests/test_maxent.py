@@ -700,6 +700,30 @@ def test_lafferty_zero_one_rows_are_closed_form_tilts():
         assert abs(row.beta0 - _game_tilt(rel, T.matrix, row.beta).value) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["zero_one", "brier"])
+def test_lafferty_grid_tilts_equal_per_beta_tilts_bitwise(kind):
+    # the family tilts its whole beta grid in one call; each row is the
+    # single-beta natural tilt to the bit
+    space = SampleSpace.of(["a", "b", "c", "d"])
+    model = zero_one_model(space) if kind == "zero_one" else brier_model(space)
+    t4 = Statistic(np.array([[-1.5, -0.2, 0.7, 2.0]]))
+    p0 = Distribution(np.array([0.4, 0.3, 0.2, 0.1]))
+    rel = relative_model(model, model.bayes_act(p0))
+    betas = np.linspace(-2.0, 2.0, 101)
+    grid = _tilts(rel, t4, betas[:, None], 1e-8, FW_MAX_ITER)
+    single = {float(b): natural_tilt(rel, t4, [b]) for b in betas}
+    for b, row in zip(betas, grid):
+        one = single[float(b)]
+        np.testing.assert_array_equal(row.q.w, one.q.w)
+        assert (row.chi, row.gap, row.method) == (one.chi, one.gap, one.method)
+    tr = lafferty_family(model, p0, t4, betas)
+    assert len(tr.rows) == betas.size
+    for row in tr.rows:
+        one = single[float(row.beta[0])]
+        np.testing.assert_array_equal(row.p_star.w, one.q.w)
+        assert row.beta0 == one.chi and row.gap == one.gap
+
+
 def test_lafferty_brier_uniform_reduces_to_plain_family():
     tr = lafferty_family(BRIER, Distribution.uniform(3), T,
                          np.linspace(-0.6, 0.6, 7))
