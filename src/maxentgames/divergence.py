@@ -130,7 +130,6 @@ class RelativeModel(LossModel):
         self.name = f"relative[{base.name}]"
         self.kind = f"relative:{base.kind}"
         self.act_kind = base.act_kind
-        self.strictness = base.strictness
 
     def loss_vector(self, act: Act) -> np.ndarray:
         return self.base.loss_vector(act) - self.reference_losses

@@ -35,9 +35,6 @@ from .core import (
 )
 
 MODE_TOL = 1e-9        # probability ties within this count as joint modes
-STRICT = "strict"
-SEMISTRICT = "semistrict"
-NONSTRICT = "none"
 
 
 class InvalidGenerator(ValueError):
@@ -58,7 +55,6 @@ class LossModel:
     name: str
     kind: str
     act_kind: str
-    strictness: str
     space: SampleSpace
 
     def loss_vector(self, act: Act) -> np.ndarray:
@@ -152,7 +148,6 @@ class BrierModel(LossModel):
         self.name = "brier"
         self.kind = "brier"
         self.act_kind = ACT_DISTRIBUTION
-        self.strictness = STRICT
 
     def loss_vector(self, act: Act) -> np.ndarray:
         q = self._dist_payload(act)
@@ -190,7 +185,6 @@ class LogModel(LossModel):
         self.name = "log"
         self.kind = "log"
         self.act_kind = ACT_DENSITY
-        self.strictness = STRICT
 
     def loss_vector(self, act: Act) -> np.ndarray:
         q = self._density_payload(act)
@@ -230,7 +224,6 @@ class ZeroOneModel(LossModel):
         self.name = "zero_one"
         self.kind = "zero_one"
         self.act_kind = ACT_DISTRIBUTION
-        self.strictness = NONSTRICT
 
     def loss_vector(self, act: Act) -> np.ndarray:
         return 1.0 - self._dist_payload(act)
@@ -277,7 +270,6 @@ class QuadraticModel(LossModel):
         self.name = "quadratic"
         self.kind = "quadratic"
         self.act_kind = ACT_SCALAR
-        self.strictness = STRICT
 
     def loss_vector(self, act: Act) -> np.ndarray:
         if act.kind != ACT_SCALAR:
@@ -316,7 +308,6 @@ class ConvexGenerator:
     psi: Callable[[np.ndarray], np.ndarray]
     psi_prime: Callable[[np.ndarray], np.ndarray]
     psi_prime_inv: Callable[[np.ndarray], np.ndarray]
-    strictly_convex: bool = True
 
 
 def _xlogx(s: np.ndarray) -> np.ndarray:
@@ -336,8 +327,7 @@ def _xlogx_prime(s: np.ndarray) -> np.ndarray:
 def xlogx_generator() -> ConvexGenerator:
     """psi(s) = s log s; the induced score is the logarithmic score."""
     return ConvexGenerator("xlogx", _xlogx, _xlogx_prime,
-                           lambda v: np.exp(np.asarray(v, float) - 1.0),
-                           strictly_convex=True)
+                           lambda v: np.exp(np.asarray(v, float) - 1.0))
 
 
 def square_generator(n: int) -> ConvexGenerator:
@@ -348,7 +338,6 @@ def square_generator(n: int) -> ConvexGenerator:
         lambda s: np.asarray(s, float) ** 2 - shift,
         lambda s: 2.0 * np.asarray(s, float),
         lambda v: 0.5 * np.asarray(v, float),
-        strictly_convex=True,
     )
 
 
@@ -362,7 +351,6 @@ def power_generator(exponent: float) -> ConvexGenerator:
         lambda s: np.asarray(s, float) ** q,
         lambda s: q * np.asarray(s, float) ** (q - 1.0),
         lambda v: (np.asarray(v, float) / q) ** (1.0 / (q - 1.0)),
-        strictly_convex=True,
     )
 
 
@@ -408,7 +396,6 @@ class BregmanModel(LossModel):
         self.name = f"bregman[{generator.name}]"
         self.kind = "bregman"
         self.act_kind = ACT_DENSITY
-        self.strictness = STRICT if generator.strictly_convex else SEMISTRICT
 
     def loss_vector(self, act: Act) -> np.ndarray:
         return self._scores(self._density_payload(act))

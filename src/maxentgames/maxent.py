@@ -39,7 +39,7 @@ from .core import (
     ext_dot,
     ext_dots,
 )
-from .divergence import equalizer_check
+from .divergence import RelativeModel, equalizer_check, relative_model
 from .losses import ConvexGenerator, LossModel
 from .verify import lp_game_value, point_act_losses, point_act_saddle
 
@@ -134,7 +134,6 @@ class FamilyTrace:
     statistic: Statistic
     taus: np.ndarray            # (m, k)
     rows: tuple
-    model_kind: str
 
     @property
     def m(self) -> int:
@@ -974,7 +973,7 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
     L = point_act_losses(model)
     if L is None:
         vs = vertices(g)
-        res = _mixture_max(model, vs.points, np.zeros(vs.m), tol, FW_MAX_ITER)
+        res = _fw_maximize(model, vs.points, np.zeros(vs.m), tol, FW_MAX_ITER)
     else:
         value, p, zeta = point_act_saddle(g, L)
         gap = max(0.0, max_expectation(g, L @ zeta) - float((p @ L).min()))
@@ -1047,8 +1046,8 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta,
       solves the one-dimensional dual of the tilt (`method`
       "separable-dual");
     - a point-act matrix L = u 1' - I, i.e. H(P) = P . u - max p (zero-one,
-      u = 1, and its relative form), is solved in closed form by one sort
-      of T' beta - u ("closed-form");
+      u = 1), is solved in closed form by one sort of T' beta - u
+      ("closed-form");
     - any other loss affine in a distribution act with a Bayes-act set is
       solved exactly by the matrix game over point-mass acts
       ("matrix-game");
@@ -1061,7 +1060,8 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta,
     matrix game, and the supergradient gap for Frank-Wolfe.  A gap above
     tol raises MaxIterExceeded carrying the result.  For the log model the
     closed-form cumulant log sum mu exp(-beta' t) is an independent
-    cross-check on chi.
+    cross-check on chi.  A relative model, H(P) minus the expected loss of
+    a reference act, takes its base model's route.
     """
     beta = np.atleast_1d(np.asarray(beta, float))
     return _tilts(model, statistic, beta[None, :], tol, max_iter)[0]
@@ -1083,8 +1083,15 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
     Other models take one matrix game or Frank-Wolfe run per row.  Every
     reduction runs row by row (einsum, not a BLAS product), so a row's tilt
     does not depend on the other rows of the grid.
+
+    A relative model tilts on its base model's route: H(P) - P . r tilted
+    by beta is H tilted with shift T' beta + r, r the reference losses, so
+    the base model's chi with that shift is the relative chi.
     """
     shifts = betas @ statistic.matrix
+    while isinstance(model, RelativeModel):
+        shifts = shifts + model.reference_losses
+        model = model.base
     sep = model.separable()
     top = None if sep is not None else _top_offset(model)
     if sep is None and top is None:
@@ -1143,8 +1150,7 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
 
 def _top_offset(model: LossModel) -> np.ndarray | None:
     """u when the model's point-act matrix is L = u 1' - I, so that
-    H(P) = min_j P . L[:, j] = P . u - max p (zero-one, u = 1, and its
-    relative form, u = 1 - the reference act's losses); else None."""
+    H(P) = min_j P . L[:, j] = P . u - max p (zero-one, u = 1); else None."""
     L = point_act_losses(model)
     if L is None:
         return None
@@ -1227,8 +1233,7 @@ def trace_family(model: LossModel, statistic: Statistic, tau_grid,
     rows = tuple(solve(model, GammaTau(statistic, t)) for t in taus)
     if enforce:
         _check_trace_invariants(statistic, taus, rows)
-    return FamilyTrace(statistic=statistic, taus=taus, rows=rows,
-                       model_kind=getattr(model, "kind", ""))
+    return FamilyTrace(statistic=statistic, taus=taus, rows=rows)
 
 
 def _check_trace_invariants(statistic, taus, rows):
@@ -1384,18 +1389,9 @@ def lafferty_family(model: LossModel, p0: Distribution, statistic: Statistic,
     """Additive-model family: for each beta, the minimizer of
     beta' E_P T + d(P, P0), i.e. the natural tilt of the game made relative
     to the Bayes act of P0."""
-    from .divergence import relative_model
     rel = relative_model(model, model.bayes_act(p0))
     betas = np.atleast_1d(np.asarray(beta_grid, dtype=float))
-    if rel.kind == "relative:log":
-        # the tilted minimizer of beta' E T + KL(P, P0) is exact
-        tilts = []
-        for b in betas:
-            kappa, qw = _log_kappa(p0.w, statistic.matrix, np.array([b]))
-            tilts.append(TiltResult(beta=np.array([b]), q=Distribution(qw),
-                                    chi=float(kappa), gap=0.0, method="cumulant"))
-    else:
-        tilts = _tilts(rel, statistic, betas[:, None], tol, FW_MAX_ITER)
+    tilts = _tilts(rel, statistic, betas[:, None], tol, FW_MAX_ITER)
     rows = []
     for b, tr in zip(betas, tilts):
         tau = statistic.matrix @ tr.q.w
@@ -1406,5 +1402,4 @@ def lafferty_family(model: LossModel, p0: Distribution, statistic: Statistic,
         rows.append(sp)
     rows.sort(key=lambda r: float(r.tau[0]))
     taus = np.array([r.tau for r in rows])
-    return FamilyTrace(statistic=statistic, taus=taus, rows=tuple(rows),
-                       model_kind=rel.kind)
+    return FamilyTrace(statistic=statistic, taus=taus, rows=tuple(rows))

@@ -476,18 +476,22 @@ def _fw_tilt(model, t, beta, tol):
 def test_tilt_reaches_the_default_tolerance_on_smooth_models():
     # the separable dual against Frank-Wolfe run to a 1e-10 gap; for these
     # strongly concave entropies that leaves its value within a few ulps of
-    # the maximum
+    # the maximum.  Each model's relative form, against a random reference
+    # act, takes the same dual with the reference losses added to the shift
     rng = np.random.default_rng(5)
+    ref_rng = np.random.default_rng(6)   # keeps rng's draws those of the plain models
     for case in range(40):
         n = int(rng.integers(3, 9))
         k = int(rng.integers(1, 4))
         t = rng.uniform(-1.0, 1.0, size=(k, n))
         beta = rng.uniform(-2.0, 2.0, size=k)
         space = SampleSpace.of(range(n))
-        for model in (brier_model(space), log_model(space),
-                      bregman_model(space, xlogx_generator()),
-                      bregman_model(space, square_generator(n)),
-                      bregman_model(space, power_generator(3.0))):
+        bases = (brier_model(space), log_model(space),
+                 bregman_model(space, xlogx_generator()),
+                 bregman_model(space, square_generator(n)),
+                 bregman_model(space, power_generator(3.0)))
+        models = bases + tuple(relative_model(m, m.random_act(ref_rng)) for m in bases)
+        for model in models:
             res = natural_tilt(model, Statistic(t), beta)
             oracle = _fw_tilt(model, t, beta, 1e-10)
             assert oracle.gap <= 1e-10, (case, model.name)
@@ -499,6 +503,9 @@ def test_tilt_reaches_the_default_tolerance_on_smooth_models():
             assert abs(res.chi - tilted) <= 1e-12
             if model.kind == "log":
                 expected = np.exp(-beta @ t)
+                assert np.max(np.abs(res.q.w - expected / expected.sum())) <= 1e-6
+            if model.kind == "relative:log":
+                expected = model.reference_act.as_array() * np.exp(-beta @ t)
                 assert np.max(np.abs(res.q.w - expected / expected.sum())) <= 1e-6
 
 
@@ -700,12 +707,20 @@ def test_lafferty_zero_one_rows_are_closed_form_tilts():
         assert abs(row.beta0 - _game_tilt(rel, T.matrix, row.beta).value) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["zero_one", "brier"])
-def test_lafferty_grid_tilts_equal_per_beta_tilts_bitwise(kind):
+@pytest.mark.parametrize("kind", ["zero_one", "brier", "log", "power3"])
+def test_lafferty_grid_tilts_equal_per_beta_tilts_bitwise(kind, monkeypatch):
     # the family tilts its whole beta grid in one call; each row is the
-    # single-beta natural tilt to the bit
+    # single-beta natural tilt to the bit.  A relative game is its base game
+    # plus a linear term, so every tilt takes the base model's separable
+    # dual or closed form, never a search
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tilt left the base model's route")
+
+    monkeypatch.setattr(maxent, "_tilt_search", refuse)
+    monkeypatch.setattr(maxent, "_fw_maximize", refuse)
     space = SampleSpace.of(["a", "b", "c", "d"])
-    model = zero_one_model(space) if kind == "zero_one" else brier_model(space)
+    model = {"zero_one": zero_one_model, "brier": brier_model, "log": log_model,
+             "power3": lambda s: bregman_model(s, power_generator(3.0))}[kind](space)
     t4 = Statistic(np.array([[-1.5, -0.2, 0.7, 2.0]]))
     p0 = Distribution(np.array([0.4, 0.3, 0.2, 0.1]))
     rel = relative_model(model, model.bayes_act(p0))
@@ -716,6 +731,8 @@ def test_lafferty_grid_tilts_equal_per_beta_tilts_bitwise(kind):
         one = single[float(b)]
         np.testing.assert_array_equal(row.q.w, one.q.w)
         assert (row.chi, row.gap, row.method) == (one.chi, one.gap, one.method)
+        if kind != "zero_one":
+            assert row.method == "separable-dual" and row.gap <= 1e-12, b
     tr = lafferty_family(model, p0, t4, betas)
     assert len(tr.rows) == betas.size
     for row in tr.rows:
