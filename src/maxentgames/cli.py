@@ -38,7 +38,13 @@ from .core import (
     _checked_rows,
     ext_dots,
 )
-from .derived import StatModel, blahut_arimoto, capacity_solve, equalization_report
+from .derived import (
+    StatModel,
+    blahut_arimoto,
+    capacity_gap_target,
+    capacity_solve,
+    equalization_report,
+)
 from .divergence import (
     equalizer_check,
     find_neutral,
@@ -587,7 +593,9 @@ def cmd_capacity(args) -> int:
     if args.bits:
         report["i_star_bits"] = result.i_star / LN2
     if spec.model.kind == "log":
-        oracle = blahut_arimoto(sm)
+        # the oracle stops at the gap capacity_solve targets: its own 1e-10
+        # default can exhaust its iterations on families capacity_solve solves
+        oracle = blahut_arimoto(sm, tol=capacity_gap_target(args.tol))
         report["cross_check_delta"] = abs(result.i_star - oracle.i_star)
     eq = equalization_report(result, sm)
     report["equalizer"] = eq.is_equalizer

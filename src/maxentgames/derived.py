@@ -136,6 +136,11 @@ def _derived_losses(sm: StatModel, act: Act) -> np.ndarray:
     return ext_dots(sm.member_matrix, lv) - sm.member_entropies
 
 
+def capacity_gap_target(tol: float) -> float:
+    """The gap `capacity_solve` runs Frank-Wolfe to for a value tolerance tol."""
+    return FW_CAPACITY_FACTOR * min(tol, UPSILON_TOL)
+
+
 def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
     """Maximize the information value over priors.
 
@@ -149,7 +154,7 @@ def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
     "frank-wolfe" and `iterations` counts its iterations.
     """
     res = _mixture_max(sm.model, sm.member_matrix, sm.member_entropies,
-                       FW_CAPACITY_FACTOR * min(tol, UPSILON_TOL), FW_MAX_ITER)
+                       capacity_gap_target(tol), FW_MAX_ITER)
     if res.gap > tol:
         raise MaxIterExceeded(f"capacity iteration {res.how} with gap {res.gap:.3e}", res)
     w = res.weights
@@ -171,18 +176,20 @@ def blahut_arimoto(sm: StatModel, tol: float = 1e-10,
 
     Standard multiplicative updates pi <- pi * exp(KL(P_w || P_mix)) with the
     log-sum / log-max sandwich as the stopping rule; independent of the
-    conditional-gradient route.
+    conditional-gradient route.  KL(P_w || P_mix) is sum_x P_w log P_w, a
+    per-member constant, minus P_w . log P_mix over the outcomes some member
+    charges (P_mix > 0 there while every prior weight is), so an iteration
+    is one matrix-vector product besides the update.
     """
     if sm.model.kind != "log":
         raise ValueError("blahut_arimoto applies to the log model only")
-    mmat = sm.member_matrix
+    charged = sm.member_matrix[:, sm.member_matrix.any(axis=0)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg = np.where(charged > 0.0, charged * np.log(charged), 0.0).sum(axis=1)
     pi = np.full(sm.m, 1.0 / sm.m)
     il = iu = np.nan
     for it in range(1, max_iter + 1):
-        mix = pi @ mmat
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(mmat > 0.0, mmat * np.log(mmat / mix), 0.0)
-        kl = terms.sum(axis=1)
+        kl = neg - charged @ np.log(pi @ charged)
         shift = float(kl.max())
         c = np.exp(kl - shift)
         il = shift + float(np.log(pi @ c))
@@ -194,7 +201,7 @@ def blahut_arimoto(sm: StatModel, tol: float = 1e-10,
     else:
         raise MaxIterExceeded(f"alternating updates left gap {iu - il:.3e}")
     prior = Prior(Distribution(pi))
-    mixd = Distribution(pi @ mmat)
+    mixd = Distribution(pi @ sm.member_matrix)
     act = sm.model.bayes_act(mixd)
     lhat = _derived_losses(sm, act)
     value = float(il)

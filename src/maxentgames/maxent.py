@@ -35,6 +35,7 @@ from .core import (
     Infeasible,
     Statistic,
     WEIGHT_CLAMP,
+    _checked_rows,
     distribution_rows,
     ext_dot,
     ext_dots,
@@ -296,7 +297,11 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float
     """Maximize H(w V) - w . offset over the weight simplex by pairwise Frank-Wolfe.
 
     The supergradient coordinate of law i is E_{V_i} L(zeta) - offset_i, with
-    zeta the Bayes act of the mixture w V.  Each step moves weight from the
+    zeta the Bayes act of the mixture w V; its losses, and those of every
+    line-search probe, are one row of `model.bayes_losses`, checked as
+    `Distribution` checks a law, with plain dot products unless a loss is
+    infinite (then `ext_dot`'s 0 * inf = 0).  The Bayes act itself is built
+    once, at the returned weights.  Each step moves weight from the
     active law it likes least to the one it likes most, by the exact line
     search of Lacoste-Julien & Jaggi (2015): the root on [0, w_away] of the
     non-increasing slope along that pair.  No function values are compared;
@@ -308,7 +313,10 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float
     `_mixture_max` hands to the matrix game instead.
     """
     def losses(p):
-        return model.loss_vector(model.bayes_act(Distribution(p)))
+        return model.bayes_losses(_checked_rows(p[None, :]))[0]
+
+    def dot(weights, values):
+        return float(weights @ values) if np.isfinite(values).all() else ext_dot(weights, values)
 
     m = V.shape[0]
     w = np.full(m, 1.0 / m)
@@ -319,7 +327,7 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float
     step = 1.0   # each line search first probes the previous step length
     for it in range(1, max_iter + 1):
         scores = ext_dots(V, losses(point)) - offset
-        current = ext_dot(w, scores)
+        current = dot(w, scores)
         fw = int(np.argmax(scores))
         gap = float(scores[fw] - current)
         if gap <= tol:
@@ -330,7 +338,7 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float
         direction = V[fw] - V[away]
         d_offset = offset[fw] - offset[away]
         step = _slope_root(
-            lambda t: ext_dot(direction, losses(point + t * direction)) - d_offset,
+            lambda t: dot(direction, losses(point + t * direction)) - d_offset,
             rise, w[away], guess=step)
         if not (rise > FW_SLOPE_RES * max(1.0, abs(current)) and step > 0.0):
             stalled = True
@@ -800,9 +808,9 @@ def _zero_one_probes(stat: Statistic):
 def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float):
     n, k = g.n, g.k
     tmat = g.statistic.matrix
-    supp = np.flatnonzero(p > 1e-9)
-    modes = np.flatnonzero(p >= m_star - 1e-9)
-    modes = np.intersect1d(modes, supp)
+    charged = p > 1e-9
+    supp = np.flatnonzero(charged)
+    modes = np.flatnonzero(charged & (p >= m_star - 1e-9))
     n_unknown = modes.size + 1 + k
     a = np.zeros((supp.size + 1, n_unknown))
     b = np.ones(supp.size + 1)
@@ -844,7 +852,9 @@ def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float):
             rhs.append(h_sig - base - 1e-9)
     # outcomes off supp(P*) but reachable within Gamma_tau score L = 1; a
     # worst-case member there must not beat the affine value beta0 + beta' t
-    for x in np.setdiff1d(union_support(g), supp):
+    reachable = np.zeros(n, dtype=bool)
+    reachable[union_support(g)] = True
+    for x in np.flatnonzero(reachable & ~charged):
         coeff = null[modes.size] + tmat[:, x] @ null[modes.size + 1:]
         base = float(v0[modes.size] + tmat[:, x] @ v0[modes.size + 1:])
         G_rows.append(np.atleast_1d(coeff))

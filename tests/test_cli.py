@@ -554,6 +554,38 @@ def test_capacity_brier_family_matches_grid_search(capsys):
     assert rep["i_star"] - best <= 1e-3
 
 
+# a log family whose Blahut-Arimoto cross-check needs 8,275 iterations at a
+# 1e-9 gap and does not reach 1e-10 within its 10,000
+SLOW_ORACLE_FAMILY = [
+    [0.17151829442499592, 0.04997222116103907, 0.10778119823010639, 0.075607111953091,
+     0.33734516548170135, 0.04487152123064754, 0.19835120828642522, 0.014553279231993555],
+    [0.04274118813116081, 0.42529096029503455, 0.01832877705725338, 0.07524503838828177,
+     0.03982725377804093, 0.2251548759826856, 0.15434256944333735, 0.019069336924205506],
+    [0.07630719706958788, 0.18043090075529636, 0.10981877037786499, 0.047827242151750035,
+     0.12402522480030233, 0.009329068753609546, 0.36382228140818684, 0.08843931468340191],
+    [0.23276177279692198, 0.20832955678129364, 0.007081904281235434, 0.01857027522673472,
+     0.2876909029927281, 0.03416313326911478, 0.07745386346468125, 0.13394859118729016],
+    [0.004648162944478184, 0.15673166314431158, 0.011447000358976544, 0.06015503739192045,
+     0.11723273370524472, 0.3167997728702245, 0.09754763633129626, 0.2354379932535478],
+    [0.09029337203919312, 0.06417923756280756, 0.08561218195814305, 0.04196054167676382,
+     0.048431439596136744, 0.3830657746076271, 0.20180533783863341, 0.08465211472069528],
+]
+
+
+def test_capacity_cross_check_runs_at_the_solver_gap(capsys, tmp_path):
+    path = write_spec(tmp_path, {
+        "outcomes": [str(i) for i in range(8)],
+        "loss": {"kind": "log"},
+        "model": SLOW_ORACLE_FAMILY,
+    })
+    code, out, err = run_cli(capsys, "capacity", path)
+    assert code == EXIT_OK, err
+    rep = json.loads(out)
+    assert rep["method"] == "frank-wolfe"
+    assert rep["gap"] <= 1e-9
+    assert rep["cross_check_delta"] <= 1e-12
+
+
 def test_capacity_needs_model(capsys):
     code, _, err = run_cli(capsys, "capacity", spec_path("brier_mean"))
     assert code == EXIT_INFEASIBLE

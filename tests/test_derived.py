@@ -316,6 +316,51 @@ def test_alternating_oracle_agrees_with_the_gradient_route():
         assert _mass_on_upsilon(ba) >= 1 - 1e-6
 
 
+def _entrywise_alternating(mmat, tol=1e-10, max_iter=10000):
+    """Reference: the updates with KL(P_w || P_mix) summed entry by entry.
+    Returns (iterations, value, prior), or None at the iteration cap."""
+    pi = np.full(mmat.shape[0], 1.0 / mmat.shape[0])
+    for it in range(1, max_iter + 1):
+        mix = pi @ mmat
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(mmat > 0.0, mmat * np.log(mmat / mix), 0.0)
+        kl = terms.sum(axis=1)
+        shift = float(kl.max())
+        c = np.exp(kl - shift)
+        il = shift + float(np.log(pi @ c))
+        if shift - il <= tol:
+            return it, il, pi
+        pi = pi * c
+        pi /= pi.sum()
+    return None
+
+
+def test_alternating_oracle_matches_the_entrywise_updates():
+    rng = np.random.default_rng(29)
+    checked = 0
+    for trial in range(24):
+        n, m = int(rng.integers(2, 13)), int(rng.integers(2, 11))
+        uncharged = trial % 3 == 0          # one outcome that no member charges
+        draw = rng.dirichlet(np.ones(n - uncharged), size=m)
+        keep = rng.random(draw.shape) >= 0.2  # exact zeros, each row keeping its top entry
+        keep[np.arange(m), draw.argmax(axis=1)] = True
+        draw = np.where(keep, draw, 0.0)
+        draw /= draw.sum(axis=1, keepdims=True)
+        members = np.insert(draw, rng.integers(n), 0.0, axis=1) if uncharged else draw
+        sm = StatModel(log_model(SampleSpace.of([str(i) for i in range(n)])), tuple(members))
+        ref = _entrywise_alternating(sm.member_matrix)
+        if ref is None:
+            with pytest.raises(MaxIterExceeded):
+                blahut_arimoto(sm)
+            continue
+        ba = blahut_arimoto(sm)
+        assert ba.iterations == ref[0], (trial, n, m)
+        assert abs(ba.i_star - ref[1]) <= 1e-14, (trial, n, m)
+        assert np.max(np.abs(ba.pi_star.pi.w - ref[2])) <= 1e-12, (trial, n, m)
+        checked += 1
+    assert checked >= 16
+
+
 def test_alternating_oracle_iteration_cap():
     sm = StatModel(LOG2, [np.array([0.8, 0.2]), np.array([0.3, 0.7])])
     with pytest.raises(MaxIterExceeded):

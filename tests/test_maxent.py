@@ -5,6 +5,11 @@ t = (-1, 0, 1): quadratic-score and hit-or-miss games admit piecewise
 polynomial solutions, the log game reduces to a softmax tilt.
 """
 
+import os
+import subprocess
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,10 +21,12 @@ from maxentgames import (
     Infeasible,
     MaxIterExceeded,
     SampleSpace,
+    StatModel,
     Statistic,
     beta_derivative_check,
     bregman_model,
     brier_model,
+    capacity_solve,
     conjugacy_check,
     lafferty_family,
     log_model,
@@ -756,3 +763,57 @@ def test_slope_root_from_an_infinite_rise():
     # first probe (at hi) is already past the root, so lo keeps that slope
     root = _slope_root(lambda t: 0.1 - t, np.inf, np.float64(0.5))
     assert abs(root - 0.1) <= 1e-8 * 0.1
+
+
+# ---------------------------------------------------------------------------
+# the Frank-Wolfe inner loop
+
+
+def test_frank_wolfe_builds_no_act_per_step(monkeypatch):
+    # supergradients and line-search slopes are rows of `bayes_losses`; the
+    # loop builds one act, the one it returns, and no loss vector
+    counts, in_loop = Counter(), Counter()
+    fw = maxent._fw_maximize
+
+    def watched(*args):
+        before = counts.copy()
+        res = fw(*args)
+        in_loop.update(counts - before)
+        return res
+
+    monkeypatch.setattr(maxent, "_fw_maximize", watched)
+
+    def counted(model):
+        for name in ("loss_vector", "bayes_act"):
+            def call(*args, _method=getattr(model, name), _name=name):
+                counts[_name] += 1
+                return _method(*args)
+            monkeypatch.setattr(model, name, call)
+        return model
+
+    rng = np.random.default_rng(37)
+    space = SampleSpace.of([str(i) for i in range(6)])
+    runs = [capacity_solve(StatModel(counted(make(space)), tuple(rng.dirichlet(np.ones(6), size=4))))
+            for make in (log_model, brier_model)]
+    g = GammaTau(Statistic(rng.uniform(-1.0, 1.0, (1, 6))), np.array([0.1]))
+    runs.append(solve(counted(quadratic_model(space, rng.uniform(-1.0, 1.0, 6))), g))
+    assert [r.method for r in runs] == ["frank-wolfe"] * 3
+    assert in_loop == Counter(bayes_act=3)
+
+
+def test_zero_one_solve_leaves_numpy_ma_unloaded():
+    # np.intersect1d and np.setdiff1d import numpy.ma (about 19 ms) on first use
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from maxentgames import GammaTau, SampleSpace, Statistic, solve, zero_one_model",
+        "g = GammaTau(Statistic(np.array([[0.0, 1.0, 2.0, 3.0, 4.0]])), np.array([1.5]))",
+        "sp = solve(zero_one_model(SampleSpace.of(list('abcde'))), g)",
+        "assert sp.method == 'zero-one-enum', sp.method",
+        "assert 'numpy.ma' not in sys.modules",
+    ])
+    src = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
