@@ -793,7 +793,7 @@ def test_frank_wolfe_builds_no_act_per_step(monkeypatch):
 
     rng = np.random.default_rng(37)
     space = SampleSpace.of([str(i) for i in range(6)])
-    runs = [capacity_solve(StatModel(counted(make(space)), tuple(rng.dirichlet(np.ones(6), size=4))))
+    runs = [capacity_solve(StatModel(counted(make(space)), tuple(rng.dirichlet(np.ones(6), 4))))
             for make in (log_model, brier_model)]
     g = GammaTau(Statistic(rng.uniform(-1.0, 1.0, (1, 6))), np.array([0.1]))
     runs.append(solve(counted(quadratic_model(space, rng.uniform(-1.0, 1.0, 6))), g))
