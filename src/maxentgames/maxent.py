@@ -33,6 +33,7 @@ from .core import (
     CombinatorialBlowup,
     Distribution,
     Infeasible,
+    NORM_TOL,
     Statistic,
     WEIGHT_CLAMP,
     _checked_rows,
@@ -41,7 +42,7 @@ from .core import (
     ext_dots,
 )
 from .divergence import RelativeModel, equalizer_check, relative_model
-from .losses import ConvexGenerator, LossModel
+from .losses import BrierModel, ConvexGenerator, LogModel, LossModel, ZeroOneModel
 from .verify import lp_game_value, point_act_losses, point_act_saddle
 
 LINEAR_FIT_TOL = 1e-7
@@ -370,7 +371,7 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
     later support can win, and a solution left further below the bound
     than BRIER_GAP_TOL raises NewtonDivergence.
     """
-    if model.kind != "brier":
+    if not isinstance(model, BrierModel):
         raise ValueError("solve_brier needs a Brier model")
     hull = _hull_class(g)
     n, k = g.n, g.k
@@ -415,15 +416,16 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
 
 
 def _separable_dual(rows: np.ndarray, target: np.ndarray, mu: np.ndarray,
-                    gen: ConvexGenerator):
-    """Maximize y'b - sum mu psi*(A'y) by regularized semismooth Newton.
+                    gen: ConvexGenerator, offset=0.0):
+    """Maximize y'b - sum mu psi*(A'y - r) by regularized semismooth Newton.
 
-    psi* is the conjugate of the generator on [0, inf), so the gradient is
-    b - A p with p = mu (psi')^-1(max(psi'(0), A'y)), and the generalized
-    Hessian is A diag(mu dp/ds) A' over the active outcomes.  A full step is
-    taken when it shrinks the gradient norm; otherwise the step is cut at
-    the root of the non-increasing directional derivative.  Neither test
-    compares dual values.  Returns the last iterate, its p and gradient norm.
+    psi* is the conjugate of the generator on [0, inf), r the entropy's
+    linear `offset`, H(P) - P . r, so the gradient is b - A p with p =
+    mu (psi')^-1(max(psi'(0), A'y - r)), and the generalized Hessian is
+    A diag(mu dp/ds) A' over the active outcomes.  A full step is taken when
+    it shrinks the gradient norm, else it is cut at the root of the
+    non-increasing directional derivative; neither test compares dual
+    values.  Returns the last iterate, its p and gradient norm.
     """
     # psi'(0) may be -inf, and a trial step may overflow the density; the
     # gradient-norm test rejects such a step
@@ -436,7 +438,7 @@ def _separable_dual(rows: np.ndarray, target: np.ndarray, mu: np.ndarray,
             return gen.psi_prime_inv(np.maximum(s, floor))
 
         def gradient(v):
-            p = mu * density(rows.T @ v)
+            p = mu * density(rows.T @ v - offset)
             r = target - rows @ p
             return r, float(np.abs(r).max()), p
 
@@ -447,7 +449,7 @@ def _separable_dual(rows: np.ndarray, target: np.ndarray, mu: np.ndarray,
         for _ in range(NEWTON_MAX_ITER):
             if norm <= tol:
                 break
-            s = rows.T @ y
+            s = rows.T @ y - offset
             # dp/ds by a forward difference on a power-of-two step, exact for
             # linear densities
             h = np.ldexp(1.0, np.frexp(s)[1] - 20)
@@ -545,7 +547,7 @@ def solve_log(model: LossModel, g: GammaTau, tol: float = 1e-10) -> SaddlePoint:
     everywhere), are solved in their own coordinates; the resulting family
     has no finite affine representation, so beta is absent there.
     """
-    if model.kind != "log":
+    if not isinstance(model, LogModel):
         raise ValueError("solve_log needs a log model")
     hull = _hull_class(g)
     idx = union_support(g) if hull == "boundary" else np.arange(g.n)
@@ -660,11 +662,14 @@ def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
     equalizer rule, then by proximity to the uniform act, subject to the
     supporting-hyperplane constraints on (beta0, beta).
     """
-    if model.kind != "zero_one":
+    if not isinstance(model, ZeroOneModel):
         raise ValueError("solve_zero_one needs a zero-one model")
     m_star, p = _min_pmax(g)
     h = 1.0 - float(p.max())   # the optimizer's value can carry solve noise
     zeta, beta0, beta, family = _zero_one_act(model, g, p, m_star)
+    if abs(float(zeta.sum()) - 1.0) > NORM_TOL:
+        raise ArithmeticError(
+            f"zero-one act system near-singular: the act sums to {zeta.sum():.17g}")
     return _finalize(model, g, p, Act(ACT_DISTRIBUTION, zeta), h, beta0, beta,
                      0.0, "zero-one-enum", act_family=family)
 
@@ -934,25 +939,30 @@ def _pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n):
 
 
 def solve_bregman(model: LossModel, g: GammaTau) -> SaddlePoint:
-    """Bregman saddle point from the (k+1)-dimensional dual.
+    """Separable saddle point from the (k+1)-dimensional dual.
 
-    P*(x) = mu(x) (psi')^-1(max(psi'(0), lambda0 - beta' t(x))), where
+    P*(x) = mu(x) (psi')^-1(max(psi'(0), lambda0 - beta' t(x) - r(x))), where
     (lambda0, -beta) maximizes the dual of `_separable_dual` over the
     outcomes some member of Gamma_tau charges (every outcome for interior
     tau, else `union_support`); the others carry no mass, which also covers
-    boundary tau and generators with psi'(0) = -inf.
-    beta is absent on a boundary face, where it is not determined.
+    boundary tau and generators with psi'(0) = -inf; beta is absent on a
+    face.  r is 0, or a relative model's reference losses (`_unwrap`).
     """
-    if model.kind != "bregman":
-        raise ValueError("solve_bregman needs a Bregman model")
+    base, r = _unwrap(model)
+    if isinstance(model, (BrierModel, LogModel)) or base.separable() is None:
+        raise ValueError("solve_bregman needs a Bregman or relative separable model")
     hull = _hull_class(g)
     idx = np.arange(g.n) if hull == "interior" else union_support(g)
     rows = np.vstack([np.ones(idx.size), g.statistic.matrix[:, idx]])
-    target = np.concatenate([[1.0], g.tau])
-    gen, mu = model.separable()
-    y, p_idx, norm = _separable_dual(rows, target, mu[idx], gen)
-    if not norm <= _dual_tol(target):
+    target = aim = np.concatenate([[1.0], g.tau])
+    if hull != "interior":   # the face may reach tau only within the hull tolerance
+        aim = rows @ np.linalg.lstsq(rows, target, rcond=None)[0]
+        aim = aim / aim[0]
+    gen, mu = base.separable()
+    y, p_idx, norm = _separable_dual(rows, aim, mu[idx], gen, r[idx])
+    if not norm <= _dual_tol(aim):
         raise NewtonDivergence(f"Bregman dual stopped with gradient norm {norm:.3e}")
+    norm = float(np.abs(rows @ p_idx - target).max())   # the residual against tau itself
     p = np.zeros(g.n)
     p[idx] = p_idx
     h = model.entropy(Distribution(p))
@@ -960,7 +970,7 @@ def solve_bregman(model: LossModel, g: GammaTau) -> SaddlePoint:
     if np.linalg.matrix_rank(rows, tol=1e-10) == g.k + 1:
         beta = -y[1:]
         beta0 = h - float(beta @ g.tau)
-    zeta = Act(ACT_DENSITY, p / model.base.weights)
+    zeta = base.bayes_act(Distribution(p))
     return _finalize(model, g, p, zeta, h, beta0, beta, norm, "bregman-dual", hull=hull)
 
 
@@ -973,12 +983,12 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
 
     Losses affine in a distribution act whose Bayes act is a set (zero-one
     and its relative form) are solved exactly by the game of Gamma_tau
-    against point-mass acts, one LP (`point_act_saddle`, `method`
-    "matrix-game"), with gap sup over Gamma_tau of L(P, zeta*) minus
-    min_j P* . L(e_j).  Every other loss runs pairwise conditional gradient
-    over the vertices, whose supergradient at P is the loss vector of the
-    Bayes act at P ("frank-wolfe"); a loss with kinks must therefore expose
-    `bayes_act_set`.  A certified gap above tol raises MaxIterExceeded.
+    against point-mass acts, one LP (`point_act_saddle`, "matrix-game"),
+    with gap sup over Gamma_tau of L(P, zeta*) minus min_j P* . L(e_j).
+    Other losses (from `solve`: the non-separable ones, quadratic and
+    custom) run pairwise conditional gradient over the vertices, with the
+    Bayes act's losses at P as supergradient ("frank-wolfe"), so a kinked
+    loss must expose `bayes_act_set`.  A gap above tol raises MaxIterExceeded.
     """
     L = point_act_losses(model)
     if L is None:
@@ -1009,24 +1019,31 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
 # dispatch and derived quantities
 
 
+def _unwrap(model: LossModel):
+    """(base, r): a relative model's entropy is its base's minus P . r."""
+    r = np.zeros(model.space.n)
+    while isinstance(model, RelativeModel):
+        model, r = model.base, r + model.reference_losses
+    return model, r
+
+
 def solve(model: LossModel, g: GammaTau, tol: float | None = None) -> SaddlePoint:
     """Route to the solver for the model's mathematical structure.
 
-    Brier, Bregman and zero-one saddles are exact (dual Newton certified by
-    a support solve, dual Newton to a 1e-13 gradient, pattern enumeration)
-    and ignore `tol`; it is the stopping tolerance of the log solver and of
-    `solve_generic`, which takes every other loss.
+    Brier, log and zero-one models have solvers of their own, any other
+    model with a separable base (`_unwrap`) the separable dual
+    (`solve_bregman`), and the rest `solve_generic`.  `tol` stops the log
+    solver and `solve_generic`; the exact solvers ignore it.
     """
-    kind = getattr(model, "kind", "")
-    if kind == "brier":
-        return solve_brier(model, g)
-    if kind == "zero_one":
-        return solve_zero_one(model, g)
-    if kind == "bregman":
-        return solve_bregman(model, g)
     kwargs = {} if tol is None else {"tol": tol}
-    if kind == "log":
+    if isinstance(model, BrierModel):
+        return solve_brier(model, g)
+    if isinstance(model, ZeroOneModel):
+        return solve_zero_one(model, g)
+    if isinstance(model, LogModel):
         return solve_log(model, g, **kwargs)
+    if _unwrap(model)[0].separable() is not None:
+        return solve_bregman(model, g)
     return solve_generic(model, g, **kwargs)
 
 
@@ -1094,14 +1111,13 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
     reduction runs row by row (einsum, not a BLAS product), so a row's tilt
     does not depend on the other rows of the grid.
 
-    A relative model tilts on its base model's route: H(P) - P . r tilted
-    by beta is H tilted with shift T' beta + r, r the reference losses, so
-    the base model's chi with that shift is the relative chi.
+    A relative model tilts on its base model's route (`_unwrap`): H(P) - P . r
+    tilted by beta is the base chi with shift T' beta + r.
     """
     shifts = betas @ statistic.matrix
-    while isinstance(model, RelativeModel):
-        shifts = shifts + model.reference_losses
-        model = model.base
+    model, r = _unwrap(model)
+    if r.any():   # x + 0.0 would turn -0.0 into 0.0
+        shifts = shifts + r
     sep = model.separable()
     top = None if sep is not None else _top_offset(model)
     if sep is None and top is None:
@@ -1146,7 +1162,7 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
     for res in out:
         if res.gap > tol:
             raise MaxIterExceeded(f"natural tilt gap {res.gap:.3e} above tol", res)
-    if model.kind == "log":
+    if isinstance(model, LogModel):
         # the cumulant log sum mu exp(-c), stabilized by its largest exponent
         lead = -shifts.min(axis=1)
         kappa = lead + np.log(np.exp(-shifts - lead[:, None]) @ mu)

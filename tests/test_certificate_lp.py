@@ -22,6 +22,7 @@ from maxentgames import (
     constraints,
     log_model,
     power_generator,
+    relative_model,
     solve,
     verify_saddle,
     vertices,
@@ -29,7 +30,7 @@ from maxentgames import (
 )
 from maxentgames import _simplex
 from maxentgames.constraints import DEDUP_TOL, max_expectation, union_support
-from maxentgames.core import NotNormalized, ext_dots
+from maxentgames.core import ext_dots
 from maxentgames.maxent import NewtonDivergence
 
 KINDS = ("interior", "face", "tied", "hull_end")
@@ -88,6 +89,11 @@ def largest_charges(g):
         c[x] = -1.0
         out[x] = -_simplex.solve_lp(c, rows, target)[1]
     return out
+
+
+def relative_to_random(model):
+    """The game of model relative to a seeded random act."""
+    return relative_model(model, model.random_act(np.random.default_rng(81)))
 
 
 def models(n):
@@ -202,31 +208,42 @@ def test_infinite_loss_where_members_charge_fails_the_certificate():
 
 @pytest.mark.parametrize("make", [
     # the zero-one act system is near-singular (|beta| ~ 1e16), and the act
-    # the rule returns does not sum to one
+    # the rule returns does not sum to one; the solver raises on it
     pytest.param(zero_one_model,
-                 marks=pytest.mark.xfail(raises=NotNormalized, strict=True)),
-    # the dual runs on the outcomes members charge, where tau is reached
-    # only within 1e-9, far above the dual's 1e-13 gradient tolerance
-    pytest.param(lambda space: bregman_model(space, power_generator(1.5)),
-                 marks=pytest.mark.xfail(raises=NewtonDivergence, strict=True)),
+                 marks=pytest.mark.xfail(raises=ArithmeticError, strict=True)),
+    # the separable dual runs on the outcomes members charge, which reach
+    # tau only within 1e-9; it aims at tau's projection onto their span
+    pytest.param(lambda space: bregman_model(space, power_generator(1.5)), id="bregman"),
+    pytest.param(lambda space: relative_to_random(brier_model(space)), id="relative-brier"),
+    pytest.param(lambda space: relative_to_random(log_model(space)), id="relative-log"),
 ])
 def test_solvers_at_a_hull_vertex(make):
-    # known failures at tau within 1e-9 of a hull vertex, k = 2
+    # tau within 1e-9 of a hull vertex, k = 2
     kind, g = next((kind, g) for kind, g in problems(seed=81, count=160)
                    if kind == "hull_end" and g.k == 2)
-    solve(make(SampleSpace.of(range(g.n))), g)
+    model = make(SampleSpace.of(range(g.n)))
+    sp = solve(model, g)
+    assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
+    # the gap is how far P* misses tau itself, about 1e-10 here
+    miss = np.max(np.abs(g.statistic.matrix @ sp.p_star.w - g.tau))
+    assert 1e-11 <= miss <= 1e-9 and abs(sp.gap - miss) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [40, 80, 160])
 def test_solve_and_verify_at_scale(n, no_enumeration):
+    # relative games, each against a seeded random reference act, solve on
+    # their base model's separable dual
     rng = np.random.default_rng(n)
+    ref_rng = np.random.default_rng(n + 1)
     space = SampleSpace.of(range(n))
     for k in (1, 2, 3):
         for kind in ("interior", "face"):
             t, tau = mean_value_problem(rng, n, k, kind)
             g = GammaTau(Statistic(t), tau)
-            for model in (brier_model(space), log_model(space),
-                          bregman_model(space, power_generator(1.5))):
+            bases = (brier_model(space), log_model(space),
+                     bregman_model(space, power_generator(1.5)))
+            relatives = tuple(relative_model(m, m.random_act(ref_rng)) for m in bases)
+            for model in bases + relatives:
                 sp = solve(model, g)
                 chk = verify_saddle(model, g, sp.p_star, sp.zeta_star)
                 assert chk.is_saddle, (n, k, kind, model.kind, chk)
@@ -236,6 +253,8 @@ def test_solve_and_verify_at_scale(n, no_enumeration):
                 assert sp.tau_interior == (kind == "interior")
                 if model.kind == "log":
                     assert sp.method == ("log-newton" if kind == "interior" else "log-face")
+                if model in relatives:
+                    assert sp.method == "bregman-dual"
                 if kind == "face":
                     # no mass leaves the face {t_1 = -1}
                     assert p[t[0] > -1.0].sum() <= 1e-12

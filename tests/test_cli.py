@@ -22,6 +22,7 @@ from maxentgames.cli import (
     parse_spec,
     record_columns,
 )
+from test_certificate_lp import problems
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SPECS = os.path.normpath(os.path.join(HERE, os.pardir, "specs"))
@@ -676,6 +677,24 @@ def test_cli_solves_a_sixteen_outcome_zero_one_spec(capsys, tmp_path, monkeypatc
     assert rec["saddle_verified"] is True
     p = np.array([rec[f"p_{i + 1}"] for i in range(16)])
     assert abs(float(stat @ p) - 0.3) <= 1e-9
+
+
+def test_zero_one_solve_at_a_hull_vertex_is_a_solver_failure(capsys, tmp_path):
+    # the seed-81 hull-end problem of test_solvers_at_a_hull_vertex: the
+    # zero-one act system is near-singular and its act does not sum to one
+    _, g = next((kind, g) for kind, g in problems(seed=81, count=160)
+                if kind == "hull_end" and g.k == 2)
+    path = write_spec(tmp_path, {
+        "outcomes": [f"x{i}" for i in range(g.n)],
+        "loss": {"kind": "zero_one"},
+        "statistic": g.statistic.matrix.tolist(),
+        "constraint": {"tau": g.tau.tolist()},
+    }, name="zero_one_hull_end.json")
+    code, out, err = run_cli(capsys, "solve", path)
+    assert code == EXIT_SOLVER
+    assert out == ""
+    assert err.startswith("solver failed: zero-one act system near-singular")
+    assert err.count("\n") == 1
 
 
 def test_cli_refuses_a_tied_twenty_outcome_zero_one_spec(capsys, tmp_path, monkeypatch):

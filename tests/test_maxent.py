@@ -50,6 +50,7 @@ from maxentgames import (
 )
 from maxentgames import maxent
 from maxentgames.maxent import FW_MAX_ITER, _fw_maximize, _mixture_max, _slope_root, _tilts
+from test_zero_one_lp import mean_value_problem
 
 SPACE = SampleSpace.of(["-1", "0", "1"])
 T = Statistic(np.array([[-1.0, 0.0, 1.0]]))
@@ -330,6 +331,15 @@ def test_solve_routes_by_model_kind():
     assert solve(BRIER, gamma(0.3)).method == "brier-enum"
     assert solve(LOG, gamma(0.3)).method == "log-newton"
     assert solve(ZERO_ONE, gamma(0.3)).method == "zero-one-enum"
+    # a relative game over a separable base takes the separable dual with
+    # the reference losses as offset, as a Bregman game does
+    bregman = bregman_model(SPACE, power_generator(1.5))
+    for model in (bregman, relative_model(BRIER, Act("distribution", np.array([0.2, 0.3, 0.5]))),
+                  relative_model(LOG, Act("density", np.array([0.2, 0.3, 0.5]))),
+                  relative_model(bregman, Act("density", np.array([0.5, 0.3, 0.2])))):
+        sp = solve(model, gamma(0.3))
+        assert sp.method == "bregman-dual", model.kind
+        assert verify_saddle(model, gamma(0.3), sp.p_star, sp.zeta_star).is_saddle, model.kind
 
 
 def test_solve_routes_other_losses_to_the_generic_solver():
@@ -341,6 +351,28 @@ def test_solve_routes_other_losses_to_the_generic_solver():
         sp = solve(model, gamma(0.3))
         assert sp.method == method
         assert verify_saddle(model, gamma(0.3), sp.p_star, sp.zeta_star).is_saddle, method
+
+
+def test_relative_separable_saddles_agree_with_frank_wolfe():
+    # the separable dual against Frank-Wolfe over the vertices, on seeded
+    # relative Brier, log and Bregman games with random references: uniform
+    # and integer statistics, faces and laws on k + 1 outcomes
+    rng = np.random.default_rng(16)
+    for i in range(40):
+        n, k = int(rng.integers(3, 9)), int(rng.integers(1, 3))
+        stat, tau = mean_value_problem(rng, n, k, i % 4)
+        g = GammaTau(stat, tau)
+        space = SampleSpace.of(range(n))
+        for base in (brier_model(space), log_model(space),
+                     bregman_model(space, power_generator(1.5))):
+            model = relative_model(base, base.random_act(rng))
+            sp = solve(model, g)
+            fw = solve_generic(model, g)
+            assert (sp.method, fw.method) == ("bregman-dual", "frank-wolfe")
+            # the certified gap, plus the entropy's change over the dual's
+            # residual in tau (below 1e-13; the gap is 0 where Gamma_tau is a point)
+            assert abs(sp.h_star - fw.h_star) <= fw.gap + 1e-12, (i, model.kind)
+            assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, (i, model.kind)
 
 
 def test_generic_agrees_with_specialized():
