@@ -53,6 +53,7 @@ from .divergence import (
     relative_model,
 )
 from .losses import (
+    LogModel,
     LossModel,
     bregman_model,
     brier_model,
@@ -322,7 +323,7 @@ def cmd_solve(args) -> int:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
     record = record_values(sp, spec.space.n, g.k)
-    if args.bits and spec.model.kind == "log":
+    if args.bits and isinstance(spec.model, LogModel):
         record["h_bits"] = sp.h_star / LN2
     check = verify_saddle(spec.model, g, sp.p_star, sp.zeta_star)
     record["saddle_verified"] = check.is_saddle
@@ -590,7 +591,7 @@ def cmd_capacity(args) -> int:
     }
     if args.bits:
         report["i_star_bits"] = result.i_star / LN2
-    if spec.model.kind == "log":
+    if isinstance(spec.model, LogModel):
         # the oracle stops at the gap capacity_solve targets: its own 1e-10
         # default can exhaust its iterations on families capacity_solve solves
         oracle = blahut_arimoto(sm, tol=capacity_gap_target(args.tol))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Act, DimensionMismatch, Distribution, ext_dots
 from .divergence import discrepancy
-from .losses import LossModel
+from .losses import LogModel, LossModel
 from .maxent import FW_MAX_ITER, MaxIterExceeded, _mixture_max
 
 UPSILON_TOL = 1e-6        # relative width of the top derived-loss band
@@ -181,7 +181,7 @@ def blahut_arimoto(sm: StatModel, tol: float = 1e-10,
     charges (P_mix > 0 there while every prior weight is), so an iteration
     is one matrix-vector product besides the update.
     """
-    if sm.model.kind != "log":
+    if not isinstance(sm.model, LogModel):
         raise ValueError("blahut_arimoto applies to the log model only")
     charged = sm.member_matrix[:, sm.member_matrix.any(axis=0)]
     with np.errstate(divide="ignore", invalid="ignore"):

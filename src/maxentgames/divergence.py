@@ -18,7 +18,7 @@ from .core import (
     ext_dot,
     ext_dots,
 )
-from .losses import LossModel
+from .losses import BregmanModel, BrierModel, LogModel, LossModel, ZeroOneModel
 
 EQUALIZER_TOL = 1e-8
 PYTHAGOREAN_TOL = 1e-8
@@ -100,9 +100,9 @@ def find_neutral(model: LossModel) -> Act | None:
     for the log and separable Bregman games; none for quadratic loss.
     """
     n = model.space.n
-    if model.kind in ("brier", "zero_one"):
+    if isinstance(model, (BrierModel, ZeroOneModel)):
         act = Act(ACT_DISTRIBUTION, np.full(n, 1.0 / n))
-    elif model.kind in ("log", "bregman"):
+    elif isinstance(model, (LogModel, BregmanModel)):
         act = Act(ACT_DENSITY, np.full(n, 1.0 / model.base.total))
     else:
         return None

@@ -36,7 +36,6 @@ from .core import (
     NORM_TOL,
     Statistic,
     WEIGHT_CLAMP,
-    _checked_rows,
     distribution_rows,
     ext_dot,
     ext_dots,
@@ -299,8 +298,9 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float
 
     The supergradient coordinate of law i is E_{V_i} L(zeta) - offset_i, with
     zeta the Bayes act of the mixture w V; its losses, and those of every
-    line-search probe, are one row of `model.bayes_losses`, checked as
-    `Distribution` checks a law, with plain dot products unless a loss is
+    line-search probe, are one row of `model.bayes_losses` at the point with
+    its float-noise negatives clamped to 0 (each point is a convex
+    combination of checked laws), with plain dot products unless a loss is
     infinite (then `ext_dot`'s 0 * inf = 0).  The Bayes act itself is built
     once, at the returned weights.  Each step moves weight from the
     active law it likes least to the one it likes most, by the exact line
@@ -314,7 +314,7 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float
     `_mixture_max` hands to the matrix game instead.
     """
     def losses(p):
-        return model.bayes_losses(_checked_rows(p[None, :]))[0]
+        return model.bayes_losses(np.where(p < 0.0, 0.0, p)[None, :])[0]
 
     def dot(weights, values):
         return float(weights @ values) if np.isfinite(values).all() else ext_dot(weights, values)
@@ -524,7 +524,7 @@ def _brier_degenerate_beta(g: GammaTau, p: np.ndarray, supp: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# log solver: damped Newton on the dual, face recursion at the boundary
+# log solver: damped Newton on the dual; faces take the separable dual
 
 
 def _log_kappa(mu: np.ndarray, tmat: np.ndarray, beta: np.ndarray):
@@ -540,53 +540,25 @@ def _log_kappa(mu: np.ndarray, tmat: np.ndarray, beta: np.ndarray):
 def solve_log(model: LossModel, g: GammaTau, tol: float = 1e-10) -> SaddlePoint:
     """Log-loss saddle point: Newton on kappa(beta) + beta' tau.
 
-    Boundary tau restricts to the face that members of Gamma_tau charge
-    (`union_support`, one LP); tau is in the relative interior of that face
-    up to tolerances, so one restriction suffices.  A face, and rows
-    affinely dependent over the outcomes (their covariance is singular
-    everywhere), are solved in their own coordinates; the resulting family
-    has no finite affine representation, so beta is absent there.
+    Interior tau with affinely independent rows runs Newton to `tol`
+    ("log-newton").  Boundary tau, and rows affinely dependent over the
+    outcomes (their covariance is singular everywhere), go to the separable
+    dual of psi(s) = s log s (`_separable_saddle`, "log-face"), which runs
+    to DUAL_TOL and leaves beta absent.
     """
     if not isinstance(model, LogModel):
         raise ValueError("solve_log needs a log model")
     hull = _hull_class(g)
-    idx = union_support(g) if hull == "boundary" else np.arange(g.n)
-    tmat = g.statistic.matrix[:, idx]
-    mu = model.base.weights[idx]
-    full_dim = hull == "interior" and np.linalg.matrix_rank(
-        np.vstack([np.ones(g.n), tmat]), tol=RANK_TOL) > g.k
-    if full_dim:
-        beta, kappa, q, grad_norm = _newton_tilt(mu, tmat, g.tau, tol)
-    else:
-        q = _face_tilt(mu, tmat, g.tau, tol)
-        grad_norm = float(np.max(np.abs(g.tau - tmat @ q)))
-    p = np.zeros(g.n)
-    p[idx] = q
+    # an F-ordered copy: Newton's iterates depend on the memory layout
+    tmat = g.statistic.matrix[:, np.arange(g.n)]
+    if hull != "interior" or np.linalg.matrix_rank(
+            np.vstack([np.ones(g.n), tmat]), tol=RANK_TOL) <= g.k:
+        return _separable_saddle(model, model, np.zeros(g.n), g, hull, "log-face")
+    beta, kappa, p, grad_norm = _newton_tilt(model.base.weights, tmat, g.tau, tol)
     h = model.entropy(Distribution(p))
     zeta = Act(ACT_DENSITY, p / model.base.weights)
-    if full_dim:
-        return _finalize(model, g, p, zeta, h, float(kappa), beta, grad_norm, "log-newton",
-                         hull=hull)
-    return _finalize(model, g, p, zeta, h, None, None, grad_norm, "log-face", hull=hull)
-
-
-def _face_tilt(mu, tmat, tau, tol):
-    """Tilted law on a face, by Newton in coordinates of the face's affine span.
-
-    T restricted to a face has fewer affine dimensions than rows, so its
-    covariance under any law there is singular.  The SVD of the centered
-    face columns gives full-rank coordinates; rank 0 (one point) leaves
-    q = mu / sum mu.  The face's beta has no meaning and is not returned.
-    """
-    center = tmat.mean(axis=1)
-    u, sv, _ = np.linalg.svd(tmat - center[:, None], full_matrices=False)
-    rank = int((sv > 1e-10 * max(1.0, float(sv[0]))).sum())
-    if rank == 0:
-        return mu / mu.sum()
-    basis = u[:, :rank].T
-    _, _, q, _ = _newton_tilt(mu, basis @ (tmat - center[:, None]),
-                              basis @ (tau - center), tol)
-    return q
+    return _finalize(model, g, p, zeta, h, float(kappa), beta, grad_norm, "log-newton",
+                     hull=hull)
 
 
 def _newton_tilt(mu, tmat, tau, tol):
@@ -941,17 +913,29 @@ def _pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n):
 def solve_bregman(model: LossModel, g: GammaTau) -> SaddlePoint:
     """Separable saddle point from the (k+1)-dimensional dual.
 
-    P*(x) = mu(x) (psi')^-1(max(psi'(0), lambda0 - beta' t(x) - r(x))), where
-    (lambda0, -beta) maximizes the dual of `_separable_dual` over the
-    outcomes some member of Gamma_tau charges (every outcome for interior
-    tau, else `union_support`); the others carry no mass, which also covers
-    boundary tau and generators with psi'(0) = -inf; beta is absent on a
-    face.  r is 0, or a relative model's reference losses (`_unwrap`).
+    Bregman models and relative games over a separable base (`_unwrap`:
+    Brier, log or Bregman, with r the reference losses) run
+    `_separable_saddle` ("bregman-dual").
     """
     base, r = _unwrap(model)
     if isinstance(model, (BrierModel, LogModel)) or base.separable() is None:
         raise ValueError("solve_bregman needs a Bregman or relative separable model")
-    hull = _hull_class(g)
+    return _separable_saddle(model, base, r, g, _hull_class(g), "bregman-dual")
+
+
+def _separable_saddle(model: LossModel, base: LossModel, r: np.ndarray, g: GammaTau,
+                      hull: str, method: str) -> SaddlePoint:
+    """The saddle of H(P) = H_base(P) - P . r over Gamma_tau, by the separable dual.
+
+    P*(x) = mu(x) (psi')^-1(max(psi'(0), lambda0 - beta' t(x) - r(x))), where
+    (lambda0, -beta) maximizes the dual of `_separable_dual` over the
+    outcomes some member of Gamma_tau charges (every outcome for interior
+    tau, else `union_support`); the others carry no mass, which also covers
+    boundary tau and generators with psi'(0) = -inf.  On a face the dual
+    aims at tau's projection onto the span of the face's columns, and the
+    gap is the residual against tau itself.  beta is absent when the rows
+    restricted to the face have rank <= k.
+    """
     idx = np.arange(g.n) if hull == "interior" else union_support(g)
     rows = np.vstack([np.ones(idx.size), g.statistic.matrix[:, idx]])
     target = aim = np.concatenate([[1.0], g.tau])
@@ -961,7 +945,8 @@ def solve_bregman(model: LossModel, g: GammaTau) -> SaddlePoint:
     gen, mu = base.separable()
     y, p_idx, norm = _separable_dual(rows, aim, mu[idx], gen, r[idx])
     if not norm <= _dual_tol(aim):
-        raise NewtonDivergence(f"Bregman dual stopped with gradient norm {norm:.3e}")
+        raise NewtonDivergence(
+            f"{method}: separable dual stopped with gradient norm {norm:.3e}")
     norm = float(np.abs(rows @ p_idx - target).max())   # the residual against tau itself
     p = np.zeros(g.n)
     p[idx] = p_idx
@@ -971,7 +956,7 @@ def solve_bregman(model: LossModel, g: GammaTau) -> SaddlePoint:
         beta = -y[1:]
         beta0 = h - float(beta @ g.tau)
     zeta = base.bayes_act(Distribution(p))
-    return _finalize(model, g, p, zeta, h, beta0, beta, norm, "bregman-dual", hull=hull)
+    return _finalize(model, g, p, zeta, h, beta0, beta, norm, method, hull=hull)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,7 @@ def test_infinite_loss_where_members_charge_fails_the_certificate():
     # the separable dual runs on the outcomes members charge, which reach
     # tau only within 1e-9; it aims at tau's projection onto their span
     pytest.param(lambda space: bregman_model(space, power_generator(1.5)), id="bregman"),
+    pytest.param(log_model, id="log"),
     pytest.param(lambda space: relative_to_random(brier_model(space)), id="relative-brier"),
     pytest.param(lambda space: relative_to_random(log_model(space)), id="relative-log"),
 ])

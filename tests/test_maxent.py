@@ -263,8 +263,8 @@ def test_log_two_dimensional_statistic():
 
 def test_log_face_of_rank_deficient_statistic():
     # k + 2 outcomes share the minimum of the first row and tau sits on that
-    # face, where the first row is constant: the tilt must be solved in the
-    # face's own coordinates, in either memory layout of the statistic
+    # face, where the first row is constant: the separable dual solves it on
+    # the face's outcomes, in either memory layout of the statistic
     rng = np.random.default_rng(16)
     for n, k in ((8, 2), (12, 2), (8, 3), (12, 3)):
         for _ in range(4):
@@ -285,7 +285,7 @@ def test_log_face_of_rank_deficient_statistic():
 
 def test_log_affinely_dependent_rows():
     # a first row constant at -1 over every outcome: tau is interior, but the
-    # covariance is singular everywhere, so the tilt runs in the affine span;
+    # covariance is singular everywhere, so the separable dual solves it;
     # the law is the one the remaining rows alone give
     rng = np.random.default_rng(0)
     t = np.vstack([-np.ones(5), rng.uniform(-1.0, 1.0, 5)])
@@ -307,6 +307,26 @@ def test_log_affinely_dependent_rows():
         assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, case
         ref = solve_log(model, GammaTau(Statistic(t[1:]), tau[1:]))
         assert np.max(np.abs(sp.p_star.w - ref.p_star.w)) <= 1e-9, case
+
+
+def test_log_faces_take_the_separable_dual():
+    # a log face is the Bregman game of psi(s) = s log s on the same face,
+    # so both solvers return the same bits
+    rng = np.random.default_rng(5)
+    faces = 0
+    for case in range(72):
+        n, k = int(rng.integers(3, 13)), int(rng.integers(1, 4))
+        t, tau = mean_value_problem(rng, n, k, case % 4)
+        g = GammaTau(t, tau)
+        space = SampleSpace.of(range(n))
+        sp = solve_log(log_model(space), g)
+        if sp.method != "log-face":
+            continue
+        faces += 1
+        ref = solve(bregman_model(space, xlogx_generator()), g)
+        assert ref.method == "bregman-dual" and sp.beta is None and ref.beta is None, case
+        assert np.array_equal(sp.p_star.w, ref.p_star.w), case
+    assert faces >= 20
 
 
 def test_log_tau_just_inside_a_hull_end():
