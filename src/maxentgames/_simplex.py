@@ -20,6 +20,7 @@ PIVOT_TOL = 1e-11
 FEAS_TOL = 1e-9
 HARRIS_TOL = 1e-11    # basic variables may dip this far below zero
 BLAND_AFTER = 50      # consecutive degenerate pivots before Bland's rule
+LP_MAX_ITER = 50000   # pivots per phase
 
 
 class Unbounded(OverflowError):
@@ -34,9 +35,9 @@ def _pivot(tableau: np.ndarray, basis: list, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(tableau: np.ndarray, basis: list, n_cols: int, max_iter: int) -> None:
+def _iterate(tableau: np.ndarray, basis: list, n_cols: int) -> None:
     degenerate = 0
-    for _ in range(max_iter):
+    for _ in range(LP_MAX_ITER):
         cost = tableau[-1, :n_cols]
         bland = degenerate >= BLAND_AFTER
         if bland:
@@ -69,14 +70,15 @@ def _iterate(tableau: np.ndarray, basis: list, n_cols: int, max_iter: int) -> No
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def solve_lp(c, a_eq, b_eq, max_iter: int = 50000):
+def solve_lp(c, a_eq, b_eq):
     """min c @ x  subject to  a_eq @ x = b_eq, x >= 0.
 
     Returns (x, value, reduced), where `reduced` is the reduced-cost row of
     the final basis: c - a_eq' y for the dual y of that basis, zero on the
     basic columns and nonnegative at the optimum.  A column with a positive
     reduced cost is zero in every optimal x (complementary slackness holds
-    for any optimal dual).  Raises Infeasible or Unbounded.
+    for any optimal dual).  Raises Infeasible or Unbounded, and RuntimeError
+    when a phase takes more than LP_MAX_ITER pivots.
     """
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
@@ -99,7 +101,7 @@ def solve_lp(c, a_eq, b_eq, max_iter: int = 50000):
     tableau[-1, :n] = -a.sum(axis=0)
     tableau[-1, -1] = -b.sum()
     basis = list(range(n, n + m))
-    _iterate(tableau, basis, n + m, max_iter)
+    _iterate(tableau, basis, n + m)
     if tableau[-1, -1] < -FEAS_TOL:
         raise Infeasible("phase-1 optimum positive: constraints unsatisfiable")
 
@@ -125,7 +127,7 @@ def solve_lp(c, a_eq, b_eq, max_iter: int = 50000):
     for r, bv in enumerate(basis):
         if abs(work[-1, bv]) > 0.0:
             work[-1] -= work[-1, bv] * work[r]
-    _iterate(work, basis, n, max_iter)
+    _iterate(work, basis, n)
 
     x = np.zeros(n)
     for r, bv in enumerate(basis):

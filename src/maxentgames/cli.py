@@ -340,6 +340,8 @@ def cmd_solve(args) -> int:
 def _grid_values(spec: ProblemSpec, args) -> np.ndarray:
     if getattr(args, "grid", None):
         lo, hi, steps = args.grid
+        if not math.isfinite(steps):
+            raise SpecError("--grid STEPS must be a finite number")
         steps = int(steps)
         if steps < 2:
             raise SpecError("--grid needs at least 2 steps")
@@ -607,6 +609,17 @@ def cmd_capacity(args) -> int:
 # argument parsing
 
 
+def _tolerance(text: str) -> float:
+    """--tol: a positive finite float; no iterative solver reaches 0 in floats."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, not {text!r}")
+    return tol
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # usage problems are parse errors under this tool's exit contract
@@ -621,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one constrained game")
     p_solve.add_argument("spec")
     p_solve.add_argument("--tau", type=float, nargs="+", default=None)
-    p_solve.add_argument("--tol", type=float, default=None)
+    p_solve.add_argument("--tol", type=_tolerance, default=None)
     p_solve.add_argument("--out", default=None)
     p_solve.add_argument("--bits", action="store_true")
     p_solve.set_defaults(fn=cmd_solve)
@@ -630,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("spec")
     p_sweep.add_argument("--grid", type=float, nargs=3, default=None,
                          metavar=("FROM", "TO", "STEPS"))
-    p_sweep.add_argument("--tol", type=float, default=None)
+    p_sweep.add_argument("--tol", type=_tolerance, default=None)
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(fn=cmd_sweep)
 
@@ -645,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cap = sub.add_parser("capacity", help="capacity of a finite model")
     p_cap.add_argument("spec")
-    p_cap.add_argument("--tol", type=float, default=1e-6)
+    p_cap.add_argument("--tol", type=_tolerance, default=1e-6)
     p_cap.add_argument("--out", default=None)
     p_cap.add_argument("--bits", action="store_true")
     p_cap.set_defaults(fn=cmd_capacity)

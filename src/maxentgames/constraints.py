@@ -15,26 +15,21 @@ from .core import (
     Distribution,
     Infeasible,
     Statistic,
+    SUPPORT_TOL,
     UndefinedExpectation,
     WEIGHT_CLAMP,
 )
 
-DEFAULT_MAX_N = 20     # vertex enumeration cap; override via MAXENT_MAX_N or max_n=
+DEFAULT_MAX_N = 20     # vertex enumeration cap; override via MAXENT_MAX_N
 DEFAULT_MAX_K = 3
 MEMBER_TOL = 1e-8      # ||T p - tau||_inf for membership
+HULL_TOL = 1e-9        # distance of tau from a hull face that counts as on it
 DEDUP_TOL = 1e-8       # L_inf distance below which two vertices coincide
 CONSISTENCY_TOL = 1e-9
 RANK_TOL = 1e-10       # singular values at or below this make a support dependent
 SCREEN_BLOCK = 256     # candidate supports screened per batch
 SCREEN_SLACK = 1e-12   # screen slack per unit of condition number and weight
 UNION_LIFT_TOL = 1e-6  # z this far below 1 still counts as lifted in union_support
-
-
-def _max_n_cap() -> int:
-    env = os.environ.get("MAXENT_MAX_N")
-    if env:
-        return int(env)
-    return DEFAULT_MAX_N
 
 
 @dataclass(frozen=True)
@@ -58,6 +53,8 @@ class GammaTau:
             raise DimensionMismatch(
                 f"tau has shape {t.shape}, statistic has {self.statistic.k} rows"
             )
+        if not np.all(np.isfinite(t)):
+            raise DimensionMismatch("tau entries must be finite")
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "tau", t)
@@ -84,15 +81,15 @@ class VertexSet:
     def distributions(self) -> list:
         return [Distribution(row) for row in self.points]
 
-    def union_support(self, tol: float = 1e-12) -> np.ndarray:
-        return np.flatnonzero(self.points.max(axis=0) > tol)
+    def union_support(self) -> np.ndarray:
+        return np.flatnonzero(self.points.max(axis=0) > SUPPORT_TOL)
 
 
-def _check_sizes(g: GammaTau, max_n: int | None) -> None:
-    cap = max_n if max_n is not None else _max_n_cap()
+def _check_sizes(g: GammaTau) -> None:
+    cap = int(os.environ.get("MAXENT_MAX_N") or DEFAULT_MAX_N)
     if g.n > cap:
         raise CombinatorialBlowup(
-            f"N={g.n} exceeds the enumeration cap {cap}; raise max_n or MAXENT_MAX_N"
+            f"N={g.n} exceeds the enumeration cap {cap}; raise MAXENT_MAX_N"
         )
     if g.k > DEFAULT_MAX_K:
         raise CombinatorialBlowup(f"k={g.k} exceeds the supported cap {DEFAULT_MAX_K}")
@@ -104,15 +101,16 @@ def _zero_row_infeasible(g: GammaTau) -> bool:
     return bool(np.any(zero_rows & (np.abs(g.tau) > 1e-12)))
 
 
-def vertices(g: GammaTau, max_n: int | None = None) -> VertexSet:
+def vertices(g: GammaTau) -> VertexSet:
     """Enumerate all vertices of Gamma_tau.
 
     A vertex has support of size at most k+1 with affinely independent
     statistic columns; each candidate support yields one consistent
     nonnegative solution of {sum p = 1, T p = tau} or is skipped.  The
-    result is kept on `g`; the size caps are checked on every call.
+    result is kept on `g`; the size caps (MAXENT_MAX_N, else DEFAULT_MAX_N,
+    and DEFAULT_MAX_K) are checked on every call.
     """
-    _check_sizes(g, max_n)
+    _check_sizes(g)
     if _zero_row_infeasible(g):
         raise Infeasible("a zero statistic row has a nonzero target")
     if g._vertices is None:
@@ -209,39 +207,42 @@ def feasible(g: GammaTau) -> bool:
         return False
 
 
-def contains(g: GammaTau, dist: Distribution, tol: float = MEMBER_TOL) -> bool:
-    """Membership check ||T p - tau||_inf <= tol."""
+def contains(g: GammaTau, dist: Distribution) -> bool:
+    """Membership check ||T p - tau||_inf <= MEMBER_TOL."""
     if dist.n != g.n:
         raise DimensionMismatch("distribution does not match the statistic")
-    return bool(np.max(np.abs(g.statistic.matrix @ dist.w - g.tau)) <= tol)
+    return bool(np.max(np.abs(g.statistic.matrix @ dist.w - g.tau)) <= MEMBER_TOL)
 
 
-def hull_interior(statistic: Statistic, tau, tol: float = 1e-9) -> str:
+def hull_interior(statistic: Statistic, tau) -> str:
     """Classify tau against the convex hull of the statistic columns.
 
-    Returns "interior" (relative interior), "boundary", or "outside".
+    Returns "interior" (relative interior), "boundary" (within HULL_TOL of
+    a face), or "outside".
     """
     t = np.atleast_1d(np.asarray(tau, dtype=float))
     if t.shape != (statistic.k,):
         raise DimensionMismatch("tau does not match the statistic")
+    if not np.all(np.isfinite(t)):
+        raise DimensionMismatch("tau entries must be finite")
     m = statistic.matrix
     if statistic.k == 1:
         lo, hi = float(m.min()), float(m.max())
         x = float(t[0])
-        if x < lo - tol or x > hi + tol:
+        if x < lo - HULL_TOL or x > hi + HULL_TOL:
             return "outside"
-        if hi - lo <= tol:
+        if hi - lo <= HULL_TOL:
             return "interior"  # degenerate hull: a single point
-        if x <= lo + tol or x >= hi - tol:
+        if x <= lo + HULL_TOL or x >= hi - HULL_TOL:
             return "boundary"
         return "interior"
     # general k: maximize the minimum combination weight delta subject to
     # {lam >= delta, sum lam = 1, M lam = tau}, written in (s, delta) with
     # lam = delta + s >= delta; delta > 0 iff tau is in the relative
-    # interior of the hull.  A tau that only M lam = tau read within tol
+    # interior of the hull.  A tau that only M lam = tau read within HULL_TOL
     # reaches is on the boundary, as for k = 1.
     n = statistic.n
-    for width in (0.0, tol):
+    for width in (0.0, HULL_TOL):
         rows, b = _tolerant_rows(m, t, width)
         a = np.insert(rows, n, 0.0, axis=1)
         a[0, n] = n
@@ -252,7 +253,7 @@ def hull_interior(statistic: Statistic, tau, tol: float = 1e-9) -> str:
             _, value, _ = _simplex.solve_lp(c, a, b)
         except Infeasible:
             continue
-        return "interior" if width == 0.0 and -value > tol else "boundary"
+        return "interior" if width == 0.0 and -value > HULL_TOL else "boundary"
     return "outside"
 
 

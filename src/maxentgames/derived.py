@@ -16,10 +16,11 @@ import numpy as np
 from .core import Act, DimensionMismatch, Distribution, ext_dots
 from .divergence import discrepancy
 from .losses import LogModel, LossModel
-from .maxent import FW_MAX_ITER, MaxIterExceeded, _mixture_max
+from .maxent import MaxIterExceeded, _mixture_max
 
 UPSILON_TOL = 1e-6        # relative width of the top derived-loss band
 EQUALIZATION_TOL = 1e-5
+BA_MAX_ITER = 10000       # alternating updates in blahut_arimoto
 FW_CAPACITY_FACTOR = 1e-3  # Frank-Wolfe gap target, relative to min(tol, UPSILON_TOL)
 
 
@@ -29,7 +30,6 @@ class StatModel:
 
     model: LossModel
     omegas: tuple
-    labels: tuple | None = None
 
     def __post_init__(self) -> None:
         members = tuple(
@@ -41,12 +41,6 @@ class StatModel:
         n = self.model.space.n
         if any(p.n != n for p in members):
             raise DimensionMismatch("members must live on the model's sample space")
-        labels = self.labels
-        if labels is None:
-            labels = tuple(f"w{i}" for i in range(len(members)))
-        labels = tuple(str(u) for u in labels)
-        if len(labels) != len(members):
-            raise DimensionMismatch("one label per member required")
         matrix = np.array([p.w for p in members])
         matrix.flags.writeable = False
         entropies = np.array([self.model.entropy(p) for p in members])
@@ -54,13 +48,17 @@ class StatModel:
             raise ArithmeticError("member entropies must be finite")
         entropies.flags.writeable = False
         object.__setattr__(self, "omegas", members)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_entropies", entropies)
 
     @property
     def m(self) -> int:
         return len(self.omegas)
+
+    @property
+    def labels(self) -> tuple:
+        """("w0", "w1", ...), one label per member, in order."""
+        return tuple(f"w{i}" for i in range(self.m))
 
     @property
     def member_matrix(self) -> np.ndarray:
@@ -154,7 +152,7 @@ def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
     "frank-wolfe" and `iterations` counts its iterations.
     """
     res = _mixture_max(sm.model, sm.member_matrix, sm.member_entropies,
-                       capacity_gap_target(tol), FW_MAX_ITER)
+                       capacity_gap_target(tol))
     if res.gap > tol:
         raise MaxIterExceeded(f"capacity iteration {res.how} with gap {res.gap:.3e}", res)
     w = res.weights
@@ -170,8 +168,7 @@ def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
     )
 
 
-def blahut_arimoto(sm: StatModel, tol: float = 1e-10,
-                   max_iter: int = 10000) -> CapacityResult:
+def blahut_arimoto(sm: StatModel, tol: float = 1e-10) -> CapacityResult:
     """Alternating-maximization capacity oracle for the log model.
 
     Standard multiplicative updates pi <- pi * exp(KL(P_w || P_mix)) with the
@@ -179,7 +176,8 @@ def blahut_arimoto(sm: StatModel, tol: float = 1e-10,
     conditional-gradient route.  KL(P_w || P_mix) is sum_x P_w log P_w, a
     per-member constant, minus P_w . log P_mix over the outcomes some member
     charges (P_mix > 0 there while every prior weight is), so an iteration
-    is one matrix-vector product besides the update.
+    is one matrix-vector product besides the update.  A gap above tol after
+    BA_MAX_ITER updates raises MaxIterExceeded.
     """
     if not isinstance(sm.model, LogModel):
         raise ValueError("blahut_arimoto applies to the log model only")
@@ -188,7 +186,7 @@ def blahut_arimoto(sm: StatModel, tol: float = 1e-10,
         neg = np.where(charged > 0.0, charged * np.log(charged), 0.0).sum(axis=1)
     pi = np.full(sm.m, 1.0 / sm.m)
     il = iu = np.nan
-    for it in range(1, max_iter + 1):
+    for it in range(1, BA_MAX_ITER + 1):
         kl = neg - charged @ np.log(pi @ charged)
         shift = float(kl.max())
         c = np.exp(kl - shift)
@@ -225,22 +223,22 @@ class EqualizationReport:
     slack_members: np.ndarray     # members with loss strictly below i_star
 
 
-def equalization_report(result: CapacityResult, sm: StatModel,
-                        tol: float = EQUALIZATION_TOL) -> EqualizationReport:
+def equalization_report(result: CapacityResult, sm: StatModel) -> EqualizationReport:
     """Derived losses of the minimax act: constant on upsilon, and strictly
-    smaller off it exactly when the act is not an equalizer over the family."""
+    smaller off it exactly when the act is not an equalizer over the family;
+    both read within EQUALIZATION_TOL."""
     lhat = _derived_losses(sm, result.act_star)
     ups = result.upsilon
     if ups.size:
         spread = float(lhat[ups].max() - lhat[ups].min())
     else:
         spread = 0.0
-    slack = np.flatnonzero(lhat < result.i_star - tol)
-    is_eq = bool(np.max(np.abs(lhat - result.i_star)) <= tol)
+    slack = np.flatnonzero(lhat < result.i_star - EQUALIZATION_TOL)
+    is_eq = bool(np.max(np.abs(lhat - result.i_star)) <= EQUALIZATION_TOL)
     return EqualizationReport(
         losses=lhat,
         upsilon_spread=spread,
-        upsilon_constant=bool(spread <= tol),
+        upsilon_constant=bool(spread <= EQUALIZATION_TOL),
         is_equalizer=is_eq,
         slack_members=slack,
     )

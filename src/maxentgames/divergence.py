@@ -185,13 +185,12 @@ class PythagoreanReport:
 
 
 def pythagorean_check(model: LossModel, test_points, p_star: Distribution,
-                      zeta_star: Act, zeta0: Act,
-                      tol: float = PYTHAGOREAN_TOL) -> PythagoreanReport:
+                      zeta_star: Act, zeta0: Act) -> PythagoreanReport:
     """Slack of D(P, zeta*) + D(P*, zeta0) <= D(P, zeta0) at each test point.
 
     slack(P) = D(P, zeta0) - D(P, zeta*) - D(P*, zeta0); nonnegative under a
     saddle point, identically ~0 exactly when zeta* is an equalizer in the
-    relative game.
+    relative game, read as every slack within PYTHAGOREAN_TOL of zero.
     """
     points = distribution_rows(test_points, model.space.n)
     pivot = discrepancy(model, p_star, zeta0)
@@ -200,5 +199,5 @@ def pythagorean_check(model: LossModel, test_points, p_star: Distribution,
               - ext_dots(points, model.loss_vector(zeta_star)) - pivot)
     min_slack = float(slacks.min()) if slacks.size else 0.0
     max_slack = float(slacks.max()) if slacks.size else 0.0
-    equality = bool(abs(min_slack) <= tol and abs(max_slack) <= tol)
+    equality = bool(abs(min_slack) <= PYTHAGOREAN_TOL and abs(max_slack) <= PYTHAGOREAN_TOL)
     return PythagoreanReport(slacks, min_slack, max_slack, equality)

@@ -61,9 +61,6 @@ class LossModel:
         """Loss at every outcome; entries may be +inf."""
         raise NotImplementedError
 
-    def loss(self, x: int, act: Act) -> float:
-        return float(self.loss_vector(act)[x])
-
     def bayes_act(self, dist: Distribution) -> Act:
         """A canonical act attaining inf_a E_P L(X, a)."""
         raise NotImplementedError

@@ -55,6 +55,9 @@ DUAL_TOL = 1e-13         # dual gradient norm, relative to 1 + |tau|_inf
 BRIER_ACTIVE_TOL = 1e-9  # |A'y| below this marks a weakly active outcome
 BRIER_GAP_TOL = 1e-9     # largest duality gap a Brier solution may keep
 FW_MAX_ITER = 100000     # conditional-gradient iterations
+TILT_TOL = 1e-8          # certified gap of a natural tilt
+GRID_TOL = 1e-6          # certified gap of a tilt on the conjugacy beta grid
+KINK_TOL = 1e-3          # one-sided slopes further apart than this mark a kink of h
 FW_SLOPE_RES = 1e-14     # pairwise slopes below this, relative, are float noise
 ROOT_MAX_ITER = 100      # slope evaluations per line search
 ROOT_TOL = 1e-8          # relative bracket width, or slope against slope(0)
@@ -275,8 +278,8 @@ def _slope_root(slope, rise: float, hi: float, guess: float = 1.0) -> float:
     return lo
 
 
-def _mixture_max(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float,
-                 max_iter: int) -> _MixtureMax:
+def _mixture_max(model: LossModel, V: np.ndarray, offset: np.ndarray,
+                 tol: float) -> _MixtureMax:
     """Maximize H(w V) - w . offset over the weights w of the laws V (m, N):
     exactly, by the matrix game V L - offset against the point acts, for a
     loss affine in a distribution act with a Bayes-act set (zero-one); else
@@ -284,7 +287,7 @@ def _mixture_max(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float
     col_guarantee - row_guarantee."""
     L = point_act_losses(model)
     if L is None:
-        return _fw_maximize(model, V, offset, tol, max_iter)
+        return _fw_maximize(model, V, offset, tol)
     game = lp_game_value(V @ L - offset[:, None])
     w = game.row_strategy
     return _MixtureMax(w, w @ V, game.value,
@@ -292,8 +295,8 @@ def _mixture_max(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float
                        Act(ACT_DISTRIBUTION, game.col_strategy), "matrix-game")
 
 
-def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float,
-                 max_iter: int) -> _MixtureMax:
+def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray,
+                 tol: float) -> _MixtureMax:
     """Maximize H(w V) - w . offset over the weight simplex by pairwise Frank-Wolfe.
 
     The supergradient coordinate of law i is E_{V_i} L(zeta) - offset_i, with
@@ -308,10 +311,11 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float
     non-increasing slope along that pair.  No function values are compared;
     the value is evaluated once, at the returned weights.  The supergradient
     linearization bounds the suboptimality, so the returned gap certifies
-    value accuracy.  The run stops at gap <= tol or stalls, with `stalled`
-    set, when the pairwise direction has no positive slope within float
-    resolution -- at a kink of a loss whose Bayes act is not unique, which
-    `_mixture_max` hands to the matrix game instead.
+    value accuracy.  The run stops at gap <= tol, after FW_MAX_ITER
+    iterations, or stalls, with `stalled` set, when the pairwise direction
+    has no positive slope within float resolution -- at a kink of a loss
+    whose Bayes act is not unique, which `_mixture_max` hands to the matrix
+    game instead.
     """
     def losses(p):
         return model.bayes_losses(np.where(p < 0.0, 0.0, p)[None, :])[0]
@@ -326,7 +330,7 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray, tol: float
     stalled = False
     it = 0
     step = 1.0   # each line search first probes the previous step length
-    for it in range(1, max_iter + 1):
+    for it in range(1, FW_MAX_ITER + 1):
         scores = ext_dots(V, losses(point)) - offset
         current = dot(w, scores)
         fw = int(np.argmax(scores))
@@ -978,7 +982,7 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
     L = point_act_losses(model)
     if L is None:
         vs = vertices(g)
-        res = _fw_maximize(model, vs.points, np.zeros(vs.m), tol, FW_MAX_ITER)
+        res = _fw_maximize(model, vs.points, np.zeros(vs.m), tol)
     else:
         value, p, zeta = point_act_saddle(g, L)
         gap = max(0.0, max_expectation(g, L @ zeta) - float((p @ L).min()))
@@ -1049,8 +1053,7 @@ class TiltResult:
     method: str
 
 
-def natural_tilt(model: LossModel, statistic: Statistic, beta,
-                 tol: float = 1e-8, max_iter: int = FW_MAX_ITER) -> TiltResult:
+def natural_tilt(model: LossModel, statistic: Statistic, beta) -> TiltResult:
     """argmax over the full simplex of H(P) - beta' E_P T, with chi(beta).
 
     Routed by the model's structure:
@@ -1064,23 +1067,23 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta,
       solved exactly by the matrix game over point-mass acts
       ("matrix-game");
     - every other loss runs pairwise conditional gradient with supergradient
-      L(., zeta_P) - beta' t(.), up to `max_iter` iterations
+      L(., zeta_P) - beta' t(.), up to FW_MAX_ITER iterations
       ("frank-wolfe").
     `gap` is a certified bound: the maximum lies in [chi, chi + gap].  It
     is the Fenchel duality gap for the separable dual and the closed form,
     the strategies' certificate col_guarantee - row_guarantee for the
     matrix game, and the supergradient gap for Frank-Wolfe.  A gap above
-    tol raises MaxIterExceeded carrying the result.  For the log model the
+    TILT_TOL raises MaxIterExceeded carrying the result.  For the log model the
     closed-form cumulant log sum mu exp(-beta' t) is an independent
     cross-check on chi.  A relative model, H(P) minus the expected loss of
     a reference act, takes its base model's route.
     """
     beta = np.atleast_1d(np.asarray(beta, float))
-    return _tilts(model, statistic, beta[None, :], tol, max_iter)[0]
+    return _tilts(model, statistic, beta[None, :], TILT_TOL)[0]
 
 
 def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
-           tol: float, max_iter: int) -> list:
+           tol: float) -> list:
     """`natural_tilt` at every row of betas (m, k), one TiltResult each.
 
     A separable model solves all rows at once.  With c = T' beta, the tilt
@@ -1106,7 +1109,7 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
     sep = model.separable()
     top = None if sep is not None else _top_offset(model)
     if sep is None and top is None:
-        return [_tilt_search(model, beta, shift, tol, max_iter)
+        return [_tilt_search(model, beta, shift, tol)
                 for beta, shift in zip(betas, shifts)]
     # psi'(0) may be -inf, and densities overflow at trial lambdas far
     # above the root; the root itself keeps every density below 1 / mu
@@ -1211,11 +1214,11 @@ def _top_tilts(d: np.ndarray):
 
 
 def _tilt_search(model: LossModel, beta: np.ndarray, shift: np.ndarray,
-                 tol: float, max_iter: int) -> TiltResult:
+                 tol: float) -> TiltResult:
     """One tilt of a model that neither route of `_tilts` takes: the matrix
     game when the model has one, else pairwise Frank-Wolfe over the point
     masses."""
-    res = _mixture_max(model, np.eye(shift.size), shift, tol, max_iter)
+    res = _mixture_max(model, np.eye(shift.size), shift, tol)
     if res.gap > tol:
         raise MaxIterExceeded(f"natural tilt gap {res.gap:.3e} above tol", res)
     q = Distribution(np.maximum(res.point, 0.0) / max(res.point.sum(), 1e-300))
@@ -1226,8 +1229,7 @@ def _tilt_search(model: LossModel, beta: np.ndarray, shift: np.ndarray,
 # family traces and diagnostics
 
 
-def trace_family(model: LossModel, statistic: Statistic, tau_grid,
-                 enforce: bool = True) -> FamilyTrace:
+def trace_family(model: LossModel, statistic: Statistic, tau_grid) -> FamilyTrace:
     """Solve along a tau grid and enforce the family invariants:
 
     h is concave along the grid (within 1e-7) and adjacent regular rows
@@ -1242,8 +1244,7 @@ def trace_family(model: LossModel, statistic: Statistic, tau_grid,
             raise ValueError("tau grid must be strictly increasing")
         taus = flat[:, None]
     rows = tuple(solve(model, GammaTau(statistic, t)) for t in taus)
-    if enforce:
-        _check_trace_invariants(statistic, taus, rows)
+    _check_trace_invariants(statistic, taus, rows)
     return FamilyTrace(statistic=statistic, taus=taus, rows=rows)
 
 
@@ -1283,12 +1284,12 @@ class BetaDerivativeReport:
     all_ok: bool
 
 
-def beta_derivative_check(trace: FamilyTrace, kink_tol: float = 1e-3) -> BetaDerivativeReport:
+def beta_derivative_check(trace: FamilyTrace) -> BetaDerivativeReport:
     """Compare stored beta against one-sided slopes of h along the trace.
 
     Five-point one-sided stencils are exact for the piecewise-polynomial h of
-    the bundled models; rows whose one-sided slopes disagree report the
-    subgradient interval (concavity puts beta inside it).
+    the bundled models; rows whose one-sided slopes disagree by more than
+    KINK_TOL report the subgradient interval (concavity puts beta inside it).
     """
     if trace.statistic.k != 1:
         raise ValueError("derivative check needs a scalar statistic")
@@ -1315,7 +1316,7 @@ def beta_derivative_check(trace: FamilyTrace, kink_tol: float = 1e-3) -> BetaDer
         sr = (-25 * hr[0] + 48 * hr[1] - 36 * hr[2] + 16 * hr[3] - 3 * hr[4]) / (12 * d)
         beta = float(row.beta[0])
         disc = sl - sr
-        if disc > kink_tol:
+        if disc > KINK_TOL:
             # concavity orders a true kink: h'(tau-) >= h'(tau+)
             ok = bool(sr - tol <= beta <= sl + tol)
             out.append(SlopeRow(float(t[i]), beta, float(sl), float(sr), "kink", ok))
@@ -1356,22 +1357,21 @@ class ConjugacyReport:
     fenchel_min: float              # min over the grid of chi(beta) + beta' sigma - h
 
 
-def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid, beta_grid,
-                    grid_tol: float = 1e-6, matched_tol: float = 1e-8) -> ConjugacyReport:
+def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid,
+                    beta_grid) -> ConjugacyReport:
     """h(sigma) = inf_beta {chi(beta) + beta' sigma} on a grid, plus exact
     residuals at the solver's own (tau, beta) pairs.
 
     chi comes from one batched tilt call over the whole beta grid and one
     over the solver's betas (see `natural_tilt` for the routes); h comes
-    from `solve`, once per sigma.  A tilt whose gap stays above grid_tol or
-    matched_tol raises MaxIterExceeded.
+    from `solve`, once per sigma.  A grid tilt whose gap stays above
+    GRID_TOL, or a matched one above TILT_TOL, raises MaxIterExceeded.
     """
     if statistic.k != 1:
         raise ValueError("conjugacy grid check supports scalar statistics")
     sigmas = np.asarray(tau_grid, dtype=float).ravel()
     betas = np.asarray(beta_grid, dtype=float).ravel()
-    chi = np.array([r.chi for r in _tilts(model, statistic, betas[:, None],
-                                          grid_tol, FW_MAX_ITER)])
+    chi = np.array([r.chi for r in _tilts(model, statistic, betas[:, None], GRID_TOL)])
     saddles = [solve(model, GammaTau(statistic, np.array([sig]))) for sig in sigmas]
     h_vals = np.array([sp.h_star for sp in saddles])
     estimates = np.min(chi + np.outer(sigmas, betas), axis=1)
@@ -1379,8 +1379,7 @@ def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid, beta_grid,
     rows = np.array([i for i, sp in enumerate(saddles) if sp.beta is not None], dtype=int)
     if rows.size:
         own = np.array([saddles[i].beta for i in rows])
-        chi_own = np.array([r.chi for r in _tilts(model, statistic, own,
-                                                  matched_tol, FW_MAX_ITER)])
+        chi_own = np.array([r.chi for r in _tilts(model, statistic, own, TILT_TOL)])
         matched[rows] = np.abs(chi_own + own[:, 0] * sigmas[rows] - h_vals[rows])
     resid = estimates - h_vals
     finite_matched = matched[np.isfinite(matched)]
@@ -1396,13 +1395,13 @@ def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid, beta_grid,
 
 
 def lafferty_family(model: LossModel, p0: Distribution, statistic: Statistic,
-                    beta_grid, tol: float = 1e-8) -> FamilyTrace:
+                    beta_grid) -> FamilyTrace:
     """Additive-model family: for each beta, the minimizer of
     beta' E_P T + d(P, P0), i.e. the natural tilt of the game made relative
-    to the Bayes act of P0."""
+    to the Bayes act of P0, certified to TILT_TOL."""
     rel = relative_model(model, model.bayes_act(p0))
     betas = np.atleast_1d(np.asarray(beta_grid, dtype=float))
-    tilts = _tilts(rel, statistic, betas[:, None], tol, FW_MAX_ITER)
+    tilts = _tilts(rel, statistic, betas[:, None], TILT_TOL)
     rows = []
     for b, tr in zip(betas, tilts):
         tau = statistic.matrix @ tr.q.w

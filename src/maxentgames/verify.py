@@ -14,6 +14,9 @@ from .core import ACT_DISTRIBUTION, Act, Distribution, ext_dot
 from .losses import LossModel
 
 DUALITY_TOL = 1e-9
+BAYES_TOL = 1e-8     # largest bayes_margin of a certified saddle
+VERTEX_TOL = 1e-7    # largest vertex_margin of a certified saddle
+U_SET_TOL = 1e-8     # loss band of the set U, and the P* mass U may miss
 
 
 @dataclass(frozen=True)
@@ -114,14 +117,11 @@ def restricted_upper_value(model: LossModel, g: GammaTau) -> UpperValueResult:
 class SaddleCheck:
     bayes_margin: float    # |L(P*, zeta*) - H(P*)|
     vertex_margin: float   # sup over Gamma_tau of L(P, zeta*) - L(P*, zeta*)
-    is_saddle: bool
-    bayes_tol: float
-    vertex_tol: float
+    is_saddle: bool        # both margins within BAYES_TOL and VERTEX_TOL
 
 
 def verify_saddle(model: LossModel, g: GammaTau, p_star: Distribution,
-                  zeta_star: Act, bayes_tol: float = 1e-8,
-                  vertex_tol: float = 1e-7) -> SaddleCheck:
+                  zeta_star: Act) -> SaddleCheck:
     """Certify both saddle-point inequalities.
 
     The Bayes inequality is checked at P*.  The other one,
@@ -133,28 +133,27 @@ def verify_saddle(model: LossModel, g: GammaTau, p_star: Distribution,
     at_p = ext_dot(p_star.w, lv)
     bayes_margin = abs(at_p - model.entropy(p_star))
     vertex_margin = max_expectation(g, lv) - at_p
-    ok = bool(bayes_margin <= bayes_tol and vertex_margin <= vertex_tol)
-    return SaddleCheck(float(bayes_margin), vertex_margin, ok, bayes_tol, vertex_tol)
+    ok = bool(bayes_margin <= BAYES_TOL and vertex_margin <= VERTEX_TOL)
+    return SaddleCheck(float(bayes_margin), vertex_margin, ok)
 
 
 @dataclass(frozen=True)
 class USetReport:
     u_set: np.ndarray        # outcome indices with L(x, zeta*) = H*
     p_star_mass: float
-    supported: bool          # P*(U) >= 1 - tol
+    supported: bool          # P*(U) >= 1 - U_SET_TOL
     applicable: bool | None  # requires Gamma closed under conditioning
 
 
 def u_set_check(model: LossModel, zeta_star: Act, h_star: float,
-                p_star: Distribution, g: GammaTau | None = None,
-                tol: float = 1e-8) -> USetReport:
+                p_star: Distribution, g: GammaTau | None = None) -> USetReport:
     """U = {x : L(x, zeta*) = H*} must carry all P* mass.
 
     The conclusion relies on Gamma being closed under conditioning; when a
     constraint set is supplied the report says whether that premise holds.
     """
     lv = model.loss_vector(zeta_star)
-    u = np.flatnonzero(np.abs(lv - h_star) <= tol)
+    u = np.flatnonzero(np.abs(lv - h_star) <= U_SET_TOL)
     mass = float(p_star.w[u].sum())
     applicable = None if g is None else closed_under_conditioning(g)
-    return USetReport(u, mass, bool(mass >= 1.0 - tol), applicable)
+    return USetReport(u, mass, bool(mass >= 1.0 - U_SET_TOL), applicable)

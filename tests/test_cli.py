@@ -129,6 +129,30 @@ def test_tau_arity_mismatch(capsys):
     assert "shape error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # a tau that is not finite
+    ("solve", "brier_mean", "--tau", "nan"),
+    ("solve", "zero_one_mean", "--tau", "nan"),
+    ("solve", "log_mean", "--tau", "inf"),
+    ("sweep", "log_mean", "--grid", "nan", "0.5", "3"),
+    # --grid STEPS that is not finite
+    ("sweep", "brier_mean", "--grid", "0", "1", "nan"),
+    ("sweep", "brier_mean", "--grid", "0", "1", "inf"),
+    # --tol that is not a positive finite number
+    ("solve", "log_mean", "--tau", "0.5", "--tol", "nan"),
+    ("sweep", "log_mean", "--tol", "-1"),
+    ("capacity", "binary_channel", "--tol", "nan"),
+    ("capacity", "brier_family", "--tol", "0"),
+])
+def test_non_finite_inputs_are_parse_errors(capsys, argv):
+    command, name, *rest = argv
+    code, out, err = run_cli(capsys, command, spec_path(name), *rest)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_flag(capsys):
     code, _, err = run_cli(capsys, "solve", spec_path("brier_mean"), "--frobnicate")
     assert code == EXIT_PARSE

@@ -6,6 +6,7 @@ import pytest
 
 from maxentgames import (
     CombinatorialBlowup,
+    DimensionMismatch,
     Distribution,
     GammaTau,
     SampleSpace,
@@ -108,6 +109,16 @@ def test_hull_interior_classification():
     assert hull_interior(t2, np.array([0.0, -0.5])) == "outside"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tau_is_a_shape_error(bad):
+    t2 = Statistic(np.array([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]]))
+    for statistic, tau in ((T3, [bad]), (t2, [0.0, bad])):
+        with pytest.raises(DimensionMismatch, match="finite"):
+            GammaTau(statistic, np.array(tau))
+        with pytest.raises(DimensionMismatch, match="finite"):
+            hull_interior(statistic, np.array(tau))
+
+
 def test_closed_under_conditioning_cases():
     # a face game {p : E T = tau} where every supported outcome hits tau
     face = Statistic(np.array([[0.0, 1.0, 0.0]]))
@@ -119,13 +130,15 @@ def test_closed_under_conditioning_cases():
     assert closed_under_conditioning(GammaTau(const, np.array([1.0])))
 
 
-def test_enumeration_cap_guard():
+def test_enumeration_cap_guard(monkeypatch):
     space = 25
     t = Statistic(np.ones((1, space)))
-    with pytest.raises(CombinatorialBlowup):
-        vertices(GammaTau(t, np.array([1.0])), max_n=20)
-    # explicit cap raise lets it through
-    vs = vertices(GammaTau(t, np.array([1.0])), max_n=30)
+    monkeypatch.setenv("MAXENT_MAX_N", "20")
+    with pytest.raises(CombinatorialBlowup, match="MAXENT_MAX_N"):
+        vertices(GammaTau(t, np.array([1.0])))
+    # raising the cap lets it through
+    monkeypatch.setenv("MAXENT_MAX_N", "30")
+    vs = vertices(GammaTau(t, np.array([1.0])))
     assert vs.m == space
 
 
@@ -177,7 +190,8 @@ def test_env_cap_applies_to_a_memoized_set(monkeypatch):
     monkeypatch.setenv("MAXENT_MAX_N", "10")
     with pytest.raises(CombinatorialBlowup):
         vertices(g)
+    monkeypatch.setenv("MAXENT_MAX_N", "21")
     with pytest.raises(CombinatorialBlowup):
-        vertices(g, max_n=21)
+        vertices(g)
     monkeypatch.setenv("MAXENT_MAX_N", "22")
     assert vertices(g) is first

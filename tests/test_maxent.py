@@ -49,7 +49,7 @@ from maxentgames import (
     zero_one_model,
 )
 from maxentgames import maxent
-from maxentgames.maxent import FW_MAX_ITER, _fw_maximize, _mixture_max, _slope_root, _tilts
+from maxentgames.maxent import _fw_maximize, _mixture_max, _slope_root, _tilts
 from test_zero_one_lp import mean_value_problem
 
 SPACE = SampleSpace.of(["-1", "0", "1"])
@@ -470,7 +470,7 @@ def test_tilt_zero_one_piecewise_linear_values():
 
 def _game_tilt(model, t, beta):
     """Oracle: the matrix game over the point-mass acts."""
-    return _mixture_max(model, np.eye(t.shape[1]), t.T @ beta, 1e-12, FW_MAX_ITER)
+    return _mixture_max(model, np.eye(t.shape[1]), t.T @ beta, 1e-12)
 
 
 @pytest.mark.parametrize("relative", [False, True])
@@ -490,7 +490,7 @@ def test_zero_one_tilt_closed_form_matches_the_game(relative):
             betas = np.round(2.0 * betas) / 2.0
         else:
             t = rng.uniform(-1.0, 1.0, size=(k, n))
-        for beta, res in zip(betas, _tilts(model, Statistic(t), betas, 1e-12, FW_MAX_ITER)):
+        for beta, res in zip(betas, _tilts(model, Statistic(t), betas, 1e-12)):
             assert res.method == "closed-form"
             assert abs(res.chi - _game_tilt(model, t, beta).value) <= 1e-12, (case, beta)
             assert res.gap <= 1e-12, (case, beta)
@@ -529,7 +529,7 @@ def test_zero_one_tilt_gap_is_certified(monkeypatch):
 def _fw_tilt(model, t, beta, tol):
     """Oracle: pairwise Frank-Wolfe over the point masses, as non-separable
     models tilt."""
-    return _fw_maximize(model, np.eye(t.shape[1]), t.T @ beta, tol, FW_MAX_ITER)
+    return _fw_maximize(model, np.eye(t.shape[1]), t.T @ beta, tol)
 
 
 def test_tilt_reaches_the_default_tolerance_on_smooth_models():
@@ -585,15 +585,16 @@ def test_log_tilt_at_a_steep_beta(beta):
         assert np.max(np.abs(res.q.w - softmax)) <= 1e-12, model.name
 
 
-def test_tilt_iteration_budget_carries_best_iterate():
+def test_tilt_iteration_budget_carries_best_iterate(monkeypatch):
     # quadratic loss has no separable dual; exact line searches need more
     # than one Frank-Wolfe step here, so the gap stays far above the ask.
     # The maximum of Var_P(v) - 0.1 E_P T puts 22/45 on v = 3, 23/45 on
     # v = 0: chi = 9/4 + 1/900
     model = quadratic_model(SPACE, values=[0.0, 1.0, 3.0])
     assert model.separable() is None
-    with pytest.raises(MaxIterExceeded) as err:
-        natural_tilt(model, T, np.array([0.1]), tol=1e-15, max_iter=1)
+    with monkeypatch.context() as patch, pytest.raises(MaxIterExceeded) as err:
+        patch.setattr(maxent, "FW_MAX_ITER", 1)
+        natural_tilt(model, T, np.array([0.1]))
     res = err.value.result
     assert res is not None
     assert res.gap > 0.0
@@ -784,7 +785,7 @@ def test_lafferty_grid_tilts_equal_per_beta_tilts_bitwise(kind, monkeypatch):
     p0 = Distribution(np.array([0.4, 0.3, 0.2, 0.1]))
     rel = relative_model(model, model.bayes_act(p0))
     betas = np.linspace(-2.0, 2.0, 101)
-    grid = _tilts(rel, t4, betas[:, None], 1e-8, FW_MAX_ITER)
+    grid = _tilts(rel, t4, betas[:, None], 1e-8)
     single = {float(b): natural_tilt(rel, t4, [b]) for b in betas}
     for b, row in zip(betas, grid):
         one = single[float(b)]

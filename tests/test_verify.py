@@ -26,7 +26,7 @@ from maxentgames import (
     zero_one_model,
 )
 from maxentgames import _simplex, verify
-from maxentgames.maxent import FW_MAX_ITER, _tilts, solve_generic
+from maxentgames.maxent import _tilts, solve_generic
 from maxentgames.verify import point_act_losses
 
 SPACE = SampleSpace.of(["-1", "0", "1"])
@@ -98,8 +98,7 @@ def test_one_lp_per_game(monkeypatch):
     del lps[:]
     model = zero_one_model(SampleSpace.of(range(4)))
     statistic = Statistic(np.array([[-1.0, -0.2, 0.5, 1.0]]))
-    tilts = _tilts(model, statistic, np.linspace(-2.0, 2.0, 401)[:, None],
-                   1e-6, FW_MAX_ITER)
+    tilts = _tilts(model, statistic, np.linspace(-2.0, 2.0, 401)[:, None], 1e-6)
     # zero-one tilts are one sort per beta, with no LP
     assert lps == []
     assert {t.method for t in tilts} == {"closed-form"}
