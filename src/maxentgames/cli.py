@@ -145,10 +145,7 @@ def _interpret_spec(raw: dict) -> ProblemSpec:
             tau = np.atleast_1d(np.asarray(constraint["tau"], dtype=float))
         elif "tau_grid" in constraint:
             gr = constraint["tau_grid"]
-            steps = int(gr["steps"])
-            if steps < 2:
-                raise SpecError("tau_grid needs at least 2 steps")
-            tau_grid = np.linspace(float(gr["from"]), float(gr["to"]), steps)
+            tau_grid = _tau_grid(gr["from"], gr["to"], gr["steps"], "tau_grid")
         else:
             raise SpecError("constraint needs 'tau' or 'tau_grid'")
         if statistic is None:
@@ -317,11 +314,7 @@ def cmd_solve(args) -> int:
     tau = args.tau if args.tau is not None else spec.tau
     if tau is None:
         raise SpecError("solve needs --tau or a constraint.tau in the spec")
-    try:
-        sp, g = _solve_tau(spec, tau, args.tol)
-    except Infeasible as exc:
-        sys.stderr.write(f"infeasible: {exc}\n")
-        return EXIT_INFEASIBLE
+    sp, g = _solve_tau(spec, tau, args.tol)
     record = record_values(sp, spec.space.n, g.k)
     if args.bits and isinstance(spec.model, LogModel):
         record["h_bits"] = sp.h_star / LN2
@@ -337,15 +330,17 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _tau_grid(lo, hi, steps, name: str) -> np.ndarray:
+    """A tau grid; STEPS must be a whole number, at least 2."""
+    steps = float(steps)
+    if not (steps.is_integer() and steps >= 2):
+        raise SpecError(f"{name} needs a whole number of steps, at least 2, not {steps:g}")
+    return np.linspace(float(lo), float(hi), int(steps))
+
+
 def _grid_values(spec: ProblemSpec, args) -> np.ndarray:
     if getattr(args, "grid", None):
-        lo, hi, steps = args.grid
-        if not math.isfinite(steps):
-            raise SpecError("--grid STEPS must be a finite number")
-        steps = int(steps)
-        if steps < 2:
-            raise SpecError("--grid needs at least 2 steps")
-        return np.linspace(float(lo), float(hi), steps)
+        return _tau_grid(*args.grid, "--grid")
     if spec.tau_grid is not None:
         return spec.tau_grid
     if spec.tau is not None and spec.tau.size == 1:

@@ -86,7 +86,10 @@ class VertexSet:
 
 
 def _check_sizes(g: GammaTau) -> None:
-    cap = int(os.environ.get("MAXENT_MAX_N") or DEFAULT_MAX_N)
+    value = os.environ.get("MAXENT_MAX_N") or str(DEFAULT_MAX_N)
+    cap = int(value) if value.strip().isdecimal() else 0
+    if cap < 1:
+        raise CombinatorialBlowup(f"MAXENT_MAX_N must be a positive integer, not {value!r}")
     if g.n > cap:
         raise CombinatorialBlowup(
             f"N={g.n} exceeds the enumeration cap {cap}; raise MAXENT_MAX_N"

@@ -6,7 +6,7 @@ conventions 0 * inf = 0 and (+inf) + (-inf) = undefined (raises).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -174,15 +174,9 @@ class Distribution:
 
 @dataclass(frozen=True)
 class Statistic:
-    """Real statistic T: one row per component, one column per outcome.
-
-    The matrix is a read-only copy, so the zero-one hyperplane probes, which
-    depend on T alone, are kept on the instance.
-    """
+    """Real statistic T: one row per component, one column per outcome."""
 
     matrix: np.ndarray
-    _zero_one_probes: "tuple | None" = field(default=None, init=False, repr=False,
-                                             compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)

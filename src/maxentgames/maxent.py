@@ -49,7 +49,6 @@ SYSTEM_TOL = 1e-9
 SCREEN_TOL = 1e-7        # LP reduced cost that fixes a zero-one outcome at 0 or m*
 PMAX_LP_TOL = 1e-9       # zero-one pattern minimum may exceed the LP minimum by this
 ZERO_ONE_PATTERN_CAP = 208_896  # pattern systems with every outcome open at N = 12, k = 3
-HYPERPLANE_PROBES = 41
 NEWTON_MAX_ITER = 100    # dual Newton steps in the log, Brier and Bregman solvers
 DUAL_TOL = 1e-13         # dual gradient norm, relative to 1 + |tau|_inf
 BRIER_ACTIVE_TOL = 1e-9  # |A'y| below this marks a weakly active outcome
@@ -766,26 +765,6 @@ def _screened_patterns(tmat, target, zero, mode, k):
                 yield free_of[j].tolist(), np.flatnonzero(members[j])
 
 
-def _zero_one_probes(stat: Statistic):
-    """(sigma, h(sigma)) on the HYPERPLANE_PROBES grid of a one-row statistic.
-
-    h(sigma) = 1 - min over Gamma_sigma of max_x p(x) is the LP value of
-    `_pmax_lp`; an infeasible probe is left out.  The grid and the values
-    depend on T alone, so they are computed once and kept on the statistic.
-    """
-    if stat._zero_one_probes is None:
-        tmat = stat.matrix
-        probes = []
-        for sigma in np.linspace(float(tmat.min()), float(tmat.max()), HYPERPLANE_PROBES):
-            try:
-                value, _, _ = _pmax_lp(tmat, np.array([sigma]))
-            except Infeasible:
-                continue
-            probes.append((sigma, 1.0 - value))
-        object.__setattr__(stat, "_zero_one_probes", tuple(probes))
-    return stat._zero_one_probes
-
-
 def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float):
     n, k = g.n, g.k
     tmat = g.statistic.matrix
@@ -825,8 +804,12 @@ def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float):
         G_rows.append(null[i])
         rhs.append(-v0[i] - 1e-12)
     if k == 1:
-        for sigma, h_sig in _zero_one_probes(g.statistic):
-            # beta0 + beta * sigma >= h(sigma)
+        # beta0 + beta * sigma >= h(sigma) for every sigma iff beta0 >= chi(beta),
+        # and chi(beta) is attained at a uniform law on a prefix of t, sorted up
+        # for beta > 0 or down for beta < 0, where 1 - max p = 1 - 1/size
+        ts, sizes = np.sort(tmat[0]), np.arange(1.0, n + 1.0)
+        sigmas = np.concatenate([np.cumsum(ts), np.cumsum(ts[::-1])]) / np.tile(sizes, 2)
+        for sigma, h_sig in zip(sigmas, np.tile(1.0 - 1.0 / sizes, 2)):
             coeff = null[modes.size] + sigma * null[modes.size + 1]
             base = v0[modes.size] + sigma * v0[modes.size + 1]
             G_rows.append(np.atleast_1d(coeff))
@@ -901,12 +884,6 @@ def _pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n):
         c_ls = 0.0
     else:
         c_ls = float((np.full(n, 1.0 / n) - zeta0) @ zdir / denom)
-    if lo == -np.inf and hi == np.inf:
-        return c_ls
-    if lo == -np.inf:
-        return min(c_ls, hi)
-    if hi == np.inf:
-        return max(c_ls, lo)
     return min(max(c_ls, lo), hi)
 
 

@@ -153,6 +153,37 @@ def test_non_finite_inputs_are_parse_errors(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, cap, named", [
+    # a STEPS that is not a whole number, on the line or in the spec
+    (("sweep", "brier_mean", "--grid", "-0.5", "0.5", "2.7"), None, "--grid"),
+    (("sweep", "fractional_steps"), None, "tau_grid"),
+    # MAXENT_MAX_N that is not a positive integer
+    (("sweep", "brier_mean"), "abc", "'abc'"),
+    (("solve", "brier_mean", "--tau", "0.2"), "2.5", "'2.5'"),
+    (("sweep", "brier_mean"), "0", "'0'"),
+])
+def test_invalid_counts_are_parse_errors(capsys, tmp_path, monkeypatch, argv, cap, named):
+    if cap is None:
+        monkeypatch.delenv("MAXENT_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("MAXENT_MAX_N", cap)
+    command, name, *rest = argv
+    path = spec_path(name)
+    if name == "fractional_steps":
+        path = write_spec(tmp_path, {
+            "outcomes": ["-1", "0", "1"], "loss": {"kind": "brier"},
+            "statistic": [[-1.0, 0.0, 1.0]],
+            "constraint": {"tau_grid": {"from": -0.5, "to": 0.5, "steps": 3.9}},
+        })
+    code, out, err = run_cli(capsys, command, path, *rest)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert named in err
+    assert ("MAXENT_MAX_N" in err) == (cap is not None)
+
+
 def test_unknown_flag(capsys):
     code, _, err = run_cli(capsys, "solve", spec_path("brier_mean"), "--frobnicate")
     assert code == EXIT_PARSE

@@ -1,7 +1,7 @@
 """Zero-one phase 1 (min over Gamma_tau of max_x p(x)) against the exact
 pattern enumeration it replaced, and zero-one at sizes the enumeration
-could not reach (the CLI case is in test_cli.py), and the k = 1 hyperplane
-probes kept on the statistic.
+could not reach (the CLI case is in test_cli.py), and the k = 1 supporting
+line from the closed-form prefix rows.
 
 `enumerate_min_pmax` is the old phase 1 kept as a test oracle: it tries every
 (free set, member set) pattern, 2^N member sets per free set, so it is capped
@@ -28,7 +28,7 @@ from maxentgames import (
 )
 from maxentgames import cli, maxent
 from maxentgames.core import WEIGHT_CLAMP
-from maxentgames.maxent import HYPERPLANE_PROBES, SYSTEM_TOL, _min_pmax
+from maxentgames.maxent import SYSTEM_TOL, _min_pmax
 
 ZERO_ONE_ENUM_CAP = 12
 SPECS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "specs")
@@ -211,42 +211,59 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_hyperplane_probes_are_solved_once_per_statistic(monkeypatch, capsys):
+def test_zero_one_sweep_runs_one_lp_per_grid_point(monkeypatch, capsys):
     lps = count_calls(monkeypatch, "_pmax_lp")
     phase1 = count_calls(monkeypatch, "_min_pmax")
     assert cli.main(["sweep", os.path.join(SPECS, "zero_one_mean.json")]) == 0
-    capsys.readouterr()
-    # one phase 1 per grid point, each with one LP; every other LP is a probe
-    assert len(phase1) == 41
-    assert len(lps) - len(phase1) == HYPERPLANE_PROBES
-    # a fresh statistic with the same matrix computes its own probes, once
-    stat = Statistic(np.array([[-1.0, 0.0, 1.0]]))
-    probes = maxent._zero_one_probes(stat)
-    assert maxent._zero_one_probes(stat) is probes
-    assert len(lps) - len(phase1) == 2 * HYPERPLANE_PROBES
+    rows = len(capsys.readouterr().out.splitlines()) - 2   # two header lines
+    # the supporting-line rows are closed-form, so each grid point runs only
+    # its phase-1 LP
+    assert len(phase1) == len(lps) == rows == 41
 
 
 @pytest.mark.parametrize("tau", [-0.5, 0.0])
 def test_tied_k1_solve_runs_phase_one_once(tau, monkeypatch):
     model = zero_one_model(SampleSpace.of(range(12)))
     phase1 = count_calls(monkeypatch, "_min_pmax")
-    stat = tied_statistic(12)
-    sp = solve(model, GammaTau(stat, np.array([tau])))
-    assert len(phase1) == 1
-    assert stat._zero_one_probes is not None
-    monkeypatch.undo()
-    # oracle: the same solve with every probe read as 1 - the phase-1 minimum
-    ref_stat = tied_statistic(12)
-    oracle = []
-    for sigma in np.linspace(-1.0, 1.0, HYPERPLANE_PROBES):
-        try:
-            m, _ = _min_pmax(GammaTau(ref_stat, np.array([sigma])))
-        except Infeasible:
-            continue
-        oracle.append((sigma, 1.0 - m))
-    object.__setattr__(ref_stat, "_zero_one_probes", tuple(oracle))
-    ref = solve(model, GammaTau(ref_stat, np.array([tau])))
-    assert sp.h_star == ref.h_star
-    assert np.array_equal(sp.zeta_star.payload, ref.zeta_star.payload)
-    assert sp.beta0 == ref.beta0
-    assert np.array_equal(sp.beta, ref.beta)
+    lps = count_calls(monkeypatch, "_pmax_lp")
+    g = GammaTau(tied_statistic(12), np.array([tau]))
+    sp = solve(model, g)
+    assert len(phase1) == len(lps) == 1
+    assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
+
+
+def prefix_rows(t):
+    """(sigma_S, 1 - 1/|S|) at the uniform laws on the prefixes of t sorted
+    up and down; chi(beta) is attained at one of them for every beta."""
+    ts, sizes = np.sort(t), np.arange(1.0, t.size + 1.0)
+    sigmas = np.concatenate([np.cumsum(ts), np.cumsum(ts[::-1])]) / np.tile(sizes, 2)
+    return sigmas, np.tile(1.0 - 1.0 / sizes, 2)
+
+
+def test_k1_beta_is_a_supporting_line_at_the_hull_ends():
+    # beta0 + beta sigma >= h(sigma) for every sigma, checked at the prefix
+    # laws, with tau at the hull ends and at the prefix means; probing h on a
+    # grid missed its breakpoints and reported lines that cut h by up to 0.5
+    worst, count = -np.inf, 0
+    for seed in range(24):
+        rng = np.random.default_rng(10_000 + seed)
+        n = int(rng.integers(3, 9))
+        t = np.round(rng.uniform(-1.0, 1.0, n), 2)
+        stat = Statistic(t[None, :])
+        model = zero_one_model(SampleSpace.of(range(n)))
+        sigmas, h = prefix_rows(t)
+        for tau in np.unique(sigmas):
+            g = GammaTau(stat, np.array([tau]))
+            sp = solve(model, g)
+            assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, (seed, tau)
+            worst = max(worst, float(np.max(h - sp.beta0 - sp.beta[0] * sigmas)))
+            count += 1
+    assert count > 200
+    assert worst <= 1e-8
+
+
+def test_k1_beta_matches_the_natural_tilt_at_a_hull_end():
+    t = np.array([[-0.88, 0.99, -0.87, 0.69, -0.86, -0.57]])
+    model = zero_one_model(SampleSpace.of(range(6)))
+    rep = maxent.conjugacy_check(model, Statistic(t), [-0.88], np.linspace(-2.0, 2.0, 5))
+    assert rep.max_matched_residual <= 1e-8
