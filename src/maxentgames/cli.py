@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import GammaTau, vertices
+from .constraints import GammaTau, max_n, vertices
 from .core import (
     ACT_DENSITY,
     ACT_DISTRIBUTION,
@@ -36,6 +36,7 @@ from .core import (
     SampleSpace,
     Statistic,
     _checked_rows,
+    ext_dot,
     ext_dots,
 )
 from .derived import (
@@ -228,8 +229,19 @@ def record_columns(n: int, k: int) -> list:
     return cols
 
 
-def record_values(sp: SaddlePoint, n: int, k: int) -> dict:
+def vertex_columns(model: LossModel, g: GammaTau, sp: SaddlePoint):
+    """(is_equalizer, vertex_margin) of a record, from one vertex list of
+    Gamma_tau, so the size caps apply: E_V L(X, zeta*) is constant over the
+    vertices V, and the largest E_V L(X, zeta*) minus E_P* L(X, zeta*)."""
+    points = vertices(g).points
+    lv = model.loss_vector(sp.zeta_star)
+    margin = float(max(ext_dots(points, lv))) - ext_dot(sp.p_star.w, lv)
+    return bool(equalizer_check(model, points, sp.zeta_star).is_equalizer), float(margin)
+
+
+def record_values(model: LossModel, g: GammaTau, sp: SaddlePoint) -> dict:
     """Native-typed record; the CSV row is its _fmt image, column for column."""
+    n, k = g.n, g.k
     vals: dict = {"status": "ok"}
     for i, v in enumerate(np.atleast_1d(sp.tau)):
         vals[f"tau_{i + 1}"] = float(v)
@@ -248,18 +260,17 @@ def record_values(sp: SaddlePoint, n: int, k: int) -> dict:
         vals[f"zeta_{i + 1}"] = v
     vals["is_linear"] = bool(sp.is_linear)
     vals["is_regular"] = bool(sp.is_regular)
-    vals["is_equalizer"] = bool(sp.is_equalizer)
+    vals["is_equalizer"], vals["vertex_margin"] = vertex_columns(model, g, sp)
     vals["tau_interior"] = bool(sp.tau_interior)
     vals["bayes_margin"] = float(sp.bayes_margin)
-    vals["vertex_margin"] = float(sp.vertex_margin)
     vals["gap"] = float(sp.gap)
     vals["method"] = sp.method
     return vals
 
 
-def record_row(sp: SaddlePoint, n: int, k: int) -> list:
-    vals = record_values(sp, n, k)
-    return [_fmt(vals[c]) for c in record_columns(n, k)]
+def record_row(model: LossModel, g: GammaTau, sp: SaddlePoint) -> list:
+    vals = record_values(model, g, sp)
+    return [_fmt(vals[c]) for c in record_columns(g.n, g.k)]
 
 
 def sentinel_row(tau, status: str, n: int, k: int) -> list:
@@ -315,7 +326,7 @@ def cmd_solve(args) -> int:
     if tau is None:
         raise SpecError("solve needs --tau or a constraint.tau in the spec")
     sp, g = _solve_tau(spec, tau, args.tol)
-    record = record_values(sp, spec.space.n, g.k)
+    record = record_values(spec.model, g, sp)
     if args.bits and isinstance(spec.model, LogModel):
         record["h_bits"] = sp.h_star / LN2
     check = verify_saddle(spec.model, g, sp.p_star, sp.zeta_star)
@@ -331,11 +342,14 @@ def cmd_solve(args) -> int:
 
 
 def _tau_grid(lo, hi, steps, name: str) -> np.ndarray:
-    """A tau grid; STEPS must be a whole number, at least 2."""
+    """A tau grid; STEPS must be a whole number, at least 2, that fits in memory."""
     steps = float(steps)
     if not (steps.is_integer() and steps >= 2):
         raise SpecError(f"{name} needs a whole number of steps, at least 2, not {steps:g}")
-    return np.linspace(float(lo), float(hi), int(steps))
+    try:
+        return np.linspace(float(lo), float(hi), int(steps))
+    except MemoryError:
+        raise SpecError(f"{name} has too many steps to hold in memory: {steps:g}") from None
 
 
 def _grid_values(spec: ProblemSpec, args) -> np.ndarray:
@@ -358,8 +372,8 @@ def cmd_sweep(args) -> int:
     lines = [f"# {CSV_SCHEMA}", ",".join(record_columns(n, k))]
     for tau in grid:
         try:
-            sp, _ = _solve_tau(spec, [tau], args.tol)
-            lines.append(",".join(record_row(sp, n, k)))
+            sp, g = _solve_tau(spec, [tau], args.tol)
+            lines.append(",".join(record_row(spec.model, g, sp)))
         except Infeasible:
             lines.append(",".join(sentinel_row([tau], "infeasible", n, k)))
         except ArithmeticError:
@@ -667,6 +681,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        max_n()   # a bad MAXENT_MAX_N is a usage error in every subcommand
         return args.fn(args)
     except SpecError as exc:
         sys.stderr.write(f"spec error: {exc}\n")

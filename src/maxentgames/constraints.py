@@ -37,13 +37,11 @@ class GammaTau:
     """Distributions with E_P T = tau.
 
     The instance is immutable (the statistic matrix and tau are read-only
-    copies), so `vertices` and `union_support` keep their results on it.
+    copies), so `union_support` keeps its result on it.
     """
 
     statistic: Statistic
     tau: np.ndarray
-    _vertices: "VertexSet | None" = field(default=None, init=False, repr=False,
-                                          compare=False)
     _union: "np.ndarray | None" = field(default=None, init=False, repr=False,
                                         compare=False)
 
@@ -85,11 +83,19 @@ class VertexSet:
         return np.flatnonzero(self.points.max(axis=0) > SUPPORT_TOL)
 
 
-def _check_sizes(g: GammaTau) -> None:
+def max_n() -> int:
+    """The vertex enumeration cap: MAXENT_MAX_N, else DEFAULT_MAX_N when it
+    is unset or empty.  Raises CombinatorialBlowup unless it is a positive
+    integer."""
     value = os.environ.get("MAXENT_MAX_N") or str(DEFAULT_MAX_N)
     cap = int(value) if value.strip().isdecimal() else 0
     if cap < 1:
         raise CombinatorialBlowup(f"MAXENT_MAX_N must be a positive integer, not {value!r}")
+    return cap
+
+
+def _check_sizes(g: GammaTau) -> None:
+    cap = max_n()
     if g.n > cap:
         raise CombinatorialBlowup(
             f"N={g.n} exceeds the enumeration cap {cap}; raise MAXENT_MAX_N"
@@ -110,15 +116,12 @@ def vertices(g: GammaTau) -> VertexSet:
     A vertex has support of size at most k+1 with affinely independent
     statistic columns; each candidate support yields one consistent
     nonnegative solution of {sum p = 1, T p = tau} or is skipped.  The
-    result is kept on `g`; the size caps (MAXENT_MAX_N, else DEFAULT_MAX_N,
-    and DEFAULT_MAX_K) are checked on every call.
+    size caps (`max_n` and DEFAULT_MAX_K) are checked first.
     """
     _check_sizes(g)
     if _zero_row_infeasible(g):
         raise Infeasible("a zero statistic row has a nonzero target")
-    if g._vertices is None:
-        object.__setattr__(g, "_vertices", _enumerate_vertices(g))
-    return g._vertices
+    return _enumerate_vertices(g)
 
 
 def _enumerate_vertices(g: GammaTau) -> VertexSet:

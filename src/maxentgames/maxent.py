@@ -8,8 +8,7 @@ representation beta0 + beta' t(x), the coefficients linking tau to beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
@@ -40,7 +39,7 @@ from .core import (
     ext_dot,
     ext_dots,
 )
-from .divergence import RelativeModel, equalizer_check, relative_model
+from .divergence import RelativeModel, relative_model
 from .losses import BrierModel, ConvexGenerator, LogModel, LossModel, ZeroOneModel
 from .verify import lp_game_value, point_act_losses, point_act_saddle
 
@@ -95,11 +94,10 @@ class ActFamily:
 
 @dataclass(frozen=True)
 class SaddlePoint:
-    """A solved saddle point of the game over `gamma`.
+    """A solved saddle point of the game over Gamma_tau, as plain values.
 
-    `vertex_margin` and `is_equalizer` read the vertex list of Gamma_tau, so
-    they enumerate it (and its size caps apply) on first read; the Brier,
-    log and Bregman solvers and `verify_saddle` do not.
+    The record holds no vertex list; `cli.vertex_columns` reads
+    `is_equalizer` and `vertex_margin` off one for the CLI records.
     """
 
     tau: np.ndarray
@@ -115,21 +113,6 @@ class SaddlePoint:
     gap: float
     method: str
     act_family: ActFamily | None = None
-    model: LossModel | None = field(default=None, repr=False, compare=False)
-    gamma: GammaTau | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def is_equalizer(self) -> bool:
-        """E_V L(X, zeta*) is constant over the vertices V of Gamma_tau."""
-        return equalizer_check(self.model, vertices(self.gamma).points,
-                               self.zeta_star).is_equalizer
-
-    @cached_property
-    def vertex_margin(self) -> float:
-        """max over the vertices V of E_V L(X, zeta*), minus E_P* L(X, zeta*)."""
-        lv = self.model.loss_vector(self.zeta_star)
-        worst = float(max(ext_dots(vertices(self.gamma).points, lv)))
-        return float(worst - ext_dot(self.p_star.w, lv))
 
 
 @dataclass(frozen=True)
@@ -203,8 +186,6 @@ def _finalize(model: LossModel, g: GammaTau, p: np.ndarray, zeta: Act, h: float,
         gap=float(gap),
         method=method,
         act_family=act_family,
-        model=model,
-        gamma=g,
     )
 
 
@@ -635,7 +616,10 @@ def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
     Phase 2 solves 1 - zeta(x) = beta0 + beta' t(x) across the support of P*
     with zeta supported on the modes; parameter families are resolved by the
     equalizer rule, then by proximity to the uniform act, subject to the
-    supporting-hyperplane constraints on (beta0, beta).
+    supporting-hyperplane constraints on (beta0, beta).  Where that system
+    is near-singular (tau at a hull vertex) and its act misses the simplex
+    by more than NORM_TOL, zeta* is the point-act game's act instead
+    (`point_act_saddle`), and beta is absent.
     """
     if not isinstance(model, ZeroOneModel):
         raise ValueError("solve_zero_one needs a zero-one model")
@@ -643,8 +627,8 @@ def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
     h = 1.0 - float(p.max())   # the optimizer's value can carry solve noise
     zeta, beta0, beta, family = _zero_one_act(model, g, p, m_star)
     if abs(float(zeta.sum()) - 1.0) > NORM_TOL:
-        raise ArithmeticError(
-            f"zero-one act system near-singular: the act sums to {zeta.sum():.17g}")
+        zeta = point_act_saddle(g, point_act_losses(model))[2]
+        beta0 = beta = family = None
     return _finalize(model, g, p, Act(ACT_DISTRIBUTION, zeta), h, beta0, beta,
                      0.0, "zero-one-enum", act_family=family)
 

@@ -29,6 +29,7 @@ from maxentgames import (
     zero_one_model,
 )
 from maxentgames import _simplex
+from maxentgames.cli import vertex_columns
 from maxentgames.constraints import DEDUP_TOL, max_expectation, union_support
 from maxentgames.core import ext_dots
 from maxentgames.maxent import NewtonDivergence
@@ -146,7 +147,8 @@ def test_lp_margin_matches_the_vertex_maximum():
                 assert lp_max == vertex_max, (kind, model.kind)
                 continue
             assert abs(lp_max - vertex_max) <= 1e-12, (kind, model.kind, lp_max, vertex_max)
-            assert abs(chk.vertex_margin - sp.vertex_margin) <= 1e-12, (kind, model.kind)
+            record_margin = vertex_columns(model, g, sp)[1]
+            assert abs(chk.vertex_margin - record_margin) <= 1e-12, (kind, model.kind)
     # log faces, whose infinite losses drop columns, are among the cases
     assert log_faces >= 20 and stalls <= 1
 
@@ -208,9 +210,8 @@ def test_infinite_loss_where_members_charge_fails_the_certificate():
 
 @pytest.mark.parametrize("make", [
     # the zero-one act system is near-singular (|beta| ~ 1e16), and the act
-    # the rule returns does not sum to one; the solver raises on it
-    pytest.param(zero_one_model,
-                 marks=pytest.mark.xfail(raises=ArithmeticError, strict=True)),
+    # the rule returns does not sum to one; the point-act game's act stands in
+    zero_one_model,
     # the separable dual runs on the outcomes members charge, which reach
     # tau only within 1e-9; it aims at tau's projection onto their span
     pytest.param(lambda space: bregman_model(space, power_generator(1.5)), id="bregman"),
@@ -225,9 +226,30 @@ def test_solvers_at_a_hull_vertex(make):
     model = make(SampleSpace.of(range(g.n)))
     sp = solve(model, g)
     assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
-    # the gap is how far P* misses tau itself, about 1e-10 here
     miss = np.max(np.abs(g.statistic.matrix @ sp.p_star.w - g.tau))
+    if model.kind == "zero_one":
+        # zero-one phase 1 solves for tau itself and reports no gap
+        assert miss <= 1e-9 and sp.gap == 0.0 and sp.beta is None
+        return
+    # the gap is how far P* misses tau itself, about 1e-10 here
     assert 1e-11 <= miss <= 1e-9 and abs(sp.gap - miss) <= 1e-15
+
+
+def test_zero_one_at_hull_vertices():
+    # every seed-81 hull end with k >= 2, the ones the vertex-maximum test
+    # skips; on 17 of them the act system is near-singular, and the
+    # point-act game's act, with no beta, stands in
+    stand_ins = 0
+    for kind, g in problems(seed=81, count=160):
+        if kind != "hull_end" or g.k < 2:
+            continue
+        model = zero_one_model(SampleSpace.of(range(g.n)))
+        sp = solve(model, g)
+        assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, (g.n, g.k)
+        assert np.max(np.abs(g.statistic.matrix @ sp.p_star.w - g.tau)) <= 1e-9
+        assert abs(float(sp.zeta_star.payload.sum()) - 1.0) <= 1e-12
+        stand_ins += sp.beta is None
+    assert stand_ins == 17
 
 
 @pytest.mark.parametrize("n", [40, 80, 160])

@@ -161,6 +161,11 @@ def test_non_finite_inputs_are_parse_errors(capsys, argv):
     (("sweep", "brier_mean"), "abc", "'abc'"),
     (("solve", "brier_mean", "--tau", "0.2"), "2.5", "'2.5'"),
     (("sweep", "brier_mean"), "0", "'0'"),
+    # ... in subcommands that read no vertex list, too
+    (("verify", "log_mean", "--suite", "saddle"), "abc", "'abc'"),
+    (("capacity", "binary_channel"), "abc", "'abc'"),
+    # a STEPS too large to hold (numpy refuses 1e16 before allocating)
+    (("sweep", "brier_mean", "--grid", "0", "1", "1e16"), None, "--grid"),
 ])
 def test_invalid_counts_are_parse_errors(capsys, tmp_path, monkeypatch, argv, cap, named):
     if cap is None:
@@ -734,9 +739,10 @@ def test_cli_solves_a_sixteen_outcome_zero_one_spec(capsys, tmp_path, monkeypatc
     assert abs(float(stat @ p) - 0.3) <= 1e-9
 
 
-def test_zero_one_solve_at_a_hull_vertex_is_a_solver_failure(capsys, tmp_path):
+def test_zero_one_solve_at_a_hull_vertex(capsys, tmp_path):
     # the seed-81 hull-end problem of test_solvers_at_a_hull_vertex: the
-    # zero-one act system is near-singular and its act does not sum to one
+    # zero-one act system is near-singular, so the act is the point-act
+    # game's and the record has no beta
     _, g = next((kind, g) for kind, g in problems(seed=81, count=160)
                 if kind == "hull_end" and g.k == 2)
     path = write_spec(tmp_path, {
@@ -746,10 +752,11 @@ def test_zero_one_solve_at_a_hull_vertex_is_a_solver_failure(capsys, tmp_path):
         "constraint": {"tau": g.tau.tolist()},
     }, name="zero_one_hull_end.json")
     code, out, err = run_cli(capsys, "solve", path)
-    assert code == EXIT_SOLVER
-    assert out == ""
-    assert err.startswith("solver failed: zero-one act system near-singular")
-    assert err.count("\n") == 1
+    assert code == EXIT_OK and err == ""
+    rec = json.loads(out)
+    assert rec["saddle_verified"] is True and rec["method"] == "zero-one-enum"
+    assert rec["beta0"] is None and rec["beta_1"] is None and rec["beta_2"] is None
+    assert abs(sum(rec[f"zeta_{i + 1}"] for i in range(g.n)) - 1.0) <= 1e-9
 
 
 def test_cli_refuses_a_tied_twenty_outcome_zero_one_spec(capsys, tmp_path, monkeypatch):

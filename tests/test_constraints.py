@@ -25,6 +25,7 @@ from maxentgames import (
     vertices,
     xlogx_generator,
 )
+from maxentgames.cli import vertex_columns
 
 T3 = Statistic(np.array([[-1.0, 0.0, 1.0]]))
 TOL = 1e-9
@@ -143,22 +144,22 @@ def test_enumeration_cap_guard(monkeypatch):
 
 
 def test_env_cap_override(monkeypatch):
+    # the cap is read on every call, also for a set enumerated before
     t = Statistic(np.ones((1, 22)))
     g = GammaTau(t, np.array([1.0]))
     monkeypatch.setenv("MAXENT_MAX_N", "22")
     assert vertices(g).m == 22
-    monkeypatch.setenv("MAXENT_MAX_N", "10")
-    with pytest.raises(CombinatorialBlowup):
-        vertices(g)
+    for cap in ("10", "21"):
+        monkeypatch.setenv("MAXENT_MAX_N", cap)
+        with pytest.raises(CombinatorialBlowup):
+            vertices(g)
+    monkeypatch.setenv("MAXENT_MAX_N", "22")
+    assert vertices(g).m == 22
 
 
 def test_vertices_kept_on_the_constraint_set():
     g = GammaTau(T3, np.array([0.25]))
-    first = vertices(g)
-    assert vertices(g) is first
-    assert not first.points.flags.writeable
-    # an equal but distinct set enumerates afresh
-    assert vertices(GammaTau(T3, np.array([0.25]))) is not first
+    assert not vertices(g).points.flags.writeable
 
 
 def test_solve_then_verify_never_enumerates(monkeypatch):
@@ -177,21 +178,8 @@ def test_solve_then_verify_never_enumerates(monkeypatch):
         sp = solve(model, g)
         assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
         assert calls == [], model.kind
-        # the lazy margins enumerate once, and the set keeps the list
-        assert sp.vertex_margin <= 1e-7 and sp.is_equalizer
+        # one record's two vertex columns enumerate once
+        is_equalizer, vertex_margin = vertex_columns(model, g, sp)
+        assert vertex_margin <= 1e-7 and is_equalizer
         assert [c is g for c in calls] == [True], model.kind
         calls.clear()
-
-
-def test_env_cap_applies_to_a_memoized_set(monkeypatch):
-    g = GammaTau(Statistic(np.ones((1, 22))), np.array([1.0]))
-    monkeypatch.setenv("MAXENT_MAX_N", "22")
-    first = vertices(g)
-    monkeypatch.setenv("MAXENT_MAX_N", "10")
-    with pytest.raises(CombinatorialBlowup):
-        vertices(g)
-    monkeypatch.setenv("MAXENT_MAX_N", "21")
-    with pytest.raises(CombinatorialBlowup):
-        vertices(g)
-    monkeypatch.setenv("MAXENT_MAX_N", "22")
-    assert vertices(g) is first
