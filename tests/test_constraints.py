@@ -144,17 +144,28 @@ def test_enumeration_cap_guard(monkeypatch):
 
 
 def test_env_cap_override(monkeypatch):
-    # the cap is read on every call, also for a set enumerated before
     t = Statistic(np.ones((1, 22)))
     g = GammaTau(t, np.array([1.0]))
     monkeypatch.setenv("MAXENT_MAX_N", "22")
     assert vertices(g).m == 22
-    for cap in ("10", "21"):
-        monkeypatch.setenv("MAXENT_MAX_N", cap)
-        with pytest.raises(CombinatorialBlowup):
-            vertices(g)
+    monkeypatch.setenv("MAXENT_MAX_N", "10")
+    with pytest.raises(CombinatorialBlowup):
+        vertices(g)
+
+
+def test_env_cap_applies_to_a_memoized_set(monkeypatch):
+    # the cap is read on every call, also for a set enumerated before
+    g = GammaTau(Statistic(np.ones((1, 22))), np.array([1.0]))
     monkeypatch.setenv("MAXENT_MAX_N", "22")
-    assert vertices(g).m == 22
+    first = vertices(g)
+    monkeypatch.setenv("MAXENT_MAX_N", "10")
+    with pytest.raises(CombinatorialBlowup):
+        vertices(g)
+    monkeypatch.setenv("MAXENT_MAX_N", "21")
+    with pytest.raises(CombinatorialBlowup):
+        vertices(g)
+    monkeypatch.setenv("MAXENT_MAX_N", "22")
+    np.testing.assert_array_equal(vertices(g).points, first.points)
 
 
 def test_vertices_kept_on_the_constraint_set():
