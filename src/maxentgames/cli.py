@@ -153,7 +153,7 @@ def _interpret_spec(raw: dict) -> ProblemSpec:
             raise SpecError("a constraint requires a statistic")
     reference = None
     if raw.get("reference") is not None:
-        reference = _build_act(raw["reference"], space.n)
+        reference = _build_act(raw["reference"])
         model.loss_vector(reference)   # a reference the model rejects is a spec error
     members = None
     if raw.get("model") is not None:
@@ -186,7 +186,7 @@ def _build_model(space: SampleSpace, base: BaseMeasure | None, cfg: dict) -> Los
     raise SpecError(f"unknown loss kind {kind!r}")
 
 
-def _build_act(cfg: dict, n: int) -> Act:
+def _build_act(cfg: dict) -> Act:
     if "distribution" in cfg:
         return Act(ACT_DISTRIBUTION, np.asarray(cfg["distribution"], dtype=float))
     if "density" in cfg:
@@ -233,10 +233,9 @@ def vertex_columns(model: LossModel, g: GammaTau, sp: SaddlePoint):
     """(is_equalizer, vertex_margin) of a record, from one vertex list of
     Gamma_tau, so the size caps apply: E_V L(X, zeta*) is constant over the
     vertices V, and the largest E_V L(X, zeta*) minus E_P* L(X, zeta*)."""
-    points = vertices(g).points
-    lv = model.loss_vector(sp.zeta_star)
-    margin = float(max(ext_dots(points, lv))) - ext_dot(sp.p_star.w, lv)
-    return bool(equalizer_check(model, points, sp.zeta_star).is_equalizer), float(margin)
+    rep = equalizer_check(model, vertices(g).points, sp.zeta_star)
+    margin = float(max(rep.values)) - ext_dot(sp.p_star.w, model.loss_vector(sp.zeta_star))
+    return bool(rep.is_equalizer), float(margin)
 
 
 def record_values(model: LossModel, g: GammaTau, sp: SaddlePoint) -> dict:
@@ -298,9 +297,14 @@ def _jsonable(obj):
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write text to --out, when given, then to stdout; an --out that cannot
+    be written is a usage error, and stdout stays empty."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecError(f"cannot write --out {out_path}: {exc.strerror}") from None
     sys.stdout.write(text)
 
 
@@ -629,6 +633,13 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer, the seeds numpy's generators take."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # usage problems are parse errors under this tool's exit contract
@@ -661,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True,
                           choices=["saddle", "pythagorean", "equalizer",
                                    "conjugacy", "identities"])
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(fn=cmd_verify)
 

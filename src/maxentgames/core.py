@@ -7,7 +7,7 @@ conventions 0 * inf = 0 and (+inf) + (-inf) = undefined (raises).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 

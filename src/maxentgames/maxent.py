@@ -614,21 +614,24 @@ def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
     the outcomes that every minimizer puts at 0 or at the maximum, and the
     (mode set, zero set, free set) pattern systems run on the rest.
     Phase 2 solves 1 - zeta(x) = beta0 + beta' t(x) across the support of P*
-    with zeta supported on the modes; parameter families are resolved by the
-    equalizer rule, then by proximity to the uniform act, subject to the
+    with zeta supported on the modes; a one-parameter family is resolved by
+    the equalizer rule, then by proximity to the uniform act, subject to the
     supporting-hyperplane constraints on (beta0, beta).  Where that system
-    is near-singular (tau at a hull vertex) and its act misses the simplex
-    by more than NORM_TOL, zeta* is the point-act game's act instead
-    (`point_act_saddle`), and beta is absent.
+    pins no act (it is inconsistent, its family has two or more parameters,
+    or no member meets the constraints) or its act misses the simplex by
+    more than NORM_TOL (tau at a hull vertex), zeta* is phase 1's LP dual,
+    the point-act game's act, and beta is absent.
     """
     if not isinstance(model, ZeroOneModel):
         raise ValueError("solve_zero_one needs a zero-one model")
-    m_star, p = _min_pmax(g)
+    m_star, p, weights = _min_pmax(g)
     h = 1.0 - float(p.max())   # the optimizer's value can carry solve noise
-    zeta, beta0, beta, family = _zero_one_act(model, g, p, m_star)
-    if abs(float(zeta.sum()) - 1.0) > NORM_TOL:
-        zeta = point_act_saddle(g, point_act_losses(model))[2]
-        beta0 = beta = family = None
+    act = _zero_one_act(g, p, m_star)
+    if act is None or abs(float(act[0].sum()) - 1.0) > NORM_TOL:
+        # the LP's columns are the identity, top - L of the point-act game
+        zeta = np.maximum(weights, 0.0)
+        act = zeta / zeta.sum(), None, None, None
+    zeta, beta0, beta, family = act
     return _finalize(model, g, p, Act(ACT_DISTRIBUTION, zeta), h, beta0, beta,
                      0.0, "zero-one-enum", act_family=family)
 
@@ -651,12 +654,14 @@ def _min_pmax(g: GammaTau):
     The loop is fast when the LP leaves few outcomes open; ties in the
     statistic leave many minimizers and so many open outcomes.  It runs
     sum over free sets F of 2^|open - F| systems, and more than
-    ZERO_ONE_PATTERN_CAP of them raise CombinatorialBlowup.
+    ZERO_ONE_PATTERN_CAP of them raise CombinatorialBlowup.  Returns (m*,
+    P*, the LP's dual weights on its columns).
     """
     n, k = g.n, g.k
     tmat = g.statistic.matrix
     target = np.concatenate([[1.0], g.tau])
-    lp_value, zero, mode = _pmax_lp(tmat, g.tau)
+    lp_value, zero, weights = _pmax_lp(tmat, g.tau)
+    mode = weights > SCREEN_TOL
     n_open = n - int(np.count_nonzero(zero | mode))
     systems = sum(comb(n_open, j) * comb(n - n_open, f - j) << (n_open - j)
                   for f in range(k + 1) for j in range(min(f, n_open) + 1))
@@ -697,14 +702,15 @@ def _min_pmax(g: GammaTau):
     pool = [p for (m, p) in candidates if m <= m_star + 1e-12]
     # deterministic representative: maximal quadratic entropy, then lex order
     pool.sort(key=lambda p: (float(p @ p), tuple(np.round(p, 12))))
-    return m_star, pool[0]
+    return m_star, pool[0], weights
 
 
 def _pmax_lp(tmat: np.ndarray, tau: np.ndarray):
     """min m over Gamma_tau with p <= m, `min_max_expectation` with the
-    identity as columns; returns (m*, forced zeros, forced modes)."""
-    value, _, zero, mode = min_max_expectation(tmat, tau, np.eye(tmat.shape[1]))
-    return value, zero > SCREEN_TOL, mode > SCREEN_TOL
+    identity as columns; returns (m*, forced zeros, the columns' dual
+    weights), a weight above SCREEN_TOL forcing a mode."""
+    value, _, zero, weights = min_max_expectation(tmat, tau, np.eye(tmat.shape[1]))
+    return value, zero > SCREEN_TOL, weights
 
 
 def _screened_patterns(tmat, target, zero, mode, k):
@@ -749,7 +755,11 @@ def _screened_patterns(tmat, target, zero, mode, k):
                 yield free_of[j].tolist(), np.flatnonzero(members[j])
 
 
-def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float):
+def _zero_one_act(g: GammaTau, p: np.ndarray, m_star: float):
+    """(zeta, beta0, beta, family) from the act system across supp(P*), or
+    None where it pins no act: it is inconsistent, its null space has two or
+    more dimensions, or no member of its one-parameter family meets the
+    supporting-hyperplane constraints."""
     n, k = g.n, g.k
     tmat = g.statistic.matrix
     charged = p > 1e-9
@@ -767,11 +777,10 @@ def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float):
     a[-1, :modes.size] = 1.0
     v0, *_ = np.linalg.lstsq(a, b, rcond=None)
     if np.max(np.abs(a @ v0 - b)) > 1e-8:
-        raise ArithmeticError("zero-one act system inconsistent")
+        return None
     _, s, vt = np.linalg.svd(a)
     rank = int((s > 1e-10 * s[0]).sum())
-    null = vt[rank:].T  # (n_unknown, d)
-    d = null.shape[1]
+    d = n_unknown - rank
 
     def unpack(vec):
         zeta = np.zeros(n)
@@ -781,11 +790,14 @@ def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float):
     if d == 0:
         zeta, beta0, beta = unpack(v0)
         return np.maximum(zeta, 0.0), beta0, beta, None
+    if d >= 2:
+        return None
 
-    # feasibility constraints G @ c >= rhs on the family coefficient
-    G_rows, rhs = [], []
+    # feasibility constraints coef * c >= rhs on the family coefficient c
+    col = vt[rank]
+    coefs, rhs = [], []
     for i in range(modes.size):          # zeta >= 0
-        G_rows.append(null[i])
+        coefs.append(col[i])
         rhs.append(-v0[i] - 1e-12)
     if k == 1:
         # beta0 + beta * sigma >= h(sigma) for every sigma iff beta0 >= chi(beta),
@@ -794,55 +806,35 @@ def _zero_one_act(model, g: GammaTau, p: np.ndarray, m_star: float):
         ts, sizes = np.sort(tmat[0]), np.arange(1.0, n + 1.0)
         sigmas = np.concatenate([np.cumsum(ts), np.cumsum(ts[::-1])]) / np.tile(sizes, 2)
         for sigma, h_sig in zip(sigmas, np.tile(1.0 - 1.0 / sizes, 2)):
-            coeff = null[modes.size] + sigma * null[modes.size + 1]
-            base = v0[modes.size] + sigma * v0[modes.size + 1]
-            G_rows.append(np.atleast_1d(coeff))
-            rhs.append(h_sig - base - 1e-9)
+            coefs.append(col[modes.size] + sigma * col[modes.size + 1])
+            rhs.append(h_sig - (v0[modes.size] + sigma * v0[modes.size + 1]) - 1e-9)
     # outcomes off supp(P*) but reachable within Gamma_tau score L = 1; a
     # worst-case member there must not beat the affine value beta0 + beta' t
     reachable = np.zeros(n, dtype=bool)
     reachable[union_support(g)] = True
     for x in np.flatnonzero(reachable & ~charged):
-        coeff = null[modes.size] + tmat[:, x] @ null[modes.size + 1:]
-        base = float(v0[modes.size] + tmat[:, x] @ v0[modes.size + 1:])
-        G_rows.append(np.atleast_1d(coeff))
-        rhs.append(1.0 - base - 1e-9)
+        coefs.append(col[modes.size] + tmat[:, x] @ col[modes.size + 1:])
+        rhs.append(1.0 - float(v0[modes.size] + tmat[:, x] @ v0[modes.size + 1:]) - 1e-9)
 
-    if d == 1:
-        col = null[:, 0]
-        lo, hi = -np.inf, np.inf
-        for row, r0 in zip(G_rows, rhs):
-            coef = float(np.atleast_1d(row)[0])
-            if coef > 1e-12:
-                lo = max(lo, r0 / coef)
-            elif coef < -1e-12:
-                hi = min(hi, r0 / coef)
-            elif r0 > 1e-9:
-                lo, hi = 1.0, -1.0  # infeasible direction
-        if lo > hi:
-            zeta, beta0, beta = unpack(v0)
-            return np.maximum(zeta, 0.0), beta0, beta, None
-        c = _pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n)
-        zeta, beta0, beta = unpack(v0 + c * col)
-        family = None
-        if float(np.max(np.abs(col[:modes.size]))) > 1e-9:
-            dir_zeta = np.zeros(n)
-            dir_zeta[modes] = col[:modes.size]
-            family = ActFamily(base=np.maximum(zeta, 0.0), direction=dir_zeta,
-                               lo=float(lo - c), hi=float(hi - c))
-        return np.maximum(zeta, 0.0), beta0, beta, family
-
-    # d >= 2: pick least-squares proximity to the uniform act, report no family
-    zeta_rows = np.zeros((modes.size, d))
-    for i in range(modes.size):
-        zeta_rows[i] = null[i]
-    targ = np.full(modes.size, 1.0 / n) - v0[:modes.size]
-    c_ls, *_ = np.linalg.lstsq(zeta_rows, targ, rcond=None)
-    vec = v0 + null @ c_ls
-    zeta, beta0, beta = unpack(vec)
-    if float(zeta.min()) < -1e-9:
-        zeta, beta0, beta = unpack(v0)
-    return np.maximum(zeta, 0.0), beta0, beta, None
+    lo, hi = -np.inf, np.inf
+    for coef, r0 in zip(coefs, rhs):
+        if coef > 1e-12:
+            lo = max(lo, r0 / coef)
+        elif coef < -1e-12:
+            hi = min(hi, r0 / coef)
+        elif r0 > 1e-9:
+            return None          # no coefficient meets this row
+    if lo > hi:
+        return None
+    c = _pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n)
+    zeta, beta0, beta = unpack(v0 + c * col)
+    family = None
+    if float(np.max(np.abs(col[:modes.size]))) > 1e-9:
+        dir_zeta = np.zeros(n)
+        dir_zeta[modes] = col[:modes.size]
+        family = ActFamily(base=np.maximum(zeta, 0.0), direction=dir_zeta,
+                           lo=float(lo - c), hi=float(hi - c))
+    return np.maximum(zeta, 0.0), beta0, beta, family
 
 
 def _pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n):

@@ -28,11 +28,12 @@ from maxentgames import (
     vertices,
     zero_one_model,
 )
-from maxentgames import _simplex
+from maxentgames import _simplex, maxent, verify
 from maxentgames.cli import vertex_columns
 from maxentgames.constraints import DEDUP_TOL, max_expectation, union_support
 from maxentgames.core import ext_dots
 from maxentgames.maxent import NewtonDivergence
+from maxentgames.verify import point_act_losses, point_act_saddle
 
 KINDS = ("interior", "face", "tied", "hull_end")
 
@@ -235,20 +236,57 @@ def test_solvers_at_a_hull_vertex(make):
     assert 1e-11 <= miss <= 1e-9 and abs(sp.gap - miss) <= 1e-15
 
 
+def zero_one_hull_ends():
+    """(model, g) for every seed-81 hull end with k >= 2, the ones the
+    vertex-maximum test skips."""
+    for kind, g in problems(seed=81, count=160):
+        if kind == "hull_end" and g.k >= 2:
+            yield zero_one_model(SampleSpace.of(range(g.n))), g
+
+
 def test_zero_one_at_hull_vertices():
-    # every seed-81 hull end with k >= 2, the ones the vertex-maximum test
-    # skips; on 17 of them the act system is near-singular, and the
+    # on 17 of them the act system pins no act that sums to one, and the
     # point-act game's act, with no beta, stands in
     stand_ins = 0
-    for kind, g in problems(seed=81, count=160):
-        if kind != "hull_end" or g.k < 2:
-            continue
-        model = zero_one_model(SampleSpace.of(range(g.n)))
+    for model, g in zero_one_hull_ends():
         sp = solve(model, g)
         assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, (g.n, g.k)
         assert np.max(np.abs(g.statistic.matrix @ sp.p_star.w - g.tau)) <= 1e-9
         assert abs(float(sp.zeta_star.payload.sum()) - 1.0) <= 1e-12
         stand_ins += sp.beta is None
+    assert stand_ins == 17
+
+
+def test_zero_one_stand_in_is_read_off_phase_one(monkeypatch):
+    # the stand-in is phase 1's LP dual: a stand-in solve runs that one
+    # min_max_expectation LP and builds no union_support LP
+    calls = dict.fromkeys(("min_max_expectation", "union_support"), 0)
+    for module, name in ((maxent, "min_max_expectation"), (verify, "min_max_expectation"),
+                         (maxent, "union_support"), (constraints, "union_support")):
+        def counted(*args, inner=getattr(module, name), name=name):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    stand_ins = 0
+    for model, g in zero_one_hull_ends():
+        calls.update(min_max_expectation=0, union_support=0)
+        if solve(model, g).beta is None:
+            assert calls == {"min_max_expectation": 1, "union_support": 0}, (g.n, g.k)
+            stand_ins += 1
+    assert stand_ins == 17
+
+
+def test_zero_one_stand_in_is_the_point_act_game():
+    # phase 1's columns are the identity, top - L of the point-act game bit
+    # for bit, so the two LPs give the same act
+    stand_ins = 0
+    for model, g in zero_one_hull_ends():
+        sp = solve(model, g)
+        if sp.beta is None:
+            zeta = point_act_saddle(g, point_act_losses(model))[2]
+            assert np.array_equal(sp.zeta_star.payload, zeta), (g.n, g.k)
+            stand_ins += 1
     assert stand_ins == 17
 
 

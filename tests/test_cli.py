@@ -166,6 +166,9 @@ def test_non_finite_inputs_are_parse_errors(capsys, argv):
     (("capacity", "binary_channel"), "abc", "'abc'"),
     # a STEPS too large to hold (numpy refuses 1e16 before allocating)
     (("sweep", "brier_mean", "--grid", "0", "1", "1e16"), None, "--grid"),
+    # a --seed that numpy's generators refuse
+    (("verify", "brier_mean", "--suite", "identities", "--seed", "-1"), None, "--seed"),
+    (("verify", "brier_mean", "--suite", "equalizer", "--seed", "-1"), None, "--seed"),
 ])
 def test_invalid_counts_are_parse_errors(capsys, tmp_path, monkeypatch, argv, cap, named):
     if cap is None:
@@ -302,6 +305,19 @@ def test_solve_out_file_matches_stdout(capsys, tmp_path):
                            "--tau", "0.3", "--out", str(out_path))
     assert code == EXIT_OK
     assert out_path.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("argv", [("solve", "--tau", "0"), ("sweep",)])
+def test_unwritable_out_is_a_parse_error(capsys, tmp_path, argv):
+    # the work is done before the write; nothing reaches stdout either
+    out_path = str(tmp_path / "missing" / "x.json")
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, spec_path("brier_mean"), *rest, "--out", out_path)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert out_path in err
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_lp_screen_matches_pattern_enumeration_bitwise():
         stat, tau = mean_value_problem(rng, n, k, (case // 15) % 4)
         g = GammaTau(stat, tau)
         m_ref, p_ref = enumerate_min_pmax(g)
-        m_star, p = _min_pmax(g)
+        m_star, p, _ = _min_pmax(g)
         assert m_star == m_ref, case
         assert np.array_equal(p, p_ref), case
 
@@ -147,7 +147,7 @@ def test_screen_matches_pattern_enumeration_at_the_old_cap(n, k, kind, seed):
         stat, tau = mean_value_problem(rng, n, k, 1 if kind == "tied" else 0)
     g = GammaTau(stat, tau)
     m_ref, p_ref = enumerate_min_pmax(g)
-    m_star, p = _min_pmax(g)
+    m_star, p, _ = _min_pmax(g)
     assert m_star == m_ref
     assert np.array_equal(p, p_ref)
 
@@ -162,7 +162,7 @@ def test_tied_statistic_at_the_old_cap_matches_the_enumeration():
     # every minimizer splits them differently, so the LP leaves all ten open
     g = GammaTau(tied_statistic(12), np.array([-0.5]))
     m_ref, p_ref = enumerate_min_pmax(g)
-    m_star, p = _min_pmax(g)
+    m_star, p, _ = _min_pmax(g)
     assert m_star == m_ref
     assert np.array_equal(p, p_ref)
 
