@@ -27,6 +27,10 @@ class Unbounded(OverflowError):
     """LP objective is unbounded below."""
 
 
+class PivotLimit(ArithmeticError):
+    """A simplex phase took more than LP_MAX_ITER pivots."""
+
+
 def _pivot(tableau: np.ndarray, basis: list, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factor = tableau[:, col].copy()
@@ -67,7 +71,7 @@ def _iterate(tableau: np.ndarray, basis: list, n_cols: int) -> None:
         gain = tableau[leaving, -1] / col[leaving] * -cost[entering]
         degenerate = degenerate + 1 if gain <= PIVOT_TOL else 0
         _pivot(tableau, basis, int(leaving), entering)
-    raise RuntimeError("simplex iteration limit exceeded")
+    raise PivotLimit(f"simplex phase exceeded {LP_MAX_ITER} pivots")
 
 
 def solve_lp(c, a_eq, b_eq):
@@ -77,7 +81,7 @@ def solve_lp(c, a_eq, b_eq):
     the final basis: c - a_eq' y for the dual y of that basis, zero on the
     basic columns and nonnegative at the optimum.  A column with a positive
     reduced cost is zero in every optimal x (complementary slackness holds
-    for any optimal dual).  Raises Infeasible or Unbounded, and RuntimeError
+    for any optimal dual).  Raises Infeasible or Unbounded, and PivotLimit
     when a phase takes more than LP_MAX_ITER pivots.
     """
     a = np.array(a_eq, dtype=float)

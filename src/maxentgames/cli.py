@@ -47,6 +47,7 @@ from .derived import (
     equalization_report,
 )
 from .divergence import (
+    InfiniteReferenceLoss,
     equalizer_check,
     find_neutral,
     identity_terms,
@@ -463,7 +464,10 @@ def _suite_pythagorean(spec: ProblemSpec, args) -> dict:
     ref = _reference_act(spec)
     # the inequality holds at the saddle of the game relative to ref; for
     # the neutral act that game is the plain one
-    game = spec.model if spec.reference is None else relative_model(spec.model, ref)
+    try:
+        game = spec.model if spec.reference is None else relative_model(spec.model, ref)
+    except InfiniteReferenceLoss as exc:
+        raise SpecError(f"pythagorean suite: {exc}") from None
     rows = []
     passed = True
     equality_taus = []
@@ -595,7 +599,7 @@ def cmd_capacity(args) -> int:
     result = capacity_solve(sm, tol=args.tol)
     report = {
         "i_star": result.i_star,
-        "pi_star": result.pi_star.pi.w,
+        "pi_star": result.pi_star.w,
         "act_kind": result.act_star.kind,
         "act": (result.act_star.payload if result.act_star.kind == ACT_SCALAR
                 else result.act_star.as_array()),
@@ -708,8 +712,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
     except ArithmeticError as exc:
-        # MaxIterExceeded, NewtonDivergence, and the LP's Unbounded and
-        # strong-duality errors; Infeasible is one too, so it comes first
+        # MaxIterExceeded, NewtonDivergence, and the LP's Unbounded, PivotLimit
+        # and strong-duality errors; Infeasible is one too, so it comes first
         sys.stderr.write(f"solver failed: {exc}\n")
         return EXIT_SOLVER
 

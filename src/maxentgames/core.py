@@ -224,11 +224,12 @@ class Act:
 
 
 def validate_distribution(weights, n: int | None = None) -> Distribution:
-    """Check weights and return a Distribution; raises on any violation."""
-    w = np.asarray(weights, dtype=float)
+    """Check weights, or a Distribution, and return a Distribution; raises
+    on any violation."""
+    w = weights.w if isinstance(weights, Distribution) else np.asarray(weights, dtype=float)
     if n is not None and w.shape != (n,):
         raise DimensionMismatch(f"expected {n} weights, got shape {w.shape}")
-    return Distribution(w)
+    return weights if isinstance(weights, Distribution) else Distribution(w)
 
 
 def mixture(lam: float, first: Distribution, second: Distribution) -> Distribution:

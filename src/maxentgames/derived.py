@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Act, DimensionMismatch, Distribution, ext_dots
+from .core import Act, DimensionMismatch, Distribution, ext_dots, validate_distribution
 from .divergence import discrepancy
 from .losses import LogModel, LossModel
 from .maxent import MaxIterExceeded, _mixture_max
@@ -68,43 +68,13 @@ class StatModel:
     def member_entropies(self) -> np.ndarray:
         return self._entropies
 
-    def mixture(self, prior: "Prior") -> Distribution:
-        pi = _as_prior(prior, self.m)
-        return Distribution(pi.pi.w @ self._matrix)
-
-
-@dataclass(frozen=True)
-class Prior:
-    """Probability vector over the members of a StatModel."""
-
-    pi: Distribution
-
-    def __post_init__(self) -> None:
-        p = self.pi
-        if not isinstance(p, Distribution):
-            p = Distribution(np.asarray(p, dtype=float))
-        object.__setattr__(self, "pi", p)
-
-    @property
-    def m(self) -> int:
-        return self.pi.n
-
-    @classmethod
-    def uniform(cls, m: int) -> "Prior":
-        return cls(Distribution.uniform(m))
-
-
-def _as_prior(prior, m: int) -> Prior:
-    if not isinstance(prior, Prior):
-        prior = Prior(prior)
-    if prior.m != m:
-        raise DimensionMismatch(f"prior has {prior.m} weights for {m} members")
-    return prior
+    def mixture(self, prior) -> Distribution:
+        return Distribution(validate_distribution(prior, self.m).w @ self._matrix)
 
 
 @dataclass(frozen=True)
 class CapacityResult:
-    pi_star: Prior
+    pi_star: Distribution   # prior over the members
     act_star: Act
     i_star: float
     upsilon: np.ndarray   # members whose derived loss reaches i_star
@@ -120,9 +90,9 @@ def derived_loss(sm: StatModel, omega_index: int, act: Act) -> float:
 
 def value_of_information(sm: StatModel, prior) -> float:
     """H(P_mix) - sum_w pi(w) H(P_w); nonnegative by concavity of H."""
-    pi = _as_prior(prior, sm.m)
+    pi = validate_distribution(prior, sm.m)
     mix = sm.mixture(pi)
-    return float(sm.model.entropy(mix) - pi.pi.w @ sm.member_entropies)
+    return float(sm.model.entropy(mix) - pi.w @ sm.member_entropies)
 
 
 def _upsilon(lhat: np.ndarray, value: float) -> np.ndarray:
@@ -156,7 +126,7 @@ def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
     if res.gap > tol:
         raise MaxIterExceeded(f"capacity iteration {res.how} with gap {res.gap:.3e}", res)
     w = res.weights
-    pi = Prior(Distribution(np.maximum(w, 0.0) / max(w.sum(), 1e-300)))
+    pi = Distribution(np.maximum(w, 0.0) / max(w.sum(), 1e-300))
     return CapacityResult(
         pi_star=pi,
         act_star=res.act,
@@ -198,13 +168,12 @@ def blahut_arimoto(sm: StatModel, tol: float = 1e-10) -> CapacityResult:
         pi /= pi.sum()
     else:
         raise MaxIterExceeded(f"alternating updates left gap {iu - il:.3e}")
-    prior = Prior(Distribution(pi))
     mixd = Distribution(pi @ sm.member_matrix)
     act = sm.model.bayes_act(mixd)
     lhat = _derived_losses(sm, act)
     value = float(il)
     return CapacityResult(
-        pi_star=prior,
+        pi_star=Distribution(pi),
         act_star=act,
         i_star=value,
         upsilon=_upsilon(lhat, value),

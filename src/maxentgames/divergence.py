@@ -11,12 +11,12 @@ from .core import (
     ACT_DENSITY,
     ACT_DISTRIBUTION,
     Act,
-    DimensionMismatch,
     Distribution,
     _checked_rows,
     distribution_rows,
     ext_dot,
     ext_dots,
+    validate_distribution,
 )
 from .losses import BregmanModel, BrierModel, LogModel, LossModel, ZeroOneModel
 
@@ -61,11 +61,7 @@ def mixture_identities(model: LossModel, parts, weights, q: Distribution) -> Mix
     d(P-bar, Q) = sum w_i d(P_i, Q) - sum w_i d(P_i, P-bar)
     """
     parts = distribution_rows(parts, model.space.n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(parts),):
-        raise DimensionMismatch("one weight per mixture component required")
-    if abs(float(w.sum()) - 1.0) > 1e-9 or float(w.min()) < -1e-12:
-        raise DimensionMismatch("mixture weights must be a probability vector")
+    w = validate_distribution(weights, len(parts)).w
     terms = identity_terms(model, parts[None], w[None], q.w[None])
     return MixtureIdentityReport(*(float(t[0]) for t in terms))
 

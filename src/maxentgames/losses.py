@@ -111,8 +111,8 @@ class LossModel:
         if act.kind != ACT_DISTRIBUTION:
             raise DimensionMismatch(f"{self.name} expects {ACT_DISTRIBUTION} acts")
         q = self._check_space(act.as_array())
-        if float(q.min()) < -WEIGHT_CLAMP:
-            raise DimensionMismatch("act weights must be nonnegative")
+        if not float(q.min()) >= -WEIGHT_CLAMP:
+            raise DimensionMismatch("act weights must be finite and nonnegative")
         q = np.where(q < 0.0, 0.0, q)
         if abs(float(q.sum()) - 1.0) > NORM_TOL:
             raise NotNormalized("act weights must sum to one")
@@ -122,8 +122,8 @@ class LossModel:
         if act.kind != ACT_DENSITY:
             raise DimensionMismatch(f"{self.name} expects {ACT_DENSITY} acts")
         q = self._check_space(act.as_array())
-        if float(q.min()) < -WEIGHT_CLAMP:
-            raise DimensionMismatch("density values must be nonnegative")
+        if not float(q.min()) >= -WEIGHT_CLAMP:
+            raise DimensionMismatch("density values must be finite and nonnegative")
         q = np.where(q < 0.0, 0.0, q)
         mass = float(q @ self.base.weights)
         if abs(mass - 1.0) > NORM_TOL:

@@ -670,14 +670,7 @@ def _min_pmax(g: GammaTau):
             f"zero-one phase 1 needs {systems} pattern systems ({n_open} outcomes "
             f"left open by the LP); the cap is {ZERO_ONE_PATTERN_CAP}")
     candidates = []
-    for free, members in _screened_patterns(tmat, target, zero, mode, k):
-        f_size = len(free)
-        a = np.zeros((k + 1, 1 + f_size))
-        a[0, 0] = len(members)
-        a[1:, 0] = tmat[:, members].sum(axis=1)
-        for c, j in enumerate(free):
-            a[0, 1 + c] = 1.0
-            a[1:, 1 + c] = tmat[:, j]
+    for free, members, a in _screened_patterns(tmat, target, zero, mode, k):
         sol, *_ = np.linalg.lstsq(a, target, rcond=None)
         if np.max(np.abs(a @ sol - target)) > SYSTEM_TOL:
             continue
@@ -714,7 +707,8 @@ def _pmax_lp(tmat: np.ndarray, tau: np.ndarray):
 
 
 def _screened_patterns(tmat, target, zero, mode, k):
-    """(free set, member set) pattern systems that may pass the exact test, in loop order.
+    """(free set, member set, system matrix) of each pattern system that may
+    pass the exact test, in loop order.
 
     Free sets of each size come in combinations order; the member sets of one
     free set are its forced modes plus each subset of the open outcomes outside
@@ -752,7 +746,7 @@ def _screened_patterns(tmat, target, zero, mode, k):
                           & (pf.min(axis=1, initial=np.inf) >= -WEIGHT_CLAMP - slack)
                           & (pf.max(axis=1, initial=-np.inf) <= m + 1e-9 + 2.0 * slack))
             for j in np.flatnonzero(keep).tolist():
-                yield free_of[j].tolist(), np.flatnonzero(members[j])
+                yield free_of[j].tolist(), np.flatnonzero(members[j]), a[j]
 
 
 def _zero_one_act(g: GammaTau, p: np.ndarray, m_star: float):

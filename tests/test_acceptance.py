@@ -277,7 +277,7 @@ def test_08_cross_oracle_values():
 
 
 def _upsilon_mass(result):
-    return float(result.pi_star.pi.w[result.upsilon].sum())
+    return float(result.pi_star.w[result.upsilon].sum())
 
 
 @gate(9, "capacity and cross-solver agreement")
@@ -291,7 +291,7 @@ def test_09_capacity():
     res = capacity_solve(channel)
     assert abs(res.i_star - 0.368064) <= 1e-6
     assert abs(res.i_star - exact) <= 1e-6
-    assert np.max(np.abs(res.pi_star.pi.w - 0.5)) <= 1e-4
+    assert np.max(np.abs(res.pi_star.w - 0.5)) <= 1e-4
     assert _upsilon_mass(res) >= 1.0 - 1e-6
 
     rng = np.random.default_rng(0)

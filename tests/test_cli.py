@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from maxentgames import Distribution, cli, mixture_identities
+from maxentgames import Distribution, _simplex, cli, mixture_identities
 from maxentgames.divergence import identity_terms
 from maxentgames._simplex import Unbounded
 from maxentgames.maxent import MaxIterExceeded, NewtonDivergence
@@ -244,6 +244,25 @@ def test_solver_failure_exit_code(capsys, monkeypatch, exc):
     assert code == EXIT_SOLVER
     assert out == ""
     assert err == "solver failed: did not reach tolerance\n"
+
+
+def test_simplex_pivot_limit_is_a_solver_failure(capsys, monkeypatch):
+    monkeypatch.setattr(_simplex, "LP_MAX_ITER", 1)
+    for argv in (["solve", spec_path("zero_one_mean"), "--tau", "0.3"],
+                 ["verify", spec_path("log_mean"), "--suite", "saddle"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_SOLVER, argv
+        assert out == ""
+        assert err.startswith("solver failed: ") and err.count("\n") == 1, err
+
+
+def test_simplex_pivot_limit_in_a_sweep_is_an_error_row(capsys, monkeypatch):
+    monkeypatch.setattr(_simplex, "LP_MAX_ITER", 1)
+    code, out, err = run_cli(capsys, "sweep", spec_path("zero_one_mean"))
+    assert code == EXIT_OK
+    assert err == ""
+    _, rows = read_csv(out)
+    assert [row["status"] for row in rows] == ["error"] * 41
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +636,7 @@ def test_capacity_brier_family_matches_grid_search(capsys):
 
     # independent cross-check: coarse prior grid under the mixture-gain value
     from maxentgames import Distribution, brier_model, SampleSpace
-    from maxentgames.derived import Prior, StatModel, value_of_information
+    from maxentgames.derived import StatModel, value_of_information
 
     raw = json.load(open(spec_path("brier_family"), encoding="utf-8"))
     sm = StatModel(brier_model(SampleSpace.of(raw["outcomes"])),
@@ -625,7 +644,7 @@ def test_capacity_brier_family_matches_grid_search(capsys):
     best = 0.0
     for a in np.arange(0.0, 1.0 + 1e-12, 0.02):
         for b in np.arange(0.0, 1.0 - a + 1e-12, 0.02):
-            v = value_of_information(sm, Prior(np.array([a, b, 1.0 - a - b])))
+            v = value_of_information(sm, Distribution(np.array([a, b, 1.0 - a - b])))
             best = max(best, v)
     assert best <= rep["i_star"] + 1e-9
     assert rep["i_star"] - best <= 1e-3
@@ -906,6 +925,36 @@ def test_reference_acts_the_model_rejects(capsys, tmp_path, loss, reference):
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith("spec error:")
+
+
+def bundled_with_reference(tmp_path, name, reference):
+    raw = json.loads(open(spec_path(name), encoding="utf-8").read())
+    raw["reference"] = reference
+    return write_spec(tmp_path, raw)
+
+
+@pytest.mark.parametrize("name, reference", [
+    ("brier_mean", {"distribution": [math.nan, 0.5, 0.5]}),
+    ("log_mean", {"density": [math.nan, 0.5, 0.5]}),
+])
+def test_nan_reference_is_a_spec_error(capsys, tmp_path, name, reference):
+    path = bundled_with_reference(tmp_path, name, reference)
+    code, out, err = run_cli(capsys, "solve", path, "--tau", "0.3")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1, err
+
+
+def test_infinite_reference_loss_is_a_spec_error_in_the_pythagorean_suite(capsys, tmp_path):
+    # a zero density is a valid act with loss +inf at its zero; the relative
+    # game the suite needs subtracts that loss, so only this suite refuses it
+    path = bundled_with_reference(tmp_path, "log_mean", {"density": [0.0, 0.5, 0.5]})
+    code, out, err = run_cli(capsys, "verify", path, "--suite", "pythagorean")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("spec error:") and err.count("\n") == 1, err
+    for argv in (["solve", path, "--tau", "0.3"], ["sweep", path]):
+        assert run_cli(capsys, *argv)[0] == EXIT_OK, argv
 
 
 def test_sweep_error_row(capsys, monkeypatch):

@@ -10,7 +10,6 @@ from maxentgames import (
     Act,
     DimensionMismatch,
     Distribution,
-    Prior,
     SampleSpace,
     StatModel,
     blahut_arimoto,
@@ -41,7 +40,7 @@ def _random_family(rng, n, m):
 
 
 def _mass_on_upsilon(result):
-    return float(result.pi_star.pi.w[result.upsilon].sum())
+    return float(result.pi_star.w[result.upsilon].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +63,14 @@ def test_family_coerces_and_labels():
     assert sm.labels == ("w0", "w1")
     assert all(isinstance(p, Distribution) for p in sm.omegas)
     assert np.allclose(sm.member_matrix, np.array(CHANNEL))
-    mix = sm.mixture(Prior.uniform(2))
+    mix = sm.mixture(Distribution.uniform(2))
     assert np.allclose(mix.w, [0.5, 0.5])
 
 
 def test_prior_size_is_checked():
     sm = StatModel(LOG2, CHANNEL)
     with pytest.raises(DimensionMismatch):
-        value_of_information(sm, Prior.uniform(3))
+        value_of_information(sm, Distribution.uniform(3))
 
 
 # ---------------------------------------------------------------------------
@@ -100,20 +99,20 @@ def test_derived_loss_squared_distance_between_point_masses():
 
 def test_information_value_of_a_singleton_is_zero():
     sm = StatModel(LOG2, [np.array([0.3, 0.7])])
-    assert abs(value_of_information(sm, Prior.uniform(1))) <= 1e-12
+    assert abs(value_of_information(sm, Distribution.uniform(1))) <= 1e-12
 
 
 def test_information_value_of_a_perfectly_informative_pair():
     members = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    assert abs(value_of_information(StatModel(LOG2, members), Prior.uniform(2))
+    assert abs(value_of_information(StatModel(LOG2, members), Distribution.uniform(2))
                - np.log(2)) <= 1e-12
-    assert abs(value_of_information(StatModel(BRIER2, members), Prior.uniform(2))
+    assert abs(value_of_information(StatModel(BRIER2, members), Distribution.uniform(2))
                - 0.5) <= 1e-12
 
 
 def test_information_value_frozen_asymmetric_prior():
     sm = StatModel(LOG2, CHANNEL)
-    got = value_of_information(sm, Prior(Distribution(np.array([0.3, 0.7]))))
+    got = value_of_information(sm, Distribution(np.array([0.3, 0.7])))
     assert abs(got - 0.31595250448970746) <= 1e-12
 
 
@@ -139,11 +138,11 @@ def test_prior_average_derived_loss_matches_the_mixture_discrepancy():
     for model in (log_model(space), brier_model(space), zero_one_model(space)):
         sm = StatModel(model, _random_family(rng, 3, 4))
         for _ in range(25):
-            pi = Prior(Distribution(rng.dirichlet(np.ones(4))))
+            pi = Distribution(rng.dirichlet(np.ones(4)))
             probe = (rng.dirichlet(np.ones(3)) + 1e-3) / (1 + 3e-3)
             kind = ACT_DENSITY if model.act_kind == ACT_DENSITY else ACT_DISTRIBUTION
             act = Act(kind, probe)
-            avg = sum(pi.pi.w[i] * derived_loss(sm, i, act) for i in range(4))
+            avg = sum(pi.w[i] * derived_loss(sm, i, act) for i in range(4))
             lhs = avg - value_of_information(sm, pi)
             rhs = discrepancy(model, sm.mixture(pi), act)
             assert abs(lhs - rhs) <= 1e-9
@@ -158,7 +157,7 @@ def test_capacity_binary_symmetric_channel_log():
     r = capacity_solve(sm, tol=1e-8)
     assert abs(r.i_star - CHANNEL_VALUE) <= 1e-9
     assert abs(r.i_star - 0.3680642071684971) <= 1e-12
-    assert np.allclose(r.pi_star.pi.w, [0.5, 0.5], atol=1e-9)
+    assert np.allclose(r.pi_star.w, [0.5, 0.5], atol=1e-9)
     assert list(r.upsilon) == [0, 1]
     assert r.gap <= 1e-8
 
@@ -166,13 +165,13 @@ def test_capacity_binary_symmetric_channel_log():
 def test_capacity_binary_symmetric_channel_brier():
     r = capacity_solve(StatModel(BRIER2, CHANNEL), tol=1e-8)
     assert abs(r.i_star - 0.32) <= 1e-9
-    assert np.allclose(r.pi_star.pi.w, [0.5, 0.5], atol=1e-6)
+    assert np.allclose(r.pi_star.w, [0.5, 0.5], atol=1e-6)
 
 
 def test_capacity_binary_symmetric_channel_zero_one():
     r = capacity_solve(StatModel(ZERO_ONE2, CHANNEL), tol=1e-8)
     assert abs(r.i_star - 0.4) <= 1e-9
-    assert np.allclose(r.pi_star.pi.w, [0.5, 0.5], atol=1e-8)
+    assert np.allclose(r.pi_star.w, [0.5, 0.5], atol=1e-8)
     assert r.method == "matrix-game"
 
 
@@ -189,7 +188,7 @@ def test_capacity_excludes_a_dominated_member():
     members = CHANNEL + [np.array([0.5, 0.5])]
     for model in (LOG2, ZERO_ONE2):
         r = capacity_solve(StatModel(model, members), tol=1e-8)
-        assert r.pi_star.pi.w[2] <= 1e-7
+        assert r.pi_star.w[2] <= 1e-7
         assert list(r.upsilon) == [0, 1]
         assert _mass_on_upsilon(r) >= 1 - 1e-6
 
@@ -267,7 +266,7 @@ def test_capacity_act_transfers_from_the_base_game():
         model = mk(space)
         sm = StatModel(model, _random_family(rng, 3, 4))
         r = capacity_solve(sm, tol=1e-6)
-        pi = r.pi_star.pi.w
+        pi = r.pi_star.w
         best = sum(pi[i] * derived_loss(sm, i, r.act_star) for i in range(4))
         for _ in range(20):
             probe = (rng.dirichlet(np.ones(3)) + 1e-3) / (1 + 3e-3)
@@ -289,7 +288,7 @@ def test_alternating_oracle_rejects_other_models():
 def test_alternating_oracle_binary_channel():
     ba = blahut_arimoto(StatModel(LOG2, CHANNEL))
     assert abs(ba.i_star - CHANNEL_VALUE) <= 1e-8
-    assert np.allclose(ba.pi_star.pi.w, [0.5, 0.5], atol=1e-8)
+    assert np.allclose(ba.pi_star.w, [0.5, 0.5], atol=1e-8)
     assert ba.method == "blahut-arimoto"
     assert ba.gap <= 1e-10
 
@@ -308,7 +307,7 @@ def test_alternating_oracle_agrees_with_the_gradient_route():
         fw = capacity_solve(sm, tol=1e-6)
         ba = blahut_arimoto(sm, tol=1e-10)
         assert abs(fw.i_star - ba.i_star) <= 1e-6
-        assert np.max(np.abs(fw.pi_star.pi.w - ba.pi_star.pi.w)) <= 1e-4
+        assert np.max(np.abs(fw.pi_star.w - ba.pi_star.w)) <= 1e-4
         assert _mass_on_upsilon(ba) >= 1 - 1e-6
 
 
@@ -352,7 +351,7 @@ def test_alternating_oracle_matches_the_entrywise_updates():
         ba = blahut_arimoto(sm)
         assert ba.iterations == ref[0], (trial, n, m)
         assert abs(ba.i_star - ref[1]) <= 1e-14, (trial, n, m)
-        assert np.max(np.abs(ba.pi_star.pi.w - ref[2])) <= 1e-12, (trial, n, m)
+        assert np.max(np.abs(ba.pi_star.w - ref[2])) <= 1e-12, (trial, n, m)
         checked += 1
     assert checked >= 16
 

@@ -14,9 +14,11 @@ from maxentgames import (
     GammaTau,
     InfiniteReferenceLoss,
     SampleSpace,
+    StatModel,
     Statistic,
     bregman_model,
     brier_model,
+    capacity_solve,
     discrepancy,
     div,
     equalizer_check,
@@ -28,6 +30,7 @@ from maxentgames import (
     pythagorean_check,
     quadratic_model,
     relative_model,
+    value_of_information,
     vertices,
     zero_one_model,
 )
@@ -426,3 +429,23 @@ def test_batched_checks_reject_malformed_rows_like_distribution():
                 with pytest.raises(cls) as err:
                     check()
                 assert type(err.value) is cls, (bad, type(err.value))
+
+
+def test_priors_and_mixture_weights_reject_malformed_vectors_like_distribution():
+    # a prior over the members and a mixture's weights are Distributions:
+    # each malformed vector raises the class Distribution raises on it
+    m = brier_model(SPACE3)
+    members = [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2], [0.1, 0.8, 0.1]]
+    sm = StatModel(m, tuple(members))
+    bad_vectors = ([np.nan, 0.5, 0.5], [0.5, 0.5 + 1e-11, -1e-11], [0.3, 0.3, 0.3],
+                   [0.25, 0.25, 0.25, 0.25])
+    for bad in bad_vectors:
+        cls = _distribution_error(bad, 3) if len(bad) == 3 else DimensionMismatch
+        assert cls is not None, bad
+        for check in (lambda: value_of_information(sm, bad),
+                      lambda: sm.mixture(bad),
+                      lambda: mixture_identities(m, members, bad, Distribution.uniform(3))):
+            with pytest.raises(cls) as err:
+                check()
+            assert type(err.value) is cls, (bad, type(err.value))
+    assert isinstance(capacity_solve(sm).pi_star, Distribution)

@@ -10,6 +10,7 @@ from maxentgames import (
     ACT_DISTRIBUTION,
     ACT_SCALAR,
     BaseMeasure,
+    DimensionMismatch,
     Distribution,
     InvalidGenerator,
     LossModel,
@@ -221,6 +222,17 @@ def test_bregman_loss_at_a_zero_density_is_the_limit_without_warnings():
     lv = mb.loss_vector(Act(ACT_DENSITY, [0.5, 0.5, 0.0]))
     assert lv[2] == np.inf
     np.testing.assert_allclose(lv[:2], [np.log(2.0)] * 2, atol=TOL)
+
+
+@pytest.mark.parametrize("model, kind", [
+    (brier_model(SPACE3), ACT_DISTRIBUTION),
+    (zero_one_model(SPACE3), ACT_DISTRIBUTION),
+    (log_model(SPACE3), ACT_DENSITY),
+    (bregman_model(SPACE3, xlogx_generator()), ACT_DENSITY),
+], ids=["brier", "zero_one", "log", "bregman"])
+def test_act_payload_with_a_nan_entry_is_rejected(model, kind):
+    with pytest.raises(DimensionMismatch, match="finite and nonnegative"):
+        model.loss_vector(Act(kind, [np.nan, 0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------------
