@@ -615,6 +615,7 @@ def cmd_capacity(args) -> int:
         # default can exhaust its iterations on families capacity_solve solves
         oracle = blahut_arimoto(sm, tol=capacity_gap_target(args.tol))
         report["cross_check_delta"] = abs(result.i_star - oracle.i_star)
+        report["cross_check_iterations"] = oracle.iterations
     eq = equalization_report(result, sm)
     report["equalizer"] = eq.is_equalizer
     report["derived_losses"] = eq.losses

@@ -12,6 +12,7 @@ generalized entropy H(P) = inf_a E_P L(X, a).  Bundled models:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -260,8 +261,8 @@ class QuadraticModel(LossModel):
 
     def __init__(self, space: SampleSpace, values):
         v = np.asarray(values, dtype=float)
-        if v.shape != (space.n,):
-            raise DimensionMismatch("need one numeric value per outcome")
+        if v.shape != (space.n,) or not np.isfinite(v).all():
+            raise DimensionMismatch("need one finite numeric value per outcome")
         self.space = space
         self.values = v
         self.name = "quadratic"
@@ -271,6 +272,8 @@ class QuadraticModel(LossModel):
     def loss_vector(self, act: Act) -> np.ndarray:
         if act.kind != ACT_SCALAR:
             raise DimensionMismatch("quadratic loss expects scalar acts")
+        if not math.isfinite(act.payload):
+            raise DimensionMismatch("a scalar act must be finite")
         return (self.values - act.payload) ** 2
 
     def bayes_act(self, dist: Distribution) -> Act:

@@ -1031,7 +1031,17 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta) -> TiltResult:
 
 def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
            tol: float) -> list:
-    """`natural_tilt` at every row of betas (m, k), one TiltResult each.
+    """`natural_tilt` at every row of betas (m, k), one TiltResult each."""
+    q, chi, gaps, methods = _tilt_arrays(model, statistic, betas, tol)
+    return [TiltResult(beta=beta, q=Distribution.of_checked(row), chi=float(c),
+                       gap=float(gap), method=method)
+            for beta, row, c, gap, method in zip(betas, q, chi, gaps, methods)]
+
+
+def _tilt_arrays(model: LossModel, statistic: Statistic, betas: np.ndarray,
+                 tol: float):
+    """The tilts of `_tilts` as arrays: q (m, N), a frozen block of checked
+    rows, chi (m,), the gaps (m,) and one method per row.
 
     A separable model solves all rows at once.  With c = T' beta, the tilt
     is p = mu (psi')^-1(max(psi'(0), lambda - c)) at the root lambda of
@@ -1056,8 +1066,11 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
     sep = model.separable()
     top = None if sep is not None else _top_offset(model)
     if sep is None and top is None:
-        return [_tilt_search(model, beta, shift, tol)
-                for beta, shift in zip(betas, shifts)]
+        found = [_tilt_search(model, beta, shift, tol) for beta, shift in zip(betas, shifts)]
+        q = np.array([r.q.w for r in found]).reshape(len(found), statistic.n)
+        q.flags.writeable = False
+        return (q, np.array([r.chi for r in found]), np.array([r.gap for r in found]),
+                [r.method for r in found])
     # psi'(0) may be -inf, and densities overflow at trial lambdas far
     # above the root; the root itself keeps every density below 1 / mu
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -1091,12 +1104,13 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
     method = "separable-dual" if top is None else "closed-form"
     q = distribution_rows(q, statistic.n)   # one check for the whole block
     q.flags.writeable = False
-    out = [TiltResult(beta=beta, q=Distribution.of_checked(row), chi=float(c),
-                      gap=float(gap), method=method)
-           for beta, row, c, gap in zip(betas, q, chi, gaps)]
-    for res in out:
-        if res.gap > tol:
-            raise MaxIterExceeded(f"natural tilt gap {res.gap:.3e} above tol", res)
+    over = np.flatnonzero(gaps > tol)
+    if over.size:
+        i = int(over[0])
+        raise MaxIterExceeded(
+            f"natural tilt gap {gaps[i]:.3e} above tol",
+            TiltResult(beta=betas[i], q=Distribution.of_checked(q[i]), chi=float(chi[i]),
+                       gap=float(gaps[i]), method=method))
     if isinstance(model, LogModel):
         # the cumulant log sum mu exp(-c), stabilized by its largest exponent
         lead = -shifts.min(axis=1)
@@ -1106,7 +1120,7 @@ def _tilts(model: LossModel, statistic: Statistic, betas: np.ndarray,
             i = int(bad[0])
             raise ArithmeticError(
                 f"chi(beta)={chi[i]!r} disagrees with the cumulant {kappa[i]!r}")
-    return out
+    return q, chi, gaps, [method] * len(betas)
 
 
 def _top_offset(model: LossModel) -> np.ndarray | None:
@@ -1310,7 +1324,8 @@ def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid,
     residuals at the solver's own (tau, beta) pairs.
 
     chi comes from one batched tilt call over the whole beta grid and one
-    over the solver's betas (see `natural_tilt` for the routes); h comes
+    over the solver's betas (see `natural_tilt` for the routes), read off
+    its arrays without a TiltResult per beta; h comes
     from `solve`, once per sigma.  A grid tilt whose gap stays above
     GRID_TOL, or a matched one above TILT_TOL, raises MaxIterExceeded.
     """
@@ -1318,7 +1333,7 @@ def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid,
         raise ValueError("conjugacy grid check supports scalar statistics")
     sigmas = np.asarray(tau_grid, dtype=float).ravel()
     betas = np.asarray(beta_grid, dtype=float).ravel()
-    chi = np.array([r.chi for r in _tilts(model, statistic, betas[:, None], GRID_TOL)])
+    chi = _tilt_arrays(model, statistic, betas[:, None], GRID_TOL)[1]
     saddles = [solve(model, GammaTau(statistic, np.array([sig]))) for sig in sigmas]
     h_vals = np.array([sp.h_star for sp in saddles])
     estimates = np.min(chi + np.outer(sigmas, betas), axis=1)
@@ -1326,7 +1341,7 @@ def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid,
     rows = np.array([i for i, sp in enumerate(saddles) if sp.beta is not None], dtype=int)
     if rows.size:
         own = np.array([saddles[i].beta for i in rows])
-        chi_own = np.array([r.chi for r in _tilts(model, statistic, own, TILT_TOL)])
+        chi_own = _tilt_arrays(model, statistic, own, TILT_TOL)[1]
         matched[rows] = np.abs(chi_own + own[:, 0] * sigmas[rows] - h_vals[rows])
     resid = estimates - h_vals
     finite_matched = matched[np.isfinite(matched)]

@@ -311,17 +311,52 @@ def test_alternating_oracle_agrees_with_the_gradient_route():
         assert _mass_on_upsilon(ba) >= 1 - 1e-6
 
 
+def _entrywise_kl(mmat, pi):
+    """KL(P_w || P_mix) at the prior pi, summed entry by entry."""
+    mix = pi @ mmat
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(mmat > 0.0, mmat * np.log(mmat / mix), 0.0)
+    return terms.sum(axis=1)
+
+
 def _entrywise_alternating(mmat, tol=1e-10, max_iter=10000):
-    """Reference: the updates with KL(P_w || P_mix) summed entry by entry.
-    Returns (iterations, value, prior), or None at the iteration cap."""
+    """Reference: the restarted momentum updates on the log-prior, with
+    KL(P_w || P_mix) summed entry by entry.  Returns (iterations, value,
+    prior), or None at the iteration cap."""
+    u = u_prev = np.full(mmat.shape[0], -np.log(mmat.shape[0]))
+    k, last = 0, -np.inf
+    for it in range(1, max_iter + 1):
+        y = u + (k / (k + 3.0)) * (u - u_prev)
+        pi = np.exp(np.maximum(y - y.max(), -600.0))
+        pi /= pi.sum()
+        kl = _entrywise_kl(mmat, pi)
+        shift = float(kl.max())
+        il = shift + float(np.log(pi @ np.exp(kl - shift)))
+        if shift - il <= tol:
+            return it, il, pi
+        if il < last - 1e-14 * max(1.0, abs(last)):
+            k = 0   # the lower bound dropped: drop the step, restart from u
+        else:
+            last = il
+            u_prev, u, k = u, y + kl - shift, k + 1
+    return None
+
+
+def _textbook_alternating(mmat, tol=1e-10, max_iter=10000):
+    """Reference: the plain multiplicative updates pi <- pi exp(KL), with KL
+    as sum P_w log P_w - P_w . log P_mix over the charged outcomes; same
+    stopping rule and return as `_entrywise_alternating`.  A prior weight
+    that underflows to 0 where its member alone charges an outcome makes KL
+    NaN, and the loop then runs to the cap."""
+    charged = mmat[:, mmat.any(axis=0)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg = np.where(charged > 0.0, charged * np.log(charged), 0.0).sum(axis=1)
     pi = np.full(mmat.shape[0], 1.0 / mmat.shape[0])
     for it in range(1, max_iter + 1):
-        mix = pi @ mmat
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(mmat > 0.0, mmat * np.log(mmat / mix), 0.0)
-        kl = terms.sum(axis=1)
-        shift = float(kl.max())
-        c = np.exp(kl - shift)
+            kl = neg - charged @ np.log(pi @ charged)
+            shift = float(kl.max())
+            c = np.exp(kl - shift)
         il = shift + float(np.log(pi @ c))
         if shift - il <= tol:
             return it, il, pi
@@ -354,6 +389,61 @@ def test_alternating_oracle_matches_the_entrywise_updates():
         assert np.max(np.abs(ba.pi_star.w - ref[2])) <= 1e-12, (trial, n, m)
         checked += 1
     assert checked >= 16
+
+
+def _sparse_family(rng, n, m, sparse):
+    """m Dirichlet laws on n outcomes; with sparse set, about a fifth of the
+    entries are exact zeros, each row keeping its top entry."""
+    draw = rng.dirichlet(np.full(n, float(rng.choice([0.3, 1.0, 3.0]))), size=m)
+    if sparse:
+        keep = rng.random(draw.shape) >= 0.2
+        keep[np.arange(m), draw.argmax(axis=1)] = True
+        draw = np.where(keep, draw, 0.0)
+        draw /= draw.sum(axis=1, keepdims=True)
+    return draw
+
+
+def test_restarted_oracle_needs_a_third_of_the_textbook_iterations():
+    # 200 seeded log families, every other one sparse; wherever the textbook
+    # updates converge, the oracle converges too and to the same sandwich
+    rng = np.random.default_rng(41)
+    tol = 1e-9
+    ours = textbook = 0
+    for trial in range(200):
+        n, m = int(rng.integers(2, 13)), int(rng.integers(2, 11))
+        members = _sparse_family(rng, n, m, sparse=trial % 2 == 1)
+        sm = StatModel(log_model(SampleSpace.of([str(i) for i in range(n)])), tuple(members))
+        ref = _textbook_alternating(sm.member_matrix, tol=tol)
+        if ref is None:
+            continue
+        ba = blahut_arimoto(sm, tol=tol)
+        assert ba.gap <= tol and abs(ba.i_star - ref[1]) <= tol, (trial, n, m)
+        ours += ba.iterations
+        textbook += ref[0]
+    assert 3 * ours <= textbook, (ours, textbook)
+
+
+def test_oracle_converges_past_a_vanishing_member():
+    # the last member is the average of the first two plus mass 1e-12 on an
+    # outcome no other member charges; its weight falls far below float
+    # range, where P_mix would underflow to 0 on that outcome and make KL NaN
+    rng = np.random.default_rng(7)
+    tol = 1e-12
+    checked = 0
+    for trial in range(20):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(3, 8))
+        members = np.hstack([rng.dirichlet(np.ones(n), size=m), np.zeros((m, 1))])
+        last = 0.5 * (members[0] + members[1])
+        last[-1] = 1e-12
+        members = np.vstack([members, last / last.sum()])
+        sm = StatModel(log_model(SampleSpace.of([str(i) for i in range(n + 1)])), tuple(members))
+        ref = _textbook_alternating(sm.member_matrix, tol=tol)
+        if ref is None:
+            continue
+        ba = blahut_arimoto(sm, tol=tol)
+        assert abs(ba.i_star - ref[1]) <= tol, (trial, n, m)
+        checked += 1
+    assert checked >= 15
 
 
 def test_alternating_oracle_iteration_cap(monkeypatch):

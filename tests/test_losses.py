@@ -146,6 +146,15 @@ def test_quadratic_bayes_is_mean_entropy_is_variance():
     assert abs(m.entropy(p) - var) <= TOL
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quadratic_rejects_non_finite_acts_and_values(bad):
+    m = quadratic_model(SPACE3, values=[-1.0, 0.0, 1.0])
+    with pytest.raises(DimensionMismatch, match="finite"):
+        m.loss_vector(Act(ACT_SCALAR, bad))
+    with pytest.raises(DimensionMismatch, match="finite"):
+        quadratic_model(SPACE3, values=[-1.0, bad, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # Bregman generators and specializations
 

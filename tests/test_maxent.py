@@ -733,6 +733,21 @@ def test_conjugacy_grids():
     assert np.max(np.abs(rep.grid_estimates - per_beta)) <= 1e-14
 
 
+@pytest.mark.parametrize("model", [BRIER, LOG, ZERO_ONE, quadratic_model(SPACE)],
+                         ids=["brier", "log", "zero_one", "quadratic"])
+def test_tilt_arrays_are_the_per_beta_tilts_bitwise(model):
+    # conjugacy_check reads chi off the batched arrays, with no TiltResult
+    # per beta; every row is the single-beta natural tilt to the bit, on
+    # each route (separable dual, closed form, Frank-Wolfe search)
+    betas = np.linspace(-2.0, 2.0, 9)
+    q, chi, gaps, methods = maxent._tilt_arrays(model, T, betas[:, None], maxent.TILT_TOL)
+    assert not q.flags.writeable
+    for i, b in enumerate(betas):
+        one = natural_tilt(model, T, np.array([b]))
+        np.testing.assert_array_equal(q[i], one.q.w)
+        assert (chi[i], gaps[i], methods[i]) == (one.chi, one.gap, one.method), b
+
+
 # ---------------------------------------------------------------------------
 # additive tilted families around a reference distribution
 
