@@ -93,7 +93,6 @@ class SpecError(ValueError):
 @dataclass
 class ProblemSpec:
     space: SampleSpace
-    base: BaseMeasure | None
     model: LossModel
     statistic: Statistic | None
     tau: np.ndarray | None
@@ -159,7 +158,7 @@ def _interpret_spec(raw: dict) -> ProblemSpec:
     members = None
     if raw.get("model") is not None:
         members = [Distribution(np.asarray(row, dtype=float)) for row in raw["model"]]
-    return ProblemSpec(space, base, model, statistic, tau, tau_grid,
+    return ProblemSpec(space, model, statistic, tau, tau_grid,
                        reference, members, raw)
 
 
@@ -194,8 +193,6 @@ def _build_act(cfg: dict) -> Act:
         return Act(ACT_DENSITY, np.asarray(cfg["density"], dtype=float))
     if "scalar" in cfg:
         return Act(ACT_SCALAR, float(cfg["scalar"]))
-    if "kind" in cfg and "payload" in cfg:
-        return Act(cfg["kind"], cfg["payload"])
     raise SpecError("reference act needs distribution / density / scalar")
 
 

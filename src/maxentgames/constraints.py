@@ -104,12 +104,6 @@ def _check_sizes(g: GammaTau) -> None:
         raise CombinatorialBlowup(f"k={g.k} exceeds the supported cap {DEFAULT_MAX_K}")
 
 
-def _zero_row_infeasible(g: GammaTau) -> bool:
-    # an all-zero statistic row with a nonzero target can never be met
-    zero_rows = np.all(np.abs(g.statistic.matrix) <= 0.0, axis=1)
-    return bool(np.any(zero_rows & (np.abs(g.tau) > 1e-12)))
-
-
 def vertices(g: GammaTau) -> VertexSet:
     """Enumerate all vertices of Gamma_tau.
 
@@ -119,8 +113,6 @@ def vertices(g: GammaTau) -> VertexSet:
     size caps (`max_n` and DEFAULT_MAX_K) are checked first.
     """
     _check_sizes(g)
-    if _zero_row_infeasible(g):
-        raise Infeasible("a zero statistic row has a nonzero target")
     return _enumerate_vertices(g)
 
 
@@ -204,8 +196,6 @@ def svd_screen(a: np.ndarray, target: np.ndarray, floor=None):
 def feasible(g: GammaTau) -> bool:
     """True when Gamma_tau is nonempty, read from `union_support` (one LP,
     no size cap) as the vertex enumeration reads it."""
-    if _zero_row_infeasible(g):
-        return False
     try:
         union_support(g)
         return True

@@ -100,35 +100,21 @@ class LossModel:
     def random_act(self, rng: np.random.Generator) -> Act:
         raise NotImplementedError
 
-    def _check_space(self, payload: np.ndarray) -> np.ndarray:
-        arr = np.asarray(payload, dtype=float)
-        if arr.shape != (self.space.n,):
+    def _act_payload(self, act: Act, kind: str, weights=None) -> np.ndarray:
+        """The payload of a `kind` act: finite, nonnegative and of mass one,
+        its sum, or its integral against `weights` for a density."""
+        if act.kind != kind:
+            raise DimensionMismatch(f"{self.name} expects {kind} acts")
+        q = act.as_array()
+        if q.shape != (self.space.n,):
             raise DimensionMismatch(
-                f"act payload shape {arr.shape} does not match {self.space.n} outcomes"
-            )
-        return arr
-
-    def _dist_payload(self, act: Act) -> np.ndarray:
-        if act.kind != ACT_DISTRIBUTION:
-            raise DimensionMismatch(f"{self.name} expects {ACT_DISTRIBUTION} acts")
-        q = self._check_space(act.as_array())
+                f"act payload shape {q.shape} does not match {self.space.n} outcomes")
         if not float(q.min()) >= -WEIGHT_CLAMP:
-            raise DimensionMismatch("act weights must be finite and nonnegative")
+            raise DimensionMismatch(f"{kind} act values must be finite and nonnegative")
         q = np.where(q < 0.0, 0.0, q)
-        if abs(float(q.sum()) - 1.0) > NORM_TOL:
-            raise NotNormalized("act weights must sum to one")
-        return q
-
-    def _density_payload(self, act: Act) -> np.ndarray:
-        if act.kind != ACT_DENSITY:
-            raise DimensionMismatch(f"{self.name} expects {ACT_DENSITY} acts")
-        q = self._check_space(act.as_array())
-        if not float(q.min()) >= -WEIGHT_CLAMP:
-            raise DimensionMismatch("density values must be finite and nonnegative")
-        q = np.where(q < 0.0, 0.0, q)
-        mass = float(q @ self.base.weights)
+        mass = float(q.sum() if weights is None else q @ weights)
         if abs(mass - 1.0) > NORM_TOL:
-            raise NotNormalized(f"density integrates to {mass!r}, not 1")
+            raise NotNormalized(f"{kind} act has mass {mass!r}, not 1")
         return q
 
 
@@ -148,7 +134,7 @@ class BrierModel(LossModel):
         self.act_kind = ACT_DISTRIBUTION
 
     def loss_vector(self, act: Act) -> np.ndarray:
-        q = self._dist_payload(act)
+        q = self._act_payload(act, ACT_DISTRIBUTION)
         return float(q @ q) - 2.0 * q + 1.0
 
     def bayes_act(self, dist: Distribution) -> Act:
@@ -185,7 +171,7 @@ class LogModel(LossModel):
         self.act_kind = ACT_DENSITY
 
     def loss_vector(self, act: Act) -> np.ndarray:
-        q = self._density_payload(act)
+        q = self._act_payload(act, ACT_DENSITY, self.base.weights)
         with np.errstate(divide="ignore"):
             return -np.log(q)
 
@@ -224,7 +210,7 @@ class ZeroOneModel(LossModel):
         self.act_kind = ACT_DISTRIBUTION
 
     def loss_vector(self, act: Act) -> np.ndarray:
-        return 1.0 - self._dist_payload(act)
+        return 1.0 - self._act_payload(act, ACT_DISTRIBUTION)
 
     def modes(self, dist: Distribution) -> np.ndarray:
         top = float(dist.w.max())
@@ -398,7 +384,7 @@ class BregmanModel(LossModel):
         self.act_kind = ACT_DENSITY
 
     def loss_vector(self, act: Act) -> np.ndarray:
-        return self._scores(self._density_payload(act))
+        return self._scores(self._act_payload(act, ACT_DENSITY, self.base.weights))
 
     def _scores(self, q: np.ndarray) -> np.ndarray:
         """The score of every density q along the last axis."""

@@ -15,6 +15,7 @@ from math import comb
 import numpy as np
 
 from .constraints import (
+    CONSISTENCY_TOL,
     RANK_TOL,
     SCREEN_BLOCK,
     GammaTau,
@@ -44,7 +45,6 @@ from .losses import BrierModel, ConvexGenerator, LogModel, LossModel, ZeroOneMod
 from .verify import lp_game_value, point_act_losses, point_act_saddle
 
 LINEAR_FIT_TOL = 1e-7
-SYSTEM_TOL = 1e-9
 SCREEN_TOL = 1e-7        # LP reduced cost that fixes a zero-one outcome at 0 or m*
 PMAX_LP_TOL = 1e-9       # zero-one pattern minimum may exceed the LP minimum by this
 ZERO_ONE_PATTERN_CAP = 208_896  # pattern systems with every outcome open at N = 12, k = 3
@@ -150,9 +150,8 @@ def _hull_class(g: GammaTau) -> str:
 
 def _finalize(model: LossModel, g: GammaTau, p: np.ndarray, zeta: Act, h: float,
               beta0, beta, gap: float, method: str,
-              act_family: ActFamily | None = None, hull: str | None = None) -> SaddlePoint:
-    """The SaddlePoint record; `hull` is hull_interior's class of tau, when
-    the solver has it."""
+              hull: str, act_family: ActFamily | None = None) -> SaddlePoint:
+    """The SaddlePoint record; `hull` is `_hull_class`'s class of tau."""
     p_star = Distribution(p)
     lv = model.loss_vector(zeta)
     tmat = g.statistic.matrix
@@ -170,8 +169,6 @@ def _finalize(model: LossModel, g: GammaTau, p: np.ndarray, zeta: Act, h: float,
         is_regular = bool(np.max(np.abs(fitted - lv[supp])) <= LINEAR_FIT_TOL)
 
     bayes_margin = abs(ext_dot(p_star.w, lv) - model.entropy(p_star))
-    if hull is None:
-        hull = hull_interior(g.statistic, g.tau)
     return SaddlePoint(
         tau=g.tau,
         p_star=p_star,
@@ -370,7 +367,7 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
     for supp in _brier_supports(s, k):
         a = rows[:, supp]
         sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-        if np.max(np.abs(a @ sol - target)) > SYSTEM_TOL:
+        if np.max(np.abs(a @ sol - target)) > CONSISTENCY_TOL:
             continue
         if float(sol.min()) < -WEIGHT_CLAMP:
             continue
@@ -396,7 +393,7 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
         beta = _brier_degenerate_beta(g, p, supp)
     beta0 = None if beta is None else h - float(beta @ g.tau)
     zeta = Act(ACT_DISTRIBUTION, p)
-    return _finalize(model, g, p, zeta, h, beta0, beta, 0.0, "brier-enum", hull=hull)
+    return _finalize(model, g, p, zeta, h, beta0, beta, 0.0, "brier-enum", hull)
 
 
 def _separable_dual(rows: np.ndarray, target: np.ndarray, mu: np.ndarray,
@@ -541,8 +538,7 @@ def solve_log(model: LossModel, g: GammaTau, tol: float = 1e-10) -> SaddlePoint:
     beta, kappa, p, grad_norm = _newton_tilt(model.base.weights, tmat, g.tau, tol)
     h = model.entropy(Distribution(p))
     zeta = Act(ACT_DENSITY, p / model.base.weights)
-    return _finalize(model, g, p, zeta, h, float(kappa), beta, grad_norm, "log-newton",
-                     hull=hull)
+    return _finalize(model, g, p, zeta, h, float(kappa), beta, grad_norm, "log-newton", hull)
 
 
 def _newton_tilt(mu, tmat, tau, tol):
@@ -624,6 +620,7 @@ def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
     """
     if not isinstance(model, ZeroOneModel):
         raise ValueError("solve_zero_one needs a zero-one model")
+    hull = _hull_class(g)
     m_star, p, weights = _min_pmax(g)
     h = 1.0 - float(p.max())   # the optimizer's value can carry solve noise
     act = _zero_one_act(g, p, m_star)
@@ -633,7 +630,7 @@ def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
         act = zeta / zeta.sum(), None, None, None
     zeta, beta0, beta, family = act
     return _finalize(model, g, p, Act(ACT_DISTRIBUTION, zeta), h, beta0, beta,
-                     0.0, "zero-one-enum", act_family=family)
+                     0.0, "zero-one-enum", hull, family)
 
 
 def _min_pmax(g: GammaTau):
@@ -672,7 +669,7 @@ def _min_pmax(g: GammaTau):
     candidates = []
     for free, members, a in _screened_patterns(tmat, target, zero, mode, k):
         sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-        if np.max(np.abs(a @ sol - target)) > SYSTEM_TOL:
+        if np.max(np.abs(a @ sol - target)) > CONSISTENCY_TOL:
             continue
         m = float(sol[0])
         if m < -WEIGHT_CLAMP:
@@ -742,7 +739,7 @@ def _screened_patterns(tmat, target, zero, mode, k):
             full, sol, resid, slack = svd_screen(a, target)
             m, pf = sol[:, 0], sol[:, 1:]
             keep = ~full
-            keep[full] = ((resid <= SYSTEM_TOL + slack) & (m >= -WEIGHT_CLAMP - slack)
+            keep[full] = ((resid <= CONSISTENCY_TOL + slack) & (m >= -WEIGHT_CLAMP - slack)
                           & (pf.min(axis=1, initial=np.inf) >= -WEIGHT_CLAMP - slack)
                           & (pf.max(axis=1, initial=-np.inf) <= m + 1e-9 + 2.0 * slack))
             for j in np.flatnonzero(keep).tolist():
@@ -907,7 +904,7 @@ def _separable_saddle(model: LossModel, base: LossModel, r: np.ndarray, g: Gamma
         beta = -y[1:]
         beta0 = h - float(beta @ g.tau)
     zeta = base.bayes_act(Distribution(p))
-    return _finalize(model, g, p, zeta, h, beta0, beta, norm, method, hull=hull)
+    return _finalize(model, g, p, zeta, h, beta0, beta, norm, method, hull)
 
 
 # ---------------------------------------------------------------------------
@@ -926,6 +923,7 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
     Bayes act's losses at P as supergradient ("frank-wolfe"), so a kinked
     loss must expose `bayes_act_set`.  A gap above tol raises MaxIterExceeded.
     """
+    hull = _hull_class(g)
     L = point_act_losses(model)
     if L is None:
         vs = vertices(g)
@@ -948,7 +946,7 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
         if resid <= LINEAR_FIT_TOL and supp.size >= g.k + 1:
             beta = bvec
             beta0 = h - float(beta @ g.tau)
-    return _finalize(model, g, p, res.act, h, beta0, beta, res.gap, res.method)
+    return _finalize(model, g, p, res.act, h, beta0, beta, res.gap, res.method, hull)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1018,8 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta) -> TiltResult:
     is the Fenchel duality gap for the separable dual and the closed form,
     the strategies' certificate col_guarantee - row_guarantee for the
     matrix game, and the supergradient gap for Frank-Wolfe.  A gap above
-    TILT_TOL raises MaxIterExceeded carrying the result.  For the log model the
+    TILT_TOL raises MaxIterExceeded whose `result` is the TiltResult, on
+    every route.  For the log model the
     closed-form cumulant log sum mu exp(-beta' t) is an independent
     cross-check on chi.  A relative model, H(P) minus the expected loss of
     a reference act, takes its base model's route.
@@ -1043,18 +1042,15 @@ def _tilt_arrays(model: LossModel, statistic: Statistic, betas: np.ndarray,
     """The tilts of `_tilts` as arrays: q (m, N), a frozen block of checked
     rows, chi (m,), the gaps (m,) and one method per row.
 
-    A separable model solves all rows at once.  With c = T' beta, the tilt
-    is p = mu (psi')^-1(max(psi'(0), lambda - c)) at the root lambda of
-    sum p = 1, bisected on every row together inside
-    [min c, max c] + psi'(1 / sum mu) until the bracket reaches the float
-    resolution of lambda - c.  By weak duality,
-    D(lambda) = -lambda + sum mu psi*(lambda - c) bounds chi from above
-    for any lambda, so D(lambda) - chi is an honest gap even where q
-    underflows.  A model with H(P) = P . u - max p solves all rows at once
-    in closed form (`_top_tilts`), whose dual bound plays the role of D.
-    Other models take one matrix game or Frank-Wolfe run per row.  Every
+    A separable model solves all rows at once by the one-dimensional dual
+    (`_separable_tilts`), and a model with H(P) = P . u - max p in closed
+    form (`_top_tilts`); each returns a dual bound D on chi, so D - chi is
+    the gap.  Other models take one `_mixture_max` per row, the matrix game
+    or Frank-Wolfe over the point masses, whose gap is its own.  Every
     reduction runs row by row (einsum, not a BLAS product), so a row's tilt
-    does not depend on the other rows of the grid.
+    does not depend on the other rows of the grid.  On every route the
+    first row whose gap is above tol raises MaxIterExceeded carrying that
+    row's TiltResult.
 
     A relative model tilts on its base model's route (`_unwrap`): H(P) - P . r
     tilted by beta is the base chi with shift T' beta + r.
@@ -1066,42 +1062,23 @@ def _tilt_arrays(model: LossModel, statistic: Statistic, betas: np.ndarray,
     sep = model.separable()
     top = None if sep is not None else _top_offset(model)
     if sep is None and top is None:
-        found = [_tilt_search(model, beta, shift, tol) for beta, shift in zip(betas, shifts)]
-        q = np.array([r.q.w for r in found]).reshape(len(found), statistic.n)
-        q.flags.writeable = False
-        return (q, np.array([r.chi for r in found]), np.array([r.gap for r in found]),
-                [r.method for r in found])
-    # psi'(0) may be -inf, and densities overflow at trial lambdas far
-    # above the root; the root itself keeps every density below 1 / mu
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if top is not None:
-            q, dual = _top_tilts(shifts - top)
-        else:
-            gen, mu = sep
-            floor = float(gen.psi_prime(np.zeros(1))[0])
-            level = float(gen.psi_prime(np.array([1.0 / mu.sum()]))[0])   # the law mu / sum mu
-
-            def density(lam):
-                return gen.psi_prime_inv(np.maximum(lam[:, None] - shifts, floor))
-
-            lo = shifts.min(axis=1) + level
-            hi = shifts.max(axis=1) + level
-            resolution = 2.0 * np.finfo(float).eps * (np.abs(shifts).max(axis=1) + abs(level))
-            while True:
-                mid = 0.5 * (lo + hi)
-                live = (hi - lo > resolution) & (lo < mid) & (mid < hi)
-                if not live.any():
-                    break
-                above = np.einsum("ij,j->i", density(mid), mu) >= 1.0
-                hi = np.where(live & above, mid, hi)
-                lo = np.where(live & ~above, mid, lo)
-            u = density(hi)
-            p = mu * u
-            q = p / p.sum(axis=1)[:, None]
-            dual = -hi + np.einsum("ij,j->i", (hi[:, None] - shifts) * u - gen.psi(u), mu)
-        chi = model.entropy_batch(q) - np.einsum("ij,ij->i", q, shifts)
-    gaps = np.maximum(dual - chi, 0.0)
-    method = "separable-dual" if top is None else "closed-form"
+        points = np.eye(statistic.n)
+        found = [_mixture_max(model, points, shift, tol) for shift in shifts]
+        q = [np.maximum(res.point, 0.0) / max(res.point.sum(), 1e-300) for res in found]
+        chi = np.array([res.value for res in found])
+        gaps = np.array([res.gap for res in found])
+        methods = [res.method for res in found]
+    else:
+        # psi'(0) may be -inf, and densities overflow at trial lambdas far
+        # above the root; the root itself keeps every density below 1 / mu
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if top is not None:
+                q, dual = _top_tilts(shifts - top)
+            else:
+                q, dual = _separable_tilts(*sep, shifts)
+            chi = model.entropy_batch(q) - np.einsum("ij,ij->i", q, shifts)
+        gaps = np.maximum(dual - chi, 0.0)
+        methods = ["separable-dual" if top is None else "closed-form"] * len(betas)
     q = distribution_rows(q, statistic.n)   # one check for the whole block
     q.flags.writeable = False
     over = np.flatnonzero(gaps > tol)
@@ -1110,17 +1087,52 @@ def _tilt_arrays(model: LossModel, statistic: Statistic, betas: np.ndarray,
         raise MaxIterExceeded(
             f"natural tilt gap {gaps[i]:.3e} above tol",
             TiltResult(beta=betas[i], q=Distribution.of_checked(q[i]), chi=float(chi[i]),
-                       gap=float(gaps[i]), method=method))
+                       gap=float(gaps[i]), method=methods[i]))
     if isinstance(model, LogModel):
         # the cumulant log sum mu exp(-c), stabilized by its largest exponent
         lead = -shifts.min(axis=1)
-        kappa = lead + np.log(np.exp(-shifts - lead[:, None]) @ mu)
+        kappa = lead + np.log(np.exp(-shifts - lead[:, None]) @ sep[1])
         bad = np.flatnonzero(~((chi <= kappa + 1e-9) & (kappa - chi <= gaps + 1e-9)))
         if bad.size:
             i = int(bad[0])
             raise ArithmeticError(
                 f"chi(beta)={chi[i]!r} disagrees with the cumulant {kappa[i]!r}")
-    return q, chi, gaps, [method] * len(betas)
+    return q, chi, gaps, methods
+
+
+def _separable_tilts(gen: ConvexGenerator, mu: np.ndarray, shifts: np.ndarray):
+    """Maximize H(P) - shift . p over the simplex at every row of shifts
+    (m, N), for H(P) = -sum mu psi(p / mu).  Returns (q, the dual bound).
+
+    p = mu (psi')^-1(max(psi'(0), lambda - shift)) at the root lambda of
+    sum p = 1, bisected on every row together inside
+    [min shift, max shift] + psi'(1 / sum mu) until the bracket reaches the
+    float resolution of lambda - shift.  By weak duality,
+    D(lambda) = -lambda + sum mu psi*(lambda - shift) bounds the maximum
+    from above for any lambda, so it is an honest bound even where q
+    underflows.
+    """
+    floor = float(gen.psi_prime(np.zeros(1))[0])
+    level = float(gen.psi_prime(np.array([1.0 / mu.sum()]))[0])   # the law mu / sum mu
+
+    def density(lam):
+        return gen.psi_prime_inv(np.maximum(lam[:, None] - shifts, floor))
+
+    lo = shifts.min(axis=1) + level
+    hi = shifts.max(axis=1) + level
+    resolution = 2.0 * np.finfo(float).eps * (np.abs(shifts).max(axis=1) + abs(level))
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > resolution) & (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        above = np.einsum("ij,j->i", density(mid), mu) >= 1.0
+        hi = np.where(live & above, mid, hi)
+        lo = np.where(live & ~above, mid, lo)
+    u = density(hi)
+    p = mu * u
+    dual = -hi + np.einsum("ij,j->i", (hi[:, None] - shifts) * u - gen.psi(u), mu)
+    return p / p.sum(axis=1)[:, None], dual
 
 
 def _top_offset(model: LossModel) -> np.ndarray | None:
@@ -1172,18 +1184,6 @@ def _top_tilts(d: np.ndarray):
         # unchecked rows take nu = max(-d), where sum (-d - nu)+ = 0: a loose bound
         nu = np.where(short, np.maximum(nu, (-d).max(axis=1)), nu)
     return q, nu
-
-
-def _tilt_search(model: LossModel, beta: np.ndarray, shift: np.ndarray,
-                 tol: float) -> TiltResult:
-    """One tilt of a model that neither route of `_tilts` takes: the matrix
-    game when the model has one, else pairwise Frank-Wolfe over the point
-    masses."""
-    res = _mixture_max(model, np.eye(shift.size), shift, tol)
-    if res.gap > tol:
-        raise MaxIterExceeded(f"natural tilt gap {res.gap:.3e} above tol", res)
-    q = Distribution(np.maximum(res.point, 0.0) / max(res.point.sum(), 1e-300))
-    return TiltResult(beta=beta, q=q, chi=res.value, gap=res.gap, method=res.method)
 
 
 # ---------------------------------------------------------------------------
@@ -1370,7 +1370,7 @@ def lafferty_family(model: LossModel, p0: Distribution, statistic: Statistic,
         g = GammaTau(statistic, tau)
         h0 = rel.entropy(tr.q)
         sp = _finalize(rel, g, tr.q.w, rel.bayes_act(tr.q), h0,
-                       tr.chi, np.array([b]), tr.gap, "lafferty-tilt")
+                       tr.chi, np.array([b]), tr.gap, "lafferty-tilt", _hull_class(g))
         rows.append(sp)
     rows.sort(key=lambda r: float(r.tau[0]))
     taus = np.array([r.tau for r in rows])

@@ -20,8 +20,9 @@ from maxentgames import (
     brier_model,
     solve_brier,
 )
+from maxentgames.constraints import CONSISTENCY_TOL
 from maxentgames.core import WEIGHT_CLAMP
-from maxentgames.maxent import SYSTEM_TOL, _brier_degenerate_beta
+from maxentgames.maxent import _brier_degenerate_beta
 
 BRIER_ENUM_CAP = 16
 
@@ -45,7 +46,7 @@ def enumerate_brier(g):
         for supp in combinations(range(n), size):
             a = rows[:, supp]
             sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-            if np.max(np.abs(a @ sol - target)) > SYSTEM_TOL:
+            if np.max(np.abs(a @ sol - target)) > CONSISTENCY_TOL:
                 continue
             if float(sol.min()) < -WEIGHT_CLAMP:
                 continue

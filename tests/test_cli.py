@@ -230,6 +230,25 @@ def test_infeasible_tau(capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize("loss", ["zero_one", "quadratic"])
+def test_zero_row_target_band(capsys, tmp_path, loss):
+    # a zero statistic row reads its target within CONSISTENCY_TOL wherever
+    # the CLI reads Gamma_tau: 5e-10 solves and verifies, with the vertex
+    # columns of the record; 2e-9 is infeasible in solve and in the suite
+    for tau2, want, status in ((5e-10, EXIT_OK, "ok"), (2e-9, EXIT_INFEASIBLE, "infeasible")):
+        path = write_spec(tmp_path, three_outcome_spec(
+            {"kind": loss}, statistic=[[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+            constraint={"tau": [0.2, tau2]}))
+        code, out, err = run_cli(capsys, "solve", path)
+        assert code == want, err
+        if want == EXIT_OK:
+            assert json.loads(out)["saddle_verified"] is True
+        code, out, _ = run_cli(capsys, "verify", path, "--suite", "saddle")
+        rep = json.loads(out)
+        assert code == EXIT_OK and rep["passed"] is True
+        assert [row["status"] for row in rep["rows"]] == [status]
+
+
 # ---------------------------------------------------------------------------
 # solver failures -> exit 5
 
@@ -922,6 +941,7 @@ def test_reference_act_forms(capsys, tmp_path, loss, reference, kind):
     ("log", {"density": [1.0, 1.0, 1.0]}),       # integrates to 3 on the counting base
     ("brier", {"distribution": [0.5, 0.5]}),     # wrong length
     ("brier", {"scalar": 0.25}),                 # wrong act kind for the loss
+    ("brier", {"kind": "distribution", "payload": [0.2, 0.3, 0.5]}),   # no act form
 ])
 def test_reference_acts_the_model_rejects(capsys, tmp_path, loss, reference):
     path = write_spec(tmp_path, three_outcome_spec({"kind": loss}, reference=reference))

@@ -9,6 +9,7 @@ from maxentgames import (
     DimensionMismatch,
     Distribution,
     GammaTau,
+    Infeasible,
     SampleSpace,
     Statistic,
     bregman_model,
@@ -20,10 +21,12 @@ from maxentgames import (
     hull_interior,
     log_model,
     moment,
+    quadratic_model,
     solve,
     verify_saddle,
     vertices,
     xlogx_generator,
+    zero_one_model,
 )
 from maxentgames.cli import vertex_columns
 
@@ -38,6 +41,35 @@ def test_feasibility_is_hull_membership(monkeypatch):
         assert feasible(GammaTau(t, np.array([0.5])))
         assert not feasible(GammaTau(t, np.array([1.5])))
         assert feasible(GammaTau(t, np.array([-1.0])))  # hull endpoint
+
+
+ZERO_ROW = Statistic(np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("make", [
+    brier_model, zero_one_model, lambda s: quadratic_model(s, values=[0.0, 1.0, 3.0])])
+def test_zero_row_target_within_the_consistency_tolerance(make):
+    # 0 = 5e-10 is read within CONSISTENCY_TOL, as the enumeration,
+    # union_support and these solvers read [1; T] p = [1; tau]: the set is
+    # feasible and has vertices, and its saddle solves and verifies
+    model = make(SampleSpace.of(["-1", "0", "1"]))
+    g = GammaTau(ZERO_ROW, np.array([0.2, 5e-10]))
+    assert feasible(g)
+    assert vertices(g).m >= 1
+    sp = solve(model, g)
+    assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
+
+
+@pytest.mark.parametrize("make", [
+    zero_one_model, lambda s: quadratic_model(s, values=[0.0, 1.0, 3.0])])
+def test_zero_row_target_past_the_consistency_tolerance(make):
+    model = make(SampleSpace.of(["-1", "0", "1"]))
+    g = GammaTau(ZERO_ROW, np.array([0.2, 2e-9]))
+    assert not feasible(g)
+    with pytest.raises(Infeasible):
+        vertices(g)
+    with pytest.raises(Infeasible):
+        solve(model, g)
 
 
 def test_vertices_tau_zero():

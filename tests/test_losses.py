@@ -347,7 +347,7 @@ class _MinimalBrier(LossModel):
         self.act_kind = ACT_DISTRIBUTION
 
     def loss_vector(self, act):
-        q = self._dist_payload(act)
+        q = self._act_payload(act, ACT_DISTRIBUTION)
         return float(q @ q) - 2.0 * q + 1.0
 
     def bayes_act(self, dist):

@@ -50,7 +50,7 @@ from maxentgames import (
 )
 from maxentgames import maxent
 from maxentgames.cli import vertex_columns
-from maxentgames.maxent import _fw_maximize, _mixture_max, _slope_root, _tilts
+from maxentgames.maxent import TiltResult, _fw_maximize, _mixture_max, _slope_root, _tilts
 from test_zero_one_lp import mean_value_problem
 
 SPACE = SampleSpace.of(["-1", "0", "1"])
@@ -416,6 +416,18 @@ def test_infeasible_tau_raises():
     assert specific_entropy(BRIER, T, np.array([-1.2])) == float("-inf")
 
 
+@pytest.mark.parametrize("tau", [[1.5], [-1.0 - 1e-8], [0.2, 1e-8]])
+def test_every_solver_refuses_tau_outside_the_hull_alike(tau):
+    # one rule and one message, whichever solver the model takes; a zero
+    # statistic row with a target beyond the hull tolerance is outside too
+    stat = T if len(tau) == 1 else Statistic(np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    relative = relative_model(ZERO_ONE, Act("distribution", np.array([0.2, 0.3, 0.5])))
+    for model in (BRIER, LOG, ZERO_ONE, quadratic_model(SPACE), relative,
+                  bregman_model(SPACE, power_generator(3.0))):
+        with pytest.raises(Infeasible, match="outside the statistic hull"):
+            solve(model, GammaTau(stat, np.array(tau)))
+
+
 def test_enumeration_cap(monkeypatch):
     # solve and verify_saddle build no vertex list, so the vertex cap (20)
     # does not bind them; the record's vertex columns read the list and meet it
@@ -600,8 +612,23 @@ def test_tilt_iteration_budget_carries_best_iterate(monkeypatch):
     res = err.value.result
     assert res is not None
     assert res.gap > 0.0
-    assert res.value <= 2.25 + 1.0 / 900.0 + 1e-12   # never above the true maximum
+    assert res.chi <= 2.25 + 1.0 / 900.0 + 1e-12   # never above the true maximum
     assert natural_tilt(model, T, np.array([0.1])).method == "frank-wolfe"
+
+
+def test_frank_wolfe_tilt_budget_carries_a_tilt_result(monkeypatch):
+    # the search route raises as the batched routes do: with the first row
+    # whose gap is above tol, as a TiltResult
+    model = quadratic_model(SPACE, values=[0.0, 1.0, 3.0])
+    betas = np.array([[0.1], [-0.3]])
+    with monkeypatch.context() as patch, pytest.raises(MaxIterExceeded) as err:
+        patch.setattr(maxent, "FW_MAX_ITER", 1)
+        _tilts(model, T, betas, 1e-8)
+    res = err.value.result
+    assert isinstance(res, TiltResult)
+    assert res.method == "frank-wolfe" and res.gap > 1e-8
+    np.testing.assert_array_equal(res.beta, betas[0])
+    assert abs(res.q.w.sum() - 1.0) <= 1e-12 and res.q.w.min() >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +820,7 @@ def test_lafferty_grid_tilts_equal_per_beta_tilts_bitwise(kind, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the tilt left the base model's route")
 
-    monkeypatch.setattr(maxent, "_tilt_search", refuse)
+    monkeypatch.setattr(maxent, "_mixture_max", refuse)
     monkeypatch.setattr(maxent, "_fw_maximize", refuse)
     space = SampleSpace.of(["a", "b", "c", "d"])
     model = {"zero_one": zero_one_model, "brier": brier_model, "log": log_model,

@@ -27,8 +27,9 @@ from maxentgames import (
     zero_one_model,
 )
 from maxentgames import cli, maxent
+from maxentgames.constraints import CONSISTENCY_TOL
 from maxentgames.core import WEIGHT_CLAMP
-from maxentgames.maxent import SYSTEM_TOL, _min_pmax
+from maxentgames.maxent import _min_pmax
 
 ZERO_ONE_ENUM_CAP = 12
 SPECS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "specs")
@@ -64,7 +65,7 @@ def enumerate_min_pmax(g):
                     a[0, 1 + c] = 1.0
                     a[1:, 1 + c] = tmat[:, j]
                 sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-                if np.max(np.abs(a @ sol - target)) > SYSTEM_TOL:
+                if np.max(np.abs(a @ sol - target)) > CONSISTENCY_TOL:
                     continue
                 m = float(sol[0])
                 if m < -WEIGHT_CLAMP:
