@@ -23,13 +23,11 @@ from .core import (
 DEFAULT_MAX_N = 20     # vertex enumeration cap; override via MAXENT_MAX_N
 DEFAULT_MAX_K = 3
 MEMBER_TOL = 1e-8      # ||T p - tau||_inf for membership
-HULL_TOL = 1e-9        # distance of tau from a hull face that counts as on it
 DEDUP_TOL = 1e-8       # L_inf distance below which two vertices coincide
-CONSISTENCY_TOL = 1e-9
+CONSISTENCY_TOL = 1e-9  # ||[1; T] p - [1; tau]||_inf that counts as met; the hull band
 RANK_TOL = 1e-10       # singular values at or below this make a support dependent
 SCREEN_BLOCK = 256     # candidate supports screened per batch
 SCREEN_SLACK = 1e-12   # screen slack per unit of condition number and weight
-UNION_LIFT_TOL = 1e-6  # z this far below 1 still counts as lifted in union_support
 
 
 @dataclass(frozen=True)
@@ -194,13 +192,9 @@ def svd_screen(a: np.ndarray, target: np.ndarray, floor=None):
 
 
 def feasible(g: GammaTau) -> bool:
-    """True when Gamma_tau is nonempty, read from `union_support` (one LP,
-    no size cap) as the vertex enumeration reads it."""
-    try:
-        union_support(g)
-        return True
-    except Infeasible:
-        return False
+    """True when Gamma_tau is nonempty, read by `_face` (no size cap) as the
+    vertex enumeration reads it."""
+    return _face(g.statistic.matrix, g.tau)[0] != "outside"
 
 
 def contains(g: GammaTau, dist: Distribution) -> bool:
@@ -213,105 +207,115 @@ def contains(g: GammaTau, dist: Distribution) -> bool:
 def hull_interior(statistic: Statistic, tau) -> str:
     """Classify tau against the convex hull of the statistic columns.
 
-    Returns "interior" (relative interior), "boundary" (within HULL_TOL of
-    a face), or "outside".
+    Returns "interior" (relative interior), "boundary" (within
+    CONSISTENCY_TOL of a face), or "outside": `_face`'s first round, at
+    most the two reads of one LP.
     """
     t = np.atleast_1d(np.asarray(tau, dtype=float))
     if t.shape != (statistic.k,):
         raise DimensionMismatch("tau does not match the statistic")
     if not np.all(np.isfinite(t)):
         raise DimensionMismatch("tau entries must be finite")
-    m = statistic.matrix
-    if statistic.k == 1:
-        lo, hi = float(m.min()), float(m.max())
-        x = float(t[0])
-        if x < lo - HULL_TOL or x > hi + HULL_TOL:
-            return "outside"
-        if hi - lo <= HULL_TOL:
-            return "interior"  # degenerate hull: a single point
-        if x <= lo + HULL_TOL or x >= hi - HULL_TOL:
-            return "boundary"
-        return "interior"
-    # general k: maximize the minimum combination weight delta subject to
-    # {lam >= delta, sum lam = 1, M lam = tau}, written in (s, delta) with
-    # lam = delta + s >= delta; delta > 0 iff tau is in the relative
-    # interior of the hull.  A tau that only M lam = tau read within HULL_TOL
-    # reaches is on the boundary, as for k = 1.
-    n = statistic.n
-    for width in (0.0, HULL_TOL):
-        rows, b = _tolerant_rows(m, t, width)
-        a = np.insert(rows, n, 0.0, axis=1)
-        a[0, n] = n
-        a[1:statistic.k + 1, n] = m.sum(axis=1)
-        c = np.zeros(a.shape[1])
-        c[n] = -1.0
-        try:
-            _, value, _ = _simplex.solve_lp(c, a, b)
-        except Infeasible:
-            continue
-        return "interior" if width == 0.0 and -value > HULL_TOL else "boundary"
-    return "outside"
-
-
-def _tolerant_rows(tmat: np.ndarray, tau: np.ndarray, tol: float):
-    """Equality rows (a, b) of {sum p = 1, T p + d = tau + tol, d + d' = 2 tol}.
-
-    The variables are p (one per column of T), then d and d' (k each), all
-    >= 0, so each row of T p - tau lies in [-tol, tol]; tol = 0 reads the
-    rows exactly.
-    """
-    k, m = tmat.shape
-    a = np.zeros((2 * k + 1, m + 2 * k))
-    a[0, :m] = 1.0
-    a[1:k + 1, :m] = tmat
-    a[1:, m:m + k] = np.vstack([np.eye(k), np.eye(k)])
-    a[k + 1:, m + k:] = np.eye(k)
-    return a, np.concatenate([[1.0], tau + tol, np.full(k, 2.0 * tol)])
+    return _face(statistic.matrix, t)[0]
 
 
 def union_support(g: GammaTau) -> np.ndarray:
-    """Outcomes that members of Gamma_tau charge, from one homogenized LP.
+    """Outcomes that members of Gamma_tau charge, by `_face`'s reduction.
 
-    The always-active constraints of Freund, Roundy & Todd (1985): maximize
-    sum z subject to z <= 1 and p = z + s in lam * Gamma_tau, all variables
-    nonnegative; z_x = 1 at the optimum for every outcome some member
-    charges.  The scale is bounded, lam = mu / DEDUP_TOL with mu <= 1, which
-    keeps the LP bounded and reads the set as the vertex list does: that
-    drops a vertex within DEDUP_TOL of another, and here z_x reaches 1 only
-    where a member charges x with DEDUP_TOL or more (charges of about 1e-9
-    arise when tau is within CONSISTENCY_TOL of a hull face).  mu is the
-    column that carries the scale, so the right-hand side stays O(1).
-    T p = tau is read exactly, or within CONSISTENCY_TOL when no outcome
-    lifts, as the vertex enumeration reads it.  Raises Infeasible for an
-    empty Gamma_tau.  The result is kept on `g`.
+    Some member charges each kept outcome with DEDUP_TOL or more, and every
+    member charges each dropped one with less than N DEDUP_TOL, which is how
+    the vertex list reads charges of about 1e-9 (tau within CONSISTENCY_TOL
+    of a hull face): it drops a vertex within DEDUP_TOL of another.  Raises
+    Infeasible for an empty Gamma_tau.  The result is kept on `g`.
     """
     if g._union is None:
-        object.__setattr__(g, "_union", _lp_union_support(g))
+        hull, supp = _face(g.statistic.matrix, g.tau, support=True)
+        if hull == "outside":
+            raise Infeasible(f"Gamma_tau empty for tau={np.asarray(g.tau)}")
+        supp.flags.writeable = False
+        object.__setattr__(g, "_union", supp)
     return g._union
 
 
-def _lp_union_support(g: GammaTau) -> np.ndarray:
-    n = g.n
-    for tol in (0.0, CONSISTENCY_TOL):
-        rows, target = _tolerant_rows(g.statistic.matrix, g.tau, tol)
-        m = rows.shape[0]
-        # columns: z; s, d, d' as in `rows`; the slack w of z <= 1; mu and its slack
-        a = np.zeros((m + n + 1, rows.shape[1] + 2 * n + 2))
-        a[:m, :n] = rows[:, :n]
-        a[:m, n:-n - 2] = rows
-        a[:m, -2] = -target / DEDUP_TOL
-        a[m:-1, :n] = np.eye(n)
-        a[m:-1, -n - 2:-2] = np.eye(n)
-        a[-1, -2:] = 1.0
-        b = np.concatenate([np.zeros(m), np.ones(n + 1)])
-        c = np.zeros(a.shape[1])
-        c[:n] = -1.0
-        x, _, _ = _simplex.solve_lp(c, a, b)
-        supp = np.flatnonzero(x[:n] >= 1.0 - UNION_LIFT_TOL)
-        if supp.size:
-            supp.flags.writeable = False
-            return supp
-    raise Infeasible(f"Gamma_tau empty for tau={np.asarray(g.tau)}")
+def _face(tmat: np.ndarray, tau: np.ndarray, support: bool = False):
+    """(class of tau, the outcomes Gamma_tau charges or None), by face reduction.
+
+    Each round maximizes delta subject to lam = s + delta on the outcomes
+    left, lam = s elsewhere, sum lam = 1, T lam = tau, s, delta >= 0
+    (Borwein & Wolkowicz 1981), read by `_lp_read`.  Round 0 leaves every
+    outcome and gives the class: "interior" when the exact rows give
+    delta* > CONSISTENCY_TOL (k = 1: the closed form), "boundary" when a
+    read counts, else "outside".  Without `support` that is all.  Every
+    member P has sum_x r_x P_x = delta* for the reduced costs r >= 0 of the
+    s columns, so an outcome left with delta* < N DEDUP_TOL r_x (and r_x
+    above the simplex's PIVOT_TOL) drops, and the next round reads the rows
+    as round 0 did.  When none drops, the reduced costs of the outcomes left
+    sum to at least 1, so the round's point charges each with delta* >=
+    DEDUP_TOL.
+    """
+    k, n = tmat.shape
+    hull, tol = None, CONSISTENCY_TOL
+    if k == 1:   # a degenerate hull, one point, is interior
+        lo, hi, x = float(tmat.min()), float(tmat.max()), float(tau[0])
+        if not lo - tol <= x <= hi + tol:
+            return "outside", None
+        hull = "interior" if hi - lo <= tol or lo + tol < x < hi - tol else "boundary"
+        if not support:
+            return hull, None
+    left = np.ones(n, dtype=bool)
+    c = np.zeros(n + 1)
+    c[n] = -1.0
+    widths = (0.0, tol)
+    while True:
+        read = _lp_read(tmat, tau, c, left, widths)
+        if read is None:
+            return ("outside", None) if left.all() else (hull, np.flatnonzero(left))
+        x, r, width = read
+        if hull is None:
+            hull = "interior" if width == 0.0 and x[n] > tol else "boundary"
+        if not support:
+            return hull, None
+        widths = (width,)
+        kept = left & ((r[:n] <= _simplex.PIVOT_TOL) | (x[n] >= n * DEDUP_TOL * r[:n]))
+        if kept.sum() in (0, left.sum()):   # none drops; all only when N^2 DEDUP_TOL >= 1
+            return hull, np.flatnonzero(left)
+        left = kept
+
+
+def _lp_read(tmat: np.ndarray, tau: np.ndarray, c: np.ndarray, lifted=None,
+             widths=(0.0, CONSISTENCY_TOL)):
+    """min c @ x over the points p >= 0 of [1; T] p = [1; tau], one LP per width.
+
+    A width w reads the rows as {sum p = 1, T p + d = tau + w, d + d' = 2 w}
+    with d, d' >= 0 (k each), so each row of T p - tau lies in [-w, w].  x is
+    p, or with the mask `lifted` (s, delta) with p = s + delta on the lifted
+    outcomes, then d and d'; c prices its leading entries.  A read counts
+    only when its own point meets [1; T] p = [1; tau] within CONSISTENCY_TOL
+    in L_inf, the vertex enumeration's test, so the simplex's phase-1
+    FEAS_TOL does not stack on a widening.  Returns (x, reduced costs,
+    width) of the first read that counts, else None.
+    """
+    k, n = tmat.shape
+    m = n if lifted is None else n + 1
+    a = np.zeros((2 * k + 1, m + 2 * k))
+    a[0, :n] = 1.0
+    a[1:k + 1, :n] = tmat
+    if lifted is not None:
+        a[:k + 1, n] = a[:k + 1, :n] @ lifted
+    a[1:, m:m + k] = np.vstack([np.eye(k), np.eye(k)])
+    a[k + 1:, m + k:] = np.eye(k)
+    cost = np.zeros(a.shape[1])
+    cost[:c.size] = c
+    for width in widths:
+        b = np.concatenate([[1.0], tau + width, np.full(k, 2.0 * width)])
+        try:
+            x, _, reduced = _simplex.solve_lp(cost, a, b)
+        except Infeasible:
+            continue
+        p = x[:n] if lifted is None else x[:n] + x[n] * lifted
+        if max(abs(p.sum() - 1.0), float(np.abs(tmat @ p - tau).max())) <= CONSISTENCY_TOL:
+            return x, reduced, width
+    return None
 
 
 def max_expectation(g: GammaTau, values) -> float:
@@ -320,9 +324,9 @@ def max_expectation(g: GammaTau, values) -> float:
     +inf when a member charges an outcome of infinite value (`union_support`
     reads what members charge); otherwise those outcomes carry no mass, so
     their columns are dropped, and the supremum is +inf when Gamma_tau is
-    empty without them.  T p = tau is read exactly, or within
-    CONSISTENCY_TOL when the exact rows are infeasible, as the vertex
-    enumeration reads it.  Raises Infeasible for an empty Gamma_tau.
+    empty without them.  `_lp_read` reads T p = tau, exactly or within
+    CONSISTENCY_TOL, and accepts a point only within CONSISTENCY_TOL, as the
+    vertex enumeration does.  Raises Infeasible for an empty Gamma_tau.
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (g.n,):
@@ -333,14 +337,9 @@ def max_expectation(g: GammaTau, values) -> float:
     if not finite.all() and not finite[union_support(g)].all():
         return float(np.inf)
     cols = np.flatnonzero(finite)
-    for tol in (0.0, CONSISTENCY_TOL):
-        a, b = _tolerant_rows(g.statistic.matrix[:, cols], g.tau, tol)
-        c = np.concatenate([-v[cols], np.zeros(2 * g.k)])
-        try:
-            x, _, _ = _simplex.solve_lp(c, a, b)
-        except Infeasible:
-            continue
-        return float(v[cols] @ x[:cols.size])
+    read = _lp_read(g.statistic.matrix[:, cols], g.tau, -v[cols])
+    if read is not None:
+        return float(v[cols] @ read[0][:cols.size])
     if finite.all():
         raise Infeasible(f"Gamma_tau empty for tau={np.asarray(g.tau)}")
     return float(np.inf)
@@ -380,4 +379,4 @@ def closed_under_conditioning(g: GammaTau) -> bool:
     """
     supp = union_support(g)
     cols = g.statistic.matrix[:, supp]
-    return bool(np.max(np.abs(cols - g.tau[:, None])) <= 1e-9)
+    return bool(np.max(np.abs(cols - g.tau[:, None])) <= CONSISTENCY_TOL)

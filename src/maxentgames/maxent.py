@@ -879,17 +879,17 @@ def _separable_saddle(model: LossModel, base: LossModel, r: np.ndarray, g: Gamma
     (lambda0, -beta) maximizes the dual of `_separable_dual` over the
     outcomes some member of Gamma_tau charges (every outcome for interior
     tau, else `union_support`); the others carry no mass, which also covers
-    boundary tau and generators with psi'(0) = -inf.  On a face the dual
-    aims at tau's projection onto the span of the face's columns, and the
-    gap is the residual against tau itself.  beta is absent when the rows
-    restricted to the face have rank <= k.
+    boundary tau and generators with psi'(0) = -inf.  Those outcomes may
+    reach tau only within CONSISTENCY_TOL (a hull face, a zero statistic
+    row), so the dual aims at tau's projection onto the span of their rows,
+    and the gap is the residual against tau itself.  beta is absent when
+    the rows restricted to them have rank <= k.
     """
     idx = np.arange(g.n) if hull == "interior" else union_support(g)
     rows = np.vstack([np.ones(idx.size), g.statistic.matrix[:, idx]])
-    target = aim = np.concatenate([[1.0], g.tau])
-    if hull != "interior":   # the face may reach tau only within the hull tolerance
-        aim = rows @ np.linalg.lstsq(rows, target, rcond=None)[0]
-        aim = aim / aim[0]
+    target = np.concatenate([[1.0], g.tau])
+    aim = rows @ np.linalg.lstsq(rows, target, rcond=None)[0]
+    aim = aim / aim[0]
     gen, mu = base.separable()
     y, p_idx, norm = _separable_dual(rows, aim, mu[idx], gen, r[idx])
     if not norm <= _dual_tol(aim):

@@ -1,12 +1,13 @@
 """Solving and certifying without the vertex list of Gamma_tau.
 
 `verify_saddle` reads sup over Gamma_tau of E_P L(X, zeta*) from one LP
-(`max_expectation`), and `union_support` is one homogenized LP.  Both are
-checked here against the vertex list they replace, on seeded problems: tau
-inside the hull, on a hull face, from integer-valued statistics (ties), on a
-log face (zeta* has infinite losses off the face), and within 1e-9 of a
-hull vertex.  The scale test solves and certifies at sizes the vertex list
-cannot reach.
+(`max_expectation`), and `union_support` from face reduction on the
+max-min-weight LP, a few small LPs.  Both are checked here against the
+vertex list they replace, on seeded problems: tau inside the hull, on a
+hull face, from integer-valued statistics (ties), on a log face (zeta* has
+infinite losses off the face), and within 1e-9 of a hull vertex.  The scale
+tests check `union_support` against one LP per outcome, and solve and
+certify, at sizes the vertex list cannot reach.
 """
 
 import numpy as np
@@ -32,7 +33,6 @@ from maxentgames import _simplex, maxent, verify
 from maxentgames.cli import vertex_columns
 from maxentgames.constraints import DEDUP_TOL, max_expectation, union_support
 from maxentgames.core import ext_dots
-from maxentgames.maxent import NewtonDivergence
 from maxentgames.verify import point_act_losses, point_act_saddle
 
 KINDS = ("interior", "face", "tied", "hull_end")
@@ -105,23 +105,15 @@ def models(n):
 
 
 def test_lp_margin_matches_the_vertex_maximum():
-    log_faces = stalls = 0
+    log_faces = 0
     for kind, g in problems(seed=81, count=160):
         charge = largest_charges(g) if kind == "hull_end" else None
         for model in models(g.n):
             if model.kind == "zero_one" and g.n > 12:
                 continue   # zero-one phase 1 alone takes seconds there
-            if kind == "hull_end" and (model.kind == "bregman"
-                                       or model.kind == "zero_one" and g.k >= 2):
-                continue   # see test_solvers_at_a_hull_vertex
-            try:
-                sp = solve(model, g)
-            except NewtonDivergence:
-                # members charge the log face's outcomes within the DEDUP_TOL
-                # band, and tau falls just off the span the face is solved in
-                assert kind == "hull_end" and model.kind == "log"
-                stalls += 1
-                continue
+            if kind == "hull_end" and model.kind == "zero_one" and g.k >= 2:
+                continue   # see test_zero_one_at_hull_vertices
+            sp = solve(model, g)
             lv = model.loss_vector(sp.zeta_star)
             chk = verify_saddle(model, g, sp.p_star, sp.zeta_star)
             assert chk.is_saddle, (kind, model.kind)
@@ -151,7 +143,7 @@ def test_lp_margin_matches_the_vertex_maximum():
             record_margin = vertex_columns(model, g, sp)[1]
             assert abs(chk.vertex_margin - record_margin) <= 1e-12, (kind, model.kind)
     # log faces, whose infinite losses drop columns, are among the cases
-    assert log_faces >= 20 and stalls <= 1
+    assert log_faces >= 20
 
 
 def test_union_lp_matches_the_vertex_list():
@@ -236,6 +228,23 @@ def test_solvers_at_a_hull_vertex(make):
     assert 1e-11 <= miss <= 1e-9 and abs(sp.gap - miss) <= 1e-15
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda space: relative_to_random(brier_model(space)), id="relative-brier"),
+    pytest.param(lambda space: relative_to_random(log_model(space)), id="relative-log"),
+])
+def test_relative_games_at_every_hull_end(make):
+    # the separable dual runs on the outcomes `union_support` keeps, which
+    # reach tau within CONSISTENCY_TOL, on all 40 hull ends
+    ends = 0
+    for kind, g in problems(seed=81, count=160):
+        if kind == "hull_end":
+            model = make(SampleSpace.of(range(g.n)))
+            sp = solve(model, g)
+            assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, (g.n, g.k)
+            ends += 1
+    assert ends == 40
+
+
 def zero_one_hull_ends():
     """(model, g) for every seed-81 hull end with k >= 2, the ones the
     vertex-maximum test skips."""
@@ -288,6 +297,19 @@ def test_zero_one_stand_in_is_the_point_act_game():
             assert np.array_equal(sp.zeta_star.payload, zeta), (g.n, g.k)
             stand_ins += 1
     assert stand_ins == 17
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_union_support_is_what_members_charge_at_scale(n, no_enumeration):
+    # past the vertex cap: the outcomes some member charges with DEDUP_TOL
+    # or more, one LP per outcome
+    rng = np.random.default_rng(n + 2)
+    for k in (1, 2, 3):
+        for kind in ("interior", "face"):
+            t, tau = mean_value_problem(rng, n, k, kind)
+            g = GammaTau(Statistic(t), tau)
+            expected = np.flatnonzero(largest_charges(g) >= DEDUP_TOL)
+            assert np.array_equal(union_support(g), expected), (k, kind)
 
 
 @pytest.mark.parametrize("n", [40, 80, 160])

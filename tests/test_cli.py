@@ -230,7 +230,7 @@ def test_infeasible_tau(capsys):
     assert "infeasible" in err
 
 
-@pytest.mark.parametrize("loss", ["zero_one", "quadratic"])
+@pytest.mark.parametrize("loss", ["zero_one", "quadratic", "brier", "log"])
 def test_zero_row_target_band(capsys, tmp_path, loss):
     # a zero statistic row reads its target within CONSISTENCY_TOL wherever
     # the CLI reads Gamma_tau: 5e-10 solves and verifies, with the vertex

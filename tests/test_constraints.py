@@ -46,12 +46,20 @@ def test_feasibility_is_hull_membership(monkeypatch):
 ZERO_ROW = Statistic(np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("make", [
-    brier_model, zero_one_model, lambda s: quadratic_model(s, values=[0.0, 1.0, 3.0])])
+def bregman_xlogx(space):
+    return bregman_model(space, xlogx_generator())
+
+
+ZERO_ROW_MODELS = [brier_model, log_model, zero_one_model,
+                   lambda s: quadratic_model(s, values=[0.0, 1.0, 3.0]), bregman_xlogx]
+
+
+@pytest.mark.parametrize("make", ZERO_ROW_MODELS)
 def test_zero_row_target_within_the_consistency_tolerance(make):
     # 0 = 5e-10 is read within CONSISTENCY_TOL, as the enumeration,
-    # union_support and these solvers read [1; T] p = [1; tau]: the set is
-    # feasible and has vertices, and its saddle solves and verifies
+    # union_support and every solver read [1; T] p = [1; tau]: the set is
+    # feasible and has vertices, and its saddle solves and verifies (the
+    # separable dual aims at tau's projection onto the span of the rows)
     model = make(SampleSpace.of(["-1", "0", "1"]))
     g = GammaTau(ZERO_ROW, np.array([0.2, 5e-10]))
     assert feasible(g)
@@ -60,16 +68,20 @@ def test_zero_row_target_within_the_consistency_tolerance(make):
     assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
 
 
-@pytest.mark.parametrize("make", [
-    zero_one_model, lambda s: quadratic_model(s, values=[0.0, 1.0, 3.0])])
+@pytest.mark.parametrize("make", ZERO_ROW_MODELS)
 def test_zero_row_target_past_the_consistency_tolerance(make):
+    # every reader refuses 0 = 2e-9 alike, the saddle check included
     model = make(SampleSpace.of(["-1", "0", "1"]))
     g = GammaTau(ZERO_ROW, np.array([0.2, 2e-9]))
     assert not feasible(g)
+    assert hull_interior(ZERO_ROW, g.tau) == "outside"
     with pytest.raises(Infeasible):
         vertices(g)
     with pytest.raises(Infeasible):
         solve(model, g)
+    with pytest.raises(Infeasible):
+        verify_saddle(model, g, Distribution.uniform(3),
+                      model.random_act(np.random.default_rng(0)))
 
 
 def test_vertices_tau_zero():
