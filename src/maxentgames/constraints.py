@@ -121,11 +121,8 @@ def _enumerate_vertices(g: GammaTau) -> VertexSet:
     found: list[np.ndarray] = []
     for size in range(1, min(k + 1, n) + 1):
         for supp in _screened_supports(rows, target, size):
-            a = rows[:, supp]
-            sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-            if np.max(np.abs(a @ sol - target)) > CONSISTENCY_TOL:
-                continue
-            if float(sol.min()) < -WEIGHT_CLAMP:
+            sol = support_solution(rows[:, supp], target)
+            if sol is None:
                 continue
             p = np.zeros(n)
             p[list(supp)] = np.where(sol < 0.0, 0.0, sol)
@@ -145,39 +142,50 @@ def _enumerate_vertices(g: GammaTau) -> VertexSet:
     return VertexSet(pts)
 
 
-def _screened_supports(rows: np.ndarray, target: np.ndarray, size: int):
-    """Supports of `size` outcomes that can carry a vertex, in combinations order.
+def support_solution(a: np.ndarray, target: np.ndarray):
+    """The exact test of a support system a x = target, a = [1; T] on a
+    support and target = [1; tau]: lstsq's solution, or None unless it meets
+    the system within CONSISTENCY_TOL in L_inf with no weight below
+    -WEIGHT_CLAMP."""
+    sol, *_ = np.linalg.lstsq(a, target, rcond=None)
+    if np.max(np.abs(a @ sol - target)) > CONSISTENCY_TOL or float(sol.min()) < -WEIGHT_CLAMP:
+        return None
+    return sol
 
-    Blocks of SCREEN_BLOCK supports are screened at once.  The batched
-    singular values are those `matrix_rank` computes, so affinely dependent
-    supports drop exactly, and the same SVD gives every least-squares
-    solution V diag(1/s) U' b without forming a singular system.  A support
-    stays when its residual and its most negative weight are within the
-    exact tests' tolerances plus a slack that grows with the error bound of
-    that solve (the condition number).  The exact lstsq test then runs on
-    the survivors alone.
-    """
+
+def _screened_supports(rows: np.ndarray, target: np.ndarray, size: int):
+    """Supports of `size` outcomes that can carry a vertex, in combinations
+    order: blocks of SCREEN_BLOCK supports screened at once by `svd_screen`
+    with the floor RANK_TOL, so affinely dependent supports drop.  The exact
+    test then runs on the survivors alone."""
     combos = combinations(range(rows.shape[1]), size)
     while True:
         block = np.array(list(islice(combos, SCREEN_BLOCK)), dtype=np.intp)
         if block.size == 0:
             return
         a = rows.T[block].transpose(0, 2, 1)          # (B, k+1, size)
-        full, sol, resid, slack = svd_screen(a, target, RANK_TOL)
-        keep = ((resid <= CONSISTENCY_TOL + slack)
-                & (sol.min(axis=1) >= -WEIGHT_CLAMP - slack))
-        yield from map(tuple, block[full][keep].tolist())
+        full, passes, _, _ = svd_screen(a, target, RANK_TOL)
+        yield from map(tuple, block[full][passes].tolist())
 
 
 def svd_screen(a: np.ndarray, target: np.ndarray, floor=None):
-    """Least-squares solutions of a stack of systems a[i] x = target, one SVD.
+    """Which systems of a stack a[i] x = target may pass `support_solution`, one SVD.
 
     A system is full rank when its smallest singular value is above `floor`,
     by default lstsq's own cutoff eps * max(shape) * s_max.  For the full-rank
-    systems alone this returns (full mask, solutions V diag(1/s) U' target,
-    largest residuals, slack).  The slack bounds how far an exact lstsq test
-    on the same system can read otherwise: SCREEN_SLACK per unit of condition
-    number, weight and entry size.
+    systems alone the same SVD gives every least-squares solution
+    V diag(1/s) U' target without forming a singular system, and this
+    returns (full mask, passes, solutions, slack): a system passes when its
+    residual and its most negative weight are within the exact test's
+    tolerances plus the slack, which bounds how far that test can read
+    otherwise: SCREEN_SLACK per unit of condition number, weight and entry
+    size.
+
+    The floors differ by caller.  RANK_TOL drops affinely dependent
+    supports, as no vertex has one.  lstsq's cutoff leaves rank-deficient
+    pattern systems unscreened, because lstsq solves those by truncation:
+    with RANK_TOL, on statistics with entries above about 1e5 the pattern
+    screen could drop a system that lstsq would pass.
     """
     u, sv, vh = np.linalg.svd(a, full_matrices=False)
     if floor is None:
@@ -188,7 +196,9 @@ def svd_screen(a: np.ndarray, target: np.ndarray, floor=None):
     resid = np.abs((a @ sol.transpose(0, 2, 1))[:, :, 0] - target).max(axis=1)
     sol = sol[:, 0]
     scale = (1.0 + np.abs(sol).max(axis=1)) * (1.0 + np.abs(a).max(axis=(1, 2)))
-    return full, sol, resid, SCREEN_SLACK * (sv[:, 0] / sv[:, -1]) * scale
+    slack = SCREEN_SLACK * (sv[:, 0] / sv[:, -1]) * scale
+    passes = (resid <= CONSISTENCY_TOL + slack) & (sol.min(axis=1) >= -WEIGHT_CLAMP - slack)
+    return full, passes, sol, slack
 
 
 def feasible(g: GammaTau) -> bool:
@@ -209,14 +219,9 @@ def hull_interior(statistic: Statistic, tau) -> str:
 
     Returns "interior" (relative interior), "boundary" (within
     CONSISTENCY_TOL of a face), or "outside": `_face`'s first round, at
-    most the two reads of one LP.
+    most the two reads of one LP.  tau is checked as `GammaTau` checks it.
     """
-    t = np.atleast_1d(np.asarray(tau, dtype=float))
-    if t.shape != (statistic.k,):
-        raise DimensionMismatch("tau does not match the statistic")
-    if not np.all(np.isfinite(t)):
-        raise DimensionMismatch("tau entries must be finite")
-    return _face(statistic.matrix, t)[0]
+    return _face(statistic.matrix, GammaTau(statistic, tau).tau)[0]
 
 
 def union_support(g: GammaTau) -> np.ndarray:

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ACT_DENSITY,
-    ACT_DISTRIBUTION,
     Act,
     Distribution,
     _checked_rows,
@@ -18,7 +16,7 @@ from .core import (
     ext_dots,
     validate_distribution,
 )
-from .losses import BregmanModel, BrierModel, LogModel, LossModel, ZeroOneModel
+from .losses import LossModel
 
 EQUALIZER_TOL = 1e-8
 PYTHAGOREAN_TOL = 1e-8
@@ -90,18 +88,16 @@ def identity_terms(model: LossModel, parts: np.ndarray, weights: np.ndarray,
 
 
 def find_neutral(model: LossModel) -> Act | None:
-    """An act with constant finite loss, when one exists in closed form.
+    """The Bayes act of the law mu / sum mu when its loss is finite and
+    constant, else None.
 
-    Uniform forecast for the Brier and zero-one games; the constant density
-    for the log and separable Bregman games; none for quadratic loss.
+    mu is the base measure of a separable entropy (`separable`), else the
+    counting measure: the uniform forecast for the Brier and zero-one games,
+    the constant density 1 / sum mu for the log and separable Bregman games.
     """
-    n = model.space.n
-    if isinstance(model, (BrierModel, ZeroOneModel)):
-        act = Act(ACT_DISTRIBUTION, np.full(n, 1.0 / n))
-    elif isinstance(model, (LogModel, BregmanModel)):
-        act = Act(ACT_DENSITY, np.full(n, 1.0 / model.base.total))
-    else:
-        return None
+    sep = model.separable()
+    mu = np.ones(model.space.n) if sep is None else sep[1]
+    act = model.bayes_act(Distribution(mu / mu.sum()))
     lv = model.loss_vector(act)
     if not np.all(np.isfinite(lv)) or float(lv.max() - lv.min()) > 1e-9:
         return None

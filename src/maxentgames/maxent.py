@@ -15,13 +15,13 @@ from math import comb
 import numpy as np
 
 from .constraints import (
-    CONSISTENCY_TOL,
     RANK_TOL,
     SCREEN_BLOCK,
     GammaTau,
     hull_interior,
     max_expectation,
     min_max_expectation,
+    support_solution,
     svd_screen,
     union_support,
     vertices,
@@ -365,11 +365,8 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
     h_up = 1.0 - float(y @ target) + 0.25 * float(pos @ pos)   # weak duality
     best = None  # (h, p)
     for supp in _brier_supports(s, k):
-        a = rows[:, supp]
-        sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-        if np.max(np.abs(a @ sol - target)) > CONSISTENCY_TOL:
-            continue
-        if float(sol.min()) < -WEIGHT_CLAMP:
+        sol = support_solution(rows[:, supp], target)
+        if sol is None:
             continue
         p = np.zeros(n)
         p[list(supp)] = np.where(sol < 0.0, 0.0, sol)
@@ -387,7 +384,7 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
     supp = np.flatnonzero(p > WEIGHT_CLAMP)
     a = rows[:, supp]
     alpha, *_ = np.linalg.lstsq(a.T, p[supp], rcond=None)
-    if np.linalg.matrix_rank(a, tol=1e-10) == k + 1:
+    if np.linalg.matrix_rank(a, tol=RANK_TOL) == k + 1:
         beta = -2.0 * alpha[1:]
     else:
         beta = _brier_degenerate_beta(g, p, supp)
@@ -644,7 +641,8 @@ def _min_pmax(g: GammaTau):
     free outcomes below it, zeros elsewhere) then run with members holding
     every forced mode outside the free set and no forced zero; free sets
     still range over all outcomes.  A batched screen (`_screened_patterns`)
-    drops the systems that cannot pass, and the exact lstsq test runs on the
+    drops the systems that cannot pass, and the exact test
+    (`support_solution`, then free weights at most m + 1e-9) runs on the
     rest.  A pattern minimum above the LP value is an error, not a reason to
     enumerate more.
 
@@ -668,15 +666,11 @@ def _min_pmax(g: GammaTau):
             f"left open by the LP); the cap is {ZERO_ONE_PATTERN_CAP}")
     candidates = []
     for free, members, a in _screened_patterns(tmat, target, zero, mode, k):
-        sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-        if np.max(np.abs(a @ sol - target)) > CONSISTENCY_TOL:
+        sol = support_solution(a, target)
+        if sol is None:
             continue
-        m = float(sol[0])
-        if m < -WEIGHT_CLAMP:
-            continue
-        pf = sol[1:]
-        if pf.size and (float(pf.min()) < -WEIGHT_CLAMP
-                        or float(pf.max()) > m + 1e-9):
+        m, pf = float(sol[0]), sol[1:]
+        if pf.size and float(pf.max()) > m + 1e-9:
             continue
         p = np.zeros(n)
         p[members] = max(m, 0.0)
@@ -712,10 +706,10 @@ def _screened_patterns(tmat, target, zero, mode, k):
     it, in increasing bit-mask order over the open outcomes (the subsets that
     miss the free set keep their order when its bits are dropped), empty sets
     skipped.  The representative sort in `_min_pmax` is stable, so this order
-    breaks exact ties.  Blocks of systems are screened by one batched SVD (`svd_screen`,
-    lstsq's rank cutoff): a full-rank system stays when its residual and its
-    level and free-weight tests are within the exact tolerances plus the
-    screen's slack, and a rank-deficient one stays unscreened.
+    breaks exact ties.  Blocks of systems are screened by one batched SVD
+    (`svd_screen`, lstsq's rank cutoff): a full-rank system stays when it
+    passes and its free weights are at most m + 1e-9 plus twice the slack;
+    a rank-deficient one stays unscreened.
     """
     n = tmat.shape[1]
     rows = np.vstack([np.ones(n), tmat])
@@ -736,12 +730,10 @@ def _screened_patterns(tmat, target, zero, mode, k):
             a = np.empty((fi.size, k + 1, 1 + f_size))
             a[:, :, 0] = members @ rows.T
             a[:, :, 1:] = rows.T[free_of].transpose(0, 2, 1)
-            full, sol, resid, slack = svd_screen(a, target)
-            m, pf = sol[:, 0], sol[:, 1:]
+            full, passes, sol, slack = svd_screen(a, target)
             keep = ~full
-            keep[full] = ((resid <= CONSISTENCY_TOL + slack) & (m >= -WEIGHT_CLAMP - slack)
-                          & (pf.min(axis=1, initial=np.inf) >= -WEIGHT_CLAMP - slack)
-                          & (pf.max(axis=1, initial=-np.inf) <= m + 1e-9 + 2.0 * slack))
+            keep[full] = passes & (sol[:, 1:].max(axis=1, initial=-np.inf)
+                                   <= sol[:, 0] + 1e-9 + 2.0 * slack)
             for j in np.flatnonzero(keep).tolist():
                 yield free_of[j].tolist(), np.flatnonzero(members[j]), a[j]
 
@@ -770,7 +762,7 @@ def _zero_one_act(g: GammaTau, p: np.ndarray, m_star: float):
     if np.max(np.abs(a @ v0 - b)) > 1e-8:
         return None
     _, s, vt = np.linalg.svd(a)
-    rank = int((s > 1e-10 * s[0]).sum())
+    rank = int((s > 1e-10 * s[0]).sum())   # relative, unlike RANK_TOL: golden acts rest on it
     d = n_unknown - rank
 
     def unpack(vec):
@@ -900,7 +892,7 @@ def _separable_saddle(model: LossModel, base: LossModel, r: np.ndarray, g: Gamma
     p[idx] = p_idx
     h = model.entropy(Distribution(p))
     beta = beta0 = None
-    if np.linalg.matrix_rank(rows, tol=1e-10) == g.k + 1:
+    if np.linalg.matrix_rank(rows, tol=RANK_TOL) == g.k + 1:
         beta = -y[1:]
         beta0 = h - float(beta @ g.tau)
     zeta = base.bayes_act(Distribution(p))

@@ -12,6 +12,7 @@ from maxentgames import Distribution, _simplex, cli, mixture_identities
 from maxentgames.divergence import identity_terms
 from maxentgames._simplex import Unbounded
 from maxentgames.maxent import MaxIterExceeded, NewtonDivergence
+from maxentgames.verify import SaddleCheck
 from maxentgames.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -247,6 +248,21 @@ def test_zero_row_target_band(capsys, tmp_path, loss):
         rep = json.loads(out)
         assert code == EXIT_OK and rep["passed"] is True
         assert [row["status"] for row in rep["rows"]] == [status]
+
+
+# ---------------------------------------------------------------------------
+# saddle verification failures -> exit 3
+
+
+def test_failed_saddle_verification_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_saddle",
+                        lambda *args: SaddleCheck(1e-3, 2e-3, False))
+    code, out, err = run_cli(capsys, "solve", spec_path("brier_mean"), "--tau", "0.5")
+    assert code == EXIT_SADDLE
+    rec = json.loads(out)
+    assert rec["saddle_verified"] is False and rec["method"] == "brier-enum"
+    assert err == ("saddle verification failed: bayes_margin=1.000e-03 "
+                   "vertex_margin=2.000e-03\n")
 
 
 # ---------------------------------------------------------------------------
@@ -864,6 +880,17 @@ def test_size_cap_blocks_by_default(capsys, tmp_path, monkeypatch):
     assert "MAXENT_MAX_N" in err
 
 
+def test_statistic_rows_above_the_cap_are_too_large(capsys, tmp_path):
+    path = write_spec(tmp_path, {
+        "outcomes": list("abcde"), "loss": {"kind": "brier"},
+        "statistic": np.hstack([np.eye(4), -np.ones((4, 1))]).tolist(),
+        "constraint": {"tau": [0.0] * 4}})
+    code, out, err = run_cli(capsys, "solve", path)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "too large: k=4 exceeds the supported cap 3\n"
+
+
 def test_size_cap_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MAXENT_MAX_N", "25")
     path = _big_log_spec(tmp_path)
@@ -897,6 +924,33 @@ def test_quadratic_spec_record_carries_a_scalar_act(capsys, tmp_path):
     assert rec["zeta_1"] == pytest.approx(0.2, abs=1e-9)
     assert rec["zeta_2"] is None and rec["zeta_3"] is None
     assert rec["saddle_verified"] is True
+
+
+def base_measure_spec(base):
+    return {"outcomes": list("abcd"), "loss": {"kind": "log"}, "base_measure": base,
+            "statistic": [[-1.0, 0.0, 1.0, 2.0]],
+            "constraint": {"tau_grid": {"from": -0.5, "to": 1.5, "steps": 9}}}
+
+
+def test_log_spec_on_a_base_measure(capsys, tmp_path):
+    path = write_spec(tmp_path, base_measure_spec([0.5, 1.5, 2.0, 0.7]))
+    code, out, _ = run_cli(capsys, "solve", path, "--tau", "0.5")
+    assert code == EXIT_OK
+    assert json.loads(out)["saddle_verified"] is True
+    # no reference: the suite takes the neutral act, the density 1 / 4.7
+    code, out, _ = run_cli(capsys, "verify", path, "--suite", "pythagorean")
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    assert rep["passed"] is True
+    assert [row["status"] for row in rep["rows"]] == ["ok"] * 9
+
+
+def test_base_measure_of_the_wrong_length(capsys, tmp_path):
+    path = write_spec(tmp_path, base_measure_spec([0.5, 1.5, 2.0]))
+    code, out, err = run_cli(capsys, "solve", path, "--tau", "0.5")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "spec error: base_measure length does not match outcomes\n"
 
 
 def test_bregman_spec_generators(capsys, tmp_path):

@@ -173,6 +173,19 @@ def test_neutral_acts_for_bundled_models():
 
     assert find_neutral(quadratic_model(SPACE3, values=[-1.0, 0.0, 1.0])) is None
 
+    # the Bayes act of mu / sum mu: the density 1 / sum mu, of constant loss
+    space4 = SampleSpace.of(["a", "b", "c", "d"])
+    base = BaseMeasure(np.array([0.5, 1.5, 2.0, 0.7]))
+    for m, total in ((brier_model(SPACE3), 3.0),
+                     (bregman_model(space4, power_generator(3.0), base), base.total),
+                     (log_model(space4, base), base.total)):
+        neutral = find_neutral(m)
+        np.testing.assert_array_max_ulp(neutral.as_array(), np.full(m.space.n, 1.0 / total), 1)
+        lv = m.loss_vector(neutral)
+        assert np.isfinite(lv).all() and float(lv.max() - lv.min()) <= 1e-12, m.name
+    # quadratic loss has one only where its values take two levels equally often
+    assert find_neutral(quadratic_model(space4, values=[-1.0, -1.0, 1.0, 1.0])).payload == 0.0
+
 
 # ---------------------------------------------------------------------------
 # relative models
