@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import _simplex
 from .core import (
@@ -26,8 +27,7 @@ MEMBER_TOL = 1e-8      # ||T p - tau||_inf for membership
 DEDUP_TOL = 1e-8       # L_inf distance below which two vertices coincide
 CONSISTENCY_TOL = 1e-9  # ||[1; T] p - [1; tau]||_inf that counts as met; the hull band
 RANK_TOL = 1e-10       # singular values at or below this make a support dependent
-SCREEN_BLOCK = 256     # candidate supports screened per batch
-SCREEN_SLACK = 1e-12   # screen slack per unit of condition number and weight
+SYSTEM_BLOCK = 256     # support systems solved per batched call
 
 
 @dataclass(frozen=True)
@@ -120,16 +120,17 @@ def _enumerate_vertices(g: GammaTau) -> VertexSet:
     target = np.concatenate([[1.0], g.tau])
     found: list[np.ndarray] = []
     for size in range(1, min(k + 1, n) + 1):
-        for supp in _screened_supports(rows, target, size):
-            sol = support_solution(rows[:, supp], target)
-            if sol is None:
-                continue
-            p = np.zeros(n)
-            p[list(supp)] = np.where(sol < 0.0, 0.0, sol)
-            found.append(p)
-    if not found:
+        combos = combinations(range(n), size)
+        while (block := np.array(list(islice(combos, SYSTEM_BLOCK)), dtype=np.intp)).size:
+            passes, sol, smallest = support_solutions(rows.T[block].transpose(0, 2, 1), target)
+            keep = passes & (smallest > RANK_TOL)     # no vertex has a dependent support
+            sol = np.where(sol < 0.0, 0.0, sol)[keep]
+            pts = np.zeros((sol.shape[0], n))
+            pts[np.arange(sol.shape[0])[:, None], block[keep]] = sol
+            found.append(pts)
+    pts = np.concatenate(found)
+    if pts.shape[0] == 0:
         raise Infeasible(f"Gamma_tau empty for tau={np.asarray(g.tau)}")
-    pts = np.array(found)
     kept = 1
     for i in range(1, pts.shape[0]):
         if np.max(np.abs(pts[:kept] - pts[i]), axis=1).min() > DEDUP_TOL:
@@ -142,63 +143,28 @@ def _enumerate_vertices(g: GammaTau) -> VertexSet:
     return VertexSet(pts)
 
 
-def support_solution(a: np.ndarray, target: np.ndarray):
-    """The exact test of a support system a x = target, a = [1; T] on a
-    support and target = [1; tau]: lstsq's solution, or None unless it meets
-    the system within CONSISTENCY_TOL in L_inf with no weight below
-    -WEIGHT_CLAMP."""
-    sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-    if np.max(np.abs(a @ sol - target)) > CONSISTENCY_TOL or float(sol.min()) < -WEIGHT_CLAMP:
-        return None
-    return sol
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _screened_supports(rows: np.ndarray, target: np.ndarray, size: int):
-    """Supports of `size` outcomes that can carry a vertex, in combinations
-    order: blocks of SCREEN_BLOCK supports screened at once by `svd_screen`
-    with the floor RANK_TOL, so affinely dependent supports drop.  The exact
-    test then runs on the survivors alone."""
-    combos = combinations(range(rows.shape[1]), size)
-    while True:
-        block = np.array(list(islice(combos, SCREEN_BLOCK)), dtype=np.intp)
-        if block.size == 0:
-            return
-        a = rows.T[block].transpose(0, 2, 1)          # (B, k+1, size)
-        full, passes, _, _ = svd_screen(a, target, RANK_TOL)
-        yield from map(tuple, block[full][passes].tolist())
+def support_solutions(a: np.ndarray, target: np.ndarray):
+    """The exact test of a stack of support systems a[i] x = target, a = [1; T]
+    on a support and target = [1; tau], in one call of the LAPACK gelsd
+    gufunc that `np.linalg.lstsq` runs, under its errstate.
 
-
-def svd_screen(a: np.ndarray, target: np.ndarray, floor=None):
-    """Which systems of a stack a[i] x = target may pass `support_solution`, one SVD.
-
-    A system is full rank when its smallest singular value is above `floor`,
-    by default lstsq's own cutoff eps * max(shape) * s_max.  For the full-rank
-    systems alone the same SVD gives every least-squares solution
-    V diag(1/s) U' target without forming a singular system, and this
-    returns (full mask, passes, solutions, slack): a system passes when its
-    residual and its most negative weight are within the exact test's
-    tolerances plus the slack, which bounds how far that test can read
-    otherwise: SCREEN_SLACK per unit of condition number, weight and entry
-    size.
-
-    The floors differ by caller.  RANK_TOL drops affinely dependent
-    supports, as no vertex has one.  lstsq's cutoff leaves rank-deficient
-    pattern systems unscreened, because lstsq solves those by truncation:
-    with RANK_TOL, on statistics with entries above about 1e5 the pattern
-    screen could drop a system that lstsq would pass.
+    Returns (passes, solutions, smallest singular values): each solution is
+    lstsq's (rcond=None) bit for bit, and it passes when it meets its system
+    within CONSISTENCY_TOL in L_inf with no weight below -WEIGHT_CLAMP.  A
+    system with a NaN raises LinAlgError, as lstsq does.
     """
-    u, sv, vh = np.linalg.svd(a, full_matrices=False)
-    if floor is None:
-        floor = np.finfo(float).eps * max(a.shape[1:]) * sv[:, 0]
-    full = sv[:, -1] > floor
-    a, u, sv, vh = a[full], u[full], sv[full], vh[full]
-    sol = ((target @ u) / sv)[:, None, :] @ vh   # (B, 1, cols)
-    resid = np.abs((a @ sol.transpose(0, 2, 1))[:, :, 0] - target).max(axis=1)
-    sol = sol[:, 0]
-    scale = (1.0 + np.abs(sol).max(axis=1)) * (1.0 + np.abs(a).max(axis=(1, 2)))
-    slack = SCREEN_SLACK * (sv[:, 0] / sv[:, -1]) * scale
-    passes = (resid <= CONSISTENCY_TOL + slack) & (sol.min(axis=1) >= -WEIGHT_CLAMP - slack)
-    return full, passes, sol, slack
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        sol, _, _, sv = _umath_linalg.lstsq(a, target[:, None], rcond, signature="ddd->ddid")
+    resid = np.abs((a @ sol)[..., 0] - target).max(axis=-1)
+    sol = sol[..., 0]
+    passes = (resid <= CONSISTENCY_TOL) & (sol.min(axis=-1) >= -WEIGHT_CLAMP)
+    return passes, sol, sv[..., -1]
 
 
 def feasible(g: GammaTau) -> bool:

@@ -16,13 +16,12 @@ import numpy as np
 
 from .constraints import (
     RANK_TOL,
-    SCREEN_BLOCK,
+    SYSTEM_BLOCK,
     GammaTau,
     hull_interior,
     max_expectation,
     min_max_expectation,
-    support_solution,
-    svd_screen,
+    support_solutions,
     union_support,
     vertices,
 )
@@ -365,9 +364,10 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
     h_up = 1.0 - float(y @ target) + 0.25 * float(pos @ pos)   # weak duality
     best = None  # (h, p)
     for supp in _brier_supports(s, k):
-        sol = support_solution(rows[:, supp], target)
-        if sol is None:
+        passes, sol, _ = support_solutions(rows[:, supp][None], target)
+        if not passes[0]:
             continue
+        sol = sol[0]
         p = np.zeros(n)
         p[list(supp)] = np.where(sol < 0.0, 0.0, sol)
         h = 1.0 - float(p @ p)
@@ -640,11 +640,10 @@ def _min_pmax(g: GammaTau):
     p_x = m* in every minimizer.  The pattern systems (members at level m,
     free outcomes below it, zeros elsewhere) then run with members holding
     every forced mode outside the free set and no forced zero; free sets
-    still range over all outcomes.  A batched screen (`_screened_patterns`)
-    drops the systems that cannot pass, and the exact test
-    (`support_solution`, then free weights at most m + 1e-9) runs on the
-    rest.  A pattern minimum above the LP value is an error, not a reason to
-    enumerate more.
+    still range over all outcomes.  Each block of them (`_pattern_systems`)
+    takes one exact test (`support_solutions`, then free weights at most
+    m + 1e-9).  A pattern minimum above the LP value is an error, not a
+    reason to enumerate more.
 
     The loop is fast when the LP leaves few outcomes open; ties in the
     statistic leave many minimizers and so many open outcomes.  It runs
@@ -665,18 +664,14 @@ def _min_pmax(g: GammaTau):
             f"zero-one phase 1 needs {systems} pattern systems ({n_open} outcomes "
             f"left open by the LP); the cap is {ZERO_ONE_PATTERN_CAP}")
     candidates = []
-    for free, members, a in _screened_patterns(tmat, target, zero, mode, k):
-        sol = support_solution(a, target)
-        if sol is None:
-            continue
-        m, pf = float(sol[0]), sol[1:]
-        if pf.size and float(pf.max()) > m + 1e-9:
-            continue
-        p = np.zeros(n)
-        p[members] = max(m, 0.0)
-        for c, j in enumerate(free):
-            p[j] = max(float(pf[c]), 0.0)
-        candidates.append((max(m, 0.0), p))
+    for free, members, a in _pattern_systems(tmat, zero, mode, k):
+        passes, sol, _ = support_solutions(a, target)
+        m, pf = sol[:, 0], sol[:, 1:]
+        keep = passes & (pf.max(axis=1, initial=-np.inf) <= m + 1e-9)
+        level = np.where(m < 0.0, 0.0, m)[keep]
+        p = np.where(members[keep], level[:, None], 0.0)
+        p[np.arange(level.size)[:, None], free[keep]] = np.where(pf < 0.0, 0.0, pf)[keep]
+        candidates.extend(zip(level.tolist(), p))
     if not candidates:
         raise Infeasible(f"Gamma_tau empty for tau={g.tau}")
     m_star = min(c[0] for c in candidates)
@@ -697,26 +692,24 @@ def _pmax_lp(tmat: np.ndarray, tau: np.ndarray):
     return value, zero > SCREEN_TOL, weights
 
 
-def _screened_patterns(tmat, target, zero, mode, k):
-    """(free set, member set, system matrix) of each pattern system that may
-    pass the exact test, in loop order.
+def _pattern_systems(tmat, zero, mode, k):
+    """Blocks of (free sets, member masks, system matrices) of the pattern
+    systems, in loop order.
 
     Free sets of each size come in combinations order; the member sets of one
     free set are its forced modes plus each subset of the open outcomes outside
     it, in increasing bit-mask order over the open outcomes (the subsets that
     miss the free set keep their order when its bits are dropped), empty sets
     skipped.  The representative sort in `_min_pmax` is stable, so this order
-    breaks exact ties.  Blocks of systems are screened by one batched SVD
-    (`svd_screen`, lstsq's rank cutoff): a full-rank system stays when it
-    passes and its free weights are at most m + 1e-9 plus twice the slack;
-    a rank-deficient one stays unscreened.
+    breaks exact ties.  A block holds at most SYSTEM_BLOCK systems, or the
+    member sets of one free set where those are more.
     """
     n = tmat.shape[1]
     rows = np.vstack([np.ones(n), tmat])
     open_idx = np.flatnonzero(~(zero | mode))
     picks = np.zeros((1 << open_idx.size, n), dtype=bool)      # one row per bit mask
     picks[:, open_idx] = np.arange(picks.shape[0])[:, None] >> np.arange(open_idx.size) & 1
-    per_block = max(1, SCREEN_BLOCK >> open_idx.size)
+    per_block = max(1, SYSTEM_BLOCK >> open_idx.size)
     for f_size in range(k + 1):
         combos = combinations(range(n), f_size)
         while block := list(islice(combos, per_block)):
@@ -730,12 +723,7 @@ def _screened_patterns(tmat, target, zero, mode, k):
             a = np.empty((fi.size, k + 1, 1 + f_size))
             a[:, :, 0] = members @ rows.T
             a[:, :, 1:] = rows.T[free_of].transpose(0, 2, 1)
-            full, passes, sol, slack = svd_screen(a, target)
-            keep = ~full
-            keep[full] = passes & (sol[:, 1:].max(axis=1, initial=-np.inf)
-                                   <= sol[:, 0] + 1e-9 + 2.0 * slack)
-            for j in np.flatnonzero(keep).tolist():
-                yield free_of[j].tolist(), np.flatnonzero(members[j]), a[j]
+            yield free_of, members, a
 
 
 def _zero_one_act(g: GammaTau, p: np.ndarray, m_star: float):

@@ -2,9 +2,11 @@
 
 `enumerate_vertices` is the old enumeration kept as a test oracle: one
 `matrix_rank` and one `lstsq` for every support of at most k + 1 outcomes,
-then a pairwise deduplication.  The batched screen must not change a bit of
-the vertex set: the problems mix continuous and integer-valued statistics
-(ties and dependent supports), tau on hull faces and tau from sparse laws.
+then a pairwise deduplication.  The enumeration solves each block of
+supports in one batched exact test (`constraints.support_solutions`, the
+LAPACK gelsd call behind lstsq) and must not change a bit of the vertex set:
+the problems mix continuous and integer-valued statistics (ties and
+dependent supports), tau on hull faces and tau from sparse laws.
 """
 
 from itertools import combinations

@@ -5,9 +5,11 @@ line from the closed-form prefix rows.
 
 `enumerate_min_pmax` is the old phase 1 kept as a test oracle: it tries every
 (free set, member set) pattern, 2^N member sets per free set, so it is capped
-at ZERO_ONE_ENUM_CAP outcomes.  The solver's LP screen must not change a bit
-of (m*, p): the problems mix continuous and integer-valued statistics (ties),
-tau on hull faces and tau from sparse laws (degenerate LPs).
+at ZERO_ONE_ENUM_CAP outcomes.  The solver's LP screen, and the one batched
+exact test (`constraints.support_solutions`) per block of the pattern
+systems it leaves, must not change a bit of (m*, p): the problems mix
+continuous and integer-valued statistics (ties), tau on hull faces and tau
+from sparse laws (degenerate LPs).
 """
 
 import os
