@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import GammaTau, max_n, vertices
+from .constraints import GammaTau, VertexSet, check_sizes, max_n, vertex_lists, vertices
 from .core import (
     ACT_DENSITY,
     ACT_DISTRIBUTION,
@@ -84,6 +84,8 @@ EXIT_INFEASIBLE = 2
 EXIT_SADDLE = 3
 EXIT_SUITE = 4
 EXIT_SOLVER = 5
+
+GRID_CHUNK = 256   # sweep and suite taus solved, then enumerated, per chunk
 
 
 class SpecError(ValueError):
@@ -227,17 +229,18 @@ def record_columns(n: int, k: int) -> list:
     return cols
 
 
-def vertex_columns(model: LossModel, g: GammaTau, sp: SaddlePoint):
-    """(is_equalizer, vertex_margin) of a record, from one vertex list of
-    Gamma_tau, so the size caps apply: E_V L(X, zeta*) is constant over the
-    vertices V, and the largest E_V L(X, zeta*) minus E_P* L(X, zeta*)."""
-    rep = equalizer_check(model, vertices(g).points, sp.zeta_star)
+def vertex_columns(model: LossModel, vs: VertexSet, sp: SaddlePoint):
+    """(is_equalizer, vertex_margin) of a record, from the vertex list of
+    Gamma_tau: E_V L(X, zeta*) is constant over the vertices V, and the
+    largest E_V L(X, zeta*) minus E_P* L(X, zeta*)."""
+    rep = equalizer_check(model, vs.points, sp.zeta_star)
     margin = float(max(rep.values)) - ext_dot(sp.p_star.w, model.loss_vector(sp.zeta_star))
     return bool(rep.is_equalizer), float(margin)
 
 
-def record_values(model: LossModel, g: GammaTau, sp: SaddlePoint) -> dict:
-    """Native-typed record; the CSV row is its _fmt image, column for column."""
+def record_values(model: LossModel, g: GammaTau, sp: SaddlePoint, vs: VertexSet) -> dict:
+    """Native-typed record, its vertex columns read off `vs`, the vertex list
+    of Gamma_tau; the CSV row is its _fmt image, column for column."""
     n, k = g.n, g.k
     vals: dict = {"status": "ok"}
     for i, v in enumerate(np.atleast_1d(sp.tau)):
@@ -257,7 +260,7 @@ def record_values(model: LossModel, g: GammaTau, sp: SaddlePoint) -> dict:
         vals[f"zeta_{i + 1}"] = v
     vals["is_linear"] = bool(sp.is_linear)
     vals["is_regular"] = bool(sp.is_regular)
-    vals["is_equalizer"], vals["vertex_margin"] = vertex_columns(model, g, sp)
+    vals["is_equalizer"], vals["vertex_margin"] = vertex_columns(model, vs, sp)
     vals["tau_interior"] = bool(sp.tau_interior)
     vals["bayes_margin"] = float(sp.bayes_margin)
     vals["gap"] = float(sp.gap)
@@ -265,8 +268,8 @@ def record_values(model: LossModel, g: GammaTau, sp: SaddlePoint) -> dict:
     return vals
 
 
-def record_row(model: LossModel, g: GammaTau, sp: SaddlePoint) -> list:
-    vals = record_values(model, g, sp)
+def record_row(model: LossModel, g: GammaTau, sp: SaddlePoint, vs: VertexSet) -> list:
+    vals = record_values(model, g, sp, vs)
     return [_fmt(vals[c]) for c in record_columns(g.n, g.k)]
 
 
@@ -316,19 +319,14 @@ def _require_statistic(spec: ProblemSpec) -> Statistic:
     return spec.statistic
 
 
-def _solve_tau(spec: ProblemSpec, tau, tol: float | None):
-    statistic = _require_statistic(spec)
-    g = GammaTau(statistic, np.atleast_1d(np.asarray(tau, dtype=float)))
-    return solve(spec.model, g, tol=tol), g
-
-
 def cmd_solve(args) -> int:
     spec = parse_spec(args.spec)
     tau = args.tau if args.tau is not None else spec.tau
     if tau is None:
         raise SpecError("solve needs --tau or a constraint.tau in the spec")
-    sp, g = _solve_tau(spec, tau, args.tol)
-    record = record_values(spec.model, g, sp)
+    g = GammaTau(_require_statistic(spec), np.atleast_1d(np.asarray(tau, dtype=float)))
+    sp = solve(spec.model, g, tol=args.tol)
+    record = record_values(spec.model, g, sp, vertices(g))
     if args.bits and isinstance(spec.model, LogModel):
         record["h_bits"] = sp.h_star / LN2
     check = verify_saddle(spec.model, g, sp.p_star, sp.zeta_star)
@@ -364,6 +362,36 @@ def _grid_values(spec: ProblemSpec, args) -> np.ndarray:
     raise SpecError("need --grid or a constraint.tau_grid in the spec")
 
 
+def _grid_solves(model: LossModel, statistic: Statistic, taus: np.ndarray,
+                 tol: float | None, with_vertices: bool):
+    """(tau, Gamma_tau, saddle point, vertex list or None) for each row tau
+    of `taus`, in order; the vertex lists only when asked for, after the
+    size caps are checked, before any solve.
+
+    Each chunk of GRID_CHUNK taus is solved, then the vertex lists of the
+    solved ones come from one `vertex_lists` call.  Where building Gamma_tau
+    or solving raised, or Gamma_tau has no vertex, the exception takes the
+    saddle point's place, for the caller to raise at its turn, so rows and
+    errors come in the grid's order.
+    """
+    if with_vertices:
+        check_sizes(statistic)
+    for lo in range(0, len(taus), GRID_CHUNK):
+        solved = []
+        for tau in taus[lo:lo + GRID_CHUNK]:
+            try:
+                g = GammaTau(statistic, tau)
+                solved.append((tau, g, solve(model, g, tol=tol)))
+            except Exception as exc:   # raised at its turn, see above
+                solved.append((tau, None, exc))
+        lists = iter(vertex_lists(statistic, [tau for tau, _, sp in solved
+                                              if isinstance(sp, SaddlePoint)])
+                     if with_vertices else ())
+        for tau, g, sp in solved:
+            vs = next(lists) if with_vertices and isinstance(sp, SaddlePoint) else None
+            yield (tau, g, vs, None) if isinstance(vs, Infeasible) else (tau, g, sp, vs)
+
+
 def cmd_sweep(args) -> int:
     spec = parse_spec(args.spec)
     statistic = _require_statistic(spec)
@@ -372,14 +400,15 @@ def cmd_sweep(args) -> int:
     grid = _grid_values(spec, args)
     n, k = spec.space.n, statistic.k
     lines = [f"# {CSV_SCHEMA}", ",".join(record_columns(n, k))]
-    for tau in grid:
+    for tau, g, sp, vs in _grid_solves(spec.model, statistic, grid[:, None], args.tol, True):
         try:
-            sp, g = _solve_tau(spec, [tau], args.tol)
-            lines.append(",".join(record_row(spec.model, g, sp)))
+            if not isinstance(sp, SaddlePoint):
+                raise sp
+            lines.append(",".join(record_row(spec.model, g, sp, vs)))
         except Infeasible:
-            lines.append(",".join(sentinel_row([tau], "infeasible", n, k)))
+            lines.append(",".join(sentinel_row(tau, "infeasible", n, k)))
         except ArithmeticError:
-            lines.append(",".join(sentinel_row([tau], "error", n, k)))
+            lines.append(",".join(sentinel_row(tau, "error", n, k)))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -410,22 +439,22 @@ def _suite_taus(spec: ProblemSpec) -> np.ndarray:
 def _suite_solves(spec: ProblemSpec, rows: list, with_vertices: bool,
                   model: LossModel | None = None):
     """(tau cell, Gamma_tau, saddle point, vertices or None) for every suite
-    tau; the vertex list, which the size cap bounds, only when asked for.
-    The saddle is of `model`'s game, by default the spec's.
+    tau, by `_grid_solves`; the vertex list, which the size caps bound, only
+    when asked for.  The saddle is of `model`'s game, by default the spec's.
 
     An infeasible tau appends its row to `rows` instead.  The tau cell is a
     float for a scalar statistic and a list for k >= 2.
     """
     statistic = _require_statistic(spec)
-    for tau in _suite_taus(spec):
+    taus = _suite_taus(spec)
+    game = spec.model if model is None else model
+    for tau, g, sp, vs in _grid_solves(game, statistic, taus, None, with_vertices):
         cell = float(tau[0]) if tau.size == 1 else [float(v) for v in tau]
-        g = GammaTau(statistic, tau)
-        try:
-            sp = solve(spec.model if model is None else model, g)
-            vs = vertices(g) if with_vertices else None
-        except Infeasible:
+        if isinstance(sp, Infeasible):
             rows.append({"tau": cell, "status": "infeasible"})
             continue
+        if not isinstance(sp, SaddlePoint):
+            raise sp
         yield cell, g, sp, vs
 
 

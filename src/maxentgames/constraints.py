@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -28,6 +30,7 @@ DEDUP_TOL = 1e-8       # L_inf distance below which two vertices coincide
 CONSISTENCY_TOL = 1e-9  # ||[1; T] p - [1; tau]||_inf that counts as met; the hull band
 RANK_TOL = 1e-10       # singular values at or below this make a support dependent
 SYSTEM_BLOCK = 256     # support systems solved per batched call
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -92,48 +95,111 @@ def max_n() -> int:
     return cap
 
 
-def _check_sizes(g: GammaTau) -> None:
+def check_sizes(statistic: Statistic) -> None:
+    """The size caps of the vertex enumeration: N at most `max_n()` and k
+    at most DEFAULT_MAX_K, else CombinatorialBlowup."""
     cap = max_n()
-    if g.n > cap:
+    if statistic.n > cap:
         raise CombinatorialBlowup(
-            f"N={g.n} exceeds the enumeration cap {cap}; raise MAXENT_MAX_N"
+            f"N={statistic.n} exceeds the enumeration cap {cap}; raise MAXENT_MAX_N"
         )
-    if g.k > DEFAULT_MAX_K:
-        raise CombinatorialBlowup(f"k={g.k} exceeds the supported cap {DEFAULT_MAX_K}")
+    if statistic.k > DEFAULT_MAX_K:
+        raise CombinatorialBlowup(f"k={statistic.k} exceeds the supported cap {DEFAULT_MAX_K}")
 
 
 def vertices(g: GammaTau) -> VertexSet:
-    """Enumerate all vertices of Gamma_tau.
+    """Enumerate all vertices of Gamma_tau: `vertex_lists` at one tau.
+
+    Raises CombinatorialBlowup past the size caps and Infeasible for an
+    empty Gamma_tau.
+    """
+    check_sizes(g.statistic)
+    return _enumerate_vertices(g)
+
+
+def vertex_lists(statistic: Statistic, taus) -> list:
+    """The vertices of Gamma_tau for every row tau of `taus`: one VertexSet
+    each, or the Infeasible that `vertices` raises for an empty Gamma_tau.
+    The size caps are checked once, first."""
+    check_sizes(statistic)
+    return _vertex_lists(statistic, taus)
+
+
+def _enumerate_vertices(g: GammaTau) -> VertexSet:
+    found = _vertex_lists(g.statistic, g.tau[None])[0]
+    if isinstance(found, Infeasible):
+        raise found
+    return found
+
+
+def _vertex_lists(statistic: Statistic, taus) -> list:
+    """The one vertex enumeration, over a grid of tau, without the caps.
 
     A vertex has support of size at most k+1 with affinely independent
     statistic columns; each candidate support yields one consistent
     nonnegative solution of {sum p = 1, T p = tau} or is skipped.  The
-    size caps (`max_n` and DEFAULT_MAX_K) are checked first.
+    systems [1; T]_S do not depend on tau, so each block of supports is
+    solved against the targets [1; tau] of a chunk of the grid in one
+    `support_solutions` call of at most SYSTEM_BLOCK systems; every
+    solution is the one a single tau gets.  A chunk holds as many tau as
+    one call holds systems of the largest support size, so memory does not
+    grow with the grid.  Each tau's points are then deduplicated in the
+    order found and sorted lexicographically.
     """
-    _check_sizes(g)
-    return _enumerate_vertices(g)
+    n, k = statistic.n, statistic.k
+    taus = np.asarray(taus, dtype=float).reshape(-1, k)
+    cols = np.concatenate((np.ones((1, n)), statistic.matrix)).T   # (n, k+1)
+    sizes = range(1, min(k + 1, n) + 1)
+    per = max(1, SYSTEM_BLOCK // comb(n, sizes[-1]))
+    lists = []
+    for lo in range(0, taus.shape[0], per):
+        chunk = taus[lo:lo + per]
+        m = chunk.shape[0]
+        target = np.ones((m, 1, k + 1))   # [1; tau], broadcast over the supports
+        target[:, 0, 1:] = chunk
+        span = max(1, SYSTEM_BLOCK // m)
+        owners, found = [], []
+        for size in sizes:
+            supports = _supports(n, size)
+            for start in range(0, supports.shape[0], span):
+                block = supports[start:start + span]
+                passes, sol, smallest = support_solutions(cols[block].transpose(0, 2, 1),
+                                                          target)
+                # no vertex has a dependent support
+                t, s = (passes & (smallest > RANK_TOL)).nonzero()
+                sol = sol[t, s]
+                pts = np.zeros((t.size, n))
+                pts[np.arange(t.size)[:, None], block[s]] = np.where(sol < 0.0, 0.0, sol)
+                owners.append(t)
+                found.append(pts)
+        owner = np.concatenate(owners)
+        pts = np.concatenate(found)
+        if m > 1:   # group the points by tau, each tau's in the order found
+            pts = pts[owner.argsort(kind="stable")]
+        ends = np.bincount(owner, minlength=m).cumsum().tolist()
+        for tau, start, end in zip(chunk, [0] + ends, ends):
+            lists.append(_dedup(pts[start:end]) if end > start else
+                         Infeasible(f"Gamma_tau empty for tau={tau}"))
+    return lists
 
 
-def _enumerate_vertices(g: GammaTau) -> VertexSet:
-    n, k = g.n, g.k
-    rows = np.vstack([np.ones(n), g.statistic.matrix])   # (k+1, n)
-    target = np.concatenate([[1.0], g.tau])
-    found: list[np.ndarray] = []
-    for size in range(1, min(k + 1, n) + 1):
-        combos = combinations(range(n), size)
-        while (block := np.array(list(islice(combos, SYSTEM_BLOCK)), dtype=np.intp)).size:
-            passes, sol, smallest = support_solutions(rows.T[block].transpose(0, 2, 1), target)
-            keep = passes & (smallest > RANK_TOL)     # no vertex has a dependent support
-            sol = np.where(sol < 0.0, 0.0, sol)[keep]
-            pts = np.zeros((sol.shape[0], n))
-            pts[np.arange(sol.shape[0])[:, None], block[keep]] = sol
-            found.append(pts)
-    pts = np.concatenate(found)
-    if pts.shape[0] == 0:
-        raise Infeasible(f"Gamma_tau empty for tau={np.asarray(g.tau)}")
+@lru_cache(maxsize=64)
+def _supports(n: int, size: int) -> np.ndarray:
+    """Every support of `size` of n outcomes, one row each, in `combinations`
+    order; kept, since building them costs a one-tau enumeration at small N
+    about as much as solving their systems."""
+    supports = np.fromiter(chain.from_iterable(combinations(range(n), size)), np.intp)
+    supports = supports.reshape(-1, size)
+    supports.flags.writeable = False
+    return supports
+
+
+def _dedup(pts: np.ndarray) -> VertexSet:
+    """The points in the order found, each within DEDUP_TOL of an earlier
+    kept one dropped, sorted lexicographically."""
     kept = 1
     for i in range(1, pts.shape[0]):
-        if np.max(np.abs(pts[:kept] - pts[i]), axis=1).min() > DEDUP_TOL:
+        if np.abs(pts[:kept] - pts[i]).max(axis=1).min() > DEDUP_TOL:
             pts[kept] = pts[i]
             kept += 1
     pts = pts[:kept]
@@ -150,17 +216,18 @@ def _raise_lstsq(err, flag):
 def support_solutions(a: np.ndarray, target: np.ndarray):
     """The exact test of a stack of support systems a[i] x = target, a = [1; T]
     on a support and target = [1; tau], in one call of the LAPACK gelsd
-    gufunc that `np.linalg.lstsq` runs, under its errstate.
+    gufunc that `np.linalg.lstsq` runs, under its errstate.  A stack of
+    targets broadcasts against the stack of systems, each pair solved alone.
 
     Returns (passes, solutions, smallest singular values): each solution is
     lstsq's (rcond=None) bit for bit, and it passes when it meets its system
     within CONSISTENCY_TOL in L_inf with no weight below -WEIGHT_CLAMP.  A
     system with a NaN raises LinAlgError, as lstsq does.
     """
-    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    rcond = _EPS * max(a.shape[-2:])
     with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
-        sol, _, _, sv = _umath_linalg.lstsq(a, target[:, None], rcond, signature="ddd->ddid")
+        sol, _, _, sv = _umath_linalg.lstsq(a, target[..., None], rcond, signature="ddd->ddid")
     resid = np.abs((a @ sol)[..., 0] - target).max(axis=-1)
     sol = sol[..., 0]
     passes = (resid <= CONSISTENCY_TOL) & (sol.min(axis=-1) >= -WEIGHT_CLAMP)

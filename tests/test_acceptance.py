@@ -253,7 +253,7 @@ def test_07_pythagorean():
             sp = solve(model, g)
             rep = pythagorean_check(model, vertices(g).points, sp.p_star,
                                     sp.zeta_star, ref)
-            assert rep.equality == vertex_columns(model, g, sp)[0], (name, tau)
+            assert rep.equality == vertex_columns(model, vertices(g), sp)[0], (name, tau)
             assert rep.min_slack >= -1e-8, (name, tau)
 
 

@@ -43,10 +43,10 @@ def no_enumeration(monkeypatch):
     """Fails the test on any vertex enumeration; the default size cap holds."""
     monkeypatch.delenv("MAXENT_MAX_N", raising=False)
 
-    def refuse(g):
-        raise AssertionError(f"vertex enumeration at N={g.n}")
+    def refuse(statistic, taus):
+        raise AssertionError(f"vertex enumeration at N={statistic.n}")
 
-    monkeypatch.setattr(constraints, "_enumerate_vertices", refuse)
+    monkeypatch.setattr(constraints, "_vertex_lists", refuse)
 
 
 def mean_value_problem(rng, n, k, kind):
@@ -140,7 +140,7 @@ def test_lp_margin_matches_the_vertex_maximum():
                 assert lp_max == vertex_max, (kind, model.kind)
                 continue
             assert abs(lp_max - vertex_max) <= 1e-12, (kind, model.kind, lp_max, vertex_max)
-            record_margin = vertex_columns(model, g, sp)[1]
+            record_margin = vertex_columns(model, vertices(g), sp)[1]
             assert abs(chk.vertex_margin - record_margin) <= 1e-12, (kind, model.kind)
     # log faces, whose infinite losses drop columns, are among the cases
     assert log_faces >= 20

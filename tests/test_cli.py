@@ -8,7 +8,17 @@ import os
 import numpy as np
 import pytest
 
-from maxentgames import Distribution, _simplex, cli, mixture_identities
+from maxentgames import (
+    Distribution,
+    GammaTau,
+    Infeasible,
+    _simplex,
+    cli,
+    maxent,
+    mixture_identities,
+    solve,
+    vertices,
+)
 from maxentgames.divergence import identity_terms
 from maxentgames._simplex import Unbounded
 from maxentgames.maxent import MaxIterExceeded, NewtonDivergence
@@ -386,6 +396,49 @@ def test_sweep_golden_bytes(capsys, tmp_path, name):
     golden = open(os.path.join(GOLDEN, name + ".csv"), encoding="utf-8").read()
     assert out == golden
     assert out_path.read_text(encoding="utf-8") == golden
+
+
+@pytest.mark.parametrize("name", BUNDLED_SWEEPS)
+def test_sweep_beyond_the_hull_matches_row_by_row_records(capsys, name):
+    # the sweep enumerates the vertex lists of a chunk of the grid at once;
+    # each row must be the record of its tau alone, infeasible rows included
+    spec = parse_spec(spec_path(name))
+    code, out, _ = run_cli(capsys, "sweep", spec_path(name), "--grid", "-1.5", "1.5", "61")
+    assert code == EXIT_OK
+    lines = [f"# {cli.CSV_SCHEMA}", ",".join(record_columns(3, 1))]
+    for tau in np.linspace(-1.5, 1.5, 61):
+        g = GammaTau(spec.statistic, [tau])
+        try:
+            sp = solve(spec.model, g)
+            lines.append(",".join(cli.record_row(spec.model, g, sp, vertices(g))))
+        except Infeasible:
+            lines.append(",".join(cli.sentinel_row([tau], "infeasible", 3, 1)))
+    assert out == "\n".join(lines) + "\n"
+    assert sum(line.startswith("infeasible,") for line in lines) == 20
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep",),
+    ("verify", "--suite", "pythagorean"),
+    ("verify", "--suite", "equalizer"),
+])
+@pytest.mark.parametrize("name", BUNDLED_SWEEPS)
+def test_vertex_caps_are_checked_before_any_solve(capsys, monkeypatch, name, argv):
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        raise AssertionError("solved past the vertex cap")
+
+    monkeypatch.setattr(maxent, "solve", counted)
+    monkeypatch.setattr(cli, "solve", counted)
+    monkeypatch.setenv("MAXENT_MAX_N", "2")
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, spec_path(name), *rest)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "too large: N=3 exceeds the enumeration cap 2; raise MAXENT_MAX_N\n"
+    assert solves == []
 
 
 def test_sweep_schema_and_shape(capsys):

@@ -219,13 +219,13 @@ def test_vertices_kept_on_the_constraint_set():
 
 def test_solve_then_verify_never_enumerates(monkeypatch):
     calls = []
-    enumerate_vertices = constraints._enumerate_vertices
+    enumerate_vertices = constraints._vertex_lists
 
-    def counted(g):
-        calls.append(g)
-        return enumerate_vertices(g)
+    def counted(statistic, taus):
+        calls.append((statistic, np.asarray(taus, dtype=float)))
+        return enumerate_vertices(statistic, taus)
 
-    monkeypatch.setattr(constraints, "_enumerate_vertices", counted)
+    monkeypatch.setattr(constraints, "_vertex_lists", counted)
     space = SampleSpace.of(["-1", "0", "1"])
     for model in (brier_model(space), log_model(space),
                   bregman_model(space, xlogx_generator())):
@@ -233,8 +233,8 @@ def test_solve_then_verify_never_enumerates(monkeypatch):
         sp = solve(model, g)
         assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
         assert calls == [], model.kind
-        # one record's two vertex columns enumerate once
-        is_equalizer, vertex_margin = vertex_columns(model, g, sp)
+        # one record's two vertex columns read one enumeration
+        is_equalizer, vertex_margin = vertex_columns(model, vertices(g), sp)
         assert vertex_margin <= 1e-7 and is_equalizer
-        assert [c is g for c in calls] == [True], model.kind
+        assert [(s is g.statistic, t.tolist()) for s, t in calls] == [(True, [[0.3]])], model.kind
         calls.clear()

@@ -116,12 +116,12 @@ def test_brier_random_taus_match_closed_form():
 def test_brier_flags_inner_vs_outer():
     inner = solve_brier(BRIER, gamma(0.25))
     assert inner.is_linear and inner.is_regular
-    assert vertex_columns(BRIER, gamma(0.25), inner)[0]
+    assert vertex_columns(BRIER, vertices(gamma(0.25)), inner)[0]
     assert inner.tau_interior
     outer = solve_brier(BRIER, gamma(0.9))
     assert not outer.is_linear    # loss off the support breaks the affine fit
     assert outer.is_regular       # still affine where P* lives
-    assert not vertex_columns(BRIER, gamma(0.9), outer)[0]
+    assert not vertex_columns(BRIER, vertices(gamma(0.9)), outer)[0]
     assert outer.tau_interior
 
 
@@ -139,7 +139,7 @@ def test_brier_act_is_maximizer():
     sp = solve_brier(BRIER, gamma(0.3))
     assert np.max(np.abs(sp.zeta_star.payload - sp.p_star.w)) <= TOL
     assert sp.bayes_margin <= 1e-9
-    assert vertex_columns(BRIER, gamma(0.3), sp)[1] <= 1e-7
+    assert vertex_columns(BRIER, vertices(gamma(0.3)), sp)[1] <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_zero_one_outer_and_boundary():
     assert np.max(np.abs(outer.zeta_star.payload - [0.0, 0.0, 1.0])) <= TOL
     assert abs(outer.beta0 - 1.0) <= TOL
     assert abs(float(outer.beta[0]) + 1.0) <= TOL
-    assert not vertex_columns(ZERO_ONE, gamma(0.75), outer)[0]
+    assert not vertex_columns(ZERO_ONE, vertices(gamma(0.75)), outer)[0]
     for tau, target in ((-1.0, 1.0), (1.0, -1.0)):
         sp = solve_zero_one(ZERO_ONE, gamma(tau))
         assert abs(sp.h_star) <= 1e-12 and not sp.tau_interior
@@ -430,7 +430,7 @@ def test_every_solver_refuses_tau_outside_the_hull_alike(tau):
 
 def test_enumeration_cap(monkeypatch):
     # solve and verify_saddle build no vertex list, so the vertex cap (20)
-    # does not bind them; the record's vertex columns read the list and meet it
+    # does not bind them; the record's vertex columns read the list, which meets it
     monkeypatch.delenv("MAXENT_MAX_N", raising=False)
     model = brier_model(SampleSpace.of(range(21)))
     g = GammaTau(Statistic(np.linspace(-1.0, 1.0, 21)[None, :]), np.array([0.0]))
@@ -438,7 +438,7 @@ def test_enumeration_cap(monkeypatch):
     assert abs(sp.h_star - (1.0 - 1.0 / 21.0)) <= 1e-12
     assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
     with pytest.raises(CombinatorialBlowup, match="MAXENT_MAX_N"):
-        vertex_columns(model, g, sp)
+        vertex_columns(model, vertices(g), sp)
 
 
 def test_wrong_model_kind_rejected():
