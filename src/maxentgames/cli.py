@@ -15,6 +15,7 @@ or the LP did not reach its tolerance).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import GammaTau, VertexSet, check_sizes, max_n, vertex_lists, vertices
+from .constraints import GammaTau, VertexSet, check_sizes, max_n, vertex_lists
 from .core import (
     ACT_DENSITY,
     ACT_DISTRIBUTION,
@@ -71,7 +72,7 @@ from .losses import (
 from .maxent import (
     SaddlePoint,
     conjugacy_check,
-    solve,
+    solve_grid,
 )
 from .verify import verify_saddle
 
@@ -324,9 +325,11 @@ def cmd_solve(args) -> int:
     tau = args.tau if args.tau is not None else spec.tau
     if tau is None:
         raise SpecError("solve needs --tau or a constraint.tau in the spec")
-    g = GammaTau(_require_statistic(spec), np.atleast_1d(np.asarray(tau, dtype=float)))
-    sp = solve(spec.model, g, tol=args.tol)
-    record = record_values(spec.model, g, sp, vertices(g))
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))[None]
+    ((_, g, sp, vs),) = _grid_solves(spec.model, _require_statistic(spec), taus, args.tol, True)
+    if not isinstance(sp, SaddlePoint):
+        raise sp
+    record = record_values(spec.model, g, sp, vs)
     if args.bits and isinstance(spec.model, LogModel):
         record["h_bits"] = sp.h_star / LN2
     check = verify_saddle(spec.model, g, sp.p_star, sp.zeta_star)
@@ -364,32 +367,30 @@ def _grid_values(spec: ProblemSpec, args) -> np.ndarray:
 
 def _grid_solves(model: LossModel, statistic: Statistic, taus: np.ndarray,
                  tol: float | None, with_vertices: bool):
-    """(tau, Gamma_tau, saddle point, vertex list or None) for each row tau
-    of `taus`, in order; the vertex lists only when asked for, after the
-    size caps are checked, before any solve.
+    """(tau, Gamma_tau or None, saddle point, vertex list or None) for each
+    row tau of `taus`, in order; the vertex lists only when asked for, after
+    the size caps are checked, before any solve.
 
-    Each chunk of GRID_CHUNK taus is solved, then the vertex lists of the
-    solved ones come from one `vertex_lists` call.  Where building Gamma_tau
-    or solving raised, or Gamma_tau has no vertex, the exception takes the
-    saddle point's place, for the caller to raise at its turn, so rows and
-    errors come in the grid's order.
+    Each chunk of GRID_CHUNK taus is solved by one `solve_grid` call, then
+    the vertex lists of the solved ones come from one `vertex_lists` call.
+    Where building Gamma_tau or solving raised, or Gamma_tau has no vertex,
+    the exception takes the saddle point's place, for the caller to raise at
+    its turn, so rows and errors come in the grid's order.
     """
     if with_vertices:
         check_sizes(statistic)
     for lo in range(0, len(taus), GRID_CHUNK):
-        solved = []
-        for tau in taus[lo:lo + GRID_CHUNK]:
-            try:
-                g = GammaTau(statistic, tau)
-                solved.append((tau, g, solve(model, g, tol=tol)))
-            except Exception as exc:   # raised at its turn, see above
-                solved.append((tau, None, exc))
-        lists = iter(vertex_lists(statistic, [tau for tau, _, sp in solved
+        chunk = taus[lo:lo + GRID_CHUNK]
+        solved = solve_grid(model, statistic, chunk, tol)
+        lists = iter(vertex_lists(statistic, [tau for tau, sp in zip(chunk, solved)
                                               if isinstance(sp, SaddlePoint)])
                      if with_vertices else ())
-        for tau, g, sp in solved:
+        for tau, sp in zip(chunk, solved):
             vs = next(lists) if with_vertices and isinstance(sp, SaddlePoint) else None
-            yield (tau, g, vs, None) if isinstance(vs, Infeasible) else (tau, g, sp, vs)
+            if isinstance(vs, Infeasible):
+                sp, vs = vs, None
+            g = GammaTau(statistic, tau) if isinstance(sp, SaddlePoint) else None
+            yield tau, g, sp, vs
 
 
 def cmd_sweep(args) -> int:
@@ -677,7 +678,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: building it costs about a millisecond,
+    and parsing leaves it as it was."""
     parser = _Parser(prog="maxentgames",
                      description="maximum-entropy and robust-Bayes game solvers")
     sub = parser.add_subparsers(dest="command", required=True)

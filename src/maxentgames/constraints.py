@@ -113,8 +113,10 @@ def vertices(g: GammaTau) -> VertexSet:
     Raises CombinatorialBlowup past the size caps and Infeasible for an
     empty Gamma_tau.
     """
-    check_sizes(g.statistic)
-    return _enumerate_vertices(g)
+    found = vertex_lists(g.statistic, g.tau[None])[0]
+    if isinstance(found, Infeasible):
+        raise found
+    return found
 
 
 def vertex_lists(statistic: Statistic, taus) -> list:
@@ -123,13 +125,6 @@ def vertex_lists(statistic: Statistic, taus) -> list:
     The size caps are checked once, first."""
     check_sizes(statistic)
     return _vertex_lists(statistic, taus)
-
-
-def _enumerate_vertices(g: GammaTau) -> VertexSet:
-    found = _vertex_lists(g.statistic, g.tau[None])[0]
-    if isinstance(found, Infeasible):
-        raise found
-    return found
 
 
 def _vertex_lists(statistic: Statistic, taus) -> list:

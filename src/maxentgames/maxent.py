@@ -601,7 +601,7 @@ def _newton_steps(mu, tmat, tau, tol, beta, by_gradient: bool):
 
 
 def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
-    """Zero-one saddle point.
+    """Zero-one saddle point: `_zero_one_grid` at one tau.
 
     Phase 1 minimizes the maximum coordinate over Gamma_tau: one LP fixes
     the outcomes that every minimizer puts at 0 or at the maximum, and the
@@ -617,8 +617,36 @@ def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
     """
     if not isinstance(model, ZeroOneModel):
         raise ValueError("solve_zero_one needs a zero-one model")
-    hull = _hull_class(g)
-    m_star, p, weights = _min_pmax(g)
+    (sp,) = _zero_one_grid(model, g.statistic, [g])
+    if isinstance(sp, Exception):
+        raise sp
+    return sp
+
+
+def _zero_one_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
+    """`solve_zero_one` over a list of Gamma_tau, or of the exceptions that
+    building them raised, which stay in place: the hull class per tau, phase
+    1 for the whole list (`_min_pmax`), phase 2 per tau.  Each tau gets its
+    SaddlePoint or the exception its own solve raises."""
+    out = [_attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
+    live = [i for i, hull in enumerate(out) if isinstance(hull, str)]
+    for i, phase1 in zip(live, _min_pmax(statistic, [gammas[i].tau for i in live])):
+        out[i] = (phase1 if isinstance(phase1, Exception) else
+                  _attempt(_zero_one_saddle, model, gammas[i], out[i], *phase1))
+    return out
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised, for the caller to raise at its turn."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _zero_one_saddle(model: LossModel, g: GammaTau, hull: str, m_star: float,
+                     p: np.ndarray, weights: np.ndarray) -> SaddlePoint:
+    """Phase 2 of `solve_zero_one` on phase 1's (m*, P*, LP dual weights)."""
     h = 1.0 - float(p.max())   # the optimizer's value can carry solve noise
     act = _zero_one_act(g, p, m_star)
     if act is None or abs(float(act[0].sum()) - 1.0) > NORM_TOL:
@@ -630,8 +658,9 @@ def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
                      0.0, "zero-one-enum", hull, family)
 
 
-def _min_pmax(g: GammaTau):
-    """Minimize max_x p(x) over Gamma_tau: one LP screens, exact patterns decide.
+def _min_pmax(statistic: Statistic, taus) -> list:
+    """Minimize max_x p(x) over Gamma_tau for each tau of `taus`: one LP per
+    tau screens, exact patterns decide.
 
     The LP in (p, m, s) with p_x - m + s_x = 0, sum p = 1 and T p = tau
     gives the minimum m* and the reduced costs of its final basis.  By
@@ -645,40 +674,90 @@ def _min_pmax(g: GammaTau):
     m + 1e-9).  A pattern minimum above the LP value is an error, not a
     reason to enumerate more.
 
+    The systems depend on tau only through the LP's (zero, mode) masks, so
+    the taus the LP screens alike share them: each block is solved against
+    the stacked targets [1; tau] of a chunk of those taus, a chunk holding as
+    many as keep a call within SYSTEM_BLOCK systems, and every solution is
+    the one a single tau gets.  An exception in a chunk's exact tests is
+    every one of its taus'.
+
     The loop is fast when the LP leaves few outcomes open; ties in the
     statistic leave many minimizers and so many open outcomes.  It runs
     sum over free sets F of 2^|open - F| systems, and more than
-    ZERO_ONE_PATTERN_CAP of them raise CombinatorialBlowup.  Returns (m*,
-    P*, the LP's dual weights on its columns).
+    ZERO_ONE_PATTERN_CAP of them raise CombinatorialBlowup.  Returns, per
+    tau, (m*, P*, the LP's dual weights on its columns) or the exception
+    phase 1 raised there.
     """
-    n, k = g.n, g.k
-    tmat = g.statistic.matrix
-    target = np.concatenate([[1.0], g.tau])
-    lp_value, zero, weights = _pmax_lp(tmat, g.tau)
-    mode = weights > SCREEN_TOL
-    n_open = n - int(np.count_nonzero(zero | mode))
-    systems = sum(comb(n_open, j) * comb(n - n_open, f - j) << (n_open - j)
-                  for f in range(k + 1) for j in range(min(f, n_open) + 1))
-    if systems > ZERO_ONE_PATTERN_CAP:
-        raise CombinatorialBlowup(
-            f"zero-one phase 1 needs {systems} pattern systems ({n_open} outcomes "
-            f"left open by the LP); the cap is {ZERO_ONE_PATTERN_CAP}")
-    candidates = []
+    n, k = statistic.n, statistic.k
+    tmat = statistic.matrix
+    found = [_attempt(_pmax_lp, tmat, tau) for tau in taus]
+    groups = {}
+    for i, screen in enumerate(found):
+        if not isinstance(screen, Exception):
+            zero, mode = screen[1], screen[2] > SCREEN_TOL
+            groups.setdefault((zero.tobytes(), mode.tobytes()), (zero, mode, []))[2].append(i)
+    for zero, mode, idx in groups.values():
+        n_open = n - int(np.count_nonzero(zero | mode))
+        systems = sum(comb(n_open, j) * comb(n - n_open, f - j) << (n_open - j)
+                      for f in range(k + 1) for j in range(min(f, n_open) + 1))
+        if systems > ZERO_ONE_PATTERN_CAP:
+            for i in idx:
+                found[i] = CombinatorialBlowup(
+                    f"zero-one phase 1 needs {systems} pattern systems ({n_open} outcomes "
+                    f"left open by the LP); the cap is {ZERO_ONE_PATTERN_CAP}")
+            continue
+        per = max(1, SYSTEM_BLOCK // systems)
+        for lo in range(0, len(idx), per):
+            chunk = idx[lo:lo + per]
+            pools = _attempt(_pattern_pools, tmat, zero, mode, [taus[i] for i in chunk])
+            for j, i in enumerate(chunk):
+                found[i] = pools if isinstance(pools, Exception) else _attempt(
+                    _pmax_pick, taus[i], found[i], *pools[j])
+    return found
+
+
+def _pattern_pools(tmat: np.ndarray, zero, mode, taus) -> list:
+    """(levels, points) of the candidates that pass the exact test, in loop
+    order, for each tau of `taus`; each block of `_pattern_systems` is solved
+    against all their targets [1; tau] in one `support_solutions` call."""
+    k = tmat.shape[0]
+    target = np.ones((len(taus), 1, k + 1))
+    target[:, 0, 1:] = taus
+    owners, levels, points = [], [], []
     for free, members, a in _pattern_systems(tmat, zero, mode, k):
         passes, sol, _ = support_solutions(a, target)
-        m, pf = sol[:, 0], sol[:, 1:]
-        keep = passes & (pf.max(axis=1, initial=-np.inf) <= m + 1e-9)
+        m, pf = sol[..., 0], sol[..., 1:]
+        keep = passes & (pf.max(axis=2, initial=-np.inf) <= m + 1e-9)
+        t, s = keep.nonzero()
         level = np.where(m < 0.0, 0.0, m)[keep]
-        p = np.where(members[keep], level[:, None], 0.0)
-        p[np.arange(level.size)[:, None], free[keep]] = np.where(pf < 0.0, 0.0, pf)[keep]
-        candidates.extend(zip(level.tolist(), p))
-    if not candidates:
-        raise Infeasible(f"Gamma_tau empty for tau={g.tau}")
-    m_star = min(c[0] for c in candidates)
+        p = np.where(members[s], level[:, None], 0.0)
+        p[np.arange(s.size)[:, None], free[s]] = np.where(pf < 0.0, 0.0, pf)[keep]
+        owners.append(t)
+        levels.append(level)
+        points.append(p)
+    owner = np.concatenate(owners)
+    level, p = np.concatenate(levels), np.concatenate(points)
+    ends = [owner.size]
+    if len(taus) > 1:   # group by tau, each tau's in loop order
+        order = owner.argsort(kind="stable")
+        level, p = level[order], p[order]
+        ends = np.bincount(owner, minlength=len(taus)).cumsum().tolist()
+    return [(level[lo:hi].tolist(), p[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+
+
+def _pmax_pick(tau: np.ndarray, screen, levels: list, points: np.ndarray):
+    """(m*, P*, weights) from one tau's candidates and its LP screen (LP
+    minimum, forced zeros, weights): the least level, checked against the
+    LP minimum, and among the candidates within 1e-12 of it the first by a
+    stable sort."""
+    if not levels:
+        raise Infeasible(f"Gamma_tau empty for tau={tau}")
+    lp_value, _, weights = screen
+    m_star = min(levels)
     if m_star > lp_value + PMAX_LP_TOL:
         raise ArithmeticError(
             f"zero-one patterns reach {m_star!r}, above the LP minimum {lp_value!r}")
-    pool = [p for (m, p) in candidates if m <= m_star + 1e-12]
+    pool = [p for m, p in zip(levels, points) if m <= m_star + 1e-12]
     # deterministic representative: maximal quadratic entropy, then lex order
     pool.sort(key=lambda p: (float(p @ p), tuple(np.round(p, 12))))
     return m_star, pool[0], weights
@@ -959,6 +1038,23 @@ def solve(model: LossModel, g: GammaTau, tol: float | None = None) -> SaddlePoin
     if _unwrap(model)[0].separable() is not None:
         return solve_bregman(model, g)
     return solve_generic(model, g, **kwargs)
+
+
+def solve_grid(model: LossModel, statistic: Statistic, taus,
+               tol: float | None = None) -> list:
+    """`solve` at each row tau of `taus`, in order: what
+    solve(model, GammaTau(statistic, tau), tol) returns, or the exception it
+    raises, bit for bit.
+
+    A zero-one model runs phase 1 for the whole grid (`_zero_one_grid`), so
+    the taus the LP screens alike share one exact test per block of pattern
+    systems; every other model is solved tau by tau.
+    """
+    gammas = [_attempt(GammaTau, statistic, tau) for tau in taus]
+    if isinstance(model, ZeroOneModel):
+        return _zero_one_grid(model, statistic, gammas)
+    return [g if isinstance(g, Exception) else _attempt(solve, model, g, tol)
+            for g in gammas]
 
 
 def specific_entropy(model: LossModel, statistic: Statistic, tau) -> float:

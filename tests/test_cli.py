@@ -281,10 +281,10 @@ def test_failed_saddle_verification_exit_code(capsys, monkeypatch):
 
 @pytest.mark.parametrize("exc", [MaxIterExceeded, NewtonDivergence, Unbounded])
 def test_solver_failure_exit_code(capsys, monkeypatch, exc):
-    def fail(*args, **kwargs):
-        raise exc("did not reach tolerance")
+    def fail(model, statistic, taus, tol=None):
+        return [exc("did not reach tolerance") for _ in taus]
 
-    monkeypatch.setattr(cli, "solve", fail)
+    monkeypatch.setattr(cli, "solve_grid", fail)
     code, out, err = run_cli(capsys, "solve", spec_path("brier_mean"), "--tau", "0.5")
     assert code == EXIT_SOLVER
     assert out == ""
@@ -421,6 +421,7 @@ def test_sweep_beyond_the_hull_matches_row_by_row_records(capsys, name):
     ("sweep",),
     ("verify", "--suite", "pythagorean"),
     ("verify", "--suite", "equalizer"),
+    ("solve", "--tau", "0.3"),
 ])
 @pytest.mark.parametrize("name", BUNDLED_SWEEPS)
 def test_vertex_caps_are_checked_before_any_solve(capsys, monkeypatch, name, argv):
@@ -431,7 +432,7 @@ def test_vertex_caps_are_checked_before_any_solve(capsys, monkeypatch, name, arg
         raise AssertionError("solved past the vertex cap")
 
     monkeypatch.setattr(maxent, "solve", counted)
-    monkeypatch.setattr(cli, "solve", counted)
+    monkeypatch.setattr(cli, "solve_grid", counted)
     monkeypatch.setenv("MAXENT_MAX_N", "2")
     command, *rest = argv
     code, out, err = run_cli(capsys, command, spec_path(name), *rest)
@@ -1106,14 +1107,13 @@ def test_sweep_error_row(capsys, monkeypatch):
     spec = spec_path("brier_mean")
     code, clean, _ = run_cli(capsys, "sweep", spec)
     assert code == EXIT_OK
-    real_solve = cli.solve
+    real_solve_grid = cli.solve_grid
 
-    def diverging(model, g, tol=None):
-        if g.tau[0] == 0.5:
-            raise NewtonDivergence("dual Newton stopped")
-        return real_solve(model, g, tol=tol)
+    def diverging(model, statistic, taus, tol=None):
+        return [NewtonDivergence("dual Newton stopped") if tau[0] == 0.5 else sp
+                for tau, sp in zip(taus, real_solve_grid(model, statistic, taus, tol))]
 
-    monkeypatch.setattr(cli, "solve", diverging)
+    monkeypatch.setattr(cli, "solve_grid", diverging)
     code, out, _ = run_cli(capsys, "sweep", spec)
     assert code == EXIT_OK
     clean_lines, lines = clean.splitlines(), out.splitlines()

@@ -127,7 +127,7 @@ def test_vertex_enumeration_makes_one_batched_call_per_support_size(monkeypatch)
     batched = counting(monkeypatch, constraints, "support_solutions")
     lstsq = counting(monkeypatch, np.linalg, "lstsq")
     svd = counting(monkeypatch, np.linalg, "svd")
-    points = constraints._enumerate_vertices(g).points
+    points = constraints.vertices(g).points
     assert points.shape == (2, 3)
     assert len(batched) == 2
     assert lstsq == [] and svd == []
@@ -147,7 +147,7 @@ def test_pattern_enumeration_makes_one_batched_call_per_block(monkeypatch):
     monkeypatch.setattr(maxent, "_pattern_systems", counted_blocks)
     lstsq = counting(monkeypatch, np.linalg, "lstsq")
     svd = counting(monkeypatch, np.linalg, "svd")
-    m_star, p, _ = maxent._min_pmax(g)
+    (m_star, p, _), = maxent._min_pmax(g.statistic, [g.tau])
     assert m_star == pytest.approx(0.4) and p.sum() == pytest.approx(1.0)
     assert len(blocks) >= 1 and len(batched) == len(blocks)
     assert lstsq == [] and svd == []

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from maxentgames import GammaTau, Infeasible, Statistic
-from maxentgames.constraints import CONSISTENCY_TOL, DEDUP_TOL, _enumerate_vertices
+from maxentgames.constraints import CONSISTENCY_TOL, DEDUP_TOL, vertices
 from maxentgames.core import WEIGHT_CLAMP
 
 from test_zero_one_lp import mean_value_problem
@@ -65,7 +65,7 @@ def test_screened_enumeration_matches_per_support_enumeration_bitwise():
     for case, n, k in oracle_sizes(400):
         stat, tau = mean_value_problem(rng, n, k, (case // 7) % 4)
         g = GammaTau(stat, tau)
-        assert np.array_equal(_enumerate_vertices(g).points, enumerate_vertices(g)), case
+        assert np.array_equal(vertices(g).points, enumerate_vertices(g)), case
 
 
 
@@ -78,4 +78,4 @@ def test_nearly_equal_columns_keep_the_vertex_set():
         t = rng.uniform(-1.0, 1.0, size=(k, n))
         t[:, 1] = t[:, 0] + 1e-9 * rng.uniform(-1.0, 1.0, size=k)
         g = GammaTau(Statistic(t), t @ rng.dirichlet(np.ones(n)))
-        assert np.array_equal(_enumerate_vertices(g).points, enumerate_vertices(g)), case
+        assert np.array_equal(vertices(g).points, enumerate_vertices(g)), case

@@ -31,10 +31,17 @@ from maxentgames import (
 from maxentgames import cli, maxent
 from maxentgames.constraints import CONSISTENCY_TOL
 from maxentgames.core import WEIGHT_CLAMP
-from maxentgames.maxent import _min_pmax
 
 ZERO_ONE_ENUM_CAP = 12
 SPECS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "specs")
+
+
+def min_pmax(g):
+    """Phase 1 at one tau: (m*, P*, LP weights), or the exception raised."""
+    (found,) = maxent._min_pmax(g.statistic, [g.tau])
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 def enumerate_min_pmax(g):
@@ -130,7 +137,7 @@ def test_lp_screen_matches_pattern_enumeration_bitwise():
         stat, tau = mean_value_problem(rng, n, k, (case // 15) % 4)
         g = GammaTau(stat, tau)
         m_ref, p_ref = enumerate_min_pmax(g)
-        m_star, p, _ = _min_pmax(g)
+        m_star, p, _ = min_pmax(g)
         assert m_star == m_ref, case
         assert np.array_equal(p, p_ref), case
 
@@ -150,7 +157,7 @@ def test_screen_matches_pattern_enumeration_at_the_old_cap(n, k, kind, seed):
         stat, tau = mean_value_problem(rng, n, k, 1 if kind == "tied" else 0)
     g = GammaTau(stat, tau)
     m_ref, p_ref = enumerate_min_pmax(g)
-    m_star, p, _ = _min_pmax(g)
+    m_star, p, _ = min_pmax(g)
     assert m_star == m_ref
     assert np.array_equal(p, p_ref)
 
@@ -165,7 +172,7 @@ def test_tied_statistic_at_the_old_cap_matches_the_enumeration():
     # every minimizer splits them differently, so the LP leaves all ten open
     g = GammaTau(tied_statistic(12), np.array([-0.5]))
     m_ref, p_ref = enumerate_min_pmax(g)
-    m_star, p, _ = _min_pmax(g)
+    m_star, p, _ = min_pmax(g)
     assert m_star == m_ref
     assert np.array_equal(p, p_ref)
 
@@ -175,7 +182,7 @@ def test_tied_statistic_past_the_pattern_cap_is_refused():
     # per free set, far past ZERO_ONE_PATTERN_CAP, so no pattern is tried
     g = GammaTau(tied_statistic(20), np.array([-0.6]))
     with pytest.raises(CombinatorialBlowup, match="18 outcomes left open"):
-        _min_pmax(g)
+        min_pmax(g)
 
 
 def test_infeasible_tau_raises_in_both():
@@ -183,7 +190,7 @@ def test_infeasible_tau_raises_in_both():
     with pytest.raises(Infeasible):
         enumerate_min_pmax(g)
     with pytest.raises(Infeasible, match="Gamma_tau empty"):
-        _min_pmax(g)
+        min_pmax(g)
 
 
 @pytest.mark.parametrize("n", [16, 20])
@@ -220,8 +227,9 @@ def test_zero_one_sweep_runs_one_lp_per_grid_point(monkeypatch, capsys):
     assert cli.main(["sweep", os.path.join(SPECS, "zero_one_mean.json")]) == 0
     rows = len(capsys.readouterr().out.splitlines()) - 2   # two header lines
     # the supporting-line rows are closed-form, so each grid point runs only
-    # its phase-1 LP
-    assert len(phase1) == len(lps) == rows == 41
+    # its phase-1 LP, and phase 1 runs once for the whole grid
+    assert len(lps) == rows == 41
+    assert len(phase1) == 1 and len(phase1[0][1]) == rows
 
 
 @pytest.mark.parametrize("tau", [-0.5, 0.0])
