@@ -208,10 +208,23 @@ def _raise_lstsq(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
+def lstsq_stack(a: np.ndarray, b: np.ndarray):
+    """`np.linalg.lstsq(a[i], b[i], rcond=None)` for every system of a stack,
+    in one call of the LAPACK gelsd gufunc that lstsq runs, under its
+    errstate; b broadcasts against a, each pair solved alone.  Returns
+    (solutions with a trailing axis of 1, singular values), each lstsq's bit
+    for bit.  A system with a NaN raises LinAlgError, as lstsq does.
+    """
+    rcond = _EPS * max(a.shape[-2:])
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        sol, _, _, sv = _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")
+    return sol, sv
+
+
 def support_solutions(a: np.ndarray, target: np.ndarray):
     """The exact test of a stack of support systems a[i] x = target, a = [1; T]
-    on a support and target = [1; tau], in one call of the LAPACK gelsd
-    gufunc that `np.linalg.lstsq` runs, under its errstate.  A stack of
+    on a support and target = [1; tau], by `lstsq_stack`.  A stack of
     targets broadcasts against the stack of systems, each pair solved alone.
 
     Returns (passes, solutions, smallest singular values): each solution is
@@ -219,10 +232,7 @@ def support_solutions(a: np.ndarray, target: np.ndarray):
     within CONSISTENCY_TOL in L_inf with no weight below -WEIGHT_CLAMP.  A
     system with a NaN raises LinAlgError, as lstsq does.
     """
-    rcond = _EPS * max(a.shape[-2:])
-    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        sol, _, _, sv = _umath_linalg.lstsq(a, target[..., None], rcond, signature="ddd->ddid")
+    sol, sv = lstsq_stack(a, target)
     resid = np.abs((a @ sol)[..., 0] - target).max(axis=-1)
     sol = sol[..., 0]
     passes = (resid <= CONSISTENCY_TOL) & (sol.min(axis=-1) >= -WEIGHT_CLAMP)

@@ -9,16 +9,26 @@ representation beta0 + beta' t(x), the coefficients linking tau to beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
 
+from ._newton import (
+    ROOT_MAX_ITER,
+    NewtonDivergence,
+    _by_slice,
+    _dual_tol,
+    _newton_tilt,
+    _separable_dual,
+    _slope_root,
+)
 from .constraints import (
     RANK_TOL,
     SYSTEM_BLOCK,
     GammaTau,
     hull_interior,
+    lstsq_stack,
     max_expectation,
     min_max_expectation,
     support_solutions,
@@ -47,8 +57,7 @@ LINEAR_FIT_TOL = 1e-7
 SCREEN_TOL = 1e-7        # LP reduced cost that fixes a zero-one outcome at 0 or m*
 PMAX_LP_TOL = 1e-9       # zero-one pattern minimum may exceed the LP minimum by this
 ZERO_ONE_PATTERN_CAP = 208_896  # pattern systems with every outcome open at N = 12, k = 3
-NEWTON_MAX_ITER = 100    # dual Newton steps in the log, Brier and Bregman solvers
-DUAL_TOL = 1e-13         # dual gradient norm, relative to 1 + |tau|_inf
+LOG_TOL = 1e-10          # log Newton's gradient norm, unless the caller sets tol
 BRIER_ACTIVE_TOL = 1e-9  # |A'y| below this marks a weakly active outcome
 BRIER_GAP_TOL = 1e-9     # largest duality gap a Brier solution may keep
 FW_MAX_ITER = 100000     # conditional-gradient iterations
@@ -56,12 +65,6 @@ TILT_TOL = 1e-8          # certified gap of a natural tilt
 GRID_TOL = 1e-6          # certified gap of a tilt on the conjugacy beta grid
 KINK_TOL = 1e-3          # one-sided slopes further apart than this mark a kink of h
 FW_SLOPE_RES = 1e-14     # pairwise slopes below this, relative, are float noise
-ROOT_MAX_ITER = 100      # slope evaluations per line search
-ROOT_TOL = 1e-8          # relative bracket width, or slope against slope(0)
-
-
-class NewtonDivergence(ArithmeticError):
-    """Dual Newton iteration failed to reach the gradient tolerance."""
 
 
 class MaxIterExceeded(ArithmeticError):
@@ -131,12 +134,28 @@ class FamilyTrace:
 
 def _affine_fit(tmat: np.ndarray, y: np.ndarray, cols: np.ndarray | None = None):
     """Least-squares y(x) ~ b0 + beta' t(x); returns (b0, beta, max residual)."""
-    if cols is None:
-        cols = np.arange(tmat.shape[1])
-    design = np.vstack([np.ones(cols.size), tmat[:, cols]]).T
-    sol, *_ = np.linalg.lstsq(design, y[cols], rcond=None)
-    resid = float(np.max(np.abs(design @ sol - y[cols]))) if cols.size else 0.0
+    if cols is not None:
+        tmat, y = tmat[:, cols], y[cols]
+    design = np.vstack([np.ones(y.size), tmat]).T
+    sol = lstsq_stack(design, y)[0][:, 0]
+    resid = float(np.max(np.abs(design @ sol - y))) if y.size else 0.0
     return float(sol[0]), sol[1:], resid
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised, for the caller to raise at its turn."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _one_tau(found: list) -> SaddlePoint:
+    """The record of a grid solve at one tau, or the exception it holds, raised."""
+    (sp,) = found
+    if isinstance(sp, Exception):
+        raise sp
+    return sp
 
 
 def _hull_class(g: GammaTau) -> str:
@@ -147,11 +166,10 @@ def _hull_class(g: GammaTau) -> str:
     return hull
 
 
-def _finalize(model: LossModel, g: GammaTau, p: np.ndarray, zeta: Act, h: float,
+def _finalize(model: LossModel, g: GammaTau, p_star: Distribution, zeta: Act, h: float,
               beta0, beta, gap: float, method: str,
               hull: str, act_family: ActFamily | None = None) -> SaddlePoint:
     """The SaddlePoint record; `hull` is `_hull_class`'s class of tau."""
-    p_star = Distribution(p)
     lv = model.loss_vector(zeta)
     tmat = g.statistic.matrix
     supp = p_star.support(1e-9)
@@ -203,55 +221,6 @@ class _MixtureMax:
     @property
     def how(self) -> str:
         return "stalled" if self.stalled else f"after {self.iterations} iterations"
-
-
-def _slope_root(slope, rise: float, hi: float, guess: float = 1.0) -> float:
-    """Root on [0, hi] of a non-increasing slope with slope(0) = rise.
-
-    Returns 0 when rise is not positive and hi when the slope is still
-    positive there.  The bracket is found by probing `guess` first, then
-    hi (or doubling, for hi = inf); inside it, Illinois regula falsi.  A
-    non-finite slope at either end (an infinite loss at an emptied
-    outcome) is bisected.
-    """
-    if not rise > 0.0:
-        return 0.0
-    f_tol = ROOT_TOL * rise if np.isfinite(rise) else 0.0
-    lo, f_lo = 0.0, rise
-    t = min(guess, hi)
-    for _ in range(ROOT_MAX_ITER):
-        f_t = slope(t)
-        if not f_t > 0.0:
-            break
-        if t == hi:
-            return hi
-        lo, f_lo = t, f_t
-        t = 2.0 * t if np.isinf(hi) else hi
-    else:
-        return lo
-    hi, f_hi = t, f_t
-    side = 0
-    for _ in range(ROOT_MAX_ITER):
-        if abs(f_hi) <= f_tol:
-            return hi
-        finite = np.isfinite(f_lo) and np.isfinite(f_hi)
-        t = lo + (hi - lo) * f_lo / (f_lo - f_hi) if finite else np.nan
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-            if not lo < t < hi:
-                break
-        f_t = slope(t)
-        if f_t > 0.0:
-            lo, f_lo = t, f_t
-            f_hi = 0.5 * f_hi if side > 0 else f_hi
-            side = 1
-        else:
-            hi, f_hi = t, f_t
-            f_lo = 0.5 * f_lo if side < 0 else f_lo
-            side = -1
-        if hi - lo <= ROOT_TOL * hi:
-            break
-    return lo
 
 
 def _mixture_max(model: LossModel, V: np.ndarray, offset: np.ndarray,
@@ -338,7 +307,8 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray,
 
 
 def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
-    """Exact Brier saddle point from the (k+1)-dimensional dual.
+    """Exact Brier saddle point from the (k+1)-dimensional dual:
+    `_brier_grid` at one tau.
 
     With A = [1; T] and b = [1; tau], P* = (A'y)_+ / 2 for the maximizer y
     of the concave, piecewise quadratic dual y'b - |(A'y)_+|^2 / 4.  The
@@ -353,101 +323,121 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
     """
     if not isinstance(model, BrierModel):
         raise ValueError("solve_brier needs a Brier model")
-    hull = _hull_class(g)
-    n, k = g.n, g.k
-    rows = np.vstack([np.ones(n), g.statistic.matrix])
-    target = np.concatenate([[1.0], g.tau])
+    return _one_tau(_brier_grid(model, g.statistic, [g]))
+
+
+def _brier_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
+    """`solve_brier` over a list of Gamma_tau, or of the exceptions that
+    building them raised, which stay in place: the hull class per tau, one
+    stacked `_separable_dual` for the live taus, the support scan in rounds
+    (`_brier_scan`), the multipliers stacked by support size, `_finalize`
+    per tau.  Each tau gets its SaddlePoint or the exception its own solve
+    raises."""
+    out = [_attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
+    live = [i for i, hull in enumerate(out) if isinstance(hull, str)]
+    if not live:
+        return out
+    rows = np.vstack([np.ones(statistic.n), statistic.matrix])
+    targets = np.ones((len(live), statistic.k + 1))
+    targets[:, 1:] = [gammas[i].tau for i in live]
     gen, mu = model.separable()
-    y, _, _ = _separable_dual(rows, target, mu, gen)
-    s = rows.T @ y
-    pos = np.maximum(s, 0.0)
-    h_up = 1.0 - float(y @ target) + 0.25 * float(pos @ pos)   # weak duality
-    best = None  # (h, p)
-    for supp in _brier_supports(s, k):
-        passes, sol, _ = support_solutions(rows[:, supp][None], target)
-        if not passes[0]:
-            continue
-        sol = sol[0]
-        p = np.zeros(n)
-        p[list(supp)] = np.where(sol < 0.0, 0.0, sol)
-        h = 1.0 - float(p @ p)
-        if best is None or h > best[0] + 1e-12:
-            best = (h, p)
-        if best[0] + 1e-12 >= h_up:
-            break
-    if best is None or h_up - best[0] > BRIER_GAP_TOL:
-        raise NewtonDivergence(
-            f"Brier dual left a duality gap above {BRIER_GAP_TOL:g}")
-    h, p = best
+    y, _, _, found = _separable_dual(rows, targets, mu, gen)
+    _brier_scan(rows, targets, y, found)
     # multipliers come from the true support; a winning support may carry
     # zero weights whose stationarity condition is an inequality, not an equality
-    supp = np.flatnonzero(p > WEIGHT_CLAMP)
-    a = rows[:, supp]
-    alpha, *_ = np.linalg.lstsq(a.T, p[supp], rcond=None)
-    if np.linalg.matrix_rank(a, tol=RANK_TOL) == k + 1:
+    supports, by_size = {}, {}
+    for j, won in found.items():
+        if not isinstance(won, Exception):
+            supports[j] = np.flatnonzero(won[1] > WEIGHT_CLAMP)
+            by_size.setdefault(supports[j].size, []).append(j)
+    for js in by_size.values():
+        a_t = rows.T[np.array([supports[j] for j in js])]   # a.T, a = rows[:, supp]
+        weights = np.array([found[j][1][supports[j]] for j in js])
+        fits, errors = _by_slice(_lstsq_rank, a_t, weights)
+        for r, j in enumerate(js):
+            found[j] = errors[r] if r in errors else (*found[j], fits[0][r], fits[1][r])
+    for j, i in enumerate(live):
+        out[i] = found[j] if isinstance(found[j], Exception) else _attempt(
+            _brier_saddle, model, gammas[i], out[i], supports[j], *found[j])
+    return out
+
+
+def _lstsq_rank(a_t: np.ndarray, weights: np.ndarray):
+    """lstsq's solutions of a_t[i] alpha = weights[i] and the ranks of
+    a_t[i].T at RANK_TOL, as np.linalg.matrix_rank reads them."""
+    alpha, _ = lstsq_stack(a_t, weights)
+    return alpha[..., 0], np.linalg.matrix_rank(a_t.transpose(0, 2, 1), tol=RANK_TOL)
+
+
+def _brier_saddle(model: LossModel, g: GammaTau, hull: str, supp: np.ndarray,
+                  h: float, p: np.ndarray, alpha: np.ndarray, rank) -> SaddlePoint:
+    """The Brier record from P*, its value and the multipliers alpha of
+    [1; T] on supp(P*), whose rank there is `rank`."""
+    if rank == g.k + 1:
         beta = -2.0 * alpha[1:]
     else:
         beta = _brier_degenerate_beta(g, p, supp)
     beta0 = None if beta is None else h - float(beta @ g.tau)
     zeta = Act(ACT_DISTRIBUTION, p)
-    return _finalize(model, g, p, zeta, h, beta0, beta, 0.0, "brier-enum", hull)
+    return _finalize(model, g, Distribution(p), zeta, h, beta0, beta, 0.0, "brier-enum", hull)
 
 
-def _separable_dual(rows: np.ndarray, target: np.ndarray, mu: np.ndarray,
-                    gen: ConvexGenerator, offset=0.0):
-    """Maximize y'b - sum mu psi*(A'y - r) by regularized semismooth Newton.
+def _brier_scan(rows: np.ndarray, targets: np.ndarray, y: np.ndarray, found: dict) -> None:
+    """The support scan of `solve_brier` for every row of targets that
+    `found` does not hold yet, given the dual maximizers y: found[row]
+    becomes (h, P*) or the exception the scan raised.
 
-    psi* is the conjugate of the generator on [0, inf), r the entropy's
-    linear `offset`, H(P) - P . r, so the gradient is b - A p with p =
-    mu (psi')^-1(max(psi'(0), A'y - r)), and the generalized Hessian is
-    A diag(mu dp/ds) A' over the active outcomes.  A full step is taken when
-    it shrinks the gradient norm, else it is cut at the root of the
-    non-increasing directional derivative; neither test compares dual
-    values.  Returns the last iterate, its p and gradient norm.
+    The scan runs in rounds: each round takes the next support of every
+    unfinished row (`_brier_supports` order) and tests them with one
+    `support_solutions` call per support size, so every row keeps its
+    order, its 1e-12 rule and its early stop.
     """
-    # psi'(0) may be -inf, and a trial step may overflow the density; the
-    # gradient-norm test rejects such a step
-    with np.errstate(divide="ignore", over="ignore"):
-        k1 = rows.shape[0]
-        floor = float(gen.psi_prime(np.zeros(1))[0])
-        tol = _dual_tol(target)
-
-        def density(s):
-            return gen.psi_prime_inv(np.maximum(s, floor))
-
-        def gradient(v):
-            p = mu * density(rows.T @ v - offset)
-            r = target - rows @ p
-            return r, float(np.abs(r).max()), p
-
-        eye = np.eye(k1)
-        y = np.zeros(k1)
-        y[0] = float(gen.psi_prime(np.array([1.0 / mu.sum()]))[0])   # the law mu / sum mu
-        grad, norm, p = gradient(y)
-        for _ in range(NEWTON_MAX_ITER):
-            if norm <= tol:
-                break
-            s = rows.T @ y - offset
-            # dp/ds by a forward difference on a power-of-two step, exact for
-            # linear densities
-            h = np.ldexp(1.0, np.frexp(s)[1] - 20)
-            curve = (mu * density(s + h) - p) / h
-            hess = (rows * curve) @ rows.T + norm * norm * eye
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-            trial = y + step
-            trial_grad, trial_norm, trial_p = gradient(trial)
-            if not trial_norm < norm:
-                e, c = rows.T @ step, float(target @ step)
-                cut = _slope_root(lambda t: c - float(e @ (mu * density(s + t * e))),
-                                  float(grad @ step), np.inf)
-                trial = y + cut * step
-                trial_grad, trial_norm, trial_p = gradient(trial)
-            y, grad, norm, p = trial, trial_grad, trial_norm, trial_p
-        return y, p, norm
-
-
-def _dual_tol(target: np.ndarray) -> float:
-    return DUAL_TOL * (1.0 + float(np.max(np.abs(target))))
+    n, k = rows.shape[1], rows.shape[0] - 1
+    scans, h_up = {}, {}
+    for j in range(len(targets)):
+        if j not in found:
+            s = rows.T @ y[j]
+            pos = np.maximum(s, 0.0)
+            h_up[j] = 1.0 - float(y[j] @ targets[j]) + 0.25 * float(pos @ pos)   # weak duality
+            scans[j] = _brier_supports(s, k)
+    best = {}
+    while scans:
+        picks = {}
+        for j, supports in list(scans.items()):
+            supp = next(supports, None)
+            if supp is None:
+                del scans[j]
+            else:
+                picks.setdefault(len(supp), []).append((j, supp))
+        for batch in picks.values():
+            js = [j for j, _ in batch]
+            a = rows.T[np.array([supp for _, supp in batch])].transpose(0, 2, 1)
+            tested, errors = _by_slice(support_solutions, a,
+                                       targets if len(js) == len(targets) else targets[js])
+            if tested is not None:
+                passes, sols = tested[0].tolist(), np.where(tested[1] < 0.0, 0.0, tested[1])
+            for r, (j, supp) in enumerate(batch):
+                if r in errors:
+                    found[j] = errors[r]
+                    del scans[j]
+                    continue
+                if not passes[r]:
+                    continue
+                p = np.zeros(n)
+                p[list(supp)] = sols[r]
+                h = 1.0 - float(p @ p)
+                if j not in best or h > best[j][0] + 1e-12:
+                    best[j] = (h, p)
+                if best[j][0] + 1e-12 >= h_up[j]:
+                    del scans[j]
+    for j in range(len(targets)):
+        if j in found:
+            continue
+        if j not in best or h_up[j] - best[j][0] > BRIER_GAP_TOL:
+            found[j] = NewtonDivergence(
+                f"Brier dual left a duality gap above {BRIER_GAP_TOL:g}")
+        else:
+            found[j] = best[j]
 
 
 def _brier_supports(s: np.ndarray, k: int):
@@ -505,18 +495,9 @@ def _brier_degenerate_beta(g: GammaTau, p: np.ndarray, supp: np.ndarray):
 # log solver: damped Newton on the dual; faces take the separable dual
 
 
-def _log_kappa(mu: np.ndarray, tmat: np.ndarray, beta: np.ndarray):
-    """kappa(beta) = log sum mu exp(-beta' t) and the tilted distribution."""
-    expo = -tmat.T @ beta
-    shift = float(expo.max())
-    weights = mu * np.exp(expo - shift)
-    z = float(weights.sum())
-    kappa = shift + np.log(z)
-    return kappa, weights / z
-
-
-def solve_log(model: LossModel, g: GammaTau, tol: float = 1e-10) -> SaddlePoint:
-    """Log-loss saddle point: Newton on kappa(beta) + beta' tau.
+def solve_log(model: LossModel, g: GammaTau, tol: float = LOG_TOL) -> SaddlePoint:
+    """Log-loss saddle point: Newton on kappa(beta) + beta' tau, `_log_grid`
+    at one tau.
 
     Interior tau with affinely independent rows runs Newton to `tol`
     ("log-newton").  Boundary tau, and rows affinely dependent over the
@@ -526,74 +507,43 @@ def solve_log(model: LossModel, g: GammaTau, tol: float = 1e-10) -> SaddlePoint:
     """
     if not isinstance(model, LogModel):
         raise ValueError("solve_log needs a log model")
-    hull = _hull_class(g)
+    return _one_tau(_log_grid(model, g.statistic, [g], tol))
+
+
+def _log_grid(model: LossModel, statistic: Statistic, gammas: list, tol: float) -> list:
+    """`solve_log` over a list of Gamma_tau, or of the exceptions that
+    building them raised, as `_brier_grid`: the hull class per tau, one
+    stacked `_newton_tilt` for the interior taus, `_separable_saddle` per
+    tau for the others.  The rank of [1; T] and the F-ordered copy of T
+    that Newton runs on do not depend on tau, so they are taken once."""
+    out = [_attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
+    n = statistic.n
     # an F-ordered copy: Newton's iterates depend on the memory layout
-    tmat = g.statistic.matrix[:, np.arange(g.n)]
-    if hull != "interior" or np.linalg.matrix_rank(
-            np.vstack([np.ones(g.n), tmat]), tol=RANK_TOL) <= g.k:
-        return _separable_saddle(model, model, np.zeros(g.n), g, hull, "log-face")
-    beta, kappa, p, grad_norm = _newton_tilt(model.base.weights, tmat, g.tau, tol)
-    h = model.entropy(Distribution(p))
+    tmat = statistic.matrix[:, np.arange(n)]
+    newton = [i for i, hull in enumerate(out) if hull == "interior"]
+    if newton and np.linalg.matrix_rank(
+            np.vstack([np.ones(n), tmat]), tol=RANK_TOL) <= statistic.k:
+        newton = []
+    for i, hull in enumerate(out):
+        if isinstance(hull, str) and not (newton and hull == "interior"):
+            out[i] = _attempt(_separable_saddle, model, model, np.zeros(n), gammas[i], hull,
+                              "log-face")
+    if newton:
+        beta, kappa, q, norms, failed = _newton_tilt(
+            model.base.weights, tmat, np.array([gammas[i].tau for i in newton]), tol)
+        for j, i in enumerate(newton):
+            out[i] = failed[j] if j in failed else _attempt(
+                _log_saddle, model, gammas[i], out[i], beta[j], kappa[j], q[j], norms[j])
+    return out
+
+
+def _log_saddle(model: LossModel, g: GammaTau, hull: str, beta: np.ndarray,
+                kappa, p: np.ndarray, grad_norm) -> SaddlePoint:
+    """The log-newton record from Newton's beta, kappa(beta) and tilted law."""
+    p_star = Distribution(p)
     zeta = Act(ACT_DENSITY, p / model.base.weights)
-    return _finalize(model, g, p, zeta, h, float(kappa), beta, grad_norm, "log-newton", hull)
-
-
-def _newton_tilt(mu, tmat, tau, tol):
-    """Minimize kappa(beta) + beta' tau; returns (beta, kappa, q, grad norm).
-
-    Damped Newton accepts a step on the Armijo test alone first, which
-    keeps the iterates of every solve that converges that way.  One step
-    short of tol the Armijo decrease can fall below float resolution; then
-    Newton goes on from where it stopped and also takes any step that
-    halves the gradient.
-    """
-    beta, done = _newton_steps(mu, tmat, tau, tol, np.zeros(tmat.shape[0]), False)
-    if not done:
-        beta, done = _newton_steps(mu, tmat, tau, tol, beta, True)
-    if not done:
-        raise NewtonDivergence(
-            f"dual Newton stopped with gradient norm above {tol:g}"
-        )
-    kap, q = _log_kappa(mu, tmat, beta)
-    return beta, kap, q, float(np.max(np.abs(tau - tmat @ q)))
-
-
-def _newton_steps(mu, tmat, tau, tol, beta, by_gradient: bool):
-    """Newton iterations from beta; returns (beta, reached tol)."""
-
-    def objective(b):
-        kap, q = _log_kappa(mu, tmat, b)
-        return kap + float(b @ tau), q
-
-    f_val, q = objective(beta)
-    for _ in range(NEWTON_MAX_ITER):
-        grad = tau - tmat @ q
-        norm = float(np.max(np.abs(grad)))
-        if norm <= tol:
-            return beta, True
-        centered = tmat - (tmat @ q)[:, None]
-        cov = (centered * q) @ centered.T
-        try:
-            step = np.linalg.solve(cov, -grad)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(cov, -grad, rcond=None)
-        slope = float(grad @ step)
-        if not np.all(np.isfinite(step)) or slope >= 0.0:
-            step = -grad
-            slope = -float(grad @ grad)
-        gamma = 1.0
-        for _ in range(60):
-            cand = beta + gamma * step
-            f_new, q_new = objective(cand)
-            if f_new <= f_val + 1e-4 * gamma * slope or (
-                    by_gradient
-                    and float(np.max(np.abs(tau - tmat @ q_new))) <= 0.5 * norm):
-                beta, f_val, q = cand, f_new, q_new
-                break
-            gamma *= 0.5
-        else:
-            break
-    return beta, False
+    return _finalize(model, g, p_star, zeta, model.entropy(p_star), float(kappa), beta,
+                     grad_norm, "log-newton", hull)
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +567,7 @@ def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
     """
     if not isinstance(model, ZeroOneModel):
         raise ValueError("solve_zero_one needs a zero-one model")
-    (sp,) = _zero_one_grid(model, g.statistic, [g])
-    if isinstance(sp, Exception):
-        raise sp
-    return sp
+    return _one_tau(_zero_one_grid(model, g.statistic, [g]))
 
 
 def _zero_one_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
@@ -636,14 +583,6 @@ def _zero_one_grid(model: LossModel, statistic: Statistic, gammas: list) -> list
     return out
 
 
-def _attempt(fn, *args):
-    """fn(*args), or the exception it raised, for the caller to raise at its turn."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
-
-
 def _zero_one_saddle(model: LossModel, g: GammaTau, hull: str, m_star: float,
                      p: np.ndarray, weights: np.ndarray) -> SaddlePoint:
     """Phase 2 of `solve_zero_one` on phase 1's (m*, P*, LP dual weights)."""
@@ -654,7 +593,7 @@ def _zero_one_saddle(model: LossModel, g: GammaTau, hull: str, m_star: float,
         zeta = np.maximum(weights, 0.0)
         act = zeta / zeta.sum(), None, None, None
     zeta, beta0, beta, family = act
-    return _finalize(model, g, p, Act(ACT_DISTRIBUTION, zeta), h, beta0, beta,
+    return _finalize(model, g, Distribution(p), Act(ACT_DISTRIBUTION, zeta), h, beta0, beta,
                      0.0, "zero-one-enum", hull, family)
 
 
@@ -691,10 +630,13 @@ def _min_pmax(statistic: Statistic, taus) -> list:
     n, k = statistic.n, statistic.k
     tmat = statistic.matrix
     found = [_attempt(_pmax_lp, tmat, tau) for tau in taus]
+    live = [i for i, screen in enumerate(found) if not isinstance(screen, Exception)]
     groups = {}
-    for i, screen in enumerate(found):
-        if not isinstance(screen, Exception):
-            zero, mode = screen[1], screen[2] > SCREEN_TOL
+    for i in live:
+        zero, mode = found[i][1], found[i][2] > SCREEN_TOL
+        if len(live) == 1:   # one tau, one group
+            groups[None] = zero, mode, live
+        else:
             groups.setdefault((zero.tobytes(), mode.tobytes()), (zero, mode, []))[2].append(i)
     for zero, mode, idx in groups.values():
         n_open = n - int(np.count_nonzero(zero | mode))
@@ -719,37 +661,43 @@ def _min_pmax(statistic: Statistic, taus) -> list:
 def _pattern_pools(tmat: np.ndarray, zero, mode, taus) -> list:
     """(levels, points) of the candidates that pass the exact test, in loop
     order, for each tau of `taus`; each block of `_pattern_systems` is solved
-    against all their targets [1; tau] in one `support_solutions` call."""
+    against all their targets [1; tau] in one `support_solutions` call.  One
+    tau's target is not stacked, and its candidates need no grouping: the
+    points come as the blocks' rows."""
     k = tmat.shape[0]
-    target = np.ones((len(taus), 1, k + 1))
-    target[:, 0, 1:] = taus
+    if len(taus) == 1:
+        target = np.concatenate([[1.0], taus[0]])
+    else:
+        target = np.ones((len(taus), 1, k + 1))
+        target[:, 0, 1:] = taus
     owners, levels, points = [], [], []
     for free, members, a in _pattern_systems(tmat, zero, mode, k):
         passes, sol, _ = support_solutions(a, target)
         m, pf = sol[..., 0], sol[..., 1:]
-        keep = passes & (pf.max(axis=2, initial=-np.inf) <= m + 1e-9)
-        t, s = keep.nonzero()
+        keep = passes & (pf.max(axis=-1, initial=-np.inf) <= m + 1e-9)
+        *owner, s = keep.nonzero()
         level = np.where(m < 0.0, 0.0, m)[keep]
         p = np.where(members[s], level[:, None], 0.0)
         p[np.arange(s.size)[:, None], free[s]] = np.where(pf < 0.0, 0.0, pf)[keep]
-        owners.append(t)
+        owners += owner
         levels.append(level)
         points.append(p)
+    if len(taus) == 1:
+        return [([m for level in levels for m in level.tolist()], chain.from_iterable(points))]
     owner = np.concatenate(owners)
     level, p = np.concatenate(levels), np.concatenate(points)
-    ends = [owner.size]
-    if len(taus) > 1:   # group by tau, each tau's in loop order
-        order = owner.argsort(kind="stable")
-        level, p = level[order], p[order]
-        ends = np.bincount(owner, minlength=len(taus)).cumsum().tolist()
+    # group by tau, each tau's in loop order
+    order = owner.argsort(kind="stable")
+    level, p = level[order], p[order]
+    ends = np.bincount(owner, minlength=len(taus)).cumsum().tolist()
     return [(level[lo:hi].tolist(), p[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
-def _pmax_pick(tau: np.ndarray, screen, levels: list, points: np.ndarray):
-    """(m*, P*, weights) from one tau's candidates and its LP screen (LP
-    minimum, forced zeros, weights): the least level, checked against the
-    LP minimum, and among the candidates within 1e-12 of it the first by a
-    stable sort."""
+def _pmax_pick(tau: np.ndarray, screen, levels: list, points):
+    """(m*, P*, weights) from one tau's candidates (their levels, and their
+    points as an iterable of rows) and its LP screen (LP minimum, forced
+    zeros, weights): the least level, checked against the LP minimum, and
+    among the candidates within 1e-12 of it the first by a stable sort."""
     if not levels:
         raise Infeasible(f"Gamma_tau empty for tau={tau}")
     lp_value, _, weights = screen
@@ -950,20 +898,24 @@ def _separable_saddle(model: LossModel, base: LossModel, r: np.ndarray, g: Gamma
     aim = rows @ np.linalg.lstsq(rows, target, rcond=None)[0]
     aim = aim / aim[0]
     gen, mu = base.separable()
-    y, p_idx, norm = _separable_dual(rows, aim, mu[idx], gen, r[idx])
+    y, p_idx, norm, failed = _separable_dual(rows, aim[None], mu[idx], gen, r[idx])
+    if failed:
+        raise failed[0]
+    y, p_idx, norm = y[0], p_idx[0], norm[0]
     if not norm <= _dual_tol(aim):
         raise NewtonDivergence(
             f"{method}: separable dual stopped with gradient norm {norm:.3e}")
     norm = float(np.abs(rows @ p_idx - target).max())   # the residual against tau itself
     p = np.zeros(g.n)
     p[idx] = p_idx
-    h = model.entropy(Distribution(p))
+    p_star = Distribution(p)
+    h = model.entropy(p_star)
     beta = beta0 = None
     if np.linalg.matrix_rank(rows, tol=RANK_TOL) == g.k + 1:
         beta = -y[1:]
         beta0 = h - float(beta @ g.tau)
-    zeta = base.bayes_act(Distribution(p))
-    return _finalize(model, g, p, zeta, h, beta0, beta, norm, method, hull)
+    zeta = base.bayes_act(p_star)
+    return _finalize(model, g, p_star, zeta, h, beta0, beta, norm, method, hull)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,7 +957,7 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
         if resid <= LINEAR_FIT_TOL and supp.size >= g.k + 1:
             beta = bvec
             beta0 = h - float(beta @ g.tau)
-    return _finalize(model, g, p, res.act, h, beta0, beta, res.gap, res.method, hull)
+    return _finalize(model, g, dist, res.act, h, beta0, beta, res.gap, res.method, hull)
 
 
 # ---------------------------------------------------------------------------
@@ -1048,11 +1000,18 @@ def solve_grid(model: LossModel, statistic: Statistic, taus,
 
     A zero-one model runs phase 1 for the whole grid (`_zero_one_grid`), so
     the taus the LP screens alike share one exact test per block of pattern
-    systems; every other model is solved tau by tau.
+    systems.  A Brier model runs one stacked dual Newton for the grid, then
+    its support scan in rounds of one exact test per support size
+    (`_brier_grid`); a log model runs one stacked Newton for its interior
+    taus (`_log_grid`).  Every other model is solved tau by tau.
     """
     gammas = [_attempt(GammaTau, statistic, tau) for tau in taus]
     if isinstance(model, ZeroOneModel):
         return _zero_one_grid(model, statistic, gammas)
+    if isinstance(model, BrierModel):
+        return _brier_grid(model, statistic, gammas)
+    if isinstance(model, LogModel):
+        return _log_grid(model, statistic, gammas, LOG_TOL if tol is None else tol)
     return [g if isinstance(g, Exception) else _attempt(solve, model, g, tol)
             for g in gammas]
 
@@ -1445,7 +1404,7 @@ def lafferty_family(model: LossModel, p0: Distribution, statistic: Statistic,
         tau = statistic.matrix @ tr.q.w
         g = GammaTau(statistic, tau)
         h0 = rel.entropy(tr.q)
-        sp = _finalize(rel, g, tr.q.w, rel.bayes_act(tr.q), h0,
+        sp = _finalize(rel, g, Distribution(tr.q.w), rel.bayes_act(tr.q), h0,
                        tr.chi, np.array([b]), tr.gap, "lafferty-tilt", _hull_class(g))
         rows.append(sp)
     rows.sort(key=lambda r: float(r.tau[0]))

@@ -1,16 +1,24 @@
-"""Zero-one solves over a tau grid against `solve` at each tau alone.
+"""Solves over a tau grid against `solve` at each tau alone.
 
 `maxent.solve_grid` runs zero-one phase 1 for a whole grid: one LP per tau,
 then, for the taus whose LP screen gives the same (zero, mode) masks, one
-exact test per block of pattern systems against all their targets.  Every
-SaddlePoint must be the one `solve(model, GammaTau(T, tau))` gives, field for
-field and bit for bit, and every exception the one it raises, type and
-message.  The grids (from test_vertex_lists) hold hull vertices, points on
-faces, sparse laws, points just inside and just outside the consistency band
-of a hull end and points far outside, on uniform and integer (tied)
-statistics with N 3-12 and k 1-3.  They run through `cli._grid_solves` with a
-small GRID_CHUNK, so they cross chunk boundaries, and once more with a small
-SYSTEM_BLOCK, which splits the taus of one screen into several calls.
+exact test per block of pattern systems against all their targets.  Brier
+grids run one stacked dual Newton, then the support scan in rounds of one
+exact test per support size; log grids run one stacked Newton for their
+interior taus.  Every SaddlePoint must be the one `solve(model,
+GammaTau(T, tau))` gives, field for field and bit for bit, and every
+exception the one it raises, type and message.  The grids (from
+test_vertex_lists) hold hull vertices, points on faces, sparse laws, points
+just inside and just outside the consistency band of a hull end and points
+far outside, on uniform and integer (tied) statistics with N 3-12 and k 1-3.
+They run through `cli._grid_solves` with a small GRID_CHUNK, so they cross
+chunk boundaries, and once more with a small SYSTEM_BLOCK, which splits the
+taus of one screen into several calls.
+
+A Brier record reads its dual only through the support it picks, so a
+drifted iterate could hide behind equal records: the stacked iterates of
+`_separable_dual` and `_newton_tilt` are checked against one-row stacks
+directly.
 """
 
 import dataclasses
@@ -22,16 +30,22 @@ import pytest
 from maxentgames import (
     GammaTau,
     Infeasible,
+    NewtonDivergence,
     SampleSpace,
     SaddlePoint,
     Statistic,
+    brier_model,
     cli,
+    log_model,
     maxent,
     solve,
     solve_grid,
     zero_one_model,
 )
+from maxentgames import _newton
 from maxentgames.constraints import SYSTEM_BLOCK
+from maxentgames.core import BaseMeasure
+from maxentgames.losses import bregman_model, square_generator, xlogx_generator
 from test_vertex_lists import grid, statistic
 from test_zero_one_lp import tied_statistic
 
@@ -54,23 +68,23 @@ def assert_same(a, b, where):
         assert a == b, where
 
 
-def alone(model, t, tau):
+def alone(model, t, tau, tol=None):
     """`solve` at one tau, or the exception it raises."""
     try:
-        return solve(model, GammaTau(Statistic(t), tau))
+        return solve(model, GammaTau(Statistic(t), tau), tol)
     except Exception as exc:
         return exc
 
 
-def assert_matches_each_tau_alone(model, t, taus, found):
+def assert_matches_each_tau_alone(model, t, taus, found, tol=None):
     assert len(found) == len(taus)
     for tau, sp in zip(taus, found):
-        ref = alone(model, t, tau)
+        ref = alone(model, t, tau, tol)
         if isinstance(ref, Exception):
             assert type(sp) is type(ref), (tau, sp)
             assert str(sp) == str(ref), tau
         else:
-            assert_same(sp, ref, tuple(tau))
+            assert_same(sp, ref, tuple(np.ravel(tau)))
 
 
 def cases():
@@ -86,7 +100,7 @@ def test_zero_one_grid_matches_each_tau_alone_bitwise(monkeypatch, block):
     inner = maxent.support_solutions
 
     def counted(a, target):
-        calls.append((a.shape[0], target.shape[0]))
+        calls.append((a.shape[0], target.shape[0] if target.ndim > 1 else 1))
         return inner(a, target)
 
     monkeypatch.setattr(cli, "GRID_CHUNK", 5)
@@ -135,7 +149,10 @@ def test_a_bad_tau_is_its_own_exception():
 
 
 def test_other_models_are_solved_tau_by_tau(monkeypatch):
+    # a Bregman model on the statistic of the Brier spec: the separable dual
+    # of psi(s) = s log s, solved tau by tau
     spec = cli.parse_spec(os.path.join(SPECS, "brier_mean.json"))
+    model = bregman_model(spec.space, xlogx_generator())
     taus = np.array([[-0.5], [0.25], [1.5]])
     solves = []
     inner = maxent.solve
@@ -145,8 +162,137 @@ def test_other_models_are_solved_tau_by_tau(monkeypatch):
         return inner(model, g, tol)
 
     monkeypatch.setattr(maxent, "solve", counted)
-    found = solve_grid(spec.model, spec.statistic, taus)
+    found = solve_grid(model, spec.statistic, taus)
     assert len(solves) == 3
     monkeypatch.setattr(maxent, "solve", inner)
-    assert_matches_each_tau_alone(spec.model, spec.statistic.matrix, taus, found)
+    assert_matches_each_tau_alone(model, spec.statistic.matrix, taus, found)
     assert isinstance(found[2], Infeasible)
+
+
+def with_bad_taus(rng, taus):
+    """taus with a NaN tau and a tau of the wrong length put in at random
+    places, as a list."""
+    k = taus.shape[1]
+    out = list(taus)
+    for bad in (np.full(k, np.nan), np.zeros(k + 1)):
+        out.insert(int(rng.integers(len(out) + 1)), bad)
+    return out
+
+
+@pytest.mark.parametrize("block", [SYSTEM_BLOCK, 24])
+@pytest.mark.parametrize("kind", ["brier", "log"])
+def test_separable_grids_match_each_tau_alone_bitwise(monkeypatch, kind, block):
+    monkeypatch.setattr(cli, "GRID_CHUNK", 5)
+    monkeypatch.setattr(maxent, "SYSTEM_BLOCK", block)
+    rng = np.random.default_rng(20261022)
+    kinds = set()
+    for n, k, tied, count in cases():
+        t = statistic(rng, n, k, tied)
+        taus = with_bad_taus(rng, grid(rng, t, count))
+        space = SampleSpace.of(range(n))
+        model = brier_model(space) if kind == "brier" else log_model(space)
+        found = [sp for _, _, sp, _ in
+                 cli._grid_solves(model, Statistic(t), taus, None, with_vertices=False)]
+        assert_matches_each_tau_alone(model, t, taus, found)
+        kinds.update(sp.method if isinstance(sp, SaddlePoint) else type(sp).__name__
+                     for sp in found)
+    expected = {"brier-enum"} if kind == "brier" else {"log-newton", "log-face"}
+    assert expected | {"Infeasible", "DimensionMismatch"} <= kinds
+
+
+def test_a_log_newton_divergence_takes_its_turn():
+    # a gradient tolerance below float resolution: Newton stops above it at
+    # two interior taus, while tau = T u reaches it and the hull end, an
+    # outside point and a bad tau keep their own outcomes, in grid order
+    t = np.array([[-1.0, -0.2, 0.4, 1.0], [0.3, -0.5, 0.9, 0.1]])
+    model = log_model(SampleSpace.of(range(4)))
+    taus = [t @ np.full(4, 0.25), t @ np.array([0.1, 0.2, 0.3, 0.4]), [5.0, 0.0],
+            t[:, 0], [np.nan, 0.0], t @ np.array([0.7, 0.1, 0.1, 0.1])]
+    found = solve_grid(model, Statistic(t), taus, 1e-17)
+    assert_matches_each_tau_alone(model, t, taus, found, 1e-17)
+    assert [sp.method if isinstance(sp, SaddlePoint) else type(sp).__name__
+            for sp in found] == ["NewtonDivergence", "NewtonDivergence", "Infeasible",
+                                 "log-face", "DimensionMismatch", "log-newton"]
+    assert found[0] is not found[1]
+    assert "gradient norm above 1e-17" in str(found[0])
+
+
+def inner_points(rng, t, count):
+    """Hull vertices, face points and interior laws of the statistic t."""
+    k, n = t.shape
+    face = np.flatnonzero(t[0] == -1.0)
+    kinds = [lambda: t[:, rng.integers(n)],
+             lambda: t[:, face] @ rng.dirichlet(np.ones(face.size)),
+             lambda: t @ rng.dirichlet(np.full(n, 0.3)),
+             lambda: t @ rng.dirichlet(np.ones(n))]
+    return np.array([kinds[i % len(kinds)]() for i in range(count)])
+
+
+def assert_rows_match(stacked, alone, row):
+    """Row `row` of a stacked result (arrays, {row: exception}) is the
+    one-row result of that row, bit for bit."""
+    *arrays, failed = stacked
+    *ones, one_failed = alone
+    if 0 in one_failed:
+        assert type(failed[row]) is type(one_failed[0])
+        assert str(failed[row]) == str(one_failed[0])
+    else:
+        assert row not in failed
+        for whole, one in zip(arrays, ones):
+            assert_same(whole[row], one[0], row)
+
+
+def test_stacked_duals_match_one_row_stacks_bitwise(monkeypatch):
+    cuts, halvings, diverged = [], [], []
+    slope_root, log_kappa = _newton._slope_root, _newton._log_kappa
+
+    def counted_root(*args, **kwargs):
+        cuts.append(1)
+        return slope_root(*args, **kwargs)
+
+    def counted_kappa(mu, neg, beta):
+        halvings.append(beta.ndim == 3)   # the line search's block of step lengths
+        return log_kappa(mu, neg, beta)
+
+    monkeypatch.setattr(_newton, "_slope_root", counted_root)
+    monkeypatch.setattr(_newton, "_log_kappa", counted_kappa)
+    rng = np.random.default_rng(20261023)
+    for n, k, tied, count in cases():
+        t = statistic(rng, n, k, tied)
+        taus = inner_points(rng, t, count)
+        rows = np.vstack([np.ones(n), t])
+        targets = np.hstack([np.ones((count, 1)), taus])
+        targets[2 + 4 * rng.integers(count // 4)] = np.nan   # its step raises LinAlgError
+        mu, offset = rng.uniform(0.5, 2.0, n), rng.uniform(-0.5, 0.5, n)
+        # s log s over every outcome has no dual maximum at a vertex or on a
+        # face, so it takes the interior laws alone
+        for gen, weights, r, b in ((square_generator(n), np.ones(n), 0.0, targets),
+                                   (xlogx_generator(), mu, offset, targets[2::4])):
+            stacked = _newton._separable_dual(rows, b, weights, gen, r)
+            for j in range(len(b)):
+                assert_rows_match(stacked, _newton._separable_dual(
+                    rows, b[j:j + 1], weights, gen, r), j)
+            assert list(stacked[-1]) == np.flatnonzero(np.isnan(b[:, 0])).tolist()
+        tmat, inner = t[:, np.arange(n)], taus[np.arange(count) % 4 >= 2]
+        for tol in (1e-10, 1e-17) if n <= 4 else (1e-10,):   # 1e-17: rows that diverge
+            stacked = _newton._newton_tilt(mu, tmat, inner, tol)
+            diverged.extend(type(exc) is NewtonDivergence for exc in stacked[-1].values())
+            for j in range(len(inner)):
+                assert_rows_match(stacked, _newton._newton_tilt(mu, tmat, inner[j:j + 1], tol), j)
+    assert cuts, "no dual took a cut step"
+    assert diverged and all(diverged), "no Newton row diverged"
+    assert any(halvings), "no line search halved its step"
+
+
+def test_a_singular_newton_step_is_its_own_rows():
+    # np.linalg.solve per row, lstsq where the covariance is singular, and
+    # the LinAlgError of a row whose lstsq raises too stays in that row
+    cov = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
+                    [[0.0, 0.0], [0.0, np.nan]], [[3.0, -1.0], [-1.0, 2.0]]])
+    rhs = np.array([[1.0, -2.0], [0.5, 0.5], [1.0, 1.0], [0.25, 4.0]])
+    step, failed = _newton._newton_solve(cov, rhs)
+    assert list(failed) == [2]
+    assert type(failed[2]) is np.linalg.LinAlgError
+    assert_same(step[0], np.linalg.solve(cov[0], rhs[0]), 0)
+    assert_same(step[1], np.linalg.lstsq(cov[1], rhs[1], rcond=None)[0], 1)
+    assert_same(step[3], np.linalg.solve(cov[3], rhs[3]), 3)
