@@ -146,13 +146,19 @@ def _separable_dual(rows: np.ndarray, targets: np.ndarray, mu: np.ndarray,
         m, k1 = targets.shape
         floor = float(gen.psi_prime(np.zeros(1))[0])
         tol = _dual_tol(targets)
+        # x * 1 and x - 0 are x, bit for bit: a unit mu and a zero offset skip them
+        unit = bool((mu == 1.0).all())
+        shifted = not (isinstance(offset, float) and offset == 0.0)
 
-        def density(s):
-            return gen.psi_prime_inv(np.maximum(s, floor))
+        def density(s):   # mu (psi')^-1(max(psi'(0), s))
+            d = gen.psi_prime_inv(np.maximum(s, floor))
+            return d if unit else mu * d
 
         def gradient(v, b):   # (b - A p, its norm, p, A'v - r)
-            s = _matvecs(rows.T, v) - offset
-            p = mu * density(s)
+            s = _matvecs(rows.T, v)
+            if shifted:
+                s = s - offset
+            p = density(s)
             r = b - _matvecs(rows, p)
             return r, np.maximum.reduce(np.abs(r), axis=1), p, s
 
@@ -181,9 +187,9 @@ def _separable_dual(rows: np.ndarray, targets: np.ndarray, mu: np.ndarray,
             # dp/ds by a forward difference on a power-of-two step, exact for
             # linear densities
             h = np.ldexp(1.0, np.frexp(s)[1] - 20)
-            curve = (mu * density(s + h) - pa) / h
+            curve = (density(s + h) - pa) / h
             hess = (rows * curve[:, None, :]) @ rows.T
-            hess += np.multiply.outer(na * na, eye)
+            hess += (na * na)[:, None, None] * eye
             try:
                 step = lstsq_stack(hess, ga)[0][..., 0]
                 errors = {}
@@ -198,13 +204,17 @@ def _separable_dual(rows: np.ndarray, targets: np.ndarray, mu: np.ndarray,
             trial_grad, trial_norm, trial_p, trial_s = gradient(trial, b)
             shrunk = trial_norm < na
             if np.count_nonzero(shrunk) < shrunk.size:
-                cuts = [j for j in np.flatnonzero(~shrunk).tolist() if j not in errors]
+                cuts = np.flatnonzero(~shrunk).tolist()
+                if errors:
+                    cuts = [j for j in cuts if j not in errors]
                 for j in cuts:
                     e, c, sj = rows.T @ step[j], float(b[j] @ step[j]), s[j]
-                    cut = _slope_root(lambda t: c - float(e @ (mu * density(sj + t * e))),
+                    cut = _slope_root(lambda t: c - float(e @ density(sj + t * e)),
                                       float(ga[j] @ step[j]), np.inf)
                     trial[j] = ya[j] + cut * step[j]
-                if cuts:
+                if len(cuts) == len(trial):   # every row cut: no gather, no scatter
+                    trial_grad, trial_norm, trial_p, trial_s = gradient(trial, b)
+                elif cuts:
                     (trial_grad[cuts], trial_norm[cuts], trial_p[cuts],
                      trial_s[cuts]) = gradient(trial[cuts], b[cuts])
             if at is whole:

@@ -8,6 +8,13 @@ pick a pivot of 1e-10 and lose the equality rows to roundoff; the largest
 pivot cannot.  After BLAND_AFTER degenerate pivots in a row, Bland's rule
 (lowest-index entering column, lowest-index basic variable among the minimum
 ratios) takes over until a step makes progress, so the iteration cannot cycle.
+
+`solve_lps` runs a stack of LPs that share their shape in lockstep: one
+tableau per row in one array, every row pivoting at once, each doing the
+arithmetic `solve_lp` does, so every row's result is `solve_lp`'s bit for
+bit.  A row that is done takes no further step, and a redundant constraint
+row stays in its tableau, masked, where `solve_lp` deletes it.  A one-row
+stack goes to `solve_lp` itself, which costs less.
 """
 
 from __future__ import annotations
@@ -137,3 +144,164 @@ def solve_lp(c, a_eq, b_eq):
     for r, bv in enumerate(basis):
         x[bv] = max(float(work[r, -1]), 0.0)
     return x, float(c @ x), work[-1, :n].copy()
+
+
+def solve_lps(c, a_eq, b_eq) -> list:
+    """`solve_lp` for each row: c (S, n), a_eq (m, n) shared or (S, m, n),
+    b_eq (S, m).  Returns, per row, what solve_lp(c[s], a_eq[s], b_eq[s])
+    returns or the exception it raises (Infeasible, Unbounded, PivotLimit),
+    in place, bit for bit.
+
+    The rows run in lockstep (`_iterate_stack`); the dot product c @ x of
+    each row is the 1-D call.  One row is `solve_lp` itself.  A NaN in a
+    row's data makes both raise ValueError, with messages of their own.
+    """
+    c = np.asarray(c, dtype=float)
+    b = np.array(b_eq, dtype=float)
+    a = np.asarray(a_eq, dtype=float)
+    if b.ndim != 2 or c.ndim != 2 or a.ndim not in (2, 3):
+        raise ValueError("solve_lps needs c (S, n), a_eq (m, n) or (S, m, n), b_eq (S, m)")
+    s_count, m = b.shape
+    n = a.shape[-1]
+    if (a.shape[-2] != m or c.shape != (s_count, n)
+            or a.ndim == 3 and a.shape[0] != s_count):
+        raise ValueError("b_eq / c shapes do not match a_eq")
+    if s_count == 0:
+        return []
+    if s_count == 1:
+        try:
+            return [solve_lp(c[0], a if a.ndim == 2 else a[0], b[0])]
+        except (ArithmeticError, ValueError) as exc:
+            return [exc]
+    a = np.array(np.broadcast_to(a, (s_count, m, n)))
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+    out = [None] * s_count
+
+    # phase 1: minimize the sum of artificial variables
+    tableau = np.zeros((s_count, m + 1, n + m + 1))
+    tableau[:, :m, :n] = a
+    tableau[:, :m, n:n + m] = np.eye(m)
+    tableau[:, :m, -1] = b
+    tableau[:, -1, :n] = -a.sum(axis=-2)
+    tableau[:, -1, -1] = -b.sum(axis=-1)
+    basis = np.array(np.broadcast_to(np.arange(n, n + m), (s_count, m)))
+    _iterate_stack(tableau, basis, np.ones((s_count, m), dtype=bool), n + m, out)
+    for s in np.flatnonzero(tableau[:, -1, -1] < -FEAS_TOL).tolist():
+        if out[s] is None:
+            out[s] = Infeasible("phase-1 optimum positive: constraints unsatisfiable")
+    live = np.array([s for s, o in enumerate(out) if o is None], dtype=np.intp)
+    if not live.size:
+        return out
+    tableau, basis = tableau[live], basis[live]
+
+    # drive any artificial variables out of the basis
+    for r in range(m):
+        stuck = np.flatnonzero(basis[:, r] >= n)
+        if stuck.size:
+            row = np.abs(tableau[stuck, r, :n])
+            col = row.argmax(axis=1)
+            moves = row[np.arange(stuck.size), col] > PIVOT_TOL
+            stuck, col = stuck[moves], col[moves]
+            if stuck.size:
+                part = tableau[stuck]
+                _pivot_stack(part, np.full(stuck.size, r), col)
+                tableau[stuck] = part
+                basis[stuck, r] = col
+    usable = basis < n   # an artificial still basic marks a redundant constraint
+
+    # phase 2 on the original objective
+    work = np.zeros((live.size, m + 1, n + 1))
+    work[:, :m, :n] = tableau[:, :m, :n]
+    work[:, :m, -1] = tableau[:, :m, -1]
+    work[:, -1, :n] = c[live]
+    at = np.arange(live.size)
+    for r in range(m):
+        coef = work[at, -1, np.where(usable[:, r], basis[:, r], 0)]
+        sel = np.flatnonzero(usable[:, r] & (np.abs(coef) > 0.0))
+        if sel.size:
+            work[sel, -1] -= coef[sel, None] * work[sel, r]
+    _iterate_stack(work, basis, usable, n, out, live)
+
+    rhs = work[:, :m, -1]
+    rhs = np.where(rhs < 0.0, 0.0, rhs)
+    for j, s in enumerate(live.tolist()):
+        if out[s] is None:
+            x = np.zeros(n)
+            x[basis[j][usable[j]]] = rhs[j][usable[j]]
+            out[s] = x, float(c[s] @ x), work[j, -1, :n].copy()
+    return out
+
+
+def _pivot_stack(tableau: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """`_pivot` on each tableau of the stack at (rows[i], cols[i]); the
+    products are those of np.outer."""
+    at = np.arange(len(tableau))
+    prow = tableau[at, rows] / tableau[at, rows, cols][:, None]
+    tableau[at, rows] = prow
+    factor = tableau[at, :, cols]
+    factor[at, rows] = 0.0
+    tableau -= factor[:, :, None] * prow[:, None, :]
+
+
+def _iterate_stack(tableau: np.ndarray, basis: np.ndarray, usable: np.ndarray,
+                   n_cols: int, out: list, index=None) -> None:
+    """`_iterate` on every tableau of the stack (S, R + 1, C + 1) in
+    lockstep, with basis (S, R) and the mask `usable` (S, R) of the rows the
+    ratio test may take.  A row that reached its optimum takes no further
+    step and keeps its final tableau and basis in place; a row that raised
+    takes its exception into out[index[s]] (index defaults to the rows)."""
+    index = np.arange(len(tableau)) if index is None else index
+    pos = np.arange(len(tableau))   # each working row's place in the stack
+    work, wb, wu = tableau, basis, usable
+    degenerate = np.zeros(len(tableau), dtype=np.intp)
+    for _ in range(LP_MAX_ITER):
+        at = np.arange(len(work))
+        cost = work[:, -1, :n_cols]
+        bland = degenerate >= BLAND_AFTER
+        any_bland = bland.any()
+        entering = cost.argmin(axis=1)
+        done = cost[at, entering] >= -PIVOT_TOL
+        if any_bland:
+            negative = cost[bland] < -PIVOT_TOL
+            entering[bland] = negative.argmax(axis=1)
+            done[bland] = ~negative.any(axis=1)
+        col = work[at, :-1, entering]
+        rhs = work[:, :-1, -1]
+        positive = (col > PIVOT_TOL) & wu
+        safe = np.where(positive, col, 1.0)
+        bound = np.where(positive, (rhs + HARRIS_TOL) / safe, np.inf).min(axis=1)
+        within = positive & (rhs / safe <= bound[:, None])
+        leaving = np.where(within, col, -np.inf).argmax(axis=1)
+        if any_bland:
+            ratios = np.where(positive[bland], np.maximum(rhs[bland], 0.0) / safe[bland], np.inf)
+            tie = ratios <= ratios.min(axis=1)[:, None] + 1e-12
+            within[bland] = positive[bland] & tie
+            leaving[bland] = np.where(within[bland], wb[bland], np.iinfo(np.intp).max).argmin(axis=1)
+        stop = done | ~within.any(axis=1)
+        if stop.any():
+            for j in np.flatnonzero(stop & ~done).tolist():
+                out[index[pos[j]]] = (
+                    Unbounded("no positive pivot entry in the entering column")
+                    if not positive[j].any() else
+                    ValueError("no leaving row: the ratio test met a nan"))
+            if work is not tableau:
+                fin = np.flatnonzero(done)
+                tableau[pos[fin]], basis[pos[fin]] = work[fin], wb[fin]
+            go = ~stop
+            if not go.any():
+                return
+            work, wb, wu, degenerate, pos = work[go], wb[go], wu[go], degenerate[go], pos[go]
+            entering, leaving, col, cost = entering[go], leaving[go], col[go], cost[go]
+            at = np.arange(len(work))
+        # a leaving variable that dipped below zero leaves at zero: no step back
+        level = work[at, leaving, -1]
+        level = np.where(level < 0.0, 0.0, level)
+        work[at, leaving, -1] = level
+        gain = level / col[at, leaving] * -cost[at, entering]
+        degenerate = np.where(gain <= PIVOT_TOL, degenerate + 1, 0)
+        _pivot_stack(work, leaving, entering)
+        wb[at, leaving] = entering
+    for j in range(len(work)):
+        out[index[pos[j]]] = PivotLimit(f"simplex phase exceeded {LP_MAX_ITER} pivots")

@@ -74,7 +74,7 @@ from .maxent import (
     conjugacy_check,
     solve_grid,
 )
-from .verify import verify_saddle
+from .verify import verify_grid, verify_saddle
 
 CSV_SCHEMA = "maxentgames-sweep v1"
 LN2 = math.log(2.0)
@@ -368,14 +368,22 @@ def _grid_values(spec: ProblemSpec, args) -> np.ndarray:
 def _grid_solves(model: LossModel, statistic: Statistic, taus: np.ndarray,
                  tol: float | None, with_vertices: bool):
     """(tau, Gamma_tau or None, saddle point, vertex list or None) for each
-    row tau of `taus`, in order; the vertex lists only when asked for, after
-    the size caps are checked, before any solve.
+    row tau of `taus`, in order, by `_grid_chunks`."""
+    for chunk in _grid_chunks(model, statistic, taus, tol, with_vertices):
+        yield from chunk
 
-    Each chunk of GRID_CHUNK taus is solved by one `solve_grid` call, then
-    the vertex lists of the solved ones come from one `vertex_lists` call.
-    Where building Gamma_tau or solving raised, or Gamma_tau has no vertex,
-    the exception takes the saddle point's place, for the caller to raise at
-    its turn, so rows and errors come in the grid's order.
+
+def _grid_chunks(model: LossModel, statistic: Statistic, taus: np.ndarray,
+                 tol: float | None, with_vertices: bool):
+    """Lists of (tau, Gamma_tau or None, saddle point, vertex list or None),
+    one per chunk of GRID_CHUNK rows of `taus`, in order; the vertex lists
+    only when asked for, after the size caps are checked, before any solve.
+
+    Each chunk is solved by one `solve_grid` call, then the vertex lists of
+    the solved ones come from one `vertex_lists` call.  Where building
+    Gamma_tau or solving raised, or Gamma_tau has no vertex, the exception
+    takes the saddle point's place, for the caller to raise at its turn, so
+    rows and errors come in the grid's order.
     """
     if with_vertices:
         check_sizes(statistic)
@@ -385,12 +393,14 @@ def _grid_solves(model: LossModel, statistic: Statistic, taus: np.ndarray,
         lists = iter(vertex_lists(statistic, [tau for tau, sp in zip(chunk, solved)
                                               if isinstance(sp, SaddlePoint)])
                      if with_vertices else ())
+        rows = []
         for tau, sp in zip(chunk, solved):
             vs = next(lists) if with_vertices and isinstance(sp, SaddlePoint) else None
             if isinstance(vs, Infeasible):
                 sp, vs = vs, None
             g = GammaTau(statistic, tau) if isinstance(sp, SaddlePoint) else None
-            yield tau, g, sp, vs
+            rows.append((tau, g, sp, vs))
+        yield rows
 
 
 def cmd_sweep(args) -> int:
@@ -440,39 +450,63 @@ def _suite_taus(spec: ProblemSpec) -> np.ndarray:
 def _suite_solves(spec: ProblemSpec, rows: list, with_vertices: bool,
                   model: LossModel | None = None):
     """(tau cell, Gamma_tau, saddle point, vertices or None) for every suite
-    tau, by `_grid_solves`; the vertex list, which the size caps bound, only
-    when asked for.  The saddle is of `model`'s game, by default the spec's.
+    tau, by `_suite_chunks`, the solved ones only (`_solved`)."""
+    for chunk in _suite_chunks(spec, with_vertices, model):
+        for cell, g, sp, vs in chunk:
+            if _solved(rows, cell, sp):
+                yield cell, g, sp, vs
 
-    An infeasible tau appends its row to `rows` instead.  The tau cell is a
-    float for a scalar statistic and a list for k >= 2.
-    """
+
+def _suite_chunks(spec: ProblemSpec, with_vertices: bool, model: LossModel | None = None):
+    """Lists of (tau cell, Gamma_tau or None, saddle point or the exception
+    in its place, vertices or None), one per chunk of the suite taus, by
+    `_grid_chunks`; the vertex list, which the size caps bound, only when
+    asked for.  The saddle is of `model`'s game, by default the spec's.  The
+    tau cell is a float for a scalar statistic and a list for k >= 2."""
     statistic = _require_statistic(spec)
-    taus = _suite_taus(spec)
     game = spec.model if model is None else model
-    for tau, g, sp, vs in _grid_solves(game, statistic, taus, None, with_vertices):
-        cell = float(tau[0]) if tau.size == 1 else [float(v) for v in tau]
-        if isinstance(sp, Infeasible):
-            rows.append({"tau": cell, "status": "infeasible"})
-            continue
-        if not isinstance(sp, SaddlePoint):
-            raise sp
-        yield cell, g, sp, vs
+    for chunk in _grid_chunks(game, statistic, _suite_taus(spec), None, with_vertices):
+        yield [(float(tau[0]) if tau.size == 1 else [float(v) for v in tau], g, sp, vs)
+               for tau, g, sp, vs in chunk]
+
+
+def _solved(rows: list, cell, sp) -> bool:
+    """True for a saddle point; an infeasible tau appends its row to `rows`
+    instead, and any other exception in the saddle point's place is raised."""
+    if isinstance(sp, Infeasible):
+        rows.append({"tau": cell, "status": "infeasible"})
+        return False
+    if not isinstance(sp, SaddlePoint):
+        raise sp
+    return True
 
 
 def _suite_saddle(spec: ProblemSpec, args) -> dict:
+    """The saddle certificate of every suite tau; the certificates of each
+    chunk come from one `verify_grid` call, and rows and errors come in the
+    grid's order."""
     rows = []
     passed = True
-    for tau, g, sp, _ in _suite_solves(spec, rows, with_vertices=False):
-        chk = verify_saddle(spec.model, g, sp.p_star, sp.zeta_star)
-        rows.append({
-            "tau": tau,
-            "status": "ok",
-            "h": sp.h_star,
-            "bayes_margin": chk.bayes_margin,
-            "vertex_margin": chk.vertex_margin,
-            "is_saddle": chk.is_saddle,
-        })
-        passed = passed and chk.is_saddle
+    for chunk in _suite_chunks(spec, with_vertices=False):
+        solved = [(g, sp) for _, g, sp, _ in chunk if isinstance(sp, SaddlePoint)]
+        checks = iter(verify_grid(spec.model, [g for g, _ in solved],
+                                  [sp.p_star for _, sp in solved],
+                                  [sp.zeta_star for _, sp in solved]))
+        for tau, _, sp, _ in chunk:
+            if not _solved(rows, tau, sp):
+                continue
+            chk = next(checks)
+            if isinstance(chk, Exception):
+                raise chk
+            rows.append({
+                "tau": tau,
+                "status": "ok",
+                "h": sp.h_star,
+                "bayes_margin": chk.bayes_margin,
+                "vertex_margin": chk.vertex_margin,
+                "is_saddle": chk.is_saddle,
+            })
+            passed = passed and chk.is_saddle
     return {"suite": "saddle", "passed": passed, "rows": rows}
 
 

@@ -338,6 +338,22 @@ def _lp_read(tmat: np.ndarray, tau: np.ndarray, c: np.ndarray, lifted=None,
     FEAS_TOL does not stack on a widening.  Returns (x, reduced costs,
     width) of the first read that counts, else None.
     """
+    k = tmat.shape[0]
+    a, cost = _read_lp(tmat, c, lifted)
+    for width in widths:
+        b = np.concatenate([[1.0], tau + width, np.full(k, 2.0 * width)])
+        try:
+            x, _, reduced = _simplex.solve_lp(cost, a, b)
+        except Infeasible:
+            continue
+        if _read_counts(tmat, tau, x, lifted):
+            return x, reduced, width
+    return None
+
+
+def _read_lp(tmat: np.ndarray, c: np.ndarray, lifted):
+    """The constraint matrix and the prices of `_lp_read`'s LPs; c may be
+    one row of prices or a stack of them."""
     k, n = tmat.shape
     m = n if lifted is None else n + 1
     a = np.zeros((2 * k + 1, m + 2 * k))
@@ -347,18 +363,47 @@ def _lp_read(tmat: np.ndarray, tau: np.ndarray, c: np.ndarray, lifted=None,
         a[:k + 1, n] = a[:k + 1, :n] @ lifted
     a[1:, m:m + k] = np.vstack([np.eye(k), np.eye(k)])
     a[k + 1:, m + k:] = np.eye(k)
-    cost = np.zeros(a.shape[1])
-    cost[:c.size] = c
-    for width in widths:
-        b = np.concatenate([[1.0], tau + width, np.full(k, 2.0 * width)])
-        try:
-            x, _, reduced = _simplex.solve_lp(cost, a, b)
-        except Infeasible:
-            continue
-        p = x[:n] if lifted is None else x[:n] + x[n] * lifted
-        if max(abs(p.sum() - 1.0), float(np.abs(tmat @ p - tau).max())) <= CONSISTENCY_TOL:
-            return x, reduced, width
-    return None
+    cost = np.zeros(c.shape[:-1] + a.shape[1:])
+    cost[..., :c.shape[-1]] = c
+    return a, cost
+
+
+def _read_counts(tmat: np.ndarray, tau: np.ndarray, x: np.ndarray, lifted) -> bool:
+    """True when the point of an `_lp_read` solution x meets [1; T] p = [1; tau]
+    within CONSISTENCY_TOL in L_inf."""
+    n = tmat.shape[1]
+    p = x[:n] if lifted is None else x[:n] + x[n] * lifted
+    return max(abs(p.sum() - 1.0), float(np.abs(tmat @ p - tau).max())) <= CONSISTENCY_TOL
+
+
+def _lp_reads(tmat: np.ndarray, taus: np.ndarray, cs: np.ndarray) -> list:
+    """`_lp_read` without a lifted mask at each row of taus (S, k) with the
+    prices of the same row of cs: per row, its read, None, or the exception
+    its LP raised, bit for bit.  Each width reads every row still open in
+    one `_simplex.solve_lps` call."""
+    k = tmat.shape[0]
+    a, cost = _read_lp(tmat, cs, None)
+    reads = [None] * len(taus)
+    rows = np.arange(len(taus))
+    for width in (0.0, CONSISTENCY_TOL):
+        b = np.empty((rows.size, a.shape[0]))
+        b[:, 0] = 1.0
+        b[:, 1:k + 1] = taus[rows] + width
+        b[:, k + 1:] = 2.0 * width
+        missed = []
+        for i, res in zip(rows.tolist(), _simplex.solve_lps(cost[rows], a, b)):
+            if isinstance(res, Infeasible):
+                missed.append(i)
+            elif isinstance(res, Exception):
+                reads[i] = res
+            elif _read_counts(tmat, taus[i], res[0], None):
+                reads[i] = res[0], res[2], width
+            else:
+                missed.append(i)
+        rows = np.array(missed, dtype=np.intp)
+        if not rows.size:
+            break
+    return reads
 
 
 def max_expectation(g: GammaTau, values) -> float:
@@ -371,6 +416,16 @@ def max_expectation(g: GammaTau, values) -> float:
     CONSISTENCY_TOL, and accepts a point only within CONSISTENCY_TOL, as the
     vertex enumeration does.  Raises Infeasible for an empty Gamma_tau.
     """
+    v, finite = _expectation_values(g, values)
+    if v is None:
+        return float(np.inf)
+    cols = np.flatnonzero(finite)
+    return _expectation_top(g, v, cols, _lp_read(g.statistic.matrix[:, cols], g.tau, -v[cols]))
+
+
+def _expectation_values(g: GammaTau, values):
+    """(values, mask of the finite ones) checked for `max_expectation`, or
+    (None, None) when a member of Gamma_tau charges an infinite value."""
     v = np.asarray(values, dtype=float)
     if v.shape != (g.n,):
         raise DimensionMismatch("values do not match the statistic")
@@ -378,23 +433,62 @@ def max_expectation(g: GammaTau, values) -> float:
         raise UndefinedExpectation("nan or -inf encountered in expectation")
     finite = np.isfinite(v)
     if not finite.all() and not finite[union_support(g)].all():
-        return float(np.inf)
-    cols = np.flatnonzero(finite)
-    read = _lp_read(g.statistic.matrix[:, cols], g.tau, -v[cols])
+        return None, None
+    return v, finite
+
+
+def _expectation_top(g: GammaTau, v: np.ndarray, cols: np.ndarray, read) -> float:
+    """`max_expectation` from the read of its LP over the finite columns `cols`."""
     if read is not None:
         return float(v[cols] @ read[0][:cols.size])
-    if finite.all():
+    if cols.size == g.n:
         raise Infeasible(f"Gamma_tau empty for tau={np.asarray(g.tau)}")
     return float(np.inf)
 
 
-def min_max_expectation(tmat: np.ndarray, tau: np.ndarray, cols: np.ndarray):
-    """min over {P : sum p = 1, T p = tau} of max_j E_P cols[:, j] >= 0, one LP.
+def max_expectations(gammas: list, values: list) -> list:
+    """`max_expectation` at each pair of Gamma_tau and values: per pair, its
+    supremum or the exception it raises, in place, bit for bit.
+
+    The pairs that need an LP are grouped by statistic and by the mask of
+    their finite values, and each group's reads run stacked (`_lp_reads`).
+    """
+    tops, groups = [None] * len(gammas), {}
+    for i, (g, values) in enumerate(zip(gammas, values)):
+        try:
+            v, finite = _expectation_values(g, values)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            tops[i] = exc
+            continue
+        if v is None:
+            tops[i] = float(np.inf)
+            continue
+        key = id(g.statistic), finite.tobytes()
+        groups.setdefault(key, (g.statistic.matrix, finite, []))[2].append((i, g, v))
+    for tmat, finite, members in groups.values():
+        cols = np.flatnonzero(finite)
+        reads = _lp_reads(tmat[:, cols], np.array([g.tau for _, g, _ in members]),
+                          np.array([-v[cols] for _, _, v in members]))
+        for (i, g, v), read in zip(members, reads):
+            if isinstance(read, Exception):
+                tops[i] = read
+                continue
+            try:
+                tops[i] = _expectation_top(g, v, cols, read)
+            except Infeasible as exc:
+                tops[i] = exc
+    return tops
+
+
+def min_max_expectation(tmat: np.ndarray, taus: np.ndarray, cols: np.ndarray) -> list:
+    """min over {P : sum p = 1, T p = tau} of max_j E_P cols[:, j] >= 0, one
+    LP per row tau of taus (S, k), the LPs in lockstep (`_simplex.solve_lps`).
 
     The variables are p, the level m and one slack s_j per column, all >= 0,
-    with cols' p - m + s = 0; T p = tau is read exactly.  Returns (m*, p,
-    reduced costs of p, reduced costs of s); the latter are the columns' dual
-    weights, which sum to one when m* > 0.  Raises Infeasible.
+    with cols' p - m + s = 0; T p = tau is read exactly.  Returns, per row,
+    (m*, p, reduced costs of p, reduced costs of s) or the exception raised
+    there (Infeasible for an empty Gamma_tau), in place; the reduced costs
+    of s are the columns' dual weights, which sum to one when m* > 0.
     """
     k, n = tmat.shape
     w = cols.shape[1]
@@ -404,14 +498,19 @@ def min_max_expectation(tmat: np.ndarray, tau: np.ndarray, cols: np.ndarray):
     a[:w, n + 1:] = np.eye(w)
     a[w, :n] = 1.0
     a[w + 1:, :n] = tmat
-    b = np.concatenate([np.zeros(w), [1.0], tau])
-    c = np.zeros(n + 1 + w)
-    c[n] = 1.0
-    try:
-        x, value, reduced = _simplex.solve_lp(c, a, b)
-    except Infeasible:
-        raise Infeasible(f"Gamma_tau empty for tau={tau}") from None
-    return value, x[:n], reduced[:n], reduced[n + 1:]
+    c = np.zeros((len(taus), n + 1 + w))
+    c[:, n] = 1.0
+    b = np.zeros((len(taus), w + k + 1))
+    b[:, w] = 1.0
+    b[:, w + 1:] = taus
+    found = _simplex.solve_lps(c, a, b)
+    for i, res in enumerate(found):
+        if isinstance(res, Infeasible):
+            found[i] = Infeasible(f"Gamma_tau empty for tau={taus[i]}")
+        elif not isinstance(res, Exception):
+            x, value, reduced = res
+            found[i] = value, x[:n], reduced[:n], reduced[n + 1:]
+    return found
 
 
 def closed_under_conditioning(g: GammaTau) -> bool:

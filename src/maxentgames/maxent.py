@@ -599,7 +599,8 @@ def _zero_one_saddle(model: LossModel, g: GammaTau, hull: str, m_star: float,
 
 def _min_pmax(statistic: Statistic, taus) -> list:
     """Minimize max_x p(x) over Gamma_tau for each tau of `taus`: one LP per
-    tau screens, exact patterns decide.
+    tau screens, exact patterns decide.  The LPs of all the taus run in
+    lockstep, one `_pmax_lp` call on the stack of taus.
 
     The LP in (p, m, s) with p_x - m + s_x = 0, sum p = 1 and T p = tau
     gives the minimum m* and the reduced costs of its final basis.  By
@@ -629,7 +630,9 @@ def _min_pmax(statistic: Statistic, taus) -> list:
     """
     n, k = statistic.n, statistic.k
     tmat = statistic.matrix
-    found = [_attempt(_pmax_lp, tmat, tau) for tau in taus]
+    if not len(taus):
+        return []
+    found = _pmax_lp(tmat, np.array(taus))
     live = [i for i, screen in enumerate(found) if not isinstance(screen, Exception)]
     groups = {}
     for i in live:
@@ -711,12 +714,14 @@ def _pmax_pick(tau: np.ndarray, screen, levels: list, points):
     return m_star, pool[0], weights
 
 
-def _pmax_lp(tmat: np.ndarray, tau: np.ndarray):
-    """min m over Gamma_tau with p <= m, `min_max_expectation` with the
-    identity as columns; returns (m*, forced zeros, the columns' dual
-    weights), a weight above SCREEN_TOL forcing a mode."""
-    value, _, zero, weights = min_max_expectation(tmat, tau, np.eye(tmat.shape[1]))
-    return value, zero > SCREEN_TOL, weights
+def _pmax_lp(tmat: np.ndarray, taus: np.ndarray) -> list:
+    """min m over Gamma_tau with p <= m for each row of taus (S, k), one
+    stacked `min_max_expectation` with the identity as columns, the LPs in
+    lockstep; returns, per row, (m*, forced zeros, the columns' dual
+    weights), a weight above SCREEN_TOL forcing a mode, or the exception
+    raised there."""
+    return [res if isinstance(res, Exception) else (res[0], res[2] > SCREEN_TOL, res[3])
+            for res in min_max_expectation(tmat, taus, np.eye(tmat.shape[1]))]
 
 
 def _pattern_systems(tmat, zero, mode, k):

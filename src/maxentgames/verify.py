@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _simplex
 from .constraints import (GammaTau, closed_under_conditioning, max_expectation,
-                          min_max_expectation)
+                          max_expectations, min_max_expectation)
 from .core import ACT_DISTRIBUTION, Act, Distribution, ext_dot
 from .losses import LossModel
 
@@ -83,7 +83,10 @@ def point_act_saddle(g: GammaTau, L: np.ndarray):
     `min_max_expectation` with columns max L - L.  Returns (value, P*,
     zeta*), zeta* being the LP's dual weights on the columns."""
     top = float(L.max())
-    value, p, _, zeta = min_max_expectation(g.statistic.matrix, g.tau, top - L)
+    (found,) = min_max_expectation(g.statistic.matrix, g.tau[None], top - L)
+    if isinstance(found, Exception):
+        raise found
+    value, p, _, zeta = found
     zeta = np.maximum(zeta, 0.0)
     return top - value, p, zeta / zeta.sum()
 
@@ -129,12 +132,45 @@ def verify_saddle(model: LossModel, g: GammaTau, p_star: Distribution,
     over Gamma_tau (`max_expectation`); its supremum sits at a vertex, but
     the vertex list is not built, so no size cap applies.
     """
+    lv, at_p, bayes_margin = _bayes_side(model, p_star, zeta_star)
+    return _saddle_check(bayes_margin, max_expectation(g, lv), at_p)
+
+
+def _bayes_side(model: LossModel, p_star: Distribution, zeta_star: Act):
+    """(L(., zeta*), L(P*, zeta*), the Bayes margin |L(P*, zeta*) - H(P*)|)."""
     lv = model.loss_vector(zeta_star)
     at_p = ext_dot(p_star.w, lv)
-    bayes_margin = abs(at_p - model.entropy(p_star))
-    vertex_margin = max_expectation(g, lv) - at_p
+    return lv, at_p, abs(at_p - model.entropy(p_star))
+
+
+def _saddle_check(bayes_margin, top: float, at_p) -> SaddleCheck:
+    """The SaddleCheck from the Bayes margin and the certificate's supremum."""
+    vertex_margin = top - at_p
     ok = bool(bayes_margin <= BAYES_TOL and vertex_margin <= VERTEX_TOL)
     return SaddleCheck(float(bayes_margin), vertex_margin, ok)
+
+
+def verify_grid(model: LossModel, gammas: list, p_stars: list, zeta_stars: list) -> list:
+    """`verify_saddle` at each (Gamma_tau, P*, zeta*): per row, its
+    SaddleCheck or the exception it raises, in place, bit for bit.
+
+    The Bayes inequality is checked row by row; the certificate LPs of all
+    the rows run stacked (`max_expectations`), grouped by the mask of their
+    finite losses.
+    """
+    out, pending = [], []
+    for g, p_star, zeta_star in zip(gammas, p_stars, zeta_stars):
+        try:
+            lv, at_p, bayes_margin = _bayes_side(model, p_star, zeta_star)
+        except Exception as exc:   # kept for the caller to raise at its turn
+            out.append(exc)
+            continue
+        pending.append((len(out), lv, at_p, bayes_margin))
+        out.append(None)
+    tops = max_expectations([gammas[i] for i, *_ in pending], [lv for _, lv, *_ in pending])
+    for (i, _, at_p, bayes_margin), top in zip(pending, tops):
+        out[i] = top if isinstance(top, Exception) else _saddle_check(bayes_margin, top, at_p)
+    return out
 
 
 @dataclass(frozen=True)

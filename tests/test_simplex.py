@@ -1,10 +1,18 @@
-"""The in-house simplex against scipy's HiGHS, and the reduced costs it returns.
+"""The in-house simplex against scipy's HiGHS, the reduced costs it returns,
+and the lockstep stack (`solve_lps`) against it, row by row.
 
 scipy is a test dependency only (the `test` extra); the runtime stays
 numpy-only, so the HiGHS comparisons skip where scipy is missing.  The LPs
 are the two the solvers build on 7 outcomes: zero-one phase 1 (min over
 Gamma_tau of max_x p(x)), which also gives zero-one upper values, and the
 matrix game of the Gamma_tau vertices against point acts, their oracle.
+
+Each row of a `solve_lps` stack must be what `solve_lp` gives that row
+alone: x, value and reduced costs by their bytes, an exception by type and
+message.  The stacks hold feasible, infeasible and unbounded rows, rows
+whose constraints are rank deficient (an artificial stays basic), rows under
+Bland's rule and rows that hit the pivot limit, on uniform and integer data
+(ties in the ratio test).
 """
 
 import numpy as np
@@ -20,6 +28,7 @@ from maxentgames import (
     zero_one_model,
 )
 from maxentgames import _simplex
+from maxentgames.core import Infeasible
 from maxentgames.maxent import _pmax_lp
 
 ZERO_ONE_7 = zero_one_model(SampleSpace.of(range(7)))
@@ -90,7 +99,7 @@ def test_phase_one_lp_matches_highs():
     linprog = pytest.importorskip("scipy.optimize").linprog
     n = 7
     for case, (t, tau) in enumerate(seven_outcome_problems(123, 600)):
-        value, _, _ = _pmax_lp(t, tau)
+        ((value, _, _),) = _pmax_lp(t, tau[None])
         # the same program in (p, m) with p <= m as inequalities
         res = linprog(
             np.r_[np.zeros(n), 1.0],
@@ -120,3 +129,193 @@ def test_point_act_games_match_highs():
         assert sol.value == pytest.approx(res.fun, abs=1e-9), case
         # the row strategy, read off the reduced costs, guarantees the value
         assert sol.row_guarantee >= res.fun - 1e-9, case
+
+
+def alone(c, a, b):
+    """solve_lp on one row, or the exception it raises."""
+    try:
+        return _simplex.solve_lp(c, a, b)
+    except Exception as exc:
+        return exc
+
+
+def assert_rows_alone(c, a, b):
+    """Every row of solve_lps(c, a, b) is solve_lp's on that row, bit for
+    bit; returns the names of the outcomes."""
+    found = _simplex.solve_lps(c, a, b)
+    assert len(found) == len(b)
+    kinds = []
+    for s, res in enumerate(found):
+        ref = alone(c[s], a if a.ndim == 2 else a[s], b[s])
+        kinds.append(type(ref).__name__)
+        if isinstance(ref, Exception):
+            assert type(res) is type(ref) and str(res) == str(ref), s
+        else:
+            x, value, reduced = res
+            assert x.tobytes() == ref[0].tobytes(), s
+            assert type(value) is float and np.float64(value).tobytes() == np.float64(ref[1]).tobytes(), s
+            assert reduced.tobytes() == ref[2].tobytes(), s
+    return kinds
+
+
+def phase_one_stack(t, taus):
+    """The zero-one phase-1 LPs (`min_max_expectation` with the identity as
+    columns) of the statistic t at each row of taus: (c, a, b)."""
+    k, n = t.shape
+    a = np.zeros((n + k + 1, 2 * n + 1))
+    a[:n, :n] = np.eye(n)
+    a[:n, n] = -1.0
+    a[:n, n + 1:] = np.eye(n)
+    a[n, :n] = 1.0
+    a[n + 1:, :n] = t
+    b = np.zeros((len(taus), n + k + 1))
+    b[:, n] = 1.0
+    b[:, n + 1:] = taus
+    c = np.zeros((len(taus), 2 * n + 1))
+    c[:, n] = 1.0
+    return c, a, b
+
+
+def phase_one_problems(seed, count):
+    """(t, taus) with N 3-12, k 1-3, uniform, integer and rounded
+    statistics, taus at hull vertices, from sparse and dense laws, and
+    outside the hull; every fifth statistic repeats its first row and every
+    seventh has a zero row (rank-deficient [1; T])."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, k = int(rng.integers(3, 13)), int(rng.integers(1, 4))
+        if i % 3 == 0:
+            t = rng.uniform(-1.0, 1.0, (k, n))
+        elif i % 3 == 1:
+            t = rng.integers(-2, 3, (k, n)).astype(float)
+        else:
+            t = np.round(rng.uniform(-1.0, 1.0, (k, n)), 1)
+        if i % 5 == 0:
+            t = np.vstack([t, t[:1]])
+        if i % 7 == 0:
+            t = np.vstack([t, np.zeros(n)])
+        taus = []
+        for _ in range(int(rng.integers(2, 24))):
+            u = rng.random()
+            if u < 0.15:
+                taus.append(t[:, rng.integers(n)])
+            elif u < 0.25:
+                taus.append(np.where(np.any(t, axis=1), rng.uniform(-2.0, 2.0, len(t)), 0.0))
+            else:
+                taus.append(t @ rng.dirichlet(np.full(n, rng.choice([0.3, 1.0]))))
+        yield t, np.array(taus)
+
+
+def general_stack(rng, shared):
+    """A stack of LPs min c x, a x = b, x >= 0 on integer or uniform data:
+    feasible rows, rows with b off the cone of a (infeasible), prices of
+    both signs (unbounded rows), duplicated and zero rows of a."""
+    m, n, count = int(rng.integers(2, 7)), int(rng.integers(3, 12)), int(rng.integers(2, 12))
+    if rng.random() < 0.5:
+        a = rng.integers(-2, 3, (m, n)).astype(float)
+    else:
+        a = rng.uniform(-1.0, 1.0, (m, n))
+    u = rng.random()
+    if u < 0.2:
+        a[-1] = a[0]
+    elif u < 0.3:
+        a[-1] = 0.0
+    if not shared:
+        a = a + (rng.random((count, 1, 1)) < 0.5) * rng.uniform(-0.5, 0.5, (count, m, n))
+    b = np.array([(a if shared else a[s]) @ rng.dirichlet(np.ones(n)) for s in range(count)])
+    b *= rng.choice([1.0, 3.0], (count, 1))
+    off = rng.random(count) < 0.2
+    b[off] = rng.uniform(-1.0, 1.0, (int(off.sum()), m))
+    c = rng.uniform(-1.0, 1.0, (count, n)) if rng.random() < 0.6 else rng.uniform(0.0, 1.0, (count, n))
+    return c, a, b
+
+
+def test_stacked_phase_one_lps_match_solve_lp_bitwise():
+    kinds = set()
+    for t, taus in phase_one_problems(20261020, 160):
+        kinds.update(assert_rows_alone(*phase_one_stack(t, taus)))
+    assert kinds == {"tuple", "Infeasible"}
+
+
+@pytest.mark.parametrize("bland_after", [_simplex.BLAND_AFTER, 0, 1])
+def test_stacked_lps_match_solve_lp_bitwise(bland_after, monkeypatch):
+    monkeypatch.setattr(_simplex, "BLAND_AFTER", bland_after)
+    rng = np.random.default_rng(20261021)
+    kinds = set()
+    for i in range(240):
+        kinds.update(assert_rows_alone(*general_stack(rng, shared=i % 2 == 0)))
+    assert kinds == {"tuple", "Infeasible", "Unbounded"}
+    for t, taus in phase_one_problems(20261022, 40):
+        assert_rows_alone(*phase_one_stack(t, taus))
+
+
+def test_rank_deficient_rows_keep_an_artificial_basic():
+    # [1; T] with T's one row twice: phase 1 can price at most m - 1 of the
+    # original columns into the basis, so an artificial stays basic in every
+    # feasible row; solve_lp deletes its row, the stack masks it
+    t = np.array([[-1.0, 0.0, 1.0, 2.0], [-1.0, 0.0, 1.0, 2.0]])
+    taus = np.array([[0.5, 0.5], [-1.0, -1.0], [2.0, 2.0], [0.5, 0.4], [3.0, 3.0]])
+    c, a, b = phase_one_stack(t, taus)
+    assert assert_rows_alone(c, a, b) == ["tuple", "tuple", "tuple", "Infeasible", "Infeasible"]
+    a_eq = np.vstack([np.ones(4), t, np.zeros(4)])
+    b_eq = np.hstack([np.ones((5, 1)), taus, np.zeros((5, 1))])
+    prices = np.random.default_rng(3).uniform(0.0, 1.0, (5, 4))
+    assert assert_rows_alone(prices, a_eq, b_eq)[:3] == ["tuple"] * 3
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 6])
+def test_stacked_pivot_limit_matches_solve_lp(max_iter, monkeypatch):
+    monkeypatch.setattr(_simplex, "LP_MAX_ITER", max_iter)
+    rng = np.random.default_rng(20261023)
+    kinds = set()
+    for i in range(120):
+        kinds.update(assert_rows_alone(*general_stack(rng, shared=i % 2 == 0)))
+    for t, taus in phase_one_problems(20261024, 30):
+        kinds.update(assert_rows_alone(*phase_one_stack(t, taus)))
+    assert "PivotLimit" in kinds and (max_iter == 1 or "tuple" in kinds)
+
+
+def test_rows_end_in_different_phases(monkeypatch):
+    # one stack: row 1 is infeasible after phase 1, row 0 unbounded in phase
+    # 2, and with four pivots a phase, row 3 hits the limit in phase 2 while
+    # row 2 reaches its optimum
+    a = np.array([[2.0, -2.0, 1.0, 2.0, 0.0, 2.0, -1.0],
+                  [2.0, -2.0, 1.0, 0.0, 2.0, -2.0, -2.0],
+                  [-1.0, 1.0, 2.0, 1.0, 2.0, 0.0, 1.0]])
+    b = np.array([[0.9, 0.32, 1.12], [-0.06, 0.95, -0.14], [0.14, -0.75, 0.58],
+                  [0.35, 0.1, 1.3]])
+    c = np.array([[0.0, -2.0, 0.0, 1.0, 2.0, -2.0, 3.0],
+                  [0.0, 2.0, 1.0, -2.0, 2.0, 0.0, 1.0],
+                  [1.0, 0.0, -3.0, -1.0, 2.0, 0.0, -2.0],
+                  [-2.0, 3.0, 3.0, -2.0, -1.0, 3.0, 0.0]])
+    assert assert_rows_alone(c, a, b) == ["Unbounded", "Infeasible", "tuple", "tuple"]
+    monkeypatch.setattr(_simplex, "LP_MAX_ITER", 4)
+    assert assert_rows_alone(c, a, b) == ["Unbounded", "Infeasible", "tuple", "PivotLimit"]
+
+
+def test_one_row_is_solve_lp(monkeypatch):
+    calls = []
+    inner = _simplex.solve_lp
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(_simplex, "solve_lp", counted)
+    c, a, b = phase_one_stack(np.array([[-1.0, 0.0, 1.0]]), np.array([[0.3]]))
+    ((x, value, reduced),) = _simplex.solve_lps(c, a, b)
+    assert len(calls) == 1
+    assert np.array_equal(x, inner(c[0], a, b[0])[0])
+    c, a, b = phase_one_stack(np.array([[-1.0, 0.0, 1.0]]), np.array([[3.0]]))
+    (found,) = _simplex.solve_lps(c, a, b)
+    assert isinstance(found, Infeasible)
+
+
+def test_empty_stack_takes_no_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("an empty stack iterated")
+
+    monkeypatch.setattr(_simplex, "_iterate_stack", no_step)
+    monkeypatch.setattr(_simplex, "solve_lp", no_step)
+    _, a, _ = phase_one_stack(np.array([[-1.0, 0.0, 1.0]]), np.array([[0.3]]))
+    assert _simplex.solve_lps(np.zeros((0, 7)), a, np.zeros((0, 5))) == []

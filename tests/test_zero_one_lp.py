@@ -227,8 +227,9 @@ def test_zero_one_sweep_runs_one_lp_per_grid_point(monkeypatch, capsys):
     assert cli.main(["sweep", os.path.join(SPECS, "zero_one_mean.json")]) == 0
     rows = len(capsys.readouterr().out.splitlines()) - 2   # two header lines
     # the supporting-line rows are closed-form, so each grid point runs only
-    # its phase-1 LP, and phase 1 runs once for the whole grid
-    assert len(lps) == rows == 41
+    # its phase-1 LP; phase 1 runs once for the whole grid, and its LPs run
+    # as one lockstep stack with a row per grid point
+    assert len(lps) == 1 and lps[0][1].shape == (rows, 1) and rows == 41
     assert len(phase1) == 1 and len(phase1[0][1]) == rows
 
 
