@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .core import (
     _checked_rows,
     ext_dot,
     ext_dots,
+    raised,
 )
 from .derived import (
     StatModel,
@@ -210,12 +212,7 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.12g}"
+    return f"{float(value):.12g}"
 
 
 def record_columns(n: int, k: int) -> list:
@@ -239,10 +236,10 @@ def vertex_columns(model: LossModel, vs: VertexSet, sp: SaddlePoint):
     return bool(rep.is_equalizer), float(margin)
 
 
-def record_values(model: LossModel, g: GammaTau, sp: SaddlePoint, vs: VertexSet) -> dict:
+def record_values(model: LossModel, sp: SaddlePoint, vs: VertexSet) -> dict:
     """Native-typed record, its vertex columns read off `vs`, the vertex list
     of Gamma_tau; the CSV row is its _fmt image, column for column."""
-    n, k = g.n, g.k
+    n, k = sp.p_star.n, sp.tau.size
     vals: dict = {"status": "ok"}
     for i, v in enumerate(np.atleast_1d(sp.tau)):
         vals[f"tau_{i + 1}"] = float(v)
@@ -269,9 +266,9 @@ def record_values(model: LossModel, g: GammaTau, sp: SaddlePoint, vs: VertexSet)
     return vals
 
 
-def record_row(model: LossModel, g: GammaTau, sp: SaddlePoint, vs: VertexSet) -> list:
-    vals = record_values(model, g, sp, vs)
-    return [_fmt(vals[c]) for c in record_columns(g.n, g.k)]
+def record_row(model: LossModel, sp: SaddlePoint, vs: VertexSet) -> list:
+    vals = record_values(model, sp, vs)
+    return [_fmt(vals[c]) for c in record_columns(sp.p_star.n, sp.tau.size)]
 
 
 def sentinel_row(tau, status: str, n: int, k: int) -> list:
@@ -325,14 +322,13 @@ def cmd_solve(args) -> int:
     tau = args.tau if args.tau is not None else spec.tau
     if tau is None:
         raise SpecError("solve needs --tau or a constraint.tau in the spec")
+    statistic = _require_statistic(spec)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))[None]
-    ((_, g, sp, vs),) = _grid_solves(spec.model, _require_statistic(spec), taus, args.tol, True)
-    if not isinstance(sp, SaddlePoint):
-        raise sp
-    record = record_values(spec.model, g, sp, vs)
+    ((_, sp, vs),) = next(_grid_chunks(spec.model, statistic, taus, args.tol, True))
+    record = record_values(spec.model, raised(sp), vs)
     if args.bits and isinstance(spec.model, LogModel):
         record["h_bits"] = sp.h_star / LN2
-    check = verify_saddle(spec.model, g, sp.p_star, sp.zeta_star)
+    check = verify_saddle(spec.model, GammaTau(statistic, taus[0]), sp.p_star, sp.zeta_star)
     record["saddle_verified"] = check.is_saddle
     _emit(json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n", args.out)
     if not check.is_saddle:
@@ -365,19 +361,11 @@ def _grid_values(spec: ProblemSpec, args) -> np.ndarray:
     raise SpecError("need --grid or a constraint.tau_grid in the spec")
 
 
-def _grid_solves(model: LossModel, statistic: Statistic, taus: np.ndarray,
-                 tol: float | None, with_vertices: bool):
-    """(tau, Gamma_tau or None, saddle point, vertex list or None) for each
-    row tau of `taus`, in order, by `_grid_chunks`."""
-    for chunk in _grid_chunks(model, statistic, taus, tol, with_vertices):
-        yield from chunk
-
-
 def _grid_chunks(model: LossModel, statistic: Statistic, taus: np.ndarray,
                  tol: float | None, with_vertices: bool):
-    """Lists of (tau, Gamma_tau or None, saddle point, vertex list or None),
-    one per chunk of GRID_CHUNK rows of `taus`, in order; the vertex lists
-    only when asked for, after the size caps are checked, before any solve.
+    """Lists of (tau, saddle point, vertex list or None), one per chunk of
+    GRID_CHUNK rows of `taus`, in order; the vertex lists only when asked
+    for, after the size caps are checked, before any solve.
 
     Each chunk is solved by one `solve_grid` call, then the vertex lists of
     the solved ones come from one `vertex_lists` call.  Where building
@@ -398,8 +386,7 @@ def _grid_chunks(model: LossModel, statistic: Statistic, taus: np.ndarray,
             vs = next(lists) if with_vertices and isinstance(sp, SaddlePoint) else None
             if isinstance(vs, Infeasible):
                 sp, vs = vs, None
-            g = GammaTau(statistic, tau) if isinstance(sp, SaddlePoint) else None
-            rows.append((tau, g, sp, vs))
+            rows.append((tau, sp, vs))
         yield rows
 
 
@@ -411,11 +398,10 @@ def cmd_sweep(args) -> int:
     grid = _grid_values(spec, args)
     n, k = spec.space.n, statistic.k
     lines = [f"# {CSV_SCHEMA}", ",".join(record_columns(n, k))]
-    for tau, g, sp, vs in _grid_solves(spec.model, statistic, grid[:, None], args.tol, True):
+    chunks = _grid_chunks(spec.model, statistic, grid[:, None], args.tol, True)
+    for tau, sp, vs in chain.from_iterable(chunks):
         try:
-            if not isinstance(sp, SaddlePoint):
-                raise sp
-            lines.append(",".join(record_row(spec.model, g, sp, vs)))
+            lines.append(",".join(record_row(spec.model, raised(sp), vs)))
         except Infeasible:
             lines.append(",".join(sentinel_row(tau, "infeasible", n, k)))
         except ArithmeticError:
@@ -447,59 +433,39 @@ def _suite_taus(spec: ProblemSpec) -> np.ndarray:
     raise SpecError("verification suites need a constraint in the spec")
 
 
-def _suite_solves(spec: ProblemSpec, rows: list, with_vertices: bool,
-                  model: LossModel | None = None):
-    """(tau cell, Gamma_tau, saddle point, vertices or None) for every suite
-    tau, by `_suite_chunks`, the solved ones only (`_solved`)."""
-    for chunk in _suite_chunks(spec, with_vertices, model):
-        for cell, g, sp, vs in chunk:
-            if _solved(rows, cell, sp):
-                yield cell, g, sp, vs
-
-
-def _suite_chunks(spec: ProblemSpec, with_vertices: bool, model: LossModel | None = None):
-    """Lists of (tau cell, Gamma_tau or None, saddle point or the exception
-    in its place, vertices or None), one per chunk of the suite taus, by
-    `_grid_chunks`; the vertex list, which the size caps bound, only when
-    asked for.  The saddle is of `model`'s game, by default the spec's.  The
-    tau cell is a float for a scalar statistic and a list for k >= 2."""
-    statistic = _require_statistic(spec)
-    game = spec.model if model is None else model
-    for chunk in _grid_chunks(game, statistic, _suite_taus(spec), None, with_vertices):
-        yield [(float(tau[0]) if tau.size == 1 else [float(v) for v in tau], g, sp, vs)
-               for tau, g, sp, vs in chunk]
-
-
-def _solved(rows: list, cell, sp) -> bool:
+def _solved(rows: list, tau: np.ndarray, sp) -> bool:
     """True for a saddle point; an infeasible tau appends its row to `rows`
     instead, and any other exception in the saddle point's place is raised."""
     if isinstance(sp, Infeasible):
-        rows.append({"tau": cell, "status": "infeasible"})
+        rows.append({"tau": _cell(tau), "status": "infeasible"})
         return False
-    if not isinstance(sp, SaddlePoint):
-        raise sp
+    raised(sp)
     return True
+
+
+def _cell(tau: np.ndarray):
+    """A suite row's tau: a float for a scalar statistic, a list for k >= 2."""
+    return float(tau[0]) if tau.size == 1 else [float(v) for v in tau]
 
 
 def _suite_saddle(spec: ProblemSpec, args) -> dict:
     """The saddle certificate of every suite tau; the certificates of each
     chunk come from one `verify_grid` call, and rows and errors come in the
     grid's order."""
+    statistic = _require_statistic(spec)
     rows = []
     passed = True
-    for chunk in _suite_chunks(spec, with_vertices=False):
-        solved = [(g, sp) for _, g, sp, _ in chunk if isinstance(sp, SaddlePoint)]
-        checks = iter(verify_grid(spec.model, [g for g, _ in solved],
+    for chunk in _grid_chunks(spec.model, statistic, _suite_taus(spec), None, False):
+        solved = [(tau, sp) for tau, sp, _ in chunk if isinstance(sp, SaddlePoint)]
+        checks = iter(verify_grid(spec.model, [GammaTau(statistic, tau) for tau, _ in solved],
                                   [sp.p_star for _, sp in solved],
                                   [sp.zeta_star for _, sp in solved]))
-        for tau, _, sp, _ in chunk:
+        for tau, sp, _ in chunk:
             if not _solved(rows, tau, sp):
                 continue
-            chk = next(checks)
-            if isinstance(chk, Exception):
-                raise chk
+            chk = raised(next(checks))
             rows.append({
-                "tau": tau,
+                "tau": _cell(tau),
                 "status": "ok",
                 "h": sp.h_star,
                 "bayes_margin": chk.bayes_margin,
@@ -532,17 +498,20 @@ def _suite_pythagorean(spec: ProblemSpec, args) -> dict:
     rows = []
     passed = True
     equality_taus = []
-    for tau, _, sp, vs in _suite_solves(spec, rows, True, game):
+    chunks = _grid_chunks(game, _require_statistic(spec), _suite_taus(spec), None, True)
+    for tau, sp, vs in chain.from_iterable(chunks):
+        if not _solved(rows, tau, sp):
+            continue
         rep = pythagorean_check(spec.model, vs.points, sp.p_star, sp.zeta_star, ref)
         rows.append({
-            "tau": tau,
+            "tau": _cell(tau),
             "status": "ok",
             "min_slack": rep.min_slack,
             "max_slack": rep.max_slack,
             "equality": rep.equality,
         })
         if rep.equality:
-            equality_taus.append(tau)
+            equality_taus.append(_cell(tau))
         passed = passed and rep.min_slack >= -1e-8
     return {
         "suite": "pythagorean",
@@ -556,10 +525,13 @@ def _suite_equalizer(spec: ProblemSpec, args) -> dict:
     rng = np.random.default_rng(args.seed)
     rows = []
     passed = True
-    for tau, _, sp, vs in _suite_solves(spec, rows, with_vertices=True):
+    chunks = _grid_chunks(spec.model, _require_statistic(spec), _suite_taus(spec), None, True)
+    for tau, sp, vs in chain.from_iterable(chunks):
+        if not _solved(rows, tau, sp):
+            continue
         rep = equalizer_check(spec.model, vs.points, sp.zeta_star)
         row = {
-            "tau": tau,
+            "tau": _cell(tau),
             "status": "ok",
             "vertex_spread": rep.spread,
             "is_equalizer": rep.is_equalizer,

@@ -21,6 +21,7 @@ from .core import (
     SUPPORT_TOL,
     UndefinedExpectation,
     WEIGHT_CLAMP,
+    raised,
 )
 
 DEFAULT_MAX_N = 20     # vertex enumeration cap; override via MAXENT_MAX_N
@@ -113,10 +114,7 @@ def vertices(g: GammaTau) -> VertexSet:
     Raises CombinatorialBlowup past the size caps and Infeasible for an
     empty Gamma_tau.
     """
-    found = vertex_lists(g.statistic, g.tau[None])[0]
-    if isinstance(found, Infeasible):
-        raise found
-    return found
+    return raised(vertex_lists(g.statistic, g.tau[None])[0])
 
 
 def vertex_lists(statistic: Statistic, taus) -> list:

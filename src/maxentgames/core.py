@@ -280,6 +280,22 @@ def ext_dots(rows, values) -> np.ndarray:
     return np.where(hits, np.inf, rows[:, finite] @ v[finite])
 
 
+def attempt(fn, *args):
+    """fn(*args), or the exception it raised, kept in place for the caller
+    to raise at its turn (`raised`)."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def raised(found):
+    """`found`, unless it is an exception kept in place: then it is raised."""
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
 def moment(dist: Distribution, statistic: Statistic) -> np.ndarray:
     """E_P T as a length-k vector."""
     if statistic.n != dist.n:

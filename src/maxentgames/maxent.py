@@ -45,9 +45,11 @@ from .core import (
     NORM_TOL,
     Statistic,
     WEIGHT_CLAMP,
+    attempt,
     distribution_rows,
     ext_dot,
     ext_dots,
+    raised,
 )
 from .divergence import RelativeModel, relative_model
 from .losses import BrierModel, ConvexGenerator, LogModel, LossModel, ZeroOneModel
@@ -140,22 +142,6 @@ def _affine_fit(tmat: np.ndarray, y: np.ndarray, cols: np.ndarray | None = None)
     sol = lstsq_stack(design, y)[0][:, 0]
     resid = float(np.max(np.abs(design @ sol - y))) if y.size else 0.0
     return float(sol[0]), sol[1:], resid
-
-
-def _attempt(fn, *args):
-    """fn(*args), or the exception it raised, for the caller to raise at its turn."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
-
-
-def _one_tau(found: list) -> SaddlePoint:
-    """The record of a grid solve at one tau, or the exception it holds, raised."""
-    (sp,) = found
-    if isinstance(sp, Exception):
-        raise sp
-    return sp
 
 
 def _hull_class(g: GammaTau) -> str:
@@ -306,9 +292,8 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray,
 # Brier solver: semismooth Newton on the dual, then the support rule
 
 
-def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
-    """Exact Brier saddle point from the (k+1)-dimensional dual:
-    `_brier_grid` at one tau.
+def _brier_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
+    """Exact Brier saddle points from the (k+1)-dimensional dual.
 
     With A = [1; T] and b = [1; tau], P* = (A'y)_+ / 2 for the maximizer y
     of the concave, piecewise quadratic dual y'b - |(A'y)_+|^2 / 4.  The
@@ -320,20 +305,15 @@ def solve_brier(model: LossModel, g: GammaTau) -> SaddlePoint:
     1e-12.  The dual value bounds h from above, so the scan stops once no
     later support can win, and a solution left further below the bound
     than BRIER_GAP_TOL raises NewtonDivergence.
+
+    `gammas` holds Gamma_tau, or the exceptions that building them raised,
+    which stay in place.  The grid runs the hull class per tau, one stacked
+    `_separable_dual` for the live taus, the support scan in rounds
+    (`_brier_scan`), the multipliers stacked by support size and
+    `_finalize` per tau.  Each tau gets its SaddlePoint or the exception its
+    own solve raises.
     """
-    if not isinstance(model, BrierModel):
-        raise ValueError("solve_brier needs a Brier model")
-    return _one_tau(_brier_grid(model, g.statistic, [g]))
-
-
-def _brier_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
-    """`solve_brier` over a list of Gamma_tau, or of the exceptions that
-    building them raised, which stay in place: the hull class per tau, one
-    stacked `_separable_dual` for the live taus, the support scan in rounds
-    (`_brier_scan`), the multipliers stacked by support size, `_finalize`
-    per tau.  Each tau gets its SaddlePoint or the exception its own solve
-    raises."""
-    out = [_attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
+    out = [attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
     live = [i for i, hull in enumerate(out) if isinstance(hull, str)]
     if not live:
         return out
@@ -357,7 +337,7 @@ def _brier_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
         for r, j in enumerate(js):
             found[j] = errors[r] if r in errors else (*found[j], fits[0][r], fits[1][r])
     for j, i in enumerate(live):
-        out[i] = found[j] if isinstance(found[j], Exception) else _attempt(
+        out[i] = found[j] if isinstance(found[j], Exception) else attempt(
             _brier_saddle, model, gammas[i], out[i], supports[j], *found[j])
     return out
 
@@ -383,7 +363,7 @@ def _brier_saddle(model: LossModel, g: GammaTau, hull: str, supp: np.ndarray,
 
 
 def _brier_scan(rows: np.ndarray, targets: np.ndarray, y: np.ndarray, found: dict) -> None:
-    """The support scan of `solve_brier` for every row of targets that
+    """The support scan of `_brier_grid` for every row of targets that
     `found` does not hold yet, given the dual maximizers y: found[row]
     becomes (h, P*) or the exception the scan raised.
 
@@ -495,28 +475,21 @@ def _brier_degenerate_beta(g: GammaTau, p: np.ndarray, supp: np.ndarray):
 # log solver: damped Newton on the dual; faces take the separable dual
 
 
-def solve_log(model: LossModel, g: GammaTau, tol: float = LOG_TOL) -> SaddlePoint:
-    """Log-loss saddle point: Newton on kappa(beta) + beta' tau, `_log_grid`
-    at one tau.
+def _log_grid(model: LossModel, statistic: Statistic, gammas: list, tol: float) -> list:
+    """Log-loss saddle points: Newton on kappa(beta) + beta' tau.
 
     Interior tau with affinely independent rows runs Newton to `tol`
     ("log-newton").  Boundary tau, and rows affinely dependent over the
     outcomes (their covariance is singular everywhere), go to the separable
     dual of psi(s) = s log s (`_separable_saddle`, "log-face"), which runs
     to DUAL_TOL and leaves beta absent.
+
+    `gammas` is as `_brier_grid`'s.  The grid runs the hull class per tau,
+    one stacked `_newton_tilt` for the interior taus and `_separable_saddle`
+    per tau for the others.  The rank of [1; T] and the F-ordered copy of T
+    that Newton runs on do not depend on tau, so they are taken once.
     """
-    if not isinstance(model, LogModel):
-        raise ValueError("solve_log needs a log model")
-    return _one_tau(_log_grid(model, g.statistic, [g], tol))
-
-
-def _log_grid(model: LossModel, statistic: Statistic, gammas: list, tol: float) -> list:
-    """`solve_log` over a list of Gamma_tau, or of the exceptions that
-    building them raised, as `_brier_grid`: the hull class per tau, one
-    stacked `_newton_tilt` for the interior taus, `_separable_saddle` per
-    tau for the others.  The rank of [1; T] and the F-ordered copy of T
-    that Newton runs on do not depend on tau, so they are taken once."""
-    out = [_attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
+    out = [attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
     n = statistic.n
     # an F-ordered copy: Newton's iterates depend on the memory layout
     tmat = statistic.matrix[:, np.arange(n)]
@@ -526,13 +499,13 @@ def _log_grid(model: LossModel, statistic: Statistic, gammas: list, tol: float) 
         newton = []
     for i, hull in enumerate(out):
         if isinstance(hull, str) and not (newton and hull == "interior"):
-            out[i] = _attempt(_separable_saddle, model, model, np.zeros(n), gammas[i], hull,
-                              "log-face")
+            out[i] = attempt(_separable_saddle, model, model, np.zeros(n), gammas[i], hull,
+                             "log-face")
     if newton:
         beta, kappa, q, norms, failed = _newton_tilt(
             model.base.weights, tmat, np.array([gammas[i].tau for i in newton]), tol)
         for j, i in enumerate(newton):
-            out[i] = failed[j] if j in failed else _attempt(
+            out[i] = failed[j] if j in failed else attempt(
                 _log_saddle, model, gammas[i], out[i], beta[j], kappa[j], q[j], norms[j])
     return out
 
@@ -550,8 +523,8 @@ def _log_saddle(model: LossModel, g: GammaTau, hull: str, beta: np.ndarray,
 # zero-one solver: an LP screen, then exact patterns
 
 
-def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
-    """Zero-one saddle point: `_zero_one_grid` at one tau.
+def _zero_one_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
+    """Zero-one saddle points: an LP screen, then exact patterns.
 
     Phase 1 minimizes the maximum coordinate over Gamma_tau: one LP fixes
     the outcomes that every minimizer puts at 0 or at the maximum, and the
@@ -564,28 +537,21 @@ def solve_zero_one(model: LossModel, g: GammaTau) -> SaddlePoint:
     or no member meets the constraints) or its act misses the simplex by
     more than NORM_TOL (tau at a hull vertex), zeta* is phase 1's LP dual,
     the point-act game's act, and beta is absent.
+
+    `gammas` is as `_brier_grid`'s.  The grid runs the hull class per tau,
+    phase 1 for the whole list (`_min_pmax`) and phase 2 per tau.
     """
-    if not isinstance(model, ZeroOneModel):
-        raise ValueError("solve_zero_one needs a zero-one model")
-    return _one_tau(_zero_one_grid(model, g.statistic, [g]))
-
-
-def _zero_one_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
-    """`solve_zero_one` over a list of Gamma_tau, or of the exceptions that
-    building them raised, which stay in place: the hull class per tau, phase
-    1 for the whole list (`_min_pmax`), phase 2 per tau.  Each tau gets its
-    SaddlePoint or the exception its own solve raises."""
-    out = [_attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
+    out = [attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
     live = [i for i, hull in enumerate(out) if isinstance(hull, str)]
     for i, phase1 in zip(live, _min_pmax(statistic, [gammas[i].tau for i in live])):
         out[i] = (phase1 if isinstance(phase1, Exception) else
-                  _attempt(_zero_one_saddle, model, gammas[i], out[i], *phase1))
+                  attempt(_zero_one_saddle, model, gammas[i], out[i], *phase1))
     return out
 
 
 def _zero_one_saddle(model: LossModel, g: GammaTau, hull: str, m_star: float,
                      p: np.ndarray, weights: np.ndarray) -> SaddlePoint:
-    """Phase 2 of `solve_zero_one` on phase 1's (m*, P*, LP dual weights)."""
+    """Phase 2 of `_zero_one_grid` on phase 1's (m*, P*, LP dual weights)."""
     h = 1.0 - float(p.max())   # the optimizer's value can carry solve noise
     act = _zero_one_act(g, p, m_star)
     if act is None or abs(float(act[0].sum()) - 1.0) > NORM_TOL:
@@ -654,9 +620,9 @@ def _min_pmax(statistic: Statistic, taus) -> list:
         per = max(1, SYSTEM_BLOCK // systems)
         for lo in range(0, len(idx), per):
             chunk = idx[lo:lo + per]
-            pools = _attempt(_pattern_pools, tmat, zero, mode, [taus[i] for i in chunk])
+            pools = attempt(_pattern_pools, tmat, zero, mode, [taus[i] for i in chunk])
             for j, i in enumerate(chunk):
-                found[i] = pools if isinstance(pools, Exception) else _attempt(
+                found[i] = pools if isinstance(pools, Exception) else attempt(
                     _pmax_pick, taus[i], found[i], *pools[j])
     return found
 
@@ -870,22 +836,13 @@ def _pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n):
 # separable Bregman solver: the dual of the generalized exponential family
 
 
-def solve_bregman(model: LossModel, g: GammaTau) -> SaddlePoint:
-    """Separable saddle point from the (k+1)-dimensional dual.
-
-    Bregman models and relative games over a separable base (`_unwrap`:
-    Brier, log or Bregman, with r the reference losses) run
-    `_separable_saddle` ("bregman-dual").
-    """
-    base, r = _unwrap(model)
-    if isinstance(model, (BrierModel, LogModel)) or base.separable() is None:
-        raise ValueError("solve_bregman needs a Bregman or relative separable model")
-    return _separable_saddle(model, base, r, g, _hull_class(g), "bregman-dual")
-
-
 def _separable_saddle(model: LossModel, base: LossModel, r: np.ndarray, g: GammaTau,
                       hull: str, method: str) -> SaddlePoint:
     """The saddle of H(P) = H_base(P) - P . r over Gamma_tau, by the separable dual.
+
+    Bregman models and relative games over a separable base (`_unwrap`:
+    Brier, log or Bregman, with r the reference losses) run it as
+    "bregman-dual", and the log solver at its faces as "log-face".
 
     P*(x) = mu(x) (psi')^-1(max(psi'(0), lambda0 - beta' t(x) - r(x))), where
     (lambda0, -beta) maximizes the dual of `_separable_dual` over the
@@ -977,48 +934,54 @@ def _unwrap(model: LossModel):
     return model, r
 
 
-def solve(model: LossModel, g: GammaTau, tol: float | None = None) -> SaddlePoint:
-    """Route to the solver for the model's mathematical structure.
+def _solve_each(model: LossModel, statistic: Statistic, gammas: list,
+                tol: float | None) -> list:
+    """The saddle point of each entry of `gammas` (a Gamma_tau of
+    `statistic`, or the exception that building it raised, kept in place),
+    routed by the model's mathematical structure.
 
-    Brier, log and zero-one models have solvers of their own, any other
-    model with a separable base (`_unwrap`) the separable dual
-    (`solve_bregman`), and the rest `solve_generic`.  `tol` stops the log
-    solver and `solve_generic`; the exact solvers ignore it.
+    Brier, log and zero-one models run a grid solver of their own
+    (`_brier_grid`, `_log_grid`, `_zero_one_grid`), any other model with a
+    separable base (`_unwrap`) the separable dual per tau
+    (`_separable_saddle`), and the rest `solve_generic` per tau.  `tol`
+    stops the log solver and `solve_generic`; the exact solvers ignore it.
+    Each entry gets its SaddlePoint or the exception its solve raised.
     """
-    kwargs = {} if tol is None else {"tol": tol}
-    if isinstance(model, BrierModel):
-        return solve_brier(model, g)
-    if isinstance(model, ZeroOneModel):
-        return solve_zero_one(model, g)
-    if isinstance(model, LogModel):
-        return solve_log(model, g, **kwargs)
-    if _unwrap(model)[0].separable() is not None:
-        return solve_bregman(model, g)
-    return solve_generic(model, g, **kwargs)
-
-
-def solve_grid(model: LossModel, statistic: Statistic, taus,
-               tol: float | None = None) -> list:
-    """`solve` at each row tau of `taus`, in order: what
-    solve(model, GammaTau(statistic, tau), tol) returns, or the exception it
-    raises, bit for bit.
-
-    A zero-one model runs phase 1 for the whole grid (`_zero_one_grid`), so
-    the taus the LP screens alike share one exact test per block of pattern
-    systems.  A Brier model runs one stacked dual Newton for the grid, then
-    its support scan in rounds of one exact test per support size
-    (`_brier_grid`); a log model runs one stacked Newton for its interior
-    taus (`_log_grid`).  Every other model is solved tau by tau.
-    """
-    gammas = [_attempt(GammaTau, statistic, tau) for tau in taus]
     if isinstance(model, ZeroOneModel):
         return _zero_one_grid(model, statistic, gammas)
     if isinstance(model, BrierModel):
         return _brier_grid(model, statistic, gammas)
     if isinstance(model, LogModel):
         return _log_grid(model, statistic, gammas, LOG_TOL if tol is None else tol)
-    return [g if isinstance(g, Exception) else _attempt(solve, model, g, tol)
-            for g in gammas]
+    base, r = _unwrap(model)
+    if base.separable() is not None:
+        def each(g):
+            return _separable_saddle(model, base, r, g, _hull_class(g), "bregman-dual")
+    else:
+        def each(g):
+            return solve_generic(model, g) if tol is None else solve_generic(model, g, tol)
+    return [g if isinstance(g, Exception) else attempt(each, g) for g in gammas]
+
+
+def solve(model: LossModel, g: GammaTau, tol: float | None = None) -> SaddlePoint:
+    """The saddle point of the game over Gamma_tau: `_solve_each` on [g]."""
+    return raised(_solve_each(model, g.statistic, [g], tol)[0])
+
+
+def solve_grid(model: LossModel, statistic: Statistic, taus,
+               tol: float | None = None) -> list:
+    """`solve` at each row tau of `taus`, in order: what
+    solve(model, GammaTau(statistic, tau), tol) returns, or the exception it
+    raises, bit for bit, from one `_solve_each` call.
+
+    A zero-one model runs phase 1 for the whole grid, so the taus the LP
+    screens alike share one exact test per block of pattern systems.  A
+    Brier model runs one stacked dual Newton for the grid, then its support
+    scan in rounds of one exact test per support size; a log model runs one
+    stacked Newton for its interior taus.
+    """
+    return _solve_each(model, statistic, [attempt(GammaTau, statistic, tau) for tau in taus],
+                       tol)
 
 
 def specific_entropy(model: LossModel, statistic: Statistic, tau) -> float:
@@ -1231,7 +1194,8 @@ def _top_tilts(d: np.ndarray):
 
 
 def trace_family(model: LossModel, statistic: Statistic, tau_grid) -> FamilyTrace:
-    """Solve along a tau grid and enforce the family invariants:
+    """Solve along a tau grid (`solve_grid`; the first exception of the grid
+    is raised) and enforce the family invariants:
 
     h is concave along the grid (within 1e-7) and adjacent regular rows
     satisfy (tau2 - tau1)' (beta2 - beta1) <= 1e-7.
@@ -1244,7 +1208,7 @@ def trace_family(model: LossModel, statistic: Statistic, tau_grid) -> FamilyTrac
         if np.any(np.diff(flat) <= 0.0):
             raise ValueError("tau grid must be strictly increasing")
         taus = flat[:, None]
-    rows = tuple(solve(model, GammaTau(statistic, t)) for t in taus)
+    rows = tuple(raised(sp) for sp in solve_grid(model, statistic, taus))
     _check_trace_invariants(statistic, taus, rows)
     return FamilyTrace(statistic=statistic, taus=taus, rows=rows)
 
@@ -1366,7 +1330,7 @@ def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid,
     chi comes from one batched tilt call over the whole beta grid and one
     over the solver's betas (see `natural_tilt` for the routes), read off
     its arrays without a TiltResult per beta; h comes
-    from `solve`, once per sigma.  A grid tilt whose gap stays above
+    from one `solve_grid` over the sigmas.  A grid tilt whose gap stays above
     GRID_TOL, or a matched one above TILT_TOL, raises MaxIterExceeded.
     """
     if statistic.k != 1:
@@ -1374,7 +1338,7 @@ def conjugacy_check(model: LossModel, statistic: Statistic, tau_grid,
     sigmas = np.asarray(tau_grid, dtype=float).ravel()
     betas = np.asarray(beta_grid, dtype=float).ravel()
     chi = _tilt_arrays(model, statistic, betas[:, None], GRID_TOL)[1]
-    saddles = [solve(model, GammaTau(statistic, np.array([sig]))) for sig in sigmas]
+    saddles = [raised(sp) for sp in solve_grid(model, statistic, sigmas[:, None])]
     h_vals = np.array([sp.h_star for sp in saddles])
     estimates = np.min(chi + np.outer(sigmas, betas), axis=1)
     matched = np.full(sigmas.size, np.nan)

@@ -10,7 +10,7 @@ import numpy as np
 from . import _simplex
 from .constraints import (GammaTau, closed_under_conditioning, max_expectation,
                           max_expectations, min_max_expectation)
-from .core import ACT_DISTRIBUTION, Act, Distribution, ext_dot
+from .core import ACT_DISTRIBUTION, Act, Distribution, attempt, ext_dot, raised
 from .losses import LossModel
 
 DUALITY_TOL = 1e-9
@@ -84,9 +84,7 @@ def point_act_saddle(g: GammaTau, L: np.ndarray):
     zeta*), zeta* being the LP's dual weights on the columns."""
     top = float(L.max())
     (found,) = min_max_expectation(g.statistic.matrix, g.tau[None], top - L)
-    if isinstance(found, Exception):
-        raise found
-    value, p, _, zeta = found
+    value, p, _, zeta = raised(found)
     zeta = np.maximum(zeta, 0.0)
     return top - value, p, zeta / zeta.sum()
 
@@ -158,17 +156,12 @@ def verify_grid(model: LossModel, gammas: list, p_stars: list, zeta_stars: list)
     the rows run stacked (`max_expectations`), grouped by the mask of their
     finite losses.
     """
-    out, pending = [], []
-    for g, p_star, zeta_star in zip(gammas, p_stars, zeta_stars):
-        try:
-            lv, at_p, bayes_margin = _bayes_side(model, p_star, zeta_star)
-        except Exception as exc:   # kept for the caller to raise at its turn
-            out.append(exc)
-            continue
-        pending.append((len(out), lv, at_p, bayes_margin))
-        out.append(None)
-    tops = max_expectations([gammas[i] for i, *_ in pending], [lv for _, lv, *_ in pending])
-    for (i, _, at_p, bayes_margin), top in zip(pending, tops):
+    out = [attempt(_bayes_side, model, p_star, zeta_star)
+           for p_star, zeta_star in zip(p_stars, zeta_stars)]
+    pending = [i for i, side in enumerate(out) if not isinstance(side, Exception)]
+    tops = max_expectations([gammas[i] for i in pending], [out[i][0] for i in pending])
+    for i, top in zip(pending, tops):
+        _, at_p, bayes_margin = out[i]
         out[i] = top if isinstance(top, Exception) else _saddle_check(bayes_margin, top, at_p)
     return out
 

@@ -33,9 +33,6 @@ from maxentgames import (
     relative_model,
     restricted_upper_value,
     solve,
-    solve_brier,
-    solve_log,
-    solve_zero_one,
     specific_entropy,
     square_generator,
     support_scan,
@@ -92,7 +89,7 @@ def brier_closed_form(tau):
 def test_01_brier_closed_forms():
     for tau in (-1.0, -0.8, -2.0 / 3.0, -0.25, 0.0, 0.5, 2.0 / 3.0, 0.9, 1.0):
         p_exp, h_exp, b0_exp, b1_exp = brier_closed_form(tau)
-        sp = solve_brier(BRIER, gamma(tau))
+        sp = solve(BRIER, gamma(tau))
         assert np.max(np.abs(sp.p_star.w - p_exp)) <= 1e-9, tau
         assert abs(sp.h_star - h_exp) <= 1e-9, tau
         assert abs(sp.beta0 - b0_exp) <= 1e-9, tau
@@ -118,7 +115,7 @@ def zero_one_closed_form(tau):
 def test_02_zero_one_closed_forms():
     for tau in (-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0):
         p_exp, h_exp = zero_one_closed_form(tau)
-        sp = solve_zero_one(ZERO_ONE, gamma(tau))
+        sp = solve(ZERO_ONE, gamma(tau))
         assert np.max(np.abs(sp.p_star.w - p_exp)) <= 1e-9, tau
         assert abs(sp.h_star - h_exp) <= 1e-9, tau
 
@@ -131,13 +128,13 @@ def test_02_zero_one_closed_forms():
 def test_03_zero_one_act_reconstruction():
     zeta_exp = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0])
     for tau in (0.05, 0.125, 0.25, 0.375, 0.45):
-        sp = solve_zero_one(ZERO_ONE, gamma(tau))
+        sp = solve(ZERO_ONE, gamma(tau))
         assert np.max(np.abs(sp.zeta_star.as_array() - zeta_exp)) <= 1e-9, tau
         assert abs(sp.beta0 - 2.0 / 3.0) <= 1e-9, tau
         assert abs(float(sp.beta[0]) + 1.0 / 3.0) <= 1e-9, tau
 
     # at the kink the optimal acts form the segment (0, a, 1-a), a <= 1/3
-    sp = solve_zero_one(ZERO_ONE, gamma(0.5))
+    sp = solve(ZERO_ONE, gamma(0.5))
     assert np.max(np.abs(sp.zeta_star.as_array() - zeta_exp)) <= 1e-9
     fam = sp.act_family
     assert fam is not None
@@ -174,14 +171,14 @@ def test_04_support_scan():
 
 @gate(5, "log family fit")
 def test_05_log_family():
-    assert abs(solve_log(LOG, gamma(0.0)).h_star - math.log(3.0)) <= 1e-12
+    assert abs(solve(LOG, gamma(0.0)).h_star - math.log(3.0)) <= 1e-12
     for tau in np.linspace(-0.9, 0.9, 19):
-        sp = solve_log(LOG, gamma(tau))
+        sp = solve(LOG, gamma(tau))
         resid = abs(float((T.matrix @ sp.p_star.w)[0]) - tau)
         assert resid <= 1e-8, tau      # fitted mean
         assert resid <= 1e-10, tau     # stationarity of the dual fit
     for tau in (-1.0, 1.0):
-        sp = solve_log(LOG, gamma(tau))
+        sp = solve(LOG, gamma(tau))
         assert sp.h_star == 0.0
         assert not sp.tau_interior
 
@@ -232,13 +229,13 @@ def test_07_pythagorean():
     uniform = Act(ACT_DISTRIBUTION, np.full(3, 1.0 / 3.0))
     for tau in np.linspace(-2.0 / 3.0, 2.0 / 3.0, 21):
         g = gamma(tau)
-        sp = solve_brier(BRIER, g)
+        sp = solve(BRIER, g)
         rep = pythagorean_check(BRIER, vertices(g).points, sp.p_star,
                                 sp.zeta_star, uniform)
         assert np.max(np.abs(rep.slacks)) <= 1e-8, tau
     for tau in (0.75, 0.9):
         g = gamma(tau)
-        sp = solve_brier(BRIER, g)
+        sp = solve(BRIER, g)
         rep = pythagorean_check(BRIER, vertices(g).points, sp.p_star,
                                 sp.zeta_star, uniform)
         assert rep.max_slack >= 1e-3, tau

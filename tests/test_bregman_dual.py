@@ -2,8 +2,8 @@
 
 With the counting base, the `square` generator is the Brier score and
 `xlogx` the log score, so `solve()` on those Bregman models must reproduce
-`solve_brier` and `solve_log`.  `power(3)` has no specialized solver; it is
-checked against the saddle inequalities and against Frank-Wolfe.  The
+it on the Brier and log models.  `power(3)` has no specialized solver; it
+is checked against the saddle inequalities and against Frank-Wolfe.  The
 problems take N = 4-12 and k = 1-3, with tau inside the hull or on the
 face {t_1 = -1}, where the solver restricts to the outcomes Gamma_tau can
 charge (for `xlogx`, psi'(0) = -inf, so only that restriction keeps the
@@ -11,7 +11,6 @@ dual finite).  `xlogx` is also checked on k = 2 integer-valued statistics.
 """
 
 import numpy as np
-import pytest
 
 from maxentgames import (
     GammaTau,
@@ -22,10 +21,7 @@ from maxentgames import (
     log_model,
     power_generator,
     solve,
-    solve_bregman,
-    solve_brier,
     solve_generic,
-    solve_log,
     square_generator,
     verify_saddle,
     xlogx_generator,
@@ -70,7 +66,7 @@ def integer_problems(seed, count):
 def test_square_generator_reproduces_brier():
     for case, (space, g, face) in enumerate(problems(41, 100)):
         sp = solve(bregman_model(space, square_generator(g.n)), g)
-        ref = solve_brier(brier_model(space), g)
+        ref = solve(brier_model(space), g)
         assert sp.method == "bregman-dual"
         assert abs(sp.h_star - ref.h_star) <= 1e-12, case
         assert np.max(np.abs(sp.p_star.w - ref.p_star.w)) <= 1e-12, case
@@ -80,7 +76,7 @@ def test_square_generator_reproduces_brier():
 def test_xlogx_generator_reproduces_log():
     for case, (space, g, face) in enumerate(problems(42, 100)):
         sp = solve(bregman_model(space, xlogx_generator()), g)
-        ref = solve_log(log_model(space), g)
+        ref = solve(log_model(space), g)
         assert abs(sp.h_star - ref.h_star) <= 1e-8, case
         assert np.max(np.abs(sp.p_star.w - ref.p_star.w)) <= 1e-8, case
         if not face:
@@ -88,7 +84,7 @@ def test_xlogx_generator_reproduces_log():
     for case, (space, g) in enumerate(integer_problems(45, 200)):
         model = bregman_model(space, xlogx_generator())
         sp = solve(model, g)
-        ref = solve_log(log_model(space), g)
+        ref = solve(log_model(space), g)
         assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, case
         assert abs(sp.h_star - ref.h_star) <= 1e-8, case
         assert np.max(np.abs(sp.p_star.w - ref.p_star.w)) <= 1e-8, case
@@ -107,9 +103,3 @@ def test_power_generator_is_a_saddle_and_agrees_with_frank_wolfe():
             fw = solve_generic(model, g)
             assert fw.method == "frank-wolfe"
             assert abs(fw.h_star - sp.h_star) <= 1e-8, case
-
-
-def test_solve_bregman_rejects_other_models():
-    space, g, _ = next(problems(44, 1))
-    with pytest.raises(ValueError):
-        solve_bregman(brier_model(space), g)

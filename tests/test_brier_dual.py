@@ -18,7 +18,7 @@ from maxentgames import (
     SampleSpace,
     Statistic,
     brier_model,
-    solve_brier,
+    solve,
 )
 from maxentgames.constraints import CONSISTENCY_TOL
 from maxentgames.core import WEIGHT_CLAMP
@@ -104,7 +104,7 @@ def test_dual_solver_matches_support_enumeration():
         stat, tau = random_problem(rng)
         g = GammaTau(stat, tau)
         p, h, beta = enumerate_brier(g)
-        sp = solve_brier(brier_model(SampleSpace.of(range(stat.n))), g)
+        sp = solve(brier_model(SampleSpace.of(range(stat.n))), g)
         assert np.max(np.abs(sp.p_star.w - p)) <= 1e-12, case
         assert abs(sp.h_star - h) <= 1e-12, case
         if beta is None:

@@ -164,6 +164,46 @@ def test_non_finite_inputs_are_parse_errors(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "log_mean", "--tau", "0.5", "--tol", "1e-6"),
+    ("sweep", "log_mean", "--tol", "1e-6"),
+])
+def test_a_valid_tol_reaches_the_solve(capsys, monkeypatch, argv):
+    tols = []
+    real_solve_grid = cli.solve_grid
+
+    def recorded(model, statistic, taus, tol=None):
+        tols.append(tol)
+        return real_solve_grid(model, statistic, taus, tol)
+
+    monkeypatch.setattr(cli, "solve_grid", recorded)
+    command, name, *rest = argv
+    code, out, err = run_cli(capsys, command, spec_path(name), *rest)
+    assert code == EXIT_OK, err
+    assert out and tols and all(tol == 1e-6 for tol in tols)
+
+
+def test_a_valid_tol_reaches_the_capacity_solve(capsys, monkeypatch):
+    tols = []
+    real_capacity_solve = cli.capacity_solve
+
+    def recorded(sm, tol):
+        tols.append(tol)
+        return real_capacity_solve(sm, tol)
+
+    monkeypatch.setattr(cli, "capacity_solve", recorded)
+    code, out, err = run_cli(capsys, "capacity", spec_path("binary_channel"), "--tol", "1e-4")
+    assert code == EXIT_OK, err
+    assert tols == [1e-4]
+
+
+def test_fmt_pins_every_cell_kind():
+    cells = [None, "ok", True, False, np.True_, 0.1, -0.0, math.nan, math.inf, -math.inf,
+             1e-300]
+    assert [cli._fmt(v) for v in cells] == [
+        "", "ok", "1", "0", "1", "0.1", "-0", "nan", "inf", "-inf", "1e-300"]
+
+
 @pytest.mark.parametrize("argv, cap, named", [
     # a STEPS that is not a whole number, on the line or in the spec
     (("sweep", "brier_mean", "--grid", "-0.5", "0.5", "2.7"), None, "--grid"),
@@ -410,7 +450,7 @@ def test_sweep_beyond_the_hull_matches_row_by_row_records(capsys, name):
         g = GammaTau(spec.statistic, [tau])
         try:
             sp = solve(spec.model, g)
-            lines.append(",".join(cli.record_row(spec.model, g, sp, vertices(g))))
+            lines.append(",".join(cli.record_row(spec.model, sp, vertices(g))))
         except Infeasible:
             lines.append(",".join(cli.sentinel_row([tau], "infeasible", 3, 1)))
     assert out == "\n".join(lines) + "\n"

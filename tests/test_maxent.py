@@ -35,10 +35,7 @@ from maxentgames import (
     quadratic_model,
     relative_model,
     solve,
-    solve_brier,
     solve_generic,
-    solve_log,
-    solve_zero_one,
     specific_entropy,
     square_generator,
     support_scan,
@@ -95,7 +92,7 @@ def zero_one_closed_form(tau):
 
 def test_brier_closed_form_grid():
     for tau in (-1.0, -0.8, -2.0 / 3.0, -0.25, 0.0, 0.5, 2.0 / 3.0, 0.9, 1.0):
-        sp = solve_brier(BRIER, gamma(tau))
+        sp = solve(BRIER, gamma(tau))
         p, h, b0, b1 = brier_closed_form(tau)
         assert np.max(np.abs(sp.p_star.w - p)) <= TOL, tau
         assert abs(sp.h_star - h) <= TOL
@@ -106,7 +103,7 @@ def test_brier_closed_form_grid():
 def test_brier_random_taus_match_closed_form():
     rng = np.random.default_rng(11)
     for tau in rng.uniform(-0.999, 0.999, size=60):
-        sp = solve_brier(BRIER, gamma(tau))
+        sp = solve(BRIER, gamma(tau))
         p, h, b0, b1 = brier_closed_form(float(tau))
         assert np.max(np.abs(sp.p_star.w - p)) <= 1e-8
         assert abs(sp.h_star - h) <= 1e-9
@@ -114,11 +111,11 @@ def test_brier_random_taus_match_closed_form():
 
 
 def test_brier_flags_inner_vs_outer():
-    inner = solve_brier(BRIER, gamma(0.25))
+    inner = solve(BRIER, gamma(0.25))
     assert inner.is_linear and inner.is_regular
     assert vertex_columns(BRIER, vertices(gamma(0.25)), inner)[0]
     assert inner.tau_interior
-    outer = solve_brier(BRIER, gamma(0.9))
+    outer = solve(BRIER, gamma(0.9))
     assert not outer.is_linear    # loss off the support breaks the affine fit
     assert outer.is_regular       # still affine where P* lives
     assert not vertex_columns(BRIER, vertices(gamma(0.9)), outer)[0]
@@ -126,17 +123,17 @@ def test_brier_flags_inner_vs_outer():
 
 
 def test_brier_hull_endpoints_one_sided_slope():
-    left = solve_brier(BRIER, gamma(-1.0))
+    left = solve(BRIER, gamma(-1.0))
     assert left.h_star == 0.0 and not left.tau_interior
     assert abs(float(left.beta[0]) - 2.0) <= TOL
     assert abs(left.beta0 - 2.0) <= TOL
-    right = solve_brier(BRIER, gamma(1.0))
+    right = solve(BRIER, gamma(1.0))
     assert abs(float(right.beta[0]) + 2.0) <= TOL
     assert abs(right.beta0 - 2.0) <= TOL
 
 
 def test_brier_act_is_maximizer():
-    sp = solve_brier(BRIER, gamma(0.3))
+    sp = solve(BRIER, gamma(0.3))
     assert np.max(np.abs(sp.zeta_star.payload - sp.p_star.w)) <= TOL
     assert sp.bayes_margin <= 1e-9
     assert vertex_columns(BRIER, vertices(gamma(0.3)), sp)[1] <= 1e-7
@@ -148,7 +145,7 @@ def test_brier_act_is_maximizer():
 
 def test_zero_one_closed_form_grid():
     for tau in (-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0):
-        sp = solve_zero_one(ZERO_ONE, gamma(tau))
+        sp = solve(ZERO_ONE, gamma(tau))
         p, h = zero_one_closed_form(tau)
         assert np.max(np.abs(sp.p_star.w - p)) <= TOL, tau
         assert abs(sp.h_star - h) <= TOL
@@ -156,18 +153,18 @@ def test_zero_one_closed_form_grid():
 
 def test_zero_one_inner_act_and_coefficients():
     for tau in (0.1, 0.25, 0.4):
-        sp = solve_zero_one(ZERO_ONE, gamma(tau))
+        sp = solve(ZERO_ONE, gamma(tau))
         assert np.max(np.abs(sp.zeta_star.payload - [0.0, 1 / 3, 2 / 3])) <= TOL
         assert abs(sp.beta0 - 2.0 / 3.0) <= TOL
         assert abs(float(sp.beta[0]) + 1.0 / 3.0) <= TOL
         assert sp.act_family is None    # unique optimal act strictly inside
-    mirrored = solve_zero_one(ZERO_ONE, gamma(-0.25))
+    mirrored = solve(ZERO_ONE, gamma(-0.25))
     assert np.max(np.abs(mirrored.zeta_star.payload - [2 / 3, 1 / 3, 0.0])) <= TOL
     assert abs(float(mirrored.beta[0]) - 1.0 / 3.0) <= TOL
 
 
 def test_zero_one_half_tau_act_family():
-    sp = solve_zero_one(ZERO_ONE, gamma(0.5))
+    sp = solve(ZERO_ONE, gamma(0.5))
     fam = sp.act_family
     assert fam is not None
     # canonical member equalizes, which forces the inner-region act
@@ -187,7 +184,7 @@ def test_zero_one_half_tau_act_family():
 
 
 def test_zero_one_tau_zero_act_family():
-    sp = solve_zero_one(ZERO_ONE, gamma(0.0))
+    sp = solve(ZERO_ONE, gamma(0.0))
     assert np.max(np.abs(sp.zeta_star.payload - 1.0 / 3.0)) <= TOL
     fam = sp.act_family
     assert fam is not None
@@ -199,19 +196,19 @@ def test_zero_one_tau_zero_act_family():
 
 
 def test_zero_one_act_family_rejects_out_of_range():
-    fam = solve_zero_one(ZERO_ONE, gamma(0.5)).act_family
+    fam = solve(ZERO_ONE, gamma(0.5)).act_family
     with pytest.raises(ValueError):
         fam.act(fam.hi + 1.0)
 
 
 def test_zero_one_outer_and_boundary():
-    outer = solve_zero_one(ZERO_ONE, gamma(0.75))
+    outer = solve(ZERO_ONE, gamma(0.75))
     assert np.max(np.abs(outer.zeta_star.payload - [0.0, 0.0, 1.0])) <= TOL
     assert abs(outer.beta0 - 1.0) <= TOL
     assert abs(float(outer.beta[0]) + 1.0) <= TOL
     assert not vertex_columns(ZERO_ONE, vertices(gamma(0.75)), outer)[0]
     for tau, target in ((-1.0, 1.0), (1.0, -1.0)):
-        sp = solve_zero_one(ZERO_ONE, gamma(tau))
+        sp = solve(ZERO_ONE, gamma(tau))
         assert abs(sp.h_star) <= 1e-12 and not sp.tau_interior
         assert abs(float(sp.beta[0]) - target) <= 1e-6
 
@@ -221,14 +218,14 @@ def test_zero_one_outer_and_boundary():
 
 
 def test_log_uniform_is_max_entropy():
-    sp = solve_log(LOG, gamma(0.0))
+    sp = solve(LOG, gamma(0.0))
     assert abs(sp.h_star - np.log(3.0)) <= 1e-12
     assert np.max(np.abs(sp.p_star.w - 1.0 / 3.0)) <= 1e-10
 
 
 def test_log_grid_moment_and_gradient():
     for tau in np.linspace(-0.9, 0.9, 19):
-        sp = solve_log(LOG, gamma(tau))
+        sp = solve(LOG, gamma(tau))
         assert abs(float((T.matrix @ sp.p_star.w)[0]) - tau) <= 1e-8
         assert sp.gap <= 1e-10
         assert sp.is_regular and sp.method == "log-newton"
@@ -236,7 +233,7 @@ def test_log_grid_moment_and_gradient():
 
 
 def test_log_frozen_row():
-    sp = solve_log(LOG, gamma(0.5))
+    sp = solve(LOG, gamma(0.5))
     assert np.max(np.abs(sp.p_star.w - [0.116204060378, 0.267591879244,
                                         0.616204060378])) <= 1e-10
     assert abs(sp.h_star - 0.901234700635) <= 1e-10
@@ -246,7 +243,7 @@ def test_log_frozen_row():
 
 def test_log_boundary_restricts_to_face():
     for tau, idx in ((-1.0, 0), (1.0, 2)):
-        sp = solve_log(LOG, gamma(tau))
+        sp = solve(LOG, gamma(tau))
         assert sp.h_star == 0.0
         assert sp.beta is None and sp.beta0 is None
         assert not sp.is_regular
@@ -256,7 +253,7 @@ def test_log_boundary_restricts_to_face():
 
 def test_log_two_dimensional_statistic():
     t2 = Statistic(np.array([[-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-    sp = solve_log(LOG, GammaTau(t2, np.array([0.2, 0.4])))
+    sp = solve(LOG, GammaTau(t2, np.array([0.2, 0.4])))
     assert np.max(np.abs(t2.matrix @ sp.p_star.w - [0.2, 0.4])) <= 1e-8
     assert np.max(np.abs(sp.p_star.w - [0.2, 0.4, 0.4])) <= 1e-8
     # the two tilt coefficients coincide by symmetry of the solution
@@ -278,7 +275,7 @@ def test_log_face_of_rank_deficient_statistic():
             model = log_model(SampleSpace.of(range(n)))
             for mat in (np.ascontiguousarray(t), np.asfortranarray(t)):
                 g = GammaTau(Statistic(mat), tau)
-                sp = solve_log(model, g)
+                sp = solve(model, g)
                 assert sp.method == "log-face" and sp.beta is None
                 assert np.array_equal(sp.p_star.support(1e-12), on)
                 assert np.max(np.abs(mat @ sp.p_star.w - tau)) <= 1e-8
@@ -294,7 +291,7 @@ def test_log_affinely_dependent_rows():
     tau = t @ rng.dirichlet(np.ones(5))
     model = log_model(SampleSpace.of(range(5)))
     g = GammaTau(Statistic(t), tau)
-    sp = solve_log(model, g)
+    sp = solve(model, g)
     assert sp.method == "log-face" and sp.beta is None
     assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
     rng = np.random.default_rng(17)
@@ -304,10 +301,10 @@ def test_log_affinely_dependent_rows():
         tau = t @ rng.dirichlet(np.ones(n))
         model = log_model(SampleSpace.of(range(n)))
         g = GammaTau(Statistic(t), tau)
-        sp = solve_log(model, g)
+        sp = solve(model, g)
         assert sp.method == "log-face" and sp.beta is None, case
         assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, case
-        ref = solve_log(model, GammaTau(Statistic(t[1:]), tau[1:]))
+        ref = solve(model, GammaTau(Statistic(t[1:]), tau[1:]))
         assert np.max(np.abs(sp.p_star.w - ref.p_star.w)) <= 1e-9, case
 
 
@@ -321,7 +318,7 @@ def test_log_faces_take_the_separable_dual():
         t, tau = mean_value_problem(rng, n, k, case % 4)
         g = GammaTau(t, tau)
         space = SampleSpace.of(range(n))
-        sp = solve_log(log_model(space), g)
+        sp = solve(log_model(space), g)
         if sp.method != "log-face":
             continue
         faces += 1
@@ -340,7 +337,7 @@ def test_log_tau_just_inside_a_hull_end():
         t = rng.uniform(-1.0, 1.0, size=(1, 6))
         tau = np.array([t.max() - rng.uniform(0.5, 1.5) * 7.5e-10])
         g = GammaTau(Statistic(t), tau)
-        sp = solve_log(model, g)
+        sp = solve(model, g)
         assert np.max(np.abs(t @ sp.p_star.w - tau)) <= 1e-9
         assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
 
@@ -409,10 +406,9 @@ def test_generic_agrees_with_specialized():
 
 
 def test_infeasible_tau_raises():
-    for solver, model in ((solve_brier, BRIER), (solve_log, LOG),
-                          (solve_zero_one, ZERO_ONE)):
+    for model in (BRIER, LOG, ZERO_ONE):
         with pytest.raises(Infeasible):
-            solver(model, gamma(1.5))
+            solve(model, gamma(1.5))
     assert specific_entropy(BRIER, T, np.array([-1.2])) == float("-inf")
 
 
@@ -434,20 +430,11 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.delenv("MAXENT_MAX_N", raising=False)
     model = brier_model(SampleSpace.of(range(21)))
     g = GammaTau(Statistic(np.linspace(-1.0, 1.0, 21)[None, :]), np.array([0.0]))
-    sp = solve_brier(model, g)
+    sp = solve(model, g)
     assert abs(sp.h_star - (1.0 - 1.0 / 21.0)) <= 1e-12
     assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
     with pytest.raises(CombinatorialBlowup, match="MAXENT_MAX_N"):
         vertex_columns(model, vertices(g), sp)
-
-
-def test_wrong_model_kind_rejected():
-    with pytest.raises(ValueError):
-        solve_brier(LOG, gamma(0.0))
-    with pytest.raises(ValueError):
-        solve_log(BRIER, gamma(0.0))
-    with pytest.raises(ValueError):
-        solve_zero_one(BRIER, gamma(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +836,7 @@ def test_lafferty_brier_uniform_reduces_to_plain_family():
     tr = lafferty_family(BRIER, Distribution.uniform(3), T,
                          np.linspace(-0.6, 0.6, 7))
     for row in tr.rows:
-        plain = solve_brier(BRIER, GammaTau(T, row.tau))
+        plain = solve(BRIER, GammaTau(T, row.tau))
         assert np.max(np.abs(row.p_star.w - plain.p_star.w)) <= 1e-4
         # relative entropy differs from plain entropy by the reference level
         assert abs(row.h_star - (plain.h_star - 2.0 / 3.0)) <= 1e-7

@@ -11,9 +11,14 @@ exception the one it raises, type and message.  The grids (from
 test_vertex_lists) hold hull vertices, points on faces, sparse laws, points
 just inside and just outside the consistency band of a hull end and points
 far outside, on uniform and integer (tied) statistics with N 3-12 and k 1-3.
-They run through `cli._grid_solves` with a small GRID_CHUNK, so they cross
+They run through `cli._grid_chunks` with a small GRID_CHUNK, so they cross
 chunk boundaries, and once more with a small SYSTEM_BLOCK, which splits the
 taus of one screen into several calls.
+
+`solve` is the same route at one Gamma_tau: on every model class it routes,
+it must give what `solve_grid` gives at that tau.  `trace_family` and
+`conjugacy_check` solve their grids with `solve_grid`, and must give what a
+loop of `solve` gives, the first exception of the grid included.
 
 A Brier record reads its dual only through the support it picks, so a
 drifted iterate could hide behind equal records: the stacked iterates of
@@ -28,6 +33,7 @@ import numpy as np
 import pytest
 
 from maxentgames import (
+    Distribution,
     GammaTau,
     Infeasible,
     NewtonDivergence,
@@ -36,16 +42,21 @@ from maxentgames import (
     Statistic,
     brier_model,
     cli,
+    conjugacy_check,
     log_model,
     maxent,
+    quadratic_model,
+    relative_model,
     solve,
     solve_grid,
+    trace_family,
     zero_one_model,
 )
 from maxentgames import _newton
 from maxentgames.constraints import SYSTEM_BLOCK
 from maxentgames.core import BaseMeasure
-from maxentgames.losses import bregman_model, square_generator, xlogx_generator
+from maxentgames.losses import (bregman_model, power_generator, square_generator,
+                                xlogx_generator)
 from test_vertex_lists import grid, statistic
 from test_zero_one_lp import tied_statistic
 
@@ -64,27 +75,40 @@ def assert_same(a, b, where):
     elif dataclasses.is_dataclass(a):
         for f in dataclasses.fields(a):
             assert_same(getattr(a, f.name), getattr(b, f.name), (where, f.name))
+    elif isinstance(a, tuple):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, (where, i))
     else:
         assert a == b, where
 
 
 def alone(model, t, tau, tol=None):
     """`solve` at one tau, or the exception it raises."""
+    return alone_call(lambda: solve(model, GammaTau(Statistic(t), tau), tol))
+
+
+def alone_call(fn, *args):
+    """fn(*args), or the exception it raises."""
     try:
-        return solve(model, GammaTau(Statistic(t), tau), tol)
+        return fn(*args)
     except Exception as exc:
         return exc
+
+
+def assert_same_outcome(found, ref, where):
+    """Both the same record bit for bit, or exceptions of one type and message."""
+    if isinstance(ref, Exception):
+        assert type(found) is type(ref), (where, found)
+        assert str(found) == str(ref), where
+    else:
+        assert_same(found, ref, where)
 
 
 def assert_matches_each_tau_alone(model, t, taus, found, tol=None):
     assert len(found) == len(taus)
     for tau, sp in zip(taus, found):
-        ref = alone(model, t, tau, tol)
-        if isinstance(ref, Exception):
-            assert type(sp) is type(ref), (tau, sp)
-            assert str(sp) == str(ref), tau
-        else:
-            assert_same(sp, ref, tuple(np.ravel(tau)))
+        assert_same_outcome(sp, alone(model, t, tau, tol), tuple(np.ravel(tau)))
 
 
 def cases():
@@ -112,8 +136,8 @@ def test_zero_one_grid_matches_each_tau_alone_bitwise(monkeypatch, block):
         taus = grid(rng, t, count)
         model = zero_one_model(SampleSpace.of(range(n)))
         monkeypatch.setattr(maxent, "support_solutions", counted)
-        found = [sp for _, _, sp, _ in
-                 cli._grid_solves(model, Statistic(t), taus, None, with_vertices=False)]
+        found = [sp for chunk in cli._grid_chunks(model, Statistic(t), taus, None, False)
+                 for _, sp, _ in chunk]
         monkeypatch.setattr(maxent, "support_solutions", inner)
         assert_matches_each_tau_alone(model, t, taus, found)
         kinds.update(type(sp).__name__ for sp in found)
@@ -154,19 +178,86 @@ def test_other_models_are_solved_tau_by_tau(monkeypatch):
     spec = cli.parse_spec(os.path.join(SPECS, "brier_mean.json"))
     model = bregman_model(spec.space, xlogx_generator())
     taus = np.array([[-0.5], [0.25], [1.5]])
-    solves = []
-    inner = maxent.solve
+    hulls = []
+    inner = maxent._hull_class
 
-    def counted(model, g, tol=None):
-        solves.append(g.tau)
-        return inner(model, g, tol)
+    def counted(g):
+        hulls.append(g.tau)
+        return inner(g)
 
-    monkeypatch.setattr(maxent, "solve", counted)
+    monkeypatch.setattr(maxent, "_hull_class", counted)
     found = solve_grid(model, spec.statistic, taus)
-    assert len(solves) == 3
-    monkeypatch.setattr(maxent, "solve", inner)
+    assert len(hulls) == 3
+    monkeypatch.setattr(maxent, "_hull_class", inner)
     assert_matches_each_tau_alone(model, spec.statistic.matrix, taus, found)
     assert isinstance(found[2], Infeasible)
+
+
+def route_models(space):
+    """One model of each class `solve` routes: the Brier, log and zero-one
+    grids, the separable dual (Bregman models and relative games over a
+    separable base) and `solve_generic` (quadratic, relative zero-one)."""
+    w = np.arange(1.0, space.n + 1.0)
+    ref = Distribution(w / w.sum())
+    plain = {"brier": brier_model(space), "log": log_model(space),
+             "zero_one": zero_one_model(space)}
+    models = dict(plain)
+    models.update({
+        "bregman-xlogx": bregman_model(space, xlogx_generator()),
+        "bregman-square": bregman_model(space, square_generator(space.n)),
+        "bregman-power3": bregman_model(space, power_generator(3.0)),
+        "quadratic": quadratic_model(space, np.linspace(-0.5, 0.8, space.n)),
+    })
+    models.update({f"relative-{name}": relative_model(model, model.bayes_act(ref))
+                   for name, model in plain.items()})
+    return models
+
+
+@pytest.mark.parametrize("tol", [None, 1e-7])
+def test_solve_is_solve_grid_at_one_tau(tol):
+    # every route: solve on the caller's Gamma_tau and solve_grid on the
+    # one it builds give one record, or one exception, bit for bit; the
+    # taus hold interior points, hull vertices and points outside the hull
+    t1 = np.array([[-1.0, -0.2, 0.5, 1.0]])
+    t2 = np.vstack([t1, [[0.3, -0.5, 0.9, 0.1]]])
+    problems = [(t1, [[-0.3], [0.2], [-1.0], [1.0], [1.5]]),
+                (t2, [t2 @ np.full(4, 0.25), t2[:, 0], t2 @ np.array([0.7, 0.1, 0.1, 0.1]),
+                      [5.0, 0.0]])]
+    kinds = set()
+    for name, model in route_models(SampleSpace.of(range(4))).items():
+        for t, taus in problems:
+            for tau in taus:
+                stat = Statistic(t)
+                found = solve_grid(model, stat, [tau], tol)[0]
+                assert_same_outcome(found, alone(model, t, tau, tol), (name, tuple(tau)))
+                kinds.add(found.method if isinstance(found, SaddlePoint)
+                          else type(found).__name__)
+    assert {"brier-enum", "log-newton", "log-face", "zero-one-enum", "bregman-dual",
+            "frank-wolfe", "matrix-game", "Infeasible"} <= kinds
+
+
+def solve_each_tau_alone(model, statistic, taus, tol=None):
+    """`solve_grid` as a loop of `solve`, one tau at a time."""
+    return [alone(model, statistic.matrix, tau, tol) for tau in taus]
+
+
+@pytest.mark.parametrize("name", ["brier", "log", "zero_one", "bregman-power3", "quadratic"])
+def test_trace_and_conjugacy_match_a_loop_of_solves(monkeypatch, name):
+    # both solve their grid with one solve_grid call; with a tau outside the
+    # hull, both raise the first exception of the grid, as the loop does
+    model = route_models(SampleSpace.of(range(3)))[name]
+    stat = Statistic(np.array([[-1.0, 0.0, 1.0]]))
+    betas = np.linspace(-2.0, 2.0, 41)
+    for grid in (np.linspace(-0.9, 0.9, 13), np.array([-0.5, 0.0, 1.5, 2.0])):
+        for check, args in ((trace_family, (grid,)), (conjugacy_check, (grid, betas))):
+            found = alone_call(check, model, stat, *args)
+            with monkeypatch.context() as patched:
+                patched.setattr(maxent, "solve_grid", solve_each_tau_alone)
+                ref = alone_call(check, model, stat, *args)
+            assert_same_outcome(found, ref, (name, check.__name__, grid.size))
+            assert isinstance(ref, Infeasible) == (grid.size == 4), ref
+            if grid.size == 4:
+                assert "tau=[1.5]" in str(ref)
 
 
 def with_bad_taus(rng, taus):
@@ -191,8 +282,8 @@ def test_separable_grids_match_each_tau_alone_bitwise(monkeypatch, kind, block):
         taus = with_bad_taus(rng, grid(rng, t, count))
         space = SampleSpace.of(range(n))
         model = brier_model(space) if kind == "brier" else log_model(space)
-        found = [sp for _, _, sp, _ in
-                 cli._grid_solves(model, Statistic(t), taus, None, with_vertices=False)]
+        found = [sp for chunk in cli._grid_chunks(model, Statistic(t), taus, None, False)
+                 for _, sp, _ in chunk]
         assert_matches_each_tau_alone(model, t, taus, found)
         kinds.update(sp.method if isinstance(sp, SaddlePoint) else type(sp).__name__
                      for sp in found)
