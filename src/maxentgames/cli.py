@@ -38,6 +38,7 @@ from .core import (
     SampleSpace,
     Statistic,
     _checked_rows,
+    attempt,
     ext_dot,
     ext_dots,
     raised,
@@ -73,8 +74,8 @@ from .losses import (
 )
 from .maxent import (
     SaddlePoint,
+    _solve_each,
     conjugacy_check,
-    solve_grid,
 )
 from .verify import verify_grid, verify_saddle
 
@@ -324,11 +325,11 @@ def cmd_solve(args) -> int:
         raise SpecError("solve needs --tau or a constraint.tau in the spec")
     statistic = _require_statistic(spec)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))[None]
-    ((_, sp, vs),) = next(_grid_chunks(spec.model, statistic, taus, args.tol, True))
+    ((_, g, sp, vs),) = next(_grid_chunks(spec.model, statistic, taus, args.tol, True))
     record = record_values(spec.model, raised(sp), vs)
     if args.bits and isinstance(spec.model, LogModel):
         record["h_bits"] = sp.h_star / LN2
-    check = verify_saddle(spec.model, GammaTau(statistic, taus[0]), sp.p_star, sp.zeta_star)
+    check = verify_saddle(spec.model, g, sp.p_star, sp.zeta_star)
     record["saddle_verified"] = check.is_saddle
     _emit(json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n", args.out)
     if not check.is_saddle:
@@ -363,30 +364,33 @@ def _grid_values(spec: ProblemSpec, args) -> np.ndarray:
 
 def _grid_chunks(model: LossModel, statistic: Statistic, taus: np.ndarray,
                  tol: float | None, with_vertices: bool):
-    """Lists of (tau, saddle point, vertex list or None), one per chunk of
-    GRID_CHUNK rows of `taus`, in order; the vertex lists only when asked
-    for, after the size caps are checked, before any solve.
+    """Lists of (tau, Gamma_tau, saddle point, vertex list or None), one per
+    chunk of GRID_CHUNK rows of `taus`, in order; the vertex lists only when
+    asked for, after the size caps are checked, before any solve.
 
-    Each chunk is solved by one `solve_grid` call, then the vertex lists of
-    the solved ones come from one `vertex_lists` call.  Where building
-    Gamma_tau or solving raised, or Gamma_tau has no vertex, the exception
-    takes the saddle point's place, for the caller to raise at its turn, so
-    rows and errors come in the grid's order.
+    Each chunk's Gamma_tau are built once and solved by one `_solve_each`
+    call, so a certificate checked on a row's Gamma_tau shares what the
+    solve kept on it (`union_support`); then the vertex lists of the solved
+    ones come from one `vertex_lists` call.  Where building Gamma_tau or
+    solving raised, or Gamma_tau has no vertex, the exception takes the
+    saddle point's place (a failed build takes Gamma_tau's too), for the
+    caller to raise at its turn, so rows and errors come in the grid's order.
     """
     if with_vertices:
         check_sizes(statistic)
     for lo in range(0, len(taus), GRID_CHUNK):
         chunk = taus[lo:lo + GRID_CHUNK]
-        solved = solve_grid(model, statistic, chunk, tol)
+        gammas = [attempt(GammaTau, statistic, tau) for tau in chunk]
+        solved = _solve_each(model, statistic, gammas, tol)
         lists = iter(vertex_lists(statistic, [tau for tau, sp in zip(chunk, solved)
                                               if isinstance(sp, SaddlePoint)])
                      if with_vertices else ())
         rows = []
-        for tau, sp in zip(chunk, solved):
+        for tau, g, sp in zip(chunk, gammas, solved):
             vs = next(lists) if with_vertices and isinstance(sp, SaddlePoint) else None
             if isinstance(vs, Infeasible):
                 sp, vs = vs, None
-            rows.append((tau, sp, vs))
+            rows.append((tau, g, sp, vs))
         yield rows
 
 
@@ -399,7 +403,7 @@ def cmd_sweep(args) -> int:
     n, k = spec.space.n, statistic.k
     lines = [f"# {CSV_SCHEMA}", ",".join(record_columns(n, k))]
     chunks = _grid_chunks(spec.model, statistic, grid[:, None], args.tol, True)
-    for tau, sp, vs in chain.from_iterable(chunks):
+    for tau, _, sp, vs in chain.from_iterable(chunks):
         try:
             lines.append(",".join(record_row(spec.model, raised(sp), vs)))
         except Infeasible:
@@ -456,11 +460,11 @@ def _suite_saddle(spec: ProblemSpec, args) -> dict:
     rows = []
     passed = True
     for chunk in _grid_chunks(spec.model, statistic, _suite_taus(spec), None, False):
-        solved = [(tau, sp) for tau, sp, _ in chunk if isinstance(sp, SaddlePoint)]
-        checks = iter(verify_grid(spec.model, [GammaTau(statistic, tau) for tau, _ in solved],
+        solved = [(g, sp) for _, g, sp, _ in chunk if isinstance(sp, SaddlePoint)]
+        checks = iter(verify_grid(spec.model, [g for g, _ in solved],
                                   [sp.p_star for _, sp in solved],
                                   [sp.zeta_star for _, sp in solved]))
-        for tau, sp, _ in chunk:
+        for tau, _, sp, _ in chunk:
             if not _solved(rows, tau, sp):
                 continue
             chk = raised(next(checks))
@@ -499,7 +503,7 @@ def _suite_pythagorean(spec: ProblemSpec, args) -> dict:
     passed = True
     equality_taus = []
     chunks = _grid_chunks(game, _require_statistic(spec), _suite_taus(spec), None, True)
-    for tau, sp, vs in chain.from_iterable(chunks):
+    for tau, _, sp, vs in chain.from_iterable(chunks):
         if not _solved(rows, tau, sp):
             continue
         rep = pythagorean_check(spec.model, vs.points, sp.p_star, sp.zeta_star, ref)
@@ -526,7 +530,7 @@ def _suite_equalizer(spec: ProblemSpec, args) -> dict:
     rows = []
     passed = True
     chunks = _grid_chunks(spec.model, _require_statistic(spec), _suite_taus(spec), None, True)
-    for tau, sp, vs in chain.from_iterable(chunks):
+    for tau, _, sp, vs in chain.from_iterable(chunks):
         if not _solved(rows, tau, sp):
             continue
         rep = equalizer_check(spec.model, vs.points, sp.zeta_star)

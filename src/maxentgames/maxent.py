@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,12 +28,13 @@ from .constraints import (
     RANK_TOL,
     SYSTEM_BLOCK,
     GammaTau,
-    hull_interior,
+    _face,
     lstsq_stack,
     max_expectation,
     min_max_expectation,
     support_solutions,
     union_support,
+    vertex_lists,
     vertices,
 )
 from .core import (
@@ -63,6 +65,7 @@ LOG_TOL = 1e-10          # log Newton's gradient norm, unless the caller sets to
 BRIER_ACTIVE_TOL = 1e-9  # |A'y| below this marks a weakly active outcome
 BRIER_GAP_TOL = 1e-9     # largest duality gap a Brier solution may keep
 FW_MAX_ITER = 100000     # conditional-gradient iterations
+GENERIC_TOL = 1e-8       # certified gap of `solve_generic`, unless the caller sets tol
 TILT_TOL = 1e-8          # certified gap of a natural tilt
 GRID_TOL = 1e-6          # certified gap of a tilt on the conjugacy beta grid
 KINK_TOL = 1e-3          # one-sided slopes further apart than this mark a kink of h
@@ -134,44 +137,78 @@ class FamilyTrace:
 # shared helpers
 
 
-def _affine_fit(tmat: np.ndarray, y: np.ndarray, cols: np.ndarray | None = None):
-    """Least-squares y(x) ~ b0 + beta' t(x); returns (b0, beta, max residual)."""
-    if cols is not None:
-        tmat, y = tmat[:, cols], y[cols]
-    design = np.vstack([np.ones(y.size), tmat]).T
-    sol = lstsq_stack(design, y)[0][:, 0]
-    resid = float(np.max(np.abs(design @ sol - y))) if y.size else 0.0
-    return float(sol[0]), sol[1:], resid
+class _Draft(NamedTuple):
+    """A solved saddle point before its record: `_records` adds the checks.
+    h is H(P*) on every route; hull is `_hull_class`'s class of tau."""
+
+    g: GammaTau
+    p_star: Distribution
+    zeta: Act
+    h: float
+    beta0: float | None
+    beta: np.ndarray | None
+    gap: float
+    method: str
+    hull: str
+    act_family: ActFamily | None = None
+
+
+def _affine_fits(tmat: np.ndarray, ys: np.ndarray):
+    """Least squares y(x) ~ b0 + beta' t(x) for every row y of ys (S, N) in
+    one `lstsq_stack` call: ((b0, beta) per row, max residual per row), each
+    row what a lone fit gives, bit for bit."""
+    design = np.vstack([np.ones(tmat.shape[1]), tmat]).T
+    sol = lstsq_stack(design, ys)[0]
+    return sol[..., 0], np.abs(design @ sol - ys[..., None]).max(axis=(1, 2))
 
 
 def _hull_class(g: GammaTau) -> str:
-    """hull_interior's class of tau; Infeasible when tau is outside the hull."""
-    hull = hull_interior(g.statistic, g.tau)
+    """`_face`'s class of tau, which `g` has checked; Infeasible when tau is
+    outside the hull."""
+    hull = _face(g.statistic.matrix, g.tau)[0]
     if hull == "outside":
         raise Infeasible(f"tau={g.tau} outside the statistic hull")
     return hull
 
 
-def _finalize(model: LossModel, g: GammaTau, p_star: Distribution, zeta: Act, h: float,
-              beta0, beta, gap: float, method: str,
-              hull: str, act_family: ActFamily | None = None) -> SaddlePoint:
-    """The SaddlePoint record; `hull` is `_hull_class`'s class of tau."""
-    lv = model.loss_vector(zeta)
-    tmat = g.statistic.matrix
-    supp = p_star.support(1e-9)
+def _records(model: LossModel, statistic: Statistic, drafts: list) -> list:
+    """The SaddlePoint of each draft, or the exception kept in its place.
 
-    if np.all(np.isfinite(lv)):
-        _, _, resid_all = _affine_fit(tmat, lv)
-        is_linear = resid_all <= LINEAR_FIT_TOL
-    else:
-        is_linear = False
+    The loss vectors L(., zeta*) and the records run per tau; the affine
+    fits of the finite loss vectors on [1; T], which decide `is_linear`, run
+    in one `_affine_fits` call for the whole list.  Each tau keeps the first
+    exception its own steps raise.
+    """
+    out, losses = list(drafts), {}
+    for i, draft in enumerate(drafts):
+        if not isinstance(draft, Exception):
+            lv = attempt(model.loss_vector, draft.zeta)
+            if isinstance(lv, Exception):
+                out[i] = lv
+            else:
+                losses[i] = lv
+    linear = dict.fromkeys(losses, False)
+    fit = [i for i, lv in losses.items() if np.isfinite(lv).all()]
+    if fit:
+        found, errors = _by_slice(lambda ys: _affine_fits(statistic.matrix, ys),
+                                  np.array([losses[i] for i in fit]))
+        for r, i in enumerate(fit):
+            linear[i] = errors[r] if r in errors else found[1][r] <= LINEAR_FIT_TOL
+    for i, lv in losses.items():
+        out[i] = linear[i] if isinstance(linear[i], Exception) else attempt(
+            _record, drafts[i], lv, linear[i])
+    return out
 
+
+def _record(draft: _Draft, lv: np.ndarray, is_linear) -> SaddlePoint:
+    """The SaddlePoint of a draft from its loss vector and affine-fit check;
+    the Bayes margin |L(P*, zeta*) - H(P*)| reads H(P*) off the draft."""
+    g, p_star, zeta, h, beta0, beta, gap, method, hull, act_family = draft
     is_regular = False
     if beta is not None:
-        fitted = beta0 + tmat[:, supp].T @ beta
+        supp = p_star.support(1e-9)
+        fitted = beta0 + g.statistic.matrix[:, supp].T @ beta
         is_regular = bool(np.max(np.abs(fitted - lv[supp])) <= LINEAR_FIT_TOL)
-
-    bayes_margin = abs(ext_dot(p_star.w, lv) - model.entropy(p_star))
     return SaddlePoint(
         tau=g.tau,
         p_star=p_star,
@@ -182,7 +219,7 @@ def _finalize(model: LossModel, g: GammaTau, p_star: Distribution, zeta: Act, h:
         is_linear=bool(is_linear),
         is_regular=is_regular,
         tau_interior=hull == "interior",
-        bayes_margin=float(bayes_margin),
+        bayes_margin=float(abs(ext_dot(p_star.w, lv) - h)),
         gap=float(gap),
         method=method,
         act_family=act_family,
@@ -309,9 +346,9 @@ def _brier_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
     `gammas` holds Gamma_tau, or the exceptions that building them raised,
     which stay in place.  The grid runs the hull class per tau, one stacked
     `_separable_dual` for the live taus, the support scan in rounds
-    (`_brier_scan`), the multipliers stacked by support size and
-    `_finalize` per tau.  Each tau gets its SaddlePoint or the exception its
-    own solve raises.
+    (`_brier_scan`) and the multipliers stacked by support size.  Each tau
+    gets its draft (`_records` makes the record) or the exception its own
+    solve raises.
     """
     out = [attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
     live = [i for i, hull in enumerate(out) if isinstance(hull, str)]
@@ -338,7 +375,7 @@ def _brier_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
             found[j] = errors[r] if r in errors else (*found[j], fits[0][r], fits[1][r])
     for j, i in enumerate(live):
         out[i] = found[j] if isinstance(found[j], Exception) else attempt(
-            _brier_saddle, model, gammas[i], out[i], supports[j], *found[j])
+            _brier_draft, gammas[i], out[i], supports[j], *found[j])
     return out
 
 
@@ -349,9 +386,9 @@ def _lstsq_rank(a_t: np.ndarray, weights: np.ndarray):
     return alpha[..., 0], np.linalg.matrix_rank(a_t.transpose(0, 2, 1), tol=RANK_TOL)
 
 
-def _brier_saddle(model: LossModel, g: GammaTau, hull: str, supp: np.ndarray,
-                  h: float, p: np.ndarray, alpha: np.ndarray, rank) -> SaddlePoint:
-    """The Brier record from P*, its value and the multipliers alpha of
+def _brier_draft(g: GammaTau, hull: str, supp: np.ndarray, h: float, p: np.ndarray,
+                 alpha: np.ndarray, rank) -> _Draft:
+    """The Brier draft from P*, its value and the multipliers alpha of
     [1; T] on supp(P*), whose rank there is `rank`."""
     if rank == g.k + 1:
         beta = -2.0 * alpha[1:]
@@ -359,7 +396,7 @@ def _brier_saddle(model: LossModel, g: GammaTau, hull: str, supp: np.ndarray,
         beta = _brier_degenerate_beta(g, p, supp)
     beta0 = None if beta is None else h - float(beta @ g.tau)
     zeta = Act(ACT_DISTRIBUTION, p)
-    return _finalize(model, g, Distribution(p), zeta, h, beta0, beta, 0.0, "brier-enum", hull)
+    return _Draft(g, Distribution(p), zeta, h, beta0, beta, 0.0, "brier-enum", hull)
 
 
 def _brier_scan(rows: np.ndarray, targets: np.ndarray, y: np.ndarray, found: dict) -> None:
@@ -481,13 +518,14 @@ def _log_grid(model: LossModel, statistic: Statistic, gammas: list, tol: float) 
     Interior tau with affinely independent rows runs Newton to `tol`
     ("log-newton").  Boundary tau, and rows affinely dependent over the
     outcomes (their covariance is singular everywhere), go to the separable
-    dual of psi(s) = s log s (`_separable_saddle`, "log-face"), which runs
+    dual of psi(s) = s log s (`_separable_draft`, "log-face"), which runs
     to DUAL_TOL and leaves beta absent.
 
-    `gammas` is as `_brier_grid`'s.  The grid runs the hull class per tau,
-    one stacked `_newton_tilt` for the interior taus and `_separable_saddle`
-    per tau for the others.  The rank of [1; T] and the F-ordered copy of T
-    that Newton runs on do not depend on tau, so they are taken once.
+    `gammas` is as `_brier_grid`'s, and so is what the grid returns.  It
+    runs the hull class per tau, one stacked `_newton_tilt` for the interior
+    taus and `_separable_draft` per tau for the others.  The rank of [1; T]
+    and the F-ordered copy of T that Newton runs on do not depend on tau,
+    so they are taken once.
     """
     out = [attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
     n = statistic.n
@@ -499,24 +537,24 @@ def _log_grid(model: LossModel, statistic: Statistic, gammas: list, tol: float) 
         newton = []
     for i, hull in enumerate(out):
         if isinstance(hull, str) and not (newton and hull == "interior"):
-            out[i] = attempt(_separable_saddle, model, model, np.zeros(n), gammas[i], hull,
+            out[i] = attempt(_separable_draft, model, model, np.zeros(n), gammas[i], hull,
                              "log-face")
     if newton:
         beta, kappa, q, norms, failed = _newton_tilt(
             model.base.weights, tmat, np.array([gammas[i].tau for i in newton]), tol)
         for j, i in enumerate(newton):
             out[i] = failed[j] if j in failed else attempt(
-                _log_saddle, model, gammas[i], out[i], beta[j], kappa[j], q[j], norms[j])
+                _log_draft, model, gammas[i], out[i], beta[j], kappa[j], q[j], norms[j])
     return out
 
 
-def _log_saddle(model: LossModel, g: GammaTau, hull: str, beta: np.ndarray,
-                kappa, p: np.ndarray, grad_norm) -> SaddlePoint:
-    """The log-newton record from Newton's beta, kappa(beta) and tilted law."""
+def _log_draft(model: LossModel, g: GammaTau, hull: str, beta: np.ndarray,
+               kappa, p: np.ndarray, grad_norm) -> _Draft:
+    """The log-newton draft from Newton's beta, kappa(beta) and tilted law."""
     p_star = Distribution(p)
     zeta = Act(ACT_DENSITY, p / model.base.weights)
-    return _finalize(model, g, p_star, zeta, model.entropy(p_star), float(kappa), beta,
-                     grad_norm, "log-newton", hull)
+    return _Draft(g, p_star, zeta, model.entropy(p_star), float(kappa), beta, grad_norm,
+                  "log-newton", hull)
 
 
 # ---------------------------------------------------------------------------
@@ -538,29 +576,38 @@ def _zero_one_grid(model: LossModel, statistic: Statistic, gammas: list) -> list
     more than NORM_TOL (tau at a hull vertex), zeta* is phase 1's LP dual,
     the point-act game's act, and beta is absent.
 
-    `gammas` is as `_brier_grid`'s.  The grid runs the hull class per tau,
-    phase 1 for the whole list (`_min_pmax`) and phase 2 per tau.
+    `gammas` is as `_brier_grid`'s, and so is what the grid returns.  It
+    runs the hull class per tau, then phase 1 (`_min_pmax`) and phase 2
+    (`_zero_one_acts`) each for the whole list.
     """
     out = [attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
     live = [i for i, hull in enumerate(out) if isinstance(hull, str)]
-    for i, phase1 in zip(live, _min_pmax(statistic, [gammas[i].tau for i in live])):
-        out[i] = (phase1 if isinstance(phase1, Exception) else
-                  attempt(_zero_one_saddle, model, gammas[i], out[i], *phase1))
+    found = dict(zip(live, _min_pmax(statistic, [gammas[i].tau for i in live])))
+    solved = []
+    for i, phase1 in found.items():
+        if isinstance(phase1, Exception):
+            out[i] = phase1
+        else:
+            solved.append(i)
+    acts = _zero_one_acts(statistic, [gammas[i] for i in solved],
+                          [found[i][1] for i in solved], [found[i][0] for i in solved])
+    for i, act in zip(solved, acts):
+        out[i] = act if isinstance(act, Exception) else attempt(
+            _zero_one_draft, gammas[i], out[i], found[i][1], found[i][2], act)
     return out
 
 
-def _zero_one_saddle(model: LossModel, g: GammaTau, hull: str, m_star: float,
-                     p: np.ndarray, weights: np.ndarray) -> SaddlePoint:
-    """Phase 2 of `_zero_one_grid` on phase 1's (m*, P*, LP dual weights)."""
+def _zero_one_draft(g: GammaTau, hull: str, p: np.ndarray, weights: np.ndarray,
+                    act) -> _Draft:
+    """The zero-one draft from phase 1's P* and LP dual weights and phase 2's act."""
     h = 1.0 - float(p.max())   # the optimizer's value can carry solve noise
-    act = _zero_one_act(g, p, m_star)
     if act is None or abs(float(act[0].sum()) - 1.0) > NORM_TOL:
         # the LP's columns are the identity, top - L of the point-act game
         zeta = np.maximum(weights, 0.0)
         act = zeta / zeta.sum(), None, None, None
     zeta, beta0, beta, family = act
-    return _finalize(model, g, Distribution(p), Act(ACT_DISTRIBUTION, zeta), h, beta0, beta,
-                     0.0, "zero-one-enum", hull, family)
+    return _Draft(g, Distribution(p), Act(ACT_DISTRIBUTION, zeta), h, beta0, beta, 0.0,
+                  "zero-one-enum", hull, family)
 
 
 def _min_pmax(statistic: Statistic, taus) -> list:
@@ -724,46 +771,84 @@ def _pattern_systems(tmat, zero, mode, k):
             yield free_of, members, a
 
 
-def _zero_one_act(g: GammaTau, p: np.ndarray, m_star: float):
-    """(zeta, beta0, beta, family) from the act system across supp(P*), or
-    None where it pins no act: it is inconsistent, its null space has two or
-    more dimensions, or no member of its one-parameter family meets the
-    supporting-hyperplane constraints."""
+def _zero_one_acts(statistic: Statistic, gammas: list, points: list, levels: list) -> list:
+    """(zeta, beta0, beta, family) from the act system across supp(P*) for
+    each Gamma_tau, P* and m* of the lists; None where it pins no act (it is
+    inconsistent, its null space has two or more dimensions, or no member of
+    its one-parameter family meets the supporting-hyperplane constraints);
+    or the exception raised there.
+
+    The systems of one shape are solved in one `lstsq_stack` call and
+    decomposed in one stacked SVD, each slice what a lone call gives, bit
+    for bit.  A family's constraints run per tau (`_family_bounds`), and the
+    families that reach their pick take their vertex lists from one
+    `vertex_lists` call.
+    """
+    n, k = statistic.n, statistic.k
+    tmat = statistic.matrix
+    out, systems, shapes = [None] * len(gammas), [], {}
+    for i, (p, m_star) in enumerate(zip(points, levels)):
+        charged = p > 1e-9
+        supp = np.flatnonzero(charged)
+        modes = np.flatnonzero(charged & (p >= m_star - 1e-9))
+        a = np.zeros((supp.size + 1, modes.size + 1 + k))
+        a[np.searchsorted(supp, modes), np.arange(modes.size)] = 1.0
+        a[:-1, modes.size] = 1.0
+        a[:-1, modes.size + 1:] = tmat[:, supp].T
+        a[-1, :modes.size] = 1.0
+        systems.append((charged, modes, a))
+        shapes.setdefault(a.shape, []).append(i)
+    picks = {}
+    for idx in shapes.values():
+        a = np.array([systems[i][2] for i in idx])
+        b = np.ones(a.shape[:2])
+        solved, errors = _by_slice(lstsq_stack, a, b)
+        dec, svd_errors = _by_slice(np.linalg.svd, a)   # read only where consistent
+        for r, i in enumerate(idx):
+            if r in errors:
+                out[i] = errors[r]
+                continue
+            v0 = solved[0][r, :, 0]
+            if np.max(np.abs(a[r] @ v0 - b[r])) > 1e-8:
+                continue
+            if r in svd_errors:
+                out[i] = svd_errors[r]
+                continue
+            charged, modes, _ = systems[i]
+            s, vt = dec[1][r], dec[2][r]
+            # relative, unlike RANK_TOL: golden acts rest on it
+            rank = int((s > 1e-10 * s[0]).sum())
+            d = a.shape[2] - rank
+            if d == 0:
+                zeta, beta0, beta = _unpack(v0, modes, n)
+                out[i] = np.maximum(zeta, 0.0), beta0, beta, None
+            elif d == 1:
+                bounds = attempt(_family_bounds, gammas[i], v0, vt[rank], modes, charged)
+                if isinstance(bounds, tuple):
+                    picks[i] = v0, vt[rank], modes, *bounds
+                else:
+                    out[i] = bounds
+    if picks:
+        lists = attempt(vertex_lists, statistic, np.array([gammas[i].tau for i in picks]))
+        for j, (i, family) in enumerate(picks.items()):
+            vs = lists if isinstance(lists, Exception) else lists[j]
+            out[i] = vs if isinstance(vs, Exception) else attempt(_family_act, vs, *family)
+    return out
+
+
+def _unpack(vec: np.ndarray, modes: np.ndarray, n: int):
+    """(zeta, beta0, beta) from a solution of the act system."""
+    zeta = np.zeros(n)
+    zeta[modes] = vec[:modes.size]
+    return zeta, float(vec[modes.size]), vec[modes.size + 1:]
+
+
+def _family_bounds(g: GammaTau, v0: np.ndarray, col: np.ndarray, modes: np.ndarray,
+                   charged: np.ndarray):
+    """The interval [lo, hi] of the coefficients c whose act v0 + c col meets
+    the feasibility constraints coef * c >= rhs, or None where it is empty."""
     n, k = g.n, g.k
     tmat = g.statistic.matrix
-    charged = p > 1e-9
-    supp = np.flatnonzero(charged)
-    modes = np.flatnonzero(charged & (p >= m_star - 1e-9))
-    n_unknown = modes.size + 1 + k
-    a = np.zeros((supp.size + 1, n_unknown))
-    b = np.ones(supp.size + 1)
-    mode_col = {x: i for i, x in enumerate(modes)}
-    for r, x in enumerate(supp):
-        if x in mode_col:
-            a[r, mode_col[x]] = 1.0
-        a[r, modes.size] = 1.0
-        a[r, modes.size + 1:] = tmat[:, x]
-    a[-1, :modes.size] = 1.0
-    v0, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if np.max(np.abs(a @ v0 - b)) > 1e-8:
-        return None
-    _, s, vt = np.linalg.svd(a)
-    rank = int((s > 1e-10 * s[0]).sum())   # relative, unlike RANK_TOL: golden acts rest on it
-    d = n_unknown - rank
-
-    def unpack(vec):
-        zeta = np.zeros(n)
-        zeta[modes] = vec[:modes.size]
-        return zeta, float(vec[modes.size]), vec[modes.size + 1:]
-
-    if d == 0:
-        zeta, beta0, beta = unpack(v0)
-        return np.maximum(zeta, 0.0), beta0, beta, None
-    if d >= 2:
-        return None
-
-    # feasibility constraints coef * c >= rhs on the family coefficient c
-    col = vt[rank]
     coefs, rhs = [], []
     for i in range(modes.size):          # zeta >= 0
         coefs.append(col[i])
@@ -793,23 +878,15 @@ def _zero_one_act(g: GammaTau, p: np.ndarray, m_star: float):
             hi = min(hi, r0 / coef)
         elif r0 > 1e-9:
             return None          # no coefficient meets this row
-    if lo > hi:
-        return None
-    c = _pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n)
-    zeta, beta0, beta = unpack(v0 + c * col)
-    family = None
-    if float(np.max(np.abs(col[:modes.size]))) > 1e-9:
-        dir_zeta = np.zeros(n)
-        dir_zeta[modes] = col[:modes.size]
-        family = ActFamily(base=np.maximum(zeta, 0.0), direction=dir_zeta,
-                           lo=float(lo - c), hi=float(hi - c))
-    return np.maximum(zeta, 0.0), beta0, beta, family
+    return None if lo > hi else (lo, hi)
 
 
-def _pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n):
-    """Equalizer member if one exists, else nearest to the uniform act."""
-    vs = vertices(g)
-    zeta0, _, _ = unpack(v0)
+def _family_act(vs, v0: np.ndarray, col: np.ndarray, modes: np.ndarray, lo, hi):
+    """(zeta, beta0, beta, family) at the family coefficient in [lo, hi] of
+    the equalizer member over the vertices `vs` if one exists, else of the
+    member nearest to the uniform act."""
+    n = vs.points.shape[1]
+    zeta0, _, _ = _unpack(v0, modes, n)
     zdir = np.zeros(n)
     zdir[modes] = col[:modes.size]
     vals0 = vs.points @ zeta0
@@ -818,26 +895,30 @@ def _pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n):
     dv = dirs - dirs[0]
     db = vals0 - vals0[0]
     mask = np.abs(dv) > 1e-12
+    c = None
     if mask.any():
-        cands = -db[mask] / dv[mask]
-        c_eq = float(cands[0])
+        c_eq = float((-db[mask] / dv[mask])[0])
         if np.max(np.abs(db + c_eq * dv)) <= 1e-9 and lo - 1e-12 <= c_eq <= hi + 1e-12:
-            return min(max(c_eq, lo), hi)
-    # all members equalize (or none can): minimize distance to uniform
-    denom = float(zdir @ zdir)
-    if denom <= 1e-18:
-        c_ls = 0.0
-    else:
-        c_ls = float((np.full(n, 1.0 / n) - zeta0) @ zdir / denom)
-    return min(max(c_ls, lo), hi)
+            c = min(max(c_eq, lo), hi)
+    if c is None:
+        # all members equalize (or none can): minimize distance to uniform
+        denom = float(zdir @ zdir)
+        c_ls = 0.0 if denom <= 1e-18 else float((np.full(n, 1.0 / n) - zeta0) @ zdir / denom)
+        c = min(max(c_ls, lo), hi)
+    zeta, beta0, beta = _unpack(v0 + c * col, modes, n)
+    family = None
+    if float(np.max(np.abs(col[:modes.size]))) > 1e-9:
+        family = ActFamily(base=np.maximum(zeta, 0.0), direction=zdir,
+                           lo=float(lo - c), hi=float(hi - c))
+    return np.maximum(zeta, 0.0), beta0, beta, family
 
 
 # ---------------------------------------------------------------------------
 # separable Bregman solver: the dual of the generalized exponential family
 
 
-def _separable_saddle(model: LossModel, base: LossModel, r: np.ndarray, g: GammaTau,
-                      hull: str, method: str) -> SaddlePoint:
+def _separable_draft(model: LossModel, base: LossModel, r: np.ndarray, g: GammaTau,
+                     hull: str, method: str) -> _Draft:
     """The saddle of H(P) = H_base(P) - P . r over Gamma_tau, by the separable dual.
 
     Bregman models and relative games over a separable base (`_unwrap`:
@@ -877,15 +958,15 @@ def _separable_saddle(model: LossModel, base: LossModel, r: np.ndarray, g: Gamma
         beta = -y[1:]
         beta0 = h - float(beta @ g.tau)
     zeta = base.bayes_act(p_star)
-    return _finalize(model, g, p_star, zeta, h, beta0, beta, norm, method, hull)
+    return _Draft(g, p_star, zeta, h, beta0, beta, norm, method, hull)
 
 
 # ---------------------------------------------------------------------------
 # generic solver: the point-act LP over Gamma_tau, else Frank-Wolfe over the vertices
 
 
-def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoint:
-    """Maximize H over Gamma_tau.
+def solve_generic(model: LossModel, g: GammaTau, tol: float = GENERIC_TOL) -> SaddlePoint:
+    """Maximize H over Gamma_tau: `_generic_draft` and its record.
 
     Losses affine in a distribution act whose Bayes act is a set (zero-one
     and its relative form) are solved exactly by the game of Gamma_tau
@@ -896,6 +977,11 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
     Bayes act's losses at P as supergradient ("frank-wolfe"), so a kinked
     loss must expose `bayes_act_set`.  A gap above tol raises MaxIterExceeded.
     """
+    return raised(_records(model, g.statistic, [_generic_draft(model, g, tol)])[0])
+
+
+def _generic_draft(model: LossModel, g: GammaTau, tol: float) -> _Draft:
+    """The draft of `solve_generic`."""
     hull = _hull_class(g)
     L = point_act_losses(model)
     if L is None:
@@ -915,11 +1001,11 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = 1e-8) -> SaddlePoi
     supp = dist.support(1e-9)
     beta = beta0 = None
     if np.all(np.isfinite(lv[supp])):
-        b0, bvec, resid = _affine_fit(g.statistic.matrix, lv, supp)
-        if resid <= LINEAR_FIT_TOL and supp.size >= g.k + 1:
-            beta = bvec
+        sol, resid = _affine_fits(g.statistic.matrix[:, supp], lv[supp][None])
+        if resid[0] <= LINEAR_FIT_TOL and supp.size >= g.k + 1:
+            beta = sol[0, 1:]
             beta0 = h - float(beta @ g.tau)
-    return _finalize(model, g, dist, res.act, h, beta0, beta, res.gap, res.method, hull)
+    return _Draft(g, dist, res.act, h, beta0, beta, res.gap, res.method, hull)
 
 
 # ---------------------------------------------------------------------------
@@ -943,24 +1029,27 @@ def _solve_each(model: LossModel, statistic: Statistic, gammas: list,
     Brier, log and zero-one models run a grid solver of their own
     (`_brier_grid`, `_log_grid`, `_zero_one_grid`), any other model with a
     separable base (`_unwrap`) the separable dual per tau
-    (`_separable_saddle`), and the rest `solve_generic` per tau.  `tol`
-    stops the log solver and `solve_generic`; the exact solvers ignore it.
-    Each entry gets its SaddlePoint or the exception its solve raised.
+    (`_separable_draft`), and the rest `solve_generic`'s route per tau.
+    `tol` stops the log solver and `solve_generic`; the exact solvers ignore
+    it.  The drafts of every route take one `_records` pass, so each entry
+    gets its SaddlePoint or the exception its solve raised.
     """
     if isinstance(model, ZeroOneModel):
-        return _zero_one_grid(model, statistic, gammas)
-    if isinstance(model, BrierModel):
-        return _brier_grid(model, statistic, gammas)
-    if isinstance(model, LogModel):
-        return _log_grid(model, statistic, gammas, LOG_TOL if tol is None else tol)
-    base, r = _unwrap(model)
-    if base.separable() is not None:
-        def each(g):
-            return _separable_saddle(model, base, r, g, _hull_class(g), "bregman-dual")
+        drafts = _zero_one_grid(model, statistic, gammas)
+    elif isinstance(model, BrierModel):
+        drafts = _brier_grid(model, statistic, gammas)
+    elif isinstance(model, LogModel):
+        drafts = _log_grid(model, statistic, gammas, LOG_TOL if tol is None else tol)
     else:
-        def each(g):
-            return solve_generic(model, g) if tol is None else solve_generic(model, g, tol)
-    return [g if isinstance(g, Exception) else attempt(each, g) for g in gammas]
+        base, r = _unwrap(model)
+        if base.separable() is not None:
+            def each(g):
+                return _separable_draft(model, base, r, g, _hull_class(g), "bregman-dual")
+        else:
+            def each(g):
+                return _generic_draft(model, g, GENERIC_TOL if tol is None else tol)
+        drafts = [g if isinstance(g, Exception) else attempt(each, g) for g in gammas]
+    return _records(model, statistic, drafts)
 
 
 def solve(model: LossModel, g: GammaTau, tol: float | None = None) -> SaddlePoint:
@@ -1368,14 +1457,15 @@ def lafferty_family(model: LossModel, p0: Distribution, statistic: Statistic,
     rel = relative_model(model, model.bayes_act(p0))
     betas = np.atleast_1d(np.asarray(beta_grid, dtype=float))
     tilts = _tilts(rel, statistic, betas[:, None], TILT_TOL)
-    rows = []
-    for b, tr in zip(betas, tilts):
-        tau = statistic.matrix @ tr.q.w
-        g = GammaTau(statistic, tau)
+
+    def draft(b, tr):
+        g = GammaTau(statistic, statistic.matrix @ tr.q.w)
         h0 = rel.entropy(tr.q)
-        sp = _finalize(rel, g, Distribution(tr.q.w), rel.bayes_act(tr.q), h0,
-                       tr.chi, np.array([b]), tr.gap, "lafferty-tilt", _hull_class(g))
-        rows.append(sp)
+        return _Draft(g, Distribution(tr.q.w), rel.bayes_act(tr.q), h0, tr.chi, np.array([b]),
+                      tr.gap, "lafferty-tilt", _hull_class(g))
+
+    drafts = [attempt(draft, b, tr) for b, tr in zip(betas, tilts)]
+    rows = [raised(sp) for sp in _records(rel, statistic, drafts)]
     rows.sort(key=lambda r: float(r.tau[0]))
     taus = np.array([r.tau for r in rows])
     return FamilyTrace(statistic=statistic, taus=taus, rows=tuple(rows))

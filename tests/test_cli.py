@@ -14,6 +14,7 @@ from maxentgames import (
     Infeasible,
     _simplex,
     cli,
+    constraints,
     maxent,
     mixture_identities,
     solve,
@@ -170,13 +171,13 @@ def test_non_finite_inputs_are_parse_errors(capsys, argv):
 ])
 def test_a_valid_tol_reaches_the_solve(capsys, monkeypatch, argv):
     tols = []
-    real_solve_grid = cli.solve_grid
+    real_solve_each = cli._solve_each
 
-    def recorded(model, statistic, taus, tol=None):
+    def recorded(model, statistic, gammas, tol):
         tols.append(tol)
-        return real_solve_grid(model, statistic, taus, tol)
+        return real_solve_each(model, statistic, gammas, tol)
 
-    monkeypatch.setattr(cli, "solve_grid", recorded)
+    monkeypatch.setattr(cli, "_solve_each", recorded)
     command, name, *rest = argv
     code, out, err = run_cli(capsys, command, spec_path(name), *rest)
     assert code == EXIT_OK, err
@@ -195,6 +196,33 @@ def test_a_valid_tol_reaches_the_capacity_solve(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "capacity", spec_path("binary_channel"), "--tol", "1e-4")
     assert code == EXIT_OK, err
     assert tols == [1e-4]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "log_mean", "--tau", "1"),
+    ("verify", "log_face_grid", "--suite", "saddle"),
+])
+def test_a_log_face_reads_its_union_support_once(capsys, monkeypatch, tmp_path, argv):
+    # the solve on a log face reads the outcomes Gamma_tau charges, and the
+    # saddle certificate reads them again for the infinite losses off them:
+    # both run on the one Gamma_tau of the row, so one face reduction serves
+    spec = json.load(open(spec_path("log_mean"), encoding="utf-8"))
+    spec["constraint"] = {"tau_grid": {"from": -1.0, "to": 1.0, "steps": 2}}
+    (tmp_path / "log_face_grid.json").write_text(json.dumps(spec))
+    reads = []
+    face = constraints._face
+
+    def counted(tmat, tau, support=False):
+        reads.append(support)
+        return face(tmat, tau, support)
+
+    monkeypatch.setattr(constraints, "_face", counted)
+    command, name, *rest = argv
+    path = spec_path(name) if name == "log_mean" else str(tmp_path / f"{name}.json")
+    code, out, err = run_cli(capsys, command, path, *rest)
+    assert code == EXIT_OK, err
+    taus = 1 if command == "solve" else 2
+    assert reads.count(True) == taus, reads
 
 
 def test_fmt_pins_every_cell_kind():
@@ -321,10 +349,10 @@ def test_failed_saddle_verification_exit_code(capsys, monkeypatch):
 
 @pytest.mark.parametrize("exc", [MaxIterExceeded, NewtonDivergence, Unbounded])
 def test_solver_failure_exit_code(capsys, monkeypatch, exc):
-    def fail(model, statistic, taus, tol=None):
-        return [exc("did not reach tolerance") for _ in taus]
+    def fail(model, statistic, gammas, tol):
+        return [exc("did not reach tolerance") for _ in gammas]
 
-    monkeypatch.setattr(cli, "solve_grid", fail)
+    monkeypatch.setattr(cli, "_solve_each", fail)
     code, out, err = run_cli(capsys, "solve", spec_path("brier_mean"), "--tau", "0.5")
     assert code == EXIT_SOLVER
     assert out == ""
@@ -472,7 +500,7 @@ def test_vertex_caps_are_checked_before_any_solve(capsys, monkeypatch, name, arg
         raise AssertionError("solved past the vertex cap")
 
     monkeypatch.setattr(maxent, "solve", counted)
-    monkeypatch.setattr(cli, "solve_grid", counted)
+    monkeypatch.setattr(cli, "_solve_each", counted)
     monkeypatch.setenv("MAXENT_MAX_N", "2")
     command, *rest = argv
     code, out, err = run_cli(capsys, command, spec_path(name), *rest)
@@ -1147,13 +1175,13 @@ def test_sweep_error_row(capsys, monkeypatch):
     spec = spec_path("brier_mean")
     code, clean, _ = run_cli(capsys, "sweep", spec)
     assert code == EXIT_OK
-    real_solve_grid = cli.solve_grid
+    real_solve_each = cli._solve_each
 
-    def diverging(model, statistic, taus, tol=None):
-        return [NewtonDivergence("dual Newton stopped") if tau[0] == 0.5 else sp
-                for tau, sp in zip(taus, real_solve_grid(model, statistic, taus, tol))]
+    def diverging(model, statistic, gammas, tol):
+        return [NewtonDivergence("dual Newton stopped") if g.tau[0] == 0.5 else sp
+                for g, sp in zip(gammas, real_solve_each(model, statistic, gammas, tol))]
 
-    monkeypatch.setattr(cli, "solve_grid", diverging)
+    monkeypatch.setattr(cli, "_solve_each", diverging)
     code, out, _ = run_cli(capsys, "sweep", spec)
     assert code == EXIT_OK
     clean_lines, lines = clean.splitlines(), out.splitlines()

@@ -53,8 +53,8 @@ from maxentgames import (
     zero_one_model,
 )
 from maxentgames import _newton
-from maxentgames.constraints import SYSTEM_BLOCK
-from maxentgames.core import BaseMeasure
+from maxentgames.constraints import SYSTEM_BLOCK, lstsq_stack, union_support, vertices
+from maxentgames.core import ext_dot
 from maxentgames.losses import (bregman_model, power_generator, square_generator,
                                 xlogx_generator)
 from test_vertex_lists import grid, statistic
@@ -137,7 +137,7 @@ def test_zero_one_grid_matches_each_tau_alone_bitwise(monkeypatch, block):
         model = zero_one_model(SampleSpace.of(range(n)))
         monkeypatch.setattr(maxent, "support_solutions", counted)
         found = [sp for chunk in cli._grid_chunks(model, Statistic(t), taus, None, False)
-                 for _, sp, _ in chunk]
+                 for _, _, sp, _ in chunk]
         monkeypatch.setattr(maxent, "support_solutions", inner)
         assert_matches_each_tau_alone(model, t, taus, found)
         kinds.update(type(sp).__name__ for sp in found)
@@ -283,7 +283,7 @@ def test_separable_grids_match_each_tau_alone_bitwise(monkeypatch, kind, block):
         space = SampleSpace.of(range(n))
         model = brier_model(space) if kind == "brier" else log_model(space)
         found = [sp for chunk in cli._grid_chunks(model, Statistic(t), taus, None, False)
-                 for _, sp, _ in chunk]
+                 for _, _, sp, _ in chunk]
         assert_matches_each_tau_alone(model, t, taus, found)
         kinds.update(sp.method if isinstance(sp, SaddlePoint) else type(sp).__name__
                      for sp in found)
@@ -387,3 +387,294 @@ def test_a_singular_newton_step_is_its_own_rows():
     assert_same(step[0], np.linalg.solve(cov[0], rhs[0]), 0)
     assert_same(step[1], np.linalg.lstsq(cov[1], rhs[1], rcond=None)[0], 1)
     assert_same(step[3], np.linalg.solve(cov[3], rhs[3]), 3)
+
+
+# ---------------------------------------------------------------------------
+# the record step of a chunk against the per-tau bodies it replaced
+#
+# `maxent._records` builds the SaddlePoint of every draft of a chunk, with one
+# stacked affine fit, and `maxent._zero_one_acts` solves zero-one phase 2 for
+# a chunk, one lstsq and one SVD per shape of act system.  The oracles below
+# are the per-tau bodies they replaced, `_finalize` and `_zero_one_act`, kept
+# here as they ran: each record, and each exception, must be theirs bit for bit.
+
+ORACLE_KINDS = []   # zero-one act systems: "inconsistent", "d=0", "d=1", "d>=2", "none", "norm"
+
+
+def oracle_affine_fit(tmat, y, cols=None):
+    if cols is not None:
+        tmat, y = tmat[:, cols], y[cols]
+    design = np.vstack([np.ones(y.size), tmat]).T
+    sol = lstsq_stack(design, y)[0][:, 0]
+    resid = float(np.max(np.abs(design @ sol - y))) if y.size else 0.0
+    return float(sol[0]), sol[1:], resid
+
+
+def oracle_finalize(model, g, p_star, zeta, h, beta0, beta, gap, method, hull,
+                    act_family=None):
+    lv = model.loss_vector(zeta)
+    tmat = g.statistic.matrix
+    supp = p_star.support(1e-9)
+    if np.all(np.isfinite(lv)):
+        _, _, resid_all = oracle_affine_fit(tmat, lv)
+        is_linear = resid_all <= maxent.LINEAR_FIT_TOL
+    else:
+        is_linear = False
+    is_regular = False
+    if beta is not None:
+        fitted = beta0 + tmat[:, supp].T @ beta
+        is_regular = bool(np.max(np.abs(fitted - lv[supp])) <= maxent.LINEAR_FIT_TOL)
+    bayes_margin = abs(ext_dot(p_star.w, lv) - model.entropy(p_star))
+    return SaddlePoint(
+        tau=g.tau, p_star=p_star, zeta_star=zeta, h_star=float(h) + 0.0,
+        beta0=None if beta is None else float(beta0) + 0.0,
+        beta=None if beta is None else np.asarray(beta, float) + 0.0,
+        is_linear=bool(is_linear), is_regular=is_regular, tau_interior=hull == "interior",
+        bayes_margin=float(bayes_margin), gap=float(gap), method=method,
+        act_family=act_family)
+
+
+def oracle_records(model, statistic, drafts):
+    return [d if isinstance(d, Exception) else alone_call(oracle_finalize, model, *d)
+            for d in drafts]
+
+
+def oracle_zero_one_act(g, p, m_star):
+    act = oracle_zero_one_act_body(g, p, m_star)
+    if act is None:
+        ORACLE_KINDS.append("none")
+    elif abs(float(act[0].sum()) - 1.0) > maxent.NORM_TOL:
+        ORACLE_KINDS.append("norm")
+    return act
+
+
+def oracle_zero_one_act_body(g, p, m_star):
+    n, k = g.n, g.k
+    tmat = g.statistic.matrix
+    charged = p > 1e-9
+    supp = np.flatnonzero(charged)
+    modes = np.flatnonzero(charged & (p >= m_star - 1e-9))
+    n_unknown = modes.size + 1 + k
+    a = np.zeros((supp.size + 1, n_unknown))
+    b = np.ones(supp.size + 1)
+    mode_col = {x: i for i, x in enumerate(modes)}
+    for r, x in enumerate(supp):
+        if x in mode_col:
+            a[r, mode_col[x]] = 1.0
+        a[r, modes.size] = 1.0
+        a[r, modes.size + 1:] = tmat[:, x]
+    a[-1, :modes.size] = 1.0
+    v0, *_ = np.linalg.lstsq(a, b, rcond=None)
+    if np.max(np.abs(a @ v0 - b)) > 1e-8:
+        ORACLE_KINDS.append("inconsistent")
+        return None
+    _, s, vt = np.linalg.svd(a)
+    rank = int((s > 1e-10 * s[0]).sum())
+    d = n_unknown - rank
+
+    def unpack(vec):
+        zeta = np.zeros(n)
+        zeta[modes] = vec[:modes.size]
+        return zeta, float(vec[modes.size]), vec[modes.size + 1:]
+
+    if d == 0:
+        ORACLE_KINDS.append("d=0")
+        zeta, beta0, beta = unpack(v0)
+        return np.maximum(zeta, 0.0), beta0, beta, None
+    if d >= 2:
+        ORACLE_KINDS.append("d>=2")
+        return None
+    ORACLE_KINDS.append("d=1")
+    col = vt[rank]
+    coefs, rhs = [], []
+    for i in range(modes.size):
+        coefs.append(col[i])
+        rhs.append(-v0[i] - 1e-12)
+    if k == 1:
+        ts, sizes = np.sort(tmat[0]), np.arange(1.0, n + 1.0)
+        sigmas = np.concatenate([np.cumsum(ts), np.cumsum(ts[::-1])]) / np.tile(sizes, 2)
+        for sigma, h_sig in zip(sigmas, np.tile(1.0 - 1.0 / sizes, 2)):
+            coefs.append(col[modes.size] + sigma * col[modes.size + 1])
+            rhs.append(h_sig - (v0[modes.size] + sigma * v0[modes.size + 1]) - 1e-9)
+    reachable = np.zeros(n, dtype=bool)
+    reachable[union_support(g)] = True
+    for x in np.flatnonzero(reachable & ~charged):
+        coefs.append(col[modes.size] + tmat[:, x] @ col[modes.size + 1:])
+        rhs.append(1.0 - float(v0[modes.size] + tmat[:, x] @ v0[modes.size + 1:]) - 1e-9)
+    lo, hi = -np.inf, np.inf
+    for coef, r0 in zip(coefs, rhs):
+        if coef > 1e-12:
+            lo = max(lo, r0 / coef)
+        elif coef < -1e-12:
+            hi = min(hi, r0 / coef)
+        elif r0 > 1e-9:
+            return None
+    if lo > hi:
+        return None
+    c = oracle_pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n)
+    zeta, beta0, beta = unpack(v0 + c * col)
+    family = None
+    if float(np.max(np.abs(col[:modes.size]))) > 1e-9:
+        dir_zeta = np.zeros(n)
+        dir_zeta[modes] = col[:modes.size]
+        family = maxent.ActFamily(base=np.maximum(zeta, 0.0), direction=dir_zeta,
+                                  lo=float(lo - c), hi=float(hi - c))
+    return np.maximum(zeta, 0.0), beta0, beta, family
+
+
+def oracle_pick_family_coefficient(g, v0, col, modes, unpack, lo, hi, n):
+    vs = vertices(g)
+    zeta0, _, _ = unpack(v0)
+    zdir = np.zeros(n)
+    zdir[modes] = col[:modes.size]
+    vals0 = vs.points @ zeta0
+    dirs = vs.points @ zdir
+    dv = dirs - dirs[0]
+    db = vals0 - vals0[0]
+    mask = np.abs(dv) > 1e-12
+    if mask.any():
+        cands = -db[mask] / dv[mask]
+        c_eq = float(cands[0])
+        if np.max(np.abs(db + c_eq * dv)) <= 1e-9 and lo - 1e-12 <= c_eq <= hi + 1e-12:
+            return min(max(c_eq, lo), hi)
+    denom = float(zdir @ zdir)
+    if denom <= 1e-18:
+        c_ls = 0.0
+    else:
+        c_ls = float((np.full(n, 1.0 / n) - zeta0) @ zdir / denom)
+    return min(max(c_ls, lo), hi)
+
+
+def oracle_zero_one_acts(statistic, gammas, points, levels):
+    return [alone_call(oracle_zero_one_act, g, p, m) for g, p, m in zip(gammas, points, levels)]
+
+
+def picky_brier(space):
+    """A Brier model whose loss vector raises at acts with a weight above
+    0.6, so some records of a chunk raise in the record step itself."""
+    model = brier_model(space)
+    inner = model.loss_vector
+
+    def loss_vector(act):
+        if act.as_array().max() > 0.6:
+            raise ArithmeticError(f"picky at {act.as_array().max()!r}")
+        return inner(act)
+
+    model.loss_vector = loss_vector
+    return model
+
+
+def chunked(model, t, taus):
+    return [sp for chunk in cli._grid_chunks(model, Statistic(t), taus, None, False)
+            for _, _, sp, _ in chunk]
+
+
+@pytest.mark.parametrize("kind", ["zero_one", "zero_one-cap3", "zero_one-norm0", "brier",
+                                  "picky-brier", "log"])
+def test_records_match_the_per_tau_bodies_bitwise(monkeypatch, kind):
+    # MAXENT_MAX_N = 3 makes every zero-one family pick at N >= 4 raise
+    # CombinatorialBlowup at its turn, between records of its chunk; no act
+    # on these grids misses the simplex by more than NORM_TOL, and with
+    # NORM_TOL = 0 every act whose mass is not 1 to the last bit takes the
+    # stand-in
+    monkeypatch.setattr(cli, "GRID_CHUNK", 5)
+    if kind == "zero_one-cap3":
+        monkeypatch.setenv("MAXENT_MAX_N", "3")
+    if kind == "zero_one-norm0":
+        monkeypatch.setattr(maxent, "NORM_TOL", 0.0)
+    rng = np.random.default_rng(20261024)
+    build = {"brier": brier_model, "picky-brier": picky_brier,
+             "log": log_model}.get(kind, zero_one_model)
+    del ORACLE_KINDS[:]
+    seen = set()
+    for n, k, tied, count in cases():
+        t = statistic(rng, n, k, tied)
+        taus = with_bad_taus(rng, grid(rng, t, count))
+        model = build(SampleSpace.of(range(n)))
+        found = chunked(model, t, taus)
+        with monkeypatch.context() as patched:
+            patched.setattr(maxent, "_records", oracle_records)
+            patched.setattr(maxent, "_zero_one_acts", oracle_zero_one_acts)
+            ref = chunked(model, t, taus)
+        for tau, sp, want in zip(taus, found, ref):
+            assert_same_outcome(sp, want, (n, k, tuple(np.ravel(tau))))
+            if isinstance(sp, Exception):
+                seen.add(type(sp).__name__)
+                continue
+            seen.add(sp.method)
+            if sp.beta is None:
+                seen.add("beta None")
+            if np.isinf(model.loss_vector(sp.zeta_star)).any() and not sp.is_linear:
+                seen.add("infinite losses")
+    seen.update(ORACLE_KINDS)
+    expected = {"Infeasible", "DimensionMismatch"} | {
+        "zero_one": {"d=0", "d=1", "d>=2", "none"},
+        "zero_one-cap3": {"d=1", "CombinatorialBlowup", "zero-one-enum"},
+        "zero_one-norm0": {"d=0", "d=1", "norm"},
+        "brier": {"brier-enum", "beta None"},
+        "picky-brier": {"brier-enum", "ArithmeticError"},
+        "log": {"log-newton", "log-face", "infinite losses"},
+    }[kind]
+    assert expected <= seen, expected - seen
+
+
+def test_zero_one_acts_match_the_per_tau_body_bitwise():
+    # phase 2 of a chunk on phase 1's P* and on laws that minimize nothing
+    # (sparse Dirichlet draws, some with tied modes), shuffled together, so
+    # the systems of one shape mix consistent ones with inconsistent ones
+    rng = np.random.default_rng(20261025)
+    del ORACLE_KINDS[:]
+    for n, k, tied, count in cases():
+        stat = Statistic(statistic(rng, n, k, tied))
+        rows = []
+        for tau in grid(rng, stat.matrix, count):
+            g = GammaTau(stat, tau)
+            phase1 = maxent._min_pmax(stat, [g.tau])[0]
+            if isinstance(phase1, Exception):
+                continue
+            q = rng.dirichlet(np.full(n, 0.5)) * (rng.random(n) < 0.7)
+            q[rng.integers(n)] += 0.1
+            if rng.random() < 0.5:
+                q[rng.integers(n)] = q.max()
+            q /= q.sum()
+            rows += [(g, phase1[1], phase1[0]), (g, q, q.max())]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        found = maxent._zero_one_acts(stat, *map(list, zip(*rows)))
+        ref = oracle_zero_one_acts(stat, *map(list, zip(*rows)))
+        for (g, p, _), act, want in zip(rows, found, ref):
+            assert_same_outcome(act, want, (n, k, tuple(g.tau), tuple(p)))
+    assert {"inconsistent", "d=0", "d=1", "d>=2", "none"} <= set(ORACLE_KINDS)
+
+
+def test_a_chunk_takes_one_affine_fit_and_one_vertex_enumeration(monkeypatch):
+    # the affine fits of a chunk's records are one lstsq_stack call on the
+    # design [1; T]' (2-D, shared by the chunk), and the zero-one family
+    # picks of a chunk take their vertex lists from one vertex_lists call
+    fits, enumerations = [], []
+    lstsq, enumerate_vertices = maxent.lstsq_stack, maxent.vertex_lists
+
+    def counted_lstsq(a, b):
+        if a.ndim == 2:
+            fits.append(len(b))
+        return lstsq(a, b)
+
+    def counted_vertex_lists(statistic, taus):
+        enumerations.append(len(taus))
+        return enumerate_vertices(statistic, taus)
+
+    monkeypatch.setattr(maxent, "lstsq_stack", counted_lstsq)
+    monkeypatch.setattr(maxent, "vertex_lists", counted_vertex_lists)
+    brier = cli.parse_spec(os.path.join(SPECS, "brier_mean.json"))
+    taus = brier.tau_grid[:, None]
+    assert len(taus) == 41
+    chunked(brier.model, brier.statistic.matrix, taus)
+    assert fits == [41]
+    monkeypatch.setattr(cli, "GRID_CHUNK", 5)
+    del fits[:]
+    chunked(brier.model, brier.statistic.matrix, taus)
+    assert fits == [5] * 8 + [1]
+    zero_one = cli.parse_spec(os.path.join(SPECS, "zero_one_mean.json"))
+    monkeypatch.setattr(cli, "GRID_CHUNK", 256)
+    found = chunked(zero_one.model, zero_one.statistic.matrix, zero_one.tau_grid[:, None])
+    assert len(enumerations) == 1 and enumerations[0] >= 2, enumerations
+    assert sum(sp.act_family is not None for sp in found) >= 2
