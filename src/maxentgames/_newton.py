@@ -16,6 +16,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .constraints import lstsq_stack
+from .core import _dots
 from .losses import ConvexGenerator
 
 NEWTON_MAX_ITER = 100    # dual Newton steps in the log, Brier and Bregman solvers
@@ -85,14 +86,6 @@ def _matvecs(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     if x.shape[0] == 1 and x.ndim == 2:
         return (a @ x[0])[None]
     return (a @ x[..., None])[..., 0]
-
-
-def _dots(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """x[i] @ z[i] for every pair of rows, broadcast: one BLAS dot product
-    each; one pair, as `_matvecs`, takes the 1-D call."""
-    if x.shape[0] == 1 and x.ndim == z.ndim == 2:
-        return (x[0] @ z[0])[None]
-    return (x[..., None, :] @ z[..., :, None])[..., 0, 0]
 
 
 def _by_slice(fn, *stacks):

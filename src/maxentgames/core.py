@@ -280,6 +280,14 @@ def ext_dots(rows, values) -> np.ndarray:
     return np.where(hits, np.inf, rows[:, finite] @ v[finite])
 
 
+def _dots(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x[i] @ z[i] for every pair of rows, broadcast: one BLAS dot product
+    each, as the 1-D product of the pair rounds; one pair takes the 1-D call."""
+    if x.shape[0] == 1 and x.ndim == z.ndim == 2:
+        return (x[0] @ z[0])[None]
+    return (x[..., None, :] @ z[..., :, None])[..., 0, 0]
+
+
 def attempt(fn, *args):
     """fn(*args), or the exception it raised, kept in place for the caller
     to raise at its turn (`raised`)."""

@@ -126,6 +126,9 @@ class RelativeModel(LossModel):
     def loss_vector(self, act: Act) -> np.ndarray:
         return self.base.loss_vector(act) - self.reference_losses
 
+    def _loss_matrix(self, block) -> np.ndarray:
+        return self.base.loss_matrix(block) - self.reference_losses
+
     def bayes_act(self, dist: Distribution) -> Act:
         return self.base.bayes_act(dist)
 
@@ -143,6 +146,9 @@ class RelativeModel(LossModel):
 
     def random_act(self, rng: np.random.Generator) -> Act:
         return self.base.random_act(rng)
+
+    def _random_acts(self, rng: np.random.Generator, trials: int):
+        return self.base.random_acts(rng, trials)
 
 
 def relative_model(model: LossModel, reference: Act) -> RelativeModel:
@@ -185,10 +191,10 @@ def pythagorean_check(model: LossModel, test_points, p_star: Distribution,
     relative game, read as every slack within PYTHAGOREAN_TOL of zero.
     """
     points = distribution_rows(test_points, model.space.n)
-    pivot = discrepancy(model, p_star, zeta0)
+    lv0 = model.loss_vector(zeta0)
+    pivot = ext_dot(p_star.w, lv0) - model.entropy(p_star)   # D(P*, zeta0)
     # H(P) cancels from D(P, zeta0) - D(P, zeta*)
-    slacks = (ext_dots(points, model.loss_vector(zeta0))
-              - ext_dots(points, model.loss_vector(zeta_star)) - pivot)
+    slacks = ext_dots(points, lv0) - ext_dots(points, model.loss_vector(zeta_star)) - pivot
     min_slack = float(slacks.min()) if slacks.size else 0.0
     max_slack = float(slacks.max()) if slacks.size else 0.0
     equality = bool(abs(min_slack) <= PYTHAGOREAN_TOL and abs(max_slack) <= PYTHAGOREAN_TOL)

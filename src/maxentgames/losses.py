@@ -31,6 +31,7 @@ from .core import (
     SampleSpace,
     WEIGHT_CLAMP,
     _checked_rows,
+    _dots,
     ext_dot,
     ext_dots,
 )
@@ -51,16 +52,57 @@ class ProprietyViolation(ArithmeticError):
 
 
 class LossModel:
-    """Interface shared by all loss models.  Instances are immutable."""
+    """Interface shared by all loss models.  Instances are immutable.
+
+    `loss_matrix` and `random_acts` are the block forms of `loss_vector` and
+    `random_act`.  A class supplies a vectorized block form as
+    `_loss_matrix` or `_random_acts`; it is used only while the per-act
+    method in use is the one it was written for, so a subclass or an
+    instance that puts its own `loss_vector` or `random_act` in place gets
+    the default block form, a loop over its per-act method.
+    """
 
     name: str
     kind: str
     act_kind: str
     space: SampleSpace
+    _vectorized = frozenset()   # the per-act methods whose block forms apply
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+
+        def owner(name):
+            return next(c for c in cls.__mro__ if name in vars(c))
+
+        cls._vectorized = frozenset(
+            single for single, block in (("loss_vector", "_loss_matrix"),
+                                         ("random_act", "_random_acts"))
+            if issubclass(owner(block), owner(single)))
 
     def loss_vector(self, act: Act) -> np.ndarray:
         """Loss at every outcome; entries may be +inf."""
         raise NotImplementedError
+
+    def loss_matrix(self, block) -> np.ndarray:
+        """L(., act) for the act of each payload in a block, one row each:
+        row i is loss_vector(Act(act_kind, block[i])) bit for bit, and a
+        payload that loss_vector refuses raises the class it raises there."""
+        if self._applies("loss_vector"):
+            return self._loss_matrix(block)
+        return LossModel._loss_matrix(self, block)
+
+    def _loss_matrix(self, block) -> np.ndarray:
+        out = np.empty((len(block), self.space.n))
+        for i, payload in enumerate(block):
+            out[i] = self.loss_vector(Act(self.act_kind, payload))
+        return out
+
+    def _applies(self, single: str) -> bool:
+        """True when the block form of the per-act method `single` was
+        written for the `single` in use: the class that defines the block
+        form also defines or inherits it, and the instance has none of its
+        own."""
+        return single in self._vectorized and single not in vars(self)
 
     def bayes_act(self, dist: Distribution) -> Act:
         """A canonical act attaining inf_a E_P L(X, a)."""
@@ -100,6 +142,22 @@ class LossModel:
     def random_act(self, rng: np.random.Generator) -> Act:
         raise NotImplementedError
 
+    def random_acts(self, rng: np.random.Generator, trials: int):
+        """(laws, payloads): `trials` laws P ~ Dirichlet(1), one row each, and
+        the payloads of as many random acts, drawn law then act per trial."""
+        if self._applies("random_act"):
+            return self._random_acts(rng, trials)
+        return LossModel._random_acts(self, rng, trials)
+
+    def _random_acts(self, rng: np.random.Generator, trials: int):
+        laws, acts = np.empty((trials, self.space.n)), []
+        for i in range(trials):
+            laws[i] = rng.dirichlet(np.ones(self.space.n))
+            acts.append(self.random_act(rng).payload)
+        if not acts:   # no payload to take the block's shape from
+            return laws, np.empty((0,) if self.act_kind == ACT_SCALAR else (0, self.space.n))
+        return laws, np.array(acts)
+
     def _act_payload(self, act: Act, kind: str, weights=None) -> np.ndarray:
         """The payload of a `kind` act: finite, nonnegative and of mass one,
         its sum, or its integral against `weights` for a density."""
@@ -116,6 +174,33 @@ class LossModel:
         if abs(mass - 1.0) > NORM_TOL:
             raise NotNormalized(f"{kind} act has mass {mass!r}, not 1")
         return q
+
+    def _payloads(self, block, kind: str, weights=None) -> np.ndarray:
+        """An (m, N) block of `kind` act payloads, each row checked as
+        `_act_payload` checks one payload, with the same exceptions."""
+        q = np.ascontiguousarray(block, dtype=float)
+        if q.ndim != 2 or q.shape[1:] != (self.space.n,):
+            raise DimensionMismatch(
+                f"act payload block shape {q.shape} does not match {self.space.n} outcomes")
+        low = q.min(initial=0.0)
+        if not low >= -WEIGHT_CLAMP:
+            raise DimensionMismatch(f"{kind} act values must be finite and nonnegative")
+        if low < 0.0:
+            q = np.where(q < 0.0, 0.0, q)
+        mass = q.sum(axis=1) if weights is None else _dots(q, weights)
+        off = abs(mass - 1.0)
+        if off.max(initial=0.0) > NORM_TOL:
+            raise NotNormalized(f"{kind} act has mass {float(mass[off > NORM_TOL][0])!r}, not 1")
+        return q
+
+    def _dirichlet_acts(self, rng: np.random.Generator, trials: int, weights=None):
+        """`random_acts` for acts drawn as Dirichlet(1) laws, divided by the
+        base weights for densities: one block of 2 * trials draws, whose
+        even rows are the laws and odd rows the acts, is the stream of the
+        per-trial loop."""
+        draws = rng.dirichlet(np.ones(self.space.n), size=2 * trials)
+        acts = draws[1::2]
+        return draws[0::2], (acts if weights is None else acts / weights)
 
 
 @dataclass(frozen=True)
@@ -137,6 +222,10 @@ class BrierModel(LossModel):
         q = self._act_payload(act, ACT_DISTRIBUTION)
         return float(q @ q) - 2.0 * q + 1.0
 
+    def _loss_matrix(self, block) -> np.ndarray:
+        q = self._payloads(block, ACT_DISTRIBUTION)
+        return _dots(q, q)[:, None] - 2.0 * q + 1.0
+
     def bayes_act(self, dist: Distribution) -> Act:
         return Act(ACT_DISTRIBUTION, dist.w)
 
@@ -155,6 +244,9 @@ class BrierModel(LossModel):
     def random_act(self, rng: np.random.Generator) -> Act:
         return Act(ACT_DISTRIBUTION, rng.dirichlet(np.ones(self.space.n)))
 
+    def _random_acts(self, rng: np.random.Generator, trials: int):
+        return self._dirichlet_acts(rng, trials)
+
 
 class LogModel(LossModel):
     """S(x, q) = -log q(x) for densities q against the base measure."""
@@ -172,6 +264,11 @@ class LogModel(LossModel):
 
     def loss_vector(self, act: Act) -> np.ndarray:
         q = self._act_payload(act, ACT_DENSITY, self.base.weights)
+        with np.errstate(divide="ignore"):
+            return -np.log(q)
+
+    def _loss_matrix(self, block) -> np.ndarray:
+        q = self._payloads(block, ACT_DENSITY, self.base.weights)
         with np.errstate(divide="ignore"):
             return -np.log(q)
 
@@ -199,6 +296,9 @@ class LogModel(LossModel):
         r = rng.dirichlet(np.ones(self.space.n))
         return Act(ACT_DENSITY, r / self.base.weights)
 
+    def _random_acts(self, rng: np.random.Generator, trials: int):
+        return self._dirichlet_acts(rng, trials, self.base.weights)
+
 
 class ZeroOneModel(LossModel):
     """L(x, zeta) = 1 - zeta(x) for randomized point guesses zeta."""
@@ -211,6 +311,9 @@ class ZeroOneModel(LossModel):
 
     def loss_vector(self, act: Act) -> np.ndarray:
         return 1.0 - self._act_payload(act, ACT_DISTRIBUTION)
+
+    def _loss_matrix(self, block) -> np.ndarray:
+        return 1.0 - self._payloads(block, ACT_DISTRIBUTION)
 
     def modes(self, dist: Distribution) -> np.ndarray:
         top = float(dist.w.max())
@@ -241,6 +344,9 @@ class ZeroOneModel(LossModel):
     def random_act(self, rng: np.random.Generator) -> Act:
         return Act(ACT_DISTRIBUTION, rng.dirichlet(np.ones(self.space.n)))
 
+    def _random_acts(self, rng: np.random.Generator, trials: int):
+        return self._dirichlet_acts(rng, trials)
+
 
 class QuadraticModel(LossModel):
     """L(x, a) = (v(x) - a)^2 for scalar point estimates a."""
@@ -261,6 +367,14 @@ class QuadraticModel(LossModel):
         if not math.isfinite(act.payload):
             raise DimensionMismatch("a scalar act must be finite")
         return (self.values - act.payload) ** 2
+
+    def _loss_matrix(self, block) -> np.ndarray:
+        a = np.asarray(block, dtype=float)
+        if a.ndim != 1:
+            raise DimensionMismatch("quadratic loss expects scalar acts")
+        if not np.isfinite(a).all():
+            raise DimensionMismatch("a scalar act must be finite")
+        return (self.values - a[:, None]) ** 2
 
     def bayes_act(self, dist: Distribution) -> Act:
         return Act(ACT_SCALAR, float(self.values @ dist.w))
@@ -386,15 +500,19 @@ class BregmanModel(LossModel):
     def loss_vector(self, act: Act) -> np.ndarray:
         return self._scores(self._act_payload(act, ACT_DENSITY, self.base.weights))
 
-    def _scores(self, q: np.ndarray) -> np.ndarray:
-        """The score of every density q along the last axis."""
+    def _loss_matrix(self, block) -> np.ndarray:
+        return self._scores(self._payloads(block, ACT_DENSITY, self.base.weights), _dots)
+
+    def _scores(self, q: np.ndarray, dots=np.matmul) -> np.ndarray:
+        """The score of every density q along the last axis; `dots` sums
+        each row's offset terms against mu."""
         psi_q = np.asarray(self.generator.psi(q), dtype=float)
         dpsi_q = np.asarray(self.generator.psi_prime(q), dtype=float)
         # q psi'(q) -> 0 as q -> 0 for the bundled generators; psi'(0) may be
         # -inf, so the product is kept only where q > 0
         with np.errstate(invalid="ignore"):
             qdpsi = np.where(q > 0.0, q * dpsi_q, 0.0)
-        offset = (psi_q - qdpsi) @ self.base.weights
+        offset = dots(psi_q - qdpsi, self.base.weights)
         return -dpsi_q - offset[..., None]
 
     def bayes_act(self, dist: Distribution) -> Act:
@@ -418,6 +536,9 @@ class BregmanModel(LossModel):
     def random_act(self, rng: np.random.Generator) -> Act:
         r = rng.dirichlet(np.ones(self.space.n))
         return Act(ACT_DENSITY, r / self.base.weights)
+
+    def _random_acts(self, rng: np.random.Generator, trials: int):
+        return self._dirichlet_acts(rng, trials, self.base.weights)
 
 
 def brier_model(space: SampleSpace) -> BrierModel:
@@ -451,25 +572,20 @@ def bregman_model(space: SampleSpace, generator: ConvexGenerator,
 def check_proper(model: LossModel, trials: int = 400, seed: int = 0) -> ProprietyReport:
     """Sample (P, act) pairs and verify E_P L(X, act) >= H(P) - 1e-9.
 
-    Each trial draws P ~ Dirichlet(1), then the model's random act.  Raises
-    ProprietyViolation with the witness pair of the first failing trial;
-    returns the worst margin seen otherwise.
+    Each trial draws P ~ Dirichlet(1), then the model's random act; the
+    draws come as one block (`random_acts`) and are scored as one
+    (`loss_matrix`).  Raises ProprietyViolation with the witness pair of the
+    first failing trial; returns the worst margin seen otherwise.
     """
-    rng = np.random.default_rng(seed)
-    n = model.space.n
-    laws, acts = np.empty((trials, n)), []
-    for i in range(trials):
-        laws[i] = rng.dirichlet(np.ones(n))
-        acts.append(model.random_act(rng))
+    laws, acts = model.random_acts(np.random.default_rng(seed), trials)
     laws = _checked_rows(laws)
-    losses = np.array([model.loss_vector(act) for act in acts]).reshape(trials, n)
-    margins = ext_dots(laws, losses) - model.entropy_batch(laws)
+    margins = ext_dots(laws, model.loss_matrix(acts)) - model.entropy_batch(laws)
     bad = np.flatnonzero(margins < -1e-9)
     if bad.size:
         i = int(bad[0])
         raise ProprietyViolation(
             f"{model.name}: margin {margins[i]:.3e} below -1e-9",
-            witness=(Distribution(laws[i]), acts[i]),
+            witness=(Distribution(laws[i]), Act(model.act_kind, acts[i])),
         )
     # a NaN margin fails no trial and is passed over, as a comparison would
     worst = np.fmin.reduce(margins, initial=np.inf)

@@ -174,19 +174,21 @@ def _hull_class(g: GammaTau) -> str:
 def _records(model: LossModel, statistic: Statistic, drafts: list) -> list:
     """The SaddlePoint of each draft, or the exception kept in its place.
 
-    The loss vectors L(., zeta*) and the records run per tau; the affine
-    fits of the finite loss vectors on [1; T], which decide `is_linear`, run
-    in one `_affine_fits` call for the whole list.  Each tau keeps the first
-    exception its own steps raise.
+    The loss vectors L(., zeta*) come from one `loss_matrix` call and the
+    affine fits of the finite ones on [1; T], which decide `is_linear`, from
+    one `_affine_fits` call for the whole list; the records run per tau.
+    Each tau keeps the first exception its own steps raise.
     """
     out, losses = list(drafts), {}
-    for i, draft in enumerate(drafts):
-        if not isinstance(draft, Exception):
-            lv = attempt(model.loss_vector, draft.zeta)
-            if isinstance(lv, Exception):
-                out[i] = lv
+    live = [i for i, draft in enumerate(drafts) if not isinstance(draft, Exception)]
+    if live:
+        found, errors = _by_slice(lambda acts: (model.loss_matrix(acts),),
+                                  np.array([drafts[i].zeta.payload for i in live]))
+        for r, i in enumerate(live):
+            if r in errors:
+                out[i] = errors[r]
             else:
-                losses[i] = lv
+                losses[i] = found[0][r]
     linear = dict.fromkeys(losses, False)
     fit = [i for i, lv in losses.items() if np.isfinite(lv).all()]
     if fit:

@@ -466,6 +466,22 @@ def test_sweep_golden_bytes(capsys, tmp_path, name):
     assert out_path.read_text(encoding="utf-8") == golden
 
 
+def _identities_golden():
+    with open(os.path.join(GOLDEN, "identities.jsonl"), encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+@pytest.mark.parametrize("line", _identities_golden(),
+                         ids=lambda line: f"{line['spec']}-{line['seed']}")
+def test_identities_golden_bytes(capsys, line):
+    # `verify --suite identities` on the five bundled specs at seeds 0-9,
+    # as the per-trial propriety loop reported them
+    code, out, _ = run_cli(capsys, "verify", spec_path(line["spec"]), "--suite", "identities",
+                           "--seed", line["seed"])
+    assert code == EXIT_OK
+    assert out == line["stdout"]
+
+
 @pytest.mark.parametrize("name", BUNDLED_SWEEPS)
 def test_sweep_beyond_the_hull_matches_row_by_row_records(capsys, name):
     # the sweep enumerates the vertex lists of a chunk of the grid at once;

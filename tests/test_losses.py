@@ -14,11 +14,13 @@ from maxentgames import (
     Distribution,
     InvalidGenerator,
     LossModel,
+    NotNormalized,
     ProprietyViolation,
     SampleSpace,
     bregman_model,
     brier_model,
     check_proper,
+    ext_dots,
     log_model,
     power_generator,
     quadratic_model,
@@ -27,6 +29,7 @@ from maxentgames import (
     xlogx_generator,
     zero_one_model,
 )
+from maxentgames.core import WEIGHT_CLAMP
 from maxentgames.losses import BrierModel, ConvexGenerator
 
 SPACE3 = SampleSpace.of(["a", "b", "c"])
@@ -296,16 +299,75 @@ def _first_failing_pair(model, trials, seed):
 
 
 def test_check_proper_min_margin_matches_the_per_trial_loop():
-    for model in (brier_model(SPACE3), log_model(SPACE3, BaseMeasure([0.5, 1.0, 2.0])),
-                  zero_one_model(SPACE3), quadratic_model(SPACE3, values=[-1.0, 0.0, 2.0])):
-        rng = np.random.default_rng(3)
-        margins = []
-        for _ in range(300):
-            p = Distribution(rng.dirichlet(np.ones(3)))
-            margins.append(model.expected_loss(p, model.random_act(rng)) - model.entropy(p))
-        rep = check_proper(model, trials=300, seed=3)
-        assert rep.trials == 300
-        assert abs(rep.min_margin - min(margins)) <= 1e-15, model.name
+    # check_proper draws its trials as one block and scores them with one
+    # loss matrix; the per-trial loop draws a law and an act in turn and
+    # scores each act with loss_vector.  Its margins, from the same row-paired
+    # expectations, must be check_proper's bit for bit, and within 1e-15 of
+    # the scalar margins E_P L(X, act) - H(P)
+    base = BaseMeasure([0.5, 1.0, 2.0])
+    models = (brier_model(SPACE3), log_model(SPACE3, base), zero_one_model(SPACE3),
+              quadratic_model(SPACE3, values=[-1.0, 0.0, 2.0]),
+              bregman_model(SPACE3, xlogx_generator()),
+              bregman_model(SPACE3, square_generator(3)),
+              bregman_model(SPACE3, power_generator(3.0), base),
+              relative_model(brier_model(SPACE3), Act(ACT_DISTRIBUTION, [0.2, 0.3, 0.5])),
+              relative_model(log_model(SPACE3, base), Act(ACT_DENSITY, np.full(3, 1 / 3.5))))
+    for model in models:
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            laws, losses, scalar = [], [], []
+            for _ in range(300):
+                p = Distribution(rng.dirichlet(np.ones(3)))
+                act = model.random_act(rng)
+                laws.append(p.w)
+                losses.append(model.loss_vector(act))
+                scalar.append(model.expected_loss(p, act) - model.entropy(p))
+            laws = np.array(laws)
+            margins = ext_dots(laws, np.array(losses)) - model.entropy_batch(laws)
+            rep = check_proper(model, trials=300, seed=seed)
+            assert rep.trials == 300
+            assert rep.min_margin == margins.min(), (model.name, seed)
+            assert abs(rep.min_margin - min(scalar)) <= 1e-15, (model.name, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 20])
+def test_random_acts_block_is_the_per_trial_stream(n):
+    space = SampleSpace.of(range(n))
+    base = BaseMeasure(np.resize([0.5, 1.0, 2.0], n))
+    models = (brier_model(space), log_model(space, base), zero_one_model(space),
+              quadratic_model(space, values=np.linspace(-1.0, 2.0, n)),
+              bregman_model(space, power_generator(3.0), base),
+              relative_model(log_model(space, base), Act(ACT_DENSITY, 1.0 / base.weights / n)))
+    for model in models:
+        for seed in range(10):
+            laws, acts = model.random_acts(np.random.default_rng(seed), 50)
+            rng = np.random.default_rng(seed)
+            for i in range(50):
+                assert laws[i].tobytes() == rng.dirichlet(np.ones(n)).tobytes()
+                assert np.asarray(acts[i]).tobytes() == np.asarray(
+                    model.random_act(rng).payload).tobytes(), (model.name, seed, i)
+
+
+def test_a_per_act_override_is_scored_and_drawn_by_itself():
+    class Shifted(BrierModel):
+        def loss_vector(self, act):
+            return super().loss_vector(act) + 1.0
+
+    class Fixed(BrierModel):
+        def random_act(self, rng):
+            return Act(ACT_DISTRIBUTION, [0.2, 0.3, 0.5])
+
+    block = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(Shifted(SPACE3).loss_matrix(block),
+                                  brier_model(SPACE3).loss_matrix(block) + 1.0)
+    laws, acts = Fixed(SPACE3).random_acts(np.random.default_rng(0), 4)
+    assert laws.shape == acts.shape == (4, 3)
+    np.testing.assert_array_equal(acts, np.tile([0.2, 0.3, 0.5], (4, 1)))
+    assert check_proper(Fixed(SPACE3), trials=0).min_margin == np.inf
+    # an instance's own loss_vector wins too
+    model = brier_model(SPACE3)
+    model.loss_vector = lambda act: np.zeros(3)
+    np.testing.assert_array_equal(model.loss_matrix(block), np.zeros((2, 3)))
 
 
 def test_propriety_equality_only_at_p_for_strict_models():
@@ -332,6 +394,78 @@ def test_entropy_concavity_random_mixtures():
         for m in models:
             bound = (1 - lam) * m.entropy(p0) + lam * m.entropy(p1)
             assert m.entropy(mix) >= bound - TOL
+
+
+# ---------------------------------------------------------------------------
+# loss matrices of payload blocks
+
+
+def _loss_matrix_models(n):
+    """(model, base weights of its density acts, else ones) pairs."""
+    space = SampleSpace.of(range(n))
+    base = BaseMeasure(np.resize([0.5, 1.0, 2.0], n))
+    ones = np.ones(n)
+    return [
+        (brier_model(space), ones),
+        (log_model(space, base), base.weights),
+        (zero_one_model(space), ones),
+        (quadratic_model(space, values=np.linspace(-1.0, 2.0, n)), ones),
+        (bregman_model(space, xlogx_generator()), ones),
+        (bregman_model(space, square_generator(n)), ones),
+        (bregman_model(space, power_generator(3.0)), ones),
+        (relative_model(brier_model(space), Act(ACT_DISTRIBUTION, np.full(n, 1.0 / n))), ones),
+        (relative_model(log_model(space, base), Act(ACT_DENSITY, 1.0 / base.weights / n)),
+         base.weights),
+    ]
+
+
+def _payload_block(model, mu, rng, m):
+    """m payloads of the model's act kind: random acts, and for vector acts
+    some off the full support and some with an entry just below zero that
+    the check clamps."""
+    laws, block = model.random_acts(rng, m)
+    if model.act_kind == ACT_SCALAR:
+        return block
+    off, low = slice(0, m // 4), slice(m // 4, m // 2)
+    laws[off, -1] += laws[off, 0]
+    laws[off, 0] = 0.0
+    laws[low, 0] += laws[low, -1]
+    laws[low, -1] = -0.25 * WEIGHT_CLAMP
+    return laws / mu
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_loss_matrix_rows_are_loss_vectors_bitwise(n):
+    rng = np.random.default_rng(30 + n)
+    for model, mu in _loss_matrix_models(n):
+        block = _payload_block(model, mu, rng, 40)
+        matrix = model.loss_matrix(block)
+        rows = np.array([model.loss_vector(Act(model.act_kind, b)) for b in block])
+        assert matrix.shape == rows.shape == (40, n), model.name
+        assert matrix.tobytes() == rows.tobytes(), model.name
+
+
+@pytest.mark.parametrize("fault", ["nan", "below clamp", "mass"])
+def test_loss_matrix_refuses_a_block_as_loss_vector_refuses_its_act(fault):
+    rng = np.random.default_rng(7)
+    for model, _ in _loss_matrix_models(5):
+        block = model.random_acts(rng, 6)[1].copy()
+        if model.act_kind == ACT_SCALAR:
+            if fault != "nan":
+                continue
+            block[3] = np.nan
+        elif fault == "nan":
+            block[3, 1] = np.nan
+        elif fault == "below clamp":
+            block[3, 1] = -10 * WEIGHT_CLAMP
+        else:
+            block[3] *= 1.01
+        with pytest.raises(Exception) as per_act:
+            model.loss_vector(Act(model.act_kind, block[3]))
+        assert type(per_act.value) in (DimensionMismatch, NotNormalized)
+        with pytest.raises(type(per_act.value)):
+            model.loss_matrix(block)
+        model.loss_matrix(np.delete(block, 3, axis=0))
 
 
 # ---------------------------------------------------------------------------
