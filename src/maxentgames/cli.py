@@ -20,7 +20,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -51,11 +50,14 @@ from .derived import (
     equalization_report,
 )
 from .divergence import (
+    PYTHAGOREAN_TOL,
+    EqualizerReport,
     InfiniteReferenceLoss,
-    equalizer_check,
+    _loss_rows,
+    equalizer_reports,
     find_neutral,
     identity_terms,
-    pythagorean_check,
+    pythagorean_reports,
     relative_model,
 )
 from .losses import (
@@ -90,6 +92,7 @@ EXIT_SUITE = 4
 EXIT_SOLVER = 5
 
 GRID_CHUNK = 256   # sweep and suite taus solved, then enumerated, per chunk
+PROBE_TOL = 1e-7   # spread of E_P L(X, zeta*) over the equalizer suite's probe laws
 
 
 class SpecError(ValueError):
@@ -228,18 +231,36 @@ def record_columns(n: int, k: int) -> list:
     return cols
 
 
-def vertex_columns(model: LossModel, vs: VertexSet, sp: SaddlePoint):
-    """(is_equalizer, vertex_margin) of a record, from the vertex list of
-    Gamma_tau: E_V L(X, zeta*) is constant over the vertices V, and the
-    largest E_V L(X, zeta*) minus E_P* L(X, zeta*)."""
-    rep = equalizer_check(model, vs.points, sp.zeta_star)
-    margin = float(max(rep.values)) - ext_dot(sp.p_star.w, model.loss_vector(sp.zeta_star))
+def _vertex_checks(model: LossModel, solved: list) -> list:
+    """(L(., zeta*), the `equalizer_check` report of zeta* on the vertices)
+    of each (saddle point, vertex list) pair, either one the exception kept
+    in its place: one `loss_matrix` call and one check of the stacked
+    vertices for the whole list."""
+    losses = _loss_rows(model, [sp.zeta_star for sp, _ in solved])
+    return list(zip(losses, equalizer_reports(model, [vs.points for _, vs in solved], losses)))
+
+
+def _columns(sp: SaddlePoint, lv, rep):
+    """(is_equalizer, vertex_margin) from a record's `_vertex_checks` pair."""
+    rep = raised(rep)
+    vals = rep.values
+    # the first largest value, as built-in max takes it, sign of zero included
+    margin = float(vals[vals.argmax()]) - ext_dot(sp.p_star.w, lv)
     return bool(rep.is_equalizer), float(margin)
 
 
-def record_values(model: LossModel, sp: SaddlePoint, vs: VertexSet) -> dict:
-    """Native-typed record, its vertex columns read off `vs`, the vertex list
-    of Gamma_tau; the CSV row is its _fmt image, column for column."""
+def vertex_columns(model: LossModel, vs: VertexSet, sp: SaddlePoint):
+    """(is_equalizer, vertex_margin) of a record, from the vertex list of
+    Gamma_tau: E_V L(X, zeta*) is constant over the vertices V, and the
+    largest E_V L(X, zeta*) minus E_P* L(X, zeta*).  The sweep reads them a
+    chunk at a time (`_vertex_checks`), with the same numbers."""
+    return _columns(sp, *_vertex_checks(model, [(sp, vs)])[0])
+
+
+def record_values(sp: SaddlePoint, columns) -> dict:
+    """Native-typed record, its vertex columns the (is_equalizer,
+    vertex_margin) pair `columns` (`vertex_columns`); the CSV row is its
+    _fmt image, column for column."""
     n, k = sp.p_star.n, sp.tau.size
     vals: dict = {"status": "ok"}
     for i, v in enumerate(np.atleast_1d(sp.tau)):
@@ -259,7 +280,7 @@ def record_values(model: LossModel, sp: SaddlePoint, vs: VertexSet) -> dict:
         vals[f"zeta_{i + 1}"] = v
     vals["is_linear"] = bool(sp.is_linear)
     vals["is_regular"] = bool(sp.is_regular)
-    vals["is_equalizer"], vals["vertex_margin"] = vertex_columns(model, vs, sp)
+    vals["is_equalizer"], vals["vertex_margin"] = columns
     vals["tau_interior"] = bool(sp.tau_interior)
     vals["bayes_margin"] = float(sp.bayes_margin)
     vals["gap"] = float(sp.gap)
@@ -267,8 +288,8 @@ def record_values(model: LossModel, sp: SaddlePoint, vs: VertexSet) -> dict:
     return vals
 
 
-def record_row(model: LossModel, sp: SaddlePoint, vs: VertexSet) -> list:
-    vals = record_values(model, sp, vs)
+def record_row(sp: SaddlePoint, columns) -> list:
+    vals = record_values(sp, columns)
     return [_fmt(vals[c]) for c in record_columns(sp.p_star.n, sp.tau.size)]
 
 
@@ -326,7 +347,8 @@ def cmd_solve(args) -> int:
     statistic = _require_statistic(spec)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))[None]
     ((_, g, sp, vs),) = next(_grid_chunks(spec.model, statistic, taus, args.tol, True))
-    record = record_values(spec.model, raised(sp), vs)
+    sp = raised(sp)
+    record = record_values(sp, vertex_columns(spec.model, vs, sp))
     if args.bits and isinstance(spec.model, LogModel):
         record["h_bits"] = sp.h_star / LN2
     check = verify_saddle(spec.model, g, sp.p_star, sp.zeta_star)
@@ -394,6 +416,12 @@ def _grid_chunks(model: LossModel, statistic: Statistic, taus: np.ndarray,
         yield rows
 
 
+def _solved_pairs(chunk: list) -> list:
+    """(saddle point, vertex list) of each row of a `_grid_chunks` chunk
+    whose solve gave a saddle point, in order."""
+    return [(sp, vs) for _, _, sp, vs in chunk if isinstance(sp, SaddlePoint)]
+
+
 def cmd_sweep(args) -> int:
     spec = parse_spec(args.spec)
     statistic = _require_statistic(spec)
@@ -402,14 +430,16 @@ def cmd_sweep(args) -> int:
     grid = _grid_values(spec, args)
     n, k = spec.space.n, statistic.k
     lines = [f"# {CSV_SCHEMA}", ",".join(record_columns(n, k))]
-    chunks = _grid_chunks(spec.model, statistic, grid[:, None], args.tol, True)
-    for tau, _, sp, vs in chain.from_iterable(chunks):
-        try:
-            lines.append(",".join(record_row(spec.model, raised(sp), vs)))
-        except Infeasible:
-            lines.append(",".join(sentinel_row(tau, "infeasible", n, k)))
-        except ArithmeticError:
-            lines.append(",".join(sentinel_row(tau, "error", n, k)))
+    for chunk in _grid_chunks(spec.model, statistic, grid[:, None], args.tol, True):
+        checks = iter(_vertex_checks(spec.model, _solved_pairs(chunk)))
+        for tau, _, sp, _ in chunk:
+            try:
+                sp = raised(sp)
+                lines.append(",".join(record_row(sp, _columns(sp, *next(checks)))))
+            except Infeasible:
+                lines.append(",".join(sentinel_row(tau, "infeasible", n, k)))
+            except ArithmeticError:
+                lines.append(",".join(sentinel_row(tau, "error", n, k)))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -502,21 +532,26 @@ def _suite_pythagorean(spec: ProblemSpec, args) -> dict:
     rows = []
     passed = True
     equality_taus = []
-    chunks = _grid_chunks(game, _require_statistic(spec), _suite_taus(spec), None, True)
-    for tau, _, sp, vs in chain.from_iterable(chunks):
-        if not _solved(rows, tau, sp):
-            continue
-        rep = pythagorean_check(spec.model, vs.points, sp.p_star, sp.zeta_star, ref)
-        rows.append({
-            "tau": _cell(tau),
-            "status": "ok",
-            "min_slack": rep.min_slack,
-            "max_slack": rep.max_slack,
-            "equality": rep.equality,
-        })
-        if rep.equality:
-            equality_taus.append(_cell(tau))
-        passed = passed and rep.min_slack >= -1e-8
+    lv0 = attempt(spec.model.loss_vector, ref)
+    for chunk in _grid_chunks(game, _require_statistic(spec), _suite_taus(spec), None, True):
+        solved = _solved_pairs(chunk)
+        reports = iter(pythagorean_reports(
+            spec.model, [vs.points for _, vs in solved], [sp.p_star for sp, _ in solved],
+            _loss_rows(spec.model, [sp.zeta_star for sp, _ in solved]), lv0))
+        for tau, _, sp, _ in chunk:
+            if not _solved(rows, tau, sp):
+                continue
+            rep = raised(next(reports))
+            rows.append({
+                "tau": _cell(tau),
+                "status": "ok",
+                "min_slack": rep.min_slack,
+                "max_slack": rep.max_slack,
+                "equality": rep.equality,
+            })
+            if rep.equality:
+                equality_taus.append(_cell(tau))
+            passed = passed and rep.min_slack >= -PYTHAGOREAN_TOL
     return {
         "suite": "pythagorean",
         "passed": passed,
@@ -526,28 +561,40 @@ def _suite_pythagorean(spec: ProblemSpec, args) -> dict:
 
 
 def _suite_equalizer(spec: ProblemSpec, args) -> dict:
+    """The equalizer check of zeta* on the vertices of each suite tau and,
+    where it passes on two or more vertices, on 32 random interior members
+    of Gamma_tau.  A chunk's probe laws are drawn tau by tau in the grid's
+    order, so the stream is the one a tau at a time draws, and checked as
+    one stack; rows and errors come in the grid's order."""
     rng = np.random.default_rng(args.seed)
     rows = []
     passed = True
-    chunks = _grid_chunks(spec.model, _require_statistic(spec), _suite_taus(spec), None, True)
-    for tau, _, sp, vs in chain.from_iterable(chunks):
-        if not _solved(rows, tau, sp):
-            continue
-        rep = equalizer_check(spec.model, vs.points, sp.zeta_star)
-        row = {
-            "tau": _cell(tau),
-            "status": "ok",
-            "vertex_spread": rep.spread,
-            "is_equalizer": rep.is_equalizer,
-        }
-        if rep.is_equalizer and vs.m >= 2:
-            # confirm constancy on random interior members, not just vertices
-            lam = rng.dirichlet(np.ones(vs.m), size=32)
-            probes = lam @ vs.points
-            prep = equalizer_check(spec.model, probes, sp.zeta_star, tol=1e-7)
-            row["probe_spread"] = prep.spread
-            passed = passed and prep.spread <= 1e-7
-        rows.append(row)
+    for chunk in _grid_chunks(spec.model, _require_statistic(spec), _suite_taus(spec), None, True):
+        solved = _solved_pairs(chunk)
+        checks = _vertex_checks(spec.model, solved)
+        # confirm constancy on random interior members, not just vertices
+        probes = {i: rng.dirichlet(np.ones(vs.m), size=32) @ vs.points
+                  for i, ((_, vs), (_, rep)) in enumerate(zip(solved, checks))
+                  if isinstance(rep, EqualizerReport) and rep.is_equalizer and vs.m >= 2}
+        probe_reports = dict(zip(probes, equalizer_reports(
+            spec.model, list(probes.values()), [checks[i][0] for i in probes], PROBE_TOL)))
+        found = iter(enumerate(checks))
+        for tau, _, sp, _ in chunk:
+            if not _solved(rows, tau, sp):
+                continue
+            i, (_, rep) = next(found)
+            rep = raised(rep)
+            row = {
+                "tau": _cell(tau),
+                "status": "ok",
+                "vertex_spread": rep.spread,
+                "is_equalizer": rep.is_equalizer,
+            }
+            if i in probe_reports:
+                prep = raised(probe_reports[i])
+                row["probe_spread"] = prep.spread
+                passed = passed and prep.spread <= PROBE_TOL
+            rows.append(row)
     return {"suite": "equalizer", "passed": passed, "rows": rows}
 
 

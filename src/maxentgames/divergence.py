@@ -4,16 +4,20 @@ Pythagorean / equalizer diagnostics."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from ._newton import _by_slice
 from .core import (
     Act,
     Distribution,
     _checked_rows,
+    attempt,
     distribution_rows,
     ext_dot,
     ext_dots,
+    raised,
     validate_distribution,
 )
 from .losses import LossModel
@@ -162,24 +166,19 @@ class EqualizerReport:
     values: np.ndarray
 
 
-def equalizer_check(model: LossModel, test_points, act: Act,
-                    tol: float = EQUALIZER_TOL) -> EqualizerReport:
-    """Is E_P L(X, act) constant over the test points (within tol)?"""
-    vals = ext_dots(distribution_rows(test_points, model.space.n), model.loss_vector(act))
-    if np.any(np.isinf(vals)):
-        finite = vals[np.isfinite(vals)]
-        spread = np.inf if finite.size != vals.size else 0.0
-        return EqualizerReport(False, float(spread), vals)
-    spread = float(vals.max() - vals.min()) if vals.size else 0.0
-    return EqualizerReport(spread <= tol, spread, vals)
-
-
 @dataclass(frozen=True)
 class PythagoreanReport:
     slacks: np.ndarray
     min_slack: float
     max_slack: float
     equality: bool
+
+
+def equalizer_check(model: LossModel, test_points, act: Act,
+                    tol: float = EQUALIZER_TOL) -> EqualizerReport:
+    """Is E_P L(X, act) constant over the test points (within tol)?"""
+    losses = [attempt(model.loss_vector, act)]
+    return raised(equalizer_reports(model, [test_points], losses, tol)[0])
 
 
 def pythagorean_check(model: LossModel, test_points, p_star: Distribution,
@@ -190,12 +189,80 @@ def pythagorean_check(model: LossModel, test_points, p_star: Distribution,
     saddle point, identically ~0 exactly when zeta* is an equalizer in the
     relative game, read as every slack within PYTHAGOREAN_TOL of zero.
     """
-    points = distribution_rows(test_points, model.space.n)
-    lv0 = model.loss_vector(zeta0)
+    losses = [attempt(model.loss_vector, zeta_star)]
+    return raised(pythagorean_reports(model, [test_points], [p_star], losses,
+                                      attempt(model.loss_vector, zeta0))[0])
+
+
+def equalizer_reports(model: LossModel, point_lists: list, losses: list,
+                      tol: float = EQUALIZER_TOL) -> list:
+    """`equalizer_check` of each entry of `point_lists` against the loss
+    vector L(., act) in the same place of `losses`, or the exception that
+    building it raised; each report, or the exception its check raises,
+    kept in place.  The points are checked as one stack (`_point_blocks`)."""
+    blocks = _point_blocks(point_lists, model.space.n)
+    return [attempt(_equalizer_report, points, lv, tol) for points, lv in zip(blocks, losses)]
+
+
+def _equalizer_report(points, lv, tol: float) -> EqualizerReport:
+    vals = _expectations(points, lv)
+    if np.isinf(vals).any():
+        return EqualizerReport(False, float(np.inf), vals)
+    spread = float(vals.max() - vals.min()) if vals.size else 0.0
+    return EqualizerReport(spread <= tol, spread, vals)
+
+
+def pythagorean_reports(model: LossModel, point_lists: list, p_stars: list, losses: list,
+                        lv0) -> list:
+    """`pythagorean_check` of each entry of `point_lists`, with the P* and
+    the loss vector L(., zeta*) (or the exception that building it raised)
+    in the same places of `p_stars` and `losses`, against one L(., zeta0),
+    `lv0`, or the exception that building it raised; each report, or the
+    exception its check raises, kept in place.  The points are checked as
+    one stack (`_point_blocks`)."""
+    blocks = _point_blocks(point_lists, model.space.n)
+    return [attempt(_pythagorean_report, model, points, p_star, lv, lv0)
+            for points, p_star, lv in zip(blocks, p_stars, losses)]
+
+
+def _pythagorean_report(model: LossModel, points, p_star: Distribution, lv,
+                        lv0) -> PythagoreanReport:
+    points, lv0 = raised(points), raised(lv0)
     pivot = ext_dot(p_star.w, lv0) - model.entropy(p_star)   # D(P*, zeta0)
     # H(P) cancels from D(P, zeta0) - D(P, zeta*)
-    slacks = ext_dots(points, lv0) - ext_dots(points, model.loss_vector(zeta_star)) - pivot
+    slacks = _expectations(points, lv0) - _expectations(points, lv) - pivot
     min_slack = float(slacks.min()) if slacks.size else 0.0
     max_slack = float(slacks.max()) if slacks.size else 0.0
     equality = bool(abs(min_slack) <= PYTHAGOREAN_TOL and abs(max_slack) <= PYTHAGOREAN_TOL)
     return PythagoreanReport(slacks, min_slack, max_slack, equality)
+
+
+def _loss_rows(model: LossModel, acts: list) -> list:
+    """L(., act) for each act of the model's act kind, or the exception that
+    building it raised, kept in place: one `loss_matrix` call, and one per
+    act only where that raises (`_by_slice`)."""
+    if not acts:
+        return []
+    found, errors = _by_slice(lambda block: (model.loss_matrix(block),),
+                              np.array([act.payload for act in acts]))
+    return [errors[i] if i in errors else found[0][i] for i in range(len(acts))]
+
+
+def _point_blocks(point_lists: list, n: int) -> list:
+    """`distribution_rows(points, n)` of each entry, or the exception it
+    raises, kept in place: the blocks are checked as one stack, and one at a
+    time only when the stack fails."""
+    try:
+        sizes = [len(points) for points in point_lists]
+        stack = _checked_rows(np.concatenate(point_lists, dtype=float).reshape(sum(sizes), n))
+    except Exception:
+        return [attempt(distribution_rows, points, n) for points in point_lists]
+    return [stack[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+
+
+def _expectations(points, lv) -> np.ndarray:
+    """ext_dots(points, lv) for a checked block of points, each argument
+    possibly the exception kept in its place: points @ lv when lv is
+    finite, which is what ext_dots computes then."""
+    points, lv = raised(points), raised(lv)
+    return points @ lv if np.isfinite(lv).all() else ext_dots(points, lv)

@@ -53,7 +53,7 @@ from .core import (
     ext_dots,
     raised,
 )
-from .divergence import RelativeModel, relative_model
+from .divergence import RelativeModel, _loss_rows, relative_model
 from .losses import BrierModel, ConvexGenerator, LogModel, LossModel, ZeroOneModel
 from .verify import lp_game_value, point_act_losses, point_act_saddle
 
@@ -103,8 +103,10 @@ class ActFamily:
 class SaddlePoint:
     """A solved saddle point of the game over Gamma_tau, as plain values.
 
-    The record holds no vertex list; `cli.vertex_columns` reads
-    `is_equalizer` and `vertex_margin` off one for the CLI records.
+    The record holds no vertex list and no loss vector: the CLI builds its
+    own L(., zeta*) for a chunk of records at once and reads `is_equalizer`
+    and `vertex_margin` off their vertex lists (`cli._vertex_checks`;
+    `cli.vertex_columns` for one record).
     """
 
     tau: np.ndarray
@@ -176,19 +178,21 @@ def _records(model: LossModel, statistic: Statistic, drafts: list) -> list:
 
     The loss vectors L(., zeta*) come from one `loss_matrix` call and the
     affine fits of the finite ones on [1; T], which decide `is_linear`, from
-    one `_affine_fits` call for the whole list; the records run per tau.
-    Each tau keeps the first exception its own steps raise.
+    one `_affine_fits` call for the whole list.  `is_regular`, the affine
+    representation's residual on the support of P*, comes from one block of
+    fitted values.  The Bayes margin |L(P*, zeta*) - H(P*)| reads H(P*) off
+    the draft, and L(P*, zeta*) is `ext_dot`'s product over the charged
+    outcomes, per tau, since a full-length dot can round differently; a row
+    with a NaN loss, or an infinite one that P* charges, takes `ext_dot`
+    itself.  Each tau keeps the first exception its own steps raise.
     """
     out, losses = list(drafts), {}
     live = [i for i, draft in enumerate(drafts) if not isinstance(draft, Exception)]
-    if live:
-        found, errors = _by_slice(lambda acts: (model.loss_matrix(acts),),
-                                  np.array([drafts[i].zeta.payload for i in live]))
-        for r, i in enumerate(live):
-            if r in errors:
-                out[i] = errors[r]
-            else:
-                losses[i] = found[0][r]
+    for i, lv in zip(live, _loss_rows(model, [drafts[i].zeta for i in live])):
+        if isinstance(lv, Exception):
+            out[i] = lv
+        else:
+            losses[i] = lv
     linear = dict.fromkeys(losses, False)
     fit = [i for i, lv in losses.items() if np.isfinite(lv).all()]
     if fit:
@@ -196,36 +200,58 @@ def _records(model: LossModel, statistic: Statistic, drafts: list) -> list:
                                   np.array([losses[i] for i in fit]))
         for r, i in enumerate(fit):
             linear[i] = errors[r] if r in errors else found[1][r] <= LINEAR_FIT_TOL
-    for i, lv in losses.items():
-        out[i] = linear[i] if isinstance(linear[i], Exception) else attempt(
-            _record, drafts[i], lv, linear[i])
+    done = []
+    for i in losses:
+        if isinstance(linear[i], Exception):
+            out[i] = linear[i]
+        else:
+            done.append(i)
+    if not done:
+        return out
+    lvs = np.array([losses[i] for i in done])
+    ps = np.array([drafts[i].p_star.w for i in done])
+    regular = [False] * len(done)
+    affine = [r for r, i in enumerate(done) if drafts[i].beta is not None]
+    if affine:
+        b0 = np.array([drafts[done[r]].beta0 for r in affine], float)
+        betas = np.array([drafts[done[r]].beta for r in affine], float)
+        p, lv = (ps, lvs) if len(affine) == len(done) else (ps[affine], lvs[affine])
+        resid = np.where(p > 1e-9, np.abs(b0[:, None] + betas @ statistic.matrix - lv), 0.0)
+        for r, ok in zip(affine, (resid.max(axis=1) <= LINEAR_FIT_TOL).tolist()):
+            regular[r] = ok
+    charged = ps != 0.0
+    full = charged.all(axis=1).tolist()
+    if np.isfinite(lvs).all():
+        plain = [True] * len(done)
+    else:
+        plain = (~(np.isnan(lvs) | np.isinf(lvs) & charged).any(axis=1)).tolist()
+    for r, i in enumerate(done):
+        g, p_star, zeta, h, beta0, beta, gap, method, hull, act_family = drafts[i]
+        if not plain[r]:
+            bayes = attempt(ext_dot, p_star.w, lvs[r])
+            if isinstance(bayes, Exception):
+                out[i] = bayes
+                continue
+        elif full[r]:
+            bayes = float(ps[r] @ lvs[r])
+        else:
+            bayes = float(ps[r, charged[r]] @ lvs[r, charged[r]])
+        out[i] = SaddlePoint(
+            tau=g.tau,
+            p_star=p_star,
+            zeta_star=zeta,
+            h_star=float(h) + 0.0,   # + 0.0 folds -0.0 into 0.0
+            beta0=None if beta is None else float(beta0) + 0.0,
+            beta=None if beta is None else np.asarray(beta, float) + 0.0,
+            is_linear=bool(linear[i]),
+            is_regular=regular[r],
+            tau_interior=hull == "interior",
+            bayes_margin=float(abs(bayes - h)),
+            gap=float(gap),
+            method=method,
+            act_family=act_family,
+        )
     return out
-
-
-def _record(draft: _Draft, lv: np.ndarray, is_linear) -> SaddlePoint:
-    """The SaddlePoint of a draft from its loss vector and affine-fit check;
-    the Bayes margin |L(P*, zeta*) - H(P*)| reads H(P*) off the draft."""
-    g, p_star, zeta, h, beta0, beta, gap, method, hull, act_family = draft
-    is_regular = False
-    if beta is not None:
-        supp = p_star.support(1e-9)
-        fitted = beta0 + g.statistic.matrix[:, supp].T @ beta
-        is_regular = bool(np.max(np.abs(fitted - lv[supp])) <= LINEAR_FIT_TOL)
-    return SaddlePoint(
-        tau=g.tau,
-        p_star=p_star,
-        zeta_star=zeta,
-        h_star=float(h) + 0.0,   # + 0.0 folds -0.0 into 0.0
-        beta0=None if beta is None else float(beta0) + 0.0,
-        beta=None if beta is None else np.asarray(beta, float) + 0.0,
-        is_linear=bool(is_linear),
-        is_regular=is_regular,
-        tau_interior=hull == "interior",
-        bayes_margin=float(abs(ext_dot(p_star.w, lv) - h)),
-        gap=float(gap),
-        method=method,
-        act_family=act_family,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from maxentgames.cli import (
     EXIT_SUITE,
     parse_spec,
     record_columns,
+    vertex_columns,
 )
 from test_certificate_lp import problems
 
@@ -482,6 +483,23 @@ def test_identities_golden_bytes(capsys, line):
     assert out == line["stdout"]
 
 
+def _suites_golden():
+    with open(os.path.join(GOLDEN, "suites.jsonl"), encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+@pytest.mark.parametrize("line", _suites_golden(),
+                         ids=lambda line: f"{line['spec']}-{line['suite']}-{line['seed']}")
+def test_suites_golden_bytes(capsys, line):
+    # `verify --suite pythagorean` (seed 0) and `verify --suite equalizer` at
+    # seeds 0-4 on the three bundled sweep specs, as the per-tau checks
+    # reported them
+    code, out, _ = run_cli(capsys, "verify", spec_path(line["spec"]), "--suite", line["suite"],
+                           "--seed", line["seed"])
+    assert code == EXIT_OK
+    assert out == line["stdout"]
+
+
 @pytest.mark.parametrize("name", BUNDLED_SWEEPS)
 def test_sweep_beyond_the_hull_matches_row_by_row_records(capsys, name):
     # the sweep enumerates the vertex lists of a chunk of the grid at once;
@@ -494,7 +512,7 @@ def test_sweep_beyond_the_hull_matches_row_by_row_records(capsys, name):
         g = GammaTau(spec.statistic, [tau])
         try:
             sp = solve(spec.model, g)
-            lines.append(",".join(cli.record_row(spec.model, sp, vertices(g))))
+            lines.append(",".join(cli.record_row(sp, vertex_columns(spec.model, vertices(g), sp))))
         except Infeasible:
             lines.append(",".join(cli.sentinel_row([tau], "infeasible", 3, 1)))
     assert out == "\n".join(lines) + "\n"
