@@ -532,7 +532,8 @@ def _suite_pythagorean(spec: ProblemSpec, args) -> dict:
     rows = []
     passed = True
     equality_taus = []
-    lv0 = attempt(spec.model.loss_vector, ref)
+    # a relative game has built L(., ref) from the same act with the same call
+    lv0 = attempt(game.loss_vector, ref) if game is spec.model else game.reference_losses
     for chunk in _grid_chunks(game, _require_statistic(spec), _suite_taus(spec), None, True):
         solved = _solved_pairs(chunk)
         reports = iter(pythagorean_reports(

@@ -357,7 +357,7 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray,
 # Brier solver: semismooth Newton on the dual, then the support rule
 
 
-def _brier_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
+def _brier_grid(model: LossModel, statistic: Statistic, pairs: list) -> list:
     """Exact Brier saddle points from the (k+1)-dimensional dual.
 
     With A = [1; T] and b = [1; tau], P* = (A'y)_+ / 2 for the maximizer y
@@ -371,20 +371,14 @@ def _brier_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
     later support can win, and a solution left further below the bound
     than BRIER_GAP_TOL raises NewtonDivergence.
 
-    `gammas` holds Gamma_tau, or the exceptions that building them raised,
-    which stay in place.  The grid runs the hull class per tau, one stacked
-    `_separable_dual` for the live taus, the support scan in rounds
-    (`_brier_scan`) and the multipliers stacked by support size.  Each tau
-    gets its draft (`_records` makes the record) or the exception its own
-    solve raises.
+    The grid runs one stacked `_separable_dual` for its (Gamma_tau, hull
+    class) pairs, the support scan in rounds (`_brier_scan`) and the
+    multipliers stacked by support size.  Each pair gets its draft
+    (`_records` makes the record) or the exception its own solve raises.
     """
-    out = [attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
-    live = [i for i, hull in enumerate(out) if isinstance(hull, str)]
-    if not live:
-        return out
     rows = np.vstack([np.ones(statistic.n), statistic.matrix])
-    targets = np.ones((len(live), statistic.k + 1))
-    targets[:, 1:] = [gammas[i].tau for i in live]
+    targets = np.ones((len(pairs), statistic.k + 1))
+    targets[:, 1:] = [g.tau for g, _ in pairs]
     gen, mu = model.separable()
     y, _, _, found = _separable_dual(rows, targets, mu, gen)
     _brier_scan(rows, targets, y, found)
@@ -401,10 +395,8 @@ def _brier_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
         fits, errors = _by_slice(_lstsq_rank, a_t, weights)
         for r, j in enumerate(js):
             found[j] = errors[r] if r in errors else (*found[j], fits[0][r], fits[1][r])
-    for j, i in enumerate(live):
-        out[i] = found[j] if isinstance(found[j], Exception) else attempt(
-            _brier_draft, gammas[i], out[i], supports[j], *found[j])
-    return out
+    return [found[j] if isinstance(found[j], Exception) else attempt(
+        _brier_draft, g, hull, supports[j], *found[j]) for j, (g, hull) in enumerate(pairs)]
 
 
 def _lstsq_rank(a_t: np.ndarray, weights: np.ndarray):
@@ -540,7 +532,7 @@ def _brier_degenerate_beta(g: GammaTau, p: np.ndarray, supp: np.ndarray):
 # log solver: damped Newton on the dual; faces take the separable dual
 
 
-def _log_grid(model: LossModel, statistic: Statistic, gammas: list, tol: float) -> list:
+def _log_grid(model: LossModel, statistic: Statistic, pairs: list, tol: float) -> list:
     """Log-loss saddle points: Newton on kappa(beta) + beta' tau.
 
     Interior tau with affinely independent rows runs Newton to `tol`
@@ -549,30 +541,26 @@ def _log_grid(model: LossModel, statistic: Statistic, gammas: list, tol: float) 
     dual of psi(s) = s log s (`_separable_draft`, "log-face"), which runs
     to DUAL_TOL and leaves beta absent.
 
-    `gammas` is as `_brier_grid`'s, and so is what the grid returns.  It
-    runs the hull class per tau, one stacked `_newton_tilt` for the interior
-    taus and `_separable_draft` per tau for the others.  The rank of [1; T]
-    and the F-ordered copy of T that Newton runs on do not depend on tau,
-    so they are taken once.
+    The grid takes `_brier_grid`'s pairs and returns as it does.  It runs
+    one stacked `_newton_tilt` for the interior taus and `_separable_draft`
+    per tau for the others.  The rank of [1; T] and the F-ordered copy of T
+    that Newton runs on do not depend on tau, so they are taken once.
     """
-    out = [attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
     n = statistic.n
     # an F-ordered copy: Newton's iterates depend on the memory layout
     tmat = statistic.matrix[:, np.arange(n)]
-    newton = [i for i, hull in enumerate(out) if hull == "interior"]
+    newton = [i for i, (_, hull) in enumerate(pairs) if hull == "interior"]
     if newton and np.linalg.matrix_rank(
             np.vstack([np.ones(n), tmat]), tol=RANK_TOL) <= statistic.k:
         newton = []
-    for i, hull in enumerate(out):
-        if isinstance(hull, str) and not (newton and hull == "interior"):
-            out[i] = attempt(_separable_draft, model, model, np.zeros(n), gammas[i], hull,
-                             "log-face")
+    out = [None if newton and hull == "interior" else attempt(
+        _separable_draft, model, model, np.zeros(n), g, hull, "log-face") for g, hull in pairs]
     if newton:
         beta, kappa, q, norms, failed = _newton_tilt(
-            model.base.weights, tmat, np.array([gammas[i].tau for i in newton]), tol)
+            model.base.weights, tmat, np.array([pairs[i][0].tau for i in newton]), tol)
         for j, i in enumerate(newton):
             out[i] = failed[j] if j in failed else attempt(
-                _log_draft, model, gammas[i], out[i], beta[j], kappa[j], q[j], norms[j])
+                _log_draft, model, *pairs[i], beta[j], kappa[j], q[j], norms[j])
     return out
 
 
@@ -589,7 +577,7 @@ def _log_draft(model: LossModel, g: GammaTau, hull: str, beta: np.ndarray,
 # zero-one solver: an LP screen, then exact patterns
 
 
-def _zero_one_grid(model: LossModel, statistic: Statistic, gammas: list) -> list:
+def _zero_one_grid(statistic: Statistic, pairs: list) -> list:
     """Zero-one saddle points: an LP screen, then exact patterns.
 
     Phase 1 minimizes the maximum coordinate over Gamma_tau: one LP fixes
@@ -604,24 +592,17 @@ def _zero_one_grid(model: LossModel, statistic: Statistic, gammas: list) -> list
     more than NORM_TOL (tau at a hull vertex), zeta* is phase 1's LP dual,
     the point-act game's act, and beta is absent.
 
-    `gammas` is as `_brier_grid`'s, and so is what the grid returns.  It
-    runs the hull class per tau, then phase 1 (`_min_pmax`) and phase 2
-    (`_zero_one_acts`) each for the whole list.
+    The grid takes `_brier_grid`'s pairs and returns as it does.  It runs
+    phase 1 (`_min_pmax`) and phase 2 (`_zero_one_acts`) each for the whole
+    list.
     """
-    out = [attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
-    live = [i for i, hull in enumerate(out) if isinstance(hull, str)]
-    found = dict(zip(live, _min_pmax(statistic, [gammas[i].tau for i in live])))
-    solved = []
-    for i, phase1 in found.items():
-        if isinstance(phase1, Exception):
-            out[i] = phase1
-        else:
-            solved.append(i)
-    acts = _zero_one_acts(statistic, [gammas[i] for i in solved],
-                          [found[i][1] for i in solved], [found[i][0] for i in solved])
+    out = _min_pmax(statistic, [g.tau for g, _ in pairs])
+    solved = [i for i, phase1 in enumerate(out) if not isinstance(phase1, Exception)]
+    acts = _zero_one_acts(statistic, [pairs[i][0] for i in solved],
+                          [out[i][1] for i in solved], [out[i][0] for i in solved])
     for i, act in zip(solved, acts):
         out[i] = act if isinstance(act, Exception) else attempt(
-            _zero_one_draft, gammas[i], out[i], found[i][1], found[i][2], act)
+            _zero_one_draft, *pairs[i], out[i][1], out[i][2], act)
     return out
 
 
@@ -671,8 +652,6 @@ def _min_pmax(statistic: Statistic, taus) -> list:
     """
     n, k = statistic.n, statistic.k
     tmat = statistic.matrix
-    if not len(taus):
-        return []
     found = _pmax_lp(tmat, np.array(taus))
     live = [i for i, screen in enumerate(found) if not isinstance(screen, Exception)]
     groups = {}
@@ -1005,12 +984,12 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = GENERIC_TOL) -> Sa
     Bayes act's losses at P as supergradient ("frank-wolfe"), so a kinked
     loss must expose `bayes_act_set`.  A gap above tol raises MaxIterExceeded.
     """
-    return raised(_records(model, g.statistic, [_generic_draft(model, g, tol)])[0])
+    return raised(_records(model, g.statistic,
+                           [_generic_draft(model, g, _hull_class(g), tol)])[0])
 
 
-def _generic_draft(model: LossModel, g: GammaTau, tol: float) -> _Draft:
-    """The draft of `solve_generic`."""
-    hull = _hull_class(g)
+def _generic_draft(model: LossModel, g: GammaTau, hull: str, tol: float) -> _Draft:
+    """The draft of `solve_generic`, given `_hull_class`'s class of tau."""
     L = point_act_losses(model)
     if L is None:
         vs = vertices(g)
@@ -1051,33 +1030,44 @@ def _unwrap(model: LossModel):
 def _solve_each(model: LossModel, statistic: Statistic, gammas: list,
                 tol: float | None) -> list:
     """The saddle point of each entry of `gammas` (a Gamma_tau of
-    `statistic`, or the exception that building it raised, kept in place),
-    routed by the model's mathematical structure.
+    `statistic`, or the exception that building it raised), routed by the
+    model's mathematical structure, in three steps:
 
-    Brier, log and zero-one models run a grid solver of their own
-    (`_brier_grid`, `_log_grid`, `_zero_one_grid`), any other model with a
-    separable base (`_unwrap`) the separable dual per tau
-    (`_separable_draft`), and the rest `solve_generic`'s route per tau.
-    `tol` stops the log solver and `solve_generic`; the exact solvers ignore
-    it.  The drafts of every route take one `_records` pass, so each entry
-    gets its SaddlePoint or the exception its solve raised.
+    1. `_hull_class` runs once per Gamma_tau; its Infeasible, like a build
+       error, is kept in place.
+    2. The route solves the live (Gamma_tau, hull class) pairs and returns
+       one draft, or the exception its solve raised, per pair; no route
+       runs when no pair is live.  Brier, log and zero-one models run a
+       grid solver of their own (`_brier_grid`, `_log_grid`,
+       `_zero_one_grid`), any other model with a separable base (`_unwrap`)
+       the separable dual per tau (`_separable_draft`), and the rest
+       `solve_generic`'s route per tau.  `tol` stops the log solver and
+       `solve_generic`; the exact solvers ignore it.
+    3. The drafts go back in grid order and take one `_records` pass, so
+       each entry gets its SaddlePoint or the exception its solve raised.
     """
-    if isinstance(model, ZeroOneModel):
-        drafts = _zero_one_grid(model, statistic, gammas)
+    out = [attempt(_hull_class, g) if isinstance(g, GammaTau) else g for g in gammas]
+    live = [i for i, hull in enumerate(out) if isinstance(hull, str)]
+    pairs = [(gammas[i], out[i]) for i in live]
+    if not pairs:
+        drafts = []
+    elif isinstance(model, ZeroOneModel):
+        drafts = _zero_one_grid(statistic, pairs)
     elif isinstance(model, BrierModel):
-        drafts = _brier_grid(model, statistic, gammas)
+        drafts = _brier_grid(model, statistic, pairs)
     elif isinstance(model, LogModel):
-        drafts = _log_grid(model, statistic, gammas, LOG_TOL if tol is None else tol)
+        drafts = _log_grid(model, statistic, pairs, LOG_TOL if tol is None else tol)
     else:
         base, r = _unwrap(model)
         if base.separable() is not None:
-            def each(g):
-                return _separable_draft(model, base, r, g, _hull_class(g), "bregman-dual")
+            drafts = [attempt(_separable_draft, model, base, r, g, hull, "bregman-dual")
+                      for g, hull in pairs]
         else:
-            def each(g):
-                return _generic_draft(model, g, GENERIC_TOL if tol is None else tol)
-        drafts = [g if isinstance(g, Exception) else attempt(each, g) for g in gammas]
-    return _records(model, statistic, drafts)
+            tol = GENERIC_TOL if tol is None else tol
+            drafts = [attempt(_generic_draft, model, g, hull, tol) for g, hull in pairs]
+    for i, draft in zip(live, drafts):
+        out[i] = draft
+    return _records(model, statistic, out)
 
 
 def solve(model: LossModel, g: GammaTau, tol: float | None = None) -> SaddlePoint:

@@ -73,7 +73,8 @@ def point_act_losses(model: LossModel) -> np.ndarray | None:
     if (model.act_kind != ACT_DISTRIBUTION
             or model.bayes_act_set(Distribution.uniform(n)) is None):
         return None
-    L = np.column_stack([model.loss_vector(Act(ACT_DISTRIBUTION, e)) for e in np.eye(n)])
+    # row j of the block is L(., e_j); the C-ordered copy keeps the column layout
+    L = np.ascontiguousarray(model.loss_matrix(np.eye(n)).T)
     return L if np.all(np.isfinite(L)) else None
 
 

@@ -12,6 +12,7 @@ cross chunks of GRID_CHUNK = 5 taus on statistics with N 3-12 and k 1-3.
 """
 
 import io
+import json
 import os
 from contextlib import redirect_stdout
 from types import SimpleNamespace
@@ -501,3 +502,28 @@ def test_a_sweep_builds_each_loss_matrix_once_per_chunk(monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify", path, "--suite", "pythagorean"]) == cli.EXIT_OK
     assert calls.count("loss_vector") == 2 and calls.count("loss_matrix") == 2, calls
+
+
+def test_a_relative_pythagorean_suite_builds_the_reference_losses_twice(monkeypatch, tmp_path):
+    # with a spec reference, L(., ref) is built by the spec check and by the
+    # relative game; the suite reads the relative game's copy
+    calls = []
+    inner = losses.BrierModel.loss_vector
+
+    def counted(self, act):
+        calls.append(act.payload.copy())
+        return inner(self, act)
+
+    monkeypatch.setattr(losses.BrierModel, "loss_vector", counted)
+    with open(os.path.join(SPECS, "brier_mean.json")) as fh:
+        raw = json.load(fh)
+    raw["reference"] = {"distribution": [0.5, 0.3, 0.2]}
+    path = tmp_path / "brier_relative.json"
+    path.write_text(json.dumps(raw))
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["verify", str(path), "--suite", "pythagorean"]) == cli.EXIT_OK
+    report = json.loads(out.getvalue())
+    assert report["passed"] is True and len(report["rows"]) == 41
+    assert len(calls) == 2, calls
+    for payload in calls:
+        assert payload.tolist() == [0.5, 0.3, 0.2]

@@ -172,25 +172,61 @@ def test_a_bad_tau_is_its_own_exception():
     assert_same(found[3], solve(model, GammaTau(Statistic(t), [0.5])), "0.5")
 
 
+# ROADMAP item 21's power-3 reproducer: an interior tau of near-degenerate
+# charges, where the separable dual stops short of its tolerance
+POWER3_T = np.array([[0.214, 0.893, -0.77, -0.841], [-0.617, -0.559, -0.674, -0.848]])
+POWER3_TAU = POWER3_T @ np.array([0.13726326334951117, 1.8147100696610506e-08,
+                                  0.8627367146557937, 3.847594445429525e-09])
+
+
 def test_other_models_are_solved_tau_by_tau(monkeypatch):
-    # a Bregman model on the statistic of the Brier spec: the separable dual
-    # of psi(s) = s log s, solved tau by tau
-    spec = cli.parse_spec(os.path.join(SPECS, "brier_mean.json"))
-    model = bregman_model(spec.space, xlogx_generator())
-    taus = np.array([[-0.5], [0.25], [1.5]])
-    hulls = []
+    # every route, on one grid of an interior tau, a tau on the hull edge of
+    # outcomes 1 and 3, a tau outside the hull and one of the wrong width
+    # (power 3 adds the reproducer): each entry is what solve gives at its
+    # turn, the hull class runs once per Gamma_tau built, and a route sees
+    # only (Gamma_tau, hull class) pairs
+    t = POWER3_T
+    stat = Statistic(t)
+    taus = [t @ np.full(4, 0.25), 0.5 * (t[:, 1] + t[:, 3]), [5.0, 0.0], [0.0, 0.0, 0.0]]
+    hulls, routes = [], set()
     inner = maxent._hull_class
 
     def counted(g):
         hulls.append(g.tau)
         return inner(g)
 
-    monkeypatch.setattr(maxent, "_hull_class", counted)
-    found = solve_grid(model, spec.statistic, taus)
-    assert len(hulls) == 3
-    monkeypatch.setattr(maxent, "_hull_class", inner)
-    assert_matches_each_tau_alone(model, spec.statistic.matrix, taus, found)
-    assert isinstance(found[2], Infeasible)
+    def live_only(name, at):
+        # the route's pairs, or its one (Gamma_tau, class), sit at args[at]
+        route = getattr(maxent, name)
+
+        def wrapped(*args):
+            pairs = args[at] if isinstance(args[at], list) else [args[at:at + 2]]
+            assert pairs, name
+            for g, hull in pairs:
+                assert isinstance(g, GammaTau) and isinstance(hull, str), (name, g, hull)
+            routes.add(name)
+            return route(*args)
+        return wrapped
+
+    kinds = set()
+    for name, model in route_models(SampleSpace.of(range(4))).items():
+        grid_taus = taus[:1] + [POWER3_TAU] + taus[1:] if name == "bregman-power3" else taus
+        with monkeypatch.context() as patched:
+            patched.setattr(maxent, "_hull_class", counted)
+            for route, at in (("_brier_grid", 2), ("_log_grid", 2), ("_zero_one_grid", 1),
+                              ("_separable_draft", 3), ("_generic_draft", 1)):
+                patched.setattr(maxent, route, live_only(route, at))
+            del hulls[:]
+            found = solve_grid(model, stat, grid_taus)
+            assert len(hulls) == len(grid_taus) - 1, (name, hulls)
+        assert_matches_each_tau_alone(model, t, grid_taus, found)
+        assert [type(sp).__name__ for sp in found[-2:]] == ["Infeasible", "DimensionMismatch"]
+        kinds.update(sp.method if isinstance(sp, SaddlePoint) else type(sp).__name__
+                     for sp in found)
+    assert routes == {"_brier_grid", "_log_grid", "_zero_one_grid", "_separable_draft",
+                      "_generic_draft"}
+    assert {"brier-enum", "log-newton", "log-face", "zero-one-enum", "bregman-dual",
+            "frank-wolfe", "matrix-game"} <= kinds
 
 
 def route_models(space):

@@ -26,6 +26,8 @@ from maxentgames import (
     zero_one_model,
 )
 from maxentgames import _simplex, verify
+from maxentgames.core import ACT_DISTRIBUTION
+from maxentgames.losses import LossModel
 from maxentgames.maxent import _tilts, solve_generic
 from maxentgames.verify import point_act_losses
 
@@ -195,6 +197,37 @@ def test_point_act_lp_matches_the_vertex_game():
             assert sp.h_star == pytest.approx(oracle, abs=1e-12), (i, model.kind)
             assert sp.gap <= 1e-12
             assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, i
+
+
+class _CostZeroOne(LossModel):
+    """Cost-weighted zero-one loss c(x) (1 - zeta(x)), with only the
+    per-act loss: its loss matrix is the base class's loop."""
+
+    def __init__(self, space, cost):
+        self.space, self.cost = space, cost
+        self.name = self.kind = "cost_zero_one"
+        self.act_kind = ACT_DISTRIBUTION
+
+    def loss_vector(self, act):
+        return self.cost * (1.0 - self._act_payload(act, ACT_DISTRIBUTION))
+
+    def bayes_act_set(self, dist):
+        return np.flatnonzero(self.cost * dist.w >= (self.cost * dist.w).max())
+
+
+def test_point_act_losses_is_the_column_stack_bit_for_bit():
+    # the matrix comes from one loss_matrix block; it must be the column
+    # stack of the point acts' loss vectors, in values, bytes and layout
+    rng = np.random.default_rng(39)
+    for n in (3, 6, 11):
+        zero_one, relative = zero_one_models(n, rng)
+        minimal = _CostZeroOne(zero_one.space, rng.uniform(0.5, 2.0, n))
+        for model in (zero_one, relative, minimal):
+            old = np.column_stack([model.loss_vector(Act(ACT_DISTRIBUTION, e))
+                                   for e in np.eye(n)])
+            found = point_act_losses(model)
+            assert found.flags.c_contiguous and found.dtype == old.dtype
+            assert found.shape == old.shape and found.tobytes() == old.tobytes(), model.kind
 
 
 # ---------------------------------------------------------------------------
