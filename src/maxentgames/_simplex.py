@@ -39,45 +39,57 @@ class PivotLimit(ArithmeticError):
 
 
 def _pivot(tableau: np.ndarray, basis: list, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
+    prow = tableau[row]
+    prow /= prow[col]
     factor = tableau[:, col].copy()
     factor[row] = 0.0
-    tableau -= np.outer(factor, tableau[row])
+    tableau -= factor[:, None] * prow
     basis[row] = col
+
+
+def _least(ratios: list) -> float:
+    """min(ratios); a nan among them leaves the ratio test no leaving row."""
+    if any(q != q for q in ratios):
+        raise ValueError("no leaving row: the ratio test met a nan")
+    return min(ratios)
 
 
 def _iterate(tableau: np.ndarray, basis: list, n_cols: int) -> None:
     degenerate = 0
+    cost = tableau[-1, :n_cols]   # views: each pivot updates the tableau in place
+    body = tableau[:-1]
     for _ in range(LP_MAX_ITER):
-        cost = tableau[-1, :n_cols]
         bland = degenerate >= BLAND_AFTER
         if bland:
-            negative = np.flatnonzero(cost < -PIVOT_TOL)
+            negative = (cost < -PIVOT_TOL).nonzero()[0]
             if negative.size == 0:
                 return
             entering = int(negative[0])
         else:
-            entering = int(np.argmin(cost))
+            entering = int(cost.argmin())
             if cost[entering] >= -PIVOT_TOL:
                 return
-        col = tableau[:-1, entering]
-        rows = np.flatnonzero(col > PIVOT_TOL)
-        if rows.size == 0:
+        # the ratio test runs on Python floats, the same divisions and
+        # comparisons as numpy's, at less cost on a few rows
+        col = body[:, entering].tolist()
+        rows = [r for r, v in enumerate(col) if v > PIVOT_TOL]
+        if not rows:
             raise Unbounded("no positive pivot entry in the entering column")
-        rhs = tableau[rows, -1]
+        rhs = body[:, -1].tolist()
         if bland:
-            ratios = np.maximum(rhs, 0.0) / col[rows]
-            tie = rows[ratios <= ratios.min() + 1e-12]
-            leaving = min(tie, key=lambda r: basis[r])
+            ratios = [max(rhs[r], 0.0) / col[r] for r in rows]
+            low = _least(ratios) + 1e-12
+            leaving = min((r for r, q in zip(rows, ratios) if q <= low), key=basis.__getitem__)
         else:
-            bound = float(((rhs + HARRIS_TOL) / col[rows]).min())
-            within = rows[rhs / col[rows] <= bound]
-            leaving = within[np.argmax(col[within])]
+            bound = _least([(rhs[r] + HARRIS_TOL) / col[r] for r in rows])
+            leaving = max((r for r in rows if rhs[r] / col[r] <= bound), key=col.__getitem__)
         # a leaving variable that dipped below zero leaves at zero: no step back
-        tableau[leaving, -1] = max(tableau[leaving, -1], 0.0)
-        gain = tableau[leaving, -1] / col[leaving] * -cost[entering]
+        level = rhs[leaving]
+        if level < 0.0:
+            body[leaving, -1] = level = 0.0
+        gain = level / col[leaving] * -cost[entering]
         degenerate = degenerate + 1 if gain <= PIVOT_TOL else 0
-        _pivot(tableau, basis, int(leaving), entering)
+        _pivot(tableau, basis, leaving, entering)
     raise PivotLimit(f"simplex phase exceeded {LP_MAX_ITER} pivots")
 
 
@@ -107,43 +119,43 @@ def solve_lp(c, a_eq, b_eq):
     # phase 1: minimize the sum of artificial variables
     tableau = np.zeros((m + 1, n + m + 1))
     tableau[:m, :n] = a
-    tableau[:m, n:n + m] = np.eye(m)
+    basis = list(range(n, n + m))
+    tableau[range(m), basis] = 1.0
     tableau[:m, -1] = b
     tableau[-1, :n] = -a.sum(axis=0)
     tableau[-1, -1] = -b.sum()
-    basis = list(range(n, n + m))
     _iterate(tableau, basis, n + m)
     if tableau[-1, -1] < -FEAS_TOL:
         raise Infeasible("phase-1 optimum positive: constraints unsatisfiable")
 
-    # drive any artificial variables out of the basis
+    # drive any artificial variables out of the basis; an artificial that
+    # stays marks a redundant constraint, whose row is dropped
+    keep = []
     for r in range(m):
         if basis[r] >= n:
             row = np.abs(tableau[r, :n])
-            col = int(np.argmax(row))
+            col = int(row.argmax())
             if row[col] > PIVOT_TOL:
                 _pivot(tableau, basis, r, col)
-
-    keep_rows = [r for r in range(m) if basis[r] < n]
-    drop = [r for r in range(m) if basis[r] >= n]  # redundant constraints
-    if drop:
-        tableau = np.delete(tableau, drop, axis=0)
-        basis = [basis[r] for r in keep_rows]
+        if basis[r] < n:
+            keep.append(r)
+    basis = [basis[r] for r in keep]
 
     # phase 2 on the original objective
-    work = np.zeros((tableau.shape[0], n + 1))
-    work[:-1, :n] = tableau[:-1, :n]
-    work[:-1, -1] = tableau[:-1, -1]
-    work[-1, :n] = c
+    keep.append(m)
+    work = tableau[keep][:, list(range(n)) + [-1]]
+    cost = work[-1]
+    cost[:n] = c
+    cost[-1] = 0.0
     for r, bv in enumerate(basis):
-        if abs(work[-1, bv]) > 0.0:
-            work[-1] -= work[-1, bv] * work[r]
+        if abs(cost[bv]) > 0.0:
+            cost -= cost[bv] * work[r]
     _iterate(work, basis, n)
 
     x = np.zeros(n)
-    for r, bv in enumerate(basis):
-        x[bv] = max(float(work[r, -1]), 0.0)
-    return x, float(c @ x), work[-1, :n].copy()
+    rhs = work[:-1, -1]
+    x[basis] = np.where(rhs < 0.0, 0.0, rhs)
+    return x, float(c @ x), cost[:n].copy()
 
 
 def solve_lps(c, a_eq, b_eq) -> list:

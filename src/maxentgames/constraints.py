@@ -30,6 +30,10 @@ MEMBER_TOL = 1e-8      # ||T p - tau||_inf for membership
 DEDUP_TOL = 1e-8       # L_inf distance below which two vertices coincide
 CONSISTENCY_TOL = 1e-9  # ||[1; T] p - [1; tau]||_inf that counts as met; the hull band
 RANK_TOL = 1e-10       # singular values at or below this make a support dependent
+# `_face`'s certificate: a least-squares point that meets [1; T] p = [1; tau]
+# this closely and charges every outcome with more than N times the floor
+CERTIFICATE_TOL = CONSISTENCY_TOL / 1000
+CERTIFICATE_FLOOR = 100 * DEDUP_TOL
 SYSTEM_BLOCK = 256     # support systems solved per batched call
 _EPS = np.finfo(float).eps
 
@@ -254,8 +258,9 @@ def hull_interior(statistic: Statistic, tau) -> str:
     """Classify tau against the convex hull of the statistic columns.
 
     Returns "interior" (relative interior), "boundary" (within
-    CONSISTENCY_TOL of a face), or "outside": `_face`'s first round, at
-    most the two reads of one LP.  tau is checked as `GammaTau` checks it.
+    CONSISTENCY_TOL of a face), or "outside": `_face`'s class, one
+    least-squares solve for a certified interior tau, else at most the two
+    reads of one LP.  tau is checked as `GammaTau` checks it.
     """
     return _face(statistic.matrix, GammaTau(statistic, tau).tau)[0]
 
@@ -293,6 +298,10 @@ def _face(tmat: np.ndarray, tau: np.ndarray, support: bool = False):
     as round 0 did.  When none drops, the reduced costs of the outcomes left
     sum to at least 1, so the round's point charges each with delta* >=
     DEDUP_TOL.
+
+    A member p with min p > N CERTIFICATE_FLOOR, which `_certified` looks
+    for first, gives the same answer without an LP: delta* >= min p >
+    CONSISTENCY_TOL, and r_x <= delta* / p_x, so no outcome drops.
     """
     k, n = tmat.shape
     hull, tol = None, CONSISTENCY_TOL
@@ -303,6 +312,8 @@ def _face(tmat: np.ndarray, tau: np.ndarray, support: bool = False):
         hull = "interior" if hi - lo <= tol or lo + tol < x < hi - tol else "boundary"
         if not support:
             return hull, None
+    if _certified(tmat, tau):
+        return hull or "interior", np.arange(n) if support else None
     left = np.ones(n, dtype=bool)
     c = np.zeros(n + 1)
     c[n] = -1.0
@@ -321,6 +332,24 @@ def _face(tmat: np.ndarray, tau: np.ndarray, support: bool = False):
         if kept.sum() in (0, left.sum()):   # none drops; all only when N^2 DEDUP_TOL >= 1
             return hull, np.flatnonzero(left)
         left = kept
+
+
+def _certified(tmat: np.ndarray, tau: np.ndarray) -> bool:
+    """True when the least-norm solution p of [1; T] p = [1; tau] (one
+    `lstsq_stack` solve) meets those rows within CERTIFICATE_TOL in L_inf
+    and charges every outcome with more than N CERTIFICATE_FLOOR.  The
+    uniform law lies in the row space of [1; T], so p is its projection
+    onto the plane."""
+    k, n = tmat.shape
+    a = np.empty((k + 1, n))
+    a[0] = 1.0
+    a[1:] = tmat
+    target = np.empty(k + 1)
+    target[0] = 1.0
+    target[1:] = tau
+    p = lstsq_stack(a, target)[0][:, 0]
+    return bool(np.abs(a @ p - target).max() <= CERTIFICATE_TOL
+                and p.min() > n * CERTIFICATE_FLOOR)
 
 
 def _lp_read(tmat: np.ndarray, tau: np.ndarray, c: np.ndarray, lifted=None,
@@ -359,8 +388,10 @@ def _read_lp(tmat: np.ndarray, c: np.ndarray, lifted):
     a[1:k + 1, :n] = tmat
     if lifted is not None:
         a[:k + 1, n] = a[:k + 1, :n] @ lifted
-    a[1:, m:m + k] = np.vstack([np.eye(k), np.eye(k)])
-    a[k + 1:, m + k:] = np.eye(k)
+    eye = np.eye(k)
+    a[1:k + 1, m:m + k] = eye
+    a[k + 1:, m:m + k] = eye
+    a[k + 1:, m + k:] = eye
     cost = np.zeros(c.shape[:-1] + a.shape[1:])
     cost[..., :c.shape[-1]] = c
     return a, cost

@@ -36,6 +36,7 @@ from maxentgames.cli import (
     vertex_columns,
 )
 from test_certificate_lp import problems
+from test_constraints import count_lps
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SPECS = os.path.normpath(os.path.join(HERE, os.pardir, "specs"))
@@ -1223,3 +1224,15 @@ def test_sweep_error_row(capsys, monkeypatch):
     bad = [i for i, (a, b) in enumerate(zip(clean_lines, lines)) if a != b]
     assert len(lines) == len(clean_lines) and len(bad) == 1
     assert lines[bad[0]] == ",".join(["error", "0.5"] + [""] * (width - 2))
+
+
+def test_zero_one_sweep_lp_count(capsys, monkeypatch):
+    # the bundled zero-one sweep runs its phase-1 LPs as one stack; of its
+    # one-LP calls, the interior family picks' union_support LPs went to
+    # _face's certificate: 4 are left of 7
+    calls = count_lps(monkeypatch)
+    code, out, _ = run_cli(capsys, "sweep", spec_path("zero_one_mean"))
+    assert code == 0
+    with open(os.path.join(GOLDEN, "zero_one_mean.csv"), encoding="utf-8") as f:
+        assert out == f.read()
+    assert len(calls) == 4

@@ -238,3 +238,100 @@ def test_solve_then_verify_never_enumerates(monkeypatch):
         assert vertex_margin <= 1e-7 and is_equalizer
         assert [(s is g.statistic, t.tolist()) for s, t in calls] == [(True, [[0.3]])], model.kind
         calls.clear()
+
+
+CERTIFICATE_SIZES = list(range(3, 21)) + [40, 80, 160]
+
+
+def certificate_problems(seed, count):
+    """(T, tau) with N 3-20, 40, 80 and 160 and k 1-3, in six kinds that
+    take turns: uniform T with a Dirichlet(1) tau, then a Dirichlet(0.2)
+    one; integer T in {-2..2}; tau between 1e-11 and 1e-6 off the face
+    {t_1 = -1}; a constant row 0.3 with its target off by 0, 5e-13, 5e-10
+    or 2e-9; a zero row with the target 5e-13, 5e-10, 2e-9 or 1e-8."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = CERTIFICATE_SIZES[i % len(CERTIFICATE_SIZES)]
+        kind = (i // len(CERTIFICATE_SIZES)) % 6
+        k = int(rng.integers(1, 4 if kind < 4 else 3))
+        if kind == 2:
+            t = rng.integers(-2, 3, (k, n)).astype(float)
+        else:
+            t = rng.uniform(-1.0, 1.0, (k, n))
+        p = rng.dirichlet(np.full(n, 0.2 if kind == 1 or kind == 2 and i % 2 else 1.0))
+        if kind == 3:
+            on = rng.random(n) < 0.5
+            on[0], on[-1] = True, False
+            t[0, on] = -1.0
+            face = np.where(on, rng.random(n), 0.0)
+            off = np.where(on, 0.0, rng.random(n))
+            face, off = face / face.sum(), off / off.sum()
+            w = 10.0 ** rng.uniform(-11.0, -6.0) / (t[0] @ off + 1.0)
+            p = (1.0 - w) * face + w * off
+        tau = t @ p
+        if kind == 4:
+            t = np.vstack([t, np.full(n, 0.3)])
+            tau = np.append(tau, 0.3 + [0.0, 5e-13, 5e-10, 2e-9][i % 4])
+        elif kind == 5:
+            t = np.vstack([t, np.zeros(n)])
+            tau = np.append(tau, [5e-13, 5e-10, 2e-9, 1e-8][i % 4])
+        yield t, tau
+
+
+def test_certificate_gives_the_face_reduction_answer(monkeypatch):
+    # a certified tau skips _face's LP rounds; its class and support must be
+    # what the rounds give, near faces and on zero and constant rows too
+    certify = constraints._certified
+    problems = list(certificate_problems(20261020, 1260))
+    with_certificate = [(constraints._face(t, tau), constraints._face(t, tau, support=True))
+                        for t, tau in problems]
+    certified = sum(certify(t, tau) for t, tau in problems)
+    monkeypatch.setattr(constraints, "_certified", lambda tmat, tau: False)
+    for case, ((t, tau), got) in enumerate(zip(problems, with_certificate)):
+        for (hull, supp), (lp_hull, lp_supp) in zip(got, (constraints._face(t, tau),
+                                                          constraints._face(t, tau, support=True))):
+            assert hull == lp_hull, case
+            assert (supp is None and lp_supp is None) or np.array_equal(supp, lp_supp), case
+    assert 0.3 * len(problems) < certified < 0.7 * len(problems)
+
+
+def count_lps(monkeypatch):
+    """A list that grows by one at each `_simplex.solve_lp` call."""
+    calls = []
+    inner = constraints._simplex.solve_lp
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(constraints._simplex, "solve_lp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("face, lps", [
+    (False, {"brier": 0, "log": 0, "zero_one": 1}),
+    (True, {"brier": 1, "log": 3, "zero_one": 4}),
+])
+def test_lp_count_of_one_solve(face, lps, monkeypatch):
+    # N = 12, k = 3: an interior tau is classified by the certificate alone,
+    # so only zero-one phase 1 runs an LP; a tau on the face {t_1 = -1} of
+    # outcomes 0-4 runs _face's LP rounds, as many as before the certificate.
+    # The saddle check is one LP either way
+    rng = np.random.default_rng(5)
+    t = rng.uniform(-1.0, 1.0, (3, 12))
+    tau = t @ rng.dirichlet(np.ones(12))
+    if face:
+        t[0, :5] = -1.0
+        tau = t[:, :5] @ rng.dirichlet(np.ones(5))
+        tau[0] = -1.0
+    space = SampleSpace.of([str(i) for i in range(12)])
+    calls = count_lps(monkeypatch)
+    for kind, make in (("brier", brier_model), ("log", log_model), ("zero_one", zero_one_model)):
+        model = make(space)
+        g = GammaTau(Statistic(t), tau)   # a new set: none keeps its support
+        calls.clear()
+        sp = solve(model, g)
+        assert len(calls) == lps[kind], kind
+        calls.clear()
+        assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle
+        assert len(calls) == 1, kind

@@ -12,7 +12,8 @@ alone: x, value and reduced costs by their bytes, an exception by type and
 message.  The stacks hold feasible, infeasible and unbounded rows, rows
 whose constraints are rank deficient (an artificial stays basic), rows under
 Bland's rule and rows that hit the pivot limit, on uniform and integer data
-(ties in the ratio test).
+(ties in the ratio test).  `solve_lp` itself must give what the plain
+transcription of its pivot rules below gives, by the same bytes.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ from maxentgames import (
     vertices,
     zero_one_model,
 )
-from maxentgames import _simplex
+from maxentgames import _simplex, constraints
 from maxentgames.core import Infeasible
 from maxentgames.maxent import _pmax_lp
 
@@ -319,3 +320,231 @@ def test_empty_stack_takes_no_step(monkeypatch):
     monkeypatch.setattr(_simplex, "solve_lp", no_step)
     _, a, _ = phase_one_stack(np.array([[-1.0, 0.0, 1.0]]), np.array([[0.3]]))
     assert _simplex.solve_lps(np.zeros((0, 7)), a, np.zeros((0, 5))) == []
+
+
+# The simplex written out plainly, each step one numpy call as its rules
+# read: the oracle of `solve_lp`, whose loop does the same floating-point
+# operations in the same order with less overhead around them.  The
+# constants are read from `_simplex`, so the tests can patch them.
+
+
+def plain_pivot(tableau, basis, row, col):
+    tableau[row] /= tableau[row, col]
+    factor = tableau[:, col].copy()
+    factor[row] = 0.0
+    tableau -= np.outer(factor, tableau[row])
+    basis[row] = col
+
+
+def plain_iterate(tableau, basis, n_cols):
+    degenerate = 0
+    for _ in range(_simplex.LP_MAX_ITER):
+        cost = tableau[-1, :n_cols]
+        bland = degenerate >= _simplex.BLAND_AFTER
+        if bland:
+            negative = np.flatnonzero(cost < -_simplex.PIVOT_TOL)
+            if negative.size == 0:
+                return
+            entering = int(negative[0])
+        else:
+            entering = int(np.argmin(cost))
+            if cost[entering] >= -_simplex.PIVOT_TOL:
+                return
+        col = tableau[:-1, entering]
+        rows = np.flatnonzero(col > _simplex.PIVOT_TOL)
+        if rows.size == 0:
+            raise _simplex.Unbounded("no positive pivot entry in the entering column")
+        rhs = tableau[rows, -1]
+        if bland:
+            ratios = np.maximum(rhs, 0.0) / col[rows]
+            tie = rows[ratios <= ratios.min() + 1e-12]
+            leaving = min(tie, key=lambda r: basis[r])
+        else:
+            bound = float(((rhs + _simplex.HARRIS_TOL) / col[rows]).min())
+            within = rows[rhs / col[rows] <= bound]
+            leaving = within[np.argmax(col[within])]
+        tableau[leaving, -1] = max(tableau[leaving, -1], 0.0)
+        gain = tableau[leaving, -1] / col[leaving] * -cost[entering]
+        degenerate = degenerate + 1 if gain <= _simplex.PIVOT_TOL else 0
+        plain_pivot(tableau, basis, int(leaving), entering)
+    raise _simplex.PivotLimit(f"simplex phase exceeded {_simplex.LP_MAX_ITER} pivots")
+
+
+def plain_solve_lp(c, a_eq, b_eq):
+    a = np.array(a_eq, dtype=float)
+    b = np.array(b_eq, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = a.shape
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = a
+    tableau[:m, n:n + m] = np.eye(m)
+    tableau[:m, -1] = b
+    tableau[-1, :n] = -a.sum(axis=0)
+    tableau[-1, -1] = -b.sum()
+    basis = list(range(n, n + m))
+    plain_iterate(tableau, basis, n + m)
+    if tableau[-1, -1] < -_simplex.FEAS_TOL:
+        raise Infeasible("phase-1 optimum positive: constraints unsatisfiable")
+    for r in range(m):
+        if basis[r] >= n:
+            row = np.abs(tableau[r, :n])
+            col = int(np.argmax(row))
+            if row[col] > _simplex.PIVOT_TOL:
+                plain_pivot(tableau, basis, r, col)
+    keep_rows = [r for r in range(m) if basis[r] < n]
+    drop = [r for r in range(m) if basis[r] >= n]
+    if drop:
+        tableau = np.delete(tableau, drop, axis=0)
+        basis = [basis[r] for r in keep_rows]
+    work = np.zeros((tableau.shape[0], n + 1))
+    work[:-1, :n] = tableau[:-1, :n]
+    work[:-1, -1] = tableau[:-1, -1]
+    work[-1, :n] = c
+    for r, bv in enumerate(basis):
+        if abs(work[-1, bv]) > 0.0:
+            work[-1] -= work[-1, bv] * work[r]
+    plain_iterate(work, basis, n)
+    x = np.zeros(n)
+    for r, bv in enumerate(basis):
+        x[bv] = max(float(work[r, -1]), 0.0)
+    return x, float(c @ x), work[-1, :n].copy()
+
+
+def assert_plain(c, a, b):
+    """solve_lp(c, a, b) is plain_solve_lp's result by its bytes, or the same
+    exception with the same message; returns the name of the outcome."""
+    try:
+        ref = plain_solve_lp(c, a, b)
+    except Exception as exc:
+        ref = exc
+    res = alone(c, a, b)
+    if isinstance(ref, Exception):
+        assert type(res) is type(ref) and str(res) == str(ref)
+        return type(ref).__name__
+    x, value, reduced = res
+    assert x.tobytes() == ref[0].tobytes()
+    assert type(value) is float and np.float64(value).tobytes() == np.float64(ref[1]).tobytes()
+    assert reduced.tobytes() == ref[2].tobytes()
+    return "tuple"
+
+
+def read_lps(seed, count):
+    """The LPs of `constraints._lp_read` at widths 0 and 1e-9 on the
+    statistics and taus of `phase_one_problems`: _face's rounds (max delta,
+    every outcome lifted or a random part of them) and max_expectation's
+    (random values, nothing lifted)."""
+    rng = np.random.default_rng(seed)
+    for t, taus in phase_one_problems(seed, count):
+        k, n = t.shape
+        for tau in taus[:4]:
+            if rng.random() < 0.5:
+                lifted = np.ones(n, dtype=bool) if rng.random() < 0.5 else rng.random(n) < 0.6
+                c = np.zeros(n + 1)
+                c[n] = -1.0
+            else:
+                lifted, c = None, -rng.uniform(-1.0, 1.0, n)
+            a, cost = constraints._read_lp(t, c, lifted)
+            for width in (0.0, 1e-9):
+                yield cost, a, np.concatenate([[1.0], tau + width, np.full(k, 2.0 * width)])
+
+
+@pytest.mark.parametrize("bland_after", [_simplex.BLAND_AFTER, 0, 1])
+def test_solve_lp_is_the_plain_simplex_bitwise(bland_after, monkeypatch):
+    monkeypatch.setattr(_simplex, "BLAND_AFTER", bland_after)
+    kinds = {assert_plain(*lp) for lp in read_lps(20261025, 60)}
+    assert kinds == {"tuple", "Infeasible"}
+    rng = np.random.default_rng(20261026)
+    for i in range(120):
+        c, a, b = general_stack(rng, shared=True)
+        kinds.update(assert_plain(c[s], a, b[s]) for s in range(len(b)))
+    for t, taus in phase_one_problems(20261027, 20):
+        c, a, b = phase_one_stack(t, taus)
+        kinds.update(assert_plain(c[s], a, b[s]) for s in range(len(b)))
+    assert kinds == {"tuple", "Infeasible", "Unbounded"}
+
+
+def test_degenerate_lp_is_the_plain_simplex_bitwise(monkeypatch):
+    c = [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]
+    a = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                  [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+    for bland_after in (_simplex.BLAND_AFTER, 0, 1):
+        monkeypatch.setattr(_simplex, "BLAND_AFTER", bland_after)
+        assert assert_plain(c, a, [0.0, 0.0, 1.0]) == "tuple"
+        # a redundant row: an artificial stays basic and its row is dropped
+        assert assert_plain(c, np.vstack([a, a[2]]), [0.0, 0.0, 1.0, 1.0]) == "tuple"
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 6])
+def test_pivot_limit_is_the_plain_simplex(max_iter, monkeypatch):
+    monkeypatch.setattr(_simplex, "LP_MAX_ITER", max_iter)
+    kinds = {assert_plain(*lp) for lp in read_lps(20261028, 30)}
+    rng = np.random.default_rng(20261029)
+    for i in range(60):
+        c, a, b = general_stack(rng, shared=True)
+        kinds.update(assert_plain(c[s], a, b[s]) for s in range(len(b)))
+    assert "PivotLimit" in kinds and (max_iter == 1 or "tuple" in kinds)
+
+
+def test_nan_in_the_ratio_test_is_a_value_error(monkeypatch):
+    # a nan right-hand side reaches the ratio test, under either pricing
+    # rule; the plain simplex raised ValueError there too, with numpy's words
+    a = np.array([[1.0, 2.0, 0.5], [0.5, 1.0, 2.0]])
+    for bland_after in (_simplex.BLAND_AFTER, 0):
+        monkeypatch.setattr(_simplex, "BLAND_AFTER", bland_after)
+        with pytest.raises(ValueError):
+            plain_solve_lp([1.0, 1.0, 1.0], a, [np.nan, 1.0])
+        with pytest.raises(ValueError, match="the ratio test met a nan"):
+            _simplex.solve_lp([1.0, 1.0, 1.0], a, [np.nan, 1.0])
+
+
+def dipped_tableaus(seed, count):
+    """(tableau, basis) pairs of (m + 1, n + 1) tableaus in canonical form
+    whose basic variables sit at or just below zero, as a Harris step
+    leaves them (-1e-11 to 5e-13), or above it, with a cost row that prices
+    several columns in: Bland's ratio test then meets clamped rows and
+    ties within 1e-12."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(5, 10))
+        perm = rng.permutation(n)
+        basis = perm[:m].tolist()
+        t = np.zeros((m + 1, n + 1))
+        t[:m, perm[m:]] = rng.choice([0.0, 0.5, 1.0, 2.0, -1.0], (m, n - m))
+        t[np.arange(m), basis] = 1.0
+        t[:m, -1] = rng.choice([-1e-11, -3e-12, 0.0, 5e-13, 0.3, 1.0], m)
+        t[-1, perm[m:]] = rng.uniform(-1.0, 0.5, n - m)
+        yield t, basis
+
+
+@pytest.mark.parametrize("bland_after", [0, 1])
+def test_dipped_tableaus_iterate_as_the_plain_loop(bland_after, monkeypatch):
+    # _iterate and a one-row _iterate_stack from tableaus with basic
+    # variables below zero: both clamp them, as the plain loop does
+    monkeypatch.setattr(_simplex, "BLAND_AFTER", bland_after)
+    kinds = set()
+    for t, basis in dipped_tableaus(20261030, 400):
+        n = t.shape[1] - 1
+        ref, ref_basis = t.copy(), list(basis)
+        try:
+            plain_iterate(ref, ref_basis, n)
+        except _simplex.Unbounded as exc:
+            ref = exc
+        got, got_basis = t.copy(), list(basis)
+        stack, stack_basis, out = t[None].copy(), np.array([basis]), [None]
+        _simplex._iterate_stack(stack, stack_basis, np.ones((1, len(basis)), dtype=bool), n, out)
+        if isinstance(ref, Exception):
+            with pytest.raises(_simplex.Unbounded, match=str(ref)):
+                _simplex._iterate(got, got_basis, n)
+            assert type(out[0]) is type(ref) and str(out[0]) == str(ref)
+            kinds.add("Unbounded")
+            continue
+        _simplex._iterate(got, got_basis, n)
+        assert got.tobytes() == ref.tobytes() and got_basis == ref_basis
+        assert out[0] is None
+        assert stack[0].tobytes() == ref.tobytes() and stack_basis[0].tolist() == ref_basis
+        kinds.add("optimal")
+    assert kinds == {"optimal", "Unbounded"}
