@@ -288,7 +288,8 @@ def _face(tmat: np.ndarray, tau: np.ndarray, support: bool = False):
 
     Each round maximizes delta subject to lam = s + delta on the outcomes
     left, lam = s elsewhere, sum lam = 1, T lam = tau, s, delta >= 0
-    (Borwein & Wolkowicz 1981), read by `_lp_read`.  Round 0 leaves every
+    (Borwein & Wolkowicz 1981), read by a one-row `_lp_reads` call with
+    the outcomes left as its lifted mask.  Round 0 leaves every
     outcome and gives the class: "interior" when the exact rows give
     delta* > CONSISTENCY_TOL (k = 1: the closed form), "boundary" when a
     read counts, else "outside".  Without `support` that is all.  Every
@@ -319,7 +320,7 @@ def _face(tmat: np.ndarray, tau: np.ndarray, support: bool = False):
     c[n] = -1.0
     widths = (0.0, tol)
     while True:
-        read = _lp_read(tmat, tau, c, left, widths)
+        read = raised(_lp_reads(tmat, tau[None], c[None], left, widths)[0])
         if read is None:
             return ("outside", None) if left.all() else (hull, np.flatnonzero(left))
         x, r, width = read
@@ -352,34 +353,8 @@ def _certified(tmat: np.ndarray, tau: np.ndarray) -> bool:
                 and p.min() > n * CERTIFICATE_FLOOR)
 
 
-def _lp_read(tmat: np.ndarray, tau: np.ndarray, c: np.ndarray, lifted=None,
-             widths=(0.0, CONSISTENCY_TOL)):
-    """min c @ x over the points p >= 0 of [1; T] p = [1; tau], one LP per width.
-
-    A width w reads the rows as {sum p = 1, T p + d = tau + w, d + d' = 2 w}
-    with d, d' >= 0 (k each), so each row of T p - tau lies in [-w, w].  x is
-    p, or with the mask `lifted` (s, delta) with p = s + delta on the lifted
-    outcomes, then d and d'; c prices its leading entries.  A read counts
-    only when its own point meets [1; T] p = [1; tau] within CONSISTENCY_TOL
-    in L_inf, the vertex enumeration's test, so the simplex's phase-1
-    FEAS_TOL does not stack on a widening.  Returns (x, reduced costs,
-    width) of the first read that counts, else None.
-    """
-    k = tmat.shape[0]
-    a, cost = _read_lp(tmat, c, lifted)
-    for width in widths:
-        b = np.concatenate([[1.0], tau + width, np.full(k, 2.0 * width)])
-        try:
-            x, _, reduced = _simplex.solve_lp(cost, a, b)
-        except Infeasible:
-            continue
-        if _read_counts(tmat, tau, x, lifted):
-            return x, reduced, width
-    return None
-
-
 def _read_lp(tmat: np.ndarray, c: np.ndarray, lifted):
-    """The constraint matrix and the prices of `_lp_read`'s LPs; c may be
+    """The constraint matrix of `_lp_reads`' LPs and their prices; c may be
     one row of prices or a stack of them."""
     k, n = tmat.shape
     m = n if lifted is None else n + 1
@@ -398,89 +373,89 @@ def _read_lp(tmat: np.ndarray, c: np.ndarray, lifted):
 
 
 def _read_counts(tmat: np.ndarray, tau: np.ndarray, x: np.ndarray, lifted) -> bool:
-    """True when the point of an `_lp_read` solution x meets [1; T] p = [1; tau]
-    within CONSISTENCY_TOL in L_inf."""
+    """True when the point of one of `_lp_reads`' solutions x meets
+    [1; T] p = [1; tau] within CONSISTENCY_TOL in L_inf: p = x[:N], or
+    with the mask `lifted` s + delta lifted."""
     n = tmat.shape[1]
     p = x[:n] if lifted is None else x[:n] + x[n] * lifted
     return max(abs(p.sum() - 1.0), float(np.abs(tmat @ p - tau).max())) <= CONSISTENCY_TOL
 
 
-def _lp_reads(tmat: np.ndarray, taus: np.ndarray, cs: np.ndarray) -> list:
-    """`_lp_read` without a lifted mask at each row of taus (S, k) with the
-    prices of the same row of cs: per row, its read, None, or the exception
-    its LP raised, bit for bit.  Each width reads every row still open in
-    one `_simplex.solve_lps` call."""
+def _lp_reads(tmat: np.ndarray, taus: np.ndarray, cs: np.ndarray, lifted=None,
+              widths=(0.0, CONSISTENCY_TOL)) -> list:
+    """min c @ x over the points p >= 0 of [1; T] p = [1; tau] at each row
+    tau of taus (S, k), c the same row of cs; one LP per width, each width
+    reading every row still open in one `_simplex.solve_lps` call.
+
+    A width w reads the rows as {sum p = 1, T p + d = tau + w, d + d' = 2 w}
+    with d, d' >= 0 (k each), so each row of T p - tau lies in [-w, w].  x is
+    p, or with the mask `lifted` (s, delta) with p = s + delta on the lifted
+    outcomes, then d and d'; c prices its leading entries.  A read counts
+    only when its own point meets [1; T] p = [1; tau] within CONSISTENCY_TOL
+    in L_inf, the vertex enumeration's test, so the simplex's phase-1
+    FEAS_TOL does not stack on a widening.  Returns, per row, (x, reduced
+    costs, width) of the first read that counts, None, or the exception its
+    LP raised; one tau is a one-row call.
+    """
     k = tmat.shape[0]
-    a, cost = _read_lp(tmat, cs, None)
+    a, cost = _read_lp(tmat, cs, lifted)
     reads = [None] * len(taus)
-    rows = np.arange(len(taus))
-    for width in (0.0, CONSISTENCY_TOL):
-        b = np.empty((rows.size, a.shape[0]))
-        b[:, 0] = 1.0
-        b[:, 1:k + 1] = taus[rows] + width
-        b[:, k + 1:] = 2.0 * width
+    rows, open_taus, open_cost = range(len(taus)), taus, cost
+    b = np.ones((len(taus), a.shape[0]))
+    for width in widths:
+        b[:len(rows), 1:k + 1] = open_taus + width
+        b[:len(rows), k + 1:] = 2.0 * width
         missed = []
-        for i, res in zip(rows.tolist(), _simplex.solve_lps(cost[rows], a, b)):
+        for i, res in zip(rows, _simplex.solve_lps(open_cost, a, b[:len(rows)])):
             if isinstance(res, Infeasible):
                 missed.append(i)
             elif isinstance(res, Exception):
                 reads[i] = res
-            elif _read_counts(tmat, taus[i], res[0], None):
+            elif _read_counts(tmat, taus[i], res[0], lifted):
                 reads[i] = res[0], res[2], width
             else:
                 missed.append(i)
-        rows = np.array(missed, dtype=np.intp)
-        if not rows.size:
+        if not missed:
             break
+        rows, open_taus, open_cost = missed, taus[missed], cost[missed]
     return reads
 
 
 def max_expectation(g: GammaTau, values) -> float:
-    """sup over Gamma_tau of E_P values, for values in (-inf, +inf], by LP.
-
-    +inf when a member charges an outcome of infinite value (`union_support`
-    reads what members charge); otherwise those outcomes carry no mass, so
-    their columns are dropped, and the supremum is +inf when Gamma_tau is
-    empty without them.  `_lp_read` reads T p = tau, exactly or within
-    CONSISTENCY_TOL, and accepts a point only within CONSISTENCY_TOL, as the
-    vertex enumeration does.  Raises Infeasible for an empty Gamma_tau.
-    """
-    v, finite = _expectation_values(g, values)
-    if v is None:
-        return float(np.inf)
-    cols = np.flatnonzero(finite)
-    return _expectation_top(g, v, cols, _lp_read(g.statistic.matrix[:, cols], g.tau, -v[cols]))
+    """sup over Gamma_tau of E_P values, for values in (-inf, +inf], by LP:
+    the one-row call of `max_expectations`.  Raises Infeasible for an empty
+    Gamma_tau."""
+    return raised(max_expectations([g], [values])[0])
 
 
 def _expectation_values(g: GammaTau, values):
-    """(values, mask of the finite ones) checked for `max_expectation`, or
+    """(values, mask of the finite ones) checked for `max_expectations`, or
     (None, None) when a member of Gamma_tau charges an infinite value."""
     v = np.asarray(values, dtype=float)
     if v.shape != (g.n,):
         raise DimensionMismatch("values do not match the statistic")
-    if np.isnan(v).any() or np.isneginf(v).any():
+    if not v.min() > -np.inf:   # a nan or -inf
         raise UndefinedExpectation("nan or -inf encountered in expectation")
-    finite = np.isfinite(v)
+    finite = v < np.inf
     if not finite.all() and not finite[union_support(g)].all():
         return None, None
     return v, finite
 
 
-def _expectation_top(g: GammaTau, v: np.ndarray, cols: np.ndarray, read) -> float:
-    """`max_expectation` from the read of its LP over the finite columns `cols`."""
-    if read is not None:
-        return float(v[cols] @ read[0][:cols.size])
-    if cols.size == g.n:
-        raise Infeasible(f"Gamma_tau empty for tau={np.asarray(g.tau)}")
-    return float(np.inf)
-
-
 def max_expectations(gammas: list, values: list) -> list:
-    """`max_expectation` at each pair of Gamma_tau and values: per pair, its
-    supremum or the exception it raises, in place, bit for bit.
+    """sup over Gamma_tau of E_P values at each pair of Gamma_tau and values
+    in (-inf, +inf]: per pair, its supremum or the exception it raises
+    (Infeasible for an empty Gamma_tau), in place.  One pair is
+    `max_expectation`.
 
-    The pairs that need an LP are grouped by statistic and by the mask of
-    their finite values, and each group's reads run stacked (`_lp_reads`).
+    +inf when a member charges an outcome of infinite value (`union_support`
+    reads what members charge); otherwise those outcomes carry no mass, so
+    their columns are dropped, and the supremum is +inf when Gamma_tau is
+    empty without them.  The pairs that need an LP are grouped by statistic
+    and by the mask of their finite values, and each group's reads run
+    stacked (`_lp_reads`): T p = tau is read exactly or within
+    CONSISTENCY_TOL, and a point is accepted only within CONSISTENCY_TOL, as
+    the vertex enumeration does.
     """
     tops, groups = [None] * len(gammas), {}
     for i, (g, values) in enumerate(zip(gammas, values)):
@@ -493,19 +468,17 @@ def max_expectations(gammas: list, values: list) -> list:
             tops[i] = float(np.inf)
             continue
         key = id(g.statistic), finite.tobytes()
-        groups.setdefault(key, (g.statistic.matrix, finite, []))[2].append((i, g, v))
+        groups.setdefault(key, (g.statistic.matrix, finite, []))[2].append((i, g.tau, v[finite]))
     for tmat, finite, members in groups.values():
-        cols = np.flatnonzero(finite)
-        reads = _lp_reads(tmat[:, cols], np.array([g.tau for _, g, _ in members]),
-                          np.array([-v[cols] for _, _, v in members]))
-        for (i, g, v), read in zip(members, reads):
-            if isinstance(read, Exception):
-                tops[i] = read
-                continue
-            try:
-                tops[i] = _expectation_top(g, v, cols, read)
-            except Infeasible as exc:
-                tops[i] = exc
+        rows, taus, vs = zip(*members)
+        taus = np.array(taus)
+        reads = _lp_reads(tmat[:, finite], taus, -np.array(vs))
+        for i, tau, v, read in zip(rows, taus, vs, reads):
+            if read is None:   # no member without the infinite values
+                tops[i] = (Infeasible(f"Gamma_tau empty for tau={tau}") if finite.all()
+                           else float(np.inf))
+            else:
+                tops[i] = read if isinstance(read, Exception) else float(v @ read[0][:v.size])
     return tops
 
 

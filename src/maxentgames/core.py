@@ -247,7 +247,7 @@ def ext_dot(weights, values) -> ExtReal:
     v = np.asarray(values, dtype=float)
     if w.shape != v.shape:
         raise DimensionMismatch(f"shapes {w.shape} and {v.shape} differ")
-    if np.any(np.isnan(v)) or np.any(np.isnan(w)):
+    if np.isnan(v).any() or np.isnan(w).any():
         raise UndefinedExpectation("nan encountered in expectation")
     active = w != 0.0
     va = v[active]

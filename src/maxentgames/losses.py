@@ -159,25 +159,20 @@ class LossModel:
         return laws, np.array(acts)
 
     def _act_payload(self, act: Act, kind: str, weights=None) -> np.ndarray:
-        """The payload of a `kind` act: finite, nonnegative and of mass one,
-        its sum, or its integral against `weights` for a density."""
+        """The payload of a `kind` act of N entries: the one-row call of
+        `_payloads`."""
         if act.kind != kind:
             raise DimensionMismatch(f"{self.name} expects {kind} acts")
         q = act.as_array()
         if q.shape != (self.space.n,):
             raise DimensionMismatch(
                 f"act payload shape {q.shape} does not match {self.space.n} outcomes")
-        if not float(q.min()) >= -WEIGHT_CLAMP:
-            raise DimensionMismatch(f"{kind} act values must be finite and nonnegative")
-        q = np.where(q < 0.0, 0.0, q)
-        mass = float(q.sum() if weights is None else q @ weights)
-        if abs(mass - 1.0) > NORM_TOL:
-            raise NotNormalized(f"{kind} act has mass {mass!r}, not 1")
-        return q
+        return self._payloads(q[None], kind, weights)[0]
 
     def _payloads(self, block, kind: str, weights=None) -> np.ndarray:
-        """An (m, N) block of `kind` act payloads, each row checked as
-        `_act_payload` checks one payload, with the same exceptions."""
+        """An (m, N) block of `kind` act payloads, each row finite,
+        nonnegative and of mass one: its sum, or its integral against
+        `weights` for a density.  Entries down to -WEIGHT_CLAMP read as 0."""
         q = np.ascontiguousarray(block, dtype=float)
         if q.ndim != 2 or q.shape[1:] != (self.space.n,):
             raise DimensionMismatch(

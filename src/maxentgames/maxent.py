@@ -9,7 +9,7 @@ representation beta0 + beta' t(x), the coefficients linking tau to beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from math import comb
 from typing import NamedTuple
 
@@ -657,10 +657,7 @@ def _min_pmax(statistic: Statistic, taus) -> list:
     groups = {}
     for i in live:
         zero, mode = found[i][1], found[i][2] > SCREEN_TOL
-        if len(live) == 1:   # one tau, one group
-            groups[None] = zero, mode, live
-        else:
-            groups.setdefault((zero.tobytes(), mode.tobytes()), (zero, mode, []))[2].append(i)
+        groups.setdefault((zero.tobytes(), mode.tobytes()), (zero, mode, []))[2].append(i)
     for zero, mode, idx in groups.values():
         n_open = n - int(np.count_nonzero(zero | mode))
         systems = sum(comb(n_open, j) * comb(n - n_open, f - j) << (n_open - j)
@@ -684,41 +681,34 @@ def _min_pmax(statistic: Statistic, taus) -> list:
 def _pattern_pools(tmat: np.ndarray, zero, mode, taus) -> list:
     """(levels, points) of the candidates that pass the exact test, in loop
     order, for each tau of `taus`; each block of `_pattern_systems` is solved
-    against all their targets [1; tau] in one `support_solutions` call.  One
-    tau's target is not stacked, and its candidates need no grouping: the
-    points come as the blocks' rows."""
+    against all their targets [1; tau] in one `support_solutions` call, one
+    tau being a one-row stack."""
     k = tmat.shape[0]
-    if len(taus) == 1:
-        target = np.concatenate([[1.0], taus[0]])
-    else:
-        target = np.ones((len(taus), 1, k + 1))
-        target[:, 0, 1:] = taus
+    target = np.ones((len(taus), 1, k + 1))
+    target[:, 0, 1:] = taus
     owners, levels, points = [], [], []
     for free, members, a in _pattern_systems(tmat, zero, mode, k):
         passes, sol, _ = support_solutions(a, target)
         m, pf = sol[..., 0], sol[..., 1:]
         keep = passes & (pf.max(axis=-1, initial=-np.inf) <= m + 1e-9)
-        *owner, s = keep.nonzero()
+        owner, s = keep.nonzero()
         level = np.where(m < 0.0, 0.0, m)[keep]
         p = np.where(members[s], level[:, None], 0.0)
         p[np.arange(s.size)[:, None], free[s]] = np.where(pf < 0.0, 0.0, pf)[keep]
-        owners += owner
+        owners.append(owner)
         levels.append(level)
         points.append(p)
-    if len(taus) == 1:
-        return [([m for level in levels for m in level.tolist()], chain.from_iterable(points))]
-    owner = np.concatenate(owners)
-    level, p = np.concatenate(levels), np.concatenate(points)
     # group by tau, each tau's in loop order
+    owner = np.concatenate(owners)
     order = owner.argsort(kind="stable")
-    level, p = level[order], p[order]
+    level, p = np.concatenate(levels)[order].tolist(), np.concatenate(points)[order]
     ends = np.bincount(owner, minlength=len(taus)).cumsum().tolist()
-    return [(level[lo:hi].tolist(), p[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    return [(level[lo:hi], p[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
 def _pmax_pick(tau: np.ndarray, screen, levels: list, points):
     """(m*, P*, weights) from one tau's candidates (their levels, and their
-    points as an iterable of rows) and its LP screen (LP minimum, forced
+    points, one row each) and its LP screen (LP minimum, forced
     zeros, weights): the least level, checked against the LP minimum, and
     among the candidates within 1e-12 of it the first by a stable sort."""
     if not levels:

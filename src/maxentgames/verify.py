@@ -10,7 +10,7 @@ import numpy as np
 from . import _simplex
 from .constraints import (GammaTau, closed_under_conditioning, max_expectation,
                           max_expectations, min_max_expectation)
-from .core import ACT_DISTRIBUTION, Act, Distribution, attempt, ext_dot, raised
+from .core import ACT_DISTRIBUTION, Act, Distribution, ext_dot, raised
 from .losses import LossModel
 
 DUALITY_TOL = 1e-9
@@ -124,46 +124,45 @@ class SaddleCheck:
 
 def verify_saddle(model: LossModel, g: GammaTau, p_star: Distribution,
                   zeta_star: Act) -> SaddleCheck:
-    """Certify both saddle-point inequalities.
+    """Certify both saddle-point inequalities: the one-row call of
+    `verify_grid`.
 
     The Bayes inequality is checked at P*.  The other one,
     sup over P in Gamma_tau of E_P L(X, zeta*) <= L(P*, zeta*), is one LP
-    over Gamma_tau (`max_expectation`); its supremum sits at a vertex, but
+    over Gamma_tau (`max_expectations`); its supremum sits at a vertex, but
     the vertex list is not built, so no size cap applies.
     """
-    lv, at_p, bayes_margin = _bayes_side(model, p_star, zeta_star)
-    return _saddle_check(bayes_margin, max_expectation(g, lv), at_p)
-
-
-def _bayes_side(model: LossModel, p_star: Distribution, zeta_star: Act):
-    """(L(., zeta*), L(P*, zeta*), the Bayes margin |L(P*, zeta*) - H(P*)|)."""
-    lv = model.loss_vector(zeta_star)
-    at_p = ext_dot(p_star.w, lv)
-    return lv, at_p, abs(at_p - model.entropy(p_star))
-
-
-def _saddle_check(bayes_margin, top: float, at_p) -> SaddleCheck:
-    """The SaddleCheck from the Bayes margin and the certificate's supremum."""
-    vertex_margin = top - at_p
-    ok = bool(bayes_margin <= BAYES_TOL and vertex_margin <= VERTEX_TOL)
-    return SaddleCheck(float(bayes_margin), vertex_margin, ok)
+    return raised(verify_grid(model, [g], [p_star], [zeta_star])[0])
 
 
 def verify_grid(model: LossModel, gammas: list, p_stars: list, zeta_stars: list) -> list:
-    """`verify_saddle` at each (Gamma_tau, P*, zeta*): per row, its
-    SaddleCheck or the exception it raises, in place, bit for bit.
+    """Both saddle-point inequalities at each (Gamma_tau, P*, zeta*): per
+    row, its SaddleCheck or the exception it raises, in place.  One row is
+    `verify_saddle`.
 
-    The Bayes inequality is checked row by row; the certificate LPs of all
-    the rows run stacked (`max_expectations`), grouped by the mask of their
-    finite losses.
+    The Bayes margin |L(P*, zeta*) - H(P*)| is checked row by row; the
+    certificate LPs of sup over Gamma_tau of E_P L(X, zeta*) for all the
+    rows run stacked (`max_expectations`), grouped by the mask of their
+    finite losses, and the vertex margin is that supremum minus L(P*, zeta*).
     """
-    out = [attempt(_bayes_side, model, p_star, zeta_star)
-           for p_star, zeta_star in zip(p_stars, zeta_stars)]
-    pending = [i for i, side in enumerate(out) if not isinstance(side, Exception)]
+    out, pending = [], []
+    for p_star, zeta_star in zip(p_stars, zeta_stars):
+        try:
+            lv = model.loss_vector(zeta_star)
+            at_p = ext_dot(p_star.w, lv)
+            out.append((lv, at_p, abs(at_p - model.entropy(p_star))))
+            pending.append(len(out) - 1)
+        except Exception as exc:
+            out.append(exc)
     tops = max_expectations([gammas[i] for i in pending], [out[i][0] for i in pending])
     for i, top in zip(pending, tops):
-        _, at_p, bayes_margin = out[i]
-        out[i] = top if isinstance(top, Exception) else _saddle_check(bayes_margin, top, at_p)
+        if isinstance(top, Exception):
+            out[i] = top
+            continue
+        _, at_p, margin = out[i]
+        vertex_margin = top - at_p
+        out[i] = SaddleCheck(float(margin), vertex_margin,
+                             bool(margin <= BAYES_TOL and vertex_margin <= VERTEX_TOL))
     return out
 
 

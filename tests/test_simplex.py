@@ -432,7 +432,7 @@ def assert_plain(c, a, b):
 
 
 def read_lps(seed, count):
-    """The LPs of `constraints._lp_read` at widths 0 and 1e-9 on the
+    """The LPs of `constraints._lp_reads` at widths 0 and 1e-9 on the
     statistics and taus of `phase_one_problems`: _face's rounds (max delta,
     every outcome lifted or a random part of them) and max_expectation's
     (random values, nothing lifted)."""

@@ -3,9 +3,11 @@
 `verify.verify_grid` checks the Bayes inequality row by row and runs the
 certificate LPs of all its rows stacked (`constraints.max_expectations`,
 grouped by the mask of finite losses, on `_simplex.solve_lps`).  Every
-SaddleCheck must be the one `verify_saddle` gives that row alone, field for
-field and bit for bit, and every exception the one it raises, type and
-message.  The rows are the solver's own saddle points on Brier, log,
+SaddleCheck must be the one the one-item `verify_saddle` body gives that row
+alone, field for field and bit for bit, and every exception the one it
+raises, type and message.  `verify.verify_saddle` is now the one-row call of
+`verify_grid`, so the reference is its former body, kept in
+test_folded_kernels, on a Gamma_tau with no union support kept on it.  The rows are the solver's own saddle points on Brier, log,
 zero-one and Bregman models (log faces hold +inf losses off the face), a
 face act checked against an interior Gamma_tau (a margin of +inf), acts of
 the wrong size, and taus outside the hull (Infeasible in place).
@@ -29,12 +31,12 @@ from maxentgames import (
     cli,
     log_model,
     solve,
-    verify_saddle,
     zero_one_model,
 )
 from maxentgames.core import ACT_DISTRIBUTION, Act, Distribution
 from maxentgames.losses import bregman_model, xlogx_generator
 from maxentgames.verify import verify_grid
+from test_folded_kernels import fresh, verify_saddle
 from test_solve_grid import assert_same
 from test_vertex_lists import grid, statistic
 
@@ -49,9 +51,9 @@ MODELS = {
 
 
 def alone(model, g, p_star, zeta_star):
-    """verify_saddle on one row, or the exception it raises."""
+    """The one-item verify_saddle body on one row, or the exception it raises."""
     try:
-        return verify_saddle(model, g, p_star, zeta_star)
+        return verify_saddle(model, fresh(g), p_star, zeta_star)
     except Exception as exc:
         return exc
 
@@ -143,7 +145,7 @@ def test_saddle_suite_across_chunks_matches_tau_by_tau(name, tmp_path, monkeypat
             continue
         sp = solve(spec.model, g)
         assert isinstance(sp, SaddlePoint)
-        ref = verify_saddle(spec.model, g, sp.p_star, sp.zeta_star)
+        ref = verify_saddle(spec.model, fresh(g), sp.p_star, sp.zeta_star)
         for key, value in (("h", sp.h_star), ("bayes_margin", ref.bayes_margin),
                            ("vertex_margin", ref.vertex_margin)):
             assert np.float64(row[key]).tobytes() == np.float64(value).tobytes(), (tau, key)
