@@ -15,6 +15,9 @@ arithmetic `solve_lp` does, so every row's result is `solve_lp`'s bit for
 bit.  A row that is done takes no further step, and a redundant constraint
 row stays in its tableau, masked, where `solve_lp` deletes it.  A one-row
 stack goes to `solve_lp` itself, which costs less.
+
+`simplex_qp` maximizes a concave quadratic over the weight simplex by a
+primal active-set method, the same desk scale.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ FEAS_TOL = 1e-9
 HARRIS_TOL = 1e-11    # basic variables may dip this far below zero
 BLAND_AFTER = 50      # consecutive degenerate pivots before Bland's rule
 LP_MAX_ITER = 50000   # pivots per phase
+QP_MAX_CHANGES = 10000  # changes of `simplex_qp`'s free set
+QP_RCOND = 1e-12      # KKT eigenvalues below this, relative to the largest, are its null space
+QP_TOL = 1e-14        # KKT residuals and multiplier excesses below this, relative, are float noise
 
 
 class Unbounded(OverflowError):
@@ -317,3 +323,80 @@ def _iterate_stack(tableau: np.ndarray, basis: np.ndarray, usable: np.ndarray,
         wb[at, leaving] = entering
     for j in range(len(work)):
         out[index[pos[j]]] = PivotLimit(f"simplex phase exceeded {LP_MAX_ITER} pivots")
+
+
+# ---------------------------------------------------------------------------
+# concave quadratics over the weight simplex
+
+
+def simplex_qp(c: np.ndarray, factor: np.ndarray):
+    """Maximize f(w) = w . c - |w factor|^2 over the weight simplex, exactly,
+    by a primal active-set method.  Returns (w, capped).
+
+    The free set F holds the weights that may be positive; the others are
+    0.  The run starts at the best point mass.  Each step solves the KKT
+    system of f on the affine hull of F, 2 Q_FF z + mu 1 = c_F and
+    1' z = 1 with Q = factor factor', by least squares on the
+    eigendecomposition of its symmetric block; eigenvalues below QP_RCOND
+    of the largest are its null space.  The block is singular when F holds
+    affinely dependent laws (more laws than outcomes, duplicates, a law on a
+    segment) and, for a rank-one Q, whenever F holds three.  Then:
+    - if the system is consistent (its residual, the part of the right-hand
+      side in the null space, is float noise), z is a maximizer of f on the
+      hull and w moves toward z, by the full step or to the first weight
+      that reaches 0, which leaves F;
+    - otherwise f is linear on the hull along the residual and rises along
+      it, since c_F . d = |d|^2, so w moves along it to the first weight
+      that reaches 0.
+    After a full step w is the maximizer on F with multiplier mu; it is the
+    maximum when no weight outside F has a larger partial derivative
+    c_j - 2 (Q w)_j than mu (within QP_TOL), and otherwise the weight with
+    the largest one joins F.  A run past QP_MAX_CHANGES changes of F stops
+    with `capped` set.
+    """
+    m = c.size
+    # the KKT system of every free set is a principal block of this one,
+    # its last row and column (the constraint 1' w = 1) always kept
+    kkt = np.ones((m + 1, m + 1))
+    q2 = kkt[:m, :m]
+    np.matmul(factor, factor.T, out=q2)
+    q2 *= 2.0
+    kkt[m, m] = 0.0
+    rhs = np.append(c, 1.0)
+    tol = QP_TOL * max(1.0, float(np.abs(c).max()), float(np.abs(q2).max()))
+    w = np.zeros(m)
+    free = np.zeros(m + 1, bool)
+    start = int(np.argmax(c - 0.5 * np.diag(q2)))
+    free[start] = free[m] = True
+    w[start] = 1.0
+    for _ in range(QP_MAX_CHANGES):
+        sel = np.flatnonzero(free)
+        idx = sel[:-1]
+        k = idx.size
+        lam, u = np.linalg.eigh(kkt[sel][:, sel])
+        kept = np.abs(lam) > QP_RCOND * np.abs(lam).max()
+        coef = u.T @ rhs[sel]
+        resid = u[:, ~kept] @ coef[~kept]
+        if np.abs(resid).max(initial=0.0) > tol:
+            d = resid[:k]
+        else:
+            x = u[:, kept] @ (coef[kept] / lam[kept])
+            if (x[:k] >= 0.0).all():
+                w[idx] = x[:k]
+                out = np.flatnonzero(~free[:m])
+                if out.size == 0:
+                    return w, False
+                s = c[out] - q2[out] @ w
+                j = int(np.argmax(s))
+                if s[j] <= x[k] + tol:
+                    return w, False
+                free[out[j]] = True
+                continue
+            d = x[:k] - w[idx]
+        falling = np.flatnonzero(d < 0.0)
+        ratios = w[idx[falling]] / -d[falling]
+        b = int(np.argmin(ratios))
+        w[idx] = np.maximum(w[idx] + ratios[b] * d, 0.0)
+        w[idx[falling[b]]] = 0.0
+        free[idx[falling[b]]] = False
+    return w, True

@@ -114,14 +114,17 @@ def capacity_gap_target(tol: float) -> float:
 def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
     """Maximize the information value over priors.
 
-    Losses affine in a distribution act (zero-one) are solved exactly, and
-    first, by the matrix game of members against pure point-guess acts:
-    `method` is "matrix-game" and `iterations` is 0.  Every other loss runs
-    pairwise conditional gradient, whose supergradient coordinate at w is
-    the derived loss of the current mixture's Bayes act, to a gap of
-    FW_CAPACITY_FACTOR * min(tol, UPSILON_TOL): a gap of tol alone can
-    leave members with mass outside the upsilon band.  There `method` is
-    "frank-wolfe" and `iterations` counts its iterations.
+    Two routes are exact, with `iterations` 0: Brier, whose information
+    value w . diag(G) - w' G w (G = V V', V the members) is a concave
+    quadratic, by the active-set QP over the prior simplex ("active-set"),
+    and losses affine in a distribution act (zero-one) by the matrix game
+    of members against pure point-guess acts ("matrix-game").  Every other
+    loss runs pairwise conditional gradient, whose supergradient
+    coordinate at w is the derived loss of the current mixture's Bayes
+    act, to a gap of FW_CAPACITY_FACTOR * min(tol, UPSILON_TOL): a gap of
+    tol alone can leave members with mass outside the upsilon band.  There
+    `method` is "frank-wolfe" and `iterations` counts its iterations.  A
+    certified gap above tol raises MaxIterExceeded carrying the result.
     """
     res = _mixture_max(sm.model, sm.member_matrix, sm.member_entropies,
                        capacity_gap_target(tol))

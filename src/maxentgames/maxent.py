@@ -24,6 +24,7 @@ from ._newton import (
     _separable_dual,
     _slope_root,
 )
+from ._simplex import simplex_qp
 from .constraints import (
     RANK_TOL,
     SYSTEM_BLOCK,
@@ -54,7 +55,14 @@ from .core import (
     raised,
 )
 from .divergence import RelativeModel, _loss_rows, relative_model
-from .losses import BrierModel, ConvexGenerator, LogModel, LossModel, ZeroOneModel
+from .losses import (
+    BrierModel,
+    ConvexGenerator,
+    LogModel,
+    LossModel,
+    QuadraticModel,
+    ZeroOneModel,
+)
 from .verify import lp_game_value, point_act_losses, point_act_saddle
 
 LINEAR_FIT_TOL = 1e-7
@@ -265,22 +273,30 @@ class _MixtureMax:
     value: float
     gap: float            # certified: the maximum lies in [value, value + gap]
     act: Act              # the column strategy, or the Bayes act of the mixture
-    method: str           # "matrix-game" | "frank-wolfe"
-    iterations: int = 0
-    stalled: bool = False
+    method: str           # "matrix-game" | "active-set" | "frank-wolfe"
+    iterations: int = 0   # Frank-Wolfe's; 0 on the exact routes
+    stalled: bool = False  # Frank-Wolfe stalled, or the active set hit its cap
 
     @property
     def how(self) -> str:
+        if self.method == "active-set":
+            return "at its working-set cap" if self.stalled else "at its KKT point"
         return "stalled" if self.stalled else f"after {self.iterations} iterations"
 
 
 def _mixture_max(model: LossModel, V: np.ndarray, offset: np.ndarray,
                  tol: float) -> _MixtureMax:
-    """Maximize H(w V) - w . offset over the weights w of the laws V (m, N):
-    exactly, by the matrix game V L - offset against the point acts, for a
-    loss affine in a distribution act with a Bayes-act set (zero-one); else
-    `_fw_maximize`.  The game's gap is its strategies' certificate,
-    col_guarantee - row_guarantee."""
+    """Maximize H(w V) - w . offset over the weights w of the laws V (m, N),
+    by the model's structure:
+    - a quadratic entropy (`_quadratic_form`: Brier, quadratic) exactly, by
+      the active-set QP over the weight simplex (`_qp_maximize`);
+    - a loss affine in a distribution act with a Bayes-act set (zero-one)
+      exactly, by the matrix game V L - offset against the point acts, whose
+      gap is its strategies' certificate, col_guarantee - row_guarantee;
+    - any other loss by `_fw_maximize` to a gap of tol."""
+    form = _quadratic_form(model)
+    if form is not None:
+        return _qp_maximize(model, V, offset, *form)
     L = point_act_losses(model)
     if L is None:
         return _fw_maximize(model, V, offset, tol)
@@ -291,15 +307,70 @@ def _mixture_max(model: LossModel, V: np.ndarray, offset: np.ndarray,
                        Act(ACT_DISTRIBUTION, game.col_strategy), "matrix-game")
 
 
+def _quadratic_form(model: LossModel):
+    """(a, B) when H(P) = P . a - |P B|^2 on the simplex, by model class:
+    Brier (a = 1, B = I) and quadratic (a = v^2, B = v as one column);
+    else None."""
+    if isinstance(model, BrierModel):
+        return np.ones(model.space.n), np.eye(model.space.n)
+    if isinstance(model, QuadraticModel):
+        v = model.values
+        return v * v, v[:, None]
+    return None
+
+
+def _bayes_row(model: LossModel, p: np.ndarray) -> np.ndarray:
+    """L(., zeta_p): one row of `model.bayes_losses` at a convex combination
+    of checked laws, its float-noise negatives clamped to 0."""
+    return model.bayes_losses(np.where(p < 0.0, 0.0, p)[None, :])[0]
+
+
+def _dot(weights: np.ndarray, values: np.ndarray) -> float:
+    """weights . values, with `ext_dot`'s 0 * inf = 0 when a value is infinite."""
+    return float(weights @ values) if np.isfinite(values).all() else ext_dot(weights, values)
+
+
+def _certificate(model: LossModel, V: np.ndarray, offset: np.ndarray,
+                 w: np.ndarray, point: np.ndarray):
+    """(s, w . s, gap) at the weights w with point = w V: the supergradient
+    s = V . L(zeta_point) - offset of H(w V) - w . offset, and the gap
+    max s - w . s, which bounds how far the maximum lies above the value."""
+    scores = ext_dots(V, _bayes_row(model, point)) - offset
+    current = _dot(w, scores)
+    return scores, current, float(scores.max() - current)
+
+
+def _mixture_result(model: LossModel, V: np.ndarray, offset: np.ndarray, w: np.ndarray,
+                    point: np.ndarray, gap: float, method: str, iterations: int,
+                    stalled: bool) -> _MixtureMax:
+    """The _MixtureMax at w: the value evaluated once, the Bayes act built once."""
+    value = float(model.entropy_batch(np.maximum(point, 0.0)[None, :])[0] - w @ offset)
+    return _MixtureMax(w, point, value, gap, model.bayes_act(Distribution(point)),
+                       method, iterations, stalled)
+
+
+def _qp_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray,
+                 a: np.ndarray, B: np.ndarray) -> _MixtureMax:
+    """Maximize H(w V) - w . offset for H(P) = P . a - |P B|^2: the concave
+    quadratic w . (V a - offset) - |w V B|^2 over the weight simplex, by
+    `_simplex.simplex_qp` ("active-set", 0 iterations), with
+    `_certificate`'s gap.  `stalled` marks a run its working-set cap
+    stopped; its gap is still certified."""
+    w, capped = simplex_qp(V @ a - offset, V @ B)
+    w /= w.sum()   # nonnegative already; the steps leave the sum off 1 by roundoff
+    point = w @ V
+    gap = _certificate(model, V, offset, w, point)[2]
+    return _mixture_result(model, V, offset, w, point, gap, "active-set", 0, capped)
+
+
 def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray,
                  tol: float) -> _MixtureMax:
     """Maximize H(w V) - w . offset over the weight simplex by pairwise Frank-Wolfe.
 
     The supergradient coordinate of law i is E_{V_i} L(zeta) - offset_i, with
-    zeta the Bayes act of the mixture w V; its losses, and those of every
-    line-search probe, are one row of `model.bayes_losses` at the point with
-    its float-noise negatives clamped to 0 (each point is a convex
-    combination of checked laws), with plain dot products unless a loss is
+    zeta the Bayes act of the mixture w V (`_certificate`); its losses, and
+    those of every line-search probe, are one row of `model.bayes_losses`
+    at the point (`_bayes_row`), with plain dot products unless a loss is
     infinite (then `ext_dot`'s 0 * inf = 0).  The Bayes act itself is built
     once, at the returned weights.  Each step moves weight from the
     active law it likes least to the one it likes most, by the exact line
@@ -313,12 +384,6 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray,
     whose Bayes act is not unique, which `_mixture_max` hands to the matrix
     game instead.
     """
-    def losses(p):
-        return model.bayes_losses(np.where(p < 0.0, 0.0, p)[None, :])[0]
-
-    def dot(weights, values):
-        return float(weights @ values) if np.isfinite(values).all() else ext_dot(weights, values)
-
     m = V.shape[0]
     w = np.full(m, 1.0 / m)
     point = w @ V
@@ -327,19 +392,17 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray,
     it = 0
     step = 1.0   # each line search first probes the previous step length
     for it in range(1, FW_MAX_ITER + 1):
-        scores = ext_dots(V, losses(point)) - offset
-        current = dot(w, scores)
-        fw = int(np.argmax(scores))
-        gap = float(scores[fw] - current)
+        scores, current, gap = _certificate(model, V, offset, w, point)
         if gap <= tol:
             break
+        fw = int(np.argmax(scores))
         active = np.flatnonzero(w > 0.0)
         away = int(active[np.argmin(scores[active])])
         rise = float(scores[fw] - scores[away])
         direction = V[fw] - V[away]
         d_offset = offset[fw] - offset[away]
         step = _slope_root(
-            lambda t: dot(direction, losses(point + t * direction)) - d_offset,
+            lambda t: _dot(direction, _bayes_row(model, point + t * direction)) - d_offset,
             rise, w[away], guess=step)
         if not (rise > FW_SLOPE_RES * max(1.0, abs(current)) and step > 0.0):
             stalled = True
@@ -348,9 +411,7 @@ def _fw_maximize(model: LossModel, V: np.ndarray, offset: np.ndarray,
         w[away] = 0.0 if w[away] - step < 1e-15 else w[away] - step
         w /= w.sum()
         point = w @ V
-    value = float(model.entropy_batch(np.maximum(point, 0.0)[None, :])[0] - w @ offset)
-    return _MixtureMax(w, point, value, gap, model.bayes_act(Distribution(point)),
-                       "frank-wolfe", it, stalled)
+    return _mixture_result(model, V, offset, w, point, gap, "frank-wolfe", it, stalled)
 
 
 # ---------------------------------------------------------------------------
@@ -970,9 +1031,11 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = GENERIC_TOL) -> Sa
     against point-mass acts, one LP (`point_act_saddle`, "matrix-game"),
     with gap sup over Gamma_tau of L(P, zeta*) minus min_j P* . L(e_j).
     Other losses (from `solve`: the non-separable ones, quadratic and
-    custom) run pairwise conditional gradient over the vertices, with the
-    Bayes act's losses at P as supergradient ("frank-wolfe"), so a kinked
-    loss must expose `bayes_act_set`.  A gap above tol raises MaxIterExceeded.
+    custom) run `_mixture_max` over the vertices: quadratic loss the exact
+    active-set QP ("active-set"), the others pairwise conditional gradient
+    with the Bayes act's losses at P as supergradient ("frank-wolfe"), so
+    a kinked loss must expose `bayes_act_set`.  A gap above tol raises
+    MaxIterExceeded.
     """
     return raised(_records(model, g.statistic,
                            [_generic_draft(model, g, _hull_class(g), tol)])[0])
@@ -983,7 +1046,7 @@ def _generic_draft(model: LossModel, g: GammaTau, hull: str, tol: float) -> _Dra
     L = point_act_losses(model)
     if L is None:
         vs = vertices(g)
-        res = _fw_maximize(model, vs.points, np.zeros(vs.m), tol)
+        res = _mixture_max(model, vs.points, np.zeros(vs.m), tol)
     else:
         value, p, zeta = point_act_saddle(g, L)
         gap = max(0.0, max_expectation(g, L @ zeta) - float((p @ L).min()))
@@ -1031,8 +1094,9 @@ def _solve_each(model: LossModel, statistic: Statistic, gammas: list,
        grid solver of their own (`_brier_grid`, `_log_grid`,
        `_zero_one_grid`), any other model with a separable base (`_unwrap`)
        the separable dual per tau (`_separable_draft`), and the rest
-       `solve_generic`'s route per tau.  `tol` stops the log solver and
-       `solve_generic`; the exact solvers ignore it.
+       `solve_generic`'s route per tau (quadratic the active-set QP over
+       the vertices, custom models Frank-Wolfe).  `tol` stops the log
+       solver and Frank-Wolfe; the exact solvers ignore it.
     3. The drafts go back in grid order and take one `_records` pass, so
        each entry gets its SaddlePoint or the exception its solve raised.
     """
@@ -1111,15 +1175,17 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta) -> TiltResult:
     - any other loss affine in a distribution act with a Bayes-act set is
       solved exactly by the matrix game over point-mass acts
       ("matrix-game");
+    - a quadratic loss, H(P) = P . v^2 - (P . v)^2, is solved exactly by
+      the active-set QP over the point masses ("active-set");
     - every other loss runs pairwise conditional gradient with supergradient
       L(., zeta_P) - beta' t(.), up to FW_MAX_ITER iterations
       ("frank-wolfe").
     `gap` is a certified bound: the maximum lies in [chi, chi + gap].  It
     is the Fenchel duality gap for the separable dual and the closed form,
     the strategies' certificate col_guarantee - row_guarantee for the
-    matrix game, and the supergradient gap for Frank-Wolfe.  A gap above
-    TILT_TOL raises MaxIterExceeded whose `result` is the TiltResult, on
-    every route.  For the log model the
+    matrix game, and the supergradient gap for the QP and Frank-Wolfe.  A
+    gap above TILT_TOL raises MaxIterExceeded whose `result` is the
+    TiltResult, on every route.  For the log model the
     closed-form cumulant log sum mu exp(-beta' t) is an independent
     cross-check on chi.  A relative model, H(P) minus the expected loss of
     a reference act, takes its base model's route.
@@ -1145,10 +1211,10 @@ def _tilt_arrays(model: LossModel, statistic: Statistic, betas: np.ndarray,
     A separable model solves all rows at once by the one-dimensional dual
     (`_separable_tilts`), and a model with H(P) = P . u - max p in closed
     form (`_top_tilts`); each returns a dual bound D on chi, so D - chi is
-    the gap.  Other models take one `_mixture_max` per row, the matrix game
-    or Frank-Wolfe over the point masses, whose gap is its own.  Every
-    reduction runs row by row (einsum, not a BLAS product), so a row's tilt
-    does not depend on the other rows of the grid.  On every route the
+    the gap.  Other models take one `_mixture_max` per row, the matrix game,
+    the active-set QP or Frank-Wolfe over the point masses, whose gap is
+    its own.  Every reduction runs row by row (einsum, not a BLAS product),
+    so a row's tilt does not depend on the other rows of the grid.  On every route the
     first row whose gap is above tol raises MaxIterExceeded carrying that
     row's TiltResult.
 

@@ -1076,7 +1076,7 @@ def test_quadratic_spec_record_carries_a_scalar_act(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "solve", path)
     assert code == EXIT_OK
     rec = json.loads(out)
-    assert rec["method"] == "frank-wolfe"
+    assert rec["method"] == "active-set"
     # every member of Gamma_tau has mean tau, the Bayes act of each
     assert rec["zeta_1"] == pytest.approx(0.2, abs=1e-9)
     assert rec["zeta_2"] is None and rec["zeta_3"] is None

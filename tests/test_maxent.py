@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from maxentgames import (
 from maxentgames import maxent
 from maxentgames.cli import vertex_columns
 from maxentgames.maxent import TiltResult, _fw_maximize, _mixture_max, _slope_root, _tilts
+from test_losses import _MinimalBrier
 from test_zero_one_lp import mean_value_problem
 
 SPACE = SampleSpace.of(["-1", "0", "1"])
@@ -362,10 +364,10 @@ def test_solve_routes_by_model_kind():
 
 
 def test_solve_routes_other_losses_to_the_generic_solver():
-    # quadratic runs Frank-Wolfe over the vertices; relative zero-one, a
-    # loss affine in a distribution act, the point-act game over Gamma_tau
+    # quadratic runs the active-set QP over the vertices; relative zero-one,
+    # a loss affine in a distribution act, the point-act game over Gamma_tau
     relative = relative_model(ZERO_ONE, Act("distribution", np.array([0.2, 0.3, 0.5])))
-    for model, method in ((quadratic_model(SPACE), "frank-wolfe"),
+    for model, method in ((quadratic_model(SPACE), "active-set"),
                           (relative, "matrix-game")):
         sp = solve(model, gamma(0.3))
         assert sp.method == method
@@ -587,26 +589,26 @@ def test_log_tilt_at_a_steep_beta(beta):
 
 
 def test_tilt_iteration_budget_carries_best_iterate(monkeypatch):
-    # quadratic loss has no separable dual; exact line searches need more
-    # than one Frank-Wolfe step here, so the gap stays far above the ask.
-    # The maximum of Var_P(v) - 0.1 E_P T puts 22/45 on v = 3, 23/45 on
-    # v = 0: chi = 9/4 + 1/900
-    model = quadratic_model(SPACE, values=[0.0, 1.0, 3.0])
+    # a Brier loss written as a plain LossModel has no separable dual and
+    # no quadratic form, so its tilt runs Frank-Wolfe; one step leaves the
+    # gap far above the ask.  The maximum is the Brier model's own tilt
+    model = _MinimalBrier(SPACE)
     assert model.separable() is None
+    best = natural_tilt(BRIER, T, np.array([0.1])).chi
     with monkeypatch.context() as patch, pytest.raises(MaxIterExceeded) as err:
         patch.setattr(maxent, "FW_MAX_ITER", 1)
         natural_tilt(model, T, np.array([0.1]))
     res = err.value.result
     assert res is not None
     assert res.gap > 0.0
-    assert res.chi <= 2.25 + 1.0 / 900.0 + 1e-12   # never above the true maximum
+    assert res.chi <= best + 1e-12   # never above the true maximum
     assert natural_tilt(model, T, np.array([0.1])).method == "frank-wolfe"
 
 
 def test_frank_wolfe_tilt_budget_carries_a_tilt_result(monkeypatch):
     # the search route raises as the batched routes do: with the first row
     # whose gap is above tol, as a TiltResult
-    model = quadratic_model(SPACE, values=[0.0, 1.0, 3.0])
+    model = _MinimalBrier(SPACE)
     betas = np.array([[0.1], [-0.3]])
     with monkeypatch.context() as patch, pytest.raises(MaxIterExceeded) as err:
         patch.setattr(maxent, "FW_MAX_ITER", 1)
@@ -855,17 +857,23 @@ def test_slope_root_from_an_infinite_rise():
 
 def test_frank_wolfe_builds_no_act_per_step(monkeypatch):
     # supergradients and line-search slopes are rows of `bayes_losses`; the
-    # loop builds one act, the one it returns, and no loss vector
-    counts, in_loop = Counter(), Counter()
-    fw = maxent._fw_maximize
+    # loop builds one act, the one it returns, and no loss vector.  The
+    # active-set QP's certificate reads the same rows: one act, no loss vector
+    counts = Counter()
+    in_loop = {"_fw_maximize": Counter(), "_qp_maximize": Counter()}
 
-    def watched(*args):
-        before = counts.copy()
-        res = fw(*args)
-        in_loop.update(counts - before)
-        return res
+    def watch(name):
+        route = getattr(maxent, name)
 
-    monkeypatch.setattr(maxent, "_fw_maximize", watched)
+        def watched(*args):
+            before = counts.copy()
+            res = route(*args)
+            in_loop[name].update(counts - before)
+            return res
+        monkeypatch.setattr(maxent, name, watched)
+
+    watch("_fw_maximize")
+    watch("_qp_maximize")
 
     def counted(model):
         for name in ("loss_vector", "bayes_act"):
@@ -877,12 +885,19 @@ def test_frank_wolfe_builds_no_act_per_step(monkeypatch):
 
     rng = np.random.default_rng(37)
     space = SampleSpace.of([str(i) for i in range(6)])
-    runs = [capacity_solve(StatModel(counted(make(space)), tuple(rng.dirichlet(np.ones(6), 4))))
-            for make in (log_model, brier_model)]
+    members = [tuple(rng.dirichlet(np.ones(6), 4)) for _ in range(3)]
+    square = partial(bregman_model, generator=square_generator(6))
+    runs = [capacity_solve(StatModel(counted(make(space)), family))
+            for make, family in zip((log_model, square, brier_model), members)]
     g = GammaTau(Statistic(rng.uniform(-1.0, 1.0, (1, 6))), np.array([0.1]))
-    runs.append(solve(counted(quadratic_model(space, rng.uniform(-1.0, 1.0, 6))), g))
-    assert [r.method for r in runs] == ["frank-wolfe"] * 3
-    assert in_loop == Counter(bayes_act=3)
+    values = rng.uniform(-1.0, 1.0, 6)
+    reference = Act("scalar", 0.3)
+    runs += [solve(counted(relative_model(quadratic_model(space, values), reference)), g),
+             solve(counted(quadratic_model(space, values)), g)]
+    assert [r.method for r in runs] == ["frank-wolfe", "frank-wolfe", "active-set",
+                                        "frank-wolfe", "active-set"]
+    assert in_loop == {"_fw_maximize": Counter(bayes_act=3),
+                       "_qp_maximize": Counter(bayes_act=2)}
 
 
 def test_zero_one_solve_leaves_numpy_ma_unloaded():

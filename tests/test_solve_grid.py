@@ -226,7 +226,7 @@ def test_other_models_are_solved_tau_by_tau(monkeypatch):
     assert routes == {"_brier_grid", "_log_grid", "_zero_one_grid", "_separable_draft",
                       "_generic_draft"}
     assert {"brier-enum", "log-newton", "log-face", "zero-one-enum", "bregman-dual",
-            "frank-wolfe", "matrix-game"} <= kinds
+            "active-set", "matrix-game"} <= kinds
 
 
 def route_models(space):
@@ -269,7 +269,7 @@ def test_solve_is_solve_grid_at_one_tau(tol):
                 kinds.add(found.method if isinstance(found, SaddlePoint)
                           else type(found).__name__)
     assert {"brier-enum", "log-newton", "log-face", "zero-one-enum", "bregman-dual",
-            "frank-wolfe", "matrix-game", "Infeasible"} <= kinds
+            "active-set", "matrix-game", "Infeasible"} <= kinds
 
 
 def solve_each_tau_alone(model, statistic, taus, tol=None):
