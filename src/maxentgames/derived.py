@@ -114,11 +114,12 @@ def capacity_gap_target(tol: float) -> float:
 def capacity_solve(sm: StatModel, tol: float = 1e-6) -> CapacityResult:
     """Maximize the information value over priors.
 
-    Two routes are exact, with `iterations` 0: Brier, whose information
-    value w . diag(G) - w' G w (G = V V', V the members) is a concave
-    quadratic, by the active-set QP over the prior simplex ("active-set"),
-    and losses affine in a distribution act (zero-one) by the matrix game
-    of members against pure point-guess acts ("matrix-game").  Every other
+    Two routes are exact, with `iterations` 0: Brier, quadratic loss and
+    their relative games, whose information value is a concave quadratic
+    (Brier's w . diag(G) - w' G w, G = V V', V the members), by the
+    active-set QP over the prior simplex ("active-set"), and losses affine
+    in a distribution act (zero-one) by the matrix game of members against
+    pure point-guess acts ("matrix-game").  Every other
     loss runs pairwise conditional gradient, whose supergradient
     coordinate at w is the derived loss of the current mixture's Bayes
     act, to a gap of FW_CAPACITY_FACTOR * min(tol, UPSILON_TOL): a gap of

@@ -63,7 +63,6 @@ from .losses import (
     QuadraticModel,
     ZeroOneModel,
 )
-from .verify import lp_game_value, point_act_losses, point_act_saddle
 
 LINEAR_FIT_TOL = 1e-7
 SCREEN_TOL = 1e-7        # LP reduced cost that fixes a zero-one outcome at 0 or m*
@@ -78,6 +77,7 @@ TILT_TOL = 1e-8          # certified gap of a natural tilt
 GRID_TOL = 1e-6          # certified gap of a tilt on the conjugacy beta grid
 KINK_TOL = 1e-3          # one-sided slopes further apart than this mark a kink of h
 FW_SLOPE_RES = 1e-14     # pairwise slopes below this, relative, are float noise
+DUALITY_TOL = 1e-9       # largest guarantee difference of `lp_game_value`'s strategies
 
 
 class MaxIterExceeded(ArithmeticError):
@@ -263,6 +263,73 @@ def _records(model: LossModel, statistic: Statistic, drafts: list) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the game against point acts: one LP over Gamma_tau, or over the simplex
+
+
+@dataclass(frozen=True)
+class GameSolution:
+    value: float
+    row_strategy: np.ndarray
+    col_strategy: np.ndarray
+    row_guarantee: float   # min over columns of the row strategy's payoff
+    col_guarantee: float   # max over rows of the column strategy's payoff
+
+
+def _point_act_game(tmat: np.ndarray, tau: np.ndarray, A: np.ndarray):
+    """(value, p, zeta) of max over {p >= 0 : sum p = 1, T p = tau} of
+    min_j p . A[:, j]: one `min_max_expectation` LP on the columns
+    A.max() + 1 - A, each at least 1, so the level is at least 1 and the
+    column weights zeta, its dual, sum to one for any A.  T with no rows
+    stands for the whole simplex."""
+    top = float(A.max()) + 1.0
+    (found,) = min_max_expectation(tmat, tau[None], top - A)
+    level, p, _, zeta = raised(found)
+    zeta = np.maximum(zeta, 0.0)
+    return top - level, p, zeta / zeta.sum()
+
+
+def lp_game_value(payoff) -> GameSolution:
+    """Value and optimal mixed strategies of a finite zero-sum game, the
+    row player maximizing: `_point_act_game` over the simplex of rows.  The
+    strategies certify themselves: raises ArithmeticError when
+    col_guarantee - row_guarantee exceeds DUALITY_TOL * max(1, |value|)."""
+    L = np.asarray(payoff, dtype=float)
+    if L.ndim != 2:
+        raise ValueError("payoff must be a matrix")
+    if not np.all(np.isfinite(L)):
+        raise ValueError("payoff entries must be finite")
+    value, row, col = _point_act_game(np.zeros((0, L.shape[0])), np.zeros(0), L)
+    row_guarantee = float((row @ L).min())
+    col_guarantee = float((L @ col).max())
+    if col_guarantee - row_guarantee > DUALITY_TOL * max(1.0, abs(value)):
+        raise ArithmeticError(
+            f"game strategies not optimal: column guarantee {col_guarantee!r}"
+            f" above row guarantee {row_guarantee!r}"
+        )
+    return GameSolution(value, row, col, row_guarantee, col_guarantee)
+
+
+def point_act_losses(model: LossModel) -> np.ndarray | None:
+    """The matrix L[x, j] = L(x, e_j) of the point-mass acts, or None unless
+    the model's loss is affine in a distribution act with a Bayes-act set
+    (zero-one and its relative form) and every point act has finite losses.
+    For those models the loss of a mixed act zeta is L @ zeta."""
+    n = model.space.n
+    if (model.act_kind != ACT_DISTRIBUTION
+            or model.bayes_act_set(Distribution.uniform(n)) is None):
+        return None
+    # row j of the block is L(., e_j); the C-ordered copy keeps the column layout
+    L = np.ascontiguousarray(model.loss_matrix(np.eye(n)).T)
+    return L if np.all(np.isfinite(L)) else None
+
+
+def point_act_saddle(g: GammaTau, L: np.ndarray):
+    """(value, P*, zeta*) of the game of P in Gamma_tau against mixtures
+    zeta of the point acts of L, P @ L @ zeta: `_point_act_game` on g."""
+    return _point_act_game(g.statistic.matrix, g.tau, L)
+
+
+# ---------------------------------------------------------------------------
 # mixtures of laws: H(w V) - w . offset over the weight simplex
 
 
@@ -287,7 +354,8 @@ class _MixtureMax:
 def _mixture_max(model: LossModel, V: np.ndarray, offset: np.ndarray,
                  tol: float) -> _MixtureMax:
     """Maximize H(w V) - w . offset over the weights w of the laws V (m, N),
-    by the model's structure:
+    by the structure of the model read through `_unwrap` (a relative game
+    takes its base's route):
     - a quadratic entropy (`_quadratic_form`: Brier, quadratic) exactly, by
       the active-set QP over the weight simplex (`_qp_maximize`);
     - a loss affine in a distribution act with a Bayes-act set (zero-one)
@@ -308,14 +376,15 @@ def _mixture_max(model: LossModel, V: np.ndarray, offset: np.ndarray,
 
 
 def _quadratic_form(model: LossModel):
-    """(a, B) when H(P) = P . a - |P B|^2 on the simplex, by model class:
-    Brier (a = 1, B = I) and quadratic (a = v^2, B = v as one column);
-    else None."""
-    if isinstance(model, BrierModel):
-        return np.ones(model.space.n), np.eye(model.space.n)
-    if isinstance(model, QuadraticModel):
-        v = model.values
-        return v * v, v[:, None]
+    """(a - r, B) when H(P) = P . a - |P B|^2 - P . r on the simplex, read
+    through `_unwrap` (r a relative game's reference losses, else 0): Brier
+    (a = 1, B = I) and quadratic (a = v^2, B = v as one column); else None."""
+    base, r = _unwrap(model)
+    if isinstance(base, BrierModel):
+        return 1.0 - r, np.eye(base.space.n)
+    if isinstance(base, QuadraticModel):
+        v = base.values
+        return v * v - r, v[:, None]
     return None
 
 
@@ -1020,7 +1089,7 @@ def _separable_draft(model: LossModel, base: LossModel, r: np.ndarray, g: GammaT
 
 
 # ---------------------------------------------------------------------------
-# generic solver: the point-act LP over Gamma_tau, else Frank-Wolfe over the vertices
+# generic solver: the point-act LP over Gamma_tau, else `_mixture_max` over the vertices
 
 
 def solve_generic(model: LossModel, g: GammaTau, tol: float = GENERIC_TOL) -> SaddlePoint:
@@ -1031,11 +1100,11 @@ def solve_generic(model: LossModel, g: GammaTau, tol: float = GENERIC_TOL) -> Sa
     against point-mass acts, one LP (`point_act_saddle`, "matrix-game"),
     with gap sup over Gamma_tau of L(P, zeta*) minus min_j P* . L(e_j).
     Other losses (from `solve`: the non-separable ones, quadratic and
-    custom) run `_mixture_max` over the vertices: quadratic loss the exact
-    active-set QP ("active-set"), the others pairwise conditional gradient
-    with the Bayes act's losses at P as supergradient ("frank-wolfe"), so
-    a kinked loss must expose `bayes_act_set`.  A gap above tol raises
-    MaxIterExceeded.
+    custom) run `_mixture_max` over the vertices: quadratic loss, Brier
+    and their relative games the exact active-set QP ("active-set"), the
+    others pairwise conditional gradient with the Bayes act's losses at P
+    as supergradient ("frank-wolfe"), so a kinked loss must expose
+    `bayes_act_set`.  A gap above tol raises MaxIterExceeded.
     """
     return raised(_records(model, g.statistic,
                            [_generic_draft(model, g, _hull_class(g), tol)])[0])
@@ -1094,8 +1163,8 @@ def _solve_each(model: LossModel, statistic: Statistic, gammas: list,
        grid solver of their own (`_brier_grid`, `_log_grid`,
        `_zero_one_grid`), any other model with a separable base (`_unwrap`)
        the separable dual per tau (`_separable_draft`), and the rest
-       `solve_generic`'s route per tau (quadratic the active-set QP over
-       the vertices, custom models Frank-Wolfe).  `tol` stops the log
+       `solve_generic`'s route per tau (quadratic and relative quadratic
+       the active-set QP over the vertices, custom models Frank-Wolfe).  `tol` stops the log
        solver and Frank-Wolfe; the exact solvers ignore it.
     3. The drafts go back in grid order and take one `_records` pass, so
        each entry gets its SaddlePoint or the exception its solve raised.
@@ -1175,8 +1244,9 @@ def natural_tilt(model: LossModel, statistic: Statistic, beta) -> TiltResult:
     - any other loss affine in a distribution act with a Bayes-act set is
       solved exactly by the matrix game over point-mass acts
       ("matrix-game");
-    - a quadratic loss, H(P) = P . v^2 - (P . v)^2, is solved exactly by
-      the active-set QP over the point masses ("active-set");
+    - a quadratic loss, H(P) = P . v^2 - (P . v)^2, and its relative
+      game are solved exactly by the active-set QP over the point masses
+      ("active-set");
     - every other loss runs pairwise conditional gradient with supergradient
       L(., zeta_P) - beta' t(.), up to FW_MAX_ITER iterations
       ("frank-wolfe").

@@ -2,7 +2,8 @@
 
 Brier capacities, quadratic solves over the vertex list and quadratic
 tilts over the point masses maximize a concave quadratic over the weight
-simplex.  The route is checked against pairwise Frank-Wolfe run to a gap
+simplex, and so do their relative games, whose entropy subtracts the
+linear term P . r of a reference act's losses.  The route is checked against pairwise Frank-Wolfe run to a gap
 of 1e-13 on seeded inputs, degenerate ones included: more members than
 outcomes, duplicated members, a member on the segment of two others, and
 tied quadratic values, where the KKT block of the working set is singular.
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from maxentgames import (
+    Act,
     GammaTau,
     MaxIterExceeded,
     SampleSpace,
@@ -22,7 +24,9 @@ from maxentgames import (
     equalization_report,
     natural_tilt,
     quadratic_model,
+    relative_model,
     solve,
+    solve_generic,
     verify_saddle,
     vertices,
 )
@@ -117,6 +121,50 @@ def test_quadratic_tilts_match_frank_wolfe_over_the_point_masses():
         assert_matches_frank_wolfe(model, np.eye(n), beta @ t, i)
         res = natural_tilt(model, Statistic(t), beta)
         assert res.method == "active-set" and res.gap <= 1e-12, i
+
+
+def numeric_space(rng, n):
+    """n distinct numeric labels in [-1, 1], the quadratic loss's values."""
+    return SampleSpace.of([f"{u:.6f}" for u in rng.permutation(np.linspace(-1.0, 1.0, 2 * n))[:n]])
+
+
+def test_relative_quadratic_solves_match_frank_wolfe_over_the_vertices():
+    # H(P) - P . r of a random scalar reference is the same concave quadratic
+    # plus a linear term: `solve` and `solve_generic` take the exact QP
+    rng = np.random.default_rng(4205)
+    for i in range(40):
+        n = int(rng.integers(3, 8))
+        k = 1 + i % 2
+        t = rng.uniform(-1.0, 1.0, (k, n))
+        g = GammaTau(Statistic(t), t @ rng.dirichlet(np.ones(n)))
+        model = relative_model(quadratic_model(numeric_space(rng, n)),
+                               Act("scalar", float(rng.uniform(-1.0, 1.0))))
+        vs = vertices(g)
+        res = assert_matches_frank_wolfe(model, vs.points, np.zeros(vs.m), i)
+        for sp in (solve(model, g), solve_generic(model, g)):
+            assert sp.method == "active-set" and sp.gap <= 1e-12, i
+            assert abs(sp.h_star - res.value) <= 1e-12, i
+            assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, i
+
+
+def test_relative_capacities_match_frank_wolfe_and_equalize():
+    # relative Brier families of 2-7 members with random references, and
+    # relative quadratic ones with random scalar references
+    rng = np.random.default_rng(4206)
+    for i in range(40):
+        n, m = int(rng.integers(3, 9)), int(rng.integers(2, 8))
+        if i % 4:
+            base = brier_model(space(n))
+            reference = base.random_act(rng)
+        else:
+            base = quadratic_model(numeric_space(rng, n))
+            reference = Act("scalar", float(rng.uniform(-1.0, 1.0)))
+        sm = StatModel(relative_model(base, reference), tuple(rng.dirichlet(np.ones(n), m)))
+        assert_matches_frank_wolfe(sm.model, sm.member_matrix, sm.member_entropies, i)
+        r = capacity_solve(sm)
+        assert (r.method, r.iterations) == ("active-set", 0), i
+        assert r.upsilon.size, i
+        assert equalization_report(r, sm).upsilon_constant, i
 
 
 def test_working_set_cap_raises_with_the_result(monkeypatch):

@@ -29,11 +29,11 @@ from maxentgames import (
     vertices,
     zero_one_model,
 )
-from maxentgames import _simplex, maxent, verify
+from maxentgames import _simplex, maxent
 from maxentgames.cli import vertex_columns
 from maxentgames.constraints import DEDUP_TOL, max_expectation, union_support
 from maxentgames.core import ext_dots
-from maxentgames.verify import point_act_losses, point_act_saddle
+from maxentgames.maxent import point_act_losses, point_act_saddle
 
 KINDS = ("interior", "face", "tied", "hull_end")
 
@@ -270,8 +270,9 @@ def test_zero_one_stand_in_is_read_off_phase_one(monkeypatch):
     # the stand-in is phase 1's LP dual: a stand-in solve runs that one
     # min_max_expectation LP and builds no union_support LP
     calls = dict.fromkeys(("min_max_expectation", "union_support"), 0)
-    for module, name in ((maxent, "min_max_expectation"), (verify, "min_max_expectation"),
-                         (maxent, "union_support"), (constraints, "union_support")):
+    # the point-act game and phase 1 both read maxent's binding of the LP
+    for module, name in ((maxent, "min_max_expectation"), (maxent, "union_support"),
+                         (constraints, "union_support")):
         def counted(*args, inner=getattr(module, name), name=name):
             calls[name] += 1
             return inner(*args)

@@ -16,6 +16,7 @@ import pytest
 
 from maxentgames import (
     Act,
+    BrierModel,
     CombinatorialBlowup,
     Distribution,
     GammaTau,
@@ -389,7 +390,9 @@ def test_relative_separable_saddles_agree_with_frank_wolfe():
             model = relative_model(base, base.random_act(rng))
             sp = solve(model, g)
             fw = solve_generic(model, g)
-            assert (sp.method, fw.method) == ("bregman-dual", "frank-wolfe")
+            # relative Brier's entropy is a concave quadratic: the exact QP
+            oracle = "active-set" if isinstance(base, BrierModel) else "frank-wolfe"
+            assert (sp.method, fw.method) == ("bregman-dual", oracle)
             # the certified gap, plus the entropy's change over the dual's
             # residual in tau (below 1e-13; the gap is 0 where Gamma_tau is a point)
             assert abs(sp.h_star - fw.h_star) <= fw.gap + 1e-12, (i, model.kind)
@@ -858,7 +861,9 @@ def test_slope_root_from_an_infinite_rise():
 def test_frank_wolfe_builds_no_act_per_step(monkeypatch):
     # supergradients and line-search slopes are rows of `bayes_losses`; the
     # loop builds one act, the one it returns, and no loss vector.  The
-    # active-set QP's certificate reads the same rows: one act, no loss vector
+    # active-set QP's certificate reads the same rows: one act, no loss vector.
+    # Frank-Wolfe runs a log, a Bregman square and a relative log capacity;
+    # the QP a Brier capacity and a relative-quadratic and a quadratic solve
     counts = Counter()
     in_loop = {"_fw_maximize": Counter(), "_qp_maximize": Counter()}
 
@@ -894,10 +899,14 @@ def test_frank_wolfe_builds_no_act_per_step(monkeypatch):
     reference = Act("scalar", 0.3)
     runs += [solve(counted(relative_model(quadratic_model(space, values), reference)), g),
              solve(counted(quadratic_model(space, values)), g)]
+    log = log_model(space)
+    relative_log = relative_model(log, log.random_act(rng))
+    runs.append(capacity_solve(StatModel(counted(relative_log),
+                                         tuple(rng.dirichlet(np.ones(6), 4)))))
     assert [r.method for r in runs] == ["frank-wolfe", "frank-wolfe", "active-set",
-                                        "frank-wolfe", "active-set"]
+                                        "active-set", "active-set", "frank-wolfe"]
     assert in_loop == {"_fw_maximize": Counter(bayes_act=3),
-                       "_qp_maximize": Counter(bayes_act=2)}
+                       "_qp_maximize": Counter(bayes_act=3)}
 
 
 def test_zero_one_solve_leaves_numpy_ma_unloaded():

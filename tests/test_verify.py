@@ -25,11 +25,10 @@ from maxentgames import (
     vertices,
     zero_one_model,
 )
-from maxentgames import _simplex, verify
+from maxentgames import _simplex, maxent
 from maxentgames.core import ACT_DISTRIBUTION
 from maxentgames.losses import LossModel
-from maxentgames.maxent import _tilts, solve_generic
-from maxentgames.verify import point_act_losses
+from maxentgames.maxent import _tilts, point_act_losses, solve_generic
 
 SPACE = SampleSpace.of(["-1", "0", "1"])
 T = Statistic(np.array([[-1.0, 0.0, 1.0]]))
@@ -114,7 +113,7 @@ def test_one_lp_per_game(monkeypatch):
 
 def test_game_certificate_raises(monkeypatch):
     # strategies whose guarantees differ by more than DUALITY_TOL are refused
-    monkeypatch.setattr(verify, "DUALITY_TOL", -1.0)
+    monkeypatch.setattr(maxent, "DUALITY_TOL", -1.0)
     with pytest.raises(ArithmeticError, match="column guarantee"):
         lp_game_value([[1.0, -1.0], [-1.0, 1.0]])
 
