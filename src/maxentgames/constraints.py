@@ -171,8 +171,7 @@ def _vertex_lists(statistic: Statistic, taus) -> list:
                 found.append(pts)
         owner = np.concatenate(owners)
         pts = np.concatenate(found)
-        if m > 1:   # group the points by tau, each tau's in the order found
-            pts = pts[owner.argsort(kind="stable")]
+        pts = pts[owner.argsort(kind="stable")]   # by tau, each tau's in the order found
         ends = np.bincount(owner, minlength=m).cumsum().tolist()
         for tau, start, end in zip(chunk, [0] + ends, ends):
             lists.append(_dedup(pts[start:end]) if end > start else

@@ -282,9 +282,7 @@ def ext_dots(rows, values) -> np.ndarray:
 
 def _dots(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """x[i] @ z[i] for every pair of rows, broadcast: one BLAS dot product
-    each, as the 1-D product of the pair rounds; one pair takes the 1-D call."""
-    if x.shape[0] == 1 and x.ndim == z.ndim == 2:
-        return (x[0] @ z[0])[None]
+    each, as the 1-D product of the pair rounds, one pair included."""
     return (x[..., None, :] @ z[..., :, None])[..., 0, 0]
 
 

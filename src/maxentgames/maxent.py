@@ -522,25 +522,19 @@ def _brier_grid(model: LossModel, statistic: Statistic, pairs: list) -> list:
     for js in by_size.values():
         a_t = rows.T[np.array([supports[j] for j in js])]   # a.T, a = rows[:, supp]
         weights = np.array([found[j][1][supports[j]] for j in js])
-        fits, errors = _by_slice(_lstsq_rank, a_t, weights)
+        fits, errors = _by_slice(lstsq_stack, a_t, weights)   # (alpha, singular values)
         for r, j in enumerate(js):
-            found[j] = errors[r] if r in errors else (*found[j], fits[0][r], fits[1][r])
+            found[j] = errors[r] if r in errors else (*found[j], fits[0][r, :, 0], fits[1][r])
     return [found[j] if isinstance(found[j], Exception) else attempt(
         _brier_draft, g, hull, supports[j], *found[j]) for j, (g, hull) in enumerate(pairs)]
 
 
-def _lstsq_rank(a_t: np.ndarray, weights: np.ndarray):
-    """lstsq's solutions of a_t[i] alpha = weights[i] and the ranks of
-    a_t[i].T at RANK_TOL, as np.linalg.matrix_rank reads them."""
-    alpha, _ = lstsq_stack(a_t, weights)
-    return alpha[..., 0], np.linalg.matrix_rank(a_t.transpose(0, 2, 1), tol=RANK_TOL)
-
-
 def _brier_draft(g: GammaTau, hull: str, supp: np.ndarray, h: float, p: np.ndarray,
-                 alpha: np.ndarray, rank) -> _Draft:
+                 alpha: np.ndarray, sv: np.ndarray) -> _Draft:
     """The Brier draft from P*, its value and the multipliers alpha of
-    [1; T] on supp(P*), whose rank there is `rank`."""
-    if rank == g.k + 1:
+    [1; T] on supp(P*), whose singular values there are `sv`: its rank is
+    the count above RANK_TOL."""
+    if np.count_nonzero(sv > RANK_TOL) == g.k + 1:
         beta = -2.0 * alpha[1:]
     else:
         beta = _brier_degenerate_beta(g, p, supp)
@@ -579,8 +573,7 @@ def _brier_scan(rows: np.ndarray, targets: np.ndarray, y: np.ndarray, found: dic
         for batch in picks.values():
             js = [j for j, _ in batch]
             a = rows.T[np.array([supp for _, supp in batch])].transpose(0, 2, 1)
-            tested, errors = _by_slice(support_solutions, a,
-                                       targets if len(js) == len(targets) else targets[js])
+            tested, errors = _by_slice(support_solutions, a, targets[js])
             if tested is not None:
                 passes, sols = tested[0].tolist(), np.where(tested[1] < 0.0, 0.0, tested[1])
             for r, (j, supp) in enumerate(batch):
@@ -905,11 +898,13 @@ def _zero_one_acts(statistic: Statistic, gammas: list, points: list, levels: lis
     its one-parameter family meets the supporting-hyperplane constraints);
     or the exception raised there.
 
-    The systems of one shape are solved in one `lstsq_stack` call and
-    decomposed in one stacked SVD, each slice what a lone call gives, bit
-    for bit.  A family's constraints run per tau (`_family_bounds`), and the
-    families that reach their pick take their vertex lists from one
-    `vertex_lists` call.
+    The systems of one shape are solved in one `lstsq_stack` call, whose
+    singular values s give the rank (those above 1e-10 s_0); those of them
+    with a one-parameter family (d = 1) take its direction, the last right
+    singular vector, from one stacked SVD.  Each slice is what a lone call
+    gives, bit for bit.  A family's constraints run per tau
+    (`_family_bounds`), and the families that reach their pick take their
+    vertex lists from one `vertex_lists` call.
     """
     n, k = statistic.n, statistic.k
     tmat = statistic.matrix
@@ -930,31 +925,31 @@ def _zero_one_acts(statistic: Statistic, gammas: list, points: list, levels: lis
         a = np.array([systems[i][2] for i in idx])
         b = np.ones(a.shape[:2])
         solved, errors = _by_slice(lstsq_stack, a, b)
-        dec, svd_errors = _by_slice(np.linalg.svd, a)   # read only where consistent
+        families = []
         for r, i in enumerate(idx):
             if r in errors:
                 out[i] = errors[r]
                 continue
-            v0 = solved[0][r, :, 0]
+            v0, s = solved[0][r, :, 0], solved[1][r]
             if np.max(np.abs(a[r] @ v0 - b[r])) > 1e-8:
                 continue
-            if r in svd_errors:
-                out[i] = svd_errors[r]
-                continue
-            charged, modes, _ = systems[i]
-            s, vt = dec[1][r], dec[2][r]
             # relative, unlike RANK_TOL: golden acts rest on it
-            rank = int((s > 1e-10 * s[0]).sum())
-            d = a.shape[2] - rank
+            d = a.shape[2] - int((s > 1e-10 * s[0]).sum())
             if d == 0:
-                zeta, beta0, beta = _unpack(v0, modes, n)
+                zeta, beta0, beta = _unpack(v0, systems[i][1], n)
                 out[i] = np.maximum(zeta, 0.0), beta0, beta, None
             elif d == 1:
-                bounds = attempt(_family_bounds, gammas[i], v0, vt[rank], modes, charged)
-                if isinstance(bounds, tuple):
-                    picks[i] = v0, vt[rank], modes, *bounds
-                else:
-                    out[i] = bounds
+                families.append(r)
+        if not families:
+            continue
+        for r, col in zip(families, np.linalg.svd(a[families])[2][:, -1]):
+            i, v0 = idx[r], solved[0][r, :, 0]
+            charged, modes, _ = systems[i]
+            bounds = attempt(_family_bounds, gammas[i], v0, col, modes, charged)
+            if isinstance(bounds, tuple):
+                picks[i] = v0, col, modes, *bounds
+            else:
+                out[i] = bounds
     if picks:
         lists = attempt(vertex_lists, statistic, np.array([gammas[i].tau for i in picks]))
         for j, (i, family) in enumerate(picks.items()):
@@ -1060,12 +1055,14 @@ def _separable_draft(model: LossModel, base: LossModel, r: np.ndarray, g: GammaT
     reach tau only within CONSISTENCY_TOL (a hull face, a zero statistic
     row), so the dual aims at tau's projection onto the span of their rows,
     and the gap is the residual against tau itself.  beta is absent when
-    the rows restricted to them have rank <= k.
+    the rows restricted to them have rank <= k, read off the singular
+    values of that one `lstsq_stack` solve (those above RANK_TOL).
     """
     idx = np.arange(g.n) if hull == "interior" else union_support(g)
     rows = np.vstack([np.ones(idx.size), g.statistic.matrix[:, idx]])
     target = np.concatenate([[1.0], g.tau])
-    aim = rows @ np.linalg.lstsq(rows, target, rcond=None)[0]
+    sol, sv = lstsq_stack(rows, target)
+    aim = rows @ sol[:, 0]
     aim = aim / aim[0]
     gen, mu = base.separable()
     y, p_idx, norm, failed = _separable_dual(rows, aim[None], mu[idx], gen, r[idx])
@@ -1081,7 +1078,7 @@ def _separable_draft(model: LossModel, base: LossModel, r: np.ndarray, g: GammaT
     p_star = Distribution(p)
     h = model.entropy(p_star)
     beta = beta0 = None
-    if np.linalg.matrix_rank(rows, tol=RANK_TOL) == g.k + 1:
+    if np.count_nonzero(sv > RANK_TOL) == g.k + 1:
         beta = -y[1:]
         beta0 = h - float(beta @ g.tau)
     zeta = base.bayes_act(p_star)

@@ -5,7 +5,9 @@ stack of systems.  These tests pin it to lstsq bit for bit and to the rule
 written out per system (residual within CONSISTENCY_TOL, no weight below
 -WEIGHT_CLAMP), on full-rank and rank-deficient systems, columns 1e-9 apart
 and entries near 1e5.  They also count the batched calls that vertex and
-pattern enumeration make.
+pattern enumeration make, and that the ranks of support systems take no
+second factorization: they are read off the singular values of the
+least-squares call that solves them.
 """
 
 import warnings
@@ -14,8 +16,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from maxentgames import GammaTau, Statistic
+from maxentgames import (GammaTau, SampleSpace, Statistic, brier_model, log_model,
+                         zero_one_model)
 from maxentgames import constraints, maxent
+from maxentgames.losses import bregman_model, xlogx_generator
 from maxentgames.constraints import CONSISTENCY_TOL, RANK_TOL, support_solutions
 from maxentgames.core import WEIGHT_CLAMP
 
@@ -111,11 +115,12 @@ def test_a_nan_system_raises_like_lstsq():
 
 
 def counting(monkeypatch, module, name):
+    """The first argument of every call of module.name, which it wraps."""
     calls = []
     inner = getattr(module, name)
 
     def wrapped(*args, **kwargs):
-        calls.append(name)
+        calls.append(args[0])
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapped)
@@ -151,3 +156,44 @@ def test_pattern_enumeration_makes_one_batched_call_per_block(monkeypatch):
     assert m_star == pytest.approx(0.4) and p.sum() == pytest.approx(1.0)
     assert len(blocks) >= 1 and len(batched) == len(blocks)
     assert lstsq == [] and svd == []
+
+
+def test_zero_one_phase_2_takes_an_svd_only_of_its_act_families(monkeypatch):
+    # the act systems of one shape take one lstsq_stack call, whose singular
+    # values give their ranks; those with a one-parameter family of acts
+    # (d = 1) take one stacked SVD per shape, for its direction, and a grid
+    # without such systems takes none
+    model = zero_one_model(SampleSpace.of(list("abc")))
+    stat = Statistic(np.array([[-1.0, 0.0, 1.0]]))
+    svd = np.linalg.svd
+    stacks = counting(monkeypatch, np.linalg, "svd")
+    found = maxent.solve_grid(model, stat, np.linspace(-0.9, 0.9, 19)[:, None])
+    families = sum(sp.act_family is not None for sp in found)
+    assert families > 0
+    assert len({a.shape[1:] for a in stacks}) == len(stacks) > 0   # one call per shape
+    for a in stacks:
+        s = svd(a, compute_uv=False)
+        assert ((s > 1e-10 * s[:, :1]).sum(axis=1) == a.shape[2] - 1).all()   # d = 1 each
+    del stacks[:]
+    found = maxent.solve_grid(model, stat, np.array([[-0.9], [-0.3], [0.2], [0.7]]))
+    assert all(sp.act_family is None for sp in found) and stacks == []
+
+
+def test_brier_and_separable_ranks_take_no_second_factorization(monkeypatch):
+    # the Brier multipliers and the separable dual's beta read their rank
+    # off the singular values of the lstsq_stack call that solves their
+    # support system: no np.linalg.matrix_rank and no np.linalg.lstsq
+    space = SampleSpace.of(list("abcd"))
+    stat = Statistic(np.array([[-1.0, -0.2, 0.4, 1.0], [0.3, -0.5, 0.8, 0.1]]))
+    rank = counting(monkeypatch, np.linalg, "matrix_rank")
+    lstsq = counting(monkeypatch, np.linalg, "lstsq")
+    brier = maxent.solve_grid(brier_model(space), stat,
+                              np.array([[0.0, 0.1], [0.3, 0.2], [-0.5, -0.1], [-1.0, 0.3]]))
+    bregman = maxent.solve(bregman_model(space, xlogx_generator()),
+                           GammaTau(stat, np.array([0.1, 0.2])))
+    face = maxent.solve(log_model(space), GammaTau(stat, np.array([-1.0, 0.3])))
+    assert [sp.method for sp in brier] == ["brier-enum"] * 4
+    assert all(sp.beta is not None for sp in brier[:3])
+    assert bregman.method == "bregman-dual" and bregman.beta is not None
+    assert face.method == "log-face" and face.beta is None
+    assert rank == [] and lstsq == []
