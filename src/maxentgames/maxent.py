@@ -491,15 +491,14 @@ def _brier_grid(model: LossModel, statistic: Statistic, pairs: list) -> list:
     """Exact Brier saddle points from the (k+1)-dimensional dual.
 
     With A = [1; T] and b = [1; tau], P* = (A'y)_+ / 2 for the maximizer y
-    of the concave, piecewise quadratic dual y'b - |(A'y)_+|^2 / 4.  The
-    supports that can carry P* are the supersets of the dual support that
-    stay inside its weakly active set or have at most k+1 outcomes.  On
-    each, in size-descending then `combinations` order, the entropy
-    maximizer is the minimum-norm solution of {sum p = 1, T p = tau}; the
-    first nonnegative one wins unless a later one beats it by more than
-    1e-12.  The dual value bounds h from above, so the scan stops once no
-    later support can win, and a solution left further below the bound
-    than BRIER_GAP_TOL raises NewtonDivergence.
+    of the concave, piecewise quadratic dual y'b - |(A'y)_+|^2 / 4, so the
+    dual names the support of P* (`_brier_supports`: at most two).  On
+    each, the entropy maximizer is the minimum-norm solution of
+    {sum p = 1, T p = tau}; the first nonnegative one wins unless the
+    second beats it by more than 1e-12.  The dual value bounds h from
+    above, so the scan stops once the second cannot win, and a solution
+    left further below the bound than BRIER_GAP_TOL raises
+    NewtonDivergence.
 
     The grid runs one stacked `_separable_dual` for its (Gamma_tau, hull
     class) pairs, the support scan in rounds (`_brier_scan`) and the
@@ -548,9 +547,9 @@ def _brier_scan(rows: np.ndarray, targets: np.ndarray, y: np.ndarray, found: dic
     `found` does not hold yet, given the dual maximizers y: found[row]
     becomes (h, P*) or the exception the scan raised.
 
-    The scan runs in rounds: each round takes the next support of every
-    unfinished row (`_brier_supports` order) and tests them with one
-    `support_solutions` call per support size, so every row keeps its
+    The scan runs in at most two rounds: each round takes the next support
+    of every unfinished row (`_brier_supports` order) and tests them with
+    one `support_solutions` call per support size, so every row keeps its
     order, its 1e-12 rule and its early stop.
     """
     n, k = rows.shape[1], rows.shape[0] - 1
@@ -560,7 +559,7 @@ def _brier_scan(rows: np.ndarray, targets: np.ndarray, y: np.ndarray, found: dic
             s = rows.T @ y[j]
             pos = np.maximum(s, 0.0)
             h_up[j] = 1.0 - float(y[j] @ targets[j]) + 0.25 * float(pos @ pos)   # weak duality
-            scans[j] = _brier_supports(s, k)
+            scans[j] = iter(_brier_supports(s, k))
     best = {}
     while scans:
         picks = {}
@@ -600,23 +599,19 @@ def _brier_scan(rows: np.ndarray, targets: np.ndarray, y: np.ndarray, found: dic
             found[j] = best[j]
 
 
-def _brier_supports(s: np.ndarray, k: int):
-    """Supports that can carry P*, given A'y = s, in the enumeration's order.
-
-    Supersets of the dual support {s > eps} inside {s >= -eps}, and those
-    with at most k+1 outcomes; sizes descend, then `combinations` order.
+def _brier_supports(s: np.ndarray, k: int) -> list:
+    """The supports the scan tests, given A'y = s: the dual support {s > eps}
+    with the weakly active {|s| <= eps}, or, when those are at most k+1
+    outcomes, the dual support padded to min(k+1, N) outcomes with the lowest
+    of {s <= eps}; then {s > 0}, the support of (A'y)_+ / 2, if it differs.
     """
     eps = BRIER_ACTIVE_TOL * max(1.0, float(np.max(np.abs(s))))
-    dual = np.flatnonzero(s > eps).tolist()
-    weak = np.flatnonzero(np.abs(s) <= eps).tolist()
-    rest = np.flatnonzero(s <= eps).tolist()
-    top = max(len(dual) + len(weak), min(k + 1, s.size))
-    for size in range(top, max(len(dual), 1) - 1, -1):
-        pool = rest if size <= k + 1 else weak
-        if size - len(dual) > len(pool):
-            continue
-        yield from sorted(tuple(sorted(dual + list(extra)))
-                          for extra in combinations(pool, size - len(dual)))
+    first = np.flatnonzero(s >= -eps)
+    if first.size <= k + 1:
+        dual = np.flatnonzero(s > eps)
+        first = np.union1d(dual, np.flatnonzero(s <= eps)[:min(k + 1, s.size) - dual.size])
+    supports = [tuple(first.tolist()), tuple(np.flatnonzero(s > 0.0).tolist())]
+    return supports[:1] if supports[1] in ((), supports[0]) else supports
 
 
 def _brier_degenerate_beta(g: GammaTau, p: np.ndarray, supp: np.ndarray):
@@ -1203,8 +1198,8 @@ def solve_grid(model: LossModel, statistic: Statistic, taus,
 
     A zero-one model runs phase 1 for the whole grid, so the taus the LP
     screens alike share one exact test per block of pattern systems.  A
-    Brier model runs one stacked dual Newton for the grid, then its support
-    scan in rounds of one exact test per support size; a log model runs one
+    Brier model runs one stacked dual Newton for the grid, then at most two
+    rounds of one exact test per support size; a log model runs one
     stacked Newton for its interior taus.
     """
     return _solve_each(model, statistic, [attempt(GammaTau, statistic, tau) for tau in taus],

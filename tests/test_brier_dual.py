@@ -4,12 +4,15 @@
 supports, so it is capped at BRIER_ENUM_CAP outcomes.  The problems mix
 continuous and integer-valued statistics (ties between outcomes), tau on
 hull faces and tau from sparse laws (vertices and low-dimensional faces of
-Gamma_tau), where the dual is degenerate.
+Gamma_tau), where the dual is degenerate, and tau at or within 1e-10 of a
+hull vertex.  The dual names at most two supports for the exact test, at
+any N.
 """
 
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from maxentgames import (
     CombinatorialBlowup,
@@ -18,11 +21,15 @@ from maxentgames import (
     SampleSpace,
     Statistic,
     brier_model,
+    maxent,
     solve,
+    solve_grid,
+    verify_saddle,
 )
-from maxentgames.constraints import CONSISTENCY_TOL
+from maxentgames.constraints import CONSISTENCY_TOL, support_solutions
 from maxentgames.core import WEIGHT_CLAMP
-from maxentgames.maxent import _brier_degenerate_beta
+from maxentgames.maxent import BRIER_GAP_TOL, _brier_degenerate_beta
+from test_folded_kernels import problems
 
 BRIER_ENUM_CAP = 16
 
@@ -68,10 +75,10 @@ def enumerate_brier(g):
     return p, h, beta
 
 
-def random_problem(rng):
-    """A feasible (statistic, tau): continuous or integer T; tau from a full,
-    sparse or face-supported law."""
-    n = int(rng.integers(3, 10))
+def random_problem(rng, sizes=(3, 10)):
+    """A feasible (statistic, tau): continuous or integer T at N in
+    range(*sizes); tau from a full, sparse or face-supported law."""
+    n = int(rng.integers(*sizes))
     k = int(rng.integers(1, 4))
     integer = bool(rng.random() < 0.6)
     if integer:
@@ -100,8 +107,8 @@ def random_problem(rng):
 
 def test_dual_solver_matches_support_enumeration():
     rng = np.random.default_rng(20261018)
-    for case in range(300):
-        stat, tau = random_problem(rng)
+    for case in range(324):   # the last 24 at N 10-12
+        stat, tau = random_problem(rng, (3, 10) if case < 300 else (10, 13))
         g = GammaTau(stat, tau)
         p, h, beta = enumerate_brier(g)
         sp = solve(brier_model(SampleSpace.of(range(stat.n))), g)
@@ -113,3 +120,53 @@ def test_dual_solver_matches_support_enumeration():
             assert sp.beta is not None, case
             assert np.max(np.abs(sp.beta - beta)) <= 1e-9, case
 
+
+def near_vertex(rng, n, k):
+    """(statistic, tau): T uniform on [-1, 1] and tau the column that
+    maximizes a random direction, moved by 0 or +-1e-10 per row."""
+    t = rng.uniform(-1.0, 1.0, size=(k, n))
+    top = int(np.argmax(rng.standard_normal(k) @ t))
+    return Statistic(t), t[:, top] + rng.choice([-1e-10, 0.0, 1e-10], k)
+
+
+def test_dual_solver_near_a_vertex_meets_the_enumeration():
+    rng = np.random.default_rng(20261021)
+    for case in range(30):
+        stat, tau = near_vertex(rng, int(rng.integers(8, 13)), int(rng.integers(1, 4)))
+        g = GammaTau(stat, tau)
+        model = brier_model(SampleSpace.of(range(stat.n)))
+        _, h, _ = enumerate_brier(g)
+        sp = solve(model, g)
+        assert verify_saddle(model, g, sp.p_star, sp.zeta_star).is_saddle, case
+        assert abs(sp.h_star - h) <= BRIER_GAP_TOL, case
+
+
+def test_brier_scan_tests_at_most_two_supports_per_tau(monkeypatch):
+    # pytest.fail, not an Exception, escapes the fallback of `_by_slice`,
+    # so a scan past its bound stops at its first extra system
+    tested, allowed = [], [0]
+
+    def counted(a, target):
+        tested.append(len(a))
+        if sum(tested) > allowed[0]:
+            pytest.fail(f"{sum(tested)} support systems tested, {allowed[0]} allowed")
+        return support_solutions(a, target)
+
+    monkeypatch.setattr(maxent, "support_solutions", counted)
+
+    def solved(model, stat, taus):
+        tested.clear()
+        allowed[0] = 2 * len(taus)
+        found = solve_grid(model, stat, taus)
+        for tau, sp in zip(taus, found):
+            assert not isinstance(sp, Exception), (tau, sp)
+            assert verify_saddle(model, GammaTau(stat, tau), sp.p_star, sp.zeta_star).is_saddle
+        return sum(tested)
+
+    model = brier_model(SampleSpace.of(range(160)))
+    for seed in (7, 8, 9):
+        for t, taus, face in problems(seed, (160,)):
+            if not face:
+                assert solved(model, Statistic(t), [taus[1]]) >= 1
+    t = next(problems(7, (160,)))[0]   # k = 1: the grid runs over the hull, ends included
+    assert solved(model, Statistic(t), np.linspace(t.min(), t.max(), 41)[:, None]) >= 41

@@ -421,11 +421,8 @@ def problems(seed, sizes=(3, 4, 6, 8, 12, 16, 20)):
 
 
 def at_scale(seed):
-    """The LP paths at N = 160, k 1-3: `problems` without the tau near a
-    hull vertex, where a Brier solve scans about 660,000 support systems
-    one at a time and takes over 15 s."""
-    for t, taus, face in problems(seed, sizes=(160,)):
-        yield t, taus[:1] + taus[2:], face
+    """The LP paths at N = 160, k 1-3: every tau of `problems`."""
+    return problems(seed, sizes=(160,))
 
 
 # ---------------------------------------------------------------------------

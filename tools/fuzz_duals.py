@@ -18,6 +18,12 @@ loss, and the report counts, per loss, how each run ended:
 - "verify: <exception class>", when `verify_saddle` raises;
 - the exception class, when `solve` raises.
 
+Last NEAR_VERTEX_COUNT seeded tau per N in NEAR_VERTEX_SIZES, k 1-3, under
+Brier loss: a statistic uniform on [-1, 1] and tau the column that
+maximizes a random direction, moved by 0 or +-1e-10 per row, so tau sits at
+or within 1e-10 of a hull vertex, where the dual is degenerate.  The report
+counts, per N, how each run ended, as above.
+
 The counts are what a change to the dual solvers, or to the rank and
 support tests they rest on, should be read against.
 """
@@ -36,6 +42,8 @@ import maxentgames as mg  # noqa: E402
 
 SEED = 2026
 FUZZ_COUNT = 400
+NEAR_VERTEX_COUNT = 30
+NEAR_VERTEX_SIZES = (40, 80, 160)
 LOSSES = {
     "brier": lambda space: mg.brier_model(space),
     "log": lambda space: mg.log_model(space),
@@ -99,6 +107,15 @@ def fuzz_problem(rng):
     return t, t @ p
 
 
+def near_vertex_problem(rng, n: int):
+    """(T, tau) with tau within 1e-10 of the column of T that maximizes a
+    random direction, k 1-3."""
+    k = int(rng.integers(1, 4))
+    t = rng.uniform(-1.0, 1.0, (k, n))
+    top = int(np.argmax(rng.standard_normal(k) @ t))
+    return t, t[:, top] + rng.choice([-1e-10, 0.0, 1e-10], k)
+
+
 def main() -> int:
     print("reproducers")
     for name, t, p, losses in REPRODUCERS:
@@ -117,6 +134,17 @@ def main() -> int:
     for loss, tally in counts.items():
         for end, count in sorted(tally.items(), key=lambda item: (-item[1], item[0])):
             print(f"  {loss:16s} {end:36s} {count:4d}")
+    rng = np.random.default_rng(SEED)
+    near = {n: Counter() for n in NEAR_VERTEX_SIZES}
+    for n in NEAR_VERTEX_SIZES:
+        for _ in range(NEAR_VERTEX_COUNT):
+            t, tau = near_vertex_problem(rng, n)
+            near[n][outcome(LOSSES["brier"](space(n)), mg.GammaTau(mg.Statistic(t), tau))] += 1
+    print(f"near-vertex: {NEAR_VERTEX_COUNT * len(NEAR_VERTEX_SIZES)} Brier tau at or within "
+          f"1e-10 of a hull vertex, N {'/'.join(map(str, NEAR_VERTEX_SIZES))}, k 1-3, seed {SEED}")
+    for n, tally in near.items():
+        for end, count in sorted(tally.items(), key=lambda item: (-item[1], item[0])):
+            print(f"  N = {n:<12d} {end:36s} {count:4d}")
     return 0
 
 
