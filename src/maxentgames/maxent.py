@@ -48,6 +48,7 @@ from .core import (
     NORM_TOL,
     Statistic,
     WEIGHT_CLAMP,
+    _dots,
     attempt,
     distribution_rows,
     ext_dot,
@@ -496,12 +497,11 @@ def _brier_grid(model: LossModel, statistic: Statistic, pairs: list) -> list:
     each, the entropy maximizer is the minimum-norm solution of
     {sum p = 1, T p = tau}; the first nonnegative one wins unless the
     second beats it by more than 1e-12.  The dual value bounds h from
-    above, so the scan stops once the second cannot win, and a solution
-    left further below the bound than BRIER_GAP_TOL raises
-    NewtonDivergence.
+    above, and a solution left further below the bound than BRIER_GAP_TOL
+    raises NewtonDivergence.
 
     The grid runs one stacked `_separable_dual` for its (Gamma_tau, hull
-    class) pairs, the support scan in rounds (`_brier_scan`) and the
+    class) pairs, every support test in one pass (`_brier_scan`) and the
     multipliers stacked by support size.  Each pair gets its draft
     (`_records` makes the record) or the exception its own solve raises.
     """
@@ -543,60 +543,51 @@ def _brier_draft(g: GammaTau, hull: str, supp: np.ndarray, h: float, p: np.ndarr
 
 
 def _brier_scan(rows: np.ndarray, targets: np.ndarray, y: np.ndarray, found: dict) -> None:
-    """The support scan of `_brier_grid` for every row of targets that
+    """The support test of `_brier_grid` for every row of targets that
     `found` does not hold yet, given the dual maximizers y: found[row]
-    becomes (h, P*) or the exception the scan raised.
+    becomes (h, P*) or the exception the test raised.
 
-    The scan runs in at most two rounds: each round takes the next support
-    of every unfinished row (`_brier_supports` order) and tests them with
-    one `support_solutions` call per support size, so every row keeps its
-    order, its 1e-12 rule and its early stop.
+    Every support that `_brier_supports` names for every row is tested in
+    one pass, one `support_solutions` call per support size.  A row keeps
+    its first support that passes unless the second beats it by more than
+    1e-12, and one left further below the dual bound than BRIER_GAP_TOL, or
+    with none that passes, gets NewtonDivergence.
     """
     n, k = rows.shape[1], rows.shape[0] - 1
-    scans, h_up = {}, {}
+    h_up, tests, by_size = {}, {}, {}
     for j in range(len(targets)):
         if j not in found:
             s = rows.T @ y[j]
             pos = np.maximum(s, 0.0)
             h_up[j] = 1.0 - float(y[j] @ targets[j]) + 0.25 * float(pos @ pos)   # weak duality
-            scans[j] = iter(_brier_supports(s, k))
-    best = {}
-    while scans:
-        picks = {}
-        for j, supports in list(scans.items()):
-            supp = next(supports, None)
-            if supp is None:
-                del scans[j]
-            else:
-                picks.setdefault(len(supp), []).append((j, supp))
-        for batch in picks.values():
-            js = [j for j, _ in batch]
-            a = rows.T[np.array([supp for _, supp in batch])].transpose(0, 2, 1)
-            tested, errors = _by_slice(support_solutions, a, targets[js])
-            if tested is not None:
-                passes, sols = tested[0].tolist(), np.where(tested[1] < 0.0, 0.0, tested[1])
-            for r, (j, supp) in enumerate(batch):
-                if r in errors:
-                    found[j] = errors[r]
-                    del scans[j]
-                    continue
-                if not passes[r]:
-                    continue
+            supports = _brier_supports(s, k)
+            tests[j] = [None] * len(supports)
+            for i, supp in enumerate(supports):
+                by_size.setdefault(len(supp), []).append((j, i, supp))
+    for batch in by_size.values():
+        js = [j for j, _, _ in batch]
+        a = rows.T[np.array([supp for _, _, supp in batch])].transpose(0, 2, 1)
+        tested, errors = _by_slice(support_solutions, a, targets[js])
+        if tested is not None:
+            passes, sols = tested[0].tolist(), np.where(tested[1] < 0.0, 0.0, tested[1])
+        for r, (j, i, supp) in enumerate(batch):
+            if r in errors:
+                tests[j][i] = errors[r]
+            elif passes[r]:
                 p = np.zeros(n)
                 p[list(supp)] = sols[r]
-                h = 1.0 - float(p @ p)
-                if j not in best or h > best[j][0] + 1e-12:
-                    best[j] = (h, p)
-                if best[j][0] + 1e-12 >= h_up[j]:
-                    del scans[j]
-    for j in range(len(targets)):
-        if j in found:
-            continue
-        if j not in best or h_up[j] - best[j][0] > BRIER_GAP_TOL:
-            found[j] = NewtonDivergence(
-                f"Brier dual left a duality gap above {BRIER_GAP_TOL:g}")
-        else:
-            found[j] = best[j]
+                tests[j][i] = (1.0 - float(p @ p), p)
+    for j, results in tests.items():
+        best = None
+        for won in results:
+            if isinstance(won, Exception):
+                best = won
+                break
+            if won is not None and (best is None or won[0] > best[0] + 1e-12):
+                best = won
+        if best is None or not isinstance(best, Exception) and h_up[j] - best[0] > BRIER_GAP_TOL:
+            best = NewtonDivergence(f"Brier dual left a duality gap above {BRIER_GAP_TOL:g}")
+        found[j] = best
 
 
 def _brier_supports(s: np.ndarray, k: int) -> list:
@@ -623,22 +614,15 @@ def _brier_degenerate_beta(g: GammaTau, p: np.ndarray, supp: np.ndarray):
     """
     if g.k != 1:
         return None
-    t = g.statistic.matrix[0]
-    tau = float(g.tau[0])
-    p_bar = float(p[supp].mean())
-    lower, upper = -np.inf, np.inf
-    for j in range(g.n):
-        if j in supp:
-            continue
-        dt = t[j] - tau
-        if dt > 1e-12:
-            lower = max(lower, 2.0 * p_bar / dt)
-        elif dt < -1e-12:
-            upper = min(upper, 2.0 * p_bar / dt)
-        else:
-            return None  # an excluded outcome sits on the constraint face
-    if lower > upper + 1e-12:
+    off = np.ones(g.n, dtype=bool)
+    off[supp] = False
+    dt = g.statistic.matrix[0, off] - float(g.tau[0])
+    # rows dt * beta >= 2 mean p on supp(P*) >= 2/N: an excluded outcome on
+    # the constraint face (dt = 0) leaves it empty
+    bounds = _interval(dt, np.full(dt.size, 2.0 * float(p[supp].mean())))
+    if bounds is None or bounds[0] > bounds[1] + 1e-12:
         return None
+    lower, upper = bounds
     if lower <= 0.0 <= upper:
         val = 0.0
     else:
@@ -964,38 +948,38 @@ def _family_bounds(g: GammaTau, v0: np.ndarray, col: np.ndarray, modes: np.ndarr
                    charged: np.ndarray):
     """The interval [lo, hi] of the coefficients c whose act v0 + c col meets
     the feasibility constraints coef * c >= rhs, or None where it is empty."""
-    n, k = g.n, g.k
+    n, m = g.n, modes.size
     tmat = g.statistic.matrix
-    coefs, rhs = [], []
-    for i in range(modes.size):          # zeta >= 0
-        coefs.append(col[i])
-        rhs.append(-v0[i] - 1e-12)
-    if k == 1:
+    coefs, rhs = [col[:m]], [-v0[:m] - 1e-12]   # zeta >= 0
+    if g.k == 1:
         # beta0 + beta * sigma >= h(sigma) for every sigma iff beta0 >= chi(beta),
         # and chi(beta) is attained at a uniform law on a prefix of t, sorted up
         # for beta > 0 or down for beta < 0, where 1 - max p = 1 - 1/size
         ts, sizes = np.sort(tmat[0]), np.arange(1.0, n + 1.0)
         sigmas = np.concatenate([np.cumsum(ts), np.cumsum(ts[::-1])]) / np.tile(sizes, 2)
-        for sigma, h_sig in zip(sigmas, np.tile(1.0 - 1.0 / sizes, 2)):
-            coefs.append(col[modes.size] + sigma * col[modes.size + 1])
-            rhs.append(h_sig - (v0[modes.size] + sigma * v0[modes.size + 1]) - 1e-9)
+        coefs.append(col[m] + sigmas * col[m + 1])
+        rhs.append(np.tile(1.0 - 1.0 / sizes, 2) - (v0[m] + sigmas * v0[m + 1]) - 1e-9)
     # outcomes off supp(P*) but reachable within Gamma_tau score L = 1; a
     # worst-case member there must not beat the affine value beta0 + beta' t
     reachable = np.zeros(n, dtype=bool)
     reachable[union_support(g)] = True
-    for x in np.flatnonzero(reachable & ~charged):
-        coefs.append(col[modes.size] + tmat[:, x] @ col[modes.size + 1:])
-        rhs.append(1.0 - float(v0[modes.size] + tmat[:, x] @ v0[modes.size + 1:]) - 1e-9)
+    t_off = tmat[:, reachable & ~charged].T
+    coefs.append(col[m] + _dots(t_off, col[m + 1:]))
+    rhs.append(1.0 - (v0[m] + _dots(t_off, v0[m + 1:])) - 1e-9)
+    bounds = _interval(np.concatenate(coefs), np.concatenate(rhs))
+    return None if bounds is None or bounds[0] > bounds[1] else bounds
 
-    lo, hi = -np.inf, np.inf
-    for coef, r0 in zip(coefs, rhs):
-        if coef > 1e-12:
-            lo = max(lo, r0 / coef)
-        elif coef < -1e-12:
-            hi = min(hi, r0 / coef)
-        elif r0 > 1e-9:
-            return None          # no coefficient meets this row
-    return None if lo > hi else (lo, hi)
+
+def _interval(coefs: np.ndarray, rhs: np.ndarray):
+    """The interval (lo, hi) of the c with coef * c >= rhs on every row of
+    (coefs, rhs): lo the largest rhs / coef over coef > 1e-12 (-inf if
+    none), hi the smallest over coef < -1e-12 (inf if none); None when a row
+    with |coef| <= 1e-12 asks rhs > 1e-9, which no c meets."""
+    up, down = coefs > 1e-12, coefs < -1e-12
+    if np.any(rhs[~(up | down)] > 1e-9):
+        return None
+    return (float(np.max(rhs[up] / coefs[up], initial=-np.inf)),
+            float(np.min(rhs[down] / coefs[down], initial=np.inf)))
 
 
 def _family_act(vs, v0: np.ndarray, col: np.ndarray, modes: np.ndarray, lo, hi):
@@ -1198,9 +1182,9 @@ def solve_grid(model: LossModel, statistic: Statistic, taus,
 
     A zero-one model runs phase 1 for the whole grid, so the taus the LP
     screens alike share one exact test per block of pattern systems.  A
-    Brier model runs one stacked dual Newton for the grid, then at most two
-    rounds of one exact test per support size; a log model runs one
-    stacked Newton for its interior taus.
+    Brier model runs one stacked dual Newton for the grid, then one exact
+    test per support size for the at most two supports of every tau; a log
+    model runs one stacked Newton for its interior taus.
     """
     return _solve_each(model, statistic, [attempt(GammaTau, statistic, tau) for tau in taus],
                        tol)

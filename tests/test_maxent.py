@@ -10,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -623,6 +624,22 @@ def test_frank_wolfe_tilt_budget_carries_a_tilt_result(monkeypatch):
     assert abs(res.q.w.sum() - 1.0) <= 1e-12 and res.q.w.min() >= 0.0
 
 
+def test_generic_solve_budget_carries_the_halted_mixture(monkeypatch):
+    # a custom loss solves by Frank-Wolfe over the vertices of Gamma_tau; one
+    # step leaves the gap above tol, and the error carries that iterate
+    model = _MinimalBrier(SPACE)
+    g = gamma(0.2)
+    with monkeypatch.context() as patch, pytest.raises(MaxIterExceeded) as err:
+        patch.setattr(maxent, "FW_MAX_ITER", 1)
+        solve_generic(model, g)
+    res = err.value.result
+    assert isinstance(res, maxent._MixtureMax)
+    assert res.method == "frank-wolfe" and res.iterations == 1 and not res.stalled
+    assert res.gap > maxent.GENERIC_TOL
+    assert str(err.value) == f"frank-wolfe after 1 iterations with gap {res.gap:.3e}"
+    assert res.value <= solve(BRIER, g).h_star + 1e-12   # never above the maximum
+
+
 # ---------------------------------------------------------------------------
 # traces along a tau grid
 
@@ -666,6 +683,26 @@ def test_trace_supporting_line_dominates_entropy():
                 h_sig = solve(model, gamma(sigma)).h_star
                 bound = sp.beta0 + float(sp.beta[0]) * sigma
                 assert h_sig <= bound + 1e-7, (model.kind, tau, sigma)
+
+
+def trace_row(tau, h, beta=None):
+    """The fields of a solved row that the trace invariants read."""
+    return SimpleNamespace(tau=np.array([tau]), h_star=h, is_regular=beta is not None,
+                           beta=None if beta is None else np.array([beta]))
+
+
+def test_trace_invariants_reject_fabricated_rows():
+    taus = np.array([[-0.5], [0.0], [0.5]])
+    concave = [trace_row(-0.5, 0.5, 1.0), trace_row(0.0, 0.75, 0.0), trace_row(0.5, 0.5, -1.0)]
+    maxent._check_trace_invariants(T, taus, concave)
+    # h below its chord at tau = 0
+    dip = [trace_row(-0.5, 0.5), trace_row(0.0, 0.25), trace_row(0.5, 0.5)]
+    with pytest.raises(maxent.TraceInvariantViolation, match="h not concave at tau=0.0"):
+        maxent._check_trace_invariants(T, taus, dip)
+    # h concave, but the slopes of two regular rows increase along tau
+    rising = [trace_row(-0.5, 0.5, -1.0), trace_row(0.0, 0.75, 1.0), trace_row(0.5, 0.5)]
+    with pytest.raises(maxent.TraceInvariantViolation, match="conjugate slope increased"):
+        maxent._check_trace_invariants(T, taus, rising)
 
 
 def test_trace_slope_monotone_in_tau():

@@ -9,7 +9,12 @@ formerly `np.linalg.lstsq` and `np.linalg.matrix_rank`) and the zero-one
 act systems (`_zero_one_acts`, formerly one stacked SVD of every system,
 now one of the systems with a one-parameter family alone).  `_matvecs` and
 `core._dots` lost their one-row branches and `_separable_dual` its
-every-row-cut branch.  The former bodies are kept below verbatim, under
+every-row-cut branch.  The Brier support test (`_brier_scan`, formerly in
+rounds with a weak-duality early stop) runs every support the dual names in
+one pass, and the interval of the parameter that a Brier support or a
+zero-one act family leaves free (`_brier_degenerate_beta`, `_family_bounds`)
+comes from one rule, `_interval`, instead of a loop over the rows of each.
+The former bodies are kept below verbatim, under
 `former_` names, as the references: every rank, solution, iterate and draft
 must be theirs bit for bit (arrays and floats by their bytes), and every
 exception theirs, type and message.
@@ -17,7 +22,10 @@ exception theirs, type and message.
 The inputs are seeded: one-row and many-row stacks, unit and non-unit base
 measures, zero and relative offsets, statistics with duplicated,
 near-collinear (1e-9 and 1e-12 apart), zero or nearly constant rows, laws with one
-or two charges of 1e-9 to 1e-5, hull faces, and a NaN row.
+or two charges of 1e-9 to 1e-5, hull faces, and a NaN row; for the Brier
+support test also tau at or within 1e-10 of a hull vertex at N 8-160, where
+the dual names a second support, and a k = 1 grid over the hull, ends
+included.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from maxentgames import (
     log_model,
     maxent,
     relative_model,
+    zero_one_model,
 )
 from maxentgames import _newton
 from maxentgames._newton import (
@@ -45,18 +54,30 @@ from maxentgames._newton import (
     _dual_tol,
     _slope_root,
 )
-from maxentgames.constraints import RANK_TOL, lstsq_stack, union_support, vertex_lists
+from maxentgames.constraints import (
+    RANK_TOL,
+    lstsq_stack,
+    support_solutions,
+    union_support,
+    vertex_lists,
+)
 from maxentgames.core import ACT_DENSITY, ACT_DISTRIBUTION, WEIGHT_CLAMP, Distribution, attempt
 from maxentgames.losses import bregman_model, power_generator, xlogx_generator
 from maxentgames.maxent import (
+    BRIER_GAP_TOL,
     _brier_degenerate_beta,
     _brier_scan,
+    _brier_supports,
     _Draft,
     _family_act,
     _family_bounds,
+    _interval,
     _unpack,
 )
+from test_brier_dual import random_problem
+from test_folded_kernels import problems as kernel_problems
 from test_solve_grid import alone_call, assert_same, assert_same_outcome
+from test_zero_one_lp import mean_value_problem
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +195,7 @@ def former_brier_grid(model, statistic, pairs: list) -> list:
     targets[:, 1:] = [g.tau for g, _ in pairs]
     gen, mu = model.separable()
     y, _, _, found = former_separable_dual(rows, targets, mu, gen)
-    _brier_scan(rows, targets, y, found)
+    former_brier_scan(rows, targets, y, found)
     # multipliers come from the true support; a winning support may carry
     # zero weights whose stationarity condition is an inequality, not an equality
     supports, by_size = {}, {}
@@ -202,7 +223,7 @@ def former_brier_draft(g, hull: str, supp: np.ndarray, h: float, p: np.ndarray,
     if rank == g.k + 1:
         beta = -2.0 * alpha[1:]
     else:
-        beta = _brier_degenerate_beta(g, p, supp)
+        beta = former_brier_degenerate_beta(g, p, supp)
     beta0 = None if beta is None else h - float(beta @ g.tau)
     zeta = Act(ACT_DISTRIBUTION, p)
     return _Draft(g, Distribution(p), zeta, h, beta0, beta, 0.0, "brier-enum", hull)
@@ -249,7 +270,7 @@ def former_zero_one_acts(statistic, gammas: list, points: list, levels: list) ->
                 zeta, beta0, beta = _unpack(v0, modes, n)
                 out[i] = np.maximum(zeta, 0.0), beta0, beta, None
             elif d == 1:
-                bounds = attempt(_family_bounds, gammas[i], v0, vt[rank], modes, charged)
+                bounds = attempt(former_family_bounds, gammas[i], v0, vt[rank], modes, charged)
                 if isinstance(bounds, tuple):
                     picks[i] = v0, vt[rank], modes, *bounds
                 else:
@@ -263,6 +284,117 @@ def former_zero_one_acts(statistic, gammas: list, points: list, levels: list) ->
 
 
 FORMER_NULLITIES = []   # d of every consistent act system the former body read
+
+
+def former_brier_scan(rows: np.ndarray, targets: np.ndarray, y: np.ndarray,
+                      found: dict) -> None:
+    n, k = rows.shape[1], rows.shape[0] - 1
+    scans, h_up = {}, {}
+    for j in range(len(targets)):
+        if j not in found:
+            s = rows.T @ y[j]
+            pos = np.maximum(s, 0.0)
+            h_up[j] = 1.0 - float(y[j] @ targets[j]) + 0.25 * float(pos @ pos)   # weak duality
+            scans[j] = iter(_brier_supports(s, k))
+    best = {}
+    while scans:
+        picks = {}
+        for j, supports in list(scans.items()):
+            supp = next(supports, None)
+            if supp is None:
+                del scans[j]
+            else:
+                picks.setdefault(len(supp), []).append((j, supp))
+        for batch in picks.values():
+            js = [j for j, _ in batch]
+            a = rows.T[np.array([supp for _, supp in batch])].transpose(0, 2, 1)
+            tested, errors = _by_slice(support_solutions, a, targets[js])
+            if tested is not None:
+                passes, sols = tested[0].tolist(), np.where(tested[1] < 0.0, 0.0, tested[1])
+            for r, (j, supp) in enumerate(batch):
+                if r in errors:
+                    found[j] = errors[r]
+                    del scans[j]
+                    continue
+                if not passes[r]:
+                    continue
+                p = np.zeros(n)
+                p[list(supp)] = sols[r]
+                h = 1.0 - float(p @ p)
+                if j not in best or h > best[j][0] + 1e-12:
+                    best[j] = (h, p)
+                if best[j][0] + 1e-12 >= h_up[j]:
+                    del scans[j]
+    for j in range(len(targets)):
+        if j in found:
+            continue
+        if j not in best or h_up[j] - best[j][0] > BRIER_GAP_TOL:
+            found[j] = NewtonDivergence(
+                f"Brier dual left a duality gap above {BRIER_GAP_TOL:g}")
+        else:
+            found[j] = best[j]
+
+
+def former_brier_degenerate_beta(g: GammaTau, p: np.ndarray, supp: np.ndarray):
+    if g.k != 1:
+        return None
+    t = g.statistic.matrix[0]
+    tau = float(g.tau[0])
+    p_bar = float(p[supp].mean())
+    lower, upper = -np.inf, np.inf
+    for j in range(g.n):
+        if j in supp:
+            continue
+        dt = t[j] - tau
+        if dt > 1e-12:
+            lower = max(lower, 2.0 * p_bar / dt)
+        elif dt < -1e-12:
+            upper = min(upper, 2.0 * p_bar / dt)
+        else:
+            return None  # an excluded outcome sits on the constraint face
+    if lower > upper + 1e-12:
+        return None
+    if lower <= 0.0 <= upper:
+        val = 0.0
+    else:
+        val = lower if lower > 0.0 else upper
+    return np.array([val])
+
+
+def former_family_bounds(g: GammaTau, v0: np.ndarray, col: np.ndarray, modes: np.ndarray,
+                          charged: np.ndarray):
+    n, k = g.n, g.k
+    tmat = g.statistic.matrix
+    coefs, rhs = [], []
+    for i in range(modes.size):          # zeta >= 0
+        coefs.append(col[i])
+        rhs.append(-v0[i] - 1e-12)
+    if k == 1:
+        # beta0 + beta * sigma >= h(sigma) for every sigma iff beta0 >= chi(beta),
+        # and chi(beta) is attained at a uniform law on a prefix of t, sorted up
+        # for beta > 0 or down for beta < 0, where 1 - max p = 1 - 1/size
+        ts, sizes = np.sort(tmat[0]), np.arange(1.0, n + 1.0)
+        sigmas = np.concatenate([np.cumsum(ts), np.cumsum(ts[::-1])]) / np.tile(sizes, 2)
+        for sigma, h_sig in zip(sigmas, np.tile(1.0 - 1.0 / sizes, 2)):
+            coefs.append(col[modes.size] + sigma * col[modes.size + 1])
+            rhs.append(h_sig - (v0[modes.size] + sigma * v0[modes.size + 1]) - 1e-9)
+    # outcomes off supp(P*) but reachable within Gamma_tau score L = 1; a
+    # worst-case member there must not beat the affine value beta0 + beta' t
+    reachable = np.zeros(n, dtype=bool)
+    reachable[union_support(g)] = True
+    for x in np.flatnonzero(reachable & ~charged):
+        coefs.append(col[modes.size] + tmat[:, x] @ col[modes.size + 1:])
+        rhs.append(1.0 - float(v0[modes.size] + tmat[:, x] @ v0[modes.size + 1:]) - 1e-9)
+
+    lo, hi = -np.inf, np.inf
+    for coef, r0 in zip(coefs, rhs):
+        if coef > 1e-12:
+            lo = max(lo, r0 / coef)
+        elif coef < -1e-12:
+            hi = min(hi, r0 / coef)
+        elif r0 > 1e-9:
+            return None          # no coefficient meets this row
+    return None if lo > hi else (lo, hi)
 
 
 def former_separable_draft(model, base, r: np.ndarray, g, hull: str, method: str):
@@ -528,3 +660,157 @@ def test_zero_one_acts_give_the_former_acts_bitwise():
             assert_same_outcome(act, want, (n, stat.k, tuple(g.tau), tuple(p)))
             families += isinstance(want, tuple) and want[3] is not None
     assert {0, 1, 2} <= set(FORMER_NULLITIES) and families > 0
+
+
+# ---------------------------------------------------------------------------
+# the Brier support test in one pass, and one interval rule
+
+
+def brier_dual(rows, targets):
+    gen, mu = brier_model(SampleSpace.of(range(rows.shape[1]))).separable()
+    return _newton._separable_dual(rows, targets, mu, gen)
+
+
+def second_support_kind(rows, target, y):
+    """How the dual's supports for one target stand: "one" support, or two
+    with the "first" kept or the "second" winning, as the scan's rule reads
+    each tested alone."""
+    supports = _brier_supports(rows.T @ y, rows.shape[0] - 1)
+    if len(supports) == 1:
+        return "one"
+    h = []
+    for supp in supports:
+        passes, sol, _ = support_solutions(rows[:, list(supp)][None], target[None])
+        sol = np.where(sol[0] < 0.0, 0.0, sol[0])
+        h.append(1.0 - float(sol @ sol) if passes[0] else None)
+    if h[1] is not None and (h[0] is None or h[1] > h[0] + 1e-12):
+        return "second" if h[0] is None else "second over a passing first"
+    return "first"
+
+
+def assert_scan_is_former(rows, targets, where, seen=None):
+    y, _, _, found = brier_dual(rows, targets)
+    new, ref = dict(found), dict(found)
+    _brier_scan(rows, targets, y, new)
+    former_brier_scan(rows, targets, y, ref)
+    assert new.keys() == ref.keys() == set(range(len(targets))), where
+    for j in range(len(targets)):
+        assert_same_outcome(new[j], ref[j], (where, j))
+        if seen is not None and j not in found:
+            seen.add(second_support_kind(rows, targets[j], y[j]))
+
+
+def near_vertex_targets(rng, t, count):
+    """[1; tau] for `count` tau, each the column of t that maximizes a random
+    direction, moved by 0 or +-1e-10 per row."""
+    k = t.shape[0]
+    tops = np.argmax(rng.standard_normal((count, k)) @ t, axis=1)
+    targets = np.ones((count, k + 1))
+    targets[:, 1:] = t[:, tops].T + rng.choice([-1e-10, 0.0, 1e-10], (count, k))
+    return targets
+
+
+def test_brier_scan_gives_the_former_scan_bitwise():
+    rng = np.random.default_rng(20261026)
+    for case in range(40):   # seeded grids: one law's tau, five full laws and a vertex
+        stat, tau = random_problem(rng)
+        t = stat.matrix
+        targets = np.ones((7, stat.k + 1))
+        targets[0, 1:] = tau
+        targets[1:6, 1:] = rng.dirichlet(np.ones(stat.n), 5) @ t.T
+        targets[6, 1:] = t[:, rng.integers(stat.n)]
+        assert_scan_is_former(np.vstack([np.ones(stat.n), t]), targets, ("grid", case))
+    seen = set()
+    for n in (8, 12, 20, 40, 80, 160):
+        for k in (1, 2, 3):
+            t = rng.uniform(-1.0, 1.0, (k, n))
+            targets = near_vertex_targets(rng, t, 6)
+            assert_scan_is_former(np.vstack([np.ones(n), t]), targets, ("vertex", n, k), seen)
+    assert {"first", "second", "second over a passing first"} <= seen, seen
+    # k = 1: a grid over the hull, ends included
+    t = next(kernel_problems(7, (160,)))[0]
+    targets = np.ones((41, 2))
+    targets[:, 1] = np.linspace(t.min(), t.max(), 41)
+    assert_scan_is_former(np.vstack([np.ones(t.shape[1]), t]), targets, "hull grid")
+
+
+def test_brier_degenerate_beta_gives_the_former_beta_bitwise(monkeypatch):
+    # the calls of Brier grids on random k = 1 problems and hull grids
+    calls = []
+
+    def recorded(g, p, supp):
+        calls.append((g, p, supp))
+        return _brier_degenerate_beta(g, p, supp)
+
+    monkeypatch.setattr(maxent, "_brier_degenerate_beta", recorded)
+    rng = np.random.default_rng(20261027)
+    model = brier_model(SampleSpace.of(range(8)))
+    for _ in range(6):
+        t = np.round(rng.uniform(-1.0, 1.0, (1, 8)), 1)
+        taus = np.concatenate([t[0], np.linspace(t.min(), t.max(), 9)])
+        maxent.solve_grid(model, Statistic(t), taus[:, None])
+    assert len(calls) >= 20
+    for i, (g, p, supp) in enumerate(calls):
+        assert_same(_brier_degenerate_beta(g, p, supp), former_brier_degenerate_beta(g, p, supp), i)
+    # fabricated, with rows (t(x) - tau) beta >= 2 mean p on the support off it
+    t = Statistic(np.array([[0.0, 1.0, 1.5, 2.0, 3.0]]))
+    for tau, p, supp, want in (
+            (1.5, [0.5, 0, 0, 0, 0.5], [0, 4], None),    # off {0, 4}, t = 1.5 sits at tau
+            (2.0, [0, 0.5, 0, 0.5, 0], [1, 3], None),    # t = 1.5: beta <= -2, t = 3: beta >= 1
+            (0.0, [1.0, 0, 0, 0, 0], [0], [2.0]),        # beta >= 2 / t: the end nearest zero
+            (1.5, [0.2] * 5, range(5), [0.0])):          # no outcome off the support
+        g, p, supp = GammaTau(t, [tau]), np.array(p), np.array(supp)
+        found = _brier_degenerate_beta(g, p, supp)
+        assert_same(found, former_brier_degenerate_beta(g, p, supp), (tau, supp))
+        assert (found if found is None else found.tolist()) == want, (tau, supp)
+
+
+def test_interval_reads_zero_coefficient_rows_at_1e_9():
+    rows = np.array([2.0, -4.0, 1e-12, -1e-12, 0.0])
+    for rhs_zero, empty in ((1e-9, False), (np.nextafter(1e-9, 1.0), True), (-1.0, False)):
+        rhs = np.array([1.0, 2.0, 0.0, 0.0, rhs_zero])
+        assert (_interval(rows, rhs) is None) is empty, rhs_zero
+        if not empty:
+            assert _interval(rows, rhs) == (0.5, -0.5)   # lo > hi: the callers' test
+    assert _interval(np.array([1e-12]), np.array([2e-9])) is None   # 1e-12 counts as zero
+    assert _interval(np.zeros(0), np.zeros(0)) == (-np.inf, np.inf)
+    assert _interval(np.array([3.0, 1.0]), np.array([3.0, -1.0])) == (1.0, np.inf)
+    assert _interval(np.array([-2.0, -1.0]), np.array([1.0, 2.0])) == (-np.inf, -2.0)
+
+
+def same_interval(found, ref):
+    """None for both, or both endpoints the same floats by their bytes."""
+    if ref is None:
+        return found is None
+    return found is not None and all(
+        np.float64(a).tobytes() == np.float64(b).tobytes() for a, b in zip(found, ref))
+
+
+def test_family_bounds_give_the_former_interval_bitwise(monkeypatch):
+    # the family systems of zero-one solves at k 1-3, each also with its
+    # direction negated and zeroed, so the rows flip sides and go to zero
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return _family_bounds(*args)
+
+    monkeypatch.setattr(maxent, "_family_bounds", recorded)
+    rng = np.random.default_rng(20261028)
+    for case in range(160):
+        n, k = 3 + case % 6, 1 + (case // 6) % 3
+        stat, tau = mean_value_problem(rng, n, k, (case // 18) % 4)
+        alone_call(maxent.solve, zero_one_model(SampleSpace.of(range(n))),
+                   GammaTau(stat, tau))
+    assert {g.k for g, *_ in calls} == {1, 2, 3}
+    reach = sum(g.k >= 2 and bool(np.setdiff1d(union_support(g), np.flatnonzero(charged)).size)
+                for g, _, _, _, charged in calls)
+    assert reach > 0   # rows of outcomes off supp(P*) that Gamma_tau reaches, k >= 2
+    outcomes = set()
+    for i, (g, v0, col, modes, charged) in enumerate(calls):
+        for c in (col, -col, 0.0 * col):
+            found = _family_bounds(g, v0, c, modes, charged)
+            ref = former_family_bounds(g, v0, c, modes, charged)
+            assert same_interval(found, ref), (i, found, ref)
+            outcomes.add("None" if ref is None else "interval")
+    assert outcomes == {"None", "interval"}

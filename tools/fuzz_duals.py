@@ -24,6 +24,12 @@ maximizes a random direction, moved by 0 or +-1e-10 per row, so tau sits at
 or within 1e-10 of a hull vertex, where the dual is degenerate.  The report
 counts, per N, how each run ended, as above.
 
+Then the near-vertex oracle: NEAR_VERTEX_COUNT more such tau per N in
+ORACLE_SIZES, where the 2^N support enumeration `enumerate_brier` of
+tests/test_brier_dual.py is exact and cheap.  The report gives, per N, how
+many solves miss the enumeration's h by more than 1e-12, the worst miss,
+and how many raise.
+
 The counts are what a change to the dual solvers, or to the rank and
 support tests they rest on, should be read against.
 """
@@ -36,14 +42,17 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import maxentgames as mg  # noqa: E402
+from test_brier_dual import enumerate_brier  # noqa: E402
 
 SEED = 2026
 FUZZ_COUNT = 400
 NEAR_VERTEX_COUNT = 30
 NEAR_VERTEX_SIZES = (40, 80, 160)
+ORACLE_SIZES = (8, 10, 12)
 LOSSES = {
     "brier": lambda space: mg.brier_model(space),
     "log": lambda space: mg.log_model(space),
@@ -145,6 +154,22 @@ def main() -> int:
     for n, tally in near.items():
         for end, count in sorted(tally.items(), key=lambda item: (-item[1], item[0])):
             print(f"  N = {n:<12d} {end:36s} {count:4d}")
+    rng = np.random.default_rng(SEED)
+    print(f"near-vertex oracle: {NEAR_VERTEX_COUNT * len(ORACLE_SIZES)} Brier tau at or within "
+          f"1e-10 of a hull vertex, N {'/'.join(map(str, ORACLE_SIZES))}, k 1-3, seed {SEED}, "
+          f"h against the 2^N support enumeration")
+    for n in ORACLE_SIZES:
+        misses, raised = [], 0
+        for _ in range(NEAR_VERTEX_COUNT):
+            t, tau = near_vertex_problem(rng, n)
+            g = mg.GammaTau(mg.Statistic(t), tau)
+            try:
+                misses.append(abs(mg.solve(LOSSES["brier"](space(n)), g).h_star
+                                  - enumerate_brier(g)[1]))
+            except Exception:
+                raised += 1
+        print(f"  N = {n:<12d} miss above 1e-12 {sum(m > 1e-12 for m in misses):4d}, "
+              f"worst {max(misses, default=0.0):.1e}, raised {raised}")
     return 0
 
 
